@@ -32,6 +32,7 @@ import hashlib
 import secrets
 import time as _time
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.antientropy import KIND_OBJECT, KIND_POLICY, DirtyJournal
 from repro.core.effects import (
@@ -56,7 +57,7 @@ from repro.errors import (
     StaleReplica,
     TransientIOError,
 )
-from repro.policy.context import ObjectView, VersionInfo, parse_content_tuples
+from repro.policy.context import ObjectView, VersionInfo
 from repro.kinetic.protocol import decode_fields, encode_fields
 from repro.telemetry import NULL_TELEMETRY
 
@@ -1158,12 +1159,11 @@ class StoreBackedView(ObjectView):
         version_meta = self._meta.versions.get(version)
         if version_meta is None:
             return None
-        info = _LazyVersionInfo(
+        info = VersionInfo(
             size=version_meta.size,
             content_hash=version_meta.content_hash,
             policy_hash=version_meta.policy_hash,
-            loader=self._load_content,
-            version=version,
+            content=partial(self._load_content, version),
         )
         self._infos[version] = info
         return info
@@ -1186,27 +1186,3 @@ class StoreBackedView(ObjectView):
         if self._cache is not None:
             self._cache.put_object(cache_key, value)
         return value
-
-
-class _LazyVersionInfo(VersionInfo):
-    """VersionInfo whose tuple facts load on first access."""
-
-    def __init__(self, size, content_hash, policy_hash, loader, version):
-        super().__init__(
-            size=size, content_hash=content_hash, policy_hash=policy_hash
-        )
-        self._loader = loader
-        self._version = version
-        self._loaded = False
-
-    @property
-    def tuples(self):  # type: ignore[override]
-        if not self._loaded:
-            self._tuples = parse_content_tuples(self._loader(self._version))
-            self._loaded = True
-        return self._tuples
-
-    @tuples.setter
-    def tuples(self, value):
-        self._tuples = value
-        self._loaded = True

@@ -189,10 +189,7 @@ class KineticClient:
                 f"drive rejected identity {self.identity!r}: "
                 f"{response.status_message}"
             )
-        if not response.verify(self._key):
-            raise IntegrityError("response HMAC invalid (spoofed drive?)")
-        if response.sequence != request.sequence:
-            raise KineticError("response sequence mismatch")
+        self._authenticate(request, response)
         if response.status == StatusCode.NOT_AUTHORIZED:
             raise KineticAuthError(response.status_message)
         if response.status == StatusCode.VERSION_MISMATCH:
@@ -204,6 +201,13 @@ class KineticClient:
                 f"{response.status.name}: {response.status_message}"
             )
         return response
+
+    def _authenticate(self, request: Message, response: Message) -> None:
+        """Raise unless ``response`` is the drive's own answer to ``request``."""
+        if not response.verify(self._key):
+            raise IntegrityError("response HMAC invalid (spoofed drive?)")
+        if response.sequence != request.sequence:
+            raise KineticError("response sequence mismatch")
 
     # -- synchronous API -------------------------------------------------------
 
@@ -399,19 +403,17 @@ class KineticClient:
 
         Responses complete in submission order (one TCP connection).
         Status failures are recorded on the pending entry rather than
-        raised, matching the callback-style C library.
+        raised, matching the callback-style C library; a response that
+        is not authentically the drive's raises like the synchronous
+        path and never reaches the callback.
         """
         completed = 0
         while self._pending and (max_responses is None or completed < max_responses):
             pending = self._pending.popleft()
-            self.requests_sent += 1
-            if self.wire_codec:
-                wire = pending.request.encode()
-                self.bytes_on_wire += len(wire)
-                response = self.drive.handle(Message.decode(wire))
-            else:
-                self.bytes_on_wire += _estimate_size(pending.request)
-                response = self.drive.handle(pending.request)
+            response = self._exchange(pending.request)
+            # The drive's HMAC_FAILURE rejection is itself unsigned.
+            if response.status != StatusCode.HMAC_FAILURE:
+                self._authenticate(pending.request, response)
             pending.response = response
             if pending.callback is not None:
                 pending.callback(response)

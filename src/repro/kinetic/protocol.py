@@ -1,30 +1,44 @@
 """The Kinetic wire protocol (protobuf stand-in).
 
 Real Kinetic drives speak Google Protocol Buffers over TCP with a
-9-byte frame header.  We reproduce the same structure with our own
-tag/length/value binary encoding (:func:`encode_fields` /
-:func:`decode_fields`): a :class:`Message` carries a command header
-(identity, sequence, type), a body of operation parameters, and an
-HMAC-SHA256 over the encoded command keyed by the identity's secret —
-which is exactly how Kinetic authenticates requests.
+9-byte frame header.  We reproduce the same structure with a fixed
+binary header in front of our own tag/length/value encoding
+(:func:`encode_fields` / :func:`decode_fields`): a :class:`Message`
+carries a command header (type, status, sequence, identity), a body of
+operation parameters, and an HMAC-SHA256 over the encoded command keyed
+by the identity's secret — which is exactly how Kinetic authenticates
+requests.
 
-Frame layout::
+Frame layout (integers big-endian)::
 
-    magic 'K' | varint(len(command)) | command | varint(len(hmac)) | hmac
+    command | u8 len(hmac) | hmac
+
+    command = magic 'K' | u8 version (1)
+            | u8 type | u8 status | u64 sequence
+            | u16 len(identity) | u16 len(status message) | u32 len(body)
+            | identity (UTF-8) | status message (UTF-8) | body (TLV)
+
+The command is encoded once, when the sender signs it, and the receiver
+authenticates the command bytes exactly as they arrived.  Decoding is
+canonical-only — the lengths must account for every byte of the frame,
+an unknown version is an error (there is no fallback decoder), and the
+TLV body must be byte-for-byte what :func:`encode_fields` would emit —
+so no two frames decode to the same message.
+
+The TLV encoding is also the at-rest format of ``StoredMeta`` records
+and compiled policies (whose SHA-256 is the policy id); its bytes are
+pinned by golden vectors in ``tests/kinetic/test_codec.py``.
 """
 
 from __future__ import annotations
 
 import enum
 import hmac as hmac_mod
-import hashlib
-import io
+import struct
 from dataclasses import dataclass, field
 
 from repro.errors import KineticError
-from repro.util.varint import read_varint, write_varint
-
-_MAGIC = ord("K")
+from repro.util.varint import decode_varint, encode_varint
 
 
 class MessageType(enum.IntEnum):
@@ -117,111 +131,141 @@ _TYPE_LIST = 3
 _TYPE_NONE = 4
 
 
-def _read_exact(stream: io.BytesIO, length: int, what: str) -> bytes:
-    """Read exactly ``length`` bytes, validating against the buffer.
+def _append_varint(out: bytearray, value: int) -> None:
+    if value < 0x80:
+        out.append(value)
+    else:
+        out += encode_varint(value)
+
+
+def _append_value(out: bytearray, value) -> None:
+    if isinstance(value, bytes):
+        out.append(_TYPE_BYTES)
+        _append_varint(out, len(value))
+        out += value
+    elif isinstance(value, str):
+        raw = value.encode()
+        out.append(_TYPE_STR)
+        _append_varint(out, len(raw))
+        out += raw
+    elif value is None:
+        out.append(_TYPE_NONE)
+    elif isinstance(value, int):
+        # Includes bools, which encode as 0/1.
+        if value < 0:
+            raise KineticError(f"cannot encode negative int {value}")
+        out.append(_TYPE_INT)
+        _append_varint(out, value)
+    elif isinstance(value, (list, tuple)):
+        out.append(_TYPE_LIST)
+        _append_varint(out, len(value))
+        for item in value:
+            _append_value(out, item)
+    else:
+        raise KineticError(f"cannot encode field of type {type(value).__name__}")
+
+
+def _canonical_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """One canonical varint at ``pos``; returns ``(value, next_pos)``."""
+    if pos < len(data) and data[pos] < 0x80:
+        return data[pos], pos + 1
+    value, end = decode_varint(data, pos)
+    if not data[end - 1]:
+        raise KineticError("non-minimal varint")
+    return value, end
+
+
+def _read_length(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """A length varint, validated against the bytes that remain.
 
     Length fields are attacker-controlled varints up to 2^64; checking
     them against the remaining payload prevents huge-allocation and
     index-overflow attacks (found by fuzzing).
     """
-    remaining = stream.getbuffer().nbytes - stream.tell()
-    if length > remaining:
+    length, pos = _canonical_varint(data, pos)
+    if length > len(data) - pos:
         raise KineticError(
-            f"{what} length {length} exceeds remaining payload {remaining}"
+            f"{what} {length} exceeds remaining payload {len(data) - pos}"
         )
-    return stream.read(length)
+    return length, pos
 
 
-def _write_value(stream: io.BytesIO, value) -> None:
-    if value is None:
-        stream.write(bytes([_TYPE_NONE]))
-    elif isinstance(value, bool):
-        # bools encode as ints (before the int check: bool is an int).
-        stream.write(bytes([_TYPE_INT]))
-        write_varint(stream, int(value))
-    elif isinstance(value, int):
-        if value < 0:
-            raise KineticError(f"cannot encode negative int {value}")
-        stream.write(bytes([_TYPE_INT]))
-        write_varint(stream, value)
-    elif isinstance(value, bytes):
-        stream.write(bytes([_TYPE_BYTES]))
-        write_varint(stream, len(value))
-        stream.write(value)
-    elif isinstance(value, str):
-        raw = value.encode()
-        stream.write(bytes([_TYPE_STR]))
-        write_varint(stream, len(raw))
-        stream.write(raw)
-    elif isinstance(value, (list, tuple)):
-        stream.write(bytes([_TYPE_LIST]))
-        write_varint(stream, len(value))
-        for item in value:
-            _write_value(stream, item)
-    else:
-        raise KineticError(f"cannot encode field of type {type(value).__name__}")
-
-
-def _read_value(stream: io.BytesIO):
-    type_byte = stream.read(1)
-    if not type_byte:
+def _read_value(data: bytes, pos: int):
+    if pos >= len(data):
         raise KineticError("truncated field value")
-    kind = type_byte[0]
+    kind = data[pos]
     if kind == _TYPE_NONE:
-        return None
+        return None, pos + 1
     if kind == _TYPE_INT:
-        return read_varint(stream)
-    if kind in (_TYPE_BYTES, _TYPE_STR):
-        length = read_varint(stream)
-        raw = _read_exact(stream, length, "field payload")
-        if kind == _TYPE_BYTES:
-            return raw
+        return _canonical_varint(data, pos + 1)
+    if kind > _TYPE_NONE:
+        raise KineticError(f"unknown field type {kind}")
+    # A list's count is a length too: each element needs >= 1 byte.
+    length, pos = _read_length(data, pos + 1, "field length")
+    if kind == _TYPE_BYTES:
+        return data[pos:pos + length], pos + length
+    if kind == _TYPE_STR:
         try:
-            return raw.decode()
+            return data[pos:pos + length].decode(), pos + length
         except UnicodeDecodeError as exc:
             raise KineticError(f"invalid string field: {exc}") from exc
-    if kind == _TYPE_LIST:
-        count = read_varint(stream)
-        remaining = stream.getbuffer().nbytes - stream.tell()
-        if count > remaining:  # each element needs >= 1 byte
-            raise KineticError("list count exceeds remaining payload")
-        return [_read_value(stream) for _ in range(count)]
-    raise KineticError(f"unknown field type {kind}")
+    items = []
+    for _ in range(length):
+        item, pos = _read_value(data, pos)
+        items.append(item)
+    return items, pos
 
 
 def encode_fields(fields: dict) -> bytes:
     """Encode a flat dict of fields deterministically (sorted keys)."""
-    stream = io.BytesIO()
-    write_varint(stream, len(fields))
+    out = bytearray()
+    _append_varint(out, len(fields))
     for key in sorted(fields):
         raw_key = key.encode()
-        write_varint(stream, len(raw_key))
-        stream.write(raw_key)
-        _write_value(stream, fields[key])
-    return stream.getvalue()
+        _append_varint(out, len(raw_key))
+        out += raw_key
+        _append_value(out, fields[key])
+    return bytes(out)
 
 
 def decode_fields(data: bytes) -> dict:
-    """Inverse of :func:`encode_fields`."""
-    stream = io.BytesIO(data)
-    count = read_varint(stream)
-    if count > len(data):
-        raise KineticError("field count exceeds payload")
+    """Inverse of :func:`encode_fields`; accepts only its exact output.
+
+    Keys must be strictly ascending (so no duplicates), varints minimal
+    and nothing may follow the declared fields: two distinct byte
+    strings never decode to the same dict, which is what lets the HMAC
+    and ``policy_hash`` be taken over the bytes as received.
+    """
+    count, pos = _read_length(data, 0, "field count")
     fields = {}
+    previous = None
     for _ in range(count):
-        key_len = read_varint(stream)
-        raw_key = _read_exact(stream, key_len, "field key")
+        key_len, pos = _read_length(data, pos, "field key length")
         try:
-            key = raw_key.decode()
+            key = data[pos:pos + key_len].decode()
         except UnicodeDecodeError as exc:
             raise KineticError(f"invalid field key: {exc}") from exc
-        fields[key] = _read_value(stream)
+        if previous is not None and key <= previous:
+            raise KineticError(f"field key {key!r} out of order")
+        previous = key
+        fields[key], pos = _read_value(data, pos + key_len)
+    if pos != len(data):
+        raise KineticError(f"{len(data) - pos} bytes after the last field")
     return fields
 
 
 # ---------------------------------------------------------------------------
 # Messages
 # ---------------------------------------------------------------------------
+
+_MAGIC = ord("K")
+_VERSION = 1
+#: After magic and version: type, status, sequence, then the lengths
+#: of the identity, the status message and the TLV body.
+_HEADER = struct.Struct(">BBQHHI")
+_PREFIX = bytes((_MAGIC, _VERSION))
+_HEADER_END = len(_PREFIX) + _HEADER.size
+
 
 @dataclass
 class Message:
@@ -234,79 +278,94 @@ class Message:
     status: StatusCode = StatusCode.SUCCESS
     status_message: str = ""
     hmac: bytes = b""
-    _command_cache: bytes | None = field(
-        default=None, repr=False, compare=False
-    )
+    #: The command as :meth:`sign` encoded it, reused by :meth:`encode`.
+    _signed: bytes | None = field(default=None, repr=False, compare=False)
+    #: The command bytes :meth:`decode` parsed this message from; None
+    #: for a message built locally.
+    _received: bytes | None = field(default=None, repr=False, compare=False)
 
     def command_bytes(self) -> bytes:
         """The canonical encoding covered by the HMAC (always fresh)."""
-        return encode_fields(
-            {
-                "_type": int(self.message_type),
-                "_identity": self.identity,
-                "_sequence": self.sequence,
-                "_status": int(self.status),
-                "_status_message": self.status_message,
-                "_body": encode_fields(self.body),
-            }
-        )
+        identity = self.identity.encode()
+        status_message = self.status_message.encode()
+        body = encode_fields(self.body)
+        try:
+            header = _HEADER.pack(
+                self.message_type, self.status, self.sequence,
+                len(identity), len(status_message), len(body),
+            )
+        except struct.error as exc:
+            raise KineticError(f"command does not fit the header: {exc}") from exc
+        return b"".join((_PREFIX, header, identity, status_message, body))
 
     def sign(self, key: bytes) -> "Message":
         """Attach an HMAC-SHA256 computed with ``key``.
 
-        The canonical encoding is cached for the follow-up
-        :meth:`encode`; :meth:`verify` always re-encodes so tampering
-        after signing is still caught.
+        The command is encoded once, here; :meth:`encode` frames those
+        same bytes.
         """
-        self._command_cache = self.command_bytes()
-        self.hmac = hmac_mod.new(
-            key, self._command_cache, hashlib.sha256
-        ).digest()
+        self._signed = self.command_bytes()
+        self._received = None
+        self.hmac = hmac_mod.digest(key, self._signed, "sha256")
         return self
 
     def verify(self, key: bytes) -> bool:
-        """Check the attached HMAC against ``key``."""
-        expected = hmac_mod.new(key, self.command_bytes(), hashlib.sha256).digest()
+        """Check the attached HMAC against ``key``.
+
+        A decoded message is authenticated over the command bytes that
+        were received, not over a re-encoding of what they parsed to.
+        A message built locally is re-encoded, so fields changed after
+        :meth:`sign` no longer verify.
+        """
+        command = (
+            self._received if self._received is not None
+            else self.command_bytes()
+        )
+        expected = hmac_mod.digest(key, command, "sha256")
         return hmac_mod.compare_digest(expected, self.hmac)
 
     def encode(self) -> bytes:
         """Serialize to a framed wire blob."""
         command = (
-            self._command_cache
-            if self._command_cache is not None
-            else self.command_bytes()
+            self._signed if self._signed is not None else self.command_bytes()
         )
-        stream = io.BytesIO()
-        stream.write(bytes([_MAGIC]))
-        write_varint(stream, len(command))
-        stream.write(command)
-        write_varint(stream, len(self.hmac))
-        stream.write(self.hmac)
-        return stream.getvalue()
+        if len(self.hmac) > 0xFF:
+            raise KineticError(f"hmac of {len(self.hmac)} bytes does not fit")
+        return b"".join((command, bytes((len(self.hmac),)), self.hmac))
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
-        """Parse a framed wire blob."""
-        stream = io.BytesIO(data)
-        magic = stream.read(1)
-        if not magic or magic[0] != _MAGIC:
+        """Parse a framed wire blob, accepting only canonical frames."""
+        if len(data) < len(_PREFIX) or data[0] != _MAGIC:
             raise KineticError("bad frame magic")
-        command_len = read_varint(stream)
-        command = _read_exact(stream, command_len, "command")
-        hmac_len = read_varint(stream)
-        mac = _read_exact(stream, hmac_len, "hmac")
-        outer = decode_fields(command)
+        if data[1] != _VERSION:
+            raise KineticError(f"unsupported frame version {data[1]}")
+        if len(data) < _HEADER_END:
+            raise KineticError("truncated frame header")
+        (
+            message_type, status, sequence,
+            identity_len, status_message_len, body_len,
+        ) = _HEADER.unpack_from(data, len(_PREFIX))
+        identity_end = _HEADER_END + identity_len
+        body_start = identity_end + status_message_len
+        command_end = body_start + body_len
+        # The header lengths plus the HMAC must account for every byte.
+        if command_end >= len(data):
+            raise KineticError("header lengths exceed the frame")
+        if command_end + 1 + data[command_end] != len(data):
+            raise KineticError("frame length does not match its header")
         try:
             return cls(
-                message_type=MessageType(outer["_type"]),
-                identity=outer["_identity"],
-                sequence=outer["_sequence"],
-                status=StatusCode(outer["_status"]),
-                status_message=outer["_status_message"],
-                body=decode_fields(outer["_body"]),
-                hmac=mac,
+                message_type=MessageType(message_type),
+                identity=data[_HEADER_END:identity_end].decode(),
+                sequence=sequence,
+                status=StatusCode(status),
+                status_message=data[identity_end:body_start].decode(),
+                body=decode_fields(data[body_start:command_end]),
+                hmac=data[command_end + 1:],
+                _received=data[:command_end],
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except ValueError as exc:  # unknown enum value, invalid UTF-8
             raise KineticError(f"malformed command: {exc}") from exc
 
     def make_response(

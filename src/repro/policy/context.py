@@ -15,6 +15,7 @@ use case appends such lines to its log objects.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.crypto.certs import Certificate
@@ -107,14 +108,29 @@ def render_tuple(tup: TupleValue) -> str:
     return tup.render()
 
 
-@dataclass
 class VersionInfo:
-    """Metadata + facts for one version of one object."""
+    """Metadata + facts for one version of one object.
 
-    size: int
-    content_hash: str
-    policy_hash: str = ""
-    tuples: list = field(default_factory=list)
+    ``tuples`` (the facts ``objSays`` matches) are given outright, or
+    parsed on first read from what ``content`` returns; most policies
+    never look, and then the payload is never tokenised or fetched.
+    """
+
+    __slots__ = ("size", "content_hash", "policy_hash", "_tuples", "_content")
+
+    def __init__(
+        self,
+        size: int,
+        content_hash: str,
+        policy_hash: str = "",
+        tuples: list | None = None,
+        content: Callable[[], bytes] | None = None,
+    ):
+        self.size = size
+        self.content_hash = content_hash
+        self.policy_hash = policy_hash
+        self._tuples = tuples
+        self._content = content
 
     @classmethod
     def from_content(
@@ -124,8 +140,18 @@ class VersionInfo:
             size=len(data),
             content_hash=content_hash(data),
             policy_hash=policy_hash,
-            tuples=parse_content_tuples(data),
+            content=lambda: data,
         )
+
+    @property
+    def tuples(self) -> list:
+        if self._tuples is None:
+            self._tuples = (
+                [] if self._content is None
+                else parse_content_tuples(self._content())
+            )
+            self._content = None  # the payload need not outlive its parse
+        return self._tuples
 
 
 @dataclass

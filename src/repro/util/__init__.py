@@ -2,12 +2,7 @@
 
 from repro.util.bytesutil import fmt_size, parse_size, xor_bytes
 from repro.util.lfu import LFUCache
-from repro.util.varint import (
-    decode_varint,
-    encode_varint,
-    read_varint,
-    write_varint,
-)
+from repro.util.varint import decode_varint, encode_varint
 
 __all__ = [
     "LFUCache",
@@ -15,7 +10,5 @@ __all__ = [
     "encode_varint",
     "fmt_size",
     "parse_size",
-    "read_varint",
-    "write_varint",
     "xor_bytes",
 ]

@@ -6,8 +6,6 @@ policy binary format use varints for compact length/field encoding.
 
 from __future__ import annotations
 
-import io
-
 from repro.errors import PesosError
 
 
@@ -49,26 +47,5 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
             return result, pos
-        shift += 7
-    raise VarintError("varint exceeds 64 bits")
-
-
-def write_varint(stream: io.BytesIO, value: int) -> None:
-    """Append a varint to a binary stream."""
-    stream.write(encode_varint(value))
-
-
-def read_varint(stream: io.BytesIO) -> int:
-    """Read one varint from a binary stream."""
-    result = 0
-    shift = 0
-    for _ in range(_MAX_VARINT_BYTES):
-        chunk = stream.read(1)
-        if not chunk:
-            raise VarintError("truncated varint")
-        byte = chunk[0]
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result
         shift += 7
     raise VarintError("varint exceeds 64 bits")

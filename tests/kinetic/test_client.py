@@ -5,6 +5,7 @@ import pytest
 from repro.crypto.certs import CertificateAuthority, TrustStore
 from repro.errors import (
     CertificateError,
+    IntegrityError,
     KineticAuthError,
     KineticError,
     KineticNotFound,
@@ -179,6 +180,70 @@ def test_async_failure_recorded_not_raised(client):
     client.drain()
     assert pending.done
     assert pending.response.status == StatusCode.NOT_FOUND
+
+
+class _SpoofingDrive:
+    """A man in the middle that rewrites the real drive's responses."""
+
+    def __init__(self, inner, rewrite):
+        self._inner = inner
+        self._rewrite = rewrite
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def handle(self, request):
+        return self._rewrite(self._inner.handle(request))
+
+
+def _forge_value(response):
+    response.body["value"] = b"forged"
+    return response.sign(b"not the account key")
+
+
+def _replay_other_sequence(response):
+    response.sequence += 1
+    return response.sign(KineticDrive.DEMO_KEY)
+
+
+@pytest.mark.parametrize("wire_codec", [True, False])
+@pytest.mark.parametrize(
+    "rewrite, error",
+    [(_forge_value, IntegrityError), (_replay_other_sequence, KineticError)],
+)
+def test_async_spoofed_response_raises_before_callback(
+    drive, wire_codec, rewrite, error
+):
+    KineticClient(drive, "demo", KineticDrive.DEMO_KEY).put(b"k", b"v")
+    client = KineticClient(
+        _SpoofingDrive(drive, rewrite), "demo", KineticDrive.DEMO_KEY,
+        wire_codec=wire_codec,
+    )
+    delivered = []
+    pending = client.submit(
+        MessageType.GET, {"key": b"k"}, callback=delivered.append
+    )
+    with pytest.raises(error):
+        client.drain()
+    assert delivered == [] and not pending.done
+    # The synchronous path refuses the same responses.
+    with pytest.raises(error):
+        client.get(b"k")
+
+
+def test_async_rejected_identity_recorded_not_raised(drive):
+    client = KineticClient(drive, "demo", b"wrong key")
+    pending = client.submit(MessageType.NOOP, {})
+    client.drain()
+    assert pending.response.status == StatusCode.HMAC_FAILURE
+
+
+def test_async_wire_accounting_counts_both_legs(client):
+    client.submit(MessageType.NOOP, {})
+    client.drain()
+    sent_and_received = client.bytes_on_wire
+    client.noop()
+    assert client.bytes_on_wire == 2 * sent_and_received
 
 
 def test_wire_accounting(client):

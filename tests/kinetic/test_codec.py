@@ -1,0 +1,443 @@
+"""The TLV codec and the frame against the reference codec, golden
+vectors and hostile bytes.
+
+The TLV bytes are the at-rest format of ``StoredMeta`` and compiled
+policies, so the encoder must stay byte-identical to the stream-based
+one that wrote them (``reference_codec``); the decoder must accept
+exactly those bytes and nothing that merely parses to the same fields.
+"""
+
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.store import StoredMeta, VersionMeta
+from repro.errors import KineticError
+from repro.kinetic import protocol
+from repro.kinetic.protocol import (
+    Message,
+    MessageType,
+    StatusCode,
+    decode_fields,
+    encode_fields,
+)
+from repro.policy.binary import CompiledPolicy
+from repro.policy.compiler import compile_policy
+from repro.util.varint import VarintError
+from tests.kinetic import reference_codec
+
+WIRE_ERRORS = (KineticError, VarintError)
+
+_leaves = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.booleans(),
+    st.binary(max_size=64),
+    st.text(max_size=32),
+    st.none(),
+)
+_values = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=4), max_leaves=12
+)
+_fields = st.dictionaries(st.text(max_size=8), _values, max_size=8)
+
+
+# ---------------------------------------------------------------------------
+# Encoder: byte-identical to the reference; decoders agree on its output
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(_fields)
+def test_encoder_is_byte_identical_to_reference(fields):
+    blob = encode_fields(fields)
+    assert blob == reference_codec.encode_fields(fields)
+    assert decode_fields(blob) == reference_codec.decode_fields(blob)
+
+
+def test_encoder_rejects_what_the_reference_rejects():
+    for bad in ({"x": -1}, {"x": 1.5}, {"x": bytearray(b"b")}, {"x": [object()]}):
+        with pytest.raises(KineticError):
+            reference_codec.encode_fields(bad)
+        with pytest.raises(KineticError):
+            encode_fields(bad)
+
+
+# ---------------------------------------------------------------------------
+# Decoder: canonical bytes only
+# ---------------------------------------------------------------------------
+
+def _mutate(blob: bytes, data) -> bytes:
+    """One random edit of ``blob``: flip, cut, insert or append."""
+    choice = data.draw(st.integers(0, 3))
+    if choice == 0 and blob:
+        index = data.draw(st.integers(0, len(blob) - 1))
+        bit = 1 << data.draw(st.integers(0, 7))
+        return blob[:index] + bytes([blob[index] ^ bit]) + blob[index + 1:]
+    if choice == 1 and blob:
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    extra = data.draw(st.binary(min_size=1, max_size=4))
+    if choice == 2:
+        index = data.draw(st.integers(0, len(blob)))
+        return blob[:index] + extra + blob[index:]
+    return blob + extra
+
+
+def _assert_accepts_exactly_canonical(blob: bytes) -> None:
+    """Accepted iff the reference accepts and re-encodes to these bytes."""
+    try:
+        expected = reference_codec.decode_fields(blob)
+        canonical = reference_codec.encode_fields(expected) == blob
+    except WIRE_ERRORS:
+        canonical = False
+    if canonical:
+        assert decode_fields(blob) == expected
+    else:
+        with pytest.raises(WIRE_ERRORS):
+            decode_fields(blob)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_fields, st.data())
+def test_decoder_accepts_exactly_canonical_bytes_near_valid(fields, data):
+    _assert_accepts_exactly_canonical(_mutate(encode_fields(fields), data))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.binary(max_size=200))
+def test_decoder_accepts_exactly_canonical_bytes_random(blob):
+    _assert_accepts_exactly_canonical(blob)
+
+
+def _field(key: bytes, value: bytes) -> bytes:
+    return bytes([len(key)]) + key + value
+
+
+INT_1 = b"\x00\x01"
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(b"\x02" + _field(b"a", INT_1) + _field(b"a", INT_1),
+                     id="duplicate-key"),
+        pytest.param(b"\x02" + _field(b"b", INT_1) + _field(b"a", INT_1),
+                     id="out-of-order-keys"),
+        pytest.param(b"\x01" + _field(b"a", INT_1) + b"\x00",
+                     id="trailing-bytes"),
+        pytest.param(b"\x00\x00", id="trailing-after-empty"),
+        pytest.param(b"\x81\x00" + _field(b"a", INT_1), id="non-minimal-count"),
+        pytest.param(b"\x01" + _field(b"a", b"\x00\x81\x00"),
+                     id="non-minimal-int"),
+    ],
+)
+def test_non_canonical_encodings_rejected(blob):
+    reference_codec.decode_fields(blob)  # the lenient reference parses these
+    with pytest.raises(KineticError):
+        decode_fields(blob)
+
+
+@pytest.mark.parametrize(
+    "blob, error",
+    [
+        pytest.param(b"\x05", KineticError, id="count-exceeds-payload"),
+        pytest.param(b"\x01\x7fa", KineticError, id="key-length-exceeds-payload"),
+        pytest.param(b"\x01" + _field(b"a", b"\x01\xff\xff\xff\xff\x0f"),
+                     KineticError, id="bytes-length-exceeds-payload"),
+        pytest.param(b"\x01" + _field(b"a", b"\x03\x7f"), KineticError,
+                     id="list-count-exceeds-payload"),
+        pytest.param(b"\x01" + _field(b"a", b"\x00" + b"\x80" * 10 + b"\x01"),
+                     VarintError, id="varint-over-ten-bytes"),
+        pytest.param(b"\x01" + _field(b"a", b"\x00\x80"), VarintError,
+                     id="truncated-varint"),
+        pytest.param(b"\x01" + _field(b"a", b""), KineticError,
+                     id="truncated-value"),
+        pytest.param(b"\x01" + _field(b"a", b"\x09"), KineticError,
+                     id="unknown-type"),
+        pytest.param(b"\x01" + _field(b"\xff", INT_1), KineticError,
+                     id="key-not-utf8"),
+        pytest.param(b"\x01" + _field(b"a", b"\x02\x01\xff"), KineticError,
+                     id="string-not-utf8"),
+    ],
+)
+def test_malformed_fields_rejected(blob, error):
+    with pytest.raises(error):
+        decode_fields(blob)
+
+
+# ---------------------------------------------------------------------------
+# Golden vectors (generated at the commit before the codec was rewritten)
+# ---------------------------------------------------------------------------
+
+GOLDEN_META_HEX = (
+    "040263760003036b6579021175736572732f616c6963652fc3bc6ec3af06706f6c696379"
+    "024061626162616261626162616261626162616261626162616261626162616261626162"
+    "616261626162616261626162616261626162616261626162616261626162087665727369"
+    "6f6e730303030400000080a0060240303130313031303130313031303130313031303130"
+    "313031303130313031303130313031303130313031303130313031303130313031303130"
+    "313031303130310200030400010080c00c02403032303230323032303230323032303230"
+    "323032303230323032303230323032303230323032303230323032303230323032303230"
+    "323032303230323032303202406364636463646364636463646364636463646364636463"
+    "646364636463646364636463646364636463646364636463646364636463646364636463"
+    "6463646364030400020080e0120240303330333033303330333033303330333033303330"
+    "333033303330333033303330333033303330333033303330333033303330333033303330"
+    "333033303330330240636463646364636463646364636463646364636463646364636463"
+    "646364636463646364636463646364636463646364636463646364636463646364636463"
+    "64"
+)
+
+GOLDEN_POLICY_SOURCE = r"""
+    read   :- sessionKeyIs(k'alice') \/ sessionKeyIs(k'bob')
+    update :- objId(this, O) /\ currVersion(O, cV) /\ nextVersion(cV + 1) /\ sessionKeyIs(k'alice')
+           \/ objId(this, NULL) /\ nextVersion(0)
+    delete :- objSays(log, V, 'delete'(O, 300, h'abcd'))
+"""
+GOLDEN_POLICY_HEX = (
+    "0409636f6e7374616e74730308030202016b0205616c696365030202016b0203626f6203"
+    "020201690001030102016e030202016900000302020173020664656c6574650302020169"
+    "00ac0203020201680204616263640b7065726d697373696f6e7303030302020664656c65"
+    "7465030103010302001a0303030202017202036c6f670302020176000203030201740005"
+    "030303020201760000030202016300060302020163000703020204726561640302030103"
+    "02000b03010302020163000003010302000b030103020201630001030202067570646174"
+    "650302030403020014030203020201720204746869730302020176000003020015030203"
+    "02020176000003020201760001030200160301030402016102012b030202017600010302"
+    "02016300020302000b030103020201630000030203020014030203020201720204746869"
+    "730302020163000303020016030103020201630004097661726961626c6573030302014f"
+    "020263560201560776657273696f6e0001"
+)
+GOLDEN_POLICY_HASH = (
+    "9a2d86f2400fc02980e93db47a126b44fd3be6f032e9b0ece380090036b6af4f"
+)
+
+
+def _golden_meta() -> StoredMeta:
+    meta = StoredMeta(
+        key="users/alice/ünï", current_version=2, policy_id="ab" * 32
+    )
+    for version in range(3):
+        meta.versions[version] = VersionMeta(
+            version=version,
+            size=102400 * (version + 1),
+            content_hash=f"{version + 1:02x}" * 32,
+            policy_hash="" if version == 0 else "cd" * 32,
+        )
+    return meta
+
+
+def test_golden_stored_meta_bytes():
+    blob = bytes.fromhex(GOLDEN_META_HEX)
+    assert _golden_meta().encode() == blob
+    assert StoredMeta.decode(blob) == _golden_meta()
+
+
+def test_golden_compiled_policy_bytes_and_hash():
+    blob = bytes.fromhex(GOLDEN_POLICY_HEX)
+    policy = compile_policy(GOLDEN_POLICY_SOURCE)
+    assert policy.to_bytes() == blob
+    assert policy.policy_hash() == GOLDEN_POLICY_HASH
+    loaded = CompiledPolicy.from_bytes(blob)
+    assert loaded.policy_hash() == GOLDEN_POLICY_HASH
+    assert loaded.permissions == policy.permissions
+    assert loaded.constants == policy.constants
+
+
+# ---------------------------------------------------------------------------
+# Frames
+# ---------------------------------------------------------------------------
+
+KEY = b"secret"
+
+
+def _signed(**kwargs) -> Message:
+    defaults = dict(
+        message_type=MessageType.PUT,
+        identity="pesos",
+        sequence=7,
+        body={"key": b"k1", "value": b"v1", "force": True},
+    )
+    defaults.update(kwargs)
+    return Message(**defaults).sign(KEY)
+
+
+_messages = st.builds(
+    Message,
+    message_type=st.sampled_from(MessageType),
+    identity=st.text(max_size=12),
+    sequence=st.integers(0, 2**64 - 1),
+    body=_fields,
+    status=st.sampled_from(StatusCode),
+    status_message=st.text(max_size=20),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_messages)
+def test_frame_roundtrip_property(message):
+    wire = message.sign(KEY).encode()
+    decoded = Message.decode(wire)
+    assert decoded.verify(KEY)
+    assert not decoded.verify(b"wrong")
+    assert decoded.command_bytes() == message.command_bytes()
+    assert decoded.hmac == message.hmac
+    assert decoded.encode() == wire
+
+
+def test_frame_layout():
+    wire = _signed(status_message="hi").encode()
+    body = encode_fields({"key": b"k1", "value": b"v1", "force": True})
+    assert wire[:2] == b"K\x01"
+    header = struct.pack(">BBQHHI", MessageType.PUT, 0, 7, 5, 2, len(body))
+    command = b"K\x01" + header + b"pesos" + b"hi" + body
+    assert wire[: len(command)] == command
+    assert wire[len(command)] == 32
+    assert len(wire) == len(command) + 1 + 32
+
+
+def test_command_is_encoded_once_per_signed_message(monkeypatch):
+    calls = []
+    original = Message.command_bytes
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Message, "command_bytes", counting)
+    wire = _signed().encode()
+    assert len(calls) == 1  # sign encodes, encode() reuses
+    decoded = Message.decode(wire)
+    assert decoded.verify(KEY)
+    assert len(calls) == 1  # verify HMACs the received bytes
+
+
+def test_verify_authenticates_the_received_bytes(monkeypatch):
+    decoded = Message.decode(_signed().encode())
+    # Nothing is re-serialised, so a broken encoder cannot make a forged
+    # frame verify (or an authentic one fail).
+    monkeypatch.setattr(
+        protocol, "encode_fields", lambda fields: pytest.fail("re-encoded")
+    )
+    assert decoded.verify(KEY)
+
+
+def test_resigned_decoded_message_verifies_over_its_fields():
+    decoded = Message.decode(_signed().encode())
+    decoded.body["value"] = b"changed"
+    decoded.sign(KEY)
+    assert decoded.verify(KEY)
+    assert Message.decode(decoded.encode()).body["value"] == b"changed"
+    decoded.body["value"] = b"evil"
+    assert not decoded.verify(KEY)
+
+
+def test_unsigned_frame_roundtrip():
+    message = Message(MessageType.GET_RESPONSE, "pesos", 3,
+                      status=StatusCode.HMAC_FAILURE, status_message="no")
+    decoded = Message.decode(message.encode())
+    assert decoded.hmac == b""
+    assert decoded.status == StatusCode.HMAC_FAILURE
+    assert not decoded.verify(KEY)
+
+
+def test_unknown_version_rejected():
+    wire = _signed().encode()
+    with pytest.raises(KineticError, match="version 2"):
+        Message.decode(wire[:1] + b"\x02" + wire[2:])
+
+
+def test_bytes_after_hmac_rejected():
+    with pytest.raises(KineticError):
+        Message.decode(_signed().encode() + b"\x00")
+
+
+@pytest.mark.parametrize("offset, width", [(12, 2), (14, 2), (16, 4)])
+@pytest.mark.parametrize("delta", [-1, 1, 1000])
+def test_header_lengths_must_add_up(offset, width, delta):
+    """Identity, status-message and body lengths against the frame length."""
+    wire = bytearray(_signed(status_message="oops").encode())
+    length = int.from_bytes(wire[offset:offset + width], "big")
+    wire[offset:offset + width] = (length + delta).to_bytes(width, "big")
+    with pytest.raises(WIRE_ERRORS):
+        Message.decode(bytes(wire))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sequence", 2**64),
+        ("sequence", -1),
+        ("identity", "x" * 70000),
+        ("status_message", "x" * 70000),
+    ],
+)
+def test_fields_that_do_not_fit_the_header_rejected_on_encode(field, value):
+    message = Message(MessageType.NOOP, "pesos", 1)
+    setattr(message, field, value)
+    with pytest.raises(KineticError):
+        message.command_bytes()
+
+
+def test_unknown_type_and_status_rejected():
+    wire = bytearray(_signed().encode())
+    for offset in (2, 3):
+        bad = bytearray(wire)
+        bad[offset] = 200
+        with pytest.raises(KineticError):
+            Message.decode(bytes(bad))
+
+
+def test_any_single_bit_flip_is_caught():
+    wire = _signed(status_message="m").encode()
+    for index in range(len(wire)):
+        for bit in range(8):
+            flipped = bytearray(wire)
+            flipped[index] ^= 1 << bit
+            try:
+                decoded = Message.decode(bytes(flipped))
+            except WIRE_ERRORS:
+                continue
+            assert not decoded.verify(KEY), (index, bit)
+
+
+def test_every_truncation_rejected():
+    wire = _signed().encode()
+    for cut in range(len(wire)):
+        with pytest.raises(WIRE_ERRORS):
+            Message.decode(wire[:cut])
+
+
+def _decode_raises_only_wire_errors(blob: bytes) -> None:
+    try:
+        Message.decode(blob)
+    except WIRE_ERRORS:
+        pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.binary(max_size=300))
+def test_frame_fuzz_random(blob):
+    _decode_raises_only_wire_errors(blob)
+    _decode_raises_only_wire_errors(b"K\x01" + blob)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_messages, st.data())
+def test_frame_fuzz_near_valid(message, data):
+    wire = _mutate(message.sign(KEY).encode(), data)
+    try:
+        decoded = Message.decode(wire)
+    except WIRE_ERRORS:
+        return
+    # Whatever still decodes re-encodes to the very bytes received.
+    assert decoded.command_bytes() + bytes([len(decoded.hmac)]) + decoded.hmac == wire
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1),
+    st.integers(0, 2**32 - 1), st.binary(max_size=64),
+)
+def test_frame_fuzz_oversized_lengths(identity_len, message_len, body_len, rest):
+    header = struct.pack(
+        ">BBQHHI", MessageType.GET, 0, 1, identity_len, message_len, body_len
+    )
+    _decode_raises_only_wire_errors(b"K\x01" + header + rest)

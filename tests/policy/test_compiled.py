@@ -34,6 +34,15 @@ def test_differential_corpus_replay():
     assert report.trace_sha_interpreter == report.trace_sha_compiled
 
 
+def test_differential_trace_sha_is_pinned():
+    """Recorded before content tuples became lazy: same decisions since."""
+    report = run_differential(seed=7, per_operation=6)
+    assert report.cases == 84
+    assert report.trace_sha_interpreter == (
+        "ea31f0ec126bd4ffa8b9302aafef2009415f0f53b51e57720ecd503add1f11bf"
+    )
+
+
 def test_differential_is_deterministic_in_the_seed():
     first = run_differential(seed=7, per_operation=6)
     second = run_differential(seed=7, per_operation=6)

@@ -72,6 +72,53 @@ def test_version_info_from_content():
     assert info.tuples[0].name == "fact"
 
 
+def test_from_content_parses_tuples_only_when_read(monkeypatch):
+    from repro.policy import context
+
+    calls = []
+
+    def counting_tokenize(line):
+        calls.append(line)
+        return tokenize(line)
+
+    tokenize = context.tokenize
+    monkeypatch.setattr(context, "tokenize", counting_tokenize)
+    # A 1 KiB YCSB-shaped record: ten printable field lines.
+    payload = "\n".join(
+        f"field{i}=" + "abcdefghij0123456789"[i:] * 5 for i in range(10)
+    ).encode().ljust(1024, b"x")
+    info = VersionInfo.from_content(payload + b"\n'fact'(42)", "ph")
+    assert (info.size, info.policy_hash) == (len(payload) + 11, "ph")
+    assert info.content_hash == content_hash(payload + b"\n'fact'(42)")
+    assert calls == []  # a PUT under an ACL policy stops here
+    assert [fact.name for fact in info.tuples] == ["fact"]
+    parsed = len(calls)
+    assert parsed == 11
+    assert info.tuples is info.tuples and len(calls) == parsed  # parsed once
+
+
+def test_version_info_direct_construction():
+    fact = parse_content_tuples(b"'fact'(42)")[0]
+    info = VersionInfo(size=3, content_hash="h", tuples=[fact])
+    assert info.tuples == [fact]
+    assert VersionInfo(size=3, content_hash="h").tuples == []
+
+
+def test_version_info_failed_content_load_is_retried():
+    attempts = []
+
+    def load():
+        attempts.append(1)
+        if len(attempts) == 1:
+            raise OSError("replica offline")
+        return b"'fact'(42)"
+
+    info = VersionInfo(size=10, content_hash="h", content=load)
+    with pytest.raises(OSError):
+        info.tuples
+    assert info.tuples[0].name == "fact"
+
+
 def test_object_view_lookup():
     view = ObjectView(
         object_id="obj",

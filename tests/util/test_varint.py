@@ -1,18 +1,10 @@
 """Varint encode/decode round-trips and error handling."""
 
-import io
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.varint import (
-    VarintError,
-    decode_varint,
-    encode_varint,
-    read_varint,
-    write_varint,
-)
+from repro.util.varint import VarintError, decode_varint, encode_varint
 
 
 def test_zero_encodes_to_single_byte():
@@ -52,20 +44,6 @@ def test_truncated_rejected():
 def test_overlong_rejected():
     with pytest.raises(VarintError):
         decode_varint(b"\x80" * 10 + b"\x01")
-
-
-def test_stream_roundtrip():
-    stream = io.BytesIO()
-    for value in (0, 1, 127, 128, 2**32, 2**63):
-        write_varint(stream, value)
-    stream.seek(0)
-    for value in (0, 1, 127, 128, 2**32, 2**63):
-        assert read_varint(stream) == value
-
-
-def test_stream_read_empty_raises():
-    with pytest.raises(VarintError):
-        read_varint(io.BytesIO())
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
