@@ -5,7 +5,7 @@ operator thinks a permission exists; it does not), a shadowed clause
 never matters (the operator thinks a restriction exists; it does not),
 and a tampered or stale binary diverges from the source the auditor
 reviews.  The verifier walks a :class:`~repro.policy.binary.CompiledPolicy`
-— the exact form the interpreter executes — and reports:
+— the exact form the evaluator executes — and reports:
 
 ``policy/undefined-predicate``
     An instruction's opcode has no entry in the predicate registry.
@@ -421,105 +421,6 @@ def _divergence(policy: CompiledPolicy) -> list[Finding]:
                 )
             )
     return findings
-
-
-# ---------------------------------------------------------------------------
-# Clause facts (consumed by the closure compiler)
-# ---------------------------------------------------------------------------
-
-def _constant_false_positions(clause: list, policy: CompiledPolicy) -> list:
-    """Indices of conjuncts that are constant comparisons proven false.
-
-    A subset of what :func:`_clause_unsat` proves, but positional: the
-    closure compiler may only strip a dead disjunct when it can account
-    the exact number of predicates the interpreter would have counted,
-    which needs the *position* of the deterministic failure.
-    """
-    positions = []
-    for index, inst in enumerate(clause):
-        if len(inst.args) != 2:
-            continue
-        left, right = inst.args
-        lc = _const_int(left, policy)
-        rc = _const_int(right, policy)
-        if inst.opcode in _RELATIONAL and lc is not None and rc is not None:
-            holds = {
-                _LE: lc <= rc,
-                _LT: lc < rc,
-                _GE: lc >= rc,
-                _GT: lc > rc,
-            }[inst.opcode]
-            if not holds:
-                positions.append(index)
-        elif inst.opcode == _EQ:
-            lv = _const_value(left, policy)
-            rv = _const_value(right, policy)
-            if lv is not None and rv is not None and lv != rv:
-                positions.append(index)
-    return positions
-
-
-def clause_facts(policy: CompiledPolicy) -> dict:
-    """Per-clause static facts, keyed by ``(operation, clause_index)``.
-
-    The closure compiler (:mod:`repro.policy.compiled`) reuses what the
-    verifier already proves instead of re-deriving it:
-
-    ``const_false_at``
-        Conjunct indices that are constant comparisons proven false —
-        candidates for dead-disjunct stripping (the compiler strips
-        only when every earlier conjunct is also constant, so the
-        interpreter's ``predicates_evaluated`` count stays exact).
-    ``duplicate_of``
-        Index of an earlier clause with an identical conjunct set.
-        First-match evaluation only ever reaches the duplicate after
-        the original failed, and clause evaluation is deterministic in
-        the context, so the duplicate's outcome (and predicate count)
-        can be replayed from the original's.
-    ``unsat`` / ``shadowed``
-        The verifier's satisfiability verdicts, advisory here: an
-        interval-unsat clause still has to run (its predicate count is
-        context-dependent), so the compiler must *not* strip it.
-    """
-    facts: dict = {}
-    for operation, clauses in sorted(policy.permissions.items()):
-        signatures = []
-        for index, clause in enumerate(clauses):
-            where = f"{operation} clause {index + 1}"
-            try:
-                signature = _clause_signature(clause, policy)
-                unsat = _clause_unsat(clause, policy, where) is not None
-                const_false = _constant_false_positions(clause, policy)
-            except (PolicyError, IndexError):
-                # Structurally broken clause: no facts, never stripped.
-                signatures.append(None)
-                facts[(operation, index)] = {
-                    "const_false_at": [],
-                    "duplicate_of": None,
-                    "unsat": False,
-                    "shadowed": False,
-                }
-                continue
-            duplicate_of = None
-            shadowed = False
-            for earlier, earlier_sig in enumerate(signatures):
-                if earlier_sig is None:
-                    continue
-                if earlier_sig == signature:
-                    duplicate_of = earlier
-                    shadowed = True
-                    break
-                if earlier_sig <= signature:
-                    shadowed = True
-                    break
-            signatures.append(signature)
-            facts[(operation, index)] = {
-                "const_false_at": const_false,
-                "duplicate_of": duplicate_of,
-                "unsat": unsat,
-                "shadowed": shadowed,
-            }
-    return facts
 
 
 # ---------------------------------------------------------------------------

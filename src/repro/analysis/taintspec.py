@@ -473,7 +473,7 @@ DEFAULT_REGISTRY = TaintRegistry(
             "enclave secret until the store accepts it",
         ),
         Declassifier(
-            qualname="PolicyInterpreter.evaluate",
+            qualname="PolicyEngine.evaluate",
             reason="decisions are booleans and clause indices, "
             "deliberately recorded in the audit chain",
         ),

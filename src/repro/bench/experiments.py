@@ -62,10 +62,10 @@ def _record_fig3(update: dict, preserve: tuple) -> None:
     """Merge ``update`` into the fig3 trajectory entry.
 
     ``trajectory.record`` replaces ``latest`` wholesale, but fig3 is
-    fed by independent experiments (the throughput sweep, the
-    freshness-overhead run, and the policy fast-path bench); each
-    preserves the others' keys — selected by the ``preserve`` prefix
-    tuple — so no run erases the metrics it did not measure.
+    fed by independent experiments (the throughput sweep and the
+    freshness-overhead run); each preserves the other's keys —
+    selected by the ``preserve`` prefix tuple — so no run erases the
+    metrics it did not measure.
     """
     from repro.bench.trajectory import load
 
@@ -121,7 +121,7 @@ def fig3_fig4(clients=None) -> tuple[FigureResult, FigureResult]:
             f"peak_kiops_{name}": round(fig3.peak(name) / 1000.0, 2)
             for name in fig3.series
         },
-        preserve=("freshness_", "policy_"),
+        preserve=("freshness_",),
     )
     return fig3, fig4
 
@@ -222,7 +222,7 @@ def freshness_overhead(
         "freshness_pins": authority.pins,
         "freshness_epoch": authority.epoch,
     }
-    _record_fig3(result, preserve=("peak_kiops_", "policy_"))
+    _record_fig3(result, preserve=("peak_kiops_",))
     return result
 
 

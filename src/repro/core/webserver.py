@@ -261,17 +261,6 @@ class WebServer:
             else:
                 parsed.append((index, request, fingerprint))
 
-        # Group same-policy reads and evaluate them in one pass over
-        # the compiled form before dispatch; per-request handling then
-        # hits the decision cache.  Purely an accelerator — requests
-        # the prewarmer skips (cold caches, object-reading policies)
-        # behave exactly as before.
-        prewarm = getattr(self.controller, "prewarm_policy_batch", None)
-        if prewarm is not None and parsed:
-            prewarm(
-                [(request, fp) for _index, request, fp in parsed], now
-            )
-
         with ConcurrentEngine(
             self.controller,
             seed=seed,

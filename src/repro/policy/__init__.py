@@ -10,9 +10,10 @@ of Table 1.  The pipeline mirrors the paper's:
 2. :mod:`repro.policy.compiler` — AST into the compact *binary format*
    (:mod:`repro.policy.binary`): a constant pool plus per-permission
    predicate programs, identified by their content hash.
-3. :mod:`repro.policy.interpreter` — evaluates a compiled policy
-   against an :class:`~repro.policy.context.EvalContext` using
-   Guardat's "compare or set" variable semantics.
+3. :mod:`repro.policy.compiled` — the one evaluator: turns a compiled
+   policy into per-clause closures once, then evaluates them against
+   an :class:`~repro.policy.context.EvalContext` using Guardat's
+   "compare or set" variable semantics, behind a decision cache.
 
 Example::
 
@@ -42,7 +43,6 @@ from repro.policy.compiled import (
 )
 from repro.policy.compiler import compile_policy, compile_source
 from repro.policy.context import EvalContext, ObjectView
-from repro.policy.interpreter import PolicyInterpreter
 from repro.policy.parser import parse_policy
 from repro.policy.render import explain_policy, render_policy
 
@@ -56,7 +56,6 @@ __all__ = [
     "HashValue",
     "IntValue",
     "ObjectView",
-    "PolicyInterpreter",
     "PubKeyValue",
     "StrValue",
     "TupleValue",

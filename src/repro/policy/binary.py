@@ -3,6 +3,8 @@
 The policy compiler turns an AST into this representation once, at
 submission time; every subsequent permission check interprets the
 binary form directly (the paper's "binary-format interpreter", §1).
+A blob fetched from a drive is checked structurally once, here, so the
+evaluator never indexes something a malformed blob left out of range.
 
 Layout (serialized with the same TLV field encoding as the Kinetic
 protocol)::
@@ -31,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from repro.errors import PesosError, PolicyFormatError
+from repro.errors import PesosError, PolicyCompileError, PolicyFormatError
 from repro.kinetic.protocol import decode_fields, encode_fields
 from repro.policy.ast import (
     HashValue,
@@ -42,6 +44,7 @@ from repro.policy.ast import (
     TupleValue,
     Value,
 )
+from repro.policy.predicates import predicate_by_opcode
 
 FORMAT_VERSION = 1
 
@@ -66,23 +69,48 @@ def _encode_value(value: Value) -> list:
     return [tag, value.value]
 
 
-def _decode_value(item: list) -> Value:
-    tag = item[0]
-    if tag == "i":
-        return IntValue(int(item[1]))
-    if tag == "s":
-        return StrValue(item[1])
-    if tag == "h":
-        return HashValue(item[1])
-    if tag == "k":
-        return PubKeyValue(item[1])
-    if tag == "n":
+_STRING_TAGS = {"s": StrValue, "h": HashValue, "k": PubKeyValue}
+
+
+def _require(ok: bool, what: str, item=None) -> None:
+    # ``item`` is rendered only on failure: this runs per expression.
+    if not ok:
+        detail = what if item is None else f"{what} {item!r}"
+        raise PolicyFormatError(f"malformed policy: {detail}")
+
+
+def _decode_value(item) -> Value:
+    _require(
+        isinstance(item, list) and bool(item) and isinstance(item[0], str),
+        "constant",
+        item,
+    )
+    tag, *rest = item
+    if tag == "n" and not rest:
         return NullValue()
-    if tag == "t":
+    if tag == "i" and len(rest) == 1 and isinstance(rest[0], int):
+        return IntValue(rest[0])
+    if tag in _STRING_TAGS and len(rest) == 1 and isinstance(rest[0], str):
+        return _STRING_TAGS[tag](rest[0])
+    if (
+        tag == "t"
+        and len(rest) == 2
+        and isinstance(rest[0], str)
+        and isinstance(rest[1], list)
+    ):
         return TupleValue(
-            name=item[1], args=tuple(_decode_value(arg) for arg in item[2])
+            name=rest[0], args=tuple(_decode_value(arg) for arg in rest[1])
         )
-    raise PolicyFormatError(f"unknown value tag {tag!r}")
+    raise PolicyFormatError(f"malformed policy: constant {item!r}")
+
+
+def _decode_instruction(item) -> "Instruction":
+    _require(isinstance(item, list) and len(item) == 2, "instruction", item)
+    return Instruction(opcode=item[0], args=item[1])
+
+
+def _in_range(index, pool: list) -> bool:
+    return isinstance(index, int) and 0 <= index < len(pool)
 
 
 @dataclass
@@ -146,19 +174,94 @@ class CompiledPolicy:
             raise PolicyFormatError(
                 f"unsupported policy format version {fields.get('version')!r}"
             )
+        parts = [
+            fields.get(name)
+            for name in ("constants", "variables", "permissions")
+        ]
+        _require(
+            all(isinstance(part, list) for part in parts),
+            "constants, variables and permissions must be lists",
+        )
+        constants, variables, rules = parts
         permissions = {}
-        for op, clauses in fields["permissions"]:
-            permissions[op] = [
-                [Instruction(opcode=inst[0], args=inst[1]) for inst in clause]
-                for clause in clauses
+        for rule in rules:
+            _require(
+                isinstance(rule, list)
+                and len(rule) == 2
+                and isinstance(rule[0], str)
+                and isinstance(rule[1], list)
+                and all(isinstance(clause, list) for clause in rule[1]),
+                "permission",
+                rule,
+            )
+            permissions[rule[0]] = [
+                [_decode_instruction(item) for item in clause]
+                for clause in rule[1]
             ]
         policy = cls(
-            constants=[_decode_value(item) for item in fields["constants"]],
-            variables=list(fields["variables"]),
+            constants=[_decode_value(item) for item in constants],
+            variables=variables,
             permissions=permissions,
         )
+        policy.validate()
         policy._blob_cache = blob
         return policy
+
+    def validate(self) -> None:
+        """Raise :class:`PolicyFormatError` unless every instruction
+        names a registered predicate within its arity and every
+        expression indexes inside the constant pool and variable slots
+        — so evaluation can index without checking."""
+        _require(
+            all(isinstance(name, str) for name in self.variables),
+            "variable names must be strings",
+        )
+        for clauses in self.permissions.values():
+            for clause in clauses:
+                for inst in clause:
+                    self._check_instruction(inst)
+
+    def _check_instruction(self, inst: Instruction) -> None:
+        _require(isinstance(inst.opcode, int), "opcode", inst.opcode)
+        try:
+            spec = predicate_by_opcode(inst.opcode)
+        except PolicyCompileError as exc:
+            raise PolicyFormatError(f"malformed policy: {exc}") from exc
+        _require(
+            isinstance(inst.args, list)
+            and spec.min_arity <= len(inst.args) <= spec.max_arity,
+            f"{spec.name} arguments",
+            inst.args,
+        )
+        for expr in inst.args:
+            self._check_expr(expr)
+
+    def _check_expr(self, expr) -> None:
+        _require(isinstance(expr, list) and bool(expr), "expression", expr)
+        kind, *rest = expr
+        nested: list = []
+        if kind == "c":
+            ok = len(rest) == 1 and _in_range(rest[0], self.constants)
+        elif kind == "v":
+            ok = len(rest) == 1 and _in_range(rest[0], self.variables)
+        elif kind == "r":
+            ok = rest in (["this"], ["log"])
+        elif kind == "a":
+            ok = len(rest) == 3 and rest[0] in ("+", "-")
+            nested = rest[1:]
+        elif kind == "t":
+            ok = (
+                len(rest) == 2
+                and _in_range(rest[0], self.constants)
+                and isinstance(self.constants[rest[0]], StrValue)
+                and isinstance(rest[1], list)
+            )
+            nested = rest[1] if ok else []
+        else:
+            ok = False
+        _require(ok, "expression", expr)
+        for child in nested:
+            self._check_expr(child)
 
     def policy_hash(self) -> str:
         """Content-addressed identity of this policy.

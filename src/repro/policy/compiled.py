@@ -1,42 +1,38 @@
-"""The policy fast path: compiled closures, decision cache, batching.
+"""The policy evaluator: compiled closures fronted by a decision cache.
 
-Three layers, each preserving the interpreter's observable behaviour
-bit for bit (``Decision.clause_path``, ``predicates_evaluated``, the
-bindings snapshot — and therefore the audit chain):
+This is the paper's one binary-format interpreter (§1, §3.3).  Each
+clause of a permission's disjunctive normal form gets fresh variable
+bindings and its predicates run left to right; the first clause whose
+predicates all hold grants the permission.  A structurally failing
+clause (unbound arithmetic, type confusion) simply does not grant —
+other disjuncts are still tried.  An operation with no rule in the
+policy is denied (deny by default).
 
 ``compiled_form``
     Partially evaluates a :class:`~repro.policy.binary.CompiledPolicy`
-    into per-clause lists of specialized Python closures.  Constant
-    subexpressions fold at compile time; a conjunct whose arguments are
-    all constants and whose predicate is context-free collapses to a
-    known boolean; runs of constant-true conjuncts become a single
-    predicate-count bump; a constant-false conjunct (with only constant
-    conjuncts before it) turns the whole clause into an exact
-    count-and-fail, stripping the dead tail.  Dead-disjunct facts are
-    cross-checked against what :mod:`repro.analysis.policy_verify`
-    proves statically.  Anything the compiler cannot model exactly
-    (malformed slots, unknown constructs) falls back to delegating the
-    whole policy to the interpreter — the fallback *is* the oracle, so
-    behaviour cannot drift.
+    once into per-clause lists of Python closures, one per conjunct.
+    Constant subexpressions fold at compile time; a conjunct whose
+    arguments are all constants and whose predicate is context-free
+    collapses to a closure returning a known boolean; ``sessionKeyIs``
+    against a ground key becomes a string comparison.  Every conjunct
+    still counts as one evaluated predicate, so ``Decision`` — and the
+    audit chain built from it — does not depend on what folded.  The
+    input was checked by ``CompiledPolicy.validate``; a policy that
+    fails it raises :class:`~repro.errors.PolicyFormatError` here.
 
 ``DecisionCache``
     Memoizes decisions keyed by ``(policy_hash, operation, request
     shape, epoch)``.  The epoch advances on every mutation the
-    controller applies, ``put_policy`` additionally invalidates by
-    policy hash, and entries carry a ``valid_until`` derived from the
-    certificate validity windows and the policy's freshness constants,
-    so time-based release never serves a stale verdict.  Only
-    decisions for policies that never read object state are cached
-    (their outcome is a pure function of the request shape); object
-    predicates always re-evaluate so their cache/store access pattern
-    — which the effects ledger records — is unchanged.
+    controller applies, and entries carry a ``valid_until`` derived
+    from the certificate validity windows and the policy's freshness
+    constants, so time-based release never serves a stale verdict.
+    Only decisions for policies that never read object state are
+    cached (their outcome is a pure function of the request shape);
+    object predicates always re-evaluate so their cache/store access
+    pattern — which the effects ledger records — is unchanged.
 
-``FastPolicy.evaluate_batch``
-    Evaluates many contexts against one compiled policy clause-major:
-    each clause's closures sweep all still-undecided contexts before
-    the next clause runs, which keeps the compiled ops hot.  Per
-    context the work, the order of predicate side effects, and the
-    resulting :class:`Decision` are identical to sequential calls.
+``tests/policy/reference_interpreter.py`` keeps the tree-walking
+evaluator as the differential oracle; nothing here imports it.
 """
 
 from __future__ import annotations
@@ -45,12 +41,15 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.crypto.certs import Certificate
-from repro.errors import PesosError, PolicyFormatError
 from repro.policy.ast import IntValue, NullValue, PubKeyValue, StrValue
 from repro.policy.binary import CompiledPolicy
 from repro.policy.context import EvalContext
-from repro.policy.evalcore import Bindings, EvalError, TuplePattern
-from repro.policy.interpreter import Decision, PolicyInterpreter
+from repro.policy.evalcore import (
+    Bindings,
+    EvalError,
+    TuplePattern,
+    render_bindings,
+)
 from repro.policy.predicates import predicate_by_opcode
 
 #: Opcodes whose implementations consult object state (``ctx.view`` /
@@ -67,8 +66,40 @@ _CERTIFICATE_SAYS = 10
 _SESSION_KEY_IS = 11
 
 
-class _CompileFallback(Exception):
-    """Internal: this policy cannot be compiled exactly; delegate."""
+@dataclass
+class Decision:
+    """Outcome of a permission check, with diagnostics."""
+
+    granted: bool
+    operation: str
+    matched_clause: int | None = None
+    bindings: dict = field(default_factory=dict)
+    predicates_evaluated: int = 0
+
+    def __bool__(self) -> bool:
+        return self.granted
+
+    @property
+    def clause_path(self) -> str:
+        """Canonical path of the verdict inside the policy DNF.
+
+        The audit trail records this so an operator can answer "which
+        policy clause allowed this GET?" without re-running the
+        evaluator: ``read/clause[2]`` names the granting disjunct,
+        ``read/denied`` means every clause refused.
+        """
+        if not self.granted:
+            return f"{self.operation}/denied"
+        if self.matched_clause is None:
+            return f"{self.operation}/no-clause"
+        return f"{self.operation}/clause[{self.matched_clause}]"
+
+    def audit_detail(self) -> str:
+        """Deterministic diagnostics string for the audit record."""
+        detail = f"predicates={self.predicates_evaluated}"
+        if self.bindings:
+            detail += f";bindings[{render_bindings(self.bindings)}]"
+        return detail
 
 
 # ---------------------------------------------------------------------------
@@ -79,85 +110,52 @@ def _compile_expr(expr, policy: CompiledPolicy):
     """Compile an argument expression tree.
 
     Returns ``("const", value)`` when the expression is a compile-time
-    constant, else ``("dyn", fn)`` with ``fn(ctx, bindings) -> value``
-    reproducing the interpreter's evaluation (including which
-    exceptions it raises, and when).
+    constant, else ``("dyn", fn)`` with ``fn(ctx, bindings) -> value``.
     """
-    if not isinstance(expr, (list, tuple)) or not expr:
-        raise _CompileFallback(f"malformed expression {expr!r}")
     kind = expr[0]
     if kind == "c":
-        try:
-            return ("const", policy.constants[expr[1]])
-        except (IndexError, TypeError) as exc:
-            raise _CompileFallback(str(exc)) from exc
+        return ("const", policy.constants[expr[1]])
     if kind == "v":
-        slot = expr[1]
-        if not isinstance(slot, int) or not 0 <= slot < len(policy.variables):
-            raise _CompileFallback(f"variable slot {slot!r} out of range")
-        return ("dyn", lambda ctx, bindings, _slot=slot: bindings.lookup(_slot))
+        return (
+            "dyn",
+            lambda ctx, bindings, _slot=expr[1]: bindings.lookup(_slot),
+        )
     if kind == "r":
-        name = expr[1]
 
-        def deref(ctx, bindings, _name=name):
+        def deref(ctx, bindings, _name=expr[1]):
             object_id = ctx.resolve_ref(_name)
             return NullValue() if object_id is None else StrValue(object_id)
 
         return ("dyn", deref)
     if kind == "a":
         return _compile_arith(expr, policy)
-    if kind == "t":
-        return _compile_tuple(expr, policy)
-
-    # The interpreter raises PolicyFormatError when it *evaluates* an
-    # unknown kind — i.e. only if the clause gets that far.
-    def unknown(ctx, bindings, _kind=kind):
-        raise PolicyFormatError(f"unknown expression kind {_kind!r}")
-
-    return ("dyn", unknown)
+    return _compile_tuple(expr, policy)
 
 
 def _compile_arith(expr, policy: CompiledPolicy):
-    op = expr[1]
+    sign = 1 if expr[1] == "+" else -1
     left = _compile_expr(expr[2], policy)
     right = _compile_expr(expr[3], policy)
-    if left[0] == "const" and right[0] == "const" and op in ("+", "-"):
+    if left[0] == "const" and right[0] == "const":
         lv, rv = left[1], right[1]
         if isinstance(lv, IntValue) and isinstance(rv, IntValue):
-            folded = lv.value + rv.value if op == "+" else lv.value - rv.value
-            return ("const", IntValue(folded))
-
-        # Constants of the wrong type: every evaluation raises the same
-        # structural error, failing (only) the enclosing clause.
-        def bad_types(ctx, bindings):
-            raise EvalError("arithmetic needs bound integers")
-
-        return ("dyn", bad_types)
-
+            return ("const", IntValue(lv.value + sign * rv.value))
     lf = _as_fn(left)
     rf = _as_fn(right)
 
-    def arith(ctx, bindings, _op=op, _lf=lf, _rf=rf):
+    def arith(ctx, bindings, _sign=sign, _lf=lf, _rf=rf):
         lv = _lf(ctx, bindings)
         rv = _rf(ctx, bindings)
         if not isinstance(lv, IntValue) or not isinstance(rv, IntValue):
             raise EvalError("arithmetic needs bound integers")
-        if _op == "+":
-            return IntValue(lv.value + rv.value)
-        if _op == "-":
-            return IntValue(lv.value - rv.value)
-        raise PolicyFormatError(f"unknown arithmetic op {_op!r}")
+        return IntValue(lv.value + _sign * rv.value)
 
     return ("dyn", arith)
 
 
 def _compile_tuple(expr, policy: CompiledPolicy):
-    try:
-        name = policy.constants[expr[1]].value
-        elem_exprs = list(expr[2])
-    except (IndexError, TypeError, AttributeError) as exc:
-        raise _CompileFallback(str(exc)) from exc
-    elems = [_compile_expr(arg, policy) for arg in elem_exprs]
+    name = policy.constants[expr[1]].value
+    elems = [_compile_expr(arg, policy) for arg in expr[2]]
     if all(kind == "const" for kind, _ in elems):
         return (
             "const",
@@ -184,162 +182,77 @@ def _as_fn(compiled):
 # Instruction (conjunct) compilation
 # ---------------------------------------------------------------------------
 
-def _compile_instruction(inst, policy: CompiledPolicy, meta: dict):
-    """Compile one conjunct into ``("const", bool)`` or ``("dyn", fn)``.
+def _holds(ctx, bindings) -> bool:
+    return True
 
-    ``fn(ctx, bindings) -> bool`` runs the predicate exactly as the
-    interpreter would, *excluding* the ``predicates_evaluated``
-    increment, which the clause runner accounts.
+
+def _fails(ctx, bindings) -> bool:
+    return False
+
+
+def _compile_instruction(inst, fast: "FastPolicy"):
+    """Compile one conjunct into ``fn(ctx, bindings) -> bool``.
+
+    The closure runs the predicate; the clause loop in
+    :meth:`FastPolicy.evaluate` counts it and treats an
+    :class:`EvalError` as the conjunct not holding.
     """
-    spec_obj = None
-    try:
-        spec_obj = predicate_by_opcode(inst.opcode)
-    except PesosError:
-        # Unknown opcode: the interpreter raises PolicyCompileError at
-        # evaluation time, after counting the conjunct.
-        def missing(ctx, bindings, _opcode=inst.opcode):
-            predicate_by_opcode(_opcode)
-            raise AssertionError("unreachable")
-
-        return ("dyn", missing)
-    spec = spec_obj
-
+    policy = fast.policy
+    spec = predicate_by_opcode(inst.opcode)
     if inst.opcode in _OBJECT_OPCODES:
-        meta["uses_objects"] = True
+        fast.uses_objects = True
     compiled_args = [_compile_expr(arg, policy) for arg in inst.args]
     all_const = all(kind == "const" for kind, _ in compiled_args)
     const_args = [payload for _, payload in compiled_args]
 
     if inst.opcode == _CERTIFICATE_SAYS:
-        meta["uses_certificates"] = True
+        fast.uses_certificates = True
         if len(compiled_args) == 3:
             freshness_kind, freshness_value = compiled_args[1]
             if freshness_kind == "const" and isinstance(
                 freshness_value, IntValue
             ):
-                meta["freshness_windows"].add(freshness_value.value)
+                fast.freshness_windows.add(freshness_value.value)
             else:
-                meta["dynamic_freshness"] = True
+                fast.dynamic_freshness = True
 
     if all_const and spec.name in _CONTEXT_FREE:
         # Pure predicate over constants: run it once now.  A structural
         # EvalError is equivalent to holding False — either way the
-        # clause fails right here with the same predicate count.
+        # clause fails right here.
+        fast.folded_conjuncts += 1
         try:
-            held = spec.impl(None, Bindings(len(policy.variables)), const_args)
-        except EvalError:
-            return ("const", False)
-        except Exception as exc:  # e.g. bad arity -> ValueError at eval
-            raise _CompileFallback(str(exc)) from exc
-        meta["folded"] += 1
-        return ("const", bool(held))
-
-    if inst.opcode == _SESSION_KEY_IS and all_const and len(const_args) == 1:
-        const = const_args[0]
-        if isinstance(const, PubKeyValue):
-            # compare_or_set against a ground key is string equality on
-            # the fingerprint — the hottest conjunct in ACL policies.
-            meta["folded"] += 1
-            return (
-                "dyn",
-                lambda ctx, bindings, _fp=const.value: (
-                    ctx.session_key == _fp
-                ),
+            held = spec.impl(
+                None, Bindings(len(policy.variables)), const_args
             )
-        # A non-key constant never equals PubKeyValue(session_key).
-        meta["folded"] += 1
-        return ("const", False)
+        except EvalError:
+            return _fails
+        return _holds if held else _fails
+
+    if inst.opcode == _SESSION_KEY_IS and all_const:
+        fast.folded_conjuncts += 1
+        const = const_args[0]
+        if not isinstance(const, PubKeyValue):
+            # A non-key constant never equals PubKeyValue(session_key).
+            return _fails
+        # compare_or_set against a ground key is string equality on
+        # the fingerprint — the hottest conjunct in ACL policies.
+        return lambda ctx, bindings, _fp=const.value: ctx.session_key == _fp
 
     impl = spec.impl
-    template = [
-        payload if kind == "const" else None
-        for kind, payload in compiled_args
-    ]
     dynamic = [
         (index, payload)
         for index, (kind, payload) in enumerate(compiled_args)
         if kind == "dyn"
     ]
-    if not dynamic:
-        def const_call(ctx, bindings, _impl=impl, _template=template):
-            return _impl(ctx, bindings, list(_template))
 
-        return ("dyn", const_call)
-
-    def step(ctx, bindings, _impl=impl, _template=template, _dynamic=dynamic):
-        args = list(_template)
+    def step(ctx, bindings, _impl=impl, _args=const_args, _dynamic=dynamic):
+        args = list(_args)
         for index, fn in _dynamic:
             args[index] = fn(ctx, bindings)
         return _impl(ctx, bindings, args)
 
-    return ("dyn", step)
-
-
-# ---------------------------------------------------------------------------
-# Clause compilation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CompiledClause:
-    """One disjunct as a flat op list the clause runner executes.
-
-    Ops are ``("bump", n)`` (n constant-true conjuncts), ``("fail", n)``
-    (count n conjuncts, then fail the clause — a stripped dead tail),
-    and ``("call", fn)`` (one live predicate).
-    """
-
-    ops: list
-    #: Earlier clause whose outcome this one replays (exact duplicate).
-    duplicate_of: int | None = None
-    #: Conjuncts stripped after a constant-false position.
-    stripped_conjuncts: int = 0
-
-
-def _compile_clause(clause, policy, meta, facts):
-    ops: list = []
-    bump = 0
-    stripped = 0
-    steps = [
-        _compile_instruction(inst, policy, meta) for inst in clause
-    ]
-    for position, (kind, payload) in enumerate(steps):
-        if kind == "const":
-            if payload:
-                bump += 1
-                continue
-            ops.append(("fail", bump + 1))
-            stripped = len(steps) - position - 1
-            meta["stripped_clauses"] += 1
-            if facts is not None and position in facts.get(
-                "const_false_at", ()
-            ):
-                meta["verified_strips"] += 1
-            break
-        if bump:
-            ops.append(("bump", bump))
-            bump = 0
-        ops.append(("call", payload))
-    else:
-        if bump:
-            ops.append(("bump", bump))
-    return CompiledClause(ops=ops, stripped_conjuncts=stripped)
-
-
-def _run_clause(ops, ctx, bindings, decision) -> bool:
-    for kind, payload in ops:
-        if kind == "call":
-            decision.predicates_evaluated += 1
-            try:
-                if not payload(ctx, bindings):
-                    return False
-            except EvalError:
-                return False
-        elif kind == "bump":
-            decision.predicates_evaluated += payload
-        else:  # "fail"
-            decision.predicates_evaluated += payload
-            return False
-    return True
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +261,12 @@ def _run_clause(ops, ctx, bindings, decision) -> bool:
 
 @dataclass
 class FastPolicy:
-    """A policy compiled to closures, with the interpreter as fallback."""
+    """A policy compiled to closures: the clause loop and what the
+    decision cache needs to know about it."""
 
     policy: CompiledPolicy
+    #: operation -> list of clauses -> list of conjunct closures
     clauses: dict = field(default_factory=dict)
-    num_slots: int = 0
-    variables: list = field(default_factory=list)
-    #: Interpreter used verbatim when exact compilation was impossible.
-    delegate: PolicyInterpreter | None = None
     #: True when any conjunct reads object state; such decisions are
     #: never cached (their store/cache footprint must stay observable).
     uses_objects: bool = False
@@ -364,113 +275,39 @@ class FastPolicy:
     #: time-based invalidation unpredictable: do not cache.
     dynamic_freshness: bool = False
     #: Constant freshness windows (seconds), for ``valid_until``.
-    freshness_windows: frozenset = frozenset()
+    freshness_windows: set = field(default_factory=set)
     folded_conjuncts: int = 0
-    stripped_clauses: int = 0
-    verified_strips: int = 0
-    memoized_duplicates: int = 0
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, operation: str, ctx: EvalContext) -> Decision:
-        if self.delegate is not None:
-            return self.delegate.evaluate(self.policy, operation, ctx)
-        clauses = self.clauses.get(operation)
+        """Check whether ``operation`` is permitted under the policy."""
         decision = Decision(granted=False, operation=operation)
-        if not clauses:
-            return decision
-        outcomes: list = [None] * len(clauses)
-        for index, compiled in enumerate(clauses):
-            duplicate = compiled.duplicate_of
-            if duplicate is not None and outcomes[duplicate] is not None:
-                # First-match order means the original already ran (and
-                # failed, else we would have returned); evaluation is
-                # deterministic in ctx, so replay its predicate count.
-                delta = outcomes[duplicate]
-                decision.predicates_evaluated += delta
-                outcomes[index] = delta
-                continue
-            bindings = Bindings(self.num_slots, self.variables)
-            before = decision.predicates_evaluated
-            if _run_clause(compiled.ops, ctx, bindings, decision):
-                decision.granted = True
-                decision.matched_clause = index
-                decision.bindings = bindings.snapshot()
-                return decision
-            outcomes[index] = decision.predicates_evaluated - before
-        return decision
-
-    def evaluate_batch(self, operation: str, contexts: list) -> list:
-        """Clause-major evaluation of many contexts in one pass.
-
-        Returns one entry per context: its :class:`Decision`, or
-        ``None`` when evaluating that context raised (malformed policy
-        constructs surface per-request on the normal path instead).
-        """
-        if self.delegate is not None:
-            return [
-                self._delegate_one(operation, ctx) for ctx in contexts
-            ]
-        decisions = [
-            Decision(granted=False, operation=operation) for _ in contexts
-        ]
-        clauses = self.clauses.get(operation)
-        if not clauses:
-            return decisions
-        outcomes = [[None] * len(clauses) for _ in contexts]
-        pending = list(range(len(contexts)))
-        for index, compiled in enumerate(clauses):
-            still_pending = []
-            duplicate = compiled.duplicate_of
-            for position in pending:
-                decision = decisions[position]
-                if (
-                    duplicate is not None
-                    and outcomes[position][duplicate] is not None
-                ):
-                    delta = outcomes[position][duplicate]
-                    decision.predicates_evaluated += delta
-                    outcomes[position][index] = delta
-                    still_pending.append(position)
-                    continue
-                bindings = Bindings(self.num_slots, self.variables)
-                before = decision.predicates_evaluated
-                try:
-                    held = _run_clause(
-                        compiled.ops, contexts[position], bindings, decision
-                    )
-                except PesosError:
-                    decisions[position] = None
-                    continue
-                if held:
+        variables = self.policy.variables
+        num_slots = len(variables)
+        evaluated = 0
+        for index, clause in enumerate(self.clauses.get(operation, ())):
+            bindings = Bindings(num_slots, variables)
+            try:
+                for step in clause:
+                    evaluated += 1
+                    if not step(ctx, bindings):
+                        break
+                else:
                     decision.granted = True
                     decision.matched_clause = index
                     decision.bindings = bindings.snapshot()
-                    continue
-                outcomes[position][index] = (
-                    decision.predicates_evaluated - before
-                )
-                still_pending.append(position)
-            pending = still_pending
-            if not pending:
-                break
-        return decisions
-
-    def _delegate_one(self, operation, ctx):
-        try:
-            return self.delegate.evaluate(self.policy, operation, ctx)
-        except PesosError:
-            return None
+                    break
+            except EvalError:
+                continue
+        decision.predicates_evaluated = evaluated
+        return decision
 
     # -- cacheability --------------------------------------------------------
 
     @property
     def cacheable(self) -> bool:
-        return (
-            self.delegate is None
-            and not self.uses_objects
-            and not self.dynamic_freshness
-        )
+        return not self.uses_objects and not self.dynamic_freshness
 
     def valid_until(self, ctx: EvalContext) -> float | None:
         """First future instant at which this decision could change.
@@ -532,75 +369,16 @@ class FastPolicy:
 
 def compile_closures(policy: CompiledPolicy) -> FastPolicy:
     """Compile ``policy`` to closures (no memoization; see
-    :func:`compiled_form`)."""
-    meta = {
-        "uses_objects": False,
-        "uses_certificates": False,
-        "dynamic_freshness": False,
-        "freshness_windows": set(),
-        "folded": 0,
-        "stripped_clauses": 0,
-        "verified_strips": 0,
-        "memoized_duplicates": 0,
-    }
-    try:
-        facts = _verifier_facts(policy)
-        compiled: dict = {}
-        for operation, clauses in policy.permissions.items():
-            compiled_clauses = []
-            for index, clause in enumerate(clauses):
-                clause_facts = facts.get((operation, index))
-                compiled_clause = _compile_clause(
-                    clause, policy, meta, clause_facts
-                )
-                duplicate = None
-                if clause_facts is not None:
-                    duplicate = clause_facts.get("duplicate_of")
-                if duplicate is not None and _same_sequence(
-                    clauses[duplicate], clause
-                ):
-                    # The verifier's signature is a *set*; replaying an
-                    # outcome needs the instruction *sequence* equal.
-                    compiled_clause.duplicate_of = duplicate
-                    meta["memoized_duplicates"] += 1
-                compiled_clauses.append(compiled_clause)
-            compiled[operation] = compiled_clauses
-    except _CompileFallback:
-        return FastPolicy(policy=policy, delegate=PolicyInterpreter())
-    return FastPolicy(
-        policy=policy,
-        clauses=compiled,
-        num_slots=len(policy.variables),
-        variables=list(policy.variables),
-        uses_objects=meta["uses_objects"],
-        uses_certificates=meta["uses_certificates"],
-        dynamic_freshness=meta["dynamic_freshness"],
-        freshness_windows=frozenset(meta["freshness_windows"]),
-        folded_conjuncts=meta["folded"],
-        stripped_clauses=meta["stripped_clauses"],
-        verified_strips=meta["verified_strips"],
-        memoized_duplicates=meta["memoized_duplicates"],
-    )
-
-
-def _same_sequence(clause_a, clause_b) -> bool:
-    if len(clause_a) != len(clause_b):
-        return False
-    return all(
-        a.opcode == b.opcode and a.args == b.args
-        for a, b in zip(clause_a, clause_b)
-    )
-
-
-def _verifier_facts(policy: CompiledPolicy) -> dict:
-    # Imported lazily: analysis depends on the policy package, not the
-    # other way around, except through this one bridge.
-    from repro.analysis.policy_verify import clause_facts
-
-    try:
-        return clause_facts(policy)
-    except PesosError:
-        return {}
+    :func:`compiled_form`).  Raises
+    :class:`~repro.errors.PolicyFormatError` on a malformed policy."""
+    policy.validate()
+    fast = FastPolicy(policy=policy)
+    for operation, clauses in policy.permissions.items():
+        fast.clauses[operation] = [
+            [_compile_instruction(inst, fast) for inst in clause]
+            for clause in clauses
+        ]
+    return fast
 
 
 def compiled_form(policy: CompiledPolicy) -> FastPolicy:
@@ -626,7 +404,6 @@ class DecisionCacheStats:
     hits: int = 0
     misses: int = 0
     expired: int = 0
-    invalidations: int = 0
     epoch_advances: int = 0
 
 
@@ -660,27 +437,6 @@ class DecisionCache:
         self.epoch += 1
         self.stats.epoch_advances += 1
         self._entries.clear()
-
-    def invalidate_policy(self, policy_hash: str) -> int:
-        doomed = [
-            key for key in self._entries if key[0] == policy_hash
-        ]
-        for key in doomed:
-            del self._entries[key]
-        self.stats.invalidations += len(doomed)
-        return len(doomed)
-
-    def contains(
-        self, policy_hash: str, operation: str, shape, *, now: float
-    ) -> bool:
-        """Membership probe that leaves the stats and LRU order alone
-        (prewarm uses it; probes are not request traffic)."""
-        entry = self._entries.get(
-            (policy_hash, operation, shape, self.epoch)
-        )
-        if entry is None:
-            return False
-        return entry.valid_until is None or now < entry.valid_until
 
     def get(
         self, policy_hash: str, operation: str, shape, *, now: float
@@ -738,13 +494,8 @@ def _copy_decision(decision: Decision) -> Decision:
 class PolicyEngine:
     """Compiled closures fronted by the decision cache."""
 
-    def __init__(
-        self,
-        interpreter: PolicyInterpreter | None = None,
-        cache_entries: int = 4096,
-    ):
-        self.interpreter = interpreter or PolicyInterpreter()
-        self.decisions = DecisionCache(max_entries=cache_entries)
+    def __init__(self) -> None:
+        self.decisions = DecisionCache()
 
     def evaluate(
         self, policy: CompiledPolicy, operation: str, ctx: EvalContext
@@ -770,52 +521,5 @@ class PolicyEngine:
         )
         return decision
 
-    def prewarm(
-        self, policy: CompiledPolicy, operation: str, contexts: list
-    ) -> int:
-        """Batch-evaluate ``contexts`` and seed the cache; returns the
-        number of decisions cached.  Duplicate shapes collapse to one
-        evaluation, and already-cached shapes are skipped."""
-        fast = compiled_form(policy)
-        if not fast.cacheable:
-            return 0
-        policy_hash = policy.policy_hash()
-        epoch = self.decisions.epoch
-        fresh: list = []
-        shapes: list = []
-        seen: set = set()
-        for ctx in contexts:
-            shape = fast.request_shape(ctx)
-            if shape is None or shape in seen:
-                continue
-            seen.add(shape)
-            if self.decisions.contains(
-                policy_hash, operation, shape, now=ctx.now
-            ):
-                continue
-            fresh.append(ctx)
-            shapes.append(shape)
-        if not fresh:
-            return 0
-        warmed = 0
-        for ctx, shape, decision in zip(
-            fresh, shapes, fast.evaluate_batch(operation, fresh)
-        ):
-            if decision is None:
-                continue
-            self.decisions.put(
-                policy_hash,
-                operation,
-                shape,
-                epoch=epoch,
-                decision=decision,
-                valid_until=fast.valid_until(ctx),
-            )
-            warmed += 1
-        return warmed
-
     def advance_epoch(self) -> None:
         self.decisions.advance_epoch()
-
-    def invalidate_policy(self, policy_hash: str) -> int:
-        return self.decisions.invalidate_policy(policy_hash)

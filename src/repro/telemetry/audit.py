@@ -2,7 +2,7 @@
 
 :class:`PolicyAuditor` is what the request path talks to.  It owns a
 :class:`repro.sgx.auditlog.AuditLog` (the tamper-evident chain inside
-the enclave boundary), translates interpreter decisions and admission
+the enclave boundary), translates policy decisions and admission
 sheds into canonical records, and surfaces the chain on telemetry:
 
 - ``pesos_audit_records_total`` — chain length (counter semantics).
@@ -55,9 +55,9 @@ class PolicyAuditor:
         key: str,
         vnow: float,
     ) -> None:
-        """One interpreter verdict (the controller's ``_check_policy``).
+        """One policy verdict (the controller's ``_check_policy``).
 
-        ``decision`` is a :class:`repro.policy.interpreter.Decision`;
+        ``decision`` is a :class:`repro.policy.compiled.Decision`;
         its clause path and bindings land in the record so the chain
         answers "which clause allowed this?" byte-reproducibly.
         """

@@ -257,6 +257,20 @@ def test_declassifier_clears_return(tmp_path):
     assert findings == []
 
 
+def test_every_declassifier_names_a_function_in_the_tree():
+    # A declassifier whose target was renamed or moved out of ``src/``
+    # silently stops applying; the tree then stays clean by accident.
+    import repro
+    from repro.analysis.callgraph import build_callgraph
+    from repro.analysis.taintspec import DEFAULT_REGISTRY
+
+    graph = build_callgraph(
+        Path(repro.__file__).parent, DEFAULT_REGISTRY.excluded_paths
+    )
+    for qualname in sorted(DEFAULT_REGISTRY.declassified()):
+        assert qualname in graph.by_qualname, qualname
+
+
 def test_policy_decoder_raise_is_exempt_for_plaintext(tmp_path):
     files = {
         "policy/binary.py": (

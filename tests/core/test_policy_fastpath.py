@@ -1,10 +1,11 @@
-"""Controller integration for the compiled policy fast path.
+"""Controller integration for the policy evaluator and decision cache.
 
-The fast path (``ControllerConfig.compile_policies``, default on) must
-be invisible everywhere except throughput: responses, denial mapping,
-and the tamper-evident audit chain are byte-identical to the
-interpreter-only controller, and mutations invalidate cached
-decisions before the next check can observe stale state.
+Compiled closures and cached decisions must be invisible everywhere
+except throughput: responses, denial mapping, and the tamper-evident
+audit chain are byte-identical to what the tree-walking interpreter
+produced before it left ``src/`` (pinned below), and mutations
+invalidate cached decisions before the next check can observe stale
+state.
 """
 
 from repro.core.controller import ControllerConfig, PesosController
@@ -13,11 +14,9 @@ from repro.core.webserver import WebServer
 from tests.core.conftest import ADMIN, ALICE, BOB, make_clients
 
 
-def _controller(compile_policies: bool) -> PesosController:
+def _controller() -> PesosController:
     clients, _cluster = make_clients()
-    config = ControllerConfig(
-        compile_policies=compile_policies, audit_log_size=64
-    )
+    config = ControllerConfig(audit_log_size=64)
     return PesosController(clients, storage_key=b"k" * 32, config=config)
 
 
@@ -52,21 +51,34 @@ def _scripted_run(controller: PesosController) -> list:
     return outcomes
 
 
+#: ``_scripted_run`` on a ``compile_policies=False`` (interpreter-only)
+#: controller at commit 387d7dc, the last one that shipped both.
+_INTERPRETER_RUN = [
+    (200, "", b""),
+    *[(200, "", b"v0")] * 6,
+    (403, "policy denies update on doc", b""),
+    (403, "policy denies read on doc", b""),
+    (200, "", b""),
+    (403, "policy denies read on doc", b""),
+    (200, "", b"v1"),
+    (403, "policy denies delete on doc", b""),
+]
+_INTERPRETER_AUDIT_HEAD = (
+    "32312969bd4ee2e4946914a00630f3bf7bead8946d2d6780c517bf8e90ee06b8"
+)
+
+
 def test_fast_path_is_response_and_audit_identical():
-    fast = _controller(compile_policies=True)
-    slow = _controller(compile_policies=False)
-    assert fast.policy_engine is not None
-    assert slow.policy_engine is None
-    assert _scripted_run(fast) == _scripted_run(slow)
+    controller = _controller()
+    assert _scripted_run(controller) == _INTERPRETER_RUN
     # Same decisions, same clause paths, same chained digests: the
     # audit-compatibility guarantee, end to end.
-    assert len(fast.auditor.log) == len(slow.auditor.log)
-    assert len(fast.auditor.log) > 0
-    assert fast.auditor.log.head == slow.auditor.log.head
+    assert len(controller.auditor.log) == 13
+    assert controller.auditor.log.head == _INTERPRETER_AUDIT_HEAD
 
 
 def test_repeat_reads_hit_the_decision_cache():
-    controller = _controller(compile_policies=True)
+    controller = _controller()
     acl = controller.put_policy(
         ALICE,
         f"read :- sessionKeyIs(k'{ALICE}')\n"
@@ -80,7 +92,7 @@ def test_repeat_reads_hit_the_decision_cache():
 
 
 def test_mutations_advance_the_decision_epoch():
-    controller = _controller(compile_policies=True)
+    controller = _controller()
     acl = controller.put_policy(
         ALICE,
         f"read :- sessionKeyIs(k'{ALICE}')\n"
@@ -97,7 +109,7 @@ def test_mutations_advance_the_decision_epoch():
 
 
 def test_policy_swap_is_never_served_stale():
-    controller = _controller(compile_policies=True)
+    controller = _controller()
     permissive = controller.put_policy(
         ALICE,
         f"read :- sessionKeyIs(k'{ALICE}') \\/ sessionKeyIs(k'{BOB}')\n"
@@ -116,12 +128,23 @@ def test_policy_swap_is_never_served_stale():
     assert controller.get(ALICE, "doc").ok
 
 
-def test_handle_batch_prewarms_and_answers_identically():
-    fast = _controller(compile_policies=True)
-    slow = _controller(compile_policies=False)
+#: Audit-chain head of the batched run below at commit 387d7dc, whose
+#: ``handle_batch`` still prewarmed the decision cache (and did for
+#: every request here: sessions live, metadata and policy resident).
+_PREWARMED_BATCH_AUDIT_HEAD = (
+    "700d705cbd9a12a64b89ad6a05142e2b9740f11273eb322bb4868d1bec062a27"
+)
+
+
+def test_handle_batch_answers_like_sequential_handle_bytes():
     fingerprints = [ALICE, BOB, "fp-carol"]
-    batch = []
-    for controller in (fast, slow):
+    batch = [
+        (build_http_request(Request(method="get", key="doc")), fp)
+        for fp in fingerprints * 2 + ["fp-mallory"]
+    ]
+    runs = {}
+    for batched in (True, False):
+        controller = _controller()
         acl = controller.put_policy(
             ALICE,
             "read :- "
@@ -129,31 +152,44 @@ def test_handle_batch_prewarms_and_answers_identically():
             + f"\nupdate :- sessionKeyIs(k'{ALICE}')",
         ).policy_id
         controller.put(ALICE, "doc", b"payload", policy_id=acl)
-        for fp in fingerprints:  # establish sessions
+        for fp in fingerprints:  # establish sessions, warm the caches
             controller.get(fp, "doc")
-    for fp in fingerprints * 2:
-        batch.append(
-            (build_http_request(Request(method="get", key="doc")), fp)
+        server = WebServer(controller)
+        if batched:
+            raw = server.handle_batch(list(batch), now=1.0)
+        else:
+            raw = [
+                server.handle_bytes(body, fp, now=1.0) for body, fp in batch
+            ]
+        parsed = [parse_http_response(item) for item in raw]
+        runs[batched] = (
+            [(r.status, r.error, r.value) for r in parsed],
+            controller.auditor.log,
+            controller.policy_engine.decisions.stats,
         )
-    batch.append(
-        (build_http_request(Request(method="get", key="doc")), "fp-mallory")
+    (answers, log, stats), (seq_answers, seq_log, seq_stats) = (
+        runs[True],
+        runs[False],
     )
-    fast_out = WebServer(fast).handle_batch(list(batch), now=1.0)
-    slow_out = WebServer(slow).handle_batch(list(batch), now=1.0)
-    fast_parsed = [parse_http_response(raw) for raw in fast_out]
-    slow_parsed = [parse_http_response(raw) for raw in slow_out]
-    assert [(r.status, r.value) for r in fast_parsed] == [
-        (r.status, r.value) for r in slow_parsed
-    ]
-    assert all(r.status == 200 for r in fast_parsed[:-1])
-    assert fast_parsed[-1].status == 403
-    # The batch grouped same-policy reads and seeded the cache, so the
-    # per-request path served hits.
-    assert fast.policy_engine.decisions.stats.hits >= len(fingerprints)
+    assert answers == seq_answers
+    assert [status for status, _, _ in answers] == [200] * 6 + [403]
+
+    # The engine dispatches a batch in its own seed-fixed order, so the
+    # two chains hold the same decisions in a different sequence.
+    def decisions(chain):
+        return sorted(
+            (r.session, r.operation, r.decision, r.clause_path, r.detail)
+            for r in chain.records
+        )
+
+    assert decisions(log) == decisions(seq_log)
+    assert log.head == _PREWARMED_BATCH_AUDIT_HEAD
+    # Each cacheable shape is evaluated once per epoch either way.
+    assert (stats.hits, stats.misses) == (seq_stats.hits, seq_stats.misses)
 
 
 def test_decision_cache_metrics_exported():
-    controller = _controller(compile_policies=True)
+    controller = _controller()
     acl = controller.put_policy(
         ALICE,
         f"read :- sessionKeyIs(k'{ALICE}')\n"
@@ -173,13 +209,21 @@ def test_decision_cache_metrics_exported():
     assert events["miss"] >= 1
 
 
-def test_fast_path_can_be_disabled():
-    controller = _controller(compile_policies=False)
-    acl = controller.put_policy(
-        ALICE,
-        f"read :- sessionKeyIs(k'{ALICE}')\n"
-        f"update :- sessionKeyIs(k'{ALICE}')",
-    ).policy_id
-    controller.put(ALICE, "doc", b"v", policy_id=acl)
-    assert controller.get(ALICE, "doc").ok
-    assert controller.get(BOB, "doc").status == 403
+def test_malformed_policy_blob_on_the_drive_is_a_policy_error():
+    """Valid TLV of the wrong shape (here: a constant index outside the
+    pool) is refused when loaded, as a 400 — not a 500 at evaluation."""
+    from repro.kinetic.protocol import encode_fields
+
+    controller = _controller()
+    blob = encode_fields(
+        {
+            "version": 1,
+            "constants": [],
+            "variables": [],
+            "permissions": [["update", [[[11, [["c", 0]]]]]]],
+        }
+    )
+    controller.store.write_policy("bad-policy", blob)
+    response = controller.put(ALICE, "doc", b"v", policy_id="bad-policy")
+    assert response.status == 400
+    assert "malformed policy" in response.error

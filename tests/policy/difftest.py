@@ -1,11 +1,11 @@
-"""Differential harness: interpreter vs compiled closures.
+"""Differential harness: reference interpreter vs shipped closures.
 
 Replays every policy in ``examples/policies`` — plus seeded random
 evaluation contexts exercising grants, denials, structural failures,
 certificates, and object facts — through both
-:class:`~repro.policy.interpreter.PolicyInterpreter` and the compiled
-fast path, asserting the resulting :class:`Decision`\\ s are identical
-field by field (``clause_path``, ``predicates_evaluated``, bindings).
+:class:`~tests.policy.reference_interpreter.PolicyInterpreter` and the
+shipped evaluator, asserting the resulting :class:`Decision`\\ s are
+identical field by field (``clause_path``, ``predicates_evaluated``, bindings).
 
 Everything is deterministic in the seed: the certificate keypairs are
 fixed primes baked in below (``secrets``-based key generation would
@@ -25,11 +25,11 @@ from repro.crypto.certs import Certificate
 from repro.crypto.rsa import RsaPrivateKey
 from repro.policy.binary import CompiledPolicy
 from repro.policy.compiler import compile_source
-from repro.policy.compiled import CompiledClause, FastPolicy, compile_closures
+from repro.policy.compiled import Decision, compile_closures
 from repro.policy.context import EvalContext, ObjectView, VersionInfo
-from repro.policy.interpreter import Decision, PolicyInterpreter
+from tests.policy.reference_interpreter import PolicyInterpreter
 
-CORPUS_DIR = Path(__file__).resolve().parents[3] / "examples" / "policies"
+CORPUS_DIR = Path(__file__).resolve().parents[2] / "examples" / "policies"
 
 #: Fingerprints the corpus policies name (`k'caca…'` etc.).
 CA_FINGERPRINT = "ca" * 32
@@ -291,43 +291,6 @@ def trace_sha(lines: list) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def counting_fast_policy(policy: CompiledPolicy) -> tuple:
-    """A fresh compiled form whose predicate closures count invocations.
-
-    Returns ``(fast, cell)`` where ``cell[0]`` is the number of live
-    closure calls executed — the compiled path's work units, against
-    the interpreter's ``predicates_evaluated``.
-    """
-    fast = compile_closures(policy)
-    cell = [0]
-
-    def wrap(fn):
-        def counted(ctx, bindings):
-            cell[0] += 1
-            return fn(ctx, bindings)
-
-        return counted
-
-    if fast.delegate is None:
-        fast.clauses = {
-            operation: [
-                CompiledClause(
-                    ops=[
-                        ("call", wrap(payload))
-                        if kind == "call"
-                        else (kind, payload)
-                        for kind, payload in compiled.ops
-                    ],
-                    duplicate_of=compiled.duplicate_of,
-                    stripped_conjuncts=compiled.stripped_conjuncts,
-                )
-                for compiled in clauses
-            ]
-            for operation, clauses in fast.clauses.items()
-        }
-    return fast, cell
-
-
 @dataclass
 class DiffReport:
     """Outcome of one differential sweep."""
@@ -335,17 +298,8 @@ class DiffReport:
     cases: int = 0
     grants: int = 0
     denials: int = 0
-    interpreter_predicates: int = 0
-    compiled_calls: int = 0
     trace_sha_interpreter: str = ""
     trace_sha_compiled: str = ""
-
-    @property
-    def work_ratio(self) -> float:
-        """Interpreter predicate evaluations per compiled closure call."""
-        if self.compiled_calls == 0:
-            return float(self.interpreter_predicates or 1)
-        return self.interpreter_predicates / self.compiled_calls
 
 
 def run_differential(
@@ -357,7 +311,7 @@ def run_differential(
     interp_lines: list = []
     compiled_lines: list = []
     for name, policy in policies or load_corpus():
-        fast, cell = counting_fast_policy(policy)
+        fast = compile_closures(policy)
         for index, (operation, ctx) in enumerate(
             corpus_contexts(policy, seed=seed, per_operation=per_operation)
         ):
@@ -369,25 +323,8 @@ def run_differential(
             report.cases += 1
             report.grants += 1 if interpreted.granted else 0
             report.denials += 0 if interpreted.granted else 1
-            report.interpreter_predicates += interpreted.predicates_evaluated
             interp_lines.append(trace_line(name, index, interpreted))
             compiled_lines.append(trace_line(name, index, compiled))
-        report.compiled_calls += cell[0]
-
-        # Batched evaluation must agree case-for-case as well.
-        cases = corpus_contexts(policy, seed=seed, per_operation=10)
-        by_operation: dict = {}
-        for operation, ctx in cases:
-            by_operation.setdefault(operation, []).append(ctx)
-        plain = compile_closures(policy)
-        for operation, contexts in by_operation.items():
-            batch = plain.evaluate_batch(operation, contexts)
-            for position, ctx in enumerate(contexts):
-                assert_identical(
-                    interpreter.evaluate(policy, operation, ctx),
-                    batch[position],
-                    label=f"{name} batch {operation}[{position}]",
-                )
     report.trace_sha_interpreter = trace_sha(interp_lines)
     report.trace_sha_compiled = trace_sha(compiled_lines)
     return report

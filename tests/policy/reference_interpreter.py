@@ -1,4 +1,11 @@
-"""The binary-format policy interpreter.
+"""Reference interpreter: the differential oracle for the evaluator.
+
+The tree-walking evaluator :mod:`repro.policy.compiled` replaced.  It
+stays here, never imported by ``src/``, so the shipped closures can be
+compared against an implementation that shares none of their
+compilation logic (only :mod:`repro.policy.evalcore` and the predicate
+registry).  The contract covers every policy ``compile_source`` emits
+and every blob ``CompiledPolicy.from_bytes`` accepts.
 
 Walks a :class:`~repro.policy.binary.CompiledPolicy` for one operation:
 each clause of the disjunctive normal form gets fresh variable
@@ -12,52 +19,13 @@ An operation with no rule in the policy is denied (deny by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import PolicyDenied, PolicyFormatError
 from repro.policy.ast import IntValue, NullValue, StrValue
 from repro.policy.binary import CompiledPolicy
+from repro.policy.compiled import Decision
 from repro.policy.context import EvalContext
 from repro.policy.evalcore import Bindings, EvalError, TuplePattern
 from repro.policy.predicates import predicate_by_opcode
-
-
-@dataclass
-class Decision:
-    """Outcome of a permission check, with diagnostics."""
-
-    granted: bool
-    operation: str
-    matched_clause: int | None = None
-    bindings: dict = field(default_factory=dict)
-    predicates_evaluated: int = 0
-
-    def __bool__(self) -> bool:
-        return self.granted
-
-    @property
-    def clause_path(self) -> str:
-        """Canonical path of the verdict inside the policy DNF.
-
-        The audit trail records this so an operator can answer "which
-        policy clause allowed this GET?" without re-running the
-        interpreter: ``read/clause[2]`` names the granting disjunct,
-        ``read/denied`` means every clause refused.
-        """
-        if not self.granted:
-            return f"{self.operation}/denied"
-        if self.matched_clause is None:
-            return f"{self.operation}/no-clause"
-        return f"{self.operation}/clause[{self.matched_clause}]"
-
-    def audit_detail(self) -> str:
-        """Deterministic diagnostics string for the audit record."""
-        from repro.policy.evalcore import render_bindings
-
-        detail = f"predicates={self.predicates_evaluated}"
-        if self.bindings:
-            detail += f";bindings[{render_bindings(self.bindings)}]"
-        return detail
 
 
 class PolicyInterpreter:

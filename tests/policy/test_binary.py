@@ -80,6 +80,52 @@ def test_wrong_version_rejected():
         CompiledPolicy.from_bytes(encode_fields(fields))
 
 
+_EMPTY = {"version": 1, "constants": [], "variables": [], "permissions": []}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"version": 1},
+        {**_EMPTY, "permissions": [["read", [[[1]]]]]},
+        {**_EMPTY, "constants": [["i", "x"]]},
+        {**_EMPTY, "permissions": [["read", [[[11, [["c", 0]]]]]]]},
+        {**_EMPTY, "permissions": [["read", [[[99, []]]]]]},
+        {**_EMPTY, "permissions": [["read", [[[11, []]]]]]},
+        {**_EMPTY, "permissions": [["read", [[[11, [["r", "self"]]]]]]]},
+        {**_EMPTY, "variables": [7]},
+    ],
+    ids=[
+        "missing-fields",
+        "short-instruction",
+        "non-int-constant",
+        "constant-index-out-of-range",
+        "unknown-opcode",
+        "bad-arity",
+        "unknown-reference",
+        "non-string-variable",
+    ],
+)
+def test_wrong_shape_blob_rejected(fields):
+    """Valid TLV, wrong shape: a format error at load, never a foreign
+    exception at load or at request time."""
+    from repro.kinetic.protocol import encode_fields
+
+    with pytest.raises(PolicyFormatError):
+        CompiledPolicy.from_bytes(encode_fields(fields))
+
+
+def test_closure_compiler_rejects_a_malformed_policy():
+    from repro.policy.binary import Instruction
+    from repro.policy.compiled import compile_closures
+
+    policy = CompiledPolicy(
+        permissions={"read": [[Instruction(opcode=11, args=[["v", 3]])]]}
+    )
+    with pytest.raises(PolicyFormatError):
+        compile_closures(policy)
+
+
 def test_unknown_predicate_rejected():
     with pytest.raises(PolicyCompileError, match="unknown predicate"):
         compile_policy("read :- fliesLikeABird(X)")

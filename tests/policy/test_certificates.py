@@ -3,11 +3,9 @@
 import pytest
 
 from repro.crypto.certs import CertificateAuthority
+from repro.policy.compiled import compiled_form
 from repro.policy.compiler import compile_policy
 from repro.policy.context import EvalContext
-from repro.policy.interpreter import PolicyInterpreter
-
-INTERP = PolicyInterpreter()
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +68,14 @@ def _time_policy(ca, release_date):
 def test_paper_time_policy_grants_after_date(ca, timeserver):
     policy = _time_policy(ca, release_date=1000)
     certs = _time_cert(timeserver, ca, timestamp=1500)
-    decision = INTERP.evaluate(policy, "update", _ctx(certs, ca))
+    decision = compiled_form(policy).evaluate("update", _ctx(certs, ca))
     assert decision.granted
 
 
 def test_paper_time_policy_denies_before_date(ca, timeserver):
     policy = _time_policy(ca, release_date=1000)
     certs = _time_cert(timeserver, ca, timestamp=500)
-    assert not INTERP.evaluate(policy, "update", _ctx(certs, ca)).granted
+    assert not compiled_form(policy).evaluate("update", _ctx(certs, ca)).granted
 
 
 def test_chain_required_not_just_any_key(ca, timeserver):
@@ -86,7 +84,7 @@ def test_chain_required_not_just_any_key(ca, timeserver):
     policy = _time_policy(ca, release_date=1000)
     certs = _time_cert(rogue_ts, rogue_ca, timestamp=1500)
     # The rogue chain's CA key is not the policy's authority.
-    assert not INTERP.evaluate(policy, "update", _ctx(certs, ca)).granted
+    assert not compiled_form(policy).evaluate("update", _ctx(certs, ca)).granted
 
 
 def test_tampered_certificate_ignored(ca, timeserver):
@@ -95,7 +93,7 @@ def test_tampered_certificate_ignored(ca, timeserver):
     policy = _time_policy(ca, release_date=1000)
     certs = _time_cert(timeserver, ca, timestamp=1500)
     certs[1] = replace(certs[1], claims=(("time", (2000,)),))  # forged
-    assert not INTERP.evaluate(policy, "update", _ctx(certs, ca)).granted
+    assert not compiled_form(policy).evaluate("update", _ctx(certs, ca)).granted
 
 
 def test_freshness_window_enforced(ca, timeserver):
@@ -106,18 +104,18 @@ def test_freshness_window_enforced(ca, timeserver):
     )
     fresh = _time_cert(timeserver, ca, timestamp=1500, issued_at=90.0)
     stale = _time_cert(timeserver, ca, timestamp=1500, issued_at=0.0)
-    assert INTERP.evaluate(policy, "update", _ctx(fresh, ca, now=100.0)).granted
-    assert not INTERP.evaluate(policy, "update", _ctx(stale, ca, now=100.0)).granted
+    assert compiled_form(policy).evaluate("update", _ctx(fresh, ca, now=100.0)).granted
+    assert not compiled_form(policy).evaluate("update", _ctx(stale, ca, now=100.0)).granted
 
 
 def test_nonce_binding(ca, timeserver):
     policy = _time_policy(ca, release_date=1000)
     certs = _time_cert(timeserver, ca, timestamp=1500, nonce="expected-nonce")
-    granted = INTERP.evaluate(
-        policy, "update", _ctx(certs, ca, nonce="expected-nonce")
+    granted = compiled_form(policy).evaluate(
+        "update", _ctx(certs, ca, nonce="expected-nonce")
     ).granted
-    replayed = INTERP.evaluate(
-        policy, "update", _ctx(certs, ca, nonce="different-nonce")
+    replayed = compiled_form(policy).evaluate(
+        "update", _ctx(certs, ca, nonce="different-nonce")
     ).granted
     assert granted
     assert not replayed
@@ -127,7 +125,7 @@ def test_expired_certificate_ignored(ca, timeserver):
     policy = _time_policy(ca, release_date=1000)
     certs = _time_cert(timeserver, ca, timestamp=1500, issued_at=0.0)
     # time cert valid 0..3600; at now=5000 it is expired.
-    assert not INTERP.evaluate(policy, "update", _ctx(certs, ca, now=5000.0)).granted
+    assert not compiled_form(policy).evaluate("update", _ctx(certs, ca, now=5000.0)).granted
 
 
 def test_group_membership_certificate(ca):
@@ -140,11 +138,11 @@ def test_group_membership_certificate(ca):
     policy = compile_policy(
         f"read :- certificateSays(k'{ca_fp}', 'group'('staff'))"
     )
-    assert INTERP.evaluate(policy, "read", _ctx([member], ca)).granted
+    assert compiled_form(policy).evaluate("read", _ctx([member], ca)).granted
     policy_other = compile_policy(
         f"read :- certificateSays(k'{ca_fp}', 'group'('admins'))"
     )
-    assert not INTERP.evaluate(policy_other, "read", _ctx([member], ca)).granted
+    assert not compiled_form(policy_other).evaluate("read", _ctx([member], ca)).granted
 
 
 def test_unknown_authority_yields_no_facts(ca, timeserver):
@@ -152,4 +150,4 @@ def test_unknown_authority_yields_no_facts(ca, timeserver):
         "update :- certificateSays(k'unknown-fp', 'time'(T))"
     )
     certs = _time_cert(timeserver, ca, timestamp=1500)
-    assert not INTERP.evaluate(policy, "update", _ctx(certs, ca)).granted
+    assert not compiled_form(policy).evaluate("update", _ctx(certs, ca)).granted

@@ -1,8 +1,12 @@
-"""The compiled fast path: closures, folding, batching, decision cache."""
+"""The shipped evaluator: closures, folding, decision cache — checked
+against the reference interpreter."""
 
-import pytest
+import os
+import re
+from pathlib import Path
 
 from repro.policy.compiled import (
+    Decision,
     DecisionCache,
     PolicyEngine,
     compile_closures,
@@ -10,12 +14,8 @@ from repro.policy.compiled import (
 )
 from repro.policy.compiler import compile_policy
 from repro.policy.context import EvalContext
-from repro.policy.difftest import (
-    corpus_contexts,
-    load_corpus,
-    run_differential,
-)
-from repro.policy.interpreter import Decision, PolicyInterpreter
+from tests.policy.difftest import assert_identical, run_differential
+from tests.policy.reference_interpreter import PolicyInterpreter
 
 INTERP = PolicyInterpreter()
 
@@ -24,11 +24,15 @@ BOB = "b2" * 32
 
 
 # ---------------------------------------------------------------------------
-# Differential: corpus + seeded contexts, interpreter vs closures
+# Differential: corpus + seeded contexts, reference vs shipped
 # ---------------------------------------------------------------------------
 
+#: The CI ``policy`` job sweeps this (the CHAOS_SEED convention).
+POLICY_SEED = int(os.environ.get("POLICY_SEED", "3"))
+
+
 def test_differential_corpus_replay():
-    report = run_differential(seed=3, per_operation=12)
+    report = run_differential(seed=POLICY_SEED, per_operation=12)
     assert report.cases > 0
     assert report.grants > 0 and report.denials > 0
     assert report.trace_sha_interpreter == report.trace_sha_compiled
@@ -46,12 +50,11 @@ def test_differential_trace_sha_is_pinned():
 def test_differential_is_deterministic_in_the_seed():
     first = run_differential(seed=7, per_operation=6)
     second = run_differential(seed=7, per_operation=6)
-    assert first.trace_sha_interpreter == second.trace_sha_interpreter
-    assert first.compiled_calls == second.compiled_calls
+    assert first == second
 
 
 # ---------------------------------------------------------------------------
-# Partial evaluation: folding, stripping, duplicate memoization
+# Partial evaluation: folding never changes a decision
 # ---------------------------------------------------------------------------
 
 def test_constant_true_conjuncts_fold():
@@ -59,7 +62,6 @@ def test_constant_true_conjuncts_fold():
         f"read :- eq(1, 1) /\\ ge(3, 2) /\\ sessionKeyIs(k'{ALICE}')"
     )
     fast = compile_closures(policy)
-    assert fast.delegate is None
     assert fast.folded_conjuncts >= 2
     for probe, expected in ((ALICE, True), (BOB, False)):
         ctx = EvalContext(operation="read", session_key=probe)
@@ -77,20 +79,16 @@ def test_constant_true_conjuncts_fold():
 
 
 def test_constant_false_clause_strips_its_tail():
+    """A conjunct folded to false fails its clause where it stands."""
     policy = compile_policy(
         f"read :- eq(1, 2) /\\ sessionKeyIs(K) \\/ sessionKeyIs(k'{ALICE}')"
     )
     fast = compile_closures(policy)
-    assert fast.stripped_clauses >= 1
     for probe in (ALICE, BOB):
         ctx = EvalContext(operation="read", session_key=probe)
-        interpreted = INTERP.evaluate(policy, "read", ctx)
         compiled = fast.evaluate("read", ctx)
-        assert compiled.granted == interpreted.granted
-        assert (
-            compiled.predicates_evaluated
-            == interpreted.predicates_evaluated
-        )
+        assert_identical(INTERP.evaluate(policy, "read", ctx), compiled)
+        assert compiled.granted is (probe == ALICE)
 
 
 def test_duplicate_clauses_replay_the_first_outcome():
@@ -99,37 +97,13 @@ def test_duplicate_clauses_replay_the_first_outcome():
     )
     policy = compile_policy(source)
     fast = compile_closures(policy)
-    assert fast.memoized_duplicates >= 1
     ctx = EvalContext(operation="read", session_key=BOB)
     interpreted = INTERP.evaluate(policy, "read", ctx)
     compiled = fast.evaluate("read", ctx)
-    # Denial walks both (identical) disjuncts; the replayed clause
-    # must contribute the same predicate count the interpreter saw.
+    # Denial walks both (identical) disjuncts.
     assert interpreted.predicates_evaluated == 2
     assert compiled.predicates_evaluated == 2
     assert not compiled.granted
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluation
-# ---------------------------------------------------------------------------
-
-def test_evaluate_batch_matches_per_context_evaluation():
-    for name, policy in load_corpus():
-        fast = compile_closures(policy)
-        cases = corpus_contexts(policy, seed=11, per_operation=5)
-        by_operation = {}
-        for operation, ctx in cases:
-            by_operation.setdefault(operation, []).append(ctx)
-        for operation, contexts in by_operation.items():
-            batch = fast.evaluate_batch(operation, contexts)
-            assert len(batch) == len(contexts)
-            for position, ctx in enumerate(contexts):
-                single = INTERP.evaluate(policy, operation, ctx)
-                assert batch[position].granted == single.granted, name
-                assert (
-                    batch[position].clause_path == single.clause_path
-                ), name
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +146,6 @@ def test_put_refuses_stale_epoch_writes():
     assert cache.get("p1", "read", "shape", now=0.0) is None
 
 
-def test_invalidate_policy_is_selective():
-    cache = DecisionCache()
-    cache.put("p1", "read", "s", epoch=0, decision=_decision())
-    cache.put("p2", "read", "s", epoch=0, decision=_decision())
-    assert cache.invalidate_policy("p1") == 1
-    assert cache.get("p1", "read", "s", now=0.0) is None
-    assert cache.get("p2", "read", "s", now=0.0) is not None
-
-
 def test_time_bounded_entries_expire():
     cache = DecisionCache()
     cache.put(
@@ -202,14 +167,6 @@ def test_lru_bound_evicts_oldest():
     assert len(cache) == 2
     assert cache.get("p", "read", "b", now=0.0) is None
     assert cache.get("p", "read", "a", now=0.0) is not None
-
-
-def test_contains_probe_leaves_stats_and_order_alone():
-    cache = DecisionCache()
-    cache.put("p", "read", "a", epoch=0, decision=_decision())
-    assert cache.contains("p", "read", "a", now=0.0)
-    assert not cache.contains("p", "read", "missing", now=0.0)
-    assert cache.stats.hits == 0 and cache.stats.misses == 0
 
 
 # ---------------------------------------------------------------------------
@@ -246,28 +203,26 @@ def test_engine_decisions_match_interpreter_cached_or_not():
     warm = engine.evaluate(policy, "read", ctx)
     reference = INTERP.evaluate(policy, "read", ctx)
     for decision in (cold, warm):
-        assert decision.granted == reference.granted
-        assert decision.clause_path == reference.clause_path
-        assert (
-            decision.predicates_evaluated
-            == reference.predicates_evaluated
-        )
-        assert decision.bindings == reference.bindings
+        assert_identical(reference, decision)
 
 
-def test_engine_prewarm_seeds_the_cache():
-    policy = compile_policy(
-        f"read :- sessionKeyIs(k'{ALICE}') \\/ sessionKeyIs(k'{BOB}')"
-    )
-    engine = PolicyEngine()
-    contexts = [
-        EvalContext(operation="read", session_key=key)
-        for key in (ALICE, BOB, ALICE)  # duplicate shape collapses
-    ]
-    warmed = engine.prewarm(policy, "read", contexts)
-    assert warmed == 2
-    assert engine.decisions.stats.misses == 0
-    assert engine.evaluate(
-        policy, "read", EvalContext(operation="read", session_key=ALICE)
-    ).granted
-    assert engine.decisions.stats.hits == 1
+# ---------------------------------------------------------------------------
+# One evaluator in src/: the oracle lives in tests/ only
+# ---------------------------------------------------------------------------
+
+def _source_files(package: str = ""):
+    import repro
+
+    root = Path(repro.__file__).parent / package
+    return [(path, path.read_text()) for path in sorted(root.rglob("*.py"))]
+
+
+def test_src_never_reaches_for_the_test_oracle():
+    for path, text in _source_files():
+        assert "PolicyInterpreter" not in text, path
+        assert not re.search(r"^\s*(from|import) tests\b", text, re.M), path
+
+
+def test_policy_package_imports_nothing_from_analysis():
+    for path, text in _source_files("policy"):
+        assert "repro.analysis" not in text, path

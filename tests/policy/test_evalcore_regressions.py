@@ -1,8 +1,8 @@
 """Regressions for the compare-or-set unification bugs.
 
-Two historical failure modes, each asserted under BOTH the interpreter
-and the compiled closures (the fast path shares :mod:`evalcore`, so a
-regression in either layer must trip these):
+Two historical failure modes, each asserted under BOTH the reference
+interpreter and the shipped closures (both share :mod:`evalcore`, so a
+regression there must trip these):
 
 1. ``compare_or_set`` double-bind — a variable that was unbound when a
    predicate's arguments were evaluated may have been bound *by the
@@ -19,7 +19,8 @@ regression in either layer must trip these):
 from repro.policy.compiled import compile_closures
 from repro.policy.compiler import compile_policy
 from repro.policy.context import EvalContext, ObjectView, VersionInfo
-from repro.policy.interpreter import PolicyInterpreter
+from tests.policy.difftest import assert_identical
+from tests.policy.reference_interpreter import PolicyInterpreter
 
 INTERP = PolicyInterpreter()
 
@@ -28,17 +29,8 @@ def _both_paths(policy, operation, ctx):
     """Evaluate under interpreter and closures; assert identity."""
     interpreted = INTERP.evaluate(policy, operation, ctx)
     compiled = compile_closures(policy).evaluate(operation, ctx)
-    for attribute in (
-        "granted",
-        "clause_path",
-        "predicates_evaluated",
-        "matched_clause",
-        "bindings",
-    ):
-        assert getattr(interpreted, attribute) == getattr(
-            compiled, attribute
-        ), attribute
-    return interpreted
+    assert_identical(interpreted, compiled)
+    return compiled
 
 
 def _ctx(view: ObjectView) -> EvalContext:

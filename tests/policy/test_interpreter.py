@@ -1,13 +1,12 @@
-"""Interpreter + predicate semantics, ending with the paper's policies."""
+"""Evaluator + predicate semantics, ending with the paper's policies."""
 
 import pytest
 
 from repro.errors import PolicyDenied
+from repro.policy.compiled import compiled_form
 from repro.policy.compiler import compile_policy
 from repro.policy.context import EvalContext, ObjectView, VersionInfo
-from repro.policy.interpreter import PolicyInterpreter
-
-INTERP = PolicyInterpreter()
+from tests.policy.reference_interpreter import PolicyInterpreter
 
 
 def _ctx(**kwargs):
@@ -17,7 +16,7 @@ def _ctx(**kwargs):
 
 
 def _eval(source, operation, ctx):
-    return INTERP.evaluate(compile_policy(source), operation, ctx)
+    return compiled_form(compile_policy(source)).evaluate(operation, ctx)
 
 
 def _object(object_id, version, content=b"data", policy_hash="", extra=None):
@@ -57,7 +56,7 @@ def test_conjunction_requires_all():
 def test_check_raises_on_denial():
     policy = compile_policy("read :- sessionKeyIs(k'other')")
     with pytest.raises(PolicyDenied):
-        INTERP.check(policy, "read", _ctx())
+        PolicyInterpreter().check(policy, "read", _ctx())
 
 
 def test_decision_counts_predicates():

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.policy.binary import CompiledPolicy
+from repro.policy.compiled import compiled_form
 from repro.policy.compiler import compile_policy
 from repro.policy.context import EvalContext
-from repro.policy.interpreter import PolicyInterpreter
-
-INTERP = PolicyInterpreter()
 
 _fingerprints = st.text(
     alphabet=string.ascii_lowercase + string.digits, min_size=1, max_size=12
@@ -39,10 +37,10 @@ def test_acl_grants_exactly_listed_clients(readers, writers, probe):
     """For any ACL policy, access <=> membership in the list."""
     policy = compile_policy(_acl_source(readers, writers))
     ctx = EvalContext(operation="read", session_key=probe)
-    assert INTERP.evaluate(policy, "read", ctx).granted == (probe in readers)
-    assert INTERP.evaluate(policy, "update", ctx).granted == (probe in writers)
+    assert compiled_form(policy).evaluate("read", ctx).granted == (probe in readers)
+    assert compiled_form(policy).evaluate("update", ctx).granted == (probe in writers)
     # Nothing ever grants delete (deny-by-default).
-    assert not INTERP.evaluate(policy, "delete", ctx).granted
+    assert not compiled_form(policy).evaluate("delete", ctx).granted
 
 
 @settings(max_examples=60, deadline=None)
@@ -57,8 +55,8 @@ def test_serialization_preserves_decisions(readers, writers):
     for probe in readers + writers + ["outsider"]:
         for operation in ("read", "update", "delete"):
             ctx = EvalContext(operation=operation, session_key=probe)
-            original = INTERP.evaluate(policy, operation, ctx).granted
-            restored = INTERP.evaluate(reloaded, operation, ctx).granted
+            original = compiled_form(policy).evaluate(operation, ctx).granted
+            restored = compiled_form(reloaded).evaluate(operation, ctx).granted
             assert original == restored
 
 
@@ -89,7 +87,7 @@ def test_version_policy_accepts_only_successor(current, offered):
         objects={"obj": view},
         request_version=offered,
     )
-    decision = INTERP.evaluate(policy, "update", ctx)
+    decision = compiled_form(policy).evaluate("update", ctx)
     assert decision.granted == (offered == current + 1)
 
 
@@ -107,7 +105,7 @@ def test_version_policy_creation_only_at_zero(offered):
         this_id=None,
         request_version=offered,
     )
-    assert INTERP.evaluate(policy, "update", ctx).granted == (offered == 0)
+    assert compiled_form(policy).evaluate("update", ctx).granted == (offered == 0)
 
 
 @settings(max_examples=40, deadline=None)

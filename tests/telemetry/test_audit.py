@@ -1,6 +1,6 @@
 """PolicyAuditor: decisions into the chain, chain onto the scrape."""
 
-from repro.policy.interpreter import Decision
+from repro.policy.compiled import Decision
 from repro.telemetry import Telemetry, render_prometheus
 from repro.telemetry.audit import (
     DECISION_ALLOW,
