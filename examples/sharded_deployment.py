@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
-"""Scaling out: shards, elastic drives, and the SSD cache tier.
+"""Scaling out: shards and the SSD cache tier.
 
-Combines the three scalability mechanisms the paper discusses:
+Combines the two scalability mechanisms this reproduction implements:
 
 1. §6.2 — multiple Pesos instances behind a load balancer, sharding
    the object space (ShardedPesos).
-2. §3.1 future work — consistent hashing for dynamic drive
-   membership (HashRing / ElasticStore).
-3. §8 future work — an untrusted local SSD as a fast cache tier with
+2. §8 future work — an untrusted local SSD as a fast cache tier with
    integrity and freshness protection (SsdCacheTier).
 
 Run: ``python examples/sharded_deployment.py``
 """
 
 from repro.core.controller import ControllerConfig, PesosController
-from repro.core.hashring import HashRing
 from repro.core.request import Request
 from repro.core.sharding import ShardedPesos
 from repro.kinetic.cluster import DriveCluster
@@ -65,17 +62,6 @@ def main() -> None:
     shard.caches.objects.clear()  # drop the enclave cache
     balancer.handle(Request(method="get", key="obj-7"), ALICE)
     print(f"SSD tier hits on obj-7's shard: {shard.ssd_cache.stats.hits}")
-
-    # --- consistent hashing: how membership changes move keys ---------------
-    ring = HashRing(["disk-0", "disk-1", "disk-2"], vnodes=64)
-    keys = [f"obj-{i}" for i in range(1000)]
-    before = {key: ring.placement(key, 1)[0] for key in keys}
-    ring.add_drive("disk-3")
-    moved = sum(
-        1 for key in keys if ring.placement(key, 1)[0] != before[key]
-    )
-    print(f"adding a 4th drive moves {moved}/1000 keys "
-          f"(~{moved / 10:.0f}%, ideal 25%)")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ real cost inside a TEE — its session, lock record, and async slot sit
 in EPC-backed memory, and past the working set each additional queued
 entry adds paging pressure (the same cliff §6 measures for object
 caches).  The simulation charges that as a capacity drag proportional
-to queue depth (``overload_drag``); the bounded admission queue caps
+to queue depth (``OVERLOAD_DRAG``); the bounded admission queue caps
 the drag, trading a 503 now for the whole fleet's throughput later.
 
 Everything is deterministic: capacity is calibrated from the engine's
@@ -24,6 +24,12 @@ every point carries a digest of its full decision + completion record
 run against a *real* controller — acked writes are re-read at the end
 of every point, witnessing that shedding never loses acknowledged
 data.
+
+:func:`run_open_loop` is the repo's one open-loop driver: the sweep
+feeds it arrivals at a constant offered rate, and
+:mod:`repro.workload.scenarios` feeds it arbitrary arrival curves.
+(It lives here rather than under ``repro.workload`` because that
+package imports this module for capacity calibration.)
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from repro.bench.concurrency import (
     ConcurrencyConfig,
@@ -66,20 +73,25 @@ class OverloadConfig:
     #: Ops per virtual second; None calibrates from the engine's
     #: virtual-time cost model (deterministic, not wall-clock).
     capacity: float | None = None
-    #: Scheduling-round length, in service times.
-    round_services: float = 8.0
-    #: Admission knobs, in rounds (converted to virtual seconds once
-    #: the service time is known).  The latency target sits *above*
-    #: the staleness bound on purpose: queue wait is capped by
-    #: ``max_queue_delay`` shedding, so the limiter only backs off on
-    #: genuine service-time inflation, not on a merely full queue.
-    queue_depth: int = 48
-    max_queue_delay_rounds: float = 8.0
-    latency_target_rounds: float = 16.0
-    rate_per_second: float | None = None
-    #: Capacity drag per queued request (EPC paging pressure model).
-    overload_drag: float = 0.004
-    max_rounds: int = 200_000
+
+
+# Open-loop round constants: the model's tuning, the same for every
+# sweep and scenario, so it sits beside the loop rather than on configs.
+
+#: Scheduling-round length, in service times.
+ROUND_SERVICES = 8.0
+#: Admission knobs, in rounds (converted to virtual seconds once the
+#: service time is known).  The latency target sits *above* the
+#: staleness bound on purpose: queue wait is capped by
+#: ``max_queue_delay`` shedding, so the limiter only backs off on
+#: genuine service-time inflation, not on a merely full queue.
+QUEUE_DEPTH = 48
+MAX_QUEUE_DELAY_ROUNDS = 8.0
+LATENCY_TARGET_ROUNDS = 16.0
+#: Capacity drag per queued request (EPC paging pressure model).
+OVERLOAD_DRAG = 0.004
+#: Convergence guard: a run that has not drained by then is a bug.
+MAX_ROUNDS = 400_000
 
 
 @dataclass
@@ -140,14 +152,10 @@ def calibrate_capacity(config: OverloadConfig) -> float:
     sweep's "1x" is the cost model's own saturation point rather than
     a magic number.
     """
-    base = ConcurrencyConfig(
-        name=config.base.name,
-        num_drives=config.base.num_drives,
-        replication_factor=config.base.replication_factor,
-        record_count=config.base.record_count,
+    base = replace(
+        config.base,
         operations=128,
         read_fraction=config.read_fraction,
-        value_size=config.base.value_size,
         seed=config.seed,
     )
     return run_concurrency_point(base, workers=8).throughput
@@ -173,56 +181,75 @@ def make_overload_workload(
     return workload
 
 
-def run_overload_point(
-    config: OverloadConfig,
-    multiplier: float,
-    with_admission: bool,
-    capacity: float,
-    telemetry=None,
-    audit_log_size: int | None = None,
-    sink: dict | None = None,
-) -> OverloadPoint:
-    """Open-loop virtual-time simulation of one offered-load point.
+class OpenLoopRun(NamedTuple):
+    """Raw completion record of one :func:`run_open_loop` call."""
 
-    ``telemetry`` threads a live sink through the run: every completion
-    and shed folds into its SLO engine on virtual time (with trace-id
-    exemplars for breaching requests), and the tracer's virtual clock
-    follows the simulation.  ``audit_log_size`` enables the
-    tamper-evident decision chain; ``sink``, when given, receives the
-    live ``controller`` / ``admission`` / ``telemetry`` objects so
-    callers (tests, the SLO CI job) can inspect them afterwards.
+    #: ``(request, ok, finished_at, latency)`` per served request, in
+    #: completion order (virtual seconds).
+    served: list
+    shed_by_status: dict
+    shed_with_retry_after: int
+    #: Virtual time the last round ended / the run spanned.
+    end: float
+    duration: float
+    peak_queue_depth: int
+    acked_writes: int
+    acked_writes_lost: int
+    #: Digest of the completion + admission decision record.
+    trace_sha: str
+    admission: AdmissionController | None
+
+
+def p99(values: list[float]) -> float:
+    """Nearest-rank 99th percentile (0.0 for no samples)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    return ordered[int(0.99 * (len(ordered) - 1))]
+
+
+def run_open_loop(
+    controller,
+    workload: list[tuple[Request, str]],
+    arrivals: list[float],
+    capacity: float,
+    with_admission: bool,
+    seed: int,
+) -> OpenLoopRun:
+    """Serve ``workload`` open loop, in rounds of virtual time.
+
+    Request ``i`` arrives at ``arrivals[i]`` whatever the server is
+    doing.  Each round admits what has arrived (into the admission
+    queue, or an unbounded FIFO when ``with_admission`` is off), then
+    serves as many requests as ``capacity`` — dragged down by the
+    queued state — allows.  Completions and sheds fold into the
+    controller's telemetry (SLO engine, trace-id exemplars) on the
+    same virtual clock; acknowledged writes are re-read at the end.
     """
-    controller = build_concurrency_system(
-        config.base, telemetry=telemetry, audit_log_size=audit_log_size
-    )
     telemetry = controller.telemetry
     service = 1.0 / capacity
-    round_s = config.round_services * service
+    round_s = ROUND_SERVICES * service
     admission: AdmissionController | None = None
     if with_admission:
         admission = AdmissionController(
             AdmissionConfig(
-                queue_depth=config.queue_depth,
-                max_queue_delay=config.max_queue_delay_rounds * round_s,
-                rate_per_second=config.rate_per_second,
-                latency_target=config.latency_target_rounds * round_s,
-                max_limit=int(2 * config.round_services),
-                seed=config.seed,
+                queue_depth=QUEUE_DEPTH,
+                max_queue_delay=MAX_QUEUE_DELAY_ROUNDS * round_s,
+                latency_target=LATENCY_TARGET_ROUNDS * round_s,
+                max_limit=int(2 * ROUND_SERVICES),
+                seed=seed,
             ),
             sessions=controller.sessions,
             telemetry=telemetry,
         )
         admission.auditor = controller.auditor
-    workload = make_overload_workload(config)
-    offered = multiplier * capacity
-    arrivals = [index / offered for index in range(len(workload))]
 
     vnow = 0.0
     next_arrival = 0
     plain: deque[int] = deque()  # unprotected FIFO (admission off)
-    outcomes = served = ok = shed_retry = 0
+    outcomes = shed_retry = 0
     shed_by_status: dict[int, int] = {}
-    latencies: list[float] = []
+    served: list[tuple] = []
     completions: list[tuple] = []
     acked: dict[str, bytes] = {}
     carry = 0.0
@@ -248,17 +275,14 @@ def run_overload_point(
         )
 
     def serve(token: int) -> None:
-        nonlocal outcomes, served, ok
+        nonlocal outcomes
         request, fingerprint = workload[token]
         response = controller.handle(request, fingerprint, vnow)
-        served += 1
         outcomes += 1
-        if response.ok:
-            ok += 1
-            if request.method == "put":
-                acked[request.key] = request.value
+        if response.ok and request.method == "put":
+            acked[request.key] = request.value
         latency = vnow - arrivals[token]
-        latencies.append(latency)
+        served.append((request, response.ok, vnow, latency))
         completions.append((token, request.method, response.status))
         trace_id = None
         if telemetry.enabled:
@@ -269,7 +293,7 @@ def run_overload_point(
             request.method, response.ok, latency, vnow, trace_id=trace_id
         )
 
-    for _ in range(config.max_rounds):
+    for _ in range(MAX_ROUNDS):
         if outcomes >= len(workload):
             break
         vnow += round_s
@@ -289,10 +313,11 @@ def run_overload_point(
         peak_plain = max(peak_plain, len(plain))
         # Queued state costs enclave capacity (EPC pressure); a bounded
         # queue bounds the drag, an unbounded one does not.
-        effective = capacity / (1.0 + config.overload_drag * queue_depth)
-        carry = min(carry + effective * round_s, 2.0 * config.round_services)
+        overload_drag = OVERLOAD_DRAG * queue_depth
+        effective = capacity / (1.0 + overload_drag)
+        carry = min(carry + effective * round_s, 2.0 * ROUND_SERVICES)
         budget = int(carry)
-        before = len(latencies)
+        before = len(served)
         if admission is None:
             while budget > 0 and plain:
                 serve(plain.popleft())
@@ -305,64 +330,100 @@ def run_overload_point(
                 carry -= 1.0
             for token, decision in admission.take_shed():
                 shed(token, decision)
-            fresh = latencies[before:]
+            fresh = [latency for *_, latency in served[before:]]
             if fresh:
                 admission.observe(sum(fresh) / len(fresh))
     else:
-        raise RuntimeError("overload point did not converge")
+        raise RuntimeError("open-loop run did not converge")
 
     # No acked write lost: everything acknowledged under shedding must
     # still read back as the acknowledged bytes.
     lost = 0
     for key in sorted(acked):
-        response = controller.handle(Request(method="get", key=key), "fp-v", vnow)
+        response = controller.handle(
+            Request(method="get", key=key), "fp-verify", vnow
+        )
         if not response.ok or response.value != acked[key]:
             lost += 1
 
-    duration = max(vnow, arrivals[-1])
     record = [
         "|".join(str(part) for part in entry) for entry in completions
     ]
     if admission is not None:
         record.append("--admission--")
         record.extend(admission.trace_lines())
-    ordered = sorted(latencies)
-    if sink is not None:
-        sink["controller"] = controller
-        sink["admission"] = admission
-        sink["telemetry"] = telemetry
-    return OverloadPoint(
-        multiplier=multiplier,
-        admission=with_admission,
-        offered_rate=offered,
-        operations=len(workload),
+    return OpenLoopRun(
         served=served,
-        ok=ok,
         shed_by_status=shed_by_status,
         shed_with_retry_after=shed_retry,
-        duration=duration,
-        goodput=ok / duration,
-        mean_latency=(
-            sum(ordered) / len(ordered) if ordered else 0.0
-        ),
-        p99_latency=(
-            ordered[int(0.99 * (len(ordered) - 1))] if ordered else 0.0
-        ),
+        end=vnow,
+        duration=max(vnow, arrivals[-1]) if arrivals else vnow,
         peak_queue_depth=(
             peak_plain if admission is None else admission.queue.peak_depth
         ),
-        final_limit=0 if admission is None else admission.limiter.limit,
         acked_writes=len(acked),
         acked_writes_lost=lost,
         trace_sha=hashlib.sha256(
             "\n".join(record).encode()
         ).hexdigest()[:16],
-        audit_head=(
-            "" if controller.auditor is None else controller.auditor.head
-        ),
-        audit_records=(
-            0 if controller.auditor is None else len(controller.auditor.log)
-        ),
+        admission=admission,
+    )
+
+
+def run_overload_point(
+    config: OverloadConfig,
+    multiplier: float,
+    with_admission: bool,
+    capacity: float,
+    telemetry=None,
+    audit_log_size: int | None = None,
+    sink: dict | None = None,
+) -> OverloadPoint:
+    """One offered-load point: arrivals at a constant ``multiplier x
+    capacity`` through :func:`run_open_loop`.
+
+    ``telemetry`` threads a live sink through the run;
+    ``audit_log_size`` enables the tamper-evident decision chain;
+    ``sink``, when given, receives the live ``controller`` /
+    ``admission`` / ``telemetry`` objects so callers (tests, the SLO
+    CI job) can inspect them afterwards.
+    """
+    controller = build_concurrency_system(
+        config.base, telemetry=telemetry, audit_log_size=audit_log_size
+    )
+    workload = make_overload_workload(config)
+    offered = multiplier * capacity
+    arrivals = [index / offered for index in range(len(workload))]
+    run = run_open_loop(
+        controller, workload, arrivals, capacity, with_admission, config.seed
+    )
+    if sink is not None:
+        sink["controller"] = controller
+        sink["admission"] = run.admission
+        sink["telemetry"] = controller.telemetry
+    latencies = sorted(latency for *_, latency in run.served)
+    ok = sum(1 for _request, served_ok, *_ in run.served if served_ok)
+    auditor = controller.auditor
+    return OverloadPoint(
+        multiplier=multiplier,
+        admission=with_admission,
+        offered_rate=offered,
+        operations=len(workload),
+        served=len(run.served),
+        ok=ok,
+        shed_by_status=run.shed_by_status,
+        shed_with_retry_after=run.shed_with_retry_after,
+        duration=run.duration,
+        goodput=ok / run.duration,
+        mean_latency=sum(latencies) / len(latencies) if latencies else 0.0,
+        p99_latency=p99(latencies),
+        peak_queue_depth=run.peak_queue_depth,
+        final_limit=run.admission.limiter.limit if run.admission else 0,
+        acked_writes=run.acked_writes,
+        acked_writes_lost=run.acked_writes_lost,
+        trace_sha=run.trace_sha,
+        audit_head="" if auditor is None else auditor.head,
+        audit_records=0 if auditor is None else len(auditor.log),
     )
 
 

@@ -20,7 +20,6 @@ from repro.core.controller import (
     PesosController,
     verify_attestation,
 )
-from repro.core.hashring import ElasticStore, HashRing
 from repro.core.request import Request, Response
 from repro.core.session import Session, SessionManager
 from repro.core.sharding import ShardedPesos
@@ -30,8 +29,6 @@ from repro.core.webserver import WebServer
 
 __all__ = [
     "ControllerConfig",
-    "ElasticStore",
-    "HashRing",
     "ObjectStore",
     "PesosController",
     "Request",

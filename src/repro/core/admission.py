@@ -48,29 +48,14 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.request import Request, Response
+from repro.core.request import METHOD_TABLE, Request, Response
 from repro.errors import OverloadShed, RateLimited
 from repro.telemetry import NULL_TELEMETRY
 
-#: Priority class per request method; higher is admitted first and
-#: shed last.  Writes and transaction control outrank reads; ``status``
-#: polls rank lowest (the result is buffered, polling again is free).
+#: Priority class per request method (the ``priority`` column of the
+#: method table); higher is admitted first and shed last.
 DEFAULT_PRIORITIES: dict[str, int] = {
-    "put": 2,
-    "delete": 2,
-    "put_policy": 2,
-    "commit_tx": 2,
-    "abort_tx": 2,
-    "add_write": 2,
-    "add_read": 2,
-    "create_tx": 1,
-    "get": 1,
-    "scan": 1,
-    "rmw": 2,
-    "attest": 1,
-    "get_policy": 1,
-    "tx_results": 1,
-    "status": 0,
+    name: spec.priority for name, spec in METHOD_TABLE.items()
 }
 
 #: Shed reasons (the ``outcome`` metric label, bounded by design).

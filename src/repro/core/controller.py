@@ -1,10 +1,11 @@
 """The Pesos controller (§3).
 
 One object owns the full request path: session management, the policy
-compiler/interpreter, cache regions, the asynchronous API, the VLL
-transaction manager, and the encrypted object store over Kinetic
-drives.  :meth:`PesosController.handle` is the single entry point the
-web-server layer (and every benchmark) calls per request.
+evaluator, cache regions, the asynchronous API, the VLL transaction
+manager, and the encrypted object store over Kinetic drives.
+:meth:`PesosController.handle` is the single entry point the
+web-server layer (and every benchmark) calls per request; it reaches
+the handlers through the method table in :mod:`repro.core.request`.
 
 Bootstrap (§3.1): :meth:`PesosController.launch` runs the paper's
 deployment flow — launch the enclave, remotely attest against the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import secrets as _secrets
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.policy_verify import verify_policy, warnings_payload
 from repro.core.antientropy import AntiEntropyRepairer
@@ -34,13 +35,12 @@ from repro.core.effects import (
     POLICY_COMPILE,
     POLICY_LOAD,
 )
-from repro.core.request import Request, Response
+from repro.core.request import METHOD_TABLE, Request, Response
 from repro.core.session import Session, SessionManager
 from repro.core.ssdcache import SSD_READ, SSD_WRITE
 from repro.core.locks import KeyLockTable
 from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
 from repro.core.txn import Transaction, VllManager
-from repro.crypto.aead import StreamAead
 from repro.errors import (
     ForkDetected,
     ObjectNotFound,
@@ -59,26 +59,29 @@ from repro.telemetry.audit import PolicyAuditor
 from repro.telemetry.metrics import MetricFamily, Sample
 
 
+#: Suffix used to resolve the ``log`` reference when the request does
+#: not name a log object explicitly (MAL convention).
+LOG_SUFFIX = ".log"
+#: Upper bound on records one ``scan`` request may cover; larger
+#: requests are clamped, never refused (YCSB-E scan lengths are
+#: client-chosen, the enclave bounds its own work).
+MAX_SCAN_COUNT = 1000
+#: Journal keys repaired per anti-entropy pass.
+ANTI_ENTROPY_BATCH = 4
+
+
 @dataclass
 class ControllerConfig:
-    """Tunables for one controller instance."""
+    """Tunables for one controller instance (the list is test-pinned)."""
 
+    # -- the paper's own ablations (§6) ---------------------------------
     replication_factor: int = 1
     keep_history: bool = True
     cache: CacheConfig = field(default_factory=CacheConfig)
-    session_expiry: float = 3600.0
-    #: Suffix used to resolve the ``log`` reference when the request
-    #: does not name a log object explicitly (MAL convention).
-    log_suffix: str = ".log"
-    #: AEAD construction for payload encryption.
-    aead_factory: type = StreamAead
     #: Disable policy checking entirely (the paper's "without policy
     #: enforcement" baseline used in §6.2).
     enforce_policies: bool = True
-    #: Run the static verifier (:mod:`repro.analysis.policy_verify`)
-    #: on every stored policy; findings come back as structured
-    #: warnings on the PUT response, never as rejections.
-    verify_policies: bool = True
+    # -- set differently by more than one bench or example --------------
     #: Bound on per-version metadata kept per object (see
     #: :class:`repro.core.store.ObjectStore`); None keeps everything.
     version_metadata_window: int | None = None
@@ -88,6 +91,20 @@ class ControllerConfig:
     #: Replicas that must persist a write before it is acknowledged;
     #: None means every replica of the placement (§3.2 write-through).
     write_quorum: int | None = None
+    #: Retained records in the tamper-evident policy-decision audit
+    #: chain (:mod:`repro.sgx.auditlog`); None disables auditing and
+    #: keeps the policy hot path free of hashing.
+    audit_log_size: int | None = None
+    #: Root object/policy metadata in an authenticated dictionary
+    #: pinned by a sealed monotonic counter
+    #: (:mod:`repro.core.freshness`): reads verify Merkle proofs
+    #: instead of trusting replica version numbers, and startup
+    #: refuses to serve after fork detection.  Implied by passing a
+    #: ``freshness_env`` to the controller.  Set by the wall benchmark
+    #: (``a_fresh``); the ROADMAP's one-trust-path item removes it.
+    freshness_enabled: bool = False
+    # -- kept only because the seeded chaos suites (the correctness
+    # oracle) record outcomes against their values ----------------------
     #: Consecutive per-drive failures before its circuit breaker opens,
     #: and store operations to wait before a half-open probe.
     breaker_threshold: int = 3
@@ -95,25 +112,6 @@ class ControllerConfig:
     #: Pump one anti-entropy repair pass every N handled requests;
     #: None disables the background loop (tests pump it directly).
     anti_entropy_interval: int | None = None
-    #: Journal keys repaired per anti-entropy pass.
-    anti_entropy_batch: int = 4
-    #: Retained records in the tamper-evident policy-decision audit
-    #: chain (:mod:`repro.sgx.auditlog`); None disables auditing and
-    #: keeps the policy hot path free of hashing.
-    audit_log_size: int | None = None
-    #: Upper bound on records one ``scan`` request may cover; larger
-    #: requests are clamped, never refused (YCSB-E scan lengths are
-    #: client-chosen, the enclave bounds its own work).
-    max_scan_count: int = 1000
-    #: Root object/policy metadata in an authenticated dictionary
-    #: pinned by a sealed monotonic counter
-    #: (:mod:`repro.core.freshness`): reads verify Merkle proofs
-    #: instead of trusting replica version numbers, and startup
-    #: refuses to serve after fork detection.  Implied by passing a
-    #: ``freshness_env`` to the controller.
-    freshness_enabled: bool = False
-    #: Entries in the freshness proof cache (keyed by pin epoch).
-    freshness_cache_entries: int = 4096
 
 
 def attestation_statement(
@@ -196,7 +194,7 @@ class PesosController:
         self.caches = CacheManager(
             self.config.cache, self.effects, telemetry=self.telemetry
         )
-        self.sessions = SessionManager(self.config.session_expiry)
+        self.sessions = SessionManager()
         self.async_tracker = AsyncTracker()
         #: The policy evaluator: compiled closures + decision cache.
         self.policy_engine = PolicyEngine()
@@ -216,7 +214,6 @@ class PesosController:
             replication_factor=self.config.replication_factor,
             keep_history=self.config.keep_history,
             effects=self.effects,
-            aead_factory=self.config.aead_factory,
             version_metadata_window=self.config.version_metadata_window,
             telemetry=self.telemetry,
             write_quorum=self.config.write_quorum,
@@ -241,10 +238,7 @@ class PesosController:
 
             env = freshness_env or FreshnessEnvironment.ephemeral()
             self.freshness = FreshnessAuthority(
-                env,
-                telemetry=self.telemetry,
-                auditor=self.auditor,
-                cache_entries=self.config.freshness_cache_entries,
+                env, telemetry=self.telemetry, auditor=self.auditor
             )
             self.freshness.bootstrap(self.store)
             if not self.freshness.forked:
@@ -370,35 +364,16 @@ class PesosController:
             self._pump_anti_entropy()
         telemetry = self.telemetry
         if not telemetry.enabled:
-            # Uninstrumented fast path: identical to the historical
-            # request loop, so benchmark numbers are unaffected.
-            try:
-                self._freshness_gate(now)
-                request.validate()
-                session = self.sessions.connect(fingerprint, now=now)
-                session.touch(now)
-                if request.asynchronous:
-                    return self._handle_async(request, session, now)
-                return self._dispatch(request, session, now)
-            except PesosError as exc:
-                return self._error_response(exc)
+            # Uninstrumented fast path: no span, no counters, so the
+            # wall ledger sees no telemetry cost.
+            return self._serve(request, fingerprint, now)
         events_before = len(self.effects.events)
         with telemetry.span(
             "controller.handle", method=request.method, now=now
         ) as span:
             if request.key:
                 span.set("key", request.key)
-            try:
-                self._freshness_gate(now)
-                request.validate()
-                session = self.sessions.connect(fingerprint, now=now)
-                session.touch(now)
-                if request.asynchronous:
-                    response = self._handle_async(request, session, now)
-                else:
-                    response = self._dispatch(request, session, now)
-            except PesosError as exc:
-                response = self._error_response(exc)
+            response = self._serve(request, fingerprint, now)
             span.set("status", response.status)
             if response.ok:
                 outcome = "ok"
@@ -409,6 +384,21 @@ class PesosController:
             self._m_ops.labels(request.method, outcome).inc()
             self._count_transitions(events_before)
         return response
+
+    def _serve(
+        self, request: Request, fingerprint: str, now: float
+    ) -> Response:
+        """The request body: gate, validate, session, dispatch."""
+        try:
+            self._freshness_gate(now)
+            request.validate()
+            session = self.sessions.connect(fingerprint, now=now)
+            session.touch(now)
+            if request.asynchronous:
+                return self._handle_async(request, session, now)
+            return self._dispatch(request, session, now)
+        except PesosError as exc:
+            return self._error_response(exc)
 
     def _freshness_gate(self, now: float) -> None:
         """Refuse every request while fork detection holds the line.
@@ -445,9 +435,7 @@ class PesosController:
         if not len(self.store.journal):
             return
         try:
-            self.anti_entropy.run_once(
-                max_keys=self.config.anti_entropy_batch
-            )
+            self.anti_entropy.run_once(max_keys=ANTI_ENTROPY_BATCH)
         except PesosError:
             pass
 
@@ -560,10 +548,7 @@ class PesosController:
     def _dispatch(
         self, request: Request, session: Session, now: float
     ) -> Response:
-        handler = getattr(self, f"_handle_{request.method}", None)
-        if handler is None:
-            raise RequestError(f"unhandled method {request.method!r}")
-        return handler(request, session, now)
+        return _HANDLERS[request.method](self, request, session, now)
 
     def _handle_async(
         self, request: Request, session: Session, now: float
@@ -638,6 +623,7 @@ class PesosController:
     def _build_context(
         self,
         operation: str,
+        key: str,
         request: Request,
         session: Session,
         meta: StoredMeta | None,
@@ -645,12 +631,11 @@ class PesosController:
         pending: VersionInfo | None = None,
     ) -> EvalContext:
         exists = meta is not None and meta.exists
-        log_id = request.log_key or (request.key + self.config.log_suffix)
         return EvalContext(
             operation=operation,
             session_key=session.fingerprint,
-            this_id=request.key if exists else None,
-            log_id=log_id,
+            this_id=key if exists else None,
+            log_id=request.log_key or key + LOG_SUFFIX,
             request_version=request.version,
             objects=_ViewMap(self),
             pending=pending,
@@ -694,20 +679,41 @@ class PesosController:
     # Object operations
     # ------------------------------------------------------------------
 
-    def _handle_put(
+    def _authorize_existing(
         self,
+        operation: str,
+        key: str,
         request: Request,
         session: Session,
         now: float,
-        enforce: bool | None = None,
-    ) -> Response:
-        # ``enforce`` overrides config for this call only: transaction
-        # apply-phase writes were policy-checked in phase 1 and must
-        # not be re-checked — but toggling the *shared* config flag
-        # would leak the bypass into requests that overlap the commit.
-        if enforce is None:
-            enforce = self.config.enforce_policies
-        self.effects.record(COPY, len(request.value))
+    ) -> StoredMeta:
+        """Metadata of ``key`` once its policy grants ``operation``.
+
+        404 when the object does not exist, 403 when its policy denies
+        the caller; the context always carries ``request``'s
+        certificates, whichever record ``key`` names.
+        """
+        meta = self._get_meta(key)
+        if meta is None or not meta.exists:
+            raise ObjectNotFound(f"no object {key!r}")
+        if self.config.enforce_policies and meta.policy_id:
+            policy = self._load_policy(meta.policy_id)
+            ctx = self._build_context(
+                operation, key, request, session, meta, now
+            )
+            self._check_policy(operation, policy, ctx)
+        return meta
+
+    def _authorize_update(
+        self, request: Request, session: Session, now: float
+    ) -> tuple[StoredMeta, str, str]:
+        """Resolve and authorise one write, with no side effects.
+
+        Returns the object's metadata (a fresh record for a new key)
+        and the id and hash of the policy the new version will carry.
+        A transaction runs this for all its writes before applying
+        any, so a refusal here leaves the store untouched.
+        """
         meta = self._get_meta(request.key) or StoredMeta(key=request.key)
 
         # Resolve the policy that will be bound to the new version.
@@ -728,13 +734,17 @@ class PesosController:
         elif not meta.exists:
             governing = bound_policy
 
-        if enforce and governing is not None:
+        if self.config.enforce_policies and governing is not None:
             pending = VersionInfo.from_content(request.value, bound_hash)
             ctx = self._build_context(
-                "update", request, session, meta, now, pending
+                "update", request.key, request, session, meta, now, pending
             )
             self._check_policy("update", governing, ctx)
+        return meta, bound_policy_id, bound_hash
 
+    def _apply_put(self, request: Request, granted: tuple) -> Response:
+        """Store one write :meth:`_authorize_update` has granted."""
+        meta, bound_policy_id, bound_hash = granted
         meta.policy_id = bound_policy_id
         self.store.store_version(meta, request.value, bound_hash)
         # Store state changed: decisions cached under the old epoch
@@ -756,16 +766,20 @@ class PesosController:
             policy_id=bound_policy_id,
         )
 
+    def _handle_put(
+        self, request: Request, session: Session, now: float
+    ) -> Response:
+        self.effects.record(COPY, len(request.value))
+        return self._apply_put(
+            request, self._authorize_update(request, session, now)
+        )
+
     def _handle_get(
         self, request: Request, session: Session, now: float
     ) -> Response:
-        meta = self._get_meta(request.key)
-        if meta is None or not meta.exists:
-            raise ObjectNotFound(f"no object {request.key!r}")
-        if self.config.enforce_policies and meta.policy_id:
-            policy = self._load_policy(meta.policy_id)
-            ctx = self._build_context("read", request, session, meta, now)
-            self._check_policy("read", policy, ctx)
+        meta = self._authorize_existing(
+            "read", request.key, request, session, now
+        )
         version = (
             request.version if request.version is not None
             else meta.current_version
@@ -808,29 +822,28 @@ class PesosController:
         The store merges the ``m/`` ranges of every reachable drive;
         each returned object is then resolved through the normal
         metadata path — proof-verified when freshness is on — and
-        policy-checked for ``read``.  Records whose policy denies the
-        caller are *skipped*, not fatal: one locked-down object must
-        not veto the rest of the range.  The response body is one
+        policy-checked for ``read`` exactly as a ``get`` of it by the
+        same caller would be.  Records whose policy denies the caller
+        are *skipped*, not fatal: one locked-down object must not veto
+        the rest of the range.  The response body is one
         ``key@version`` line per visible record.
         """
-        count = min(request.scan_count, self.config.max_scan_count)
-        keys = self.store.scan_keys(request.key, count)
+        count = min(request.scan_count, MAX_SCAN_COUNT)
+        # Per-record caller: the request minus what describes the range.
+        caller = replace(request, log_key="", version=None)
         lines: list[str] = []
         denied = 0
-        for key in keys:
-            meta = self._get_meta(key)
-            if meta is None or not meta.exists:
+        for key in self.store.scan_keys(request.key, count):
+            try:
+                meta = self._authorize_existing(
+                    "read", key, caller, session, now
+                )
+            except ObjectNotFound:
                 # Deleted between the range listing and the meta read.
                 continue
-            if self.config.enforce_policies and meta.policy_id:
-                policy = self._load_policy(meta.policy_id)
-                sub = Request(method="get", key=key)
-                ctx = self._build_context("read", sub, session, meta, now)
-                try:
-                    self._check_policy("read", policy, ctx)
-                except PolicyDenied:
-                    denied += 1
-                    continue
+            except PolicyDenied:
+                denied += 1
+                continue
             lines.append(f"{key}@{meta.current_version}")
         payload = "\n".join(lines).encode()
         self.effects.record(COPY, len(payload))
@@ -847,18 +860,14 @@ class PesosController:
 
         Both halves run inside a single request, so the concurrent
         engine's exclusive per-key lock makes the cycle atomic against
-        overlapping writers (LOCK_MODES maps ``rmw`` to ``"w"``).  The
-        read half enforces the ``read`` policy and reports the version
-        it observed; the write half is a normal policy-checked update
-        of ``request.value``.
+        overlapping writers (the method table gives ``rmw`` a ``"w"``
+        lock).  The read half enforces the ``read`` policy and reports
+        the version it observed; the write half is a normal
+        policy-checked update of ``request.value``.
         """
-        sub = Request(
-            method="get",
-            key=request.key,
-            certificates=list(request.certificates),
-            log_key=request.log_key,
+        current = self._handle_get(
+            replace(request, version=None), session, now
         )
-        current = self._handle_get(sub, session, now)
         updated = self._handle_put(request, session, now)
         updated.extra["read_version"] = current.version
         return updated
@@ -866,13 +875,9 @@ class PesosController:
     def _handle_delete(
         self, request: Request, session: Session, now: float
     ) -> Response:
-        meta = self._get_meta(request.key)
-        if meta is None or not meta.exists:
-            raise ObjectNotFound(f"no object {request.key!r}")
-        if self.config.enforce_policies and meta.policy_id:
-            policy = self._load_policy(meta.policy_id)
-            ctx = self._build_context("delete", request, session, meta, now)
-            self._check_policy("delete", policy, ctx)
+        meta = self._authorize_existing(
+            "delete", request.key, request, session, now
+        )
         self.store.delete_object(meta)
         self.policy_engine.advance_epoch()
         self.caches.invalidate_meta(request.key)
@@ -895,13 +900,9 @@ class PesosController:
         """
         if self.signing_keys is None:
             raise RequestError("controller has no attestation signing key")
-        meta = self._get_meta(request.key)
-        if meta is None or not meta.exists:
-            raise ObjectNotFound(f"no object {request.key!r}")
-        if self.config.enforce_policies and meta.policy_id:
-            policy = self._load_policy(meta.policy_id)
-            ctx = self._build_context("read", request, session, meta, now)
-            self._check_policy("read", policy, ctx)
+        meta = self._authorize_existing(
+            "read", request.key, request, session, now
+        )
         version = (
             request.version if request.version is not None
             else meta.current_version
@@ -967,14 +968,13 @@ class PesosController:
         # safety never rests on that argument.
         self.policy_engine.advance_epoch()
         response = Response(status=200, policy_id=policy_id)
-        if self.config.verify_policies:
-            # Static verification is advisory at PUT time: an
-            # unsatisfiable or shadowed clause is legal, just almost
-            # certainly not what the operator meant.  Surface it now,
-            # on the response, instead of as a silent denial later.
-            findings = verify_policy(policy)
-            if findings:
-                response.extra["warnings"] = warnings_payload(findings)
+        # Static verification is advisory at PUT time: an unsatisfiable
+        # or shadowed clause is legal, just almost certainly not what
+        # the operator meant.  Surface it now, on the response, instead
+        # of as a silent denial later.
+        findings = verify_policy(policy)
+        if findings:
+            response.extra["warnings"] = warnings_payload(findings)
         return response
 
     def _handle_get_policy(
@@ -1045,11 +1045,12 @@ class PesosController:
         return Response(status=200, txid=tx.txid, value=payload)
 
     def _execute_transaction(self, tx: Transaction) -> dict:
-        """Atomic execution: check every policy, then apply every write."""
+        """Atomic execution: authorise everything, then apply every write."""
         session, now = tx.session, tx.now
         results: dict[str, bytes] = {}
 
-        # Phase 1: policy checks (and reads) with no side effects.
+        # Phase 1: reads and authorisation, with no side effects.  Any
+        # refusal aborts the transaction before a single write lands.
         staged = []
         for key in tx.reads:
             sub = Request(method="get", key=key)
@@ -1062,30 +1063,16 @@ class PesosController:
             sub = Request(
                 method="put", key=key, value=value, policy_id=policy_id
             )
-            meta = self._get_meta(key) or StoredMeta(key=key)
-            bound_policy_id = policy_id or meta.policy_id
-            bound = (
-                self._load_policy(bound_policy_id) if bound_policy_id else None
-            )
-            bound_hash = bound.policy_hash() if bound else ""
-            if meta.exists and meta.policy_id:
-                governing = self._load_policy(meta.policy_id)
-            else:
-                governing = bound
-            if self.config.enforce_policies and governing is not None:
-                pending = VersionInfo.from_content(value, bound_hash)
-                ctx = self._build_context(
-                    "update", sub, session, meta, now, pending
-                )
-                try:
-                    self._check_policy("update", governing, ctx)
-                except PolicyDenied as exc:
-                    raise TransactionError(str(exc)) from exc
-            staged.append(sub)
+            try:
+                granted = self._authorize_update(sub, session, now)
+            except (PolicyDenied, RequestError) as exc:
+                raise TransactionError(str(exc)) from exc
+            staged.append((sub, granted))
 
-        # Phase 2: apply all writes (policies already granted).
-        for sub in staged:
-            response = self._handle_put(sub, session, now, enforce=False)
+        # Phase 2: apply all writes (every one already granted).
+        for sub, granted in staged:
+            self.effects.record(COPY, len(sub.value))
+            response = self._apply_put(sub, granted)
             results[f"write:{sub.key}"] = f"v{response.version}".encode()
         return results
 
@@ -1125,3 +1112,11 @@ class PesosController:
         return self.handle(
             Request(method="put_policy", value=source.encode()), fingerprint
         )
+
+
+#: Method name -> handler, resolved from the method table at import
+#: (a method without a handler fails here, not at request time).
+_HANDLERS = {
+    name: getattr(PesosController, spec.handler)
+    for name, spec in METHOD_TABLE.items()
+}

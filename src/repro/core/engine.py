@@ -48,21 +48,15 @@ from typing import Any
 
 from repro.analysis.sanitizer import NULL_SANITIZER
 from repro.core.admission import AdmissionController
-from repro.core.request import Request, Response
+from repro.core.request import METHOD_TABLE, Request, Response
 from repro.errors import ConfigurationError
 from repro.sgx.scheduler import DispatchSchedule, UserspaceScheduler
 from repro.sgx.syscalls import AsyncSyscallInterface
 
-#: Lock mode per request method: ``"w"`` exclusive, ``"r"`` shared,
-#: absent = no request lock (transactions go through VLL; policies are
-#: content-addressed, so concurrent identical writes are idempotent).
+#: Lock mode per request method, for the methods that take a request
+#: lock at all (the ``lock`` column of the method table).
 LOCK_MODES = {
-    "put": "w",
-    "delete": "w",
-    "rmw": "w",
-    "get": "r",
-    "scan": "r",
-    "attest": "r",
+    name: spec.lock for name, spec in METHOD_TABLE.items() if spec.lock
 }
 
 

@@ -377,10 +377,10 @@ class FreshnessAuthority:
     """
 
     def __init__(self, env: FreshnessEnvironment, telemetry=None,
-                 auditor=None, cache_entries: int = 4096):
+                 auditor=None):
         self.env = env
         self.tree = MerkleTree()
-        self.cache = ProofCache(capacity=cache_entries)
+        self.cache = ProofCache()
         #: In-flight mutations: label -> (old leaf, new leaf); either
         #: side is acceptable until the mutation settles.
         self.pending: dict[str, tuple[str | None, str | None]] = {}

@@ -11,35 +11,60 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from urllib.parse import parse_qs, quote, unquote, urlparse
 
 from repro.errors import RequestError
 
-#: Methods the request handler accepts.
-METHODS = frozenset(
-    {
-        "put",
-        "get",
-        "scan",
-        "rmw",
-        "delete",
-        "put_policy",
-        "get_policy",
-        "attest",
-        "status",
-        "create_tx",
-        "add_read",
-        "add_write",
-        "commit_tx",
-        "abort_tx",
-        "tx_results",
-    }
-)
 
-#: Methods eligible for the asynchronous interface (§4.1: put, update,
-#: delete, and transactions; GETs and session management are always
-#: synchronous).
-ASYNC_METHODS = frozenset({"put", "delete", "commit_tx"})
+class MethodSpec(NamedTuple):
+    """Everything the request path knows about one method."""
+
+    #: ``validate`` refuses the request without an object key.
+    needs_key: bool
+    #: Eligible for the asynchronous interface (§4.1: put, update,
+    #: delete, and transactions; GETs and session management are
+    #: always synchronous).
+    async_ok: bool
+    #: Engine request lock: ``"w"`` exclusive, ``"r"`` shared, None =
+    #: no request lock (transactions go through VLL; policies are
+    #: content-addressed, so concurrent identical writes are idempotent).
+    lock: str | None
+    #: Admission priority class; higher is admitted first and shed
+    #: last.  Writes and transaction control outrank reads; ``status``
+    #: polls rank lowest (the result is buffered, polling again is free).
+    priority: int
+    #: Name of the :class:`~repro.core.controller.PesosController`
+    #: method serving it.
+    handler: str
+
+
+#: The one method table: what the request handler accepts, and how each
+#: layer of the request path treats it.  Everything else that needs a
+#: per-method fact (``validate``, the engine's locks, admission's
+#: priorities, controller dispatch) derives it from here.
+METHOD_TABLE: dict[str, MethodSpec] = {
+    "put": MethodSpec(True, True, "w", 2, "_handle_put"),
+    "get": MethodSpec(True, False, "r", 1, "_handle_get"),
+    "scan": MethodSpec(True, False, "r", 1, "_handle_scan"),
+    "rmw": MethodSpec(True, False, "w", 2, "_handle_rmw"),
+    "delete": MethodSpec(True, True, "w", 2, "_handle_delete"),
+    "put_policy": MethodSpec(False, False, None, 2, "_handle_put_policy"),
+    "get_policy": MethodSpec(False, False, None, 1, "_handle_get_policy"),
+    "attest": MethodSpec(True, False, "r", 1, "_handle_attest"),
+    "status": MethodSpec(False, False, None, 0, "_handle_status"),
+    "create_tx": MethodSpec(False, False, None, 1, "_handle_create_tx"),
+    "add_read": MethodSpec(True, False, None, 2, "_handle_add_read"),
+    "add_write": MethodSpec(True, False, None, 2, "_handle_add_write"),
+    "commit_tx": MethodSpec(False, True, None, 2, "_handle_commit_tx"),
+    "abort_tx": MethodSpec(False, False, None, 2, "_handle_abort_tx"),
+    "tx_results": MethodSpec(False, False, None, 1, "_handle_tx_results"),
+}
+
+METHODS = frozenset(METHOD_TABLE)
+ASYNC_METHODS = frozenset(
+    name for name, spec in METHOD_TABLE.items() if spec.async_ok
+)
 
 
 @dataclass
@@ -60,18 +85,15 @@ class Request:
     scan_count: int = 0
 
     def validate(self) -> None:
-        if self.method not in METHODS:
+        spec = METHOD_TABLE.get(self.method)
+        if spec is None:
             raise RequestError(f"unknown method {self.method!r}")
-        if self.asynchronous and self.method not in ASYNC_METHODS:
+        if self.asynchronous and not spec.async_ok:
             raise RequestError(
                 f"method {self.method!r} does not support the async interface"
             )
-        if self.method in (
-            "put", "get", "scan", "rmw", "delete", "attest",
-            "add_read", "add_write",
-        ):
-            if not self.key:
-                raise RequestError(f"{self.method} requires a key")
+        if spec.needs_key and not self.key:
+            raise RequestError(f"{self.method} requires a key")
         if self.method == "scan" and self.scan_count < 1:
             raise RequestError("scan requires a positive record count")
         if self.method == "put_policy" and not self.value:

@@ -143,7 +143,6 @@ class ObjectStore:
         replication_factor: int = 1,
         keep_history: bool = True,
         effects=None,
-        aead_factory=StreamAead,
         version_metadata_window: int | None = None,
         telemetry=None,
         write_quorum: int | None = None,
@@ -186,7 +185,7 @@ class ObjectStore:
         #: frequently rewritten versioned objects.
         self.version_metadata_window = version_metadata_window
         self.effects = effects or NullRecorder()
-        self._aead = aead_factory(storage_key)
+        self._aead = StreamAead(storage_key)
         self.telemetry = telemetry or NULL_TELEMETRY
         self._h_drive_op = self.telemetry.histogram(
             "pesos_drive_op_seconds",

@@ -13,8 +13,8 @@ library:
 - authentication: encrypt-then-MAC with HMAC-SHA256 over
   ``nonce || aad || ciphertext`` under a separate derived key.
 
-The controller accepts any object with this interface, so deployments
-wanting literal AES-GCM can pass :class:`GcmAead`.
+:class:`GcmAead` is literal AES-GCM behind the same interface; the
+object store seals with :class:`StreamAead`.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ those shapes deterministically on the virtual clock:
 - :mod:`repro.workload.arrival` — arrival-rate curves (steady,
   diurnal sinusoid, flash-crowd step, hot-key storm) and the open-loop
   arrival-time integrator.
-- :mod:`repro.workload.scenarios` — drives a real controller +
-  admission stack through one curve, measuring goodput, per-class p99
-  latency, shed rate, and SLO burn, with a byte-reproducible trace.
+- :mod:`repro.workload.scenarios` — one curve through the open-loop
+  driver (:func:`repro.bench.overload.run_open_loop`), read off as
+  goodput, per-class p99 latency, shed rate, and SLO burn.
 - :mod:`repro.workload.sessions` — session-churn soak: millions of
   session lifecycles against the :class:`~repro.core.session.SessionManager`,
   bounding the per-live-session state footprint.

@@ -1,29 +1,25 @@
 """Drive a real controller through one arrival curve, open loop.
 
-The loop is the overload sweep's virtual-time simulation
-(:mod:`repro.bench.overload`) generalised from a constant offered rate
-to an arbitrary :mod:`arrival curve <repro.workload.arrival>`: clients
-do not slow down when the server does, queued state drags on enclave
-capacity (EPC pressure), and the admission controller sheds with its
-seeded PRF.  Every run is deterministic — the arrival times are a pure
-function of the curve, the op mix and keys come from one seeded RNG,
-and the result carries a SHA over the full completion + admission
-decision record, so two same-seed runs match byte for byte.
-
-On top of the overload loop this adds what an SRE would actually read
-off the dashboard: per-class p99 virtual-time latency (``get/p1`` vs
+The loop itself is :func:`repro.bench.overload.run_open_loop` (see
+there for the model); a scenario only supplies what differs from the
+overload sweep — arrival times integrated from an arbitrary
+:mod:`arrival curve <repro.workload.arrival>` and an op mix with
+scans — and reads off what an SRE would actually look at on the
+dashboard: per-class p99 virtual-time latency (``get/p1`` vs
 ``put/p2``), shed rate, and the live SLO engine's burn/worst-state at
-the end of the run.
+the end of the run.  Every run is deterministic — the arrival times are
+a pure function of the curve, the op mix and keys come from one seeded
+RNG, and the result carries a SHA over the full completion + admission
+decision record, so two same-seed runs match byte for byte.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 
 from repro.bench.concurrency import ConcurrencyConfig, build_concurrency_system
-from repro.core.admission import AdmissionConfig, AdmissionController
+from repro.bench.overload import p99, run_open_loop
 from repro.core.request import Request
 from repro.telemetry import Telemetry
 from repro.telemetry.slo import classify
@@ -48,12 +44,6 @@ class ScenarioConfig:
     scan_count: int = 8
     clients: int = 16
     seed: int = 17
-    queue_depth: int = 48
-    max_queue_delay_rounds: float = 8.0
-    latency_target_rounds: float = 16.0
-    round_services: float = 8.0
-    overload_drag: float = 0.004
-    max_rounds: int = 400_000
     #: Cap on generated arrivals (keeps pathological curves bounded).
     max_operations: int = 4096
 
@@ -106,13 +96,6 @@ class ScenarioResult:
             "acked_writes_lost": self.acked_writes_lost,
             "trace_sha": self.trace_sha,
         }
-
-
-def _p99(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    return ordered[int(0.99 * (len(ordered) - 1))]
 
 
 def make_scenario_workload(
@@ -173,140 +156,55 @@ def run_scenario(
         telemetry.attach_slo()
     controller = build_concurrency_system(config.base, telemetry=telemetry)
     telemetry = controller.telemetry
-    service = 1.0 / capacity
-    round_s = config.round_services * service
-    admission = AdmissionController(
-        AdmissionConfig(
-            queue_depth=config.queue_depth,
-            max_queue_delay=config.max_queue_delay_rounds * round_s,
-            latency_target=config.latency_target_rounds * round_s,
-            max_limit=int(2 * config.round_services),
-            seed=config.seed,
-        ),
-        sessions=controller.sessions,
-        telemetry=telemetry,
+    run = run_open_loop(
+        controller, workload, arrivals, capacity, True, config.seed
     )
 
-    vnow = 0.0
-    next_arrival = 0
-    outcomes = served = ok = 0
-    shed_by_status: dict[int, int] = {}
-    ok_times: list[float] = []
     latencies: list[float] = []
+    ok_times: list[float] = []
     class_latencies: dict[str, list[float]] = {}
-    completions: list[tuple] = []
-    acked: dict[str, bytes] = {}
-    carry = 0.0
-    if telemetry.enabled:
-        telemetry.tracer.set_virtual_clock(lambda: vnow)
-
-    def shed(token: int, decision) -> None:
-        nonlocal outcomes
-        request, _fingerprint = workload[token]
-        response = decision.to_response()
-        shed_by_status[response.status] = (
-            shed_by_status.get(response.status, 0) + 1
-        )
-        completions.append((token, "shed", response.status))
-        outcomes += 1
-        telemetry.record_request(
-            request.method, False, max(0.0, vnow - arrivals[token]), vnow
-        )
-
-    def serve(token: int) -> None:
-        nonlocal outcomes, served, ok
-        request, fingerprint = workload[token]
-        response = controller.handle(request, fingerprint, vnow)
-        served += 1
-        outcomes += 1
-        if response.ok:
-            ok += 1
-            ok_times.append(vnow)
-            if request.method == "put":
-                acked[request.key] = request.value
-        latency = vnow - arrivals[token]
+    for request, ok, finished_at, latency in run.served:
         latencies.append(latency)
+        if ok:
+            ok_times.append(finished_at)
         class_latencies.setdefault(
             classify(request.method), []
         ).append(latency)
-        completions.append((token, request.method, response.status))
-        telemetry.record_request(request.method, response.ok, latency, vnow)
-
-    for _ in range(config.max_rounds):
-        if outcomes >= len(workload):
-            break
-        vnow += round_s
-        while next_arrival < len(workload) and arrivals[next_arrival] <= vnow:
-            token = next_arrival
-            next_arrival += 1
-            request, fingerprint = workload[token]
-            decision = admission.offer(
-                token, request, fingerprint, now=vnow, vnow=arrivals[token]
-            )
-            if not decision.admitted:
-                shed(token, decision)
-        queue_depth = len(admission.queue)
-        effective = capacity / (1.0 + config.overload_drag * queue_depth)
-        carry = min(carry + effective * round_s, 2.0 * config.round_services)
-        budget = int(carry)
-        before = len(latencies)
-        width = min(budget, admission.limiter.limit)
-        for token in admission.dispatch(vnow, max(0, width)):
-            serve(token)
-            carry -= 1.0
-        for token, decision in admission.take_shed():
-            shed(token, decision)
-        fresh = latencies[before:]
-        if fresh:
-            admission.observe(sum(fresh) / len(fresh))
-    else:
-        raise RuntimeError(f"scenario {config.name} did not converge")
-
-    lost = 0
-    for key in sorted(acked):
-        response = controller.handle(
-            Request(method="get", key=key), "fp-verify", vnow
-        )
-        if not response.ok or response.value != acked[key]:
-            lost += 1
-
-    shed_total = sum(shed_by_status.values())
-    duration = max(vnow, arrivals[-1]) if arrivals else vnow
-    record = ["|".join(str(part) for part in entry) for entry in completions]
-    record.append("--admission--")
-    record.extend(admission.trace_lines())
     max_burn = 0.0
     worst = "healthy"
     if telemetry.slo is not None:
-        worst = telemetry.slo.worst_state(vnow)
+        worst = telemetry.slo.worst_state(run.end)
         for objective in telemetry.slo.objectives:
             if objective.events:
                 max_burn = max(
                     max_burn,
-                    objective.burn_rate(vnow, objective.spec.fast),
+                    objective.burn_rate(run.end, objective.spec.fast),
                 )
     return ScenarioResult(
         name=config.name,
         curve=getattr(curve, "name", "custom"),
         operations=len(workload),
-        served=served,
-        ok=ok,
-        shed_by_status=shed_by_status,
-        shed_rate=shed_total / len(workload) if workload else 0.0,
-        duration=duration,
-        goodput=ok / duration if duration else 0.0,
+        served=len(run.served),
+        ok=len(ok_times),
+        shed_by_status=run.shed_by_status,
+        shed_rate=(
+            sum(run.shed_by_status.values()) / len(workload)
+            if workload else 0.0
+        ),
+        duration=run.duration,
+        goodput=len(ok_times) / run.duration if run.duration else 0.0,
         p99_by_class={
-            cls: _p99(values) for cls, values in class_latencies.items()
+            cls: p99(values) for cls, values in class_latencies.items()
         },
         mean_latency=(
             sum(latencies) / len(latencies) if latencies else 0.0
         ),
-        peak_queue_depth=admission.queue.peak_depth,
-        final_limit=admission.limiter.limit,
-        acked_writes=len(acked),
-        acked_writes_lost=lost,
+        peak_queue_depth=run.peak_queue_depth,
+        final_limit=run.admission.limiter.limit if run.admission else 0,
+        acked_writes=run.acked_writes,
+        acked_writes_lost=run.acked_writes_lost,
         worst_slo_state=worst,
         max_burn_rate=max_burn,
-        trace_sha=hashlib.sha256("\n".join(record).encode()).hexdigest()[:16],
+        trace_sha=run.trace_sha,
         ok_times=ok_times,
     )

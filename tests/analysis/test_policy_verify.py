@@ -192,13 +192,6 @@ def test_put_policy_clean_source_has_no_warnings():
     assert "warnings" not in response.extra
 
 
-def test_put_policy_verification_can_be_disabled():
-    controller = _controller(verify_policies=False)
-    response = controller.put_policy("fp", BAD_POLICY)
-    assert response.ok
-    assert "warnings" not in response.extra
-
-
 def test_warnings_survive_the_http_response_roundtrip():
     controller = _controller()
     response = controller.handle(

@@ -1,6 +1,9 @@
 """Overload bench: graceful degradation, shed contract, replayability."""
 
+import pytest
+
 from repro.bench.overload import (
+    QUEUE_DEPTH,
     OverloadConfig,
     calibrate_capacity,
     degradation,
@@ -33,7 +36,7 @@ def test_goodput_degrades_gracefully_with_admission():
 
 def test_queue_bounded_and_sheds_carry_retry_after():
     for point in _sweep()["admission"]:
-        assert point.peak_queue_depth <= SMOKE.queue_depth
+        assert point.peak_queue_depth <= QUEUE_DEPTH
         assert set(point.shed_by_status) <= {429, 503}
         assert point.shed_with_retry_after == sum(
             point.shed_by_status.values()
@@ -51,6 +54,26 @@ def test_sweep_is_byte_replayable():
     first = [p.trace_sha for p in _sweep()["admission"]]
     second = [p.trace_sha for p in _sweep()["admission"]]
     assert first == second
+
+
+#: ``trace_sha`` of SMOKE points at the last commit with two open-loop
+#: loops (c905a5a), before ``run_open_loop`` replaced them.  Without
+#: admission the FIFO serves everything in arrival order, so the record
+#: does not depend on the offered rate.
+_PINNED_TRACES = {
+    (1.0, True): "fa4c033218217ce8",
+    (1.0, False): "cbf8087d4d102e43",
+    (4.0, True): "0d4d530476481a0a",
+    (4.0, False): "cbf8087d4d102e43",
+}
+
+
+@pytest.mark.parametrize("multiplier,admission", sorted(_PINNED_TRACES))
+def test_point_trace_is_pinned(multiplier, admission):
+    point = run_overload_point(
+        SMOKE, multiplier, admission, calibrate_capacity(SMOKE)
+    )
+    assert point.trace_sha == _PINNED_TRACES[multiplier, admission]
 
 
 def test_workload_and_calibration_deterministic():

@@ -70,6 +70,30 @@ def test_policy_denial_aborts_whole_transaction(controller):
     assert results.status == 409
 
 
+def test_unknown_policy_aborts_before_any_write(controller, cluster):
+    """§4.4 atomicity: a write naming an unknown policy is refused in
+    phase 1, so the earlier write of the same transaction never lands."""
+    txid = _tx(controller, ALICE)
+    controller.handle(
+        Request(method="add_write", key="first", value=b"a", txid=txid), ALICE
+    )
+    controller.handle(
+        Request(method="add_write", key="second", value=b"b",
+                policy_id="deadbeef", txid=txid),
+        ALICE,
+    )
+    commit = controller.handle(Request(method="commit_tx", txid=txid), ALICE)
+    assert commit.status == 409
+    assert "unknown policy" in commit.error
+    assert controller.txns.get(txid, ALICE).state == "aborted"
+    assert controller.get(ALICE, "first").status == 404
+    meta_key = controller.store.meta_key("first")
+    assert all(meta_key not in drive._entries for drive in cluster.drives)
+    again = controller.handle(Request(method="commit_tx", txid=txid), ALICE)
+    assert again.status == 409
+    assert "not open" in again.error
+
+
 def test_transactional_read_denied_aborts(controller):
     policy_id = controller.put_policy(
         ALICE,

@@ -2,7 +2,13 @@
 
 import pytest
 
+from repro.core.admission import DEFAULT_PRIORITIES, AdmissionConfig
+from repro.core.controller import PesosController
+from repro.core.engine import LOCK_MODES
 from repro.core.request import (
+    ASYNC_METHODS,
+    METHOD_TABLE,
+    METHODS,
     Request,
     Response,
     build_http_request,
@@ -11,6 +17,7 @@ from repro.core.request import (
     render_http_response,
 )
 from repro.errors import RequestError
+from repro.telemetry.slo import _METHOD_CLASSES
 
 
 def test_validate_accepts_basic_put():
@@ -123,3 +130,54 @@ def test_response_ok_predicate():
     assert Response(status=200).ok
     assert Response(status=202).ok
     assert not Response(status=404).ok
+
+
+# -- the method table ---------------------------------------------------------
+
+#: A literal copy of the five per-method tables as they stood before
+#: they were derived from ``METHOD_TABLE`` (commit c905a5a): method ->
+#: (needs a key, async-eligible, engine lock mode, admission priority).
+#: The handler column was the ``_handle_<name>`` naming convention.
+_BEFORE_THE_TABLE = {
+    "put": (True, True, "w", 2),
+    "get": (True, False, "r", 1),
+    "scan": (True, False, "r", 1),
+    "rmw": (True, False, "w", 2),
+    "delete": (True, True, "w", 2),
+    "put_policy": (False, False, None, 2),
+    "get_policy": (False, False, None, 1),
+    "attest": (True, False, "r", 1),
+    "status": (False, False, None, 0),
+    "create_tx": (False, False, None, 1),
+    "add_read": (True, False, None, 2),
+    "add_write": (True, False, None, 2),
+    "commit_tx": (False, True, None, 2),
+    "abort_tx": (False, False, None, 2),
+    "tx_results": (False, False, None, 1),
+}
+
+
+def test_every_per_method_table_names_the_same_methods():
+    assert set(METHOD_TABLE) == METHODS == set(_BEFORE_THE_TABLE)
+    # The SLO classes stay in repro.telemetry (import-free of
+    # repro.core), so they are checked against the table, not derived.
+    assert set(_METHOD_CLASSES) == METHODS
+
+
+@pytest.mark.parametrize("method", sorted(_BEFORE_THE_TABLE))
+def test_derived_lookups_answer_as_the_literal_tables_did(method):
+    needs_key, async_ok, lock, priority = _BEFORE_THE_TABLE[method]
+    assert (method in ASYNC_METHODS) == async_ok
+    assert LOCK_MODES.get(method) == lock
+    assert DEFAULT_PRIORITIES[method] == priority
+    assert AdmissionConfig().priority_of(method) == priority
+    assert _METHOD_CLASSES[method].endswith(f"/p{priority}")
+    request = Request(
+        method=method, value=b"v", scan_count=1, operation_id="op"
+    )
+    if needs_key:
+        with pytest.raises(RequestError, match="requires a key"):
+            request.validate()
+    else:
+        request.validate()
+    assert callable(getattr(PesosController, METHOD_TABLE[method].handler))

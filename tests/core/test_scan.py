@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.controller import ControllerConfig, PesosController
+import repro.core.controller as controller_module
 from repro.core.request import (
     Request,
     Response,
@@ -11,8 +11,10 @@ from repro.core.request import (
     parse_http_response,
     render_http_response,
 )
+from repro.crypto.certs import CertificateAuthority
 from repro.errors import RequestError
-from tests.core.conftest import ALICE, BOB, make_clients
+from repro.usecases.time_based import TimeAuthority, TimeVault
+from tests.core.conftest import ALICE, BOB
 
 
 def _load(controller, count=12, prefix="obj"):
@@ -57,13 +59,8 @@ def test_scan_merges_across_all_drives(controller):
     assert [line.split("@")[0] for line in _lines(response)] == keys
 
 
-def test_scan_count_is_clamped_not_refused():
-    clients, _cluster = make_clients()
-    controller = PesosController(
-        clients,
-        storage_key=b"k" * 32,
-        config=ControllerConfig(max_scan_count=4),
-    )
+def test_scan_count_is_clamped_not_refused(controller, monkeypatch):
+    monkeypatch.setattr(controller_module, "MAX_SCAN_COUNT", 4)
     keys = _load(controller)
     response = _scan(controller, ALICE, keys[0], 100)
     assert response.ok
@@ -95,6 +92,47 @@ def test_scan_skips_policy_denied_records(controller):
     assert response.extra["denied"] == 4
     alice_view = _scan(controller, ALICE, "open0000", 8)
     assert len(_lines(alice_view)) == 8
+
+
+def test_scan_grants_what_get_grants_with_the_callers_certificates(
+    controller, monkeypatch
+):
+    """Released time capsules are readable only with a time-certificate
+    chain; a scan presenting the chain must see what ``get`` serves."""
+    ca = CertificateAuthority("clock-ca", key_bits=512)
+    authority = TimeAuthority(ca, key_bits=512)
+    controller.authority_keys[ca.public_key.fingerprint()] = ca.public_key
+    vault = TimeVault(controller, authority, ca.public_key.fingerprint())
+    release, now = 1_000_000, 1_000_010.0
+    keys = ["capsule-a", "capsule-b"]
+    for key in keys:
+        assert vault.seal_until(ALICE, key, b"sealed", release).ok
+    session = controller.sessions.connect(BOB, now=now)
+    chain = authority.chain_for(int(now), nonce=session.nonce)
+    log_ids = []
+    check = controller._check_policy
+
+    def recording_check(operation, policy, ctx):
+        log_ids.append(ctx.log_id)
+        check(operation, policy, ctx)
+
+    monkeypatch.setattr(controller, "_check_policy", recording_check)
+
+    assert controller.get(BOB, keys[0], now=now, certificates=chain).ok
+    assert controller.get(BOB, keys[0], now=now).status == 403
+    log_ids.clear()
+    with_chain = controller.handle(
+        Request(method="scan", key=keys[0], scan_count=2,
+                certificates=chain, log_key="elsewhere.log"),
+        BOB, now=now,
+    )
+    assert with_chain.extra == {"scanned": 2, "denied": 0}
+    # The scan's own log reference does not leak into per-record checks.
+    assert log_ids == [key + controller_module.LOG_SUFFIX for key in keys]
+    without = controller.handle(
+        Request(method="scan", key=keys[0], scan_count=2), BOB, now=now
+    )
+    assert without.extra == {"scanned": 0, "denied": 2}
 
 
 def test_scan_http_framing_roundtrip():

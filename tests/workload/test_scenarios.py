@@ -27,6 +27,9 @@ def steady_result():
 
 
 def test_steady_under_capacity_sheds_nothing(steady_result):
+    # Trace pins here and below: recorded at c905a5a, the last commit
+    # where scenarios ran their own copy of the open-loop round loop.
+    assert steady_result.trace_sha == "2f9fd7a3d12c5347"
     assert steady_result.shed_rate == 0.0
     assert steady_result.ok == steady_result.operations
     assert steady_result.worst_slo_state == "healthy"
@@ -46,7 +49,7 @@ def test_scenario_trace_is_reproducible():
             _config("repro"), SteadyCurve(CAPACITY), CAPACITY, horizon
         )
         shas.add(result.trace_sha)
-    assert len(shas) == 1
+    assert shas == {"8530fa35a6232157"}
 
 
 def test_flash_crowd_sheds_but_keeps_goodput():
@@ -56,6 +59,7 @@ def test_flash_crowd_sheds_but_keeps_goodput():
         start=0.3 * horizon, duration=0.4 * horizon,
     )
     result = run_scenario(_config("flash"), curve, CAPACITY, horizon)
+    assert result.trace_sha == "7989dd4f2e61969c"
     assert result.shed_rate > 0.1  # the storm overwhelms capacity
     statuses = set(result.shed_by_status)
     assert statuses <= {429, 503} and statuses
@@ -85,5 +89,6 @@ def test_scan_traffic_reaches_the_range_path():
         _config("scans", scan_fraction=0.5, read_fraction=0.25),
         SteadyCurve(CAPACITY), CAPACITY, horizon,
     )
+    assert result.trace_sha == "e7f4aa776b6ec5bc"
     assert "scan/p1" in result.p99_by_class
     assert result.acked_writes_lost == 0
