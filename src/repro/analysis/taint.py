@@ -590,8 +590,8 @@ class _Analyzer:
             # Branch *join*: either branch may execute, so the
             # post-state is the pointwise union of both — a strong
             # update in ``else`` must not erase taint assigned in the
-            # ``if`` body (the store's per-replica decrypt does exactly
-            # this: ``value = self._open(...)`` vs ``value = blob``).
+            # ``if`` body (``value = self._open(...)`` in one branch,
+            # ``value = blob`` in the other).
             self.tx(stmt.test)
             base = dict(self.env)
             for inner in stmt.body:

@@ -793,15 +793,13 @@ class PesosController:
         if value is None and self.ssd_cache is not None:
             value = self.ssd_cache.get(cache_key)
         if value is None:
-            expect = None
-            if self.store._verifying():
-                # The metadata record was proof-verified against the
-                # pinned root, so its content hash anchors the value:
-                # a replayed old copy of an overwritten slot decrypts
-                # fine but cannot match.
-                expect = meta.versions[version].content_hash
+            # The content hash in the metadata record anchors the
+            # value: a lagging or replayed copy of an overwritten slot
+            # decrypts fine but cannot match.
             value = self.store.read_value(
-                request.key, version, expect_sha256=expect
+                request.key,
+                version,
+                expect_sha256=meta.versions[version].content_hash,
             )
             if self.ssd_cache is not None:
                 self.ssd_cache.put(cache_key, value)

@@ -10,20 +10,21 @@ controller, §2.2)::
 
 Placement (§4.5): a deterministic hash of the object key picks the
 primary drive; replicas go on the following positions in the drive
-list.  No replication metadata is kept anywhere.  On a drive failure,
-reads fail over to the next replica in placement order.
+list.  No replication metadata is kept anywhere.
 
 Writes are write-through (§3.2): content first, then metadata, on
-every replica.  A write reports success only if at least
-``write_quorum`` replicas persisted it (default: every replica of the
-placement); success below full replication journals the key for
-anti-entropy repair, and falling below quorum raises
-:class:`~repro.errors.ReplicationDegraded`.
+every replica; :meth:`ObjectStore._write_replicas` holds the quorum
+contract.  Every replica interaction feeds a per-drive circuit breaker
+(:mod:`repro.core.health`).
 
-Resilience: every replica interaction feeds a per-drive circuit
-breaker (:mod:`repro.core.health`) so failover skips known-dead drives
-instead of paying a timeout per request, and reads that fail over past
-a missing or corrupt copy repair it inline from the healthy one.
+Reads are one walk over the placement.  :meth:`ObjectStore._fetch` and
+:meth:`ObjectStore._open` turn one replica into a plaintext or a
+:class:`_CannotServe` signal, :class:`_Walk` orders the replicas and
+keeps what the walk learned, :meth:`ObjectStore._served` repairs what
+answered wrong and :meth:`ObjectStore._unserved` ranks the errors.
+What differs between reading a value, a pinned record and an unpinned
+``m/`` record is only when a plaintext is *accepted*: the three
+``_read_*`` rules.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.errors import (
     ConfigurationError,
     CryptoError,
     DriveOffline,
-    IntegrityError,
     KineticError,
     KineticNotFound,
     ReplicationDegraded,
@@ -131,6 +131,62 @@ def placement(key: str, num_drives: int, replication_factor: int) -> list[int]:
     primary = int.from_bytes(digest[:8], "big") % num_drives
     count = min(replication_factor, num_drives)
     return [(primary + offset) % num_drives for offset in range(count)]
+
+
+#: Keys per ``GETKEYRANGE`` page when the caller sets no limit.
+_RANGE_PAGE = 200
+
+
+class _CannotServe(Exception):
+    """One replica cannot serve a read; ``args`` is ``(kind, cause)``.
+
+    ``kind`` is ``offline`` (no answer), ``missing`` or ``corrupt`` (a
+    wrong answer); ``cause`` is the error to surface should no replica
+    serve — ``None`` for a clean not-found, which keeps no exception.
+    Private to this module: the acceptance rules catch it.
+    """
+
+
+class _Walk:
+    """One read's replica order, and what it learned on the way."""
+
+    def __init__(self, store: "ObjectStore", object_key: str):
+        replicas = store._replicas(object_key)
+        store.health.tick()
+        #: Failover order (§4.5): placement order over the healthy
+        #: drives; breaker-open ones are asked only as a last resort.
+        self.order = [i for i in replicas if store.health.allow(i)]
+        if len(self.order) < len(replicas):
+            self.order += [i for i in replicas if i not in self.order]
+        #: An acknowledged write reached ``write_quorum`` replicas, so
+        #: this many definitive replies intersect every one of them:
+        #: enough "not found" prove absence, enough records hold the
+        #: newest.
+        self.quorum = len(replicas) - min(
+            store.write_quorum, len(replicas)
+        ) + 1
+        self.started = (
+            _time.perf_counter() if store.telemetry.enabled else 0.0
+        )
+        self.wrong: list[int] = []        # answered wrong: re-seeded
+        self.unreachable: list[int] = []  # no answer: only journaled
+        self.missing = 0
+        self.stale = False
+        self.corrupt: Exception | None = None
+        self.offline: Exception | None = None
+
+    def cannot_serve(
+        self, index: int, kind: str, cause: Exception | None
+    ) -> None:
+        if kind == "offline":
+            self.unreachable.append(index)
+            self.offline = cause
+            return
+        self.wrong.append(index)
+        if kind == "missing":
+            self.missing += 1
+        else:
+            self.corrupt = cause
 
 
 class ObjectStore:
@@ -215,7 +271,7 @@ class ObjectStore:
         if self.telemetry.enabled:
             self.telemetry.register_callback(self._health_metrics)
 
-    # -- placement and failover -------------------------------------------
+    # -- placement -------------------------------------------------------
 
     def install_io_interceptor(self, interceptor) -> None:
         """Route every client's data ops through ``interceptor``.
@@ -241,137 +297,250 @@ class ObjectStore:
         """Whether reads/writes go through the freshness authority."""
         return self.freshness is not None and self.freshness.active
 
-    def _read_with_failover(
-        self,
-        object_key: str,
-        disk_key: bytes,
-        aad: bytes | None = None,
-        kind: str = KIND_OBJECT,
-        expect_sha256: str | None = None,
-    ) -> bytes:
-        """Read one disk key, failing over across the placement.
+    # -- the one replica read ----------------------------------------------
 
-        With ``aad`` set the sealed blob is also decrypted *per
-        replica*, so a corrupt copy (AEAD failure) fails over exactly
-        like an offline drive and the plaintext is returned.  Replicas
-        that answered with missing or corrupt data are repaired inline
-        from the first healthy copy; any failure journals the key for
-        full anti-entropy repair.  Breaker-open drives are tried last,
-        as a final resort only.
+    def _fetch(self, index: int, disk_key: bytes) -> bytes:
+        """GET one replica's sealed blob, or raise :class:`_CannotServe`.
 
-        When no replica serves the data, the error honours quorum
-        semantics: an acknowledged write reached at least
-        ``write_quorum`` replicas, so the key is *proven absent* only
-        once ``len(replicas) - write_quorum + 1`` live drives answered
-        "not found" — fewer than that (the rest unreachable) means the
-        data may exist on a dead drive, and the read raises the drive
-        error instead of claiming absence.  Corrupt copies prove
-        existence, so they outrank absence.
-
-        ``expect_sha256`` pins the plaintext to a known content hash
-        (from the proof-verified metadata record): replicas serving a
-        decryptable-but-different value — a replayed old copy of an
-        overwritten slot — fail over like corrupt ones, and when no
-        replica matches the read raises
-        :class:`~repro.errors.StaleReplica` rather than serve rolled-
-        back content.
+        The only place a read talks to a drive.  Every outcome feeds
+        the drive's circuit breaker and the per-kind failure counter.
         """
-        instrumented = self.telemetry.enabled
-        started = _time.perf_counter() if instrumented else 0.0
-        drive_error: Exception | None = None
-        corrupt_error: Exception | None = None
-        stale_error: Exception | None = None
-        not_found: Exception | None = None
-        missing_count = 0
-        with self.telemetry.span("kinetic.get", key=object_key):
-            replicas = self._replicas(object_key)
-            self.health.tick()
-            preferred = [i for i in replicas if self.health.allow(i)]
-            last_resort = [i for i in replicas if i not in preferred]
-            data_failures: list[int] = []
-            drive_failures: list[int] = []
-            for index in preferred + last_resort:
-                client = self.clients[index]
-                try:
-                    blob, _version = client.get(disk_key)
-                except (DriveOffline, TransientIOError) as exc:
-                    self.health.record_failure(index)
-                    self._m_replica_failures.labels("offline").inc()
-                    drive_failures.append(index)
-                    drive_error = exc
-                    continue
-                except KineticNotFound as exc:
-                    # The drive answered; the data is missing there.
-                    self.health.record_success(index)
-                    self._m_replica_failures.labels("missing").inc()
-                    data_failures.append(index)
-                    not_found = exc
-                    missing_count += 1
-                    continue
-                self.health.record_success(index)
-                if aad is not None:
-                    try:
-                        value = self._open(blob, aad)
-                    except IntegrityError as exc:
-                        self._m_replica_failures.labels("corrupt").inc()
-                        data_failures.append(index)
-                        corrupt_error = exc
-                        continue
-                else:
-                    value = blob
-                if expect_sha256 is not None and (
-                    hashlib.sha256(value).hexdigest() != expect_sha256
-                ):
-                    self._m_replica_failures.labels("stale").inc()
-                    if self.freshness is not None:
-                        self.freshness.reject_stale(object_key)
-                    data_failures.append(index)
-                    stale_error = StaleReplica(
-                        f"replica {index} serves stale content for "
-                        f"{object_key!r}"
-                    )
-                    continue
-                self.effects.record(DISK_READ, index, len(blob))
-                if instrumented:
-                    self._h_drive_op.labels("read").observe(
-                        _time.perf_counter() - started
-                    )
-                    self._m_drive_bytes.labels("read").inc(len(blob))
-                if data_failures or drive_failures:
-                    self._read_repair(
-                        object_key, disk_key, blob, data_failures,
-                        drive_failures, kind,
-                    )
-                return value
-        absence_quorum = len(replicas) - min(
-            self.write_quorum, len(replicas)
-        ) + 1
-        if stale_error is not None:
-            raise stale_error
-        if corrupt_error is not None:
-            raise corrupt_error
-        if missing_count >= absence_quorum:
-            raise not_found
-        raise drive_error or not_found or KineticNotFound(object_key)
+        try:
+            blob, _version = self.clients[index].get(disk_key)
+        except (DriveOffline, TransientIOError) as exc:
+            self.health.record_failure(index)
+            self._m_replica_failures.labels("offline").inc()
+            raise _CannotServe("offline", exc)
+        except KineticNotFound:
+            # The drive answered; the data is missing there.
+            self.health.record_success(index)
+            self._m_replica_failures.labels("missing").inc()
+            raise _CannotServe("missing", None)
+        self.health.record_success(index)
+        if self.telemetry.enabled:
+            self._m_drive_bytes.labels("read").inc(len(blob))
+        return blob
 
-    def _read_repair(
-        self,
-        object_key: str,
-        disk_key: bytes,
-        blob: bytes,
-        data_failures: list[int],
-        drive_failures: list[int],
-        kind: str,
-    ) -> None:
-        """Re-seed replicas that answered wrong; journal the rest."""
-        self.journal.mark(kind, object_key, data_failures + drive_failures)
-        for index in data_failures:
+    def _open(self, blob: bytes, aad: bytes) -> bytes:
+        """AEAD-open one fetched blob, or raise :class:`_CannotServe`.
+
+        Drive content is untrusted input: a bad tag and a blob too
+        short to hold a nonce (a :class:`CryptoError` that is not an
+        ``IntegrityError``) are the same fault, a corrupt copy.
+        """
+        self.effects.record(DECRYPT, len(blob))
+        try:
+            return self._aead.open(blob[:12], blob[12:], aad)
+        except CryptoError as exc:
+            self._m_replica_failures.labels("corrupt").inc()
+            raise _CannotServe("corrupt", exc)
+
+    def _reject_stale(self, walk: _Walk, index: int, label: str) -> None:
+        """A copy that authenticates but is not the record looked for."""
+        self._m_replica_failures.labels("stale").inc()
+        if self.freshness is not None:
+            self.freshness.reject_stale(label)
+        walk.wrong.append(index)
+        walk.stale = True
+
+    def _served(self, walk: _Walk, kind: str, object_key: str,
+                disk_key: bytes, blob: bytes) -> None:
+        """Close a read that ``blob`` answered.
+
+        Replicas that answered wrong (missing, corrupt, stale) are
+        overwritten inline with the sealed blob that was served; those
+        and the unreachable ones are journaled, because anti-entropy
+        audits every version of the object and this read saw one key.
+        """
+        if self.telemetry.enabled:
+            self._h_drive_op.labels("read").observe(
+                _time.perf_counter() - walk.started
+            )
+        if walk.wrong or walk.unreachable:
+            self.journal.mark(
+                kind, object_key, walk.wrong + walk.unreachable
+            )
+            self._m_read_repair.inc(
+                self._reseed(disk_key, blob, walk.wrong)
+            )
+
+    def _reseed(self, disk_key: bytes, blob: bytes, indexes) -> int:
+        """Overwrite replicas with a sealed blob; returns how many took it."""
+        reseeded = 0
+        for index in indexes:
             try:
                 self.clients[index].put(disk_key, blob, force=True)
             except KineticError:
                 continue
             self.effects.record(DISK_WRITE, index, len(blob))
-            self._m_read_repair.inc()
+            reseeded += 1
+        return reseeded
+
+    def _unserved(self, walk: _Walk, stale: Exception | None = None) -> None:
+        """No replica served: raise the reason, or return on absence.
+
+        Staleness outranks everything (answering would undo an
+        acknowledged write); a corrupt copy proves the key exists, so
+        it outranks absence; absence holds once ``walk.quorum`` live
+        replicas said "not found" or nothing was unreachable; otherwise
+        the data may sit on the drive that did not answer, and its
+        error is the answer.
+        """
+        if self.telemetry.enabled:
+            self._h_drive_op.labels("read").observe(
+                _time.perf_counter() - walk.started
+            )
+        if walk.stale:
+            raise stale
+        if walk.corrupt is not None:
+            raise walk.corrupt
+        if walk.missing < walk.quorum and walk.offline is not None:
+            raise walk.offline
+
+    # -- the three acceptance rules ------------------------------------------
+
+    def _read_matching(
+        self,
+        object_key: str,
+        disk_key: bytes,
+        aad: bytes,
+        kind: str,
+        expect_sha256: str | None,
+    ) -> bytes:
+        """Value rule: the first plaintext matching the recorded hash.
+
+        ``v/`` and ``p/`` keys are written once per slot, so any copy
+        that opens is the record — except the in-place slot of a
+        history-less store, where a lagging replica holds the previous
+        value under the same AAD.  ``expect_sha256`` (the content hash
+        in the metadata record) tells the two apart.
+        """
+        walk = _Walk(self, object_key)
+        with self.telemetry.span("kinetic.get", key=object_key):
+            for index in walk.order:
+                try:
+                    blob = self._fetch(index, disk_key)
+                    value = self._open(blob, aad)
+                except _CannotServe as signal:
+                    walk.cannot_serve(index, *signal.args)
+                    continue
+                if expect_sha256 is not None and (
+                    hashlib.sha256(value).hexdigest() != expect_sha256
+                ):
+                    self._reject_stale(walk, index, object_key)
+                    continue
+                self.effects.record(DISK_READ, index, len(blob))
+                self._served(walk, kind, object_key, disk_key, blob)
+                return value
+        self._unserved(walk, StaleReplica(
+            f"no reachable replica of {object_key!r} holds the "
+            f"content its metadata records"
+        ))
+        raise KineticNotFound(object_key)
+
+    def _read_pinned(
+        self,
+        object_key: str,
+        disk_key: bytes,
+        aad: bytes,
+        label: str,
+        kind: str,
+    ) -> bytes | None:
+        """Pinned rule: the first record equal to the proved leaf digest.
+
+        The freshness authority proves what digest the record *must*
+        have, so a single matching reply suffices — or that the label
+        is absent, which answers without any drive I/O.  While a
+        mutation of the label is unsettled, a replica holding its other
+        side is kept as a fallback (and never re-seeded over): that is
+        what keeps reads available across the prepare→write crash
+        window.
+        """
+        expected, allowed = self.freshness.acceptable(label)
+        if expected is None:
+            return None
+        walk = _Walk(self, object_key)
+        served: bytes | None = None
+        served_blob = b""
+        with self.telemetry.span("kinetic.get", key=object_key):
+            for index in walk.order:
+                try:
+                    blob = self._fetch(index, disk_key)
+                    plain = self._open(blob, aad)
+                except _CannotServe as signal:
+                    walk.cannot_serve(index, *signal.args)
+                    continue
+                digest = self.freshness.leaf_digest(plain)
+                if digest not in allowed:
+                    self._reject_stale(walk, index, label)
+                    continue
+                # The pinned leaf ends the walk; a pending side answers
+                # only if the pinned leaf turns up on no later replica.
+                served = plain
+                served_blob = blob
+                if digest == expected:
+                    self.effects.record(DISK_READ, index, len(blob))
+                    break
+        if served is None:
+            # The pin proves the record exists, so a live replica
+            # without it is as far behind as one holding an older leaf.
+            walk.stale = walk.stale or walk.missing > 0
+            self._unserved(walk, StaleReplica(
+                f"every reachable replica of {object_key!r} is "
+                f"older than the pinned root (epoch "
+                f"{self.freshness.epoch})"
+            ))
+            raise KineticNotFound(object_key)
+        self._served(walk, kind, object_key, disk_key, served_blob)
+        return served
+
+    def _read_newest(
+        self, key: str, disk_key: bytes, aad: bytes
+    ) -> StoredMeta | None:
+        """Newest-of-quorum rule, for the one mutable key (``m/``).
+
+        A lagging replica's older record opens perfectly well, so one
+        reply is only sound under a full write quorum; in general the
+        rule collects ``walk.quorum`` definitive replies (a record or a
+        clean "not found"; a corrupt copy is neither) and serves the
+        highest ``current_version``.  When failures leave fewer, it
+        serves the newest *reachable* record — whoever relaxed the
+        write quorum chose availability — and the key stays journaled.
+        This is the rule that trusts replica version numbers; the
+        pinned rule replaces it when freshness is on.
+        """
+        walk = _Walk(self, key)
+        found = []  # (replica, record, its sealed blob) per record read
+        with self.telemetry.span("kinetic.get", key=key):
+            for index in walk.order:
+                try:
+                    blob = self._fetch(index, disk_key)
+                    plain = self._open(blob, aad)
+                except _CannotServe as signal:
+                    walk.cannot_serve(index, *signal.args)
+                    continue
+                self.effects.record(DISK_READ, index, len(blob))
+                found.append((index, StoredMeta.decode(plain), blob))
+                if len(found) + walk.missing >= walk.quorum:
+                    break
+        if not found:
+            self._unserved(walk)
+            return None
+        _index, newest, blob = max(
+            found, key=lambda reply: reply[1].current_version
+        )
+        for index, meta, _blob in found:
+            if meta.current_version < newest.current_version:
+                self._reject_stale(walk, index, key)
+        self._served(walk, KIND_OBJECT, key, disk_key, blob)
+        return newest
+
+    # -- replica writes ----------------------------------------------------
+
+    def _seal(self, blob: bytes, aad: bytes) -> bytes:
+        nonce = secrets.token_bytes(12)
+        self.effects.record(ENCRYPT, len(blob))
+        return nonce + self._aead.seal(nonce, blob, aad)
 
     def _write_replicas(self, object_key: str, disk_key: bytes,
                         blob: bytes, kind: str = KIND_OBJECT) -> int:
@@ -471,46 +640,60 @@ class ObjectStore:
                 _time.perf_counter() - started
             )
 
-    # -- authenticated freshness -------------------------------------------
+    # -- key ranges --------------------------------------------------------
+
+    def _drive_keys(self, index: int, prefix: bytes, start: bytes,
+                    limit: int | None = None) -> list[bytes]:
+        """One drive's disk keys from ``start`` to the end of ``prefix``.
+
+        The one ``GETKEYRANGE`` pager.  Without a ``limit`` it pages
+        through the whole range; a ``limit`` is a single page, since
+        the drive returns at most that many keys and fewer means the
+        range is exhausted.  A drive that fails mid-range contributes
+        what it returned so far.
+        """
+        end_key = prefix + b"\xff" * 64
+        page_size = limit or _RANGE_PAGE
+        keys: list[bytes] = []
+        cursor, inclusive = start, True
+        while True:
+            try:
+                page = self.clients[index].get_key_range(
+                    start_key=cursor,
+                    end_key=end_key,
+                    max_returned=page_size,
+                    start_inclusive=inclusive,
+                )
+            except (DriveOffline, TransientIOError):
+                self.health.record_failure(index)
+                self._m_replica_failures.labels("offline").inc()
+                return keys
+            except KineticError:
+                return keys
+            self.health.record_success(index)
+            self.effects.record(DISK_READ, index, sum(len(k) for k in page))
+            keys += page
+            if limit is not None or len(page) < page_size:
+                return keys
+            cursor, inclusive = page[-1], False
 
     def scan_labels(self) -> list[str]:
         """Every metadata label present on any reachable drive.
 
         Used by :meth:`repro.core.freshness.FreshnessAuthority
         .bootstrap` to rebuild the authenticated dictionary at startup:
-        the union over all drives of the ``m/`` and ``p/`` key ranges,
-        paginated per the Kinetic ``GETKEYRANGE`` contract.  Offline
-        drives are skipped — whether the missing coverage matters is
-        decided by the root comparison, not here.
+        the union over all drives of the ``m/`` and ``p/`` key ranges.
+        Offline drives are skipped — whether the missing coverage
+        matters is decided by the root comparison, not here.
         """
         labels: set[str] = set()
-        page = 200
         for index in range(len(self.clients)):
-            client = self.clients[index]
             for prefix, to_label in (
                 (b"m/", object_label),
                 (b"p/", policy_label),
             ):
-                cursor = prefix
-                inclusive = True
-                while True:
-                    try:
-                        keys = client.get_key_range(
-                            start_key=cursor,
-                            end_key=prefix + b"\xff" * 64,
-                            max_returned=page,
-                            start_inclusive=inclusive,
-                        )
-                    except KineticError:
-                        break
-                    for disk_key in keys:
-                        labels.add(
-                            to_label(disk_key[len(prefix):].decode())
-                        )
-                    if len(keys) < page:
-                        break
-                    cursor = keys[-1]
-                    inclusive = False
+                for disk_key in self._drive_keys(index, prefix, prefix):
+                    labels.add(to_label(disk_key[len(prefix):].decode()))
         return sorted(labels)
 
     def scan_keys(self, start_key: str, count: int) -> list[str]:
@@ -519,19 +702,15 @@ class ObjectStore:
         The Kinetic ``GETKEYRANGE`` path for YCSB-E range scans:
         placement hashes scatter adjacent object keys across drives,
         so one logical scan is the sorted union of every drive's
-        ``m/`` range, paginated per the drive contract and truncated
-        to ``count`` keys.  Offline drives are skipped — with
-        replication their keys surface from the surviving replicas;
-        without it the scan is best-effort over the reachable fleet
-        (per-key reads still verify, a scan never vouches for
-        freshness itself).
+        ``m/`` range, truncated to ``count`` keys.  Offline and
+        breaker-open drives are skipped — with replication their keys
+        surface from the surviving replicas; without it the scan is
+        best-effort over the reachable fleet (per-key reads still
+        verify, a scan never vouches for freshness itself).
         """
         if count < 1:
             return []
-        cursor_start = b"m/" + start_key.encode()
-        end_key = b"m/" + b"\xff" * 64
         found: set[str] = set()
-        page = max(count, 16)
         with self.telemetry.span(
             "kinetic.getkeyrange", key=start_key, count=count
         ):
@@ -539,156 +718,30 @@ class ObjectStore:
             for index in range(len(self.clients)):
                 if not self.health.allow(index):
                     continue
-                client = self.clients[index]
-                cursor = cursor_start
-                inclusive = True
-                remaining = count
-                while remaining > 0:
-                    try:
-                        keys = client.get_key_range(
-                            start_key=cursor,
-                            end_key=end_key,
-                            max_returned=min(page, remaining),
-                            start_inclusive=inclusive,
-                        )
-                    except (DriveOffline, TransientIOError):
-                        self.health.record_failure(index)
-                        self._m_replica_failures.labels("offline").inc()
-                        break
-                    except KineticError:
-                        break
-                    self.health.record_success(index)
-                    self.effects.record(
-                        DISK_READ, index, sum(len(k) for k in keys)
-                    )
-                    for disk_key in keys:
-                        found.add(disk_key[2:].decode())
-                    if len(keys) < min(page, remaining):
-                        break
-                    cursor = keys[-1]
-                    inclusive = False
-                    remaining -= len(keys)
+                for disk_key in self._drive_keys(
+                    index, b"m/", self.meta_key(start_key), count
+                ):
+                    found.add(disk_key[2:].decode())
         return sorted(found)[:count]
 
-    def _read_verified(
-        self,
-        object_key: str,
-        disk_key: bytes,
-        aad: bytes,
-        label: str,
-        kind: str,
-    ) -> bytes | None:
-        """Read one metadata record, verified against the pinned root.
+    # -- authenticated freshness -------------------------------------------
 
-        The freshness authority proves what digest the record *must*
-        have (or that it is absent — which short-circuits without any
-        drive I/O): the first replica whose plaintext hashes to the
-        pinned leaf wins, so a single reply suffices where the
-        unverified path needs a quorum.  Replicas proving anything else
-        are stale — failed over, re-seeded from the verified copy, and
-        journaled.  A record pinned by an unsettled mutation accepts
-        either side of the pending entry (crash-window availability).
+    def _pinned_write(self, label: str, plain: bytes | None, write) -> None:
+        """Run one mutation of a metadata label (``plain`` None: delete).
 
-        When every reachable replica is provably stale the read raises
-        :class:`~repro.errors.StaleReplica`: serving would undo an
-        acknowledged write.  All-unreachable raises the drive error,
-        exactly like the unverified path.
+        Without an active freshness authority that is just ``write()``.
+        With one it is the write-ahead pin protocol: the new leaf is
+        pinned *before* any replica sees the write (prepare), settled
+        once the quorum acknowledged, and reverted — with the pending
+        entry kept, since a minority replica may already hold the new
+        record — when the write failed below quorum.
         """
-        expected, allowed = self.freshness.acceptable(label)
-        if expected is None:
-            # Proven absent: the pinned tree has no leaf for this
-            # label, so no replica can legitimately hold a record.
-            return None
-        instrumented = self.telemetry.enabled
-        started = _time.perf_counter() if instrumented else 0.0
-        drive_error: Exception | None = None
-        fallback: bytes | None = None
-        fallback_digest: str | None = None
-        behind: list[int] = []     # stale / missing / corrupt replicas
-        unreachable: list[int] = []
-        definitive_wrong = 0
-        verified: bytes | None = None
-        with self.telemetry.span("kinetic.get", key=object_key):
-            replicas = self._replicas(object_key)
-            self.health.tick()
-            preferred = [i for i in replicas if self.health.allow(i)]
-            last_resort = [i for i in replicas if i not in preferred]
-            for index in preferred + last_resort:
-                try:
-                    blob, _version = self.clients[index].get(disk_key)
-                except (DriveOffline, TransientIOError) as exc:
-                    self.health.record_failure(index)
-                    self._m_replica_failures.labels("offline").inc()
-                    unreachable.append(index)
-                    drive_error = exc
-                    continue
-                except KineticNotFound:
-                    self.health.record_success(index)
-                    self._m_replica_failures.labels("missing").inc()
-                    behind.append(index)
-                    definitive_wrong += 1
-                    continue
-                self.health.record_success(index)
-                try:
-                    plain = self._open(blob, aad)
-                except IntegrityError:
-                    self._m_replica_failures.labels("corrupt").inc()
-                    behind.append(index)
-                    definitive_wrong += 1
-                    continue
-                digest = self.freshness.leaf_digest(plain)
-                if digest == expected:
-                    self.effects.record(DISK_READ, index, len(blob))
-                    if instrumented:
-                        self._m_drive_bytes.labels("read").inc(len(blob))
-                    verified = plain
-                    break
-                if digest in allowed:
-                    # The other side of an unsettled mutation: keep it
-                    # as a fallback but look for the pinned leaf first.
-                    fallback, fallback_digest = plain, digest
-                    continue
-                self._m_replica_failures.labels("stale").inc()
-                self.freshness.reject_stale(label)
-                behind.append(index)
-                definitive_wrong += 1
-        if instrumented:
-            self._h_drive_op.labels("read").observe(
-                _time.perf_counter() - started
-            )
-        if verified is None and fallback is not None:
-            verified = fallback
-            expected = fallback_digest
-        if verified is None:
-            if definitive_wrong:
-                raise StaleReplica(
-                    f"every reachable replica of {object_key!r} is "
-                    f"older than the pinned root (epoch "
-                    f"{self.freshness.epoch})"
-                )
-            raise drive_error or KineticNotFound(object_key)
-        if behind or unreachable:
-            self.journal.mark(kind, object_key, behind + unreachable)
-            sealed = self._seal(verified, aad)
-            for index in behind:
-                try:
-                    self.clients[index].put(disk_key, sealed, force=True)
-                except KineticError:
-                    continue
-                self.effects.record(DISK_WRITE, index, len(sealed))
-                self._m_read_repair.inc()
-        return verified
-
-    def _pinned_write(self, label: str, digest: str | None, write) -> None:
-        """Run one mutation under the write-ahead pin protocol.
-
-        The new leaf is pinned *before* any replica sees the write
-        (prepare), settled once the quorum acknowledged, and reverted
-        — with the pending entry kept, since a minority replica may
-        already hold the new record — when the write failed below
-        quorum.
-        """
-        self.freshness.prepare(label, digest)
+        if not self._verifying():
+            write()
+            return
+        self.freshness.prepare(
+            label, None if plain is None else record_digest(plain)
+        )
         try:
             write()
         # Deliberately broad: whatever the write failed with, the
@@ -782,18 +835,7 @@ class ObjectStore:
             ],
         )
 
-    # -- encryption ------------------------------------------------------------
-
-    def _seal(self, blob: bytes, aad: bytes) -> bytes:
-        nonce = secrets.token_bytes(12)
-        self.effects.record(ENCRYPT, len(blob))
-        return nonce + self._aead.seal(nonce, blob, aad)
-
-    def _open(self, blob: bytes, aad: bytes) -> bytes:
-        self.effects.record(DECRYPT, len(blob))
-        return self._aead.open(blob[:12], blob[12:], aad)
-
-    # -- metadata ---------------------------------------------------------------
+    # -- record kinds: disk key and AAD ------------------------------------
 
     @staticmethod
     def meta_key(key: str) -> bytes:
@@ -815,155 +857,62 @@ class ObjectStore:
     def policy_key(policy_id: str) -> bytes:
         return b"p/" + policy_id.encode()
 
+    def _meta_record(self, key: str) -> tuple[bytes, bytes]:
+        return self.meta_key(key), b"meta:" + key.encode()
+
+    def _value_record(self, key: str, version: int) -> tuple[bytes, bytes]:
+        slot = self._slot(version)
+        aad = b"val:" + key.encode() + b":" + str(slot).encode()
+        return self.value_key(key, slot), aad
+
+    def _policy_record(self, policy_id: str) -> tuple[bytes, bytes]:
+        return self.policy_key(policy_id), b"policy:" + policy_id.encode()
+
+    # -- metadata ---------------------------------------------------------------
+
     def read_meta(self, key: str) -> StoredMeta | None:
-        """Fetch object metadata, freshest-of-a-quorum; None when absent.
+        """Fetch object metadata; None when absent.
 
-        The ``m/`` record is the only *mutable* key in the layout, so
-        reading a single replica is only sound when the write quorum
-        covers every replica.  With a relaxed quorum a lagging replica
-        holds an older record that decrypts perfectly well — staleness
-        is not corruption — so the store collects
-        ``n - write_quorum + 1`` definitive replies (data or a clean
-        "not found"), which is guaranteed to intersect every
-        acknowledged write, and returns the newest version.  Stale and
-        missing copies seen on the way are re-seeded inline and
-        journaled.  With the default full write quorum this degenerates
-        to the single-replica fast path.
-
-        When drive failures leave fewer definitive replies than the
-        freshness quorum needs, the read serves the newest *reachable*
-        copy instead of failing — the operator who relaxed the write
-        quorum chose availability — and the key stays journaled until
-        anti-entropy can audit it against the recovered fleet.
-
-        With a freshness authority attached the version-number quorum
-        is replaced entirely by proof verification: the record must
-        hash to the Merkle leaf pinned by the sealed monotonic counter
-        (see :meth:`_read_verified`), which a replayed stale replica
-        cannot satisfy no matter what version number it carries.
+        Proof-verified against the pinned Merkle root when a freshness
+        authority is active (:meth:`_read_pinned`), newest of a quorum
+        otherwise (:meth:`_read_newest`).
         """
+        disk_key, aad = self._meta_record(key)
         if self._verifying():
-            plain = self._read_verified(
-                key,
-                self.meta_key(key),
-                b"meta:" + key.encode(),
-                object_label(key),
-                KIND_OBJECT,
+            plain = self._read_pinned(
+                key, disk_key, aad, object_label(key), KIND_OBJECT
             )
             return None if plain is None else StoredMeta.decode(plain)
-        disk_key = self.meta_key(key)
-        aad = b"meta:" + key.encode()
-        instrumented = self.telemetry.enabled
-        started = _time.perf_counter() if instrumented else 0.0
-        replicas = self._replicas(key)
-        needed = len(replicas) - min(self.write_quorum, len(replicas)) + 1
-        drive_error: Exception | None = None
-        corrupt_error: Exception | None = None
-        found: list[tuple[int, StoredMeta]] = []
-        missing: list[int] = []   # live replicas answering "not found"
-        unreachable: list[int] = []
-        with self.telemetry.span("kinetic.get", key=key):
-            self.health.tick()
-            preferred = [i for i in replicas if self.health.allow(i)]
-            last_resort = [i for i in replicas if i not in preferred]
-            for index in preferred + last_resort:
-                try:
-                    blob, _version = self.clients[index].get(disk_key)
-                except (DriveOffline, TransientIOError) as exc:
-                    self.health.record_failure(index)
-                    self._m_replica_failures.labels("offline").inc()
-                    unreachable.append(index)
-                    drive_error = exc
-                    continue
-                except KineticNotFound:
-                    self.health.record_success(index)
-                    missing.append(index)
-                    continue
-                self.health.record_success(index)
-                try:
-                    plain = self._open(blob, aad)
-                except IntegrityError as exc:
-                    self._m_replica_failures.labels("corrupt").inc()
-                    unreachable.append(index)
-                    corrupt_error = exc
-                    continue
-                self.effects.record(DISK_READ, index, len(blob))
-                if instrumented:
-                    self._m_drive_bytes.labels("read").inc(len(blob))
-                found.append((index, StoredMeta.decode(plain)))
-                if len(found) + len(missing) >= needed:
-                    break
-        if instrumented:
-            self._h_drive_op.labels("read").observe(
-                _time.perf_counter() - started
-            )
-        if not found:
-            # Absence needs the same quorum as freshness; otherwise the
-            # data may live on a replica we could not reach.
-            if len(missing) >= needed:
-                return None
-            if corrupt_error is not None:
-                raise corrupt_error
-            if drive_error is not None:
-                raise drive_error
-            return None
-        # found but fewer definitive replies than ``needed``: not
-        # provably fresh; fall through and serve the newest reachable
-        # copy (``unreachable`` is non-empty, so the key is journaled).
-        freshest = max(found, key=lambda item: item[1].current_version)[1]
-        stale = [
-            index for index, meta in found
-            if meta.current_version < freshest.current_version
-        ]
-        behind = stale + missing + unreachable
-        if behind:
-            self.journal.mark(KIND_OBJECT, key, behind)
-            sealed = self._seal(freshest.encode(), aad)
-            for index in stale + missing:
-                try:
-                    self.clients[index].put(disk_key, sealed, force=True)
-                except KineticError:
-                    continue
-                self.effects.record(DISK_WRITE, index, len(sealed))
-                self._m_read_repair.inc()
-        return freshest
+        return self._read_newest(key, disk_key, aad)
 
     def write_meta(self, meta: StoredMeta) -> None:
         plain = meta.encode()
-        blob = self._seal(plain, b"meta:" + meta.key.encode())
-        if self._verifying():
-            self._pinned_write(
-                object_label(meta.key),
-                record_digest(plain),
-                lambda: self._write_replicas(
-                    meta.key, self.meta_key(meta.key), blob
-                ),
-            )
-            return
-        self._write_replicas(meta.key, self.meta_key(meta.key), blob)
+        disk_key, aad = self._meta_record(meta.key)
+        blob = self._seal(plain, aad)
+        self._pinned_write(
+            object_label(meta.key),
+            plain,
+            lambda: self._write_replicas(meta.key, disk_key, blob),
+        )
 
     # -- object content ------------------------------------------------------------
 
     def read_value(
         self, key: str, version: int, expect_sha256: str | None = None
     ) -> bytes:
-        slot = self._slot(version)
-        aad = b"val:" + key.encode() + b":" + str(slot).encode()
+        """One version's content; ``expect_sha256`` is the content hash
+        its metadata records, which callers holding the record pass."""
+        disk_key, aad = self._value_record(key, version)
         with self.telemetry.span("store.read_value", key=key,
                                  version=version):
-            return self._read_with_failover(
-                key, self.value_key(key, slot), aad=aad,
-                expect_sha256=expect_sha256,
+            return self._read_matching(
+                key, disk_key, aad, KIND_OBJECT, expect_sha256
             )
 
     def write_value(self, key: str, version: int, value: bytes) -> None:
-        slot = self._slot(version)
-        aad = b"val:" + key.encode() + b":" + str(slot).encode()
+        disk_key, aad = self._value_record(key, version)
         blob = self._seal(value, aad)
-        self._write_replicas(key, self.value_key(key, slot), blob)
-
-    def delete_value(self, key: str, version: int) -> None:
-        self._delete_all_replicas(key, self.value_key(key, self._slot(version)))
+        self._write_replicas(key, disk_key, blob)
 
     # -- whole-object operations -----------------------------------------------------
 
@@ -1006,91 +955,74 @@ class ObjectStore:
 
     def delete_object(self, meta: StoredMeta) -> None:
         """Remove every version and the metadata record."""
-        if self._verifying():
-            self._pinned_write(
-                object_label(meta.key), None,
-                lambda: self._delete_versions_and_meta(meta),
-            )
-            return
-        self._delete_versions_and_meta(meta)
+        def delete() -> None:
+            # Without history one slot backs every version: delete once.
+            for slot in dict.fromkeys(map(self._slot, meta.versions)):
+                self._delete_all_replicas(
+                    meta.key, self.value_key(meta.key, slot)
+                )
+            self._delete_all_replicas(meta.key, self.meta_key(meta.key))
 
-    def _delete_versions_and_meta(self, meta: StoredMeta) -> None:
-        slots_seen = set()
-        for version in list(meta.versions):
-            slot = self._slot(version)
-            if slot in slots_seen:
-                continue
-            slots_seen.add(slot)
-            self.delete_value(meta.key, version)
-        self._delete_all_replicas(meta.key, self.meta_key(meta.key))
+        self._pinned_write(object_label(meta.key), None, delete)
 
     # -- integrity maintenance ---------------------------------------------------
+
+    def _audit(self, key: str, version_meta: VersionMeta):
+        """Status of every replica of one version, read without failover.
+
+        Returns ``({drive_index: status}, sealed blob of a copy that
+        matched the recorded content hash, or None)``.
+        """
+        disk_key, aad = self._value_record(key, version_meta.version)
+        statuses: dict[int, str] = {}
+        healthy = None
+        for index in self._replicas(key):
+            try:
+                blob = self._fetch(index, disk_key)
+                value = self._open(blob, aad)
+            except _CannotServe as signal:
+                statuses[index] = signal.args[0]
+                continue
+            digest = hashlib.sha256(value).hexdigest()
+            if digest == version_meta.content_hash:
+                statuses[index] = "ok"
+                healthy = healthy or blob
+            else:
+                statuses[index] = "corrupt"
+        return statuses, healthy
 
     def scrub(self, meta: StoredMeta) -> list:
         """Audit every replica of every version of an object.
 
-        Reads each replica directly (no failover), decrypts, and
-        compares the content hash against the metadata record.
         Returns ``(version, drive_index, status)`` tuples with status
         ``ok`` / ``missing`` / ``corrupt`` / ``offline``.
         """
         report = []
         for version_meta in meta.versions.values():
-            slot = self._slot(version_meta.version)
-            disk_key = self.value_key(meta.key, slot)
-            aad = b"val:" + meta.key.encode() + b":" + str(slot).encode()
-            for index in self._replicas(meta.key):
-                client = self.clients[index]
-                try:
-                    blob, _version = client.get(disk_key)
-                    value = self._open(blob, aad)
-                    digest = hashlib.sha256(value).hexdigest()
-                    status = (
-                        "ok" if digest == version_meta.content_hash
-                        else "corrupt"
-                    )
-                except (DriveOffline, TransientIOError):
-                    status = "offline"
-                except KineticNotFound:
-                    status = "missing"
-                except CryptoError:
-                    # Tampered blobs surface as AEAD failures (bad tag,
-                    # truncated frame); anything else should propagate.
-                    status = "corrupt"
+            statuses, _healthy = self._audit(meta.key, version_meta)
+            for index, status in statuses.items():
                 report.append((version_meta.version, index, status))
         return report
 
     def repair(self, meta: StoredMeta) -> int:
-        """Re-write missing/corrupt replicas from a healthy copy.
+        """Re-seed missing/corrupt replicas from a healthy copy.
 
         Used after a failed drive returns (anti-entropy).  Returns the
         number of replica blobs rewritten; versions with no healthy
         replica at all are left untouched (unrecoverable).
         """
-        report = self.scrub(meta)
-        healthy: dict[int, int] = {}
-        for version, drive_index, status in report:
-            if status == "ok" and version not in healthy:
-                healthy[version] = drive_index
         repaired = 0
-        for version, drive_index, status in report:
-            if status in ("ok", "offline"):
+        for version_meta in meta.versions.values():
+            statuses, healthy = self._audit(meta.key, version_meta)
+            if healthy is None:
                 continue
-            source = healthy.get(version)
-            if source is None:
-                continue
-            slot = self._slot(version)
-            disk_key = self.value_key(meta.key, slot)
-            aad = b"val:" + meta.key.encode() + b":" + str(slot).encode()
-            blob, _version = self.clients[source].get(disk_key)
-            value = self._open(blob, aad)
-            resealed = self._seal(value, aad)
-            try:
-                self.clients[drive_index].put(disk_key, resealed, force=True)
-                self.effects.record(DISK_WRITE, drive_index, len(resealed))
-                repaired += 1
-            except (DriveOffline, TransientIOError):
-                continue
+            disk_key = self.value_key(
+                meta.key, self._slot(version_meta.version)
+            )
+            repaired += self._reseed(disk_key, healthy, [
+                index for index, status in statuses.items()
+                if status in ("missing", "corrupt")
+            ])
         # Ensure the metadata record is present everywhere too.
         self.write_meta(meta)
         return repaired
@@ -1098,37 +1030,27 @@ class ObjectStore:
     # -- policies -----------------------------------------------------------------------
 
     def write_policy(self, policy_id: str, blob: bytes) -> None:
-        aad = b"policy:" + policy_id.encode()
+        disk_key, aad = self._policy_record(policy_id)
         sealed = self._seal(blob, aad)
-        if self._verifying():
-            self._pinned_write(
-                policy_label(policy_id),
-                record_digest(blob),
-                lambda: self._write_replicas(
-                    policy_id, self.policy_key(policy_id), sealed,
-                    kind=KIND_POLICY,
-                ),
-            )
-            return
-        self._write_replicas(
-            policy_id, self.policy_key(policy_id), sealed, kind=KIND_POLICY
+        self._pinned_write(
+            policy_label(policy_id),
+            blob,
+            lambda: self._write_replicas(
+                policy_id, disk_key, sealed, kind=KIND_POLICY
+            ),
         )
 
     def read_policy(self, policy_id: str) -> bytes | None:
+        disk_key, aad = self._policy_record(policy_id)
         if self._verifying():
-            return self._read_verified(
-                policy_id,
-                self.policy_key(policy_id),
-                b"policy:" + policy_id.encode(),
-                policy_label(policy_id),
+            return self._read_pinned(
+                policy_id, disk_key, aad, policy_label(policy_id),
                 KIND_POLICY,
             )
         try:
-            return self._read_with_failover(
-                policy_id,
-                self.policy_key(policy_id),
-                aad=b"policy:" + policy_id.encode(),
-                kind=KIND_POLICY,
+            # Content-addressed and written once: any copy that opens.
+            return self._read_matching(
+                policy_id, disk_key, aad, KIND_POLICY, None
             )
         except KineticNotFound:
             return None
@@ -1162,25 +1084,21 @@ class StoreBackedView(ObjectView):
             size=version_meta.size,
             content_hash=version_meta.content_hash,
             policy_hash=version_meta.policy_hash,
-            content=partial(self._load_content, version),
+            content=partial(
+                self._load_content, version, version_meta.content_hash
+            ),
         )
         self._infos[version] = info
         return info
 
-    def _load_content(self, version: int) -> bytes:
+    def _load_content(self, version: int, content_hash: str) -> bytes:
         cache_key = f"{self.object_id}@{version}"
         if self._cache is not None:
             cached = self._cache.get_object(cache_key)
             if cached is not None:
                 return cached
-        expect = None
-        version_meta = self._meta.versions.get(version)
-        if version_meta is not None and self._store._verifying():
-            # The metadata record came through proof verification, so
-            # its content hash anchors the value read too.
-            expect = version_meta.content_hash
         value = self._store.read_value(
-            self.object_id, version, expect_sha256=expect
+            self.object_id, version, expect_sha256=content_hash
         )
         if self._cache is not None:
             self._cache.put_object(cache_key, value)

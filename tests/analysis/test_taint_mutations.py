@@ -59,7 +59,7 @@ def test_clean_tree_is_silent():
 
 WRITE_VALUE_SEAL = (
     "        blob = self._seal(value, aad)\n"
-    "        self._write_replicas(key, self.value_key(key, slot), blob)"
+    "        self._write_replicas(key, disk_key, blob)"
 )
 
 
@@ -70,9 +70,8 @@ def test_unsealed_drive_write_detected(tmp_path):
         STORE,
         WRITE_VALUE_SEAL,
         "        blob = self._seal(value, aad)\n"
-        "        self.clients[0].put("
-        "self.value_key(key, slot), value, force=True)\n"
-        "        self._write_replicas(key, self.value_key(key, slot), blob)",
+        "        self.clients[0].put(disk_key, value, force=True)\n"
+        "        self._write_replicas(key, disk_key, blob)",
     )
     assert "taint/drive-write" in rules_in(analyze_package(root), STORE)
 

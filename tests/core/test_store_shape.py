@@ -1,0 +1,147 @@
+"""Pins the shape of ``core/store.py``: one replica read, one pager.
+
+Two kinds of guard.  The structural ones count what the single read
+walk replaced (drive-error handlers, ``_verifying`` reach-ins) so a
+fourth copy of the loop cannot grow back unnoticed.  The behavioural
+one replays a fixed failure-free script and compares the per-drive
+``(op, disk key)`` sequence against the digest recorded *before* the
+three walks were merged: a refactor of the read path may not add,
+drop or reorder a single drive operation.
+"""
+
+import hashlib
+import inspect
+import random
+import re
+from pathlib import Path
+
+import repro.core.store as store_module
+from repro.core.cache import CacheConfig
+from repro.core.controller import ControllerConfig, PesosController
+from repro.core.request import Request
+from repro.kinetic.cluster import DriveCluster
+from repro.kinetic.drive import KineticDrive
+
+from tests.core.conftest import ALICE
+
+#: SHA-256 over the drive-op lines of :func:`_scripted_run`, captured
+#: at commit f24ff38 (PR 14) with the three copied replica walks still
+#: in place; 6 093 drive operations.
+DRIVE_OP_SEQUENCE_SHA256 = (
+    "20e4b6a3f763de21e2d5cf5564b7adcb0b9fa3e3853a90ad6ffd293506f85580"
+)
+DRIVE_OP_COUNT = 6093
+
+
+def _scripted_run() -> list[str]:
+    """200 keys, RF 3, no faults: insert, update, get cold, scan, delete."""
+    cluster = DriveCluster(num_drives=3)
+    clients = cluster.connect_all(
+        KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
+    )
+    ops: list[str] = []
+
+    def record(client, op, args, kwargs):
+        ops.append(f"{clients.index(client)} {op} {args[0].hex()}")
+        return client.direct(op, *args, **kwargs)
+
+    def recording_range(index, client):
+        inner = client.get_key_range
+
+        def get_key_range(**kwargs):
+            ops.append(
+                f"{index} range {kwargs['start_key'].hex()} "
+                f"{kwargs['max_returned']} {kwargs['start_inclusive']}"
+            )
+            return inner(**kwargs)
+
+        return get_key_range
+
+    for index, client in enumerate(clients):
+        client.interceptor = record
+        client.get_key_range = recording_range(index, client)
+    controller = PesosController(
+        clients,
+        storage_key=b"k" * 32,
+        # Caches far smaller than the data set, so the get phase reads
+        # metadata and values from the drives.
+        config=ControllerConfig(
+            replication_factor=3,
+            cache=CacheConfig(object_bytes=4096, key_bytes=2048),
+        ),
+    )
+    rng = random.Random(15)
+    keys = [f"user{i:05d}" for i in range(200)]
+    policy = controller.put_policy(
+        ALICE,
+        f"read :- sessionKeyIs(k'{ALICE}')\n"
+        f"update :- sessionKeyIs(k'{ALICE}')\n"
+        f"delete :- sessionKeyIs(k'{ALICE}')",
+    )
+    assert policy.ok
+    for key in keys:
+        assert controller.put(
+            ALICE, key, rng.randbytes(100), policy_id=policy.policy_id
+        ).ok
+    for key in rng.choices(keys, k=200):
+        assert controller.put(ALICE, key, rng.randbytes(100)).ok
+    for key in rng.choices(keys, k=200):
+        assert controller.get(ALICE, key).ok
+    for start in rng.choices(keys, k=20):
+        response = controller.handle(
+            Request(method="scan", key=start, scan_count=rng.randint(1, 50)),
+            ALICE,
+        )
+        assert response.ok
+    for key in keys:
+        assert controller.delete(ALICE, key).ok
+    return ops
+
+
+def test_failure_free_drive_op_sequence_is_the_recorded_one():
+    ops = _scripted_run()
+    assert len(ops) == DRIVE_OP_COUNT
+    digest = hashlib.sha256("\n".join(ops).encode()).hexdigest()
+    assert digest == DRIVE_OP_SEQUENCE_SHA256
+
+
+def _source(module) -> str:
+    return Path(module.__file__).read_text()
+
+
+def test_store_has_one_read_walk():
+    source = _source(store_module)
+    assert len(re.findall(
+        r"except \(DriveOffline, TransientIOError\)", source
+    )) <= 5
+    # One drive GET, one key-range call, one inline re-seed loop
+    # (``_put_replica`` is the other forced PUT).
+    assert len(re.findall(r"\.get\(disk_key\)", source)) == 1
+    assert source.count("get_key_range(") == 1
+    assert source.count("force=True") == 3  # put, re-seed, delete
+    assert source.count("self._verifying()") <= 3
+    for literal in ('b"val:"', 'b"meta:"', 'b"policy:"'):
+        assert source.count(literal) == 1, literal
+
+
+def test_nothing_outside_the_store_asks_whether_it_verifies():
+    """The content hash always anchors a value read, so no caller has a
+    reason to know which metadata rule is in force."""
+    package = Path(store_module.__file__).parents[1]
+    askers = {
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        if "_verifying" in path.read_text()
+    }
+    assert askers == {"core/store.py"}
+    view = _source(store_module).split("class StoreBackedView", 1)[1]
+    assert "_verifying" not in view
+
+
+def test_the_store_constructor_took_no_new_option():
+    parameters = inspect.signature(store_module.ObjectStore.__init__).parameters
+    assert list(parameters) == [
+        "self", "clients", "storage_key", "replication_factor",
+        "keep_history", "effects", "version_metadata_window", "telemetry",
+        "write_quorum", "breaker_threshold", "breaker_cooldown_ops",
+    ]
