@@ -356,10 +356,31 @@ class _Analyzer:
                 self.bind(gen.target, self.tx(gen.iter))
             return self.tx(node.key).union(self.tx(node.value))
         if isinstance(node, ast.Lambda):
-            return EMPTY
+            return self._tx_lambda(node)
         if isinstance(node, (ast.Slice,)):
             return EMPTY
         return EMPTY
+
+    def _tx_lambda(self, node: ast.Lambda) -> Taint:
+        """Walk a lambda's body where it is defined.
+
+        It runs later but reads this scope, so a sink crossed in a
+        deferred call (``lambda: self._write_replicas(key, ops)``) is
+        crossed here.  Its own parameters shadow ours, each as tainted
+        as any default.
+        """
+        spec = node.args
+        seeded = _union([
+            self.tx(default)
+            for default in spec.defaults + spec.kw_defaults
+            if default is not None
+        ])
+        names = [arg.arg for arg in ast.walk(spec) if isinstance(arg, ast.arg)]
+        outer = self.env
+        self.env = {**outer, **dict.fromkeys(names, seeded)}
+        result = self.tx(node.body)
+        self.env = outer
+        return result
 
     # -- calls -------------------------------------------------------------
 

@@ -24,7 +24,7 @@ Two taint kinds flow through the analysis:
 
 Sources come in three shapes: **call patterns** (``aead.open(...)``,
 ``enclave.unseal(...)``), **parameter taints** (the ``value`` argument
-of ``ObjectStore.write_value`` — the storage boundary where client
+of ``ObjectStore.store_version`` — the storage boundary where client
 plaintext becomes the store's responsibility), and **names** (any load
 of an identifier like ``_sealing_key`` is key material, wherever it
 appears).
@@ -82,7 +82,7 @@ class ParamSource:
     """A function parameter that is tainted on entry.
 
     These mark the *storage boundary*: once client bytes are handed to
-    ``ObjectStore.write_value`` as ``value``, the store owes them
+    ``ObjectStore.store_version`` as ``value``, the store owes them
     confidentiality — everything downstream must seal before drives.
     """
 
@@ -242,12 +242,6 @@ DEFAULT_REGISTRY = TaintRegistry(
     ),
     param_sources=(
         ParamSource(
-            qualname="ObjectStore.write_value",
-            param="value",
-            kind=KIND_PLAINTEXT,
-            reason="client object content at the storage boundary",
-        ),
-        ParamSource(
             qualname="ObjectStore.store_version",
             param="value",
             kind=KIND_PLAINTEXT,
@@ -318,6 +312,13 @@ DEFAULT_REGISTRY = TaintRegistry(
             receiver_hints=_DRIVE_RECEIVERS,
             kinds=BOTH,
             message="secret-derived argument in a raw drive delete",
+        ),
+        CallSink(
+            sink_id="drive-write",
+            method="commit",
+            receiver_hints=_DRIVE_RECEIVERS,
+            kinds=BOTH,
+            message="unsealed data in a commit frame to a Kinetic drive",
         ),
         CallSink(
             sink_id="metric-label",

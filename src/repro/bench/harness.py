@@ -121,10 +121,6 @@ def build_system(
             keep_history=keep_history or version_aware,
             cache=cache_config,
             enforce_policies=enforce_policies,
-            # Versioned benchmarks rewrite hot keys thousands of
-            # times; bound the hot metadata record like any production
-            # versioned store would.
-            version_metadata_window=32 if version_aware else None,
             ssd_cache_entries=ssd_cache_entries,
         ),
     )

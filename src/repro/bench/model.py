@@ -172,8 +172,8 @@ class SystemModel:
             elif kind == DISK_WRITE:
                 writes_seen += 1
                 if writes_seen > 2:
-                    # Value+meta are the first two; further writes are
-                    # replica coordination (§6.3).
+                    # The first replica's value+meta (one ledger entry per
+                    # record of its frame); the rest is replication (§6.3).
                     cpu += self.config.replica_write_cpu
                 disk_ops.append((OP_WRITE, event[1], event[2]))
             elif kind == DISK_DELETE:

@@ -82,9 +82,6 @@ class ControllerConfig:
     #: enforcement" baseline used in §6.2).
     enforce_policies: bool = True
     # -- set differently by more than one bench or example --------------
-    #: Bound on per-version metadata kept per object (see
-    #: :class:`repro.core.store.ObjectStore`); None keeps everything.
-    version_metadata_window: int | None = None
     #: Entries in the untrusted-SSD cache tier's freshness table
     #: (see :mod:`repro.core.ssdcache`); None disables the tier.
     ssd_cache_entries: int | None = None
@@ -214,7 +211,6 @@ class PesosController:
             replication_factor=self.config.replication_factor,
             keep_history=self.config.keep_history,
             effects=self.effects,
-            version_metadata_window=self.config.version_metadata_window,
             telemetry=self.telemetry,
             write_quorum=self.config.write_quorum,
             breaker_threshold=self.config.breaker_threshold,

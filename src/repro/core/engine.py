@@ -17,7 +17,7 @@ path into generators:
   task's — is ever runnable, so execution stays fully deterministic
   and the existing scheduler drives it unchanged.
 - A client-level *interceptor* (:attr:`KineticClient.interceptor`)
-  routes ``get``/``put``/``delete`` through the engine: on a task
+  routes ``get``/``put``/``delete``/``commit`` through the engine: on a task
   thread the call suspends and travels through
   :class:`~repro.sgx.syscalls.AsyncSyscallInterface`; on the main
   thread (bootstrap, load phases) it executes inline.
@@ -464,8 +464,11 @@ class ConcurrentEngine:
         if self.sanitizer.enabled and args:
             # The disk key is the shared state two requests can clobber;
             # report the access on the issuing thread, at submission
-            # time, while the shadow state still attributes to it.
-            self.sanitizer.on_access(args[0], op in ("put", "delete"))
+            # time, while the shadow state still attributes to it.  A
+            # commit frame writes every key it names.
+            keys = [o.key for o in args[0]] if op == "commit" else args[:1]
+            for key in keys:
+                self.sanitizer.on_access(key, op != "get")
         index = self._client_index[id(client)]
         return handle.emit(
             ("syscall", "drive_op", (index, op, args, kwargs))

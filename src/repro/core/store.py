@@ -12,8 +12,11 @@ Placement (§4.5): a deterministic hash of the object key picks the
 primary drive; replicas go on the following positions in the drive
 list.  No replication metadata is kept anywhere.
 
-Writes are write-through (§3.2): content first, then metadata, on
-every replica; :meth:`ObjectStore._write_replicas` holds the quorum
+Writes are write-through (§3.2) and per-key atomic on each replica:
+a new version's content and the metadata record naming it travel in
+one Kinetic ``COMMIT`` frame, applied whole or not at all, so no crash
+leaves new bytes under old metadata; deleting an object is one frame
+per replica too.  :meth:`ObjectStore._write_replicas` holds the quorum
 contract.  Every replica interaction feeds a per-drive circuit breaker
 (:mod:`repro.core.health`).
 
@@ -58,7 +61,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.policy.context import ObjectView, VersionInfo
-from repro.kinetic.protocol import decode_fields, encode_fields
+from repro.kinetic.protocol import Op, decode_fields, encode_fields
 from repro.telemetry import NULL_TELEMETRY
 
 
@@ -136,6 +139,18 @@ def placement(key: str, num_drives: int, replication_factor: int) -> list[int]:
 #: Keys per ``GETKEYRANGE`` page when the caller sets no limit.
 _RANGE_PAGE = 200
 
+#: Versions one ``m/`` record describes.  A PUT re-seals the whole
+#: record for every replica, so this keeps its cost flat in the number
+#: of versions; with history kept it bounds drive space too, because the
+#: frame that drops a version from the record deletes its content.
+VERSION_METADATA_WINDOW = 32
+
+
+def _forced(disk_key: bytes, blob: bytes | None = None) -> Op:
+    """An unconditional PUT, or DELETE (no blob): replicas are
+    overwritten, never compare-and-swapped, so an op can be re-sent."""
+    return Op(disk_key, blob, force=True)
+
 
 class _CannotServe(Exception):
     """One replica cannot serve a read; ``args`` is ``(kind, cause)``.
@@ -148,16 +163,15 @@ class _CannotServe(Exception):
 
 
 class _Walk:
-    """One read's replica order, and what it learned on the way."""
+    """One operation's replica order, and what a read learned on the way."""
 
     def __init__(self, store: "ObjectStore", object_key: str):
         replicas = store._replicas(object_key)
         store.health.tick()
         #: Failover order (§4.5): placement order over the healthy
         #: drives; breaker-open ones are asked only as a last resort.
-        self.order = [i for i in replicas if store.health.allow(i)]
-        if len(self.order) < len(replicas):
-            self.order += [i for i in replicas if i not in self.order]
+        self.open = [i for i in replicas if not store.health.allow(i)]
+        self.order = [i for i in replicas if i not in self.open] + self.open
         #: An acknowledged write reached ``write_quorum`` replicas, so
         #: this many definitive replies intersect every one of them:
         #: enough "not found" prove absence, enough records hold the
@@ -199,7 +213,6 @@ class ObjectStore:
         replication_factor: int = 1,
         keep_history: bool = True,
         effects=None,
-        version_metadata_window: int | None = None,
         telemetry=None,
         write_quorum: int | None = None,
         breaker_threshold: int = 3,
@@ -234,12 +247,6 @@ class ObjectStore:
         #: pinned Merkle root and mutations pin a new root
         #: (:mod:`repro.core.freshness`).
         self.freshness = None
-        #: When set, only the newest N versions keep per-version
-        #: metadata (size/hash/policy-hash) in the hot ``m/`` record;
-        #: older version *values* stay on disk but are no longer
-        #: addressable through the API.  Bounds metadata growth for
-        #: frequently rewritten versioned objects.
-        self.version_metadata_window = version_metadata_window
         self.effects = effects or NullRecorder()
         self._aead = StreamAead(storage_key)
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -277,8 +284,8 @@ class ObjectStore:
         """Route every client's data ops through ``interceptor``.
 
         The concurrent request engine installs its preemption hook
-        here so each drive ``get``/``put``/``delete`` suspends the
-        calling green thread; ``None`` restores inline execution.
+        here so each drive ``get``/``put``/``delete``/``commit`` suspends
+        the calling green thread; ``None`` restores inline execution.
         Store code is oblivious either way — the synchronous call
         contract of :class:`repro.kinetic.client.KineticClient` holds
         whether the call ran inline or through the async interface.
@@ -542,98 +549,82 @@ class ObjectStore:
         self.effects.record(ENCRYPT, len(blob))
         return nonce + self._aead.seal(nonce, blob, aad)
 
-    def _write_replicas(self, object_key: str, disk_key: bytes,
-                        blob: bytes, kind: str = KIND_OBJECT) -> int:
-        """Write to every replica; succeed iff ``write_quorum`` held.
+    def _write_replicas(self, object_key: str, ops: list[Op],
+                        kind: str = KIND_OBJECT) -> int:
+        """Send ``ops`` to every replica; succeed iff ``write_quorum`` held.
 
-        Breaker-open drives are skipped up front (no timeout paid) but
-        retried as a last resort if the quorum would otherwise fail.
-        Acknowledged writes below full replication journal the key so
-        anti-entropy can converge the lagging replicas; below quorum
-        the write raises :class:`ReplicationDegraded` — and the key is
-        still journaled when *some* replica took the write, because
-        that replica now diverges from the rest.
+        Each replica takes all of ``ops`` or none (:meth:`_send`).
+        Breaker-open drives are skipped (no timeout paid) unless the
+        quorum would otherwise fail.  Acknowledged writes below full
+        replication journal the key for anti-entropy; below quorum the
+        write raises :class:`ReplicationDegraded`, still journaled when
+        *some* replica took it and now diverges from the rest.
         """
-        instrumented = self.telemetry.enabled
-        started = _time.perf_counter() if instrumented else 0.0
+        nbytes = sum(len(op.value) for op in ops if op.value is not None)
+        walk = _Walk(self, object_key)
+        quorum = min(self.write_quorum, len(walk.order))
         wrote = 0
-        missed: list[int] = []
-        skipped: list[int] = []
-        with self.telemetry.span(
-            "kinetic.put", key=object_key, bytes=len(blob)
-        ):
-            replicas = self._replicas(object_key)
-            self.health.tick()
-            for index in replicas:
-                if not self.health.allow(index):
-                    skipped.append(index)
-                    continue
-                if self._put_replica(index, disk_key, blob):
+        behind: list[int] = []
+        with self.telemetry.span("kinetic.put", key=object_key, bytes=nbytes):
+            for index in walk.order:
+                if index in walk.open and wrote >= quorum:
+                    behind.append(index)
+                elif self._send(index, ops):
                     wrote += 1
                 else:
-                    missed.append(index)
-            quorum = min(self.write_quorum, len(replicas))
-            if wrote < quorum and skipped:
-                # Last resort: probe breaker-open drives rather than
-                # refusing a write that could still meet quorum.
-                still_skipped = []
-                for index in skipped:
-                    if wrote < quorum and self._put_replica(
-                        index, disk_key, blob
-                    ):
-                        wrote += 1
-                    else:
-                        still_skipped.append(index)
-                skipped = still_skipped
-        if instrumented:
+                    behind.append(index)
+        if self.telemetry.enabled:
             self._h_drive_op.labels("write").observe(
-                _time.perf_counter() - started
+                _time.perf_counter() - walk.started
             )
-            self._m_drive_bytes.labels("written").inc(wrote * len(blob))
-        behind = missed + skipped
+            self._m_drive_bytes.labels("written").inc(wrote * nbytes)
         if wrote < quorum:
             self._m_degraded.labels("refused").inc()
             if wrote:
                 self.journal.mark(kind, object_key, behind)
             raise ReplicationDegraded(
                 f"wrote {wrote}/{quorum} required replicas of "
-                f"{object_key!r} ({len(replicas)} placed)"
+                f"{object_key!r} ({len(walk.order)} placed)"
             )
         if behind:
             self._m_degraded.labels("partial").inc()
             self.journal.mark(kind, object_key, behind)
         return wrote
 
-    def _put_replica(self, index: int, disk_key: bytes, blob: bytes) -> bool:
+    def _send(self, index: int, ops: list[Op]) -> bool:
+        """One replica's share of a mutation; False when unreachable.
+
+        One record is a plain PUT, more are one all-or-none ``COMMIT``
+        frame; the effects ledger sees one entry per record either way
+        (the DES model is calibrated to a two-record PUT).
+        """
+        client = self.clients[index]
         try:
-            self.clients[index].put(disk_key, blob, force=True)
+            if len(ops) == 1 and ops[0].value is not None:
+                client.put(ops[0].key, ops[0].value, force=True)
+            else:
+                client.commit(ops)
         except (DriveOffline, TransientIOError):
             self.health.record_failure(index)
             self._m_replica_failures.labels("offline").inc()
             return False
         self.health.record_success(index)
-        self.effects.record(DISK_WRITE, index, len(blob))
+        for op in ops:
+            kind = DISK_DELETE if op.value is None else DISK_WRITE
+            self.effects.record(kind, index, len(op.value or b""))
         return True
 
-    def _delete_all_replicas(self, object_key: str, disk_key: bytes) -> None:
+    def _delete_all_replicas(self, object_key: str, ops: list[Op]) -> None:
+        """Send a frame of DELETEs to every replica, best effort."""
         instrumented = self.telemetry.enabled
         started = _time.perf_counter() if instrumented else 0.0
         with self.telemetry.span("kinetic.delete", key=object_key):
             self.health.tick()
             for index in self._replicas(object_key):
-                client = self.clients[index]
-                try:
-                    client.delete(disk_key, force=True)
-                    self.health.record_success(index)
-                    self.effects.record(DISK_DELETE, index, 0)
-                except KineticNotFound:
-                    self.health.record_success(index)
-                except (DriveOffline, TransientIOError):
-                    self.health.record_failure(index)
-                    # Best effort: the unreachable replica keeps its
-                    # copy, so journal the key for a later scrub.  A
-                    # tombstone-free store cannot make partial deletes
-                    # fully durable (see docs/resilience.md).
+                if not self._send(index, ops):
+                    # The unreachable replica keeps its copy: journal
+                    # the key for a later scrub.  Without tombstones a
+                    # partial delete is not durable (docs/resilience.md).
                     self.journal.mark(KIND_OBJECT, object_key, (index,))
         if instrumented:
             self._h_drive_op.labels("delete").observe(
@@ -886,13 +877,14 @@ class ObjectStore:
         return self._read_newest(key, disk_key, aad)
 
     def write_meta(self, meta: StoredMeta) -> None:
+        """Rewrite the metadata record alone (repair, re-binding)."""
         plain = meta.encode()
         disk_key, aad = self._meta_record(meta.key)
-        blob = self._seal(plain, aad)
+        ops = [_forced(disk_key, self._seal(plain, aad))]
         self._pinned_write(
             object_label(meta.key),
             plain,
-            lambda: self._write_replicas(meta.key, disk_key, blob),
+            lambda: self._write_replicas(meta.key, ops),
         )
 
     # -- object content ------------------------------------------------------------
@@ -909,17 +901,13 @@ class ObjectStore:
                 key, disk_key, aad, KIND_OBJECT, expect_sha256
             )
 
-    def write_value(self, key: str, version: int, value: bytes) -> None:
-        disk_key, aad = self._value_record(key, version)
-        blob = self._seal(value, aad)
-        self._write_replicas(key, disk_key, blob)
-
     # -- whole-object operations -----------------------------------------------------
 
     def store_version(
         self, meta: StoredMeta, value: bytes, policy_hash: str
     ) -> StoredMeta:
-        """Write the next version of an object (content then metadata)."""
+        """Write the next version of an object: content and the
+        metadata record naming it, together or not at all per replica."""
         new_version = meta.current_version + 1
         with self.telemetry.span(
             "store.store_version",
@@ -933,37 +921,55 @@ class ObjectStore:
         self, meta: StoredMeta, value: bytes, policy_hash: str,
         new_version: int,
     ) -> StoredMeta:
-        self.write_value(meta.key, new_version, value)
-        old = meta.latest()
-        meta.current_version = new_version
-        meta.versions[new_version] = VersionMeta(
+        key = meta.key
+        # ``meta`` (usually the cached record) changes only once the
+        # write is acknowledged; until then this is a private copy.
+        versions = dict(meta.versions)
+        versions[new_version] = VersionMeta(
             version=new_version,
             size=len(value),
             content_hash=hashlib.sha256(value).hexdigest(),
             policy_hash=policy_hash,
         )
-        window = self.version_metadata_window
-        if window is not None and len(meta.versions) > window:
-            for stale in sorted(meta.versions)[:-window]:
-                del meta.versions[stale]
-        self.write_meta(meta)
-        if not self.keep_history and old is not None:
+        dropped = sorted(versions)[:-VERSION_METADATA_WINDOW]
+        for stale in dropped:
+            del versions[stale]
+        plain = StoredMeta(key, new_version, meta.policy_id, versions).encode()
+        disk_key, aad = self._value_record(key, new_version)
+        blob = self._seal(value, aad)
+        ops = [_forced(disk_key, blob)]
+        disk_key, aad = self._meta_record(key)
+        ops.append(_forced(disk_key, self._seal(plain, aad)))
+        if self.keep_history:
+            # Out of the record means unreachable: free the content.
+            # (Without history the one slot was just overwritten.)
+            ops += [_forced(self.value_key(key, stale)) for stale in dropped]
+        self._pinned_write(
+            object_label(key), plain,
+            lambda: self._write_replicas(key, ops),
+        )
+        if not self.keep_history:
             # The new value overwrote the latest slot in place; only
-            # the metadata record needs pruning.
-            del meta.versions[old.version]
+            # the in-memory record needs pruning.
+            versions.pop(meta.current_version, None)
+        meta.current_version = new_version
+        meta.versions = versions
         return meta
 
     def delete_object(self, meta: StoredMeta) -> None:
-        """Remove every version and the metadata record."""
-        def delete() -> None:
-            # Without history one slot backs every version: delete once.
-            for slot in dict.fromkeys(map(self._slot, meta.versions)):
-                self._delete_all_replicas(
-                    meta.key, self.value_key(meta.key, slot)
-                )
-            self._delete_all_replicas(meta.key, self.meta_key(meta.key))
-
-        self._pinned_write(object_label(meta.key), None, delete)
+        """Remove every version and the metadata record, one frame per
+        replica: a replica holds the whole object or none of it."""
+        key = meta.key
+        # Without history one slot backs every version: delete once.
+        ops = [
+            _forced(self.value_key(key, slot))
+            for slot in dict.fromkeys(map(self._slot, meta.versions))
+        ]
+        ops.append(_forced(self.meta_key(key)))
+        self._pinned_write(
+            object_label(key), None,
+            lambda: self._delete_all_replicas(key, ops),
+        )
 
     # -- integrity maintenance ---------------------------------------------------
 
@@ -1036,7 +1042,7 @@ class ObjectStore:
             policy_label(policy_id),
             blob,
             lambda: self._write_replicas(
-                policy_id, disk_key, sealed, kind=KIND_POLICY
+                policy_id, [_forced(disk_key, sealed)], kind=KIND_POLICY
             ),
         )
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import DriveOffline, TransientIOError
 from repro.faults.schedule import DriveFaultSpec, FaultSchedule
-from repro.kinetic.drive import _Entry
+from repro.kinetic.drive import KineticDrive, _Entry
 from repro.kinetic.protocol import Message, MessageType
 
 
@@ -102,6 +102,11 @@ class FaultyDrive:
         self._local_op += 1
         if request.message_type == MessageType.PUT:
             self._retain(request.body.get("key"))
+        elif request.message_type == MessageType.COMMIT:
+            # Every record overwritten stocks the replay buffer.
+            for op in KineticDrive._parse_ops(request.body) or ():
+                if op.value is not None:
+                    self._retain(op.key)
         decision = self._schedule.decide(local_op)
         if decision.clean:
             return self._inner.handle(request)

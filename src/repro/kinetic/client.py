@@ -28,25 +28,24 @@ from repro.errors import (
     KineticVersionMismatch,
 )
 from repro.kinetic.drive import KineticDrive, Role
-from repro.kinetic.protocol import Message, MessageType, StatusCode
+from repro.kinetic.protocol import Message, MessageType, Op, StatusCode
 from repro.kinetic.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY
+
+
+def _estimate_value(value) -> int:
+    if isinstance(value, (bytes, str)):
+        return len(value)
+    if isinstance(value, (list, tuple)):  # key lists, COMMIT ops
+        return sum(map(_estimate_value, value))
+    return 8
 
 
 def _estimate_size(message: Message) -> int:
     """Approximate wire size without encoding (fast-path accounting)."""
     size = 64  # header, hmac, framing
     for key, value in message.body.items():
-        size += len(key) + 4
-        if isinstance(value, (bytes, str)):
-            size += len(value)
-        elif isinstance(value, list):
-            size += sum(
-                len(item) if isinstance(item, (bytes, str)) else 8
-                for item in value
-            )
-        else:
-            size += 8
+        size += len(key) + 4 + _estimate_value(value)
     return size
 
 
@@ -87,7 +86,7 @@ class KineticClient:
         self._key = hmac_key
         self._sequence = 0
         #: When set, the data-path operations (``get``/``put``/
-        #: ``delete``) are routed through ``interceptor(client, op,
+        #: ``delete``/``commit``) are routed through ``interceptor(client, op,
         #: args, kwargs)`` instead of executing inline.  The concurrent
         #: request engine uses this to suspend the calling green thread
         #: and submit the call on the async syscall interface; the
@@ -227,16 +226,11 @@ class KineticClient:
         db_version: bytes = b"",
         new_version: bytes | None = None,
         force: bool = False,
-        batch: int | None = None,
-    ) -> bytes | None:
-        """Store ``value``; returns the new dbVersion.
-
-        With ``batch`` set, the operation is buffered on the drive
-        until :meth:`end_batch` commits it (returns None).
-        """
+    ) -> bytes:
+        """Store ``value``; returns the new dbVersion."""
         return self._routed(
             "put", key, value, db_version=db_version,
-            new_version=new_version, force=force, batch=batch,
+            new_version=new_version, force=force,
         )
 
     def _put(
@@ -246,8 +240,7 @@ class KineticClient:
         db_version: bytes = b"",
         new_version: bytes | None = None,
         force: bool = False,
-        batch: int | None = None,
-    ) -> bytes | None:
+    ) -> bytes:
         body: dict[str, Any] = {
             "key": key,
             "value": value,
@@ -256,10 +249,8 @@ class KineticClient:
         }
         if new_version is not None:
             body["new_version"] = new_version
-        if batch is not None:
-            body["batch"] = batch
         response = self._roundtrip(MessageType.PUT, body)
-        return response.body.get("new_version")
+        return response.body["new_version"]
 
     def get(self, key: bytes) -> tuple[bytes, bytes]:
         """Fetch ``key``; returns ``(value, db_version)``."""
@@ -278,25 +269,28 @@ class KineticClient:
         key: bytes,
         db_version: bytes = b"",
         force: bool = False,
-        batch: int | None = None,
     ) -> None:
-        self._routed(
-            "delete", key, db_version=db_version, force=force, batch=batch
-        )
+        self._routed("delete", key, db_version=db_version, force=force)
 
     def _delete(
         self,
         key: bytes,
         db_version: bytes = b"",
         force: bool = False,
-        batch: int | None = None,
     ) -> None:
-        body: dict[str, Any] = {
-            "key": key, "db_version": db_version, "force": force,
-        }
-        if batch is not None:
-            body["batch"] = batch
-        self._roundtrip(MessageType.DELETE, body)
+        self._roundtrip(
+            MessageType.DELETE,
+            {"key": key, "db_version": db_version, "force": force},
+        )
+
+    def commit(self, ops: list[Op]) -> int:
+        """Apply ``ops`` all-or-none, in one frame; returns records applied
+        (a forced DELETE of an absent key applies nothing, without error)."""
+        return self._routed("commit", ops)
+
+    def _commit(self, ops: list[Op]) -> int:
+        response = self._roundtrip(MessageType.COMMIT, {"ops": ops})
+        return response.body["applied"]
 
     def get_next(self, key: bytes) -> tuple[bytes, bytes, bytes]:
         response = self._roundtrip(MessageType.GETNEXT, {"key": key})
@@ -361,21 +355,6 @@ class KineticClient:
 
     def noop(self) -> None:
         self._roundtrip(MessageType.NOOP, {})
-
-    # -- batches ---------------------------------------------------------------
-
-    def start_batch(self) -> int:
-        """Open an atomic batch; returns the drive's batch id."""
-        response = self._roundtrip(MessageType.START_BATCH, {})
-        return response.body["batch"]
-
-    def end_batch(self, batch: int) -> int:
-        """Commit a batch atomically; returns ops applied."""
-        response = self._roundtrip(MessageType.END_BATCH, {"batch": batch})
-        return response.body["applied"]
-
-    def abort_batch(self, batch: int) -> None:
-        self._roundtrip(MessageType.ABORT_BATCH, {"batch": batch})
 
     def flush(self) -> None:
         self._roundtrip(MessageType.FLUSHALLDATA, {})

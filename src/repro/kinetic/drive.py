@@ -7,6 +7,14 @@ deletes, ordered range scans, peer-to-peer push to other drives, and a
 SECURITY operation that atomically replaces the account table — the
 primitive Pesos uses at bootstrap to lock out every other user,
 including the cloud provider.
+
+A multi-record write is one ``COMMIT`` frame of
+:class:`~repro.kinetic.protocol.Op`, authenticated and authorised
+once.  The drive *validates* every op in order against the state the
+ops before it would leave (``db_version`` unless forced, then capacity
+for the whole frame) and only then *applies* them all; a refusal
+leaves the keyspace untouched.  A forced DELETE of an absent key is a
+no-op, not a refusal, so a record can be retired blind.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.crypto.certs import Certificate, CertificateAuthority, KeyPair
 from repro.errors import DriveOffline, KineticError
-from repro.kinetic.protocol import Message, MessageType, StatusCode
+from repro.kinetic.protocol import Message, MessageType, Op, StatusCode
 
 
 class Role(enum.Flag):
@@ -72,9 +80,7 @@ _REQUIRED_ROLE = {
     MessageType.SETUP: Role.SETUP,
     MessageType.FLUSHALLDATA: Role.WRITE,
     MessageType.NOOP: Role.READ,
-    MessageType.START_BATCH: Role.WRITE,
-    MessageType.END_BATCH: Role.WRITE,
-    MessageType.ABORT_BATCH: Role.WRITE,
+    MessageType.COMMIT: Role.WRITE | Role.DELETE,
 }
 
 
@@ -131,9 +137,6 @@ class KineticDrive:
         self._used_bytes = 0
         self.stats = DriveStats()
         self._peers: dict[str, "KineticDrive"] = {}
-        #: Open batches: batch id -> list of buffered op messages.
-        self._batches: dict[int, list] = {}
-        self._next_batch_id = 1
         # Each drive carries a unique identity certificate so replacing
         # the physical drive (a rollback attack) is detectable (§2.4).
         self._identity: KeyPair | None = (
@@ -207,7 +210,7 @@ class KineticDrive:
                 ),
                 acl,
             )
-        if not acl.roles & required:
+        if acl.roles & required != required:
             return self._signed(
                 request.make_response(
                     StatusCode.NOT_AUTHORIZED,
@@ -215,12 +218,6 @@ class KineticDrive:
                 ),
                 acl,
             )
-
-        # PUT/DELETE carrying a batch id are buffered, not applied.
-        if request.message_type in (
-            MessageType.PUT, MessageType.DELETE
-        ) and request.body.get("batch"):
-            return self._signed(self._buffer_batch_op(request), acl)
 
         handler = getattr(self, f"_op_{request.message_type.name.lower()}")
         return self._signed(handler(request), acl)
@@ -231,34 +228,16 @@ class KineticDrive:
     # -- data operations -----------------------------------------------------
 
     def _op_put(self, request: Message) -> Message:
-        key = request.body["key"]
-        value = request.body["value"]
-        expected = request.body.get("db_version") or b""
-        new_version = request.body.get("new_version") or secrets.token_bytes(8)
-        force = bool(request.body.get("force"))
-
-        entry = self._entries.get(key)
-        current = entry.version if entry else b""
-        if not force and current != expected:
-            self.stats.version_failures += 1
-            return request.make_response(
-                StatusCode.VERSION_MISMATCH,
-                status_message="stale dbVersion",
-                body={"current_version": current},
-            )
-        delta = len(value) - (len(entry.value) if entry else 0)
-        if self._used_bytes + delta > self.capacity_bytes:
-            return request.make_response(
-                StatusCode.NO_SPACE, status_message="drive full"
-            )
-        if entry is None:
-            bisect.insort(self._sorted_keys, key)
-        self._entries[key] = _Entry(value=value, version=new_version)
-        self._used_bytes += delta
-        self.stats.puts += 1
-        self.stats.bytes_written += len(value)
+        body = request.body
+        refusal, plan = self._plan([Op(
+            body["key"], body["value"], body.get("db_version") or b"",
+            body.get("new_version") or None, bool(body.get("force")),
+        )])
+        if refusal:
+            return request.make_response(*refusal)
+        self._apply(plan)
         return request.make_response(
-            StatusCode.SUCCESS, body={"new_version": new_version}
+            StatusCode.SUCCESS, body={"new_version": plan[0][2]}
         )
 
     def _op_get(self, request: Message) -> Message:
@@ -285,22 +264,17 @@ class KineticDrive:
         )
 
     def _op_delete(self, request: Message) -> Message:
-        key = request.body["key"]
-        expected = request.body.get("db_version") or b""
-        force = bool(request.body.get("force"))
-        entry = self._entries.get(key)
-        if entry is None:
-            return request.make_response(StatusCode.NOT_FOUND)
-        if not force and entry.version != expected:
-            self.stats.version_failures += 1
-            return request.make_response(
-                StatusCode.VERSION_MISMATCH, status_message="stale dbVersion"
-            )
-        del self._entries[key]
-        index = bisect.bisect_left(self._sorted_keys, key)
-        del self._sorted_keys[index]
-        self._used_bytes -= len(entry.value)
-        self.stats.deletes += 1
+        body = request.body
+        refusal, plan = self._plan([Op(
+            body["key"], None, body.get("db_version") or b"",
+            force=bool(body.get("force")),
+        )])
+        if not refusal and not plan:
+            # On its own, even a forced DELETE reports the absent key.
+            refusal = (StatusCode.NOT_FOUND,)
+        if refusal:
+            return request.make_response(*refusal)
+        self._apply(plan)
         return request.make_response(StatusCode.SUCCESS)
 
     def _op_getnext(self, request: Message) -> Message:
@@ -365,93 +339,96 @@ class KineticDrive:
         # Our keyspace is always durable in-model; flush is a no-op ack.
         return request.make_response(StatusCode.SUCCESS)
 
-    # -- batch operations (atomic multi-op commits) ---------------------------
+    # -- validate, then apply: every PUT/DELETE, alone or in a frame -------
 
-    def _op_start_batch(self, request: Message) -> Message:
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
-        self._batches[batch_id] = []
-        return request.make_response(
-            StatusCode.SUCCESS, body={"batch": batch_id}
+    @staticmethod
+    def _parse_ops(body: dict) -> list[Op] | None:
+        """The frame's ops, or None when the body is not a list of them."""
+        try:
+            ops = [Op(*item) for item in body["ops"]]
+        except (KeyError, TypeError):
+            return None
+        optional_bytes = (bytes, type(None))
+        well_formed = all(
+            isinstance(op.key, bytes)
+            and isinstance(op.value, optional_bytes)
+            and isinstance(op.db_version, bytes)
+            and isinstance(op.new_version, optional_bytes)
+            for op in ops
         )
+        return ops if well_formed else None
 
-    def _buffer_batch_op(self, request: Message) -> Message:
-        batch_id = int(request.body["batch"])
-        if batch_id not in self._batches:
-            return request.make_response(
-                StatusCode.INVALID_REQUEST,
-                status_message=f"no open batch {batch_id}",
-            )
-        self._batches[batch_id].append(request)
-        return request.make_response(StatusCode.SUCCESS)
-
-    def _op_end_batch(self, request: Message) -> Message:
-        """Validate every buffered op, then apply all or none."""
-        batch_id = int(request.body["batch"])
-        ops = self._batches.pop(batch_id, None)
+    def _op_commit(self, request: Message) -> Message:
+        """Validate every op of the frame, then apply all or none."""
+        ops = self._parse_ops(request.body)
         if ops is None:
             return request.make_response(
-                StatusCode.INVALID_REQUEST,
-                status_message=f"no open batch {batch_id}",
+                StatusCode.INVALID_REQUEST, status_message="malformed ops"
             )
-        # Phase 1: validation against current state (versions, space).
-        space_delta = 0
-        staged_versions: dict[bytes, bytes] = {}
-        for op in ops:
-            key = op.body["key"]
-            entry = self._entries.get(key)
-            current = staged_versions.get(
-                key, entry.version if entry else b""
-            )
-            expected = op.body.get("db_version") or b""
-            if not op.body.get("force") and current != expected:
-                self.stats.version_failures += 1
-                return request.make_response(
-                    StatusCode.VERSION_MISMATCH,
-                    status_message=f"batch aborted: stale version for "
-                                   f"{key!r}",
-                )
-            if op.message_type == MessageType.PUT:
-                old_size = (
-                    len(entry.value) if entry and key not in staged_versions
-                    else 0
-                )
-                space_delta += len(op.body["value"]) - old_size
-                staged_versions[key] = (
-                    op.body.get("new_version") or secrets.token_bytes(8)
-                )
-            else:  # DELETE
-                if entry is None and key not in staged_versions:
-                    return request.make_response(
-                        StatusCode.NOT_FOUND,
-                        status_message=f"batch aborted: no key {key!r}",
-                    )
-                staged_versions[key] = b""
-        if self._used_bytes + space_delta > self.capacity_bytes:
-            return request.make_response(
-                StatusCode.NO_SPACE, status_message="batch aborted: full"
-            )
-        # Phase 2: apply in order.
-        for op in ops:
-            op.body["force"] = True  # versions were validated above
-            if op.message_type == MessageType.PUT:
-                if "new_version" not in op.body or not op.body["new_version"]:
-                    op.body["new_version"] = staged_versions[op.body["key"]]
-                self._op_put(op)
-            else:
-                self._op_delete(op)
+        refusal, plan = self._plan(ops)
+        if refusal:
+            return request.make_response(*refusal)
+        self._apply(plan)
         return request.make_response(
-            StatusCode.SUCCESS, body={"applied": len(ops)}
+            StatusCode.SUCCESS, body={"applied": len(plan)}
         )
 
-    def _op_abort_batch(self, request: Message) -> Message:
-        batch_id = int(request.body["batch"])
-        if self._batches.pop(batch_id, None) is None:
-            return request.make_response(
-                StatusCode.INVALID_REQUEST,
-                status_message=f"no open batch {batch_id}",
+    def _plan(self, ops: list[Op]) -> tuple[tuple | None, list]:
+        """Validate ``ops`` in order; ``(refusal, writes to carry out)``.
+
+        ``refusal`` is None or the ``make_response`` arguments that turn
+        the request down.  ``staged`` is what the ops so far leave under
+        each key they touch (None once deleted).
+        """
+        staged: dict[bytes, _Entry | None] = {}
+        plan: list[tuple[bytes, bytes | None, bytes]] = []
+        space_delta = 0
+        for op in ops:
+            entry = (
+                staged[op.key] if op.key in staged
+                else self._entries.get(op.key)
             )
-        return request.make_response(StatusCode.SUCCESS)
+            version, size = (
+                (entry.version, len(entry.value)) if entry else (b"", 0)
+            )
+            if not op.force and version != op.db_version:
+                self.stats.version_failures += 1
+                return (
+                    StatusCode.VERSION_MISMATCH,
+                    {"current_version": version},
+                    f"stale dbVersion for {op.key!r}",
+                ), []
+            if op.value is not None:
+                new_version = op.new_version or secrets.token_bytes(8)
+                staged[op.key] = _Entry(op.value, new_version)
+                space_delta += len(op.value) - size
+                plan.append((op.key, op.value, new_version))
+            elif entry is not None:
+                staged[op.key] = None
+                space_delta -= size
+                plan.append((op.key, None, b""))
+            elif not op.force:
+                return (
+                    StatusCode.NOT_FOUND, None, f"no key {op.key!r}"
+                ), []
+            # else: a forced DELETE of an absent key, which is a no-op.
+        if self._used_bytes + space_delta > self.capacity_bytes:
+            return (StatusCode.NO_SPACE, None, "drive full"), []
+        return None, plan
+
+    def _apply(self, plan: list) -> None:
+        """Carry out a validated plan, in order; nothing here can refuse."""
+        for key, value, version in plan:
+            if value is None:
+                entry = self._entries.pop(key)
+                index = bisect.bisect_left(self._sorted_keys, key)
+                del self._sorted_keys[index]
+                self._used_bytes -= len(entry.value)
+                self.stats.deletes += 1
+            else:
+                self._entries_put_raw(key, value, version)
+                self.stats.puts += 1
+                self.stats.bytes_written += len(value)
 
     # -- management operations -----------------------------------------------
 

@@ -25,6 +25,12 @@ an unknown version is an error (there is no fallback decoder), and the
 TLV body must be byte-for-byte what :func:`encode_fields` would emit —
 so no two frames decode to the same message.
 
+A ``COMMIT`` request is the one multi-record write: its body is
+``{"ops": [op, ...]}``, each :class:`Op` the list ``[key, value,
+db_version, new_version, force]`` (``value`` None: a DELETE;
+``new_version`` None: the drive picks one).  One signed frame, so the
+drive authenticates once and applies every op or none.
+
 The TLV encoding is also the at-rest format of ``StoredMeta`` records
 and compiled policies (whose SHA-256 is the policy id); its bytes are
 pinned by golden vectors in ``tests/kinetic/test_codec.py``.
@@ -36,6 +42,7 @@ import enum
 import hmac as hmac_mod
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import KineticError
 from repro.util.varint import decode_varint, encode_varint
@@ -70,12 +77,8 @@ class MessageType(enum.IntEnum):
     GETLOG_RESPONSE = 24
     FLUSHALLDATA = 25
     FLUSHALLDATA_RESPONSE = 26
-    START_BATCH = 27
-    START_BATCH_RESPONSE = 28
-    END_BATCH = 29
-    END_BATCH_RESPONSE = 30
-    ABORT_BATCH = 31
-    ABORT_BATCH_RESPONSE = 32
+    COMMIT = 27
+    COMMIT_RESPONSE = 28
 
 
 class StatusCode(enum.IntEnum):
@@ -106,9 +109,7 @@ _RESPONSE_OF = {
     MessageType.NOOP: MessageType.NOOP_RESPONSE,
     MessageType.GETLOG: MessageType.GETLOG_RESPONSE,
     MessageType.FLUSHALLDATA: MessageType.FLUSHALLDATA_RESPONSE,
-    MessageType.START_BATCH: MessageType.START_BATCH_RESPONSE,
-    MessageType.END_BATCH: MessageType.END_BATCH_RESPONSE,
-    MessageType.ABORT_BATCH: MessageType.ABORT_BATCH_RESPONSE,
+    MessageType.COMMIT: MessageType.COMMIT_RESPONSE,
 }
 
 
@@ -118,6 +119,17 @@ def response_type(request_type: MessageType) -> MessageType:
         return _RESPONSE_OF[request_type]
     except KeyError:
         raise KineticError(f"{request_type!r} is not a request type") from None
+
+
+class Op(NamedTuple):
+    """One PUT (``value`` bytes) or DELETE (``value`` None) of a COMMIT;
+    encodes as a five-element TLV list."""
+
+    key: bytes
+    value: bytes | None
+    db_version: bytes = b""
+    new_version: bytes | None = None
+    force: bool = False
 
 
 # ---------------------------------------------------------------------------

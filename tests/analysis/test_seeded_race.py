@@ -57,6 +57,30 @@ def test_locked_engine_is_race_and_deadlock_free(seed):
     assert exploration.sanitizer_findings == []
 
 
+def test_commit_frame_reports_one_write_access_per_key():
+    """A PUT's value and ``m/`` record travel in one frame; the shadow
+    state must see both disk keys written, not one unhashable list."""
+    from repro.core.request import Request
+
+    controller = build_small_system(1)
+    shadow = ShadowState()
+    with ConcurrentEngine(controller, seed=1, sanitizer=shadow) as engine:
+        response, = engine.run_batch(
+            [Request(method="put", key="framed", value=b"v")], "fp"
+        )
+    assert response.ok
+    written = [
+        event[2] for event in shadow.events
+        if event[0] == "access" and event[3] == "w"
+    ]
+    replicas = controller.store.replication_factor
+    assert sorted(set(written)) == [
+        b"m/framed", controller.store._value_record("framed", 0)[0],
+    ]
+    assert len(written) == 2 * replicas
+    assert engine.stats.drive_ops >= replicas  # one submission per frame
+
+
 def test_lock_order_graph_of_real_runs_is_acyclic():
     controller = build_small_system(5)
     requests, _ = make_workload(controller, 5, 26)

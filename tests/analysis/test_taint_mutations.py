@@ -11,7 +11,9 @@ Together with ``test_clean_tree_is_silent`` this pins both directions:
 no false positives on the real tree, no false negatives on the eight
 leak classes the threat model bans (drive write, wire frame, metric
 label, span attribute, HTTP body, audit entry, exception message, log
-line — plus the HTTP error-header variant).
+line — plus the commit-frame variant of the drive write, which only
+reaches the drive through a deferred call two functions down, and the
+HTTP error-header variant).
 """
 
 import shutil
@@ -59,7 +61,7 @@ def test_clean_tree_is_silent():
 
 WRITE_VALUE_SEAL = (
     "        blob = self._seal(value, aad)\n"
-    "        self._write_replicas(key, disk_key, blob)"
+    "        ops = [_forced(disk_key, blob)]"
 )
 
 
@@ -71,7 +73,20 @@ def test_unsealed_drive_write_detected(tmp_path):
         WRITE_VALUE_SEAL,
         "        blob = self._seal(value, aad)\n"
         "        self.clients[0].put(disk_key, value, force=True)\n"
-        "        self._write_replicas(key, disk_key, blob)",
+        "        ops = [_forced(disk_key, blob)]",
+    )
+    assert "taint/drive-write" in rules_in(analyze_package(root), STORE)
+
+
+def test_plaintext_in_commit_frame_detected(tmp_path):
+    # Framing the plaintext instead of the sealed blob: the leak is
+    # one op of a list that reaches the drive two calls further down.
+    root = mutate(
+        tmp_path,
+        STORE,
+        WRITE_VALUE_SEAL,
+        "        blob = self._seal(value, aad)\n"
+        "        ops = [_forced(disk_key, value)]",
     )
     assert "taint/drive-write" in rules_in(analyze_package(root), STORE)
 

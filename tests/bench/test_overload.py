@@ -59,9 +59,15 @@ def test_sweep_is_byte_replayable():
 #: ``trace_sha`` of SMOKE points at the last commit with two open-loop
 #: loops (c905a5a), before ``run_open_loop`` replaced them.  Without
 #: admission the FIFO serves everything in arrival order, so the record
-#: does not depend on the offered rate.
+#: does not depend on the offered rate.  The 1x admission point was
+#: re-pinned (was ``fa4c033218217ce8``) when a PUT became three drive
+#: submissions instead of six: calibrated capacity rose 4 739 -> 6 598
+#: ops per virtual second, arrivals and queue deadlines are floats in
+#: units of ``1 / capacity``, and at exactly 1x a few same-round
+#: get/put pairs dispatch in the other order — the same 192
+#: completions, all 200, none shed.
 _PINNED_TRACES = {
-    (1.0, True): "fa4c033218217ce8",
+    (1.0, True): "48aa1c369300675f",
     (1.0, False): "cbf8087d4d102e43",
     (4.0, True): "0d4d530476481a0a",
     (4.0, False): "cbf8087d4d102e43",
@@ -93,32 +99,36 @@ def test_single_point_outcome_conservation():
 
 # -- SLO + audit acceptance -------------------------------------------------
 
-def _slo_telemetry():
+def _slo_telemetry(capacity):
     """A latency objective tuned so a 2x run walks the whole state arc.
 
     The threshold sits between an idle put's latency and the queue-wait
     latency once the admission queue fills, and the burn thresholds are
     reachable for the 30% budget: a seeded overload run starts healthy,
     burns as queueing inflates latency, and exhausts the budget before
-    the run drains.
+    the run drains.  Times are in service times (``1 / capacity``), the
+    open-loop driver's own unit, so the arc does not move when the cost
+    of a request does (a PUT went from six drive operations to three).
     """
     from repro.telemetry import Telemetry
     from repro.telemetry.slo import SloEngine, SloSpec
 
+    service = 1.0 / capacity
     telemetry = Telemetry()
     engine = telemetry.attach_slo(SloEngine([
         SloSpec(
             name="put-latency", request_class="put/p2",
-            objective="latency", target=0.7, threshold=0.004,
-            window=60.0, fast_window=0.004, slow_window=0.01,
-            fast_burn=2.0, slow_burn=1.5,
+            objective="latency", target=0.7, threshold=19 * service,
+            window=60.0, fast_window=19 * service,
+            slow_window=47 * service, fast_burn=2.0, slow_burn=1.5,
         ),
     ]))
     return telemetry, engine.get("put-latency")
 
 
 def test_overload_run_walks_healthy_burning_exhausted():
-    telemetry, objective = _slo_telemetry()
+    capacity = calibrate_capacity(SMOKE)
+    telemetry, objective = _slo_telemetry(capacity)
     transitions = []
 
     original = telemetry.record_request
@@ -130,15 +140,14 @@ def test_overload_run_walks_healthy_burning_exhausted():
             transitions.append(state)
 
     telemetry.record_request = sampling
-    capacity = calibrate_capacity(SMOKE)
     run_overload_point(SMOKE, 2.0, True, capacity, telemetry=telemetry)
     assert transitions == ["healthy", "burning", "exhausted"]
     assert objective.state(objective.last_vnow) == "exhausted"
 
 
 def test_overload_exemplars_resolve_to_traces():
-    telemetry, objective = _slo_telemetry()
     capacity = calibrate_capacity(SMOKE)
+    telemetry, objective = _slo_telemetry(capacity)
     run_overload_point(SMOKE, 2.0, True, capacity, telemetry=telemetry)
     snap = objective.snapshot()
     assert snap["state"] == "exhausted"

@@ -9,11 +9,11 @@ from repro.core.request import Request
 from tests.core.conftest import ALICE, BOB
 
 
-def test_config_is_twelve_reviewed_fields():
-    """A thirteenth knob is a reviewed decision, not a drive-by."""
+def test_config_is_eleven_reviewed_fields():
+    """A twelfth knob is a reviewed decision, not a drive-by."""
     assert [f.name for f in dataclasses.fields(ControllerConfig)] == [
         "replication_factor", "keep_history", "cache", "enforce_policies",
-        "version_metadata_window", "ssd_cache_entries", "write_quorum",
+        "ssd_cache_entries", "write_quorum",
         "audit_log_size", "freshness_enabled", "breaker_threshold",
         "breaker_cooldown_ops", "anti_entropy_interval",
     ]

@@ -1,9 +1,24 @@
 """Object store: layout, encryption, replication, failover."""
 
+import hashlib
+import inspect
+
 import pytest
 
-from repro.core.store import ObjectStore, StoredMeta, placement
-from repro.errors import ConfigurationError, DriveOffline, ReplicationDegraded
+from repro.core.store import (
+    VERSION_METADATA_WINDOW,
+    ObjectStore,
+    StoredMeta,
+    VersionMeta,
+    _forced,
+    placement,
+)
+from repro.errors import (
+    ConfigurationError,
+    DriveOffline,
+    KineticNotFound,
+    ReplicationDegraded,
+)
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 
@@ -193,3 +208,127 @@ def test_requires_clients():
 def test_meta_weight_positive():
     meta = StoredMeta(key="obj")
     assert meta.weight() > 0
+
+
+# -- one frame per replica, a bounded metadata record ------------------------
+
+
+def _drive_keys(cluster):
+    return [sorted(drive._entries) for drive in cluster.drives]
+
+
+def test_store_version_is_one_replicated_write():
+    """Value and ``m/`` record share one frame: three drive requests at
+    RF 3 (six records applied), and one ``_write_replicas`` in source."""
+    store, cluster = _store(replication=3)
+    sent = sum(client.requests_sent for client in store.clients)
+    store.store_version(StoredMeta(key="obj"), b"hello", policy_hash="")
+    assert sum(c.requests_sent for c in store.clients) == sent + 3
+    assert sum(drive.stats.puts for drive in cluster.drives) == 6
+    source = inspect.getsource(ObjectStore._store_version)
+    assert source.count("_write_replicas(") == 1
+
+
+def test_metadata_record_is_flat_in_the_number_of_versions():
+    """From the window's edge to 1 000 versions of one key, a PUT seals
+    the same number of metadata bytes and the drives hold the same
+    number of records: the window bounds space, not just metadata."""
+    store, cluster = _store(replication=3)
+    meta = StoredMeta(key="hot")
+    sizes = {}
+    for version in range(1000):
+        store.store_version(meta, b"v%03d" % version, "ph")
+        if version + 1 in (VERSION_METADATA_WINDOW + 1, 1000):
+            sizes[version + 1] = (
+                len(meta.encode()), sum(d.key_count for d in cluster.drives)
+            )
+    (early_bytes, early_keys), (late_bytes, late_keys) = sizes.values()
+    # Only the varint width of the version numbers may differ.
+    assert late_bytes - early_bytes <= 2 * VERSION_METADATA_WINDOW
+    assert late_bytes <= 80 * VERSION_METADATA_WINDOW
+    assert late_keys == early_keys == 3 * (VERSION_METADATA_WINDOW + 1)
+    assert sorted(meta.versions) == list(
+        range(1000 - VERSION_METADATA_WINDOW, 1000)
+    )
+    assert store.read_value("hot", 999) == b"v999"
+    with pytest.raises(KineticNotFound):
+        # Left the window: freed.
+        store.read_value("hot", 999 - VERSION_METADATA_WINDOW)
+    store.delete_object(store.read_meta("hot"))
+    assert _drive_keys(cluster) == [[], [], []]
+
+
+def test_window_without_history_never_deletes_the_live_slot():
+    store, cluster = _store(replication=1, keep_history=False)
+    meta = StoredMeta(key="hot")
+    for version in range(VERSION_METADATA_WINDOW + 8):
+        store.store_version(meta, b"v%d" % version, "")
+        # A cold controller re-reads the record, which keeps the
+        # previous version's entry: the window is what bounds it.
+        meta = store.read_meta("hot")
+    assert len(meta.versions) <= VERSION_METADATA_WINDOW
+    latest = meta.current_version
+    assert store.read_value(
+        "hot", latest, expect_sha256=meta.latest().content_hash
+    ) == b"v%d" % latest
+    assert sum(drive.key_count for drive in cluster.drives) == 2
+
+
+def test_failed_write_leaves_the_callers_record_untouched():
+    """``meta`` is usually the cached record: below quorum it must not
+    claim a version the store never acknowledged."""
+    store, cluster = _store(replication=3)
+    meta = StoredMeta(key="obj")
+    store.store_version(meta, b"v0", "")
+    for drive in cluster.drives:
+        drive.fail()
+    with pytest.raises(ReplicationDegraded):
+        store.store_version(meta, b"v1", "")
+    assert meta.current_version == 0 and sorted(meta.versions) == [0]
+
+
+def test_reads_objects_laid_out_by_the_two_write_store():
+    """Persisted bytes are compatible: records written the old way —
+    value then ``m/`` record as separate PUTs, metadata unbounded — read
+    back, and the next PUT trims record and drive space to the window."""
+    store, cluster = _store(replication=3)
+    history = VERSION_METADATA_WINDOW + 8
+    old = StoredMeta(key="legacy", policy_id="")
+    for version in range(history):
+        value = b"old-%d" % version
+        disk_key, aad = store._value_record("legacy", version)
+        store._write_replicas(
+            "legacy", [_forced(disk_key, store._seal(value, aad))]
+        )
+        old.current_version = version
+        old.versions[version] = VersionMeta(
+            version, len(value), hashlib.sha256(value).hexdigest()
+        )
+        store.write_meta(old)
+    meta = store.read_meta("legacy")
+    assert sorted(meta.versions) == list(range(history))
+    for version, entry in meta.versions.items():
+        assert store.read_value(
+            "legacy", version, expect_sha256=entry.content_hash
+        ) == b"old-%d" % version
+    store.store_version(meta, b"new", "")
+    assert len(store.read_meta("legacy").versions) == VERSION_METADATA_WINDOW
+    assert [len(keys) for keys in _drive_keys(cluster)] == [
+        VERSION_METADATA_WINDOW + 1
+    ] * 3
+
+
+def test_delete_object_is_one_frame_per_replica():
+    store, cluster = _store(replication=3)
+    meta = StoredMeta(key="obj")
+    for value in (b"v0", b"v1"):
+        store.store_version(meta, value, "")
+    sent = sum(client.requests_sent for client in store.clients)
+    store.delete_object(meta)
+    assert sum(c.requests_sent for c in store.clients) == sent + 3
+    # Counted per record: two value slots and the ``m/`` record, thrice.
+    assert sum(drive.stats.deletes for drive in cluster.drives) == 9
+    assert _drive_keys(cluster) == [[], [], []]
+    # A replica that never held the object takes the same frame.
+    store.delete_object(meta)
+    assert sum(drive.stats.deletes for drive in cluster.drives) == 9

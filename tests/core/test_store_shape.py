@@ -4,9 +4,15 @@ Two kinds of guard.  The structural ones count what the single read
 walk replaced (drive-error handlers, ``_verifying`` reach-ins) so a
 fourth copy of the loop cannot grow back unnoticed.  The behavioural
 one replays a fixed failure-free script and compares the per-drive
-``(op, disk key)`` sequence against the digest recorded *before* the
-three walks were merged: a refactor of the read path may not add,
-drop or reorder a single drive operation.
+``(op, disk key)`` sequence against a recorded digest: a refactor of
+the store may not add, drop or reorder a single drive operation.  The
+read side of that sequence dates from *before* the three walks were
+merged (PR 14, 6 093 ops, ``20e4b6a3…``); the write side was re-pinned
+when a PUT became one ``COMMIT`` frame per replica (value + ``m/``
+record; 3 drive ops at RF 3, not 6) and a DELETE of an object one
+frame per replica (every slot + ``m/``; 3, not 6): 2 400 fewer drive
+operations (3 693), the 1 830 GET and 60 range lines identical to the
+old sequence, line for line.
 """
 
 import hashlib
@@ -24,13 +30,12 @@ from repro.kinetic.drive import KineticDrive
 
 from tests.core.conftest import ALICE
 
-#: SHA-256 over the drive-op lines of :func:`_scripted_run`, captured
-#: at commit f24ff38 (PR 14) with the three copied replica walks still
-#: in place; 6 093 drive operations.
+#: SHA-256 over the drive-op lines of :func:`_scripted_run`; a commit
+#: frame is one line naming every record it puts or deletes.
 DRIVE_OP_SEQUENCE_SHA256 = (
-    "20e4b6a3f763de21e2d5cf5564b7adcb0b9fa3e3853a90ad6ffd293506f85580"
+    "cf284b4d6da3bea6b840d63b0e93777333395b141c2886ba414224f005cf6c26"
 )
-DRIVE_OP_COUNT = 6093
+DRIVE_OP_COUNT = 3693
 
 
 def _scripted_run() -> list[str]:
@@ -42,7 +47,15 @@ def _scripted_run() -> list[str]:
     ops: list[str] = []
 
     def record(client, op, args, kwargs):
-        ops.append(f"{clients.index(client)} {op} {args[0].hex()}")
+        if op == "commit":
+            what = " ".join(
+                f"{'delete' if item.value is None else 'put'} "
+                f"{item.key.hex()}"
+                for item in args[0]
+            )
+        else:
+            what = args[0].hex()
+        ops.append(f"{clients.index(client)} {op} {what}")
         return client.direct(op, *args, **kwargs)
 
     def recording_range(index, client):
@@ -115,10 +128,11 @@ def test_store_has_one_read_walk():
         r"except \(DriveOffline, TransientIOError\)", source
     )) <= 5
     # One drive GET, one key-range call, one inline re-seed loop
-    # (``_put_replica`` is the other forced PUT).
+    # (``_send`` holds the other forced PUT and the one COMMIT).
     assert len(re.findall(r"\.get\(disk_key\)", source)) == 1
     assert source.count("get_key_range(") == 1
-    assert source.count("force=True") == 3  # put, re-seed, delete
+    assert source.count("force=True") == 3  # re-seed, _send, _forced
+    assert source.count(".commit(") == 1
     assert source.count("self._verifying()") <= 3
     for literal in ('b"val:"', 'b"meta:"', 'b"policy:"'):
         assert source.count(literal) == 1, literal
@@ -142,6 +156,6 @@ def test_the_store_constructor_took_no_new_option():
     parameters = inspect.signature(store_module.ObjectStore.__init__).parameters
     assert list(parameters) == [
         "self", "clients", "storage_key", "replication_factor",
-        "keep_history", "effects", "version_metadata_window", "telemetry",
+        "keep_history", "effects", "telemetry",
         "write_quorum", "breaker_threshold", "breaker_cooldown_ops",
     ]

@@ -6,6 +6,7 @@ from repro.errors import DriveOffline, TransientIOError
 from repro.faults import DriveFaultSpec, FaultInjector
 from repro.kinetic.client import KineticClient
 from repro.kinetic.drive import KineticDrive
+from repro.kinetic.protocol import Op
 from repro.kinetic.retry import NO_RETRY, RetryPolicy
 
 from tests.faults.conftest import CHAOS_SEED
@@ -52,6 +53,36 @@ def test_dropped_request_was_not_applied():
     injector, drive, client = _wrapped_client(DriveFaultSpec(drop_every=1))
     with pytest.raises(TransientIOError):
         client.put(b"k", b"v")
+    assert drive.key_count == 0
+    assert injector.stats.drops == 1
+
+
+def test_commit_frame_stocks_the_replay_buffer_per_put_key():
+    """The adversary keeps the pre-write copy of *every* record a frame
+    overwrites, and the frame is still one op on the drive's clock."""
+    _injector, drive, client = _wrapped_client(None)
+    client.put(b"value", b"v0")
+    client.put(b"meta", b"m0")
+    client.put(b"doomed", b"d0")
+    before = drive.local_op
+    client.commit([
+        Op(b"value", b"v1", force=True),
+        Op(b"meta", b"m1", force=True),
+        Op(b"doomed", None, force=True),
+        Op(b"fresh", b"f0", force=True),
+    ])
+    assert drive.local_op == before + 1
+    retained = {
+        key: [value for value, _version in history]
+        for key, history in drive._retained.items()
+    }
+    assert retained == {b"value": [b"v0"], b"meta": [b"m0"]}
+
+
+def test_dropped_commit_frame_applied_nothing():
+    injector, drive, client = _wrapped_client(DriveFaultSpec(drop_every=1))
+    with pytest.raises(TransientIOError):
+        client.commit([Op(b"a", b"1", force=True), Op(b"b", b"2", force=True)])
     assert drive.key_count == 0
     assert injector.stats.drops == 1
 

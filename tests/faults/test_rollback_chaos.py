@@ -144,6 +144,10 @@ def test_total_replay_is_refused_not_served(offset):
     controller = stack.controller
     assert controller.put(FP, "obj", b"old").ok
     assert controller.put(FP, "obj", b"new").ok  # stocks replay buffers
+    for drive in stack.injector.drives:
+        # The overwrite arrived inside a commit frame; an injector blind
+        # to frames would retain nothing and "pass" by serving no replay.
+        assert b"m/obj" in drive._retained, drive.drive_id
     authority = controller.freshness
     for index in range(3):
         stack.injector.reschedule(index, DriveFaultSpec(replay_rate=1.0))
