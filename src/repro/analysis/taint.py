@@ -522,9 +522,11 @@ class _Analyzer:
             ):
                 continue
             for position, taint in enumerate(arg_taints):
+                node = call.args[position]
                 self._check_sink(
-                    sink.sink_id, sink.kinds, taint,
-                    call.args[position], sink.message,
+                    sink.sink_id, sink.kinds,
+                    taint.union(self._reference_returns(node)),
+                    node, sink.message,
                 )
             for kw in call.keywords:
                 key = kw.arg
@@ -532,7 +534,9 @@ class _Analyzer:
                     kwarg_taints[key] if key is not None else self.tx(kw.value)
                 )
                 self._check_sink(
-                    sink.sink_id, sink.kinds, taint, kw.value, sink.message
+                    sink.sink_id, sink.kinds,
+                    taint.union(self._reference_returns(kw.value)),
+                    kw.value, sink.message,
                 )
         for sink in self.registry.kwarg_sinks:
             if sink.callee != name:
@@ -544,6 +548,31 @@ class _Analyzer:
                     sink.sink_id, sink.kinds, kwarg_taints[kw.arg],
                     kw.value, sink.message,
                 )
+
+    def _reference_returns(self, node: ast.AST) -> Taint:
+        """Kinds a *method reference* handed to a sink will return.
+
+        A sink that takes a callable and invokes it later (the reader
+        of a scrape-time metric family) is crossed by whatever that
+        callable returns.  A lambda's body is walked where it is
+        written; ``self.method`` / ``Class.method`` resolve here, by
+        the precise rules only — a name-based guess would tie every
+        attribute argument to unrelated methods.
+        """
+        if not (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+        ):
+            return EMPTY
+        owner = node.value.id
+        if owner in ("self", "cls"):
+            owner = self.info.class_name
+        target = self.graph.method_on(owner, node.attr)
+        if target is None:
+            return EMPTY
+        return Taint(
+            kinds=frozenset(self.summaries[target.qualname].returns_kinds)
+        )
 
     # -- stores ------------------------------------------------------------
 

@@ -183,9 +183,6 @@ class TaintRegistry:
     def declassified(self) -> frozenset:
         return frozenset(d.qualname for d in self.declassifiers)
 
-    def is_excluded(self, rel_path: str) -> bool:
-        return any(rel_path.startswith(p) for p in self.excluded_paths)
-
     def exempted(self, sink_id: str, rel_path: str, kind: str) -> bool:
         return any(
             e.sink_id == sink_id
@@ -328,6 +325,14 @@ DEFAULT_REGISTRY = TaintRegistry(
             message="secret value used as a telemetry metric label",
         ),
         CallSink(
+            sink_id="metric-label",
+            method="derived",
+            receiver_hints=frozenset(),
+            kinds=BOTH,
+            message="secret value in a scrape-time metric family "
+            "(whatever the reader returns is rendered on /_metrics)",
+        ),
+        CallSink(
             sink_id="span-attribute",
             method="span",
             receiver_hints=frozenset({"telemetry", "tracer"}),
@@ -366,28 +371,7 @@ DEFAULT_REGISTRY = TaintRegistry(
         ),
         ParamSink(
             sink_id="audit-entry",
-            qualname="PolicyAuditor.record_decision",
-            param="*",
-            kinds=BOTH,
-            message="secret value recorded in the policy audit chain",
-        ),
-        ParamSink(
-            sink_id="audit-entry",
-            qualname="PolicyAuditor.record_shed",
-            param="*",
-            kinds=BOTH,
-            message="secret value recorded in the policy audit chain",
-        ),
-        ParamSink(
-            sink_id="audit-entry",
-            qualname="PolicyAuditor.record_pin",
-            param="*",
-            kinds=BOTH,
-            message="secret value recorded in the policy audit chain",
-        ),
-        ParamSink(
-            sink_id="audit-entry",
-            qualname="PolicyAuditor.record_fork",
+            qualname="AuditLog.append",
             param="*",
             kinds=BOTH,
             message="secret value recorded in the policy audit chain",

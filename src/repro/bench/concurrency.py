@@ -94,8 +94,6 @@ def build_concurrency_system(
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    for client in clients:
-        client.wire_codec = False
     controller = PesosController(
         clients,
         storage_key=b"concurrency-key".ljust(32, b"\0"),

@@ -21,12 +21,12 @@ from repro.bench.configs import make_config, paper_ratio_caches
 from repro.bench.harness import (
     ExperimentResult,
     LoadedSystem,
+    _default_executor,
     build_system,
     run_point,
 )
 from repro.bench.report import FigureResult
 from repro.bench.trajectory import record as record_trajectory
-from repro.core.request import Request
 from repro.usecases.versioned import versioned_policy
 from repro.ycsb.workload import READ, WORKLOAD_A, WorkloadSpec
 
@@ -500,35 +500,25 @@ def _mal_executor(granularity: int):
 
     def executor(loaded: LoadedSystem, operation):
         controller = loaded.controller
-        if operation.op == READ:
-            return controller.handle(
-                Request(method="get", key=operation.key), "fp-bench"
-            )
-        state["count"] += 1
-        if granularity and state["count"] % granularity == 0:
-            # Append the batched intents to the shared log object with
-            # direct store writes (the controller keeps the log tail
-            # in-enclave; one backend write for value + one for meta).
-            log_meta = controller._get_meta("mal-log")
-            from repro.core.store import StoredMeta
+        if operation.op != READ:
+            state["count"] += 1
+            if granularity and state["count"] % granularity == 0:
+                # Append the batched intents to the shared log object
+                # with direct store writes (the controller keeps the log
+                # tail in-enclave; one backend write for value + one for
+                # meta).
+                log_meta = controller._get_meta("mal-log")
+                from repro.core.store import StoredMeta
 
-            if log_meta is None:
-                log_meta = StoredMeta(key="mal-log")
-            entry = f"'write'('{operation.key}', {state['count']})\n"
-            state["entries"].append(entry)
-            state["entries"] = state["entries"][-32:]
-            content = "".join(state["entries"]).encode()
-            controller.store.store_version(log_meta, content, "")
-            controller.caches.put_meta("mal-log", log_meta)
-        return controller.handle(
-            Request(
-                method="put",
-                key=operation.key,
-                value=loaded.payload(operation.value_size),
-                policy_id=loaded.policy_id,
-            ),
-            "fp-bench",
-        )
+                if log_meta is None:
+                    log_meta = StoredMeta(key="mal-log")
+                entry = f"'write'('{operation.key}', {state['count']})\n"
+                state["entries"].append(entry)
+                state["entries"] = state["entries"][-32:]
+                content = "".join(state["entries"]).encode()
+                controller.store.store_version(log_meta, content, "")
+                controller.caches.put_meta("mal-log", log_meta)
+        return _default_executor(loaded, operation)
 
     return executor
 

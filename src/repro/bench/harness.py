@@ -17,15 +17,12 @@ from repro.bench.configs import SystemConfig
 from repro.bench.model import SystemModel
 from repro.core.cache import CacheConfig
 from repro.core.controller import ControllerConfig, PesosController
-from repro.core.request import Request
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.sim import Environment
+from repro.ycsb.runner import load_phase, operation_request
 from repro.ycsb.workload import (
-    INSERT,
-    READ,
     Trace,
-    UPDATE,
     WORKLOAD_A,
     WorkloadSpec,
     generate_trace,
@@ -110,8 +107,6 @@ def build_system(
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    for client in clients:
-        client.wire_codec = False  # keep the functional hot path cheap
     controller = PesosController(
         clients,
         storage_key=b"bench-key".ljust(32, b"\0"),
@@ -140,47 +135,27 @@ def build_system(
         policy_id=policy_id,
         version_aware=version_aware,
     )
-    value = loaded.payload(workload.value_size)
-    for key in trace.load_keys:
-        response = controller.handle(
-            Request(
-                method="put",
-                key=key,
-                value=value,
-                policy_id=policy_id,
-                version=0 if version_aware else None,
-            ),
-            "fp-bench",
-        )
-        if not response.ok:
-            raise RuntimeError(f"load failed: {response.error}")
+    load_phase(
+        controller,
+        trace,
+        "fp-bench",
+        policy_id,
+        version_aware=version_aware,
+        payload=loaded.payload,
+    )
     return loaded
 
 
 def _default_executor(loaded: LoadedSystem, operation):
-    """Translate one trace operation into a controller call."""
-    controller = loaded.controller
-    if operation.op == READ:
-        request = Request(method="get", key=operation.key)
-    elif operation.op in (UPDATE, INSERT):
-        version = None
-        if loaded.version_aware:
-            meta = controller._get_meta(operation.key)
-            version = (
-                meta.current_version + 1
-                if meta is not None and meta.exists
-                else 0
-            )
-        request = Request(
-            method="put",
-            key=operation.key,
-            value=loaded.payload(operation.value_size),
-            policy_id=loaded.policy_id,
-            version=version,
-        )
-    else:
-        raise ValueError(f"unknown op {operation.op!r}")
-    return controller.handle(request, "fp-bench")
+    """Run one trace operation as the benchmark client."""
+    request = operation_request(
+        loaded.controller,
+        operation,
+        loaded.payload,
+        loaded.policy_id,
+        loaded.version_aware,
+    )
+    return loaded.controller.handle(request, "fp-bench")
 
 
 def run_point(
@@ -239,15 +214,3 @@ def run_point(
         breakdown=model.breakdown(),
     )
 
-
-def sweep_clients(
-    loaded: LoadedSystem,
-    client_counts: list,
-    measure_ops: int = 4000,
-    warmup_ops: int = 500,
-) -> list:
-    """Measure several client counts on one loaded system."""
-    return [
-        run_point(loaded, n, measure_ops=measure_ops, warmup_ops=warmup_ops)
-        for n in client_counts
-    ]

@@ -37,7 +37,7 @@ from repro.core.effects import (
 from repro.core.ssdcache import SSD_READ, SSD_WRITE
 from repro.kinetic.timing import OP_DELETE, OP_READ, OP_WRITE
 from repro.sim import Environment, Histogram, Resource, ThroughputMeter
-from repro.telemetry import NULL_TELEMETRY, MetricFamily, Sample
+from repro.telemetry import NULL_TELEMETRY
 
 #: Layers of the request lifecycle whose charged service time the model
 #: accounts separately; ``SystemModel.breakdown()`` reports these keys.
@@ -113,7 +113,13 @@ class SystemModel:
         self.telemetry = telemetry or NULL_TELEMETRY
         if self.telemetry.enabled:
             self.telemetry.tracer.set_virtual_clock(lambda: env.now)
-            self.telemetry.register_callback(self._layer_metrics)
+        self.telemetry.derived(
+            "pesos_bench_layer_seconds",
+            "gauge",
+            "Virtual service seconds charged per model layer.",
+            lambda: sorted(self.layer_seconds.items()),
+            ("layer",),
+        )
 
     def _charge(self, layer: str, seconds: float) -> float:
         """Account ``seconds`` of service time to ``layer``."""
@@ -135,21 +141,6 @@ class SystemModel:
     def reset_breakdown(self) -> None:
         for layer in self.layer_seconds:
             self.layer_seconds[layer] = 0.0
-
-    def _layer_metrics(self):
-        yield MetricFamily(
-            name="pesos_bench_layer_seconds",
-            kind="gauge",
-            help="Virtual service seconds charged per model layer.",
-            samples=[
-                Sample(
-                    name="pesos_bench_layer_seconds",
-                    labels={"layer": layer},
-                    value=seconds,
-                )
-                for layer, seconds in sorted(self.layer_seconds.items())
-            ],
-        )
 
     # -- cost derivation ---------------------------------------------------
 

@@ -238,11 +238,8 @@ def run_open_loop(
                 latency_target=LATENCY_TARGET_ROUNDS * round_s,
                 max_limit=int(2 * ROUND_SERVICES),
                 seed=seed,
-            ),
-            sessions=controller.sessions,
-            telemetry=telemetry,
-        )
-        admission.auditor = controller.auditor
+            )
+        ).attach(controller)
 
     vnow = 0.0
     next_arrival = 0
@@ -423,7 +420,7 @@ def run_overload_point(
         acked_writes_lost=run.acked_writes_lost,
         trace_sha=run.trace_sha,
         audit_head="" if auditor is None else auditor.head,
-        audit_records=0 if auditor is None else len(auditor.log),
+        audit_records=0 if auditor is None else len(auditor),
     )
 
 

@@ -293,7 +293,7 @@ class AdmissionController:
     ):
         self.config = config or AdmissionConfig()
         #: The SessionManager whose sessions carry the token buckets;
-        #: bound late by the web server when not given here.
+        #: bound by :meth:`attach` when not given here.
         self.sessions = sessions
         self.telemetry = telemetry or NULL_TELEMETRY
         self.queue = AdmissionQueue(
@@ -306,9 +306,9 @@ class AdmissionController:
         #: Shed queue entries not yet claimed by the caller:
         #: ``(token, decision)`` pairs (see :meth:`take_shed`).
         self._shed: list[tuple[object, AdmissionDecision]] = []
-        #: Optional :class:`repro.telemetry.audit.PolicyAuditor`.  When
-        #: the web server wires one (the controller's), every shed at
-        #: the admission gate lands in the same tamper-evident chain as
+        #: Optional :class:`repro.sgx.auditlog.AuditLog` (the
+        #: controller's, via :meth:`attach`): every shed at the
+        #: admission gate lands in the same tamper-evident chain as
         #: policy verdicts — the audit trail then answers "why did this
         #: session get a 429/503?" alongside "which clause allowed it?".
         self.auditor = None
@@ -317,15 +317,23 @@ class AdmissionController:
         self.shed_by_reason: dict[str, int] = {}
         self._bind_instruments()
 
-    def bind_telemetry(self, telemetry) -> None:
-        """Late-bind a telemetry sink (the web server passes its
-        controller's when the admission controller was built without
-        one), re-registering the instruments against it.  A sink chosen
-        at construction wins — only the null default is replaced."""
-        if telemetry is None or self.telemetry is not NULL_TELEMETRY:
-            return
-        self.telemetry = telemetry
-        self._bind_instruments()
+    def attach(self, controller) -> "AdmissionController":
+        """Wire this gate to the controller it guards.
+
+        Every front end calls this, so a shed is counted and audited
+        whichever of them admitted the request.  The controller's
+        sessions (the token buckets live there), telemetry and audit
+        chain fill only what construction left empty: an explicit
+        choice wins, and only the null telemetry default is replaced.
+        """
+        if self.sessions is None:
+            self.sessions = controller.sessions
+        if self.telemetry is NULL_TELEMETRY:
+            self.telemetry = controller.telemetry
+            self._bind_instruments()
+        if self.auditor is None:
+            self.auditor = controller.auditor
+        return self
 
     def _bind_instruments(self) -> None:
         self._m_decisions = self.telemetry.counter(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.core.effects import NullRecorder
 from repro.telemetry import NULL_TELEMETRY
-from repro.telemetry.metrics import MetricFamily, Sample
 from repro.util.lfu import LFUCache
 
 POLICY_REGION = "policy"
@@ -54,8 +53,26 @@ class CacheManager:
             "Enclave cache misses, by region.",
             ("region",),
         )
-        if self.telemetry.enabled:
-            self.telemetry.register_callback(self._derived_metrics)
+        self.telemetry.derived(
+            "pesos_cache_hit_ratio",
+            "gauge",
+            "Enclave cache hit ratio since start, by region.",
+            lambda: [
+                (region, cache.stats.hit_rate)
+                for region, cache in self._regions().items()
+            ],
+            ("region",),
+        )
+        self.telemetry.derived(
+            "pesos_cache_bytes",
+            "gauge",
+            "Bytes resident per enclave cache region.",
+            lambda: [
+                (region, cache.total_weight)
+                for region, cache in self._regions().items()
+            ],
+            ("region",),
+        )
         self.policies: LFUCache = LFUCache(
             max_entries=self.config.policy_entries,
             max_bytes=self.config.policy_bytes,
@@ -119,51 +136,14 @@ class CacheManager:
             + self.keys.total_weight
         )
 
-    def region_stats(self) -> dict:
+    def _regions(self) -> dict:
         return {
-            POLICY_REGION: self.policies.stats,
-            OBJECT_REGION: self.objects.stats,
-            KEY_REGION: self.keys.stats,
-        }
-
-    def _derived_metrics(self):
-        """Hit-ratio and occupancy gauges, computed at scrape time."""
-        regions = {
             POLICY_REGION: self.policies,
             OBJECT_REGION: self.objects,
             KEY_REGION: self.keys,
         }
-        hits = self._m_hits.series()
-        misses = self._m_misses.series()
-        ratio_samples = []
-        byte_samples = []
-        for region, cache in regions.items():
-            key = (region,)
-            region_hits = hits.get(key, 0.0)
-            total = region_hits + misses.get(key, 0.0)
-            ratio_samples.append(
-                Sample(
-                    "pesos_cache_hit_ratio",
-                    {"region": region},
-                    region_hits / total if total else 0.0,
-                )
-            )
-            byte_samples.append(
-                Sample(
-                    "pesos_cache_bytes",
-                    {"region": region},
-                    cache.total_weight,
-                )
-            )
-        yield MetricFamily(
-            name="pesos_cache_hit_ratio",
-            kind="gauge",
-            help="Enclave cache hit ratio since start, by region.",
-            samples=ratio_samples,
-        )
-        yield MetricFamily(
-            name="pesos_cache_bytes",
-            kind="gauge",
-            help="Bytes resident per enclave cache region.",
-            samples=byte_samples,
-        )
+
+    def region_stats(self) -> dict:
+        return {
+            region: cache.stats for region, cache in self._regions().items()
+        }

@@ -54,9 +54,8 @@ from repro.policy.binary import CompiledPolicy
 from repro.policy.compiled import PolicyEngine
 from repro.policy.compiler import compile_source
 from repro.policy.context import EvalContext, VersionInfo
+from repro.sgx.auditlog import AuditLog
 from repro.telemetry import NULL_TELEMETRY
-from repro.telemetry.audit import PolicyAuditor
-from repro.telemetry.metrics import MetricFamily, Sample
 
 
 #: Suffix used to resolve the ``log`` reference when the request does
@@ -186,8 +185,9 @@ class PesosController:
     ):
         self.config = config or ControllerConfig()
         self.telemetry = telemetry or NULL_TELEMETRY
-        registry = self.telemetry.registry if self.telemetry.enabled else None
-        self.effects = effects or EffectsRecorder(registry=registry)
+        self.effects = effects or EffectsRecorder(
+            registry=self.telemetry.registry
+        )
         self.caches = CacheManager(
             self.config.cache, self.effects, telemetry=self.telemetry
         )
@@ -199,9 +199,9 @@ class PesosController:
         #: Enabled by config, not by telemetry: the chain is a security
         #: artifact and must exist (and stay deterministic) even when
         #: metrics are off.
-        self.auditor: PolicyAuditor | None = None
+        self.auditor: AuditLog | None = None
         if self.config.audit_log_size:
-            self.auditor = PolicyAuditor(
+            self.auditor = AuditLog(
                 capacity=self.config.audit_log_size,
                 telemetry=self.telemetry,
             )
@@ -298,8 +298,7 @@ class PesosController:
             "operation, 1 per SSD-tier access.",
             ("reason",),
         )
-        if self.telemetry.enabled:
-            self.telemetry.register_callback(self._derived_metrics)
+        self._publish_derived()
 
     # ------------------------------------------------------------------
     # Bootstrap
@@ -470,75 +469,53 @@ class PesosController:
         if ssd_ops:
             self._m_transitions.labels("ssd_io").inc(ssd_ops)
 
-    def _derived_metrics(self):
-        """Lazy gauges collected at scrape time."""
-        yield MetricFamily(
-            name="pesos_sessions_active",
-            kind="gauge",
-            help="Client sessions currently tracked.",
-            samples=[Sample("pesos_sessions_active", {}, len(self.sessions))],
+    def _publish_derived(self) -> None:
+        """Gauges and counters read off live state at scrape time."""
+        derived = self.telemetry.derived
+        derived(
+            "pesos_sessions_active",
+            "gauge",
+            "Client sessions currently tracked.",
+            lambda: len(self.sessions),
         )
-        yield MetricFamily(
-            name="pesos_enclave_cache_bytes",
-            kind="gauge",
-            help="Total bytes held across enclave cache regions.",
-            samples=[
-                Sample(
-                    "pesos_enclave_cache_bytes",
-                    {},
-                    self.caches.memory_in_use(),
-                )
-            ],
+        derived(
+            "pesos_enclave_cache_bytes",
+            "gauge",
+            "Total bytes held across enclave cache regions.",
+            lambda: self.caches.memory_in_use(),
         )
-        tracker = self.async_tracker
-        yield MetricFamily(
-            name="pesos_async_results_discarded_total",
-            kind="counter",
-            help="Async result-buffer evictions, by entry state at "
+        derived(
+            "pesos_async_results_discarded_total",
+            "counter",
+            "Async result-buffer evictions, by entry state at "
             "eviction time.",
-            samples=[
-                Sample(
-                    "pesos_async_results_discarded_total",
-                    {"state": "pending"},
-                    tracker.discarded_pending,
-                ),
-                Sample(
-                    "pesos_async_results_discarded_total",
-                    {"state": "done"},
-                    tracker.discarded - tracker.discarded_pending,
+            lambda: [
+                ("pending", self.async_tracker.discarded_pending),
+                (
+                    "done",
+                    self.async_tracker.discarded
+                    - self.async_tracker.discarded_pending,
                 ),
             ],
+            ("state",),
         )
-        stats = self.policy_engine.decisions.stats
-        yield MetricFamily(
-            name="pesos_policy_decision_cache_events_total",
-            kind="counter",
-            help="Policy decision-cache events.",
-            samples=[
-                Sample(
-                    "pesos_policy_decision_cache_events_total",
-                    {"event": event},
-                    value,
-                )
-                for event, value in (
-                    ("hit", stats.hits),
-                    ("miss", stats.misses),
-                    ("expired", stats.expired),
-                )
+        derived(
+            "pesos_policy_decision_cache_events_total",
+            "counter",
+            "Policy decision-cache events.",
+            lambda: [
+                ("hit", self.policy_engine.decisions.stats.hits),
+                ("miss", self.policy_engine.decisions.stats.misses),
+                ("expired", self.policy_engine.decisions.stats.expired),
             ],
+            ("event",),
         )
-        yield MetricFamily(
-            name="pesos_async_completed_after_evict_total",
-            kind="counter",
-            help="Async operations whose finished result arrived after "
+        derived(
+            "pesos_async_completed_after_evict_total",
+            "counter",
+            "Async operations whose finished result arrived after "
             "its buffer entry was evicted (ran, result expired).",
-            samples=[
-                Sample(
-                    "pesos_async_completed_after_evict_total",
-                    {},
-                    tracker.completed_after_evict,
-                )
-            ],
+            lambda: self.async_tracker.completed_after_evict,
         )
 
     def _dispatch(

@@ -13,8 +13,7 @@ Running totals live in the telemetry metrics registry: each recorder
 owns (or is handed) a :class:`~repro.telemetry.metrics.MetricsRegistry`
 and keeps per-kind totals in a labeled ``pesos_effects_total`` counter,
 so one ``GET /_metrics`` scrape covers effect accounting alongside the
-rest of the system.  The historical ``totals`` mapping API survives as
-a thin view over that counter.
+rest of the system.
 """
 
 from __future__ import annotations
@@ -35,53 +34,10 @@ COPY = "copy"
 LOG_APPEND = "log_append"
 
 
-class _TotalsView:
-    """Counter-compatible mapping over ``pesos_effects_total``.
-
-    Kept so pre-telemetry callers (``effects.totals[DISK_READ]``,
-    ``.get``, ``.clear``) work unchanged while the registry holds the
-    canonical values.
-    """
-
-    __slots__ = ("_counter",)
-
-    def __init__(self, counter) -> None:
-        self._counter = counter
-
-    def __getitem__(self, kind: str) -> float:
-        child = self._counter._children.get((kind,))
-        return child.value if child is not None else 0
-
-    def get(self, kind: str, default=0):
-        child = self._counter._children.get((kind,))
-        return child.value if child is not None else default
-
-    def __contains__(self, kind: str) -> bool:
-        return (kind,) in self._counter._children
-
-    def __iter__(self):
-        return (key[0] for key in self._counter._children)
-
-    def __len__(self) -> int:
-        return len(self._counter._children)
-
-    def items(self):
-        return [
-            (key[0], child.value)
-            for key, child in self._counter._children.items()
-        ]
-
-    def clear(self) -> None:
-        self._counter.reset()
-
-    def __repr__(self) -> str:
-        return f"_TotalsView({dict(self.items())!r})"
-
-
 class EffectsRecorder:
     """Collects effect tuples for the request in flight."""
 
-    __slots__ = ("events", "totals", "registry", "_kinds")
+    __slots__ = ("events", "registry", "_kinds")
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.events: list[tuple] = []
@@ -91,7 +47,6 @@ class EffectsRecorder:
             "Side-effect events recorded per request path, by kind.",
             ("kind",),
         )
-        self.totals = _TotalsView(self._kinds)
 
     def record(self, kind: str, *detail) -> None:
         self.events.append((kind, *detail))
@@ -101,12 +56,6 @@ class EffectsRecorder:
         """Return and clear the in-flight event list (totals persist)."""
         events, self.events = self.events, []
         return events
-
-    def cache_hit_rate(self, region: str) -> float:
-        hits = self.totals[f"{CACHE_HIT}:{region}"]
-        misses = self.totals[f"{CACHE_MISS}:{region}"]
-        total = hits + misses
-        return hits / total if total else 0.0
 
     def record_cache(self, region: str, hit: bool) -> None:
         kind = CACHE_HIT if hit else CACHE_MISS

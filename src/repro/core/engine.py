@@ -217,9 +217,7 @@ class ConcurrentEngine:
         #: with Retry-After and never reach the controller.
         self.admission = admission
         if admission is not None:
-            if admission.sessions is None:
-                admission.sessions = controller.sessions
-            admission.bind_telemetry(controller.telemetry)
+            admission.attach(controller)
         #: Concurrency-sanitizer hooks (see :mod:`repro.analysis`).
         #: The default shared no-op keeps the hot path free: one
         #: attribute lookup and a no-op call per event site.
@@ -522,10 +520,6 @@ class ConcurrentEngine:
         )
 
     # -- reproducibility ----------------------------------------------------
-
-    @property
-    def virtual_time(self) -> float:
-        return self.stats.virtual_seconds
 
     def dispatch_trace(self) -> list[tuple[str, int]]:
         return list(self.scheduler.dispatch_log)

@@ -64,6 +64,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.sgx.enclave import Enclave, EnclaveBinary, MonotonicCounter
+from repro.telemetry import NULL_TELEMETRY
 
 #: Label prefixes in the authenticated dictionary.
 LABEL_OBJECT = "o/"
@@ -405,8 +406,58 @@ class FreshnessAuthority:
         #: bench.
         self.leaf_hash_ops = 0
         self.leaf_hash_bytes = 0
-        if telemetry is not None and telemetry.enabled:
-            telemetry.register_callback(self._metric_families)
+        self._publish(telemetry or NULL_TELEMETRY)
+
+    def _publish(self, telemetry) -> None:
+        """Counters and gauges read off this authority at scrape time."""
+        telemetry.derived(
+            "pesos_freshness_pins_total",
+            "counter",
+            "Sealed root pins persisted (counter advances).",
+            lambda: self.pins,
+        )
+        telemetry.derived(
+            "pesos_freshness_proofs_total",
+            "counter",
+            "Merkle proofs checked against the pinned root.",
+            lambda: [
+                ("verified", self.proofs_verified),
+                ("failed", self.proofs_failed),
+            ],
+            ("outcome",),
+        )
+        telemetry.derived(
+            "pesos_freshness_stale_rejected_total",
+            "counter",
+            "Replica records rejected for proving a stale leaf.",
+            lambda: self.stale_rejected,
+        )
+        telemetry.derived(
+            "pesos_freshness_proof_cache_total",
+            "counter",
+            "Proof-cache lookups by result.",
+            lambda: [("hit", self.cache.hits), ("miss", self.cache.misses)],
+            ("result",),
+        )
+        telemetry.derived(
+            "pesos_freshness_epoch",
+            "gauge",
+            "Current pin epoch (monotonic counter value).",
+            lambda: self.epoch,
+        )
+        telemetry.derived(
+            "pesos_freshness_last_pin_vnow",
+            "gauge",
+            "Virtual time of the most recent root pin.",
+            lambda: self.last_pin_vnow,
+        )
+        telemetry.derived(
+            "pesos_fork_detected",
+            "gauge",
+            "1 while the controller refuses to serve after fork "
+            "detection, else 0.",
+            lambda: int(self.forked),
+        )
 
     # -- state ------------------------------------------------------------
 
@@ -669,87 +720,6 @@ class FreshnessAuthority:
                     continue
                 if blob is not None:
                     self.tree.set(label, record_digest(blob))
-
-    # -- exposition --------------------------------------------------------
-
-    def _metric_families(self):
-        from repro.telemetry.metrics import MetricFamily, Sample
-
-        yield MetricFamily(
-            name="pesos_freshness_pins_total",
-            kind="counter",
-            help="Sealed root pins persisted (counter advances).",
-            samples=[Sample("pesos_freshness_pins_total", {}, self.pins)],
-        )
-        yield MetricFamily(
-            name="pesos_freshness_proofs_total",
-            kind="counter",
-            help="Merkle proofs checked against the pinned root.",
-            samples=[
-                Sample(
-                    "pesos_freshness_proofs_total",
-                    {"outcome": "verified"},
-                    self.proofs_verified,
-                ),
-                Sample(
-                    "pesos_freshness_proofs_total",
-                    {"outcome": "failed"},
-                    self.proofs_failed,
-                ),
-            ],
-        )
-        yield MetricFamily(
-            name="pesos_freshness_stale_rejected_total",
-            kind="counter",
-            help="Replica records rejected for proving a stale leaf.",
-            samples=[
-                Sample(
-                    "pesos_freshness_stale_rejected_total",
-                    {},
-                    self.stale_rejected,
-                )
-            ],
-        )
-        yield MetricFamily(
-            name="pesos_freshness_proof_cache_total",
-            kind="counter",
-            help="Proof-cache lookups by result.",
-            samples=[
-                Sample(
-                    "pesos_freshness_proof_cache_total",
-                    {"result": "hit"},
-                    self.cache.hits,
-                ),
-                Sample(
-                    "pesos_freshness_proof_cache_total",
-                    {"result": "miss"},
-                    self.cache.misses,
-                ),
-            ],
-        )
-        yield MetricFamily(
-            name="pesos_freshness_epoch",
-            kind="gauge",
-            help="Current pin epoch (monotonic counter value).",
-            samples=[Sample("pesos_freshness_epoch", {}, self.epoch)],
-        )
-        yield MetricFamily(
-            name="pesos_freshness_last_pin_vnow",
-            kind="gauge",
-            help="Virtual time of the most recent root pin.",
-            samples=[
-                Sample(
-                    "pesos_freshness_last_pin_vnow", {}, self.last_pin_vnow
-                )
-            ],
-        )
-        yield MetricFamily(
-            name="pesos_fork_detected",
-            kind="gauge",
-            help="1 while the controller refuses to serve after fork "
-            "detection, else 0.",
-            samples=[Sample("pesos_fork_detected", {}, int(self.forked))],
-        )
 
 
 __all__ = [

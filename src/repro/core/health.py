@@ -110,8 +110,5 @@ class HealthTracker:
             health.state = OPEN
             health.opened_at = self.clock
 
-    def open_count(self) -> int:
-        return sum(1 for h in self._drives if h.state == OPEN)
-
     def snapshot(self) -> list[dict]:
         return [h.snapshot() for h in self._drives]

@@ -154,9 +154,6 @@ class KeyLockTable:
         """Whether any hold (either mode) exists on ``key``."""
         return key in self._exclusive or bool(self._shared.get(key, 0))
 
-    def held_exclusive(self, key: str) -> bool:
-        return key in self._exclusive
-
     def __len__(self) -> int:
         """Number of keys with at least one hold (0 at quiescence)."""
         return len(self._exclusive) + len(self._shared)

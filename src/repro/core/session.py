@@ -142,9 +142,6 @@ class SessionManager:
         the live-session count to bound bytes per user."""
         return sum(s.footprint() for s in self._sessions.values())
 
-    def live_sessions(self) -> int:
-        return len(self._sessions)
-
     def _evict_idle(self, now: float) -> None:
         if not self._sessions:
             return

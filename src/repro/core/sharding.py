@@ -51,10 +51,8 @@ class ShardedPesos:
                         admission,
                         seed=admission.seed + index,
                         priorities=dict(admission.priorities),
-                    ),
-                    sessions=shard.sessions,
-                    telemetry=getattr(shard, "telemetry", None),
-                )
+                    )
+                ).attach(shard)
                 for index, shard in enumerate(self.shards)
             ]
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from repro.crypto.aead import StreamAead
 from repro.errors import IntegrityError
 from repro.telemetry import NULL_TELEMETRY
-from repro.telemetry.metrics import MetricFamily, Sample
 from repro.util.lfu import LFUCache
 
 SSD_READ = "ssd_read"
@@ -89,6 +88,11 @@ class SsdCacheStats:
     integrity_failures: int = 0
     inserts: int = 0
 
+    @property
+    def hit_ratio(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
 
 class SsdCacheTier:
     """Enclave-side view of the untrusted SSD cache."""
@@ -115,8 +119,18 @@ class SsdCacheTier:
             "Untrusted-SSD cache tier events, by kind.",
             ("event",),
         )
-        if self.telemetry.enabled:
-            self.telemetry.register_callback(self._derived_metrics)
+        self.telemetry.derived(
+            "pesos_ssd_cache_hit_ratio",
+            "gauge",
+            "SSD cache tier hit ratio since start.",
+            lambda: self.stats.hit_ratio,
+        )
+        self.telemetry.derived(
+            "pesos_ssd_cache_enclave_bytes",
+            "gauge",
+            "In-enclave freshness-table footprint of the SSD tier.",
+            self.enclave_bytes,
+        )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -187,24 +201,3 @@ class SsdCacheTier:
         self._m_events.labels("miss").inc()
         self._records.remove(key)
         self.device.discard(key)
-
-    def _derived_metrics(self):
-        """Hit-ratio and enclave-footprint gauges at scrape time."""
-        total = self.stats.hits + self.stats.misses
-        ratio = self.stats.hits / total if total else 0.0
-        yield MetricFamily(
-            name="pesos_ssd_cache_hit_ratio",
-            kind="gauge",
-            help="SSD cache tier hit ratio since start.",
-            samples=[Sample("pesos_ssd_cache_hit_ratio", {}, ratio)],
-        )
-        yield MetricFamily(
-            name="pesos_ssd_cache_enclave_bytes",
-            kind="gauge",
-            help="In-enclave freshness-table footprint of the SSD tier.",
-            samples=[
-                Sample(
-                    "pesos_ssd_cache_enclave_bytes", {}, self.enclave_bytes()
-                )
-            ],
-        )

@@ -275,8 +275,34 @@ class ObjectStore:
             "and quorum refusals.",
             ("outcome",),
         )
-        if self.telemetry.enabled:
-            self.telemetry.register_callback(self._health_metrics)
+        # The per-drive gauges read what ``GET /_health`` reports.
+        self.telemetry.derived(
+            "pesos_drive_health",
+            "gauge",
+            "Circuit-breaker state per drive "
+            "(0=closed, 1=half-open, 2=open).",
+            lambda: [
+                (drive["drive_id"], STATE_CODES[drive["breaker"]])
+                for drive in self.health_snapshot()["drives"]
+            ],
+            ("drive",),
+        )
+        self.telemetry.derived(
+            "pesos_drive_online",
+            "gauge",
+            "Whether the drive reports online (1) or offline (0).",
+            lambda: [
+                (drive["drive_id"], int(drive["online"]))
+                for drive in self.health_snapshot()["drives"]
+            ],
+            ("drive",),
+        )
+        self.telemetry.derived(
+            "pesos_dirty_journal_keys",
+            "gauge",
+            "Keys awaiting anti-entropy repair.",
+            lambda: len(self.journal),
+        )
 
     # -- placement -------------------------------------------------------
 
@@ -780,51 +806,6 @@ class ObjectStore:
             "write_quorum": self.write_quorum,
             "dirty_keys": len(self.journal),
         }
-
-    def _health_metrics(self):
-        from repro.telemetry.metrics import MetricFamily, Sample
-
-        health_samples = []
-        online_samples = []
-        for index in range(len(self.clients)):
-            drive_id = self._drive_id(index)
-            state = self.health.state_of(index).state
-            health_samples.append(
-                Sample(
-                    "pesos_drive_health",
-                    {"drive": drive_id},
-                    STATE_CODES[state],
-                )
-            )
-            drive = getattr(self.clients[index], "drive", None)
-            online_samples.append(
-                Sample(
-                    "pesos_drive_online",
-                    {"drive": drive_id},
-                    int(bool(getattr(drive, "online", True))),
-                )
-            )
-        yield MetricFamily(
-            name="pesos_drive_health",
-            kind="gauge",
-            help="Circuit-breaker state per drive "
-                 "(0=closed, 1=half-open, 2=open).",
-            samples=health_samples,
-        )
-        yield MetricFamily(
-            name="pesos_drive_online",
-            kind="gauge",
-            help="Whether the drive reports online (1) or offline (0).",
-            samples=online_samples,
-        )
-        yield MetricFamily(
-            name="pesos_dirty_journal_keys",
-            kind="gauge",
-            help="Keys awaiting anti-entropy repair.",
-            samples=[
-                Sample("pesos_dirty_journal_keys", {}, len(self.journal))
-            ],
-        )
 
     # -- record kinds: disk key and AAD ------------------------------------
 

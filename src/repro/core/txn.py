@@ -39,7 +39,6 @@ from typing import Callable
 from repro.analysis.sanitizer import NULL_SANITIZER
 from repro.errors import TransactionError
 from repro.telemetry import NULL_TELEMETRY
-from repro.telemetry.metrics import MetricFamily, Sample
 
 OPEN = "open"
 QUEUED = "queued"
@@ -124,8 +123,18 @@ class VllManager:
             "pesos_txn_queued_total",
             "Commits that blocked on locks and executed from the queue.",
         )
-        if self.telemetry.enabled:
-            self.telemetry.register_callback(self._derived_metrics)
+        self.telemetry.derived(
+            "pesos_txn_queue_depth",
+            "gauge",
+            "Transactions waiting in the VLL queue.",
+            lambda: len(self._queue),
+        )
+        self.telemetry.derived(
+            "pesos_txn_locked_keys",
+            "gauge",
+            "Object keys currently holding VLL locks.",
+            lambda: len(self._locks),
+        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -269,21 +278,3 @@ class VllManager:
 
     def locked_keys(self) -> set:
         return set(self._locks)
-
-    def _derived_metrics(self):
-        yield MetricFamily(
-            name="pesos_txn_queue_depth",
-            kind="gauge",
-            help="Transactions waiting in the VLL queue.",
-            samples=[
-                Sample("pesos_txn_queue_depth", {}, len(self._queue))
-            ],
-        )
-        yield MetricFamily(
-            name="pesos_txn_locked_keys",
-            kind="gauge",
-            help="Object keys currently holding VLL locks.",
-            samples=[
-                Sample("pesos_txn_locked_keys", {}, len(self._locks))
-            ],
-        )

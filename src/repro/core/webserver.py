@@ -29,6 +29,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.core.controller import PesosController
 from repro.core.request import (
+    _REASONS,
     Response,
     parse_http_request,
     render_http_response,
@@ -37,51 +38,12 @@ from repro.crypto.certs import KeyPair, TrustStore
 from repro.crypto.channel import SecureChannel, establish_channel
 from repro.errors import PesosError
 from repro.telemetry import (
+    MetricsRegistry,
     Telemetry,
-    render_families,
     render_json,
     render_prometheus,
     render_traces_json,
 )
-
-
-class ServerStats:
-    """Legacy stats facade, now a thin view over registry counters.
-
-    Pre-telemetry code (tests, examples, ops scripts) reads
-    ``server.stats.requests`` and friends; these properties report the
-    live values from the metrics registry.  With telemetry explicitly
-    disabled the readings are zero, like every other instrument.
-    """
-
-    __slots__ = ("_requests", "_errors", "_bytes")
-
-    def __init__(self, requests_counter, errors_counter, bytes_counter):
-        self._requests = requests_counter
-        self._errors = errors_counter
-        self._bytes = bytes_counter
-
-    @property
-    def requests(self) -> int:
-        return int(self._requests.value)
-
-    @property
-    def errors(self) -> int:
-        return int(self._errors.value)
-
-    @property
-    def bytes_in(self) -> int:
-        return int(self._bytes.labels("in").value)
-
-    @property
-    def bytes_out(self) -> int:
-        return int(self._bytes.labels("out").value)
-
-    def __repr__(self) -> str:
-        return (
-            f"ServerStats(requests={self.requests}, errors={self.errors}, "
-            f"bytes_in={self.bytes_in}, bytes_out={self.bytes_out})"
-        )
 
 
 class WebServer:
@@ -105,21 +67,12 @@ class WebServer:
         #: so the bounded queue and AIMD limiter govern dispatch.
         self.admission = admission
         if admission is not None:
-            if admission.sessions is None:
-                admission.sessions = controller.sessions
-            admission.bind_telemetry(controller.telemetry)
-            if admission.auditor is None:
-                # Sheds join the controller's tamper-evident chain so
-                # the audit trail covers the full decision surface.
-                admission.auditor = controller.auditor
+            admission.attach(controller)
         if telemetry is None:
             # Share the controller's telemetry when it has a live one,
             # so /_metrics covers every layer in one registry.
-            controller_telemetry = getattr(controller, "telemetry", None)
-            if controller_telemetry is not None and controller_telemetry.enabled:
-                telemetry = controller_telemetry
-            else:
-                telemetry = Telemetry()
+            shared = controller.telemetry
+            telemetry = shared if shared.enabled else Telemetry()
         self.telemetry = telemetry
         self._m_requests = telemetry.counter(
             "pesos_http_requests_total",
@@ -143,9 +96,6 @@ class WebServer:
         self._m_handshakes = telemetry.counter(
             "pesos_tls_handshakes_total",
             "Mutually-authenticated TLS sessions established.",
-        )
-        self.stats = ServerStats(
-            self._m_requests, self._m_errors, self._m_bytes
         )
 
     # -- plain HTTP front-end ---------------------------------------------
@@ -297,7 +247,7 @@ class WebServer:
             # Health must answer even with telemetry disabled: it is
             # what the load balancer polls when things go wrong.
             report = self.controller.health()
-            slo = self.telemetry.slo if self.telemetry.enabled else None
+            slo = self.telemetry.slo
             if slo is not None:
                 # Fold budget burn into the verdict: a store meeting
                 # quorum but hemorrhaging its error budget is not "ok".
@@ -354,7 +304,11 @@ class WebServer:
                     503, "text/plain", b"no slo engine attached\n"
                 )
             if params.get("format", [""])[0] == "prometheus":
-                body = render_families(list(slo.metric_families())).encode()
+                # The engine's own four families, whatever else the
+                # live registry holds.
+                own = MetricsRegistry()
+                slo.register(own)
+                body = render_prometheus(own).encode()
                 return _admin_response(
                     200, "text/plain; version=0.0.4; charset=utf-8", body
                 )
@@ -403,11 +357,8 @@ class WebServer:
 
 
 def _admin_response(status: int, content_type: str, body: bytes) -> bytes:
-    reason = {200: "OK", 404: "Not Found", 503: "Service Unavailable"}.get(
-        status, "Unknown"
-    )
     head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(body)}\r\n"
     )

@@ -13,8 +13,9 @@ library:
 - authentication: encrypt-then-MAC with HMAC-SHA256 over
   ``nonce || aad || ciphertext`` under a separate derived key.
 
-:class:`GcmAead` is literal AES-GCM behind the same interface; the
-object store seals with :class:`StreamAead`.
+Literal AES-GCM stays where throughput does not matter: the secure
+channel, attestation and pin sealing use :class:`repro.crypto.gcm
+.AesGcm`, which has the same ``seal``/``open`` interface.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from repro.crypto.gcm import AesGcm
 from repro.errors import CryptoError, IntegrityError
 
 _BLOCK = 32  # SHA-256 digest size
@@ -88,34 +88,3 @@ class StreamAead:
         keystream = self._keystream(nonce, len(ciphertext))
         return self._xor(ciphertext, keystream)
 
-
-class GcmAead:
-    """AES-GCM behind the same seal/open interface (slow, literal)."""
-
-    TAG_SIZE = AesGcm.TAG_SIZE
-    NONCE_SIZE = AesGcm.NONCE_SIZE
-
-    def __init__(self, key: bytes):
-        self._gcm = AesGcm(key)
-
-    def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        return self._gcm.seal(nonce, plaintext, aad)
-
-    def open(self, nonce: bytes, blob: bytes, aad: bytes = b"") -> bytes:
-        return self._gcm.open(nonce, blob, aad)
-
-
-class NullAead:
-    """No-op cipher for ablation benchmarks (encryption-off baseline)."""
-
-    TAG_SIZE = 0
-    NONCE_SIZE = 12
-
-    def __init__(self, key: bytes = b""):
-        pass
-
-    def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        return plaintext
-
-    def open(self, nonce: bytes, blob: bytes, aad: bytes = b"") -> bytes:
-        return blob

@@ -166,12 +166,6 @@ class ObjectNotFound(PesosError):
     status = 404
 
 
-class VersionConflict(PesosError):
-    """An optimistic versioned update lost the race."""
-
-    status = 409
-
-
 class TransactionError(PesosError):
     """Transaction aborted or used illegally (e.g. op after commit)."""
 

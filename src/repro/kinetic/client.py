@@ -33,22 +33,6 @@ from repro.kinetic.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY
 
 
-def _estimate_value(value) -> int:
-    if isinstance(value, (bytes, str)):
-        return len(value)
-    if isinstance(value, (list, tuple)):  # key lists, COMMIT ops
-        return sum(map(_estimate_value, value))
-    return 8
-
-
-def _estimate_size(message: Message) -> int:
-    """Approximate wire size without encoding (fast-path accounting)."""
-    size = 64  # header, hmac, framing
-    for key, value in message.body.items():
-        size += len(key) + 4 + _estimate_value(value)
-    return size
-
-
 @dataclass
 class PendingRequest:
     """An async request waiting for its response."""
@@ -74,7 +58,6 @@ class KineticClient:
         trust_store: TrustStore | None = None,
         now: float = 0.0,
         max_pending: int = 64,
-        wire_codec: bool = True,
         retry_policy: RetryPolicy | None = None,
         retry_seed: int = 0,
         sleeper: Callable[[float], None] | None = None,
@@ -92,11 +75,6 @@ class KineticClient:
         #: and submit the call on the async syscall interface; the
         #: interceptor executes the real call via :meth:`direct`.
         self.interceptor = interceptor
-        #: When False, frames skip the byte-level encode/decode round
-        #: trip (messages stay signed and HMAC-verified).  Benchmarks
-        #: use this to keep the functional hot path cheap; wire sizes
-        #: are then estimated from message contents.
-        self.wire_codec = wire_codec
         self._pending: deque[PendingRequest] = deque()
         self.max_pending = max_pending
         self.requests_sent = 0
@@ -168,19 +146,14 @@ class KineticClient:
     def _exchange(self, request: Message) -> Message:
         """One wire round trip (no retrying, no status validation)."""
         self.requests_sent += 1
-        if self.wire_codec:
-            # Encode/decode both ways: the real library serializes
-            # through protobuf; doing so keeps the wire format honest.
-            wire = request.encode()
-            self.bytes_on_wire += len(wire)
-            response = self.drive.handle(Message.decode(wire))
-            response_wire = response.encode()
-            self.bytes_on_wire += len(response_wire)
-            return Message.decode(response_wire)
-        self.bytes_on_wire += _estimate_size(request)
-        response = self.drive.handle(request)
-        self.bytes_on_wire += _estimate_size(response)
-        return response
+        # Encode/decode both ways: the real library serializes through
+        # protobuf; doing so keeps the wire format honest.
+        wire = request.encode()
+        self.bytes_on_wire += len(wire)
+        response = self.drive.handle(Message.decode(wire))
+        response_wire = response.encode()
+        self.bytes_on_wire += len(response_wire)
+        return Message.decode(response_wire)
 
     def _validate(self, request: Message, response: Message) -> Message:
         if response.status == StatusCode.HMAC_FAILURE:

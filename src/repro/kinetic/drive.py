@@ -25,7 +25,7 @@ import secrets
 from dataclasses import dataclass
 
 from repro.crypto.certs import Certificate, CertificateAuthority, KeyPair
-from repro.errors import DriveOffline, KineticError
+from repro.errors import DriveOffline
 from repro.kinetic.protocol import Message, MessageType, Op, StatusCode
 
 
@@ -173,13 +173,6 @@ class KineticDrive:
     @property
     def used_bytes(self) -> int:
         return self._used_bytes
-
-    def account_key(self, identity: str) -> bytes:
-        """HMAC key for ``identity`` (drive-side secret lookup)."""
-        acl = self._accounts.get(identity)
-        if acl is None:
-            raise KineticError(f"no account {identity!r}")
-        return acl.hmac_key
 
     def identities(self) -> list[str]:
         return sorted(self._accounts)

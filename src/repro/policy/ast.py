@@ -76,11 +76,6 @@ class TupleValue:
 Value = Union[IntValue, StrValue, HashValue, PubKeyValue, NullValue, TupleValue]
 
 
-def value_sort_key(value: Value) -> tuple:
-    """Stable ordering for constant pools."""
-    return (type(value).__name__, value.render())
-
-
 # ---------------------------------------------------------------------------
 # Terms (argument expressions)
 # ---------------------------------------------------------------------------

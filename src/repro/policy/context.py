@@ -103,11 +103,6 @@ def _parse_tuple_line(line: str) -> TupleValue | None:
         return None
 
 
-def render_tuple(tup: TupleValue) -> str:
-    """Render a tuple as a content line ``parse_content_tuples`` reads."""
-    return tup.render()
-
-
 class VersionInfo:
     """Metadata + facts for one version of one object.
 

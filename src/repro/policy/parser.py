@@ -57,10 +57,6 @@ class _Parser:
     def _current(self) -> Token:
         return self._tokens[self._index]
 
-    def _peek(self, offset: int = 1) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
     def _advance(self) -> Token:
         token = self._current
         if token.type is not TokenType.EOF:

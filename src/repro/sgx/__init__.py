@@ -18,16 +18,17 @@ package models shielded execution at two levels:
   threads multiplexed onto K enclave hardware threads, switching at
   syscall preemption points.
 
-**Performance** — :mod:`repro.sgx.costs` and :mod:`repro.sgx.epc` carge
-the documented overheads (enclave transitions, cross-boundary copies,
-EPC paging beyond 96 MB) in the discrete-event benchmarks, calibrated
-to the paper's native-vs-SGX deltas.
+**Performance** — :mod:`repro.sgx.costs` holds the documented
+overheads (enclave transitions, cross-boundary copies, the cost of one
+EPC page fault and the 96 MB limit), calibrated to the paper's
+native-vs-SGX deltas; :class:`repro.bench.model.SystemModel` charges
+them in the discrete-event benchmarks, EPC paging analytically from
+the enclave's footprint (``_epc_cost``).
 """
 
 from repro.sgx.attestation import AttestationService, Quote, SgxPlatform
 from repro.sgx.costs import NATIVE_COSTS, SGX_COSTS, CostModel
 from repro.sgx.enclave import Enclave, EnclaveBinary
-from repro.sgx.epc import EpcModel
 from repro.sgx.scheduler import UserspaceScheduler
 from repro.sgx.shields import HostFileSystem, ShieldedFileSystem
 from repro.sgx.syscalls import AsyncSyscallInterface, SyscallRequest
@@ -38,7 +39,6 @@ __all__ = [
     "CostModel",
     "Enclave",
     "EnclaveBinary",
-    "EpcModel",
     "HostFileSystem",
     "NATIVE_COSTS",
     "Quote",

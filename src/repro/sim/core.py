@@ -108,10 +108,6 @@ class Process(Event):
         bootstrap._triggered = True
         env._schedule(bootstrap)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at this instant."""
         if self._triggered:

@@ -7,10 +7,15 @@ for span trees — behind a facade small enough to thread through every
 layer of the request path.
 
 :class:`NullTelemetry` is the default everywhere: every instrument it
-hands out is a shared no-op, so the uninstrumented hot path costs a
-constant attribute lookup and benchmark numbers are unaffected.  Code
-therefore never guards instrumentation with ``if telemetry:`` — it
-just records, and the null objects swallow it.
+hands out is a shared no-op and :meth:`NullTelemetry.derived` drops
+its reader, so the uninstrumented hot path costs a constant attribute
+lookup and benchmark numbers are unaffected.  Recording and
+registration are therefore never guarded — code just records, and the
+null objects swallow it.  What ``telemetry.enabled`` *does* guard is
+work done only to feed an instrument: a ``perf_counter()`` pair around
+a drive operation, the span-plus-counters wrapper in
+``PesosController.handle``, reading ``telemetry.tracer`` or ``.slo``
+(both ``None`` on the null object).
 
 Usage::
 
@@ -25,7 +30,6 @@ from __future__ import annotations
 
 from repro.telemetry.exposition import (
     registry_to_dict,
-    render_families,
     render_json,
     render_prometheus,
     render_traces_json,
@@ -33,14 +37,10 @@ from repro.telemetry.exposition import (
 )
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_REGISTRY,
-    DEFAULT_SIZE_BUCKETS,
     Counter,
     Gauge,
     Histogram,
-    MetricFamily,
     MetricsRegistry,
-    Sample,
 )
 from repro.telemetry.slo import SloEngine, SloSpec, classify, default_slos
 from repro.telemetry.tracing import NULL_SPAN, Span, Tracer
@@ -100,8 +100,11 @@ class Telemetry:
                   buckets: tuple | None = None) -> Histogram:
         return self.registry.histogram(name, help_text, labelnames, buckets)
 
-    def register_callback(self, callback) -> None:
-        self.registry.register_callback(callback)
+    def derived(self, name: str, kind: str, help_text: str, reader,
+                labelnames: tuple = ()) -> None:
+        """A family read at scrape time; see
+        :meth:`MetricsRegistry.derived`."""
+        self.registry.derived(name, kind, help_text, reader, labelnames)
 
     # -- tracing ----------------------------------------------------------
 
@@ -162,7 +165,7 @@ class NullTelemetry:
     def histogram(self, *_args, **_kwargs) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def register_callback(self, _callback) -> None:
+    def derived(self, *_args, **_kwargs) -> None:
         pass
 
     def span(self, _name: str, **_attributes):
@@ -177,16 +180,12 @@ NULL_TELEMETRY = NullTelemetry()
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_REGISTRY",
-    "DEFAULT_SIZE_BUCKETS",
     "Gauge",
     "Histogram",
-    "MetricFamily",
     "MetricsRegistry",
     "NULL_SPAN",
     "NULL_TELEMETRY",
     "NullTelemetry",
-    "Sample",
     "SloEngine",
     "SloSpec",
     "Span",
@@ -195,7 +194,6 @@ __all__ = [
     "classify",
     "default_slos",
     "registry_to_dict",
-    "render_families",
     "render_json",
     "render_prometheus",
     "render_traces_json",

@@ -61,10 +61,10 @@ def _format_value(value: float) -> str:
     return _format_float(float(value))
 
 
-def render_families(families) -> str:
-    """Render an iterable of metric families as Prometheus text."""
+def render_prometheus(registry) -> str:
+    """Render every family in ``registry`` as Prometheus text format."""
     lines: list[str] = []
-    for family in families:
+    for family in registry.collect():
         if family.help:
             lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
         lines.append(f"# TYPE {family.name} {family.kind}")
@@ -77,11 +77,6 @@ def render_families(families) -> str:
                     f"{_format_value(sample.value)}"
                 )
     return "\n".join(lines) + "\n"
-
-
-def render_prometheus(registry) -> str:
-    """Render every family in ``registry`` as Prometheus text format."""
-    return render_families(registry.collect())
 
 
 def _render_histogram_sample(lines: list, name: str, sample) -> None:

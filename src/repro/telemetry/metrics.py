@@ -12,8 +12,11 @@ Design constraints, in order:
    no locks, no string formatting, no timestamping.  Rendering
    (exposition) does all the expensive work at scrape time.
 2. *Derived values stay lazy.*  Hit ratios, queue depths, and memory
-   footprints are computed by *callback gauges* at collection time, so
-   components never pay to keep a gauge in sync on the hot path.
+   footprints are read at collection time through
+   :meth:`MetricsRegistry.derived`, so components never pay to keep a
+   gauge in sync on the hot path.  That call is also the only place a
+   scrape-time label is built, which is what lets the secrecy-flow
+   analyzer treat it as a ``metric-label`` sink like ``.labels()``.
 3. *Bounded error percentiles.*  Histograms use a fixed list of upper
    bounds (Prometheus ``le`` semantics); percentile readout linearly
    interpolates inside the winning bucket.
@@ -34,9 +37,6 @@ DEFAULT_LATENCY_BUCKETS = (
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0,
 )
-
-#: Default bounds for byte-sized observations (64 B .. 64 MB).
-DEFAULT_SIZE_BUCKETS = tuple(64 * 4**n for n in range(10))
 
 
 @dataclass
@@ -115,7 +115,22 @@ class _CounterChild:
         self.value += amount
 
 
-class Counter(_Instrument):
+class _Scalar(_Instrument):
+    """What counters and gauges share: one number per label set."""
+
+    @property
+    def value(self) -> float:
+        """Sum over every label combination."""
+        return sum(child.value for child in self._children.values())
+
+    def samples(self):
+        if not self._children and not self.labelnames:
+            yield Sample(self.name, {}, 0.0)
+        for key, child in self._children.items():
+            yield Sample(self.name, self._label_dict(key), child.value)
+
+
+class Counter(_Scalar):
     """Monotonically increasing value, optionally per label set."""
 
     kind = "counter"
@@ -127,20 +142,9 @@ class Counter(_Instrument):
         """Increment the unlabeled series."""
         self.labels().inc(amount)
 
-    @property
-    def value(self) -> float:
-        """Sum over every label combination."""
-        return sum(child.value for child in self._children.values())
-
     def series(self) -> dict:
         """Snapshot of label tuple -> value (read-only view helper)."""
         return {key: child.value for key, child in self._children.items()}
-
-    def samples(self):
-        if not self._children and not self.labelnames:
-            yield Sample(self.name, {}, 0.0)
-        for key, child in self._children.items():
-            yield Sample(self.name, self._label_dict(key), child.value)
 
 
 class _GaugeChild:
@@ -159,7 +163,7 @@ class _GaugeChild:
         self.value -= amount
 
 
-class Gauge(_Instrument):
+class Gauge(_Scalar):
     """A value that can go up and down (sizes, depths, ratios)."""
 
     kind = "gauge"
@@ -176,15 +180,6 @@ class Gauge(_Instrument):
     def dec(self, amount: float = 1) -> None:
         self.labels().dec(amount)
 
-    @property
-    def value(self) -> float:
-        return sum(child.value for child in self._children.values())
-
-    def samples(self):
-        if not self._children and not self.labelnames:
-            yield Sample(self.name, {}, 0.0)
-        for key, child in self._children.items():
-            yield Sample(self.name, self._label_dict(key), child.value)
 
 
 class _HistogramChild:
@@ -297,13 +292,11 @@ class Histogram(_Instrument):
 
 
 class MetricsRegistry:
-    """Named instruments plus lazy collection callbacks."""
-
-    _TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+    """Named instruments plus families read at collection time."""
 
     def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
-        self._callbacks: list = []
+        self._derived: list[tuple] = []
 
     # -- instrument factories (get-or-create) ---------------------------
 
@@ -338,16 +331,23 @@ class MetricsRegistry:
             Histogram, name, help_text, labelnames, buckets=buckets
         )
 
-    # -- lazy derived metrics -------------------------------------------
+    # -- values computed at collection time -----------------------------
 
-    def register_callback(self, callback) -> None:
-        """Register ``callback() -> iterable[MetricFamily]``.
+    def derived(self, name: str, kind: str, help_text: str, reader,
+                labelnames: tuple = ()) -> None:
+        """Publish one family whose samples are read at every collect.
 
-        Called at every :meth:`collect`; the standard way to expose
-        derived values (hit ratios, queue depths, memory footprints)
-        without hot-path bookkeeping.
+        ``reader()`` returns a number when ``labelnames`` is empty,
+        otherwise ``(label values, number)`` pairs, one per series in
+        exposition order; a single label's value need not be wrapped
+        in a tuple.  The one way to expose state a component already
+        keeps (hit ratios, queue depths, chain heads) without hot-path
+        bookkeeping.  Families render after the instruments, in
+        registration order.
         """
-        self._callbacks.append(callback)
+        self._derived.append(
+            (name, kind, help_text, reader, tuple(labelnames))
+        )
 
     # -- collection ------------------------------------------------------
 
@@ -355,7 +355,7 @@ class MetricsRegistry:
         return self._instruments.get(name)
 
     def collect(self) -> list:
-        """Snapshot every family, instruments first then callbacks."""
+        """Snapshot every family, instruments first then derived."""
         families = [
             MetricFamily(
                 name=instrument.name,
@@ -365,16 +365,13 @@ class MetricsRegistry:
             )
             for _name, instrument in sorted(self._instruments.items())
         ]
-        for callback in self._callbacks:
-            families.extend(callback())
+        for name, kind, help_text, reader, labelnames in self._derived:
+            series = reader() if labelnames else [((), reader())]
+            samples = []
+            for values, value in series:
+                if not isinstance(values, tuple):
+                    values = (values,)
+                labels = dict(zip(labelnames, map(str, values), strict=True))
+                samples.append(Sample(name, labels, value))
+            families.append(MetricFamily(name, kind, help_text, samples))
         return families
-
-    def reset(self) -> None:
-        """Clear all instruments and callbacks (test isolation)."""
-        self._instruments.clear()
-        self._callbacks.clear()
-
-
-#: Process-wide default registry: module-level components (SGX
-#: machinery, ad-hoc scripts) record here unless handed a registry.
-DEFAULT_REGISTRY = MetricsRegistry()

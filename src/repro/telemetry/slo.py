@@ -34,7 +34,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.telemetry.metrics import MetricFamily, Sample
 
 #: Alert states, ordered by severity (index = numeric metric value).
 STATE_HEALTHY = "healthy"
@@ -280,7 +279,7 @@ class SloEngine:
     :class:`~repro.telemetry.Telemetry` with
     :meth:`Telemetry.attach_slo` so the request path records through
     ``telemetry.record_request(...)`` and the budget/burn series land
-    on ``/_metrics`` via a registry callback.
+    on ``/_metrics`` as scrape-time families (:meth:`register`).
     """
 
     def __init__(self, specs: list[SloSpec] | None = None):
@@ -358,79 +357,57 @@ class SloEngine:
 
     # -- exposition --------------------------------------------------------
 
-    def metric_families(self):
-        """Registry callback: budget/burn/state gauges per objective."""
-        vnow = self.last_vnow()
-        remaining, fast, slow, states, events = [], [], [], [], []
-        for state in self.objectives:
-            labels = {"slo": state.spec.name}
-            remaining.append(
-                Sample(
-                    "pesos_slo_error_budget_remaining",
-                    labels,
-                    state.budget_remaining(vnow),
-                )
-            )
-            fast.append(
-                Sample(
-                    "pesos_slo_burn_rate",
-                    {**labels, "window": "fast"},
-                    state.burn_rate(vnow, state.spec.fast),
-                )
-            )
-            slow.append(
-                Sample(
-                    "pesos_slo_burn_rate",
-                    {**labels, "window": "slow"},
-                    state.burn_rate(vnow, state.spec.slow),
-                )
-            )
-            states.append(
-                Sample(
-                    "pesos_slo_state",
-                    labels,
-                    float(STATES.index(state.state(vnow))),
-                )
-            )
-            events.append(
-                Sample(
-                    "pesos_slo_events_total",
-                    {**labels, "outcome": "good"},
-                    float(state.good_total),
-                )
-            )
-            events.append(
-                Sample(
-                    "pesos_slo_events_total",
-                    {**labels, "outcome": "bad"},
-                    float(state.bad_total),
-                )
-            )
-        yield MetricFamily(
-            name="pesos_slo_error_budget_remaining",
-            kind="gauge",
-            help="Unspent error-budget fraction over the objective window.",
-            samples=remaining,
-        )
-        yield MetricFamily(
-            name="pesos_slo_burn_rate",
-            kind="gauge",
-            help="Error-budget spend rate (1.0 = sustainable), by window.",
-            samples=fast + slow,
-        )
-        yield MetricFamily(
-            name="pesos_slo_state",
-            kind="gauge",
-            help="Alert state per objective: 0 healthy, 1 burning, "
-            "2 exhausted.",
-            samples=states,
-        )
-        yield MetricFamily(
-            name="pesos_slo_events_total",
-            kind="counter",
-            help="Requests folded into each objective, by outcome.",
-            samples=events,
-        )
-
     def register(self, registry) -> None:
-        registry.register_callback(self.metric_families)
+        """Publish budget/burn/state/event series per objective."""
+        registry.derived(
+            "pesos_slo_error_budget_remaining",
+            "gauge",
+            "Unspent error-budget fraction over the objective window.",
+            lambda: [
+                (state.spec.name, state.budget_remaining(vnow))
+                for vnow in [self.last_vnow()]
+                for state in self.objectives
+            ],
+            ("slo",),
+        )
+        registry.derived(
+            "pesos_slo_burn_rate",
+            "gauge",
+            "Error-budget spend rate (1.0 = sustainable), by window.",
+            lambda: [
+                (
+                    (state.spec.name, window),
+                    state.burn_rate(vnow, getattr(state.spec, window)),
+                )
+                for vnow in [self.last_vnow()]
+                for window in ("fast", "slow")
+                for state in self.objectives
+            ],
+            ("slo", "window"),
+        )
+        registry.derived(
+            "pesos_slo_state",
+            "gauge",
+            "Alert state per objective: 0 healthy, 1 burning, "
+            "2 exhausted.",
+            lambda: [
+                (state.spec.name, float(STATES.index(state.state(vnow))))
+                for vnow in [self.last_vnow()]
+                for state in self.objectives
+            ],
+            ("slo",),
+        )
+        registry.derived(
+            "pesos_slo_events_total",
+            "counter",
+            "Requests folded into each objective, by outcome.",
+            lambda: [
+                ((state.spec.name, outcome), float(total))
+                for state in self.objectives
+                for outcome, total in (
+                    ("good", state.good_total),
+                    ("bad", state.bad_total),
+                )
+            ],
+            ("slo", "outcome"),
+        )

@@ -225,8 +225,3 @@ class Tracer:
             if span.trace_id == trace_id:
                 return span
         return None
-
-    def reset(self) -> None:
-        self._stack.clear()
-        self._recent.clear()
-        self._slow.clear()

@@ -1,6 +1,5 @@
-"""Shared low-level utilities: varints, byte helpers, caches."""
+"""Shared low-level utilities: varints and the LFU cache."""
 
-from repro.util.bytesutil import fmt_size, parse_size, xor_bytes
 from repro.util.lfu import LFUCache
 from repro.util.varint import decode_varint, encode_varint
 
@@ -8,7 +7,4 @@ __all__ = [
     "LFUCache",
     "decode_varint",
     "encode_varint",
-    "fmt_size",
-    "parse_size",
-    "xor_bytes",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.controller import PesosController
 from repro.core.request import Request
@@ -15,6 +16,52 @@ def _payload(size: int, rng: random.Random) -> bytes:
     return rng.getrandbits(8 * size).to_bytes(size, "big") if size else b""
 
 
+def operation_request(
+    controller: PesosController,
+    operation,
+    payload,
+    policy_id: str = "",
+    version_aware: bool = False,
+) -> Request:
+    """Translate one trace operation into the client's request.
+
+    ``payload(size)`` supplies the value bytes and is called for
+    writes only, so a seeded generator advances exactly once per
+    write.  A version-aware client names the next version explicitly,
+    which takes one metadata lookup first.
+    """
+    if operation.op == READ:
+        return Request(method="get", key=operation.key)
+    if operation.op == SCAN:
+        return Request(
+            method="scan", key=operation.key, scan_count=operation.scan_length
+        )
+    if operation.op == RMW:
+        return Request(
+            method="rmw",
+            key=operation.key,
+            value=payload(operation.value_size),
+            policy_id=policy_id,
+        )
+    if operation.op in (UPDATE, INSERT):
+        version = None
+        if version_aware:
+            meta = controller._get_meta(operation.key)
+            version = (
+                meta.current_version + 1
+                if meta is not None and meta.exists
+                else 0
+            )
+        return Request(
+            method="put",
+            key=operation.key,
+            value=payload(operation.value_size),
+            policy_id=policy_id,
+            version=version,
+        )
+    raise ValueError(f"unknown op {operation.op!r}")
+
+
 def load_phase(
     controller: PesosController,
     trace: Trace,
@@ -22,14 +69,19 @@ def load_phase(
     policy_id: str = "",
     seed: int = 7,
     version_aware: bool = False,
+    payload=None,
 ) -> int:
-    """Insert every record of the trace's load phase; returns count."""
-    rng = random.Random(seed)
+    """Insert every record of the trace's load phase; returns count.
+
+    Values come from ``payload(size)`` when given (the DES harness
+    passes its size-cached one), else from a generator seeded ``seed``.
+    """
+    payload = payload or partial(_payload, rng=random.Random(seed))
     for key in trace.load_keys:
         request = Request(
             method="put",
             key=key,
-            value=_payload(trace.spec.value_size, rng),
+            value=payload(trace.spec.value_size),
             policy_id=policy_id,
             version=0 if version_aware else None,
         )
@@ -87,48 +139,26 @@ class TraceRunner:
             self.execute(operation)
         return self.stats
 
+    #: ``RunStats`` counter per trace operation kind.
+    _COUNTERS = {
+        READ: "reads",
+        SCAN: "scans",
+        RMW: "rmws",
+        UPDATE: "updates",
+        INSERT: "inserts",
+    }
+
     def execute(self, operation) -> None:
         """Run a single trace operation, updating counters."""
-        if operation.op == READ:
-            request = Request(method="get", key=operation.key)
-            self.stats.reads += 1
-        elif operation.op == SCAN:
-            request = Request(
-                method="scan",
-                key=operation.key,
-                scan_count=operation.scan_length,
-            )
-            self.stats.scans += 1
-        elif operation.op == RMW:
-            request = Request(
-                method="rmw",
-                key=operation.key,
-                value=_payload(operation.value_size, self._rng),
-                policy_id=self.policy_id,
-            )
-            self.stats.rmws += 1
-        elif operation.op in (UPDATE, INSERT):
-            version = None
-            if self.version_aware:
-                meta = self.controller._get_meta(operation.key)
-                version = (
-                    meta.current_version + 1
-                    if meta is not None and meta.exists
-                    else 0
-                )
-            request = Request(
-                method="put",
-                key=operation.key,
-                value=_payload(operation.value_size, self._rng),
-                policy_id=self.policy_id,
-                version=version,
-            )
-            if operation.op == UPDATE:
-                self.stats.updates += 1
-            else:
-                self.stats.inserts += 1
-        else:
-            raise ValueError(f"unknown op {operation.op!r}")
+        request = operation_request(
+            self.controller,
+            operation,
+            partial(_payload, rng=self._rng),
+            self.policy_id,
+            self.version_aware,
+        )
+        counter = self._COUNTERS[operation.op]
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         response = self.controller.handle(request, self.fingerprint)
         self.stats.statuses[response.status] = (
             self.stats.statuses.get(response.status, 0) + 1

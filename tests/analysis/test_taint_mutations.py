@@ -12,8 +12,10 @@ no false positives on the real tree, no false negatives on the eight
 leak classes the threat model bans (drive write, wire frame, metric
 label, span attribute, HTTP body, audit entry, exception message, log
 line — plus the commit-frame variant of the drive write, which only
-reaches the drive through a deferred call two functions down, and the
-HTTP error-header variant).
+reaches the drive through a deferred call two functions down, the
+HTTP error-header variant, and the scrape-time variant of the metric
+label, where the value is read by a callable handed to
+``telemetry.derived`` rather than passed to ``.labels()``).
 """
 
 import shutil
@@ -113,6 +115,38 @@ def test_plaintext_metric_label_detected(tmp_path):
         + WRITE_VALUE_SEAL,
     )
     assert "taint/metric-label" in rules_in(analyze_package(root), STORE)
+
+
+SSDCACHE = "core/ssdcache.py"
+ENCLAVE_BYTES_READER = "            self.enclave_bytes,\n"
+
+
+@pytest.mark.parametrize(
+    "rel_path, anchor, leak",
+    [
+        # The reader is a lambda closing over the object value: it runs
+        # at scrape time, the leak is written here.
+        (
+            STORE,
+            WRITE_VALUE_SEAL,
+            "        self.telemetry.derived(\n"
+            '            "pesos_last_write", "gauge", "Last value written.",\n'
+            '            lambda: [(value, 1)], ("value",),\n'
+            "        )\n" + WRITE_VALUE_SEAL,
+        ),
+        # The reader is a bound method returning decrypted content: the
+        # analyzer follows the reference to what the method returns.
+        (SSDCACHE, ENCLAVE_BYTES_READER, "            self.get,\n"),
+    ],
+    ids=["lambda", "method"],
+)
+def test_plaintext_scrape_time_label_detected(
+    tmp_path, rel_path, anchor, leak
+):
+    # Publishing plaintext through a derived (scrape-time) family — the
+    # sites no ``.labels()`` call guards.
+    root = mutate(tmp_path, rel_path, anchor, leak)
+    assert "taint/metric-label" in rules_in(analyze_package(root), rel_path)
 
 
 def test_plaintext_span_attribute_detected(tmp_path):
@@ -248,6 +282,7 @@ def test_mutated_tree_reports_only_the_mutation(tmp_path):
         (CLIENT, "        response = self._roundtrip(MessageType.PUT, body)"),
         (CONTROLLER, GET_RESPONSE),
         (WEBSERVER, "unknown admin path"),
+        (SSDCACHE, ENCLAVE_BYTES_READER),
     ],
 )
 def test_anchors_still_exist(rel_path, anchor):

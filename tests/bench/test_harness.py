@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.configs import make_config
-from repro.bench.harness import build_system, run_point, sweep_clients
+from repro.bench.harness import build_system, run_point
 from repro.ycsb.workload import WORKLOAD_A
 
 TINY = WORKLOAD_A.scaled(record_count=200, operation_count=400, value_size=256)
@@ -48,7 +48,10 @@ def test_more_clients_more_throughput_until_saturation(loaded):
 
 
 def test_sweep_returns_point_per_count(loaded):
-    results = sweep_clients(loaded, [1, 5], measure_ops=150, warmup_ops=20)
+    results = [
+        run_point(loaded, clients, measure_ops=150, warmup_ops=20)
+        for clients in (1, 5)
+    ]
     assert [r.clients for r in results] == [1, 5]
 
 

@@ -168,7 +168,7 @@ def test_overload_audit_chain_is_deterministic():
         )
         auditor = sink["controller"].auditor
         assert auditor.verify()["ok"]
-        hashes = [record.entry_hash for record in auditor.log.records]
+        hashes = [record.entry_hash for record in auditor.records]
         return point.audit_head, point.audit_records, hashes
 
     first = run()

@@ -72,8 +72,6 @@ def build_small_system(seed: int) -> PesosController:
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    for client in clients:
-        client.wire_codec = False
     controller = PesosController(
         clients,
         storage_key=b"explore-key".ljust(32, b"\0"),

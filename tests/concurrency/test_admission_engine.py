@@ -217,3 +217,76 @@ def test_admission_telemetry_chosen_at_construction_wins():
     )
     WebServer(controller, admission=admission)
     assert admission.telemetry is explicit
+
+
+def _shed_chain(front_end):
+    """Audit state after one over-capacity batch through ``front_end``."""
+    controller = build_controller(audit_log_size=4096)
+    admission = AdmissionController(AdmissionConfig(queue_depth=4, seed=5))
+    batch = [
+        (request, f"fp{index % 4}")
+        for index, request in enumerate(workload(96, keys=12))
+    ]
+    front_end(controller, admission, batch)
+    assert sum(admission.shed_by_reason.values()) > 80
+    return controller.auditor
+
+
+def _through_engine(controller, admission, batch):
+    with ConcurrentEngine(
+        controller, seed=9, hardware_threads=4, admission=admission
+    ) as engine:
+        for request, fingerprint in batch:
+            engine.submit(request, fingerprint, now=2.0)
+        engine.run()
+
+
+def _through_webserver(controller, admission, batch):
+    WebServer(controller, admission=admission).handle_batch(
+        [
+            (build_http_request(request), fingerprint)
+            for request, fingerprint in batch
+        ],
+        seed=9,
+        workers=4,
+        now=2.0,
+    )
+
+
+def test_sheds_are_audited_whichever_front_end_admitted_them():
+    # One wiring (AdmissionController.attach): the engine used to bind
+    # sessions and telemetry but not the auditor, so the same batch left
+    # its sheds in the chain through handle_batch and none through a
+    # bare engine.
+    engine_chain = _shed_chain(_through_engine)
+    server_chain = _shed_chain(_through_webserver)
+    assert engine_chain.decisions_by_kind["shed"] > 80
+    assert engine_chain.decisions_by_kind == server_chain.decisions_by_kind
+    assert engine_chain.head == server_chain.head
+    assert engine_chain.verify()["ok"]
+
+
+def test_sharded_sheds_reach_the_shards_chain_and_counters():
+    from repro.core.sharding import ShardedPesos
+    from repro.telemetry import Telemetry
+
+    shards = [build_controller(audit_log_size=64) for _ in range(2)]
+    for shard in shards:
+        shard.telemetry = Telemetry()
+    sharded = ShardedPesos(
+        shards, admission=AdmissionConfig(rate_per_second=0.001, burst=1.0)
+    )
+    request = Request(method="get", key="k")
+    index = sharded.shard_index("k")
+    first = sharded.handle(request, "fp-a", now=0.0)
+    second = sharded.handle(request, "fp-a", now=0.0)
+    assert first.status in (200, 404) and second.status == 429
+    owner, other = shards[index], shards[1 - index]
+    assert owner.auditor.decisions_by_kind == {"shed": 1}
+    (record,) = owner.auditor.records
+    assert (record.operation, record.session, record.detail) == (
+        "get", "fp-a", "rate_limited",
+    )
+    assert len(other.auditor) == 0
+    decisions = owner.telemetry.registry.get("pesos_admission_decisions_total")
+    assert decisions.labels("rate_limited").value == 1

@@ -23,8 +23,6 @@ def build_controller(num_drives=4, **config_overrides):
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    for client in clients:
-        client.wire_codec = False
     return PesosController(
         clients,
         storage_key=b"engine-test-key".ljust(32, b"\0"),

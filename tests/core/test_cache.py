@@ -41,7 +41,9 @@ def test_effects_reported():
     caches.get_policy("missing")
     caches.put_policy("p", _policy())
     caches.get_policy("p")
-    assert effects.cache_hit_rate("policy") == 0.5
+    assert effects.drain() == [
+        ("cache_miss", "policy"), ("cache_hit", "policy"),
+    ]
 
 
 def test_policy_entry_cap():

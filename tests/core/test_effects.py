@@ -17,16 +17,8 @@ def test_totals_survive_drain():
     effects.record(DISK_READ, 0, 1)
     effects.drain()
     effects.record(DISK_READ, 1, 2)
-    assert effects.totals[DISK_READ] == 2
-
-
-def test_cache_hit_rate():
-    effects = EffectsRecorder()
-    effects.record_cache("policy", hit=True)
-    effects.record_cache("policy", hit=True)
-    effects.record_cache("policy", hit=False)
-    assert effects.cache_hit_rate("policy") == 2 / 3
-    assert effects.cache_hit_rate("unknown-region") == 0.0
+    totals = effects.registry.get("pesos_effects_total")
+    assert totals.labels(DISK_READ).value == 2
 
 
 def test_cache_events_tagged_by_region():

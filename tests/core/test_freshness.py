@@ -455,7 +455,7 @@ def test_pin_events_are_hash_chained_into_the_audit_log():
     controller, _cluster = _controller(env, audit_log_size=4096)
     assert controller.put(FP, "obj", b"value").ok
     assert controller.delete(FP, "obj").ok
-    records = controller.auditor.log.tail(limit=256)
+    records = controller.auditor.tail(limit=256)
     pins = [record for record in records if record.operation == "pin"]
     assert len(pins) == controller.freshness.pins
     assert pins[-1].key == f"epoch:{env.counter.read()}"
@@ -476,7 +476,7 @@ def test_fork_event_is_audited():
         config=ControllerConfig(audit_log_size=4096),
         freshness_env=env,
     )
-    records = restarted.auditor.log.tail(limit=16)
+    records = restarted.auditor.tail(limit=16)
     forks = [record for record in records if record.decision == "fork"]
     assert forks and "counter" in forks[-1].detail
     assert restarted.auditor.verify()["ok"]

@@ -73,8 +73,8 @@ def test_fast_path_is_response_and_audit_identical():
     assert _scripted_run(controller) == _INTERPRETER_RUN
     # Same decisions, same clause paths, same chained digests: the
     # audit-compatibility guarantee, end to end.
-    assert len(controller.auditor.log) == 13
-    assert controller.auditor.log.head == _INTERPRETER_AUDIT_HEAD
+    assert len(controller.auditor) == 13
+    assert controller.auditor.head == _INTERPRETER_AUDIT_HEAD
 
 
 def test_repeat_reads_hit_the_decision_cache():
@@ -164,7 +164,7 @@ def test_handle_batch_answers_like_sequential_handle_bytes():
         parsed = [parse_http_response(item) for item in raw]
         runs[batched] = (
             [(r.status, r.error, r.value) for r in parsed],
-            controller.auditor.log,
+            controller.auditor,
             controller.policy_engine.decisions.stats,
         )
     (answers, log, stats), (seq_answers, seq_log, seq_stats) = (
@@ -189,7 +189,13 @@ def test_handle_batch_answers_like_sequential_handle_bytes():
 
 
 def test_decision_cache_metrics_exported():
-    controller = _controller()
+    from repro.telemetry import Telemetry
+
+    telemetry = Telemetry()
+    clients, _cluster = make_clients()
+    controller = PesosController(
+        clients, storage_key=b"k" * 32, telemetry=telemetry
+    )
     acl = controller.put_policy(
         ALICE,
         f"read :- sessionKeyIs(k'{ALICE}')\n"
@@ -199,7 +205,7 @@ def test_decision_cache_metrics_exported():
     controller.get(ALICE, "doc")
     controller.get(ALICE, "doc")
     families = {
-        family.name: family for family in controller._derived_metrics()
+        family.name: family for family in telemetry.registry.collect()
     }
     family = families["pesos_policy_decision_cache_events_total"]
     events = {

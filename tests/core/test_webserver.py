@@ -36,7 +36,7 @@ def test_http_malformed_request_is_400(server):
         server.handle_bytes(b"GET / HTTP/1.1\r\n\r\n", ALICE)
     )
     assert response.status == 400
-    assert server.stats.errors == 1
+    assert server._m_errors.value == 1
 
 
 def test_http_policy_denial_maps_to_403(server, controller):
@@ -52,9 +52,9 @@ def test_http_policy_denial_maps_to_403(server, controller):
 
 def test_stats_accumulate(server):
     server.handle_bytes(_http(Request(method="put", key="k", value=b"v")), ALICE)
-    assert server.stats.requests == 1
-    assert server.stats.bytes_in > 0
-    assert server.stats.bytes_out > 0
+    assert server._m_requests.value == 1
+    assert server._m_bytes.labels("in").value > 0
+    assert server._m_bytes.labels("out").value > 0
 
 
 @pytest.fixture()

@@ -1,16 +1,17 @@
-"""StreamAead / GcmAead / NullAead interface contract."""
+"""The seal/open contract, for StreamAead and literal AES-GCM alike."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aead import GcmAead, NullAead, StreamAead
+from repro.crypto.aead import StreamAead
+from repro.crypto.gcm import AesGcm
 from repro.errors import CryptoError, IntegrityError
 
 NONCE = b"n" * 12
 
 
-@pytest.fixture(params=[StreamAead, GcmAead], ids=["stream", "gcm"])
+@pytest.fixture(params=[StreamAead, AesGcm], ids=["stream", "gcm"])
 def aead(request):
     return request.param(b"k" * 16)
 
@@ -70,12 +71,6 @@ def test_stream_overhead_is_tag_size():
 def test_short_key_rejected():
     with pytest.raises(CryptoError):
         StreamAead(b"tiny")
-
-
-def test_null_aead_passthrough():
-    aead = NullAead()
-    assert aead.seal(NONCE, b"data") == b"data"
-    assert aead.open(NONCE, b"data") == b"data"
 
 
 def test_empty_plaintext(aead):

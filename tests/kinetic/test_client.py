@@ -206,18 +206,14 @@ def _replay_other_sequence(response):
     return response.sign(KineticDrive.DEMO_KEY)
 
 
-@pytest.mark.parametrize("wire_codec", [True, False])
 @pytest.mark.parametrize(
     "rewrite, error",
     [(_forge_value, IntegrityError), (_replay_other_sequence, KineticError)],
 )
-def test_async_spoofed_response_raises_before_callback(
-    drive, wire_codec, rewrite, error
-):
+def test_async_spoofed_response_raises_before_callback(drive, rewrite, error):
     KineticClient(drive, "demo", KineticDrive.DEMO_KEY).put(b"k", b"v")
     client = KineticClient(
-        _SpoofingDrive(drive, rewrite), "demo", KineticDrive.DEMO_KEY,
-        wire_codec=wire_codec,
+        _SpoofingDrive(drive, rewrite), "demo", KineticDrive.DEMO_KEY
     )
     delivered = []
     pending = client.submit(

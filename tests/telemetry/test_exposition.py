@@ -5,9 +5,7 @@ import json
 import pytest
 
 from repro.telemetry import (
-    MetricFamily,
     MetricsRegistry,
-    Sample,
     Tracer,
     registry_to_dict,
     render_json,
@@ -94,15 +92,8 @@ def test_json_rendering_roundtrips(registry):
 
 
 def test_callback_families_render(registry):
-    from repro.telemetry import MetricFamily, Sample
-
-    registry.register_callback(
-        lambda: [
-            MetricFamily(
-                name="ratio", kind="gauge", help="derived",
-                samples=[Sample("ratio", {"region": "object"}, 0.5)],
-            )
-        ]
+    registry.derived(
+        "ratio", "gauge", "derived", lambda: [("object", 0.5)], ("region",)
     )
     text = render_prometheus(registry)
     assert 'ratio{region="object"} 0.5' in text
@@ -124,22 +115,15 @@ def test_float_formatting_shortest_roundtrip():
 
 
 def test_float_formatting_roundtrips_default_buckets():
-    from repro.telemetry import DEFAULT_LATENCY_BUCKETS, DEFAULT_SIZE_BUCKETS
+    from repro.telemetry import DEFAULT_LATENCY_BUCKETS
     from repro.telemetry.exposition import _format_value
 
-    for bound in (*DEFAULT_LATENCY_BUCKETS, *DEFAULT_SIZE_BUCKETS):
+    for bound in DEFAULT_LATENCY_BUCKETS:
         assert float(_format_value(bound)) == bound
 
 
 def test_nan_gauge_renders_as_nan(registry):
-    registry.register_callback(
-        lambda: [
-            MetricFamily(
-                name="p99", kind="gauge", help="",
-                samples=[Sample("p99", {}, float("nan"))],
-            )
-        ]
-    )
+    registry.derived("p99", "gauge", "", lambda: float("nan"))
     assert "p99 NaN" in render_prometheus(registry)
 
 

@@ -123,10 +123,10 @@ def test_traces_limit_parameter(server):
 
 def test_admin_scrapes_do_not_distort_serving_stats(server):
     _roundtrip(server)
-    before = server.stats.requests
+    before = server._m_requests.value
     _admin(server, "/_metrics")
     _admin(server, "/_traces")
-    assert server.stats.requests == before
+    assert server._m_requests.value == before
 
 
 def test_unknown_admin_path_is_404(server):
@@ -340,8 +340,11 @@ def test_audit_verify_detects_flipped_byte():
     _policied_roundtrip(server)
     status, _body = _admin(server, "/_audit?verify=1")
     assert status == 200
-    record = server.controller.auditor.log.records[0]
+    record = server.controller.auditor.records[0]
     record.decision = "deny" if record.decision == "allow" else "allow"
+    raw = server.handle_bytes(b"GET /_audit?verify=1 HTTP/1.1\r\n\r\n", ALICE)
+    # One reason table for client and admin responses alike.
+    assert raw.startswith(b"HTTP/1.1 500 Internal Server Error\r\n")
     status, body = _admin(server, "/_audit?verify=1")
     assert status == 500
     verification = json.loads(body)["verification"]

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.telemetry import MetricFamily, MetricsRegistry, Sample
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture()
@@ -175,20 +175,91 @@ def test_collect_is_sorted_and_typed(registry):
 
 
 def test_callback_families_collected(registry):
-    def derived():
-        yield MetricFamily(
-            name="hit_ratio", kind="gauge", help="",
-            samples=[Sample("hit_ratio", {"region": "object"}, 0.75)],
-        )
-
-    registry.register_callback(derived)
+    state = {"object": 0.5}
+    registry.derived(
+        "hit_ratio", "gauge", "", lambda: list(state.items()), ("region",)
+    )
+    state["object"] = 0.75  # read at collect time, not at registration
     families = {family.name: family for family in registry.collect()}
-    assert families["hit_ratio"].samples[0].value == 0.75
+    (sample,) = families["hit_ratio"].samples
+    assert sample.labels == {"region": "object"}
+    assert sample.value == 0.75
 
 
-def test_reset_clears_everything(registry):
-    registry.counter("ops_total").inc()
-    registry.register_callback(lambda: [])
-    registry.reset()
-    assert registry.collect() == []
-    assert registry.get("ops_total") is None
+def test_derived_family_shapes(registry):
+    registry.counter("z_total").inc()
+    registry.derived("depth", "gauge", "Queue depth.", lambda: 3)
+    registry.derived(
+        "events_total", "counter", "",
+        lambda: [(("get", 200), 7), (("put", 503), 1)],
+        ("method", "status"),
+    )
+    z_total, depth, events = registry.collect()
+    # Instruments first, then derived families in registration order.
+    assert z_total.name == "z_total"
+    assert (depth.kind, depth.help) == ("gauge", "Queue depth.")
+    assert [(s.labels, s.value) for s in depth.samples] == [({}, 3)]
+    assert [(s.labels, s.value) for s in events.samples] == [
+        ({"method": "get", "status": "200"}, 7),
+        ({"method": "put", "status": "503"}, 1),
+    ]
+
+
+def test_derived_label_count_mismatch_raises(registry):
+    registry.derived("bad", "gauge", "", lambda: [(("a", "b"), 1)], ("only",))
+    with pytest.raises(ValueError):
+        registry.collect()
+
+
+# ---------------------------------------------------------------------------
+# One way to publish state (AST guard over src/repro)
+# ---------------------------------------------------------------------------
+
+def _package_trees():
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
+
+
+def test_only_the_registry_builds_families_and_samples():
+    """Scrape-time values go through ``derived`` — the call the taint
+    pass watches — never through a hand-built family."""
+    import ast
+
+    builders = {
+        rel
+        for rel, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in ("MetricFamily", "Sample")
+    }
+    assert builders == {"telemetry/metrics.py"}
+
+
+def test_the_second_audit_module_and_wire_path_stay_gone():
+    import ast
+
+    for rel, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                imported = []
+            assert "repro.telemetry.audit" not in imported, rel
+            # No assignment target, parameter or keyword named so.
+            names = (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                getattr(node, "arg", None),
+            )
+            assert "wire_codec" not in names, rel
