@@ -6,6 +6,15 @@ default), objects fetched for requests or during policy evaluation,
 and object keys/metadata (600 KB default).  All regions approximate
 LFU eviction and report hits/misses to the effects recorder so the
 benchmarks can observe cache behaviour (Fig. 8 depends on it).
+
+An object-region entry holds a version's bytes *and*, once a policy has
+asked what they say, the :class:`~repro.policy.context.Facts` parsed
+from them (:meth:`CacheManager.facts`).  The facts belong to the bytes
+object, not to the ``key@version`` string — a delete-then-recreate
+reuses ``key@0`` for other bytes — so they go when the entry is
+evicted, invalidated, cleared, or replaced by another bytes object.
+The entry still weighs ``len(bytes)``: the facts' Python objects are
+not charged to the region's budget.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.effects import NullRecorder
+from repro.policy.context import Facts
 from repro.telemetry import NULL_TELEMETRY
 from repro.util.lfu import LFUCache
 
@@ -32,6 +42,14 @@ class CacheConfig:
     policy_entries: int | None = None
     #: Aging keeps the LFU approximation honest under shifting load.
     age_interval: int = 4096
+
+
+@dataclass(slots=True, eq=False)
+class _Resident:
+    """One object-region entry: the bytes and what they say."""
+
+    data: bytes
+    facts: Facts | None = None
 
 
 class CacheManager:
@@ -81,7 +99,7 @@ class CacheManager:
         )
         self.objects: LFUCache = LFUCache(
             max_bytes=self.config.object_bytes,
-            weigher=len,
+            weigher=lambda entry: len(entry.data),
             age_interval=self.config.age_interval,
         )
         self.keys: LFUCache = LFUCache(
@@ -105,12 +123,30 @@ class CacheManager:
         self.policies.put(policy_id, policy)
 
     def get_object(self, cache_key: str):
-        value = self.objects.get(cache_key)
-        self._record(OBJECT_REGION, value is not None)
-        return value
+        entry = self.objects.get(cache_key)
+        self._record(OBJECT_REGION, entry is not None)
+        return None if entry is None else entry.data
 
     def put_object(self, cache_key: str, value: bytes) -> None:
-        self.objects.put(cache_key, value)
+        entry = self.objects.peek(cache_key)
+        if entry is None or entry.data is not value:
+            entry = _Resident(value)  # other bytes: their facts go too
+        self.objects.put(cache_key, entry)
+
+    def facts(self, cache_key: str, value: bytes) -> Facts:
+        """What ``value`` says, parsed once while it stays resident.
+
+        ``value`` is what :meth:`get_object` just returned, or what the
+        caller just read hash-checked and put; any other bytes parse
+        afresh, unremembered.  No effect and no LFU touch: the lookup
+        that produced ``value`` already counted.
+        """
+        entry = self.objects.peek(cache_key)
+        if entry is None or entry.data is not value:
+            return Facts.parse(value)
+        if entry.facts is None:
+            entry.facts = Facts.parse(value)
+        return entry.facts
 
     def invalidate_object(self, cache_key: str) -> None:
         self.objects.remove(cache_key)
@@ -130,11 +166,7 @@ class CacheManager:
 
     def memory_in_use(self) -> int:
         """Total bytes across regions (for EPC footprint accounting)."""
-        return (
-            self.policies.total_weight
-            + self.objects.total_weight
-            + self.keys.total_weight
-        )
+        return sum(cache.total_weight for cache in self._regions().values())
 
     def _regions(self) -> dict:
         return {

@@ -17,6 +17,7 @@ controller-only admin identity.
 
 from __future__ import annotations
 
+import json
 import secrets as _secrets
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -37,12 +38,14 @@ from repro.core.effects import (
 )
 from repro.core.request import METHOD_TABLE, Request, Response
 from repro.core.session import Session, SessionManager
-from repro.core.ssdcache import SSD_READ, SSD_WRITE
+from repro.core.freshness import FreshnessAuthority, FreshnessEnvironment
+from repro.core.ssdcache import SSD_READ, SSD_WRITE, SsdCacheTier
 from repro.core.locks import KeyLockTable
 from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
 from repro.core.txn import Transaction, VllManager
 from repro.errors import (
     ForkDetected,
+    IntegrityError,
     ObjectNotFound,
     PesosError,
     PolicyDenied,
@@ -54,6 +57,7 @@ from repro.policy.binary import CompiledPolicy
 from repro.policy.compiled import PolicyEngine
 from repro.policy.compiler import compile_source
 from repro.policy.context import EvalContext, VersionInfo
+from repro.sgx.attestation import attest_and_provision
 from repro.sgx.auditlog import AuditLog
 from repro.telemetry import NULL_TELEMETRY
 
@@ -67,6 +71,9 @@ LOG_SUFFIX = ".log"
 MAX_SCAN_COUNT = 1000
 #: Journal keys repaired per anti-entropy pass.
 ANTI_ENTROPY_BATCH = 4
+#: Undrained effect tuples kept: the DES drains per request and never
+#: comes near it; a front end that never drains stops growing here.
+EFFECTS_BACKLOG = 8192
 
 
 @dataclass
@@ -119,8 +126,6 @@ def attestation_statement(
     timestamp: float,
 ) -> bytes:
     """Canonical byte encoding of one storage attestation."""
-    import json
-
     return json.dumps(
         {
             "key": key,
@@ -140,10 +145,6 @@ def verify_attestation(statement: bytes, signature: bytes, public_key) -> dict:
 
     Returns the parsed statement; raises on a bad signature.
     """
-    import json
-
-    from repro.errors import IntegrityError
-
     if not public_key.verify(statement, signature):
         raise IntegrityError("attestation signature invalid")
     return json.loads(statement)
@@ -227,11 +228,6 @@ class PesosController:
         #: service before any read happens.
         self.freshness = None
         if self.config.freshness_enabled or freshness_env is not None:
-            from repro.core.freshness import (
-                FreshnessAuthority,
-                FreshnessEnvironment,
-            )
-
             env = freshness_env or FreshnessEnvironment.ephemeral()
             self.freshness = FreshnessAuthority(
                 env, telemetry=self.telemetry, auditor=self.auditor
@@ -258,6 +254,9 @@ class PesosController:
             conflicts=self.txns.holds, on_release=self.txns.notify_release
         )
         self.requests_handled = 0
+        #: Requests inside :meth:`handle` that hold an index into
+        #: ``effects.events`` (green threads overlap at drive I/O).
+        self._counting = 0
         #: Controller identity used to sign storage attestations (§1:
         #: "cryptographic attestation for the stored objects and their
         #: associated policies").  A :class:`repro.crypto.certs.KeyPair`.
@@ -266,8 +265,6 @@ class PesosController:
         #: caches and the drives (paper future work; §8).
         self.ssd_cache = None
         if self.config.ssd_cache_entries:
-            from repro.core.ssdcache import SsdCacheTier
-
             self.ssd_cache = SsdCacheTier(
                 max_entries=self.config.ssd_cache_entries,
                 effects=self.effects,
@@ -316,8 +313,6 @@ class PesosController:
         telemetry=None,
     ) -> "PesosController":
         """Full §3.1 bootstrap: attest, connect, lock out everyone else."""
-        from repro.sgx.attestation import attest_and_provision
-
         enclave = platform.launch(binary)
         provided = attest_and_provision(attestation_service, platform, enclave)
         storage_key = bytes.fromhex(provided["storage_key"])
@@ -357,27 +352,35 @@ class PesosController:
         self.requests_handled += 1
         if self.config.anti_entropy_interval:
             self._pump_anti_entropy()
+        if len(self.effects.events) > EFFECTS_BACKLOG and not self._counting:
+            # A request boundary with nobody mid-count: what no consumer
+            # drained by now, none will.  The per-kind totals persist.
+            self.effects.drain()
         telemetry = self.telemetry
         if not telemetry.enabled:
             # Uninstrumented fast path: no span, no counters, so the
             # wall ledger sees no telemetry cost.
             return self._serve(request, fingerprint, now)
         events_before = len(self.effects.events)
-        with telemetry.span(
-            "controller.handle", method=request.method, now=now
-        ) as span:
-            if request.key:
-                span.set("key", request.key)
-            response = self._serve(request, fingerprint, now)
-            span.set("status", response.status)
-            if response.ok:
-                outcome = "ok"
-            elif response.status == 403:
-                outcome = "denied"
-            else:
-                outcome = "error"
-            self._m_ops.labels(request.method, outcome).inc()
-            self._count_transitions(events_before)
+        self._counting += 1
+        try:
+            with telemetry.span(
+                "controller.handle", method=request.method, now=now
+            ) as span:
+                if request.key:
+                    span.set("key", request.key)
+                response = self._serve(request, fingerprint, now)
+                span.set("status", response.status)
+                if response.ok:
+                    outcome = "ok"
+                elif response.status == 403:
+                    outcome = "denied"
+                else:
+                    outcome = "error"
+                self._m_ops.labels(request.method, outcome).inc()
+                self._count_transitions(events_before)
+        finally:
+            self._counting -= 1
         return response
 
     def _serve(
@@ -581,6 +584,12 @@ class PesosController:
                 self.ssd_cache.put(f"m:{key}", meta.encode())
         return meta
 
+    def _existing_meta(self, key: str) -> StoredMeta:
+        meta = self._get_meta(key)
+        if meta is None or not meta.exists:
+            raise ObjectNotFound(f"no object {key!r}")
+        return meta
+
     def _load_policy(self, policy_id: str) -> CompiledPolicy | None:
         policy = self.caches.get_policy(policy_id)
         if policy is not None:
@@ -666,9 +675,7 @@ class PesosController:
         the caller; the context always carries ``request``'s
         certificates, whichever record ``key`` names.
         """
-        meta = self._get_meta(key)
-        if meta is None or not meta.exists:
-            raise ObjectNotFound(f"no object {key!r}")
+        meta = self._existing_meta(key)
         if self.config.enforce_policies and meta.policy_id:
             policy = self._load_policy(meta.policy_id)
             ctx = self._build_context(
@@ -903,17 +910,11 @@ class PesosController:
 
     def scrub_object(self, key: str) -> list:
         """Audit all replicas of an object; see ObjectStore.scrub."""
-        meta = self._get_meta(key)
-        if meta is None or not meta.exists:
-            raise ObjectNotFound(f"no object {key!r}")
-        return self.store.scrub(meta)
+        return self.store.scrub(self._existing_meta(key))
 
     def repair_object(self, key: str) -> int:
         """Re-write damaged replicas; see ObjectStore.repair."""
-        meta = self._get_meta(key)
-        if meta is None or not meta.exists:
-            raise ObjectNotFound(f"no object {key!r}")
-        return self.store.repair(meta)
+        return self.store.repair(self._existing_meta(key))
 
     # ------------------------------------------------------------------
     # Policy management

@@ -60,7 +60,7 @@ from repro.errors import (
     StaleReplica,
     TransientIOError,
 )
-from repro.policy.context import ObjectView, VersionInfo
+from repro.policy.context import Facts, ObjectView, VersionInfo
 from repro.kinetic.protocol import Op, decode_fields, encode_fields
 from repro.telemetry import NULL_TELEMETRY
 
@@ -1047,46 +1047,42 @@ class StoreBackedView(ObjectView):
     """An :class:`ObjectView` that lazily reads content for ``objSays``.
 
     Size/hash/policy-hash come from metadata without touching content;
-    content tuples are fetched (through the object cache) only when a
-    policy actually inspects them — and cached, per §4.2 ("we cache
-    objects accessed during policy evaluation").
+    the content is fetched (through the object cache) only when a policy
+    actually inspects what it says — and cached, per §4.2 ("we cache
+    objects accessed during policy evaluation"), facts included.
     """
 
-    def __init__(self, meta: StoredMeta, store: ObjectStore, cache=None):
+    def __init__(self, meta: StoredMeta, store: ObjectStore, cache):
         super().__init__(
             object_id=meta.key, current_version=meta.current_version
         )
         self._meta = meta
         self._store = store
         self._cache = cache
-        self._infos: dict[int, VersionInfo] = {}
 
     def info(self, version: int) -> VersionInfo | None:
-        if version in self._infos:
-            return self._infos[version]
+        info = self.versions.get(version)
         version_meta = self._meta.versions.get(version)
-        if version_meta is None:
-            return None
-        info = VersionInfo(
-            size=version_meta.size,
-            content_hash=version_meta.content_hash,
-            policy_hash=version_meta.policy_hash,
-            content=partial(
-                self._load_content, version, version_meta.content_hash
-            ),
-        )
-        self._infos[version] = info
+        if info is None and version_meta is not None:
+            info = self.versions[version] = VersionInfo(
+                size=version_meta.size,
+                content_hash=version_meta.content_hash,
+                policy_hash=version_meta.policy_hash,
+                load=partial(
+                    self._load_facts, version, version_meta.content_hash
+                ),
+            )
         return info
 
-    def _load_content(self, version: int, content_hash: str) -> bytes:
+    def _load_facts(self, version: int, content_hash: str) -> Facts:
+        """Resolve the content as a GET would (one object-cache lookup;
+        on a miss a read anchored by the metadata's content hash, then
+        cached), and ask the cache what exactly those bytes say."""
         cache_key = f"{self.object_id}@{version}"
-        if self._cache is not None:
-            cached = self._cache.get_object(cache_key)
-            if cached is not None:
-                return cached
-        value = self._store.read_value(
-            self.object_id, version, expect_sha256=content_hash
-        )
-        if self._cache is not None:
+        value = self._cache.get_object(cache_key)
+        if value is None:
+            value = self._store.read_value(
+                self.object_id, version, expect_sha256=content_hash
+            )
             self._cache.put_object(cache_key, value)
-        return value
+        return self._cache.facts(cache_key, value)

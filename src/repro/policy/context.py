@@ -10,6 +10,12 @@ Object *content as facts*: ``objSays`` treats an object version's bytes
 as a sequence of tuples, one per line, in the policy term syntax
 (``'write'('obj',3,h'ab',h'cd',k'fp')``).  The mandatory-access-logging
 use case appends such lines to its log objects.
+
+A version's bytes never change, so its :class:`Facts` are a pure
+function of them, parsed once per *bytes object*: the store-backed
+loader of a :class:`VersionInfo` keeps them on the object-cache entry
+holding those bytes (:meth:`repro.core.cache.CacheManager.facts`).
+They are immutable because they outlive the request that parsed them.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.crypto.certs import Certificate
-from repro.crypto.rsa import RsaPublicKey
 from repro.errors import PolicyError
 from repro.policy.ast import (
     HashValue,
@@ -40,15 +46,18 @@ def parse_content_tuples(data: bytes) -> list[TupleValue]:
     """Parse object content into ground tuples (see module docstring).
 
     Lines that do not parse as tuples are ignored — objects holding
-    arbitrary payloads simply say nothing.
+    arbitrary payloads simply say nothing.  A line ends at a line feed
+    only: ``str.splitlines`` also breaks on U+2028, VT, FF, NEL and bare
+    CR, all legal *inside* a string literal, so it let one line say a
+    tuple that is no line of it.
     """
     tuples: list[TupleValue] = []
     try:
         text = data.decode()
     except UnicodeDecodeError:
         return tuples
-    for line in text.splitlines():
-        line = line.strip()
+    for line in text.split("\n"):
+        line = line.strip(" \t\r")  # the lexer's own blanks, no others
         if not line:
             continue
         parsed = _parse_tuple_line(line)
@@ -103,29 +112,33 @@ def _parse_tuple_line(line: str) -> TupleValue | None:
         return None
 
 
+class Facts(NamedTuple):
+    """What one object version says."""
+
+    #: The tuples in content order: the first one a pattern unifies
+    #: with is the one that binds its unbound slots.
+    ordered: tuple = ()
+    #: The same tuples, for a pattern with nothing left to bind.
+    ground: frozenset = frozenset()
+
+    @classmethod
+    def parse(cls, data: bytes) -> "Facts":
+        ordered = tuple(parse_content_tuples(data))
+        return cls(ordered, frozenset(ordered))
+
+
+@dataclass(slots=True, eq=False)
 class VersionInfo:
-    """Metadata + facts for one version of one object.
+    """Metadata + facts for one version of one object."""
 
-    ``tuples`` (the facts ``objSays`` matches) are given outright, or
-    parsed on first read from what ``content`` returns; most policies
-    never look, and then the payload is never tokenised or fetched.
-    """
-
-    __slots__ = ("size", "content_hash", "policy_hash", "_tuples", "_content")
-
-    def __init__(
-        self,
-        size: int,
-        content_hash: str,
-        policy_hash: str = "",
-        tuples: list | None = None,
-        content: Callable[[], bytes] | None = None,
-    ):
-        self.size = size
-        self.content_hash = content_hash
-        self.policy_hash = policy_hash
-        self._tuples = tuples
-        self._content = content
+    size: int
+    content_hash: str
+    policy_hash: str = ""
+    #: Loads what ``objSays`` matches, on the first read of ``facts``;
+    #: most policies never look, and then the payload is never tokenised
+    #: or fetched.  A loader that raises is asked again on the next read.
+    load: Callable[[], Facts] | None = Facts
+    _facts: Facts | None = None
 
     @classmethod
     def from_content(
@@ -135,18 +148,15 @@ class VersionInfo:
             size=len(data),
             content_hash=content_hash(data),
             policy_hash=policy_hash,
-            content=lambda: data,
+            load=lambda: Facts.parse(data),
         )
 
     @property
-    def tuples(self) -> list:
-        if self._tuples is None:
-            self._tuples = (
-                [] if self._content is None
-                else parse_content_tuples(self._content())
-            )
-            self._content = None  # the payload need not outlive its parse
-        return self._tuples
+    def facts(self) -> Facts:
+        if self._facts is None:
+            self._facts = self.load()
+            self.load = None  # the payload need not outlive its parse
+        return self._facts
 
 
 @dataclass
@@ -222,9 +232,6 @@ class EvalContext:
 
     # -- certificates --------------------------------------------------------
 
-    def authority_key(self, fingerprint: str) -> RsaPublicKey | None:
-        return self.key_registry.get(fingerprint)
-
     def certified_tuples(
         self, authority_fp: str, freshness: float | None
     ) -> list[TupleValue]:
@@ -236,7 +243,7 @@ class EvalContext:
         given), and — if the certificate carries a nonce — the nonce
         matches the one Pesos issued for this session.
         """
-        authority = self.authority_key(authority_fp)
+        authority = self.key_registry.get(authority_fp)
         if authority is None:
             return []
         facts: list[TupleValue] = []
@@ -266,9 +273,7 @@ def claim_to_tuple(name: str, args: tuple) -> TupleValue:
     """
     converted = []
     for arg in args:
-        if isinstance(arg, bool):
-            converted.append(IntValue(int(arg)))
-        elif isinstance(arg, (int, float)):
+        if isinstance(arg, (int, float)):  # bool included
             converted.append(IntValue(int(arg)))
         elif isinstance(arg, str) and arg.startswith("k:"):
             converted.append(PubKeyValue(arg[2:]))

@@ -146,6 +146,25 @@ def _match_elements(
     return True
 
 
+def ground_tuple(pattern) -> TupleValue | None:
+    """The tuple ``pattern`` denotes, or ``None`` while a slot in it is
+    unbound (even one the predicate has bound since evaluating it).
+
+    With nothing to bind, :func:`unify_tuple` against a fact is equality
+    with this value, so a set of facts answers by membership.
+    """
+    if isinstance(pattern, TupleValue):
+        return pattern
+    args = []
+    for element in pattern.elems:
+        if isinstance(element, TuplePattern):
+            element = ground_tuple(element)
+        if element is None or isinstance(element, Unbound):
+            return None
+        args.append(element)
+    return TupleValue(pattern.name, tuple(args))
+
+
 def render_bindings(snapshot: dict) -> str:
     """Canonical one-line rendering of a bindings snapshot.
 

@@ -31,6 +31,7 @@ from repro.policy.evalcore import (
     Unbound,
     as_object_id,
     compare_or_set,
+    ground_tuple,
     require_int,
     unify_tuple,
 )
@@ -142,10 +143,7 @@ def _certificate_says(ctx: EvalContext, bindings: Bindings, args) -> bool:
     if not isinstance(pattern, (TuplePattern, TupleValue)):
         raise EvalError("certificateSays needs a tuple argument")
     for fact in ctx.certified_tuples(authority.value, freshness):
-        if isinstance(pattern, TupleValue):
-            if pattern == fact:
-                return True
-        elif unify_tuple(pattern, fact, bindings):
+        if unify_tuple(pattern, fact, bindings):
             return True
     return False
 
@@ -175,13 +173,21 @@ def _resolve_object(ctx: EvalContext, arg):
     return object_id, ctx.view(object_id)
 
 
-def _resolve_version(ctx, bindings, object_id, view, version_arg):
-    if isinstance(version_arg, Unbound):
-        if view is None:
-            return None
-        bindings.bind(version_arg.slot, IntValue(view.current_version))
-        return view.current_version
-    return require_int(version_arg, "version")
+def _resolve_info(ctx: EvalContext, bindings: Bindings, args):
+    """The version ``args[:2]`` name (object, version), or ``None``; an
+    unbound version argument is bound to the object's current one."""
+    object_id, view = _resolve_object(ctx, args[0])
+    if object_id is None:
+        return None
+    version_arg = args[1]
+    if not isinstance(version_arg, Unbound):
+        version = require_int(version_arg, "version")
+    elif view is None:
+        return None
+    else:
+        version = view.current_version
+        bindings.bind(version_arg.slot, IntValue(version))
+    return ctx.version_info(object_id, version)
 
 
 @_register("currVersion", 21, 2, 2)
@@ -192,9 +198,7 @@ def _curr_version(ctx: EvalContext, bindings: Bindings, args) -> bool:
     return compare_or_set(args[1], IntValue(view.current_version), bindings)
 
 
-@_register("currIndex", 27, 2, 2)
-def _curr_index(ctx: EvalContext, bindings: Bindings, args) -> bool:
-    return _curr_version(ctx, bindings, args)
+_register("currIndex", 27, 2, 2)(_curr_version)
 
 
 @_register("nextVersion", 22, 1, 1)
@@ -218,13 +222,7 @@ def _next_index(ctx: EvalContext, bindings: Bindings, args) -> bool:
 
 def _version_metadata(extract: Callable):
     def impl(ctx: EvalContext, bindings: Bindings, args) -> bool:
-        object_id, view = _resolve_object(ctx, args[0])
-        if object_id is None:
-            return False
-        version = _resolve_version(ctx, bindings, object_id, view, args[1])
-        if version is None:
-            return False
-        info = ctx.version_info(object_id, version)
+        info = _resolve_info(ctx, bindings, args)
         if info is None:
             return False
         return compare_or_set(args[2], extract(info), bindings)
@@ -245,22 +243,19 @@ _register("objHash", 25, 3, 3)(
 
 @_register("objSays", 26, 3, 3)
 def _obj_says(ctx: EvalContext, bindings: Bindings, args) -> bool:
-    object_id, view = _resolve_object(ctx, args[0])
-    if object_id is None:
-        return False
-    version = _resolve_version(ctx, bindings, object_id, view, args[1])
-    if version is None:
-        return False
-    info = ctx.version_info(object_id, version)
+    info = _resolve_info(ctx, bindings, args)
     if info is None:
         return False
     pattern = args[2]
     if not isinstance(pattern, (TuplePattern, TupleValue)):
         raise EvalError("objSays needs a tuple argument")
-    for fact in info.tuples:
-        if isinstance(pattern, TupleValue):
-            if pattern == fact:
-                return True
-        elif unify_tuple(pattern, fact, bindings):
+    facts = info.facts
+    ground = ground_tuple(pattern)
+    if ground is not None:
+        # Nothing to bind, so no fact's position matters: a lookup,
+        # however long the log has grown.
+        return ground in facts.ground
+    for fact in facts.ordered:
+        if unify_tuple(pattern, fact, bindings):
             return True
     return False

@@ -167,8 +167,8 @@ class MalStore:
         )
 
     def audit_trail(self, client: str, key: str) -> list[str]:
-        """The log's current content as text lines."""
+        """The log's entries: its LF-terminated lines, as objSays reads it."""
         log = self.controller.get(client, key + self.LOG_SUFFIX)
         if not log.ok:
             raise PesosError(log.error)
-        return [line for line in log.value.decode().splitlines() if line]
+        return [line for line in log.value.decode().split("\n") if line]

@@ -115,3 +115,41 @@ def test_run_point_with_telemetry_exposes_layer_gauges(loaded):
     families = {family.name for family in telemetry.registry.collect()}
     assert "pesos_bench_layer_seconds" in families
     assert result.breakdown["cpu"] > 0
+
+
+def test_des_sees_the_parents_events_for_every_request(monkeypatch):
+    """The controller bounds the effects backlog nobody drains; the DES
+    drains per request and must not notice.  The SHA is of the
+    per-request event lists of this run at 1ff8262, before the bound."""
+    import hashlib
+
+    from repro.bench.model import SystemModel
+    from repro.core.controller import EFFECTS_BACKLOG
+
+    seen = []
+    derive = SystemModel._derive_costs
+
+    def recording(self, events, request_bytes, response_bytes):
+        seen.append(list(events))
+        return derive(self, events, request_bytes, response_bytes)
+
+    monkeypatch.setattr(SystemModel, "_derive_costs", recording)
+    loaded = build_system(
+        make_config("sgx", "sim", num_drives=2),
+        workload=WORKLOAD_A.scaled(
+            record_count=120, operation_count=400, value_size=128
+        ),
+        policy_source=(
+            "read :- sessionKeyIs(k'fp-bench')\n"
+            "update :- sessionKeyIs(k'fp-bench')"
+        ),
+    )
+    # What a load phase ten times this size leaves behind, undrained.
+    loaded.controller.effects.events.extend(
+        [("copy", 0)] * (EFFECTS_BACKLOG + 1)
+    )
+    run_point(loaded, 4, measure_ops=2400, warmup_ops=100)
+    assert (len(seen), sum(map(len, seen))) == (2503, 17619)
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "85e0969fab0104129cd61da61f980bba46b8b634f0bf23b499a6ef75a216d61f"
+    )

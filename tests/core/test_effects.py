@@ -32,3 +32,115 @@ def test_null_recorder_is_silent():
     effects.record("anything", 1, 2)
     effects.record_cache("region", hit=True)
     assert effects.drain() == []
+
+
+# -- the counter child is resolved once per kind ---------------------------
+
+
+def test_recorder_asks_the_counter_for_each_kind_once(monkeypatch):
+    effects = EffectsRecorder()
+    asked = []
+    labels = effects._kinds.labels
+
+    def counting_labels(*values):
+        asked.append(values)
+        return labels(*values)
+
+    monkeypatch.setattr(effects._kinds, "labels", counting_labels)
+    for _ in range(50):
+        effects.record(DISK_READ, 0, 1)
+        effects.record_cache("object", hit=True)
+        effects.record_cache("object", hit=False)
+        effects.record_cache("keys", hit=True)
+    assert asked == [
+        (DISK_READ,),
+        ("cache_hit:object",),
+        ("cache_miss:object",),
+        ("cache_hit:keys",),
+    ]
+    totals = effects.registry.get("pesos_effects_total").series()
+    assert totals == {
+        (DISK_READ,): 50,
+        ("cache_hit:object",): 50,
+        ("cache_miss:object",): 50,
+        ("cache_hit:keys",): 50,
+    }
+
+
+# -- the backlog nobody drains is bounded ----------------------------------
+
+
+def _get_raw(key):
+    from repro.core.request import Request, build_http_request
+
+    return build_http_request(Request(method="get", key=key))
+
+
+def test_backlog_is_bounded_when_nobody_drains(controller):
+    """20 000 cached GETs through the wire front end, which never
+    drains: 5 events each, 100 000 tuples at the parent."""
+    from repro.core.controller import EFFECTS_BACKLOG
+    from repro.core.webserver import WebServer
+    from tests.core.conftest import ALICE
+
+    server = WebServer(controller)
+    assert controller.put(ALICE, "k", b"v").ok
+    raw = _get_raw("k")
+    controller.effects.drain()
+    server.handle_bytes(raw, ALICE)
+    per_request = len(controller.effects.events)
+    longest = 0
+    for _ in range(19_999):
+        reply = server.handle_bytes(raw, ALICE)
+        longest = max(longest, len(controller.effects.events))
+    assert reply.startswith(b"HTTP/1.1 200")
+    # The bound, plus the one request that crossed it.
+    assert EFFECTS_BACKLOG < longest <= EFFECTS_BACKLOG + per_request
+    # Totals are not events: they persist across the drops.
+    totals = controller.effects.registry.get("pesos_effects_total")
+    assert totals.labels("copy").value == 20_001
+
+
+def test_a_consumer_that_drains_per_request_loses_nothing(controller):
+    """The DES contract: drain, execute, drain.  The bound never fires
+    between the two, however much was handled before."""
+    from tests.core.conftest import ALICE
+
+    assert controller.put(ALICE, "k", b"v").ok
+    controller.effects.drain()
+    assert controller.get(ALICE, "k").ok
+    expected = controller.effects.drain()
+    assert expected
+    for _ in range(4000):  # 4 000 x 4 events, twice the bound
+        controller.effects.drain()
+        assert controller.get(ALICE, "k").ok
+        assert controller.effects.drain() == expected
+
+
+def test_backlog_is_never_dropped_under_a_request_in_flight():
+    """``_count_transitions`` slices the list from an index taken at
+    request start; green threads overlap, so a request that starts
+    while another is parked at drive I/O must not drop the list."""
+    from repro.core.controller import EFFECTS_BACKLOG, PesosController
+    from repro.core.engine import ConcurrentEngine
+    from repro.core.request import Request
+    from repro.telemetry import Telemetry
+    from tests.core.conftest import make_clients
+
+    def transitions(backlog):
+        telemetry = Telemetry()
+        controller = PesosController(
+            make_clients()[0], storage_key=b"k" * 32, telemetry=telemetry
+        )
+        controller.effects.events.extend([("copy", 0)] * backlog)
+        batch = [
+            Request(method="put", key=f"k{i % 6}", value=b"v%d" % i)
+            for i in range(24)
+        ]
+        with ConcurrentEngine(controller, seed=3) as engine:
+            responses = engine.run_batch(batch)
+        assert all(response.ok for response in responses)
+        return telemetry.registry.get("pesos_sgx_transitions_total").series()
+
+    # The backlog crosses the bound while the batch is in flight.
+    assert transitions(EFFECTS_BACKLOG - 20) == transitions(0)

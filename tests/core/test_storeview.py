@@ -20,7 +20,7 @@ def store():
 def _view(store, content=b"'fact'(42)", cache=None):
     meta = StoredMeta(key="obj")
     store.store_version(meta, content, policy_hash="ph")
-    return StoreBackedView(meta, store, cache), meta
+    return StoreBackedView(meta, store, cache or CacheManager()), meta
 
 
 def test_metadata_served_without_content_reads(store):
@@ -37,24 +37,24 @@ def test_tuples_load_lazily_on_first_access(store):
     view, _meta = _view(store)
     info = view.info(0)
     drive_gets_before = store.clients[0].drive.stats.gets
-    tuples = info.tuples
+    tuples = info.facts.ordered
     assert tuples[0].name == "fact"
     assert store.clients[0].drive.stats.gets == drive_gets_before + 1
     # Second access reuses the parsed result.
-    _ = info.tuples
+    _ = info.facts
     assert store.clients[0].drive.stats.gets == drive_gets_before + 1
 
 
 def test_content_loads_through_object_cache(store):
     caches = CacheManager()
     view, _meta = _view(store, cache=caches)
-    _ = view.info(0).tuples
+    _ = view.info(0).facts
     # §4.2: objects accessed during policy evaluation get cached.
     assert caches.get_object("obj@0") is not None
     # A second view never hits the drive.
     view2 = StoreBackedView(_meta, store, caches)
     drive_gets_before = store.clients[0].drive.stats.gets
-    assert view2.info(0).tuples[0].name == "fact"
+    assert view2.info(0).facts.ordered[0].name == "fact"
     assert store.clients[0].drive.stats.gets == drive_gets_before
 
 

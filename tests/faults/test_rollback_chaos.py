@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.cache import CacheConfig
 from repro.core.freshness import FreshnessEnvironment
+from repro.core.store import placement
 from repro.faults import DriveFaultSpec
 from repro.kinetic.retry import RetryPolicy
 
@@ -31,7 +32,13 @@ BASE = CHAOS_SEED * 1000
 OPEN_POLICY = "read :- sessionKeyIs(K)\nupdate :- sessionKeyIs(K)"
 
 
-def _freshness_stack(seed, specs=None, env=None, **overrides):
+#: Effectively no enclave object/key caching (1-byte budgets): every
+#: read in these scenarios must go to the (attacked) drives and verify
+#: a proof.
+NO_CACHE = CacheConfig(object_bytes=1, key_bytes=1)
+
+
+def _freshness_stack(seed, specs=None, env=None, cache=NO_CACHE, **overrides):
     env = env or FreshnessEnvironment.ephemeral()
     stack = chaos_stack(
         num_drives=3,
@@ -41,10 +48,7 @@ def _freshness_stack(seed, specs=None, env=None, **overrides):
         freshness_env=env,
         replication_factor=3,
         write_quorum=2,
-        # Effectively no enclave object/key caching (1-byte budgets):
-        # every read in these scenarios must go to the (attacked)
-        # drives and verify a proof.
-        cache=CacheConfig(object_bytes=1, key_bytes=1),
+        cache=cache,
         **overrides,
     )
     assert not stack.controller.freshness.forked
@@ -159,6 +163,69 @@ def test_total_replay_is_refused_not_served(offset):
         stack.injector.reschedule(index, DriveFaultSpec())
     response = controller.get(FP, "obj")
     assert response.ok and response.value == b"new"
+
+
+# -- what a log says, under replay ------------------------------------------
+
+INTRUDER = "fp-intruder"
+MAY = (
+    "read :- objId(log, L) /\\ sessionKeyIs(U) /\\ objSays(L, LV, 'may'(U))\n"
+    f"update :- sessionKeyIs(k'{FP}')"
+)
+
+
+@pytest.mark.parametrize("offset", range(5))
+def test_replayed_log_blob_never_says_what_the_log_no_longer_says(offset):
+    """``objSays`` facts are memoised on the cached bytes of a log
+    version.  The log revokes the intruder by an in-place overwrite
+    (``keep_history=False``), so every replica holds a retained blob
+    that still names them; replicas then replay it while the object
+    cache keeps being emptied.  The facts must come from bytes the
+    proof-verified metadata's content hash admits: the intruder's probe
+    answers 403 (or a 5xx refusal under total replay), never 200."""
+    seed = BASE + 700 + offset
+    rng = random.Random(seed)
+    stack, _env = _freshness_stack(
+        seed,
+        # Objects stay cached (the memo is in play); metadata never is.
+        cache=CacheConfig(key_bytes=1),
+        keep_history=False,
+    )
+    controller, injector = stack.controller, stack.injector
+
+    def status(client):
+        response = controller.get(client, "doc")
+        assert not response.ok or response.value == b"secret"
+        return response.status
+
+    old = f"'may'(k'{INTRUDER}')\n'may'(k'{FP}')\n".encode()
+    assert controller.put(FP, "doc.log", old).ok
+    policy = controller.put_policy(FP, MAY)
+    assert controller.put(FP, "doc", b"secret", policy_id=policy.policy_id).ok
+    assert status(INTRUDER) == 200  # facts of the old bytes, resident
+    assert controller.put(FP, "doc.log", f"'may'(k'{FP}')\n".encode()).ok
+    slot = controller.store.value_key("doc.log", controller.store.LATEST_SLOT)
+    for drive in injector.drives:
+        assert slot in drive._retained, drive.drive_id
+    assert (status(INTRUDER), status(FP)) == (403, 200)
+
+    # The replica a read of the log asks first, and for half the seeds
+    # the one it fails over to.
+    replaying = placement("doc.log", 3, 3)[: rng.choice((1, 2))]
+    for index in replaying:
+        injector.reschedule(index, DriveFaultSpec(replay_rate=1.0))
+    for _ in range(3):
+        controller.caches.objects.clear()  # evicted: re-read under attack
+        assert (status(INTRUDER), status(FP)) == (403, 200)
+    assert injector.stats.replays > 0
+
+    for index in range(3):
+        injector.reschedule(index, DriveFaultSpec(replay_rate=1.0))
+    controller.caches.objects.clear()
+    assert status(INTRUDER) >= 500 and status(FP) >= 500  # refused, not lied to
+    for index in range(3):
+        injector.reschedule(index, DriveFaultSpec())
+    assert (status(INTRUDER), status(FP)) == (403, 200)
 
 
 # -- fork across restart ---------------------------------------------------

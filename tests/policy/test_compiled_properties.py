@@ -8,17 +8,36 @@ Two families:
   the corpus-shaped random contexts);
 * cache soundness — an epoch advance (what ``put_policy`` and every
   other mutation apply) must never let the engine serve a stale grant
-  or denial.
+  or denial;
+* fact lookup — ``objSays`` answers a pattern with nothing to bind by
+  set membership and any other by the ordered scan, and both equal the
+  ordered ``unify_tuple`` scan (``POLICY_SEED`` moves the examples).
 """
 
+import os
 import string
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.policy.ast import (
+    HashValue,
+    IntValue,
+    PubKeyValue,
+    StrValue,
+    TupleValue,
+)
 from repro.policy.compiled import PolicyEngine, compile_closures
 from repro.policy.compiler import compile_policy
-from repro.policy.context import EvalContext
+from repro.policy.context import EvalContext, Facts, ObjectView, VersionInfo
+from repro.policy.evalcore import (
+    Bindings,
+    TuplePattern,
+    Unbound,
+    ground_tuple,
+    unify_tuple,
+)
+from repro.policy.predicates import lookup_predicate
 from tests.policy.difftest import assert_identical, run_differential
 from tests.policy.reference_interpreter import PolicyInterpreter
 
@@ -121,3 +140,116 @@ def test_epoch_advance_forces_re_evaluation(readers, advances):
     assert engine.evaluate(policy, "read", ctx).granted
     assert engine.decisions.stats.hits == hits_before
     assert engine.decisions.stats.misses >= 2
+
+
+# -- objSays: lookup for ground patterns, ordered scan for the rest --------
+
+POLICY_SEED = int(os.environ.get("POLICY_SEED", "3"))
+_SLOTS = 3
+
+# A universe small enough that patterns meet facts, with same-payload
+# values of different types (``'a'`` vs ``h'a'`` vs ``k'a'``).
+_atoms = st.one_of(
+    st.builds(IntValue, st.integers(min_value=0, max_value=2)),
+    st.builds(StrValue, st.sampled_from(["a", "b"])),
+    st.builds(HashValue, st.sampled_from(["a", "ab"])),
+    st.builds(PubKeyValue, st.sampled_from(["a", "fp"])),
+)
+_values = st.recursive(
+    _atoms,
+    lambda inner: st.builds(
+        TupleValue,
+        st.sampled_from(["p", "q"]),
+        st.lists(inner, max_size=2).map(tuple),
+    ),
+    max_leaves=4,
+)
+_fact = st.builds(
+    TupleValue,
+    st.sampled_from(["f", "g"]),
+    st.lists(_values, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def _pattern_of(draw, value):
+    """``value`` with some positions opened up as slots (possibly the
+    same slot twice), nested tuples included."""
+    elems = []
+    for arg in value.args:
+        choice = draw(st.integers(min_value=0, max_value=4))
+        if isinstance(arg, TupleValue) and draw(st.booleans()):
+            elems.append(draw(_pattern_of(arg)))
+        elif choice == 0:
+            elems.append(Unbound(draw(st.integers(0, _SLOTS - 1))))
+        elif choice == 1:
+            elems.append(draw(_values))
+        else:
+            elems.append(arg)
+    return TuplePattern(value.name, tuple(elems))
+
+
+@st.composite
+def _facts_and_pattern(draw):
+    facts = draw(st.lists(_fact, max_size=8))
+    # Mostly a pattern cut from something the object does say.
+    base = (
+        draw(st.sampled_from(facts))
+        if facts and draw(st.integers(0, 3))
+        else draw(_fact)
+    )
+    prebound = draw(
+        st.lists(st.one_of(st.none(), _values), min_size=_SLOTS, max_size=_SLOTS)
+    )
+    return facts, draw(_pattern_of(base)), prebound
+
+
+def _bindings(prebound) -> Bindings:
+    bindings = Bindings(_SLOTS)
+    for slot, value in enumerate(prebound):
+        if value is not None:
+            bindings.bind(slot, value)
+    return bindings
+
+
+def _resolved(pattern, bindings):
+    """The pattern as argument evaluation hands it to the predicate:
+    bound slots already replaced by their values."""
+    elems = []
+    for element in pattern.elems:
+        if isinstance(element, Unbound):
+            element = bindings.lookup(element.slot)
+        elif isinstance(element, TuplePattern):
+            element = _resolved(element, bindings)
+        elems.append(element)
+    return TuplePattern(pattern.name, tuple(elems))
+
+
+@seed(POLICY_SEED)
+@settings(max_examples=300, deadline=None)
+@given(case=_facts_and_pattern())
+def test_obj_says_lookup_equals_the_ordered_unify_scan(case):
+    said, pattern, prebound = case
+    content = "".join(fact.render() + "\n" for fact in said).encode()
+    facts = Facts.parse(content)
+    assert facts.ordered == tuple(said)  # render/parse round trip
+    assert facts.ground == frozenset(said)
+
+    # The oracle: first fact, in content order, the pattern unifies with.
+    expected = _bindings(prebound)
+    evaluated = _resolved(pattern, expected)
+    held = any(unify_tuple(evaluated, fact, expected) for fact in said)
+
+    ground = ground_tuple(evaluated)
+    if ground is not None:
+        assert (ground in facts.ground) == held
+        assert expected.snapshot() == _bindings(prebound).snapshot()
+
+    view = ObjectView(
+        "log", 0, {0: VersionInfo(len(content), "h", load=lambda: facts)}
+    )
+    ctx = EvalContext(operation="read", session_key="fp", objects={"log": view})
+    actual = _bindings(prebound)
+    args = [StrValue("log"), IntValue(0), _resolved(pattern, actual)]
+    assert lookup_predicate("objSays").impl(ctx, actual, args) == held
+    assert actual.snapshot() == expected.snapshot()

@@ -12,6 +12,7 @@ from repro.policy.ast import (
 )
 from repro.policy.context import (
     EvalContext,
+    Facts,
     ObjectView,
     VersionInfo,
     claim_to_tuple,
@@ -39,6 +40,25 @@ def test_parse_ignores_non_tuple_lines():
     content = b"just some payload\n'entry'(1)\n{binary-ish}"
     tuples = parse_content_tuples(content)
     assert len(tuples) == 1
+
+
+@pytest.mark.parametrize(
+    "separator",
+    ["\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\r"],
+)
+def test_a_line_ends_at_a_line_feed_and_nowhere_else(separator):
+    """One line whose string literal embeds a tuple between characters
+    ``str.splitlines`` breaks on: the object says nothing of the kind
+    (1ff8262 made it say ``'read'('obj',0,k'ab12')``)."""
+    smuggled = "'read'('obj', 0, k'ab12')"
+    line = f"'note'('a{separator}{smuggled}{separator}')"
+    assert "\n" not in line
+    said = parse_content_tuples(line.encode())
+    assert parse_content_tuples(smuggled.encode())[0] not in said
+    assert all(fact.name == "note" for fact in said)
+    # Real lines still end at LF or CRLF.
+    crlf = f"'a'(1)\r\n{smuggled}\r\n".encode()
+    assert [fact.name for fact in parse_content_tuples(crlf)] == ["a", "read"]
 
 
 def test_parse_binary_content_says_nothing():
@@ -69,7 +89,7 @@ def test_version_info_from_content():
     assert info.size == len(b"'fact'(42)")
     assert info.content_hash == content_hash(b"'fact'(42)")
     assert info.policy_hash == "ph"
-    assert info.tuples[0].name == "fact"
+    assert info.facts.ordered[0].name == "fact"
 
 
 def test_from_content_parses_tuples_only_when_read(monkeypatch):
@@ -91,17 +111,18 @@ def test_from_content_parses_tuples_only_when_read(monkeypatch):
     assert (info.size, info.policy_hash) == (len(payload) + 11, "ph")
     assert info.content_hash == content_hash(payload + b"\n'fact'(42)")
     assert calls == []  # a PUT under an ACL policy stops here
-    assert [fact.name for fact in info.tuples] == ["fact"]
+    assert [fact.name for fact in info.facts.ordered] == ["fact"]
     parsed = len(calls)
     assert parsed == 11
-    assert info.tuples is info.tuples and len(calls) == parsed  # parsed once
+    assert info.facts is info.facts and len(calls) == parsed  # parsed once
 
 
 def test_version_info_direct_construction():
     fact = parse_content_tuples(b"'fact'(42)")[0]
-    info = VersionInfo(size=3, content_hash="h", tuples=[fact])
-    assert info.tuples == [fact]
-    assert VersionInfo(size=3, content_hash="h").tuples == []
+    given = Facts((fact,), frozenset((fact,)))
+    info = VersionInfo(size=3, content_hash="h", load=lambda: given)
+    assert info.facts is given
+    assert VersionInfo(size=3, content_hash="h").facts == Facts((), frozenset())
 
 
 def test_version_info_failed_content_load_is_retried():
@@ -111,12 +132,12 @@ def test_version_info_failed_content_load_is_retried():
         attempts.append(1)
         if len(attempts) == 1:
             raise OSError("replica offline")
-        return b"'fact'(42)"
+        return Facts.parse(b"'fact'(42)")
 
-    info = VersionInfo(size=10, content_hash="h", content=load)
+    info = VersionInfo(size=10, content_hash="h", load=load)
     with pytest.raises(OSError):
-        info.tuples
-    assert info.tuples[0].name == "fact"
+        info.facts
+    assert info.facts.ordered[0].name == "fact"
 
 
 def test_object_view_lookup():
