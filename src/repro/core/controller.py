@@ -49,6 +49,7 @@ from repro.errors import (
     ObjectNotFound,
     PesosError,
     PolicyDenied,
+    PolicyError,
     RequestError,
     TransactionError,
 )
@@ -602,6 +603,20 @@ class PesosController:
         self.caches.put_policy(policy_id, policy)
         return policy
 
+    def _governing_policy(self, policy_id: str) -> CompiledPolicy | None:
+        """The policy an existing object's metadata binds it to.
+
+        The binding is the enforcement: a record no replica can produce
+        refuses the request — a storage fault (500), not the caller's
+        denial — where returning ``None`` would waive the check.
+        """
+        policy = self._load_policy(policy_id)
+        if policy is None and self.config.enforce_policies:
+            raise PolicyError(
+                f"policy {policy_id!r} is bound but cannot be loaded"
+            )
+        return policy
+
     def _build_context(
         self,
         operation: str,
@@ -613,6 +628,10 @@ class PesosController:
         pending: VersionInfo | None = None,
     ) -> EvalContext:
         exists = meta is not None and meta.exists
+        # The context only writes its key registry while it iterates the
+        # presented certificates: with none, the controller's own
+        # registry and the request's (empty) list are shared, not copied.
+        presented = request.certificates
         return EvalContext(
             operation=operation,
             session_key=session.fingerprint,
@@ -621,8 +640,10 @@ class PesosController:
             request_version=request.version,
             objects=_ViewMap(self),
             pending=pending,
-            certificates=list(request.certificates),
-            key_registry=dict(self.authority_keys),
+            certificates=list(presented) if presented else presented,
+            key_registry=(
+                dict(self.authority_keys) if presented else self.authority_keys
+            ),
             now=now,
             nonce=session.nonce,
         )
@@ -630,11 +651,9 @@ class PesosController:
     def _check_policy(
         self,
         operation: str,
-        policy: CompiledPolicy | None,
+        policy: CompiledPolicy,
         ctx: EvalContext,
     ) -> None:
-        if policy is None or not self.config.enforce_policies:
-            return
         if self.telemetry.enabled:
             started = _time.perf_counter()
             with self.telemetry.span("policy.check", operation=operation):
@@ -677,7 +696,7 @@ class PesosController:
         """
         meta = self._existing_meta(key)
         if self.config.enforce_policies and meta.policy_id:
-            policy = self._load_policy(meta.policy_id)
+            policy = self._governing_policy(meta.policy_id)
             ctx = self._build_context(
                 operation, key, request, session, meta, now
             )
@@ -710,7 +729,7 @@ class PesosController:
         # policy being attached (its creation clause, if any).
         governing = None
         if meta.exists and meta.policy_id:
-            governing = self._load_policy(meta.policy_id)
+            governing = self._governing_policy(meta.policy_id)
         elif not meta.exists:
             governing = bound_policy
 

@@ -22,12 +22,13 @@ policy is denied (deny by default).
 
 ``DecisionCache``
     Memoizes decisions keyed by ``(policy_hash, operation, request
-    shape, epoch)``.  The epoch advances on every mutation the
-    controller applies, and entries carry a ``valid_until`` derived
-    from the certificate validity windows and the policy's freshness
-    constants, so time-based release never serves a stale verdict.
-    Only decisions for policies that never read object state are
-    cached (their outcome is a pure function of the request shape);
+    shape, epoch)``; the shape is the policy's read-set
+    (:meth:`FastPolicy.request_shape`).  The epoch advances on every
+    mutation the controller applies, and entries carry a ``valid_until``
+    derived from the certificate validity windows and the policy's
+    freshness constants, so time-based release never serves a stale
+    verdict.  Only decisions for policies that never read object state
+    are cached (their outcome is a pure function of the request shape);
     object predicates always re-evaluate so their cache/store access
     pattern — which the effects ledger records — is unchanged.
 
@@ -38,7 +39,9 @@ evaluator as the differential oracle; nothing here imports it.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.crypto.certs import Certificate
 from repro.policy.ast import IntValue, NullValue, PubKeyValue, StrValue
@@ -64,17 +67,33 @@ _CONTEXT_FREE = frozenset({"eq", "le", "lt", "ge", "gt"})
 
 _CERTIFICATE_SAYS = 10
 _SESSION_KEY_IS = 11
+#: nextVersion, nextIndex: the opcodes that read ``ctx.request_version``.
+_VERSION_OPCODES = frozenset({22, 28})
+
+_NO_BINDINGS: Mapping = MappingProxyType({})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decision:
-    """Outcome of a permission check, with diagnostics."""
+    """Outcome of a permission check, with diagnostics.
+
+    Immutable, bindings included: the decision cache returns the object
+    it holds, so nothing a caller does may change the next hit.
+    """
 
     granted: bool
     operation: str
     matched_clause: int | None = None
-    bindings: dict = field(default_factory=dict)
+    #: The granting clause's bound variables by name, read-only (any
+    #: other mapping handed to the constructor is copied behind a view).
+    bindings: Mapping = field(default_factory=lambda: _NO_BINDINGS)
     predicates_evaluated: int = 0
+
+    def __post_init__(self) -> None:
+        if type(self.bindings) is not MappingProxyType:
+            object.__setattr__(
+                self, "bindings", MappingProxyType(dict(self.bindings))
+            )
 
     def __bool__(self) -> bool:
         return self.granted
@@ -106,7 +125,7 @@ class Decision:
 # Expression compilation
 # ---------------------------------------------------------------------------
 
-def _compile_expr(expr, policy: CompiledPolicy):
+def _compile_expr(expr, fast: "FastPolicy"):
     """Compile an argument expression tree.
 
     Returns ``("const", value)`` when the expression is a compile-time
@@ -114,13 +133,18 @@ def _compile_expr(expr, policy: CompiledPolicy):
     """
     kind = expr[0]
     if kind == "c":
-        return ("const", policy.constants[expr[1]])
+        return ("const", fast.policy.constants[expr[1]])
     if kind == "v":
         return (
             "dyn",
             lambda ctx, bindings, _slot=expr[1]: bindings.lookup(_slot),
         )
     if kind == "r":
+        # The only way a conjunct learns the target or log id.
+        if expr[1] == "this":
+            fast.reads_this = True
+        else:
+            fast.reads_log = True
 
         def deref(ctx, bindings, _name=expr[1]):
             object_id = ctx.resolve_ref(_name)
@@ -128,14 +152,14 @@ def _compile_expr(expr, policy: CompiledPolicy):
 
         return ("dyn", deref)
     if kind == "a":
-        return _compile_arith(expr, policy)
-    return _compile_tuple(expr, policy)
+        return _compile_arith(expr, fast)
+    return _compile_tuple(expr, fast)
 
 
-def _compile_arith(expr, policy: CompiledPolicy):
+def _compile_arith(expr, fast: "FastPolicy"):
     sign = 1 if expr[1] == "+" else -1
-    left = _compile_expr(expr[2], policy)
-    right = _compile_expr(expr[3], policy)
+    left = _compile_expr(expr[2], fast)
+    right = _compile_expr(expr[3], fast)
     if left[0] == "const" and right[0] == "const":
         lv, rv = left[1], right[1]
         if isinstance(lv, IntValue) and isinstance(rv, IntValue):
@@ -153,9 +177,9 @@ def _compile_arith(expr, policy: CompiledPolicy):
     return ("dyn", arith)
 
 
-def _compile_tuple(expr, policy: CompiledPolicy):
-    name = policy.constants[expr[1]].value
-    elems = [_compile_expr(arg, policy) for arg in expr[2]]
+def _compile_tuple(expr, fast: "FastPolicy"):
+    name = fast.policy.constants[expr[1]].value
+    elems = [_compile_expr(arg, fast) for arg in expr[2]]
     if all(kind == "const" for kind, _ in elems):
         return (
             "const",
@@ -201,7 +225,9 @@ def _compile_instruction(inst, fast: "FastPolicy"):
     spec = predicate_by_opcode(inst.opcode)
     if inst.opcode in _OBJECT_OPCODES:
         fast.uses_objects = True
-    compiled_args = [_compile_expr(arg, policy) for arg in inst.args]
+    if inst.opcode in _VERSION_OPCODES:
+        fast.reads_version = True
+    compiled_args = [_compile_expr(arg, fast) for arg in inst.args]
     all_const = all(kind == "const" for kind, _ in compiled_args)
     const_args = [payload for _, payload in compiled_args]
 
@@ -270,6 +296,13 @@ class FastPolicy:
     #: True when any conjunct reads object state; such decisions are
     #: never cached (their store/cache footprint must stay observable).
     uses_objects: bool = False
+    #: The read-set: which request inputs, besides the session key, some
+    #: conjunct can observe — a ``this``/``log`` argument, ``nextVersion``
+    #: or ``nextIndex``, ``certificateSays`` (certificates and nonce).
+    #: Set while compiling; :meth:`request_shape` keys by exactly these.
+    reads_this: bool = False
+    reads_log: bool = False
+    reads_version: bool = False
     uses_certificates: bool = False
     #: certificateSays freshness windows that are non-constant, making
     #: time-based invalidation unpredictable: do not cache.
@@ -282,7 +315,6 @@ class FastPolicy:
 
     def evaluate(self, operation: str, ctx: EvalContext) -> Decision:
         """Check whether ``operation`` is permitted under the policy."""
-        decision = Decision(granted=False, operation=operation)
         variables = self.policy.variables
         num_slots = len(variables)
         evaluated = 0
@@ -294,14 +326,16 @@ class FastPolicy:
                     if not step(ctx, bindings):
                         break
                 else:
-                    decision.granted = True
-                    decision.matched_clause = index
-                    decision.bindings = bindings.snapshot()
-                    break
+                    return Decision(
+                        True,
+                        operation,
+                        index,
+                        MappingProxyType(bindings.snapshot()),
+                        evaluated,
+                    )
             except EvalError:
                 continue
-        decision.predicates_evaluated = evaluated
-        return decision
+        return Decision(False, operation, predicates_evaluated=evaluated)
 
     # -- cacheability --------------------------------------------------------
 
@@ -332,16 +366,18 @@ class FastPolicy:
         return min(future) if future else None
 
     def request_shape(self, ctx: EvalContext):
-        """Everything cached decisions may depend on, hashable.
+        """Everything a cached decision may depend on, hashable: the
+        session key plus the inputs in the read-set.
 
         ``None`` marks the request uncacheable.  Certificates are
         folded in by fingerprint + signature (order preserved — fact
         iteration order can steer which tuple binds a variable), and
-        the session nonce only matters when certificates do.
+        the session nonce only matters when certificates do.  The
+        pending write is never here: only ``ctx.version_info`` reads
+        it, and every opcode that gets there is in ``_OBJECT_OPCODES``.
         """
         if not self.cacheable:
             return None
-        pending = ctx.pending
         cert_part: tuple = ()
         nonce = ""
         if self.uses_certificates:
@@ -356,12 +392,9 @@ class FastPolicy:
             nonce = ctx.nonce
         return (
             ctx.session_key,
-            ctx.this_id,
-            ctx.log_id,
-            ctx.request_version,
-            None
-            if pending is None
-            else (pending.size, pending.content_hash, pending.policy_hash),
+            ctx.this_id if self.reads_this else None,
+            ctx.log_id if self.reads_log else None,
+            ctx.request_version if self.reads_version else None,
             cert_part,
             nonce,
         )
@@ -407,12 +440,6 @@ class DecisionCacheStats:
     epoch_advances: int = 0
 
 
-@dataclass
-class _CacheEntry:
-    decision: Decision
-    valid_until: float | None
-
-
 class DecisionCache:
     """Bounded LRU of policy decisions.
 
@@ -426,6 +453,7 @@ class DecisionCache:
 
     def __init__(self, max_entries: int = 4096):
         self.max_entries = max(1, int(max_entries))
+        #: key -> (decision, valid_until), least recently used first
         self._entries: OrderedDict = OrderedDict()
         self.epoch = 0
         self.stats = DecisionCacheStats()
@@ -446,7 +474,8 @@ class DecisionCache:
         if entry is None:
             self.stats.misses += 1
             return None
-        if entry.valid_until is not None and now >= entry.valid_until:
+        decision, valid_until = entry
+        if valid_until is not None and now >= valid_until:
             # A time boundary passed: the decision may have flipped.
             del self._entries[key]
             self.stats.expired += 1
@@ -454,7 +483,7 @@ class DecisionCache:
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return _copy_decision(entry.decision)
+        return decision
 
     def put(
         self,
@@ -469,22 +498,10 @@ class DecisionCache:
         if epoch != self.epoch:
             return
         key = (policy_hash, operation, shape, epoch)
-        self._entries[key] = _CacheEntry(
-            decision=_copy_decision(decision), valid_until=valid_until
-        )
+        self._entries[key] = (decision, valid_until)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-
-
-def _copy_decision(decision: Decision) -> Decision:
-    return Decision(
-        granted=decision.granted,
-        operation=decision.operation,
-        matched_clause=decision.matched_clause,
-        bindings=dict(decision.bindings),
-        predicates_evaluated=decision.predicates_evaluated,
-    )
 
 
 # ---------------------------------------------------------------------------

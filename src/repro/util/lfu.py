@@ -216,12 +216,16 @@ class LFUCache(Generic[K, V]):
         self._accesses_since_age = 0
         # Halve every frequency by rebuilding the bucket chain.  Rare
         # (once per age_interval accesses), so the O(n) cost amortizes.
+        # The old chain is unlinked as it is walked: left linked
+        # prev<->next, only a cycle collection would free its buckets.
         by_freq: dict[int, list[K]] = {}
         bucket = self._head
         while bucket:
             aged = max(1, bucket.freq // 2)
             by_freq.setdefault(aged, []).extend(bucket.keys)
-            bucket = bucket.next
+            following = bucket.next
+            bucket.prev = bucket.next = None
+            bucket = following
         self._head = None
         self._key_bucket.clear()
         prev: _Bucket | None = None

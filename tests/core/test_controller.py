@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.request import Request
+from repro.core.store import ObjectStore
+from repro.crypto.certs import CertificateAuthority
 from tests.core.conftest import ALICE, BOB
 
 
@@ -172,6 +174,69 @@ def test_policy_change_governed_by_current_policy(controller):
     assert controller.put(ALICE, "doc", b"v2", policy_id=stricter).ok
     # And afterwards even Alice cannot update (new policy has no update).
     assert controller.put(ALICE, "doc", b"v3").status == 403
+
+
+def test_bound_policy_that_cannot_be_loaded_refuses(clients, cluster):
+    """Metadata names a policy no replica holds and the policy cache has
+    dropped: every path through the binding answers 500 — a storage
+    fault, not the caller's denial — and nothing is served, listed,
+    attested, deleted, rebound or written.  (Each of these was granted
+    unchecked while ``_check_policy`` returned on ``policy is None``.)"""
+    controller = PesosController(
+        clients,
+        storage_key=b"k" * 32,
+        signing_keys=CertificateAuthority("ctrl-ca", key_bits=512)
+        .issue_keypair("controller", key_bits=512),
+    )
+    acl = controller.put_policy(
+        ALICE,
+        f"read :- sessionKeyIs(k'{ALICE}')\n"
+        f"update :- sessionKeyIs(k'{ALICE}')\n"
+        f"delete :- sessionKeyIs(k'{ALICE}')",
+    ).policy_id
+    bobs = controller.put_policy(
+        BOB, f"read :- sessionKeyIs(k'{BOB}')\nupdate :- sessionKeyIs(k'{BOB}')"
+    ).policy_id
+    assert controller.put(ALICE, "doc", b"secret", policy_id=acl).ok
+    assert controller.get(BOB, "doc").status == 403
+
+    blob = controller.store.read_policy(acl)
+    for drive in cluster:
+        drive._entries.pop(ObjectStore.policy_key(acl), None)
+    controller.caches.policies.remove(acl)
+
+    def ask(fingerprint, method, **fields):
+        return controller.handle(Request(method=method, **fields), fingerprint)
+
+    for caller in (BOB, ALICE):  # nobody is waved through, the owner included
+        for response in (
+            ask(caller, "get", key="doc"),
+            ask(caller, "scan", key="doc", scan_count=4),
+            ask(caller, "attest", key="doc"),
+            ask(caller, "delete", key="doc"),
+            ask(caller, "put", key="doc", value=b"mine", policy_id=bobs),
+            ask(caller, "rmw", key="doc", value=b"mine"),
+        ):
+            assert response.status == 500, response
+            assert "cannot be loaded" in response.error
+            assert not response.value
+
+    txid = ask(BOB, "create_tx").txid
+    ask(BOB, "add_write", key="doc", value=b"mine", policy_id=bobs, txid=txid)
+    ask(BOB, "add_write", key="free", value=b"rides along", txid=txid)
+    assert ask(BOB, "commit_tx", txid=txid).status == 500
+    reading = ask(BOB, "create_tx").txid
+    ask(BOB, "add_read", key="doc", txid=reading)
+    assert ask(BOB, "commit_tx", txid=reading).status == 409  # read: aborts
+
+    # Nothing moved: no second key, and the object is as ALICE wrote it.
+    assert controller.get(BOB, "free").status == 404
+    meta = controller._get_meta("doc")
+    assert (meta.exists, meta.current_version, meta.policy_id) == (True, 0, acl)
+    # The record comes back (anti-entropy, an operator): so does service.
+    controller.store.write_policy(acl, blob)
+    assert controller.get(ALICE, "doc").value == b"secret"
+    assert controller.get(BOB, "doc").status == 403
 
 
 def test_async_put_returns_operation_id(controller):

@@ -17,10 +17,12 @@ from repro.usecases.time_based import TimeAuthority, TimeVault
 from tests.core.conftest import ALICE, BOB
 
 
-def _load(controller, count=12, prefix="obj"):
+def _load(controller, count=12, prefix="obj", policy_id=""):
     keys = [f"{prefix}{i:04d}" for i in range(count)]
     for key in keys:
-        assert controller.put(ALICE, key, f"v-{key}".encode()).ok
+        assert controller.put(
+            ALICE, key, f"v-{key}".encode(), policy_id=policy_id
+        ).ok
     return keys
 
 
@@ -92,6 +94,81 @@ def test_scan_skips_policy_denied_records(controller):
     assert response.extra["denied"] == 4
     alice_view = _scan(controller, ALICE, "open0000", 8)
     assert len(_lines(alice_view)) == 8
+
+
+def _acl(controller, *readers):
+    readable = " \\/ ".join(f"sessionKeyIs(k'{fp}')" for fp in readers)
+    return controller.put_policy(
+        ALICE, f"read :- {readable}\nupdate :- sessionKeyIs(k'{ALICE}')"
+    ).policy_id
+
+
+def test_scan_over_one_acl_evaluates_once_per_caller(controller):
+    """An ACL reads the session key and nothing else of the request, so
+    its verdict is keyed by the caller: a 100-record scan is 100 checks
+    (each record is still checked, and audited when auditing is on) but
+    one evaluation, and the decision cache holds callers x policies
+    entries, not one per record per caller."""
+    keys = _load(controller, 100, "rec", _acl(controller, ALICE, BOB))
+    decisions = controller.policy_engine.decisions
+    assert len(decisions) == 0  # the last PUT advanced the epoch
+    before = (decisions.stats.hits, decisions.stats.misses)
+    callers = (ALICE, BOB, "fp-mallory")
+    for _round in range(2):
+        for caller in callers:
+            response = _scan(controller, caller, keys[0], 100)
+            visible = 0 if caller == "fp-mallory" else 100
+            assert response.extra == {
+                "scanned": visible, "denied": 100 - visible,
+            }
+    assert len(decisions) == len(callers)  # x 1 policy
+    assert decisions.stats.misses - before[1] == len(callers)
+    assert decisions.stats.hits - before[0] == 600 - len(callers)
+    # A new epoch costs the same again, no more.
+    assert controller.put(ALICE, keys[0], b"w").ok
+    assert _scan(controller, BOB, keys[0], 100).extra["scanned"] == 100
+    assert len(decisions) == 1
+    assert decisions.stats.misses - before[1] == len(callers) + 2  # PUT, BOB
+
+
+def test_scan_over_two_policies_counts_each_record_under_its_own(controller):
+    mine = _acl(controller, ALICE)
+    shared = _acl(controller, ALICE, BOB)
+    for index in range(20):
+        policy_id = mine if index % 3 == 0 else shared
+        assert controller.put(
+            ALICE, f"mix{index:04d}", b"v", policy_id=policy_id
+        ).ok
+    private = [f"mix{i:04d}" for i in range(20) if i % 3 == 0]
+    response = _scan(controller, BOB, "mix0000", 20)
+    assert len(private) == 7
+    assert response.extra == {"scanned": 13, "denied": 7}
+    returned = {line.split("@")[0] for line in _lines(response)}
+    assert returned.isdisjoint(private) and len(returned) == 13
+    assert _scan(controller, ALICE, "mix0000", 20).extra == {
+        "scanned": 20, "denied": 0,
+    }
+    # Two callers x two policies, whatever the order of the records.
+    assert len(controller.policy_engine.decisions) == 4
+
+
+def test_scan_decides_a_policy_that_reads_this_per_key(controller):
+    """``objId(this, …)`` puts the target id in the read-set: the shape
+    keeps it, and each record gets its own verdict."""
+    by_name = controller.put_policy(
+        ALICE,
+        f"read :- sessionKeyIs(k'{ALICE}') \\/ objId(this, 'pub0002')"
+        f" \\/ objId(this, 'pub0005')\n"
+        f"update :- sessionKeyIs(k'{ALICE}')",
+    ).policy_id
+    keys = _load(controller, 8, "pub", by_name)
+    for _again in range(2):  # cold, then from the cache
+        response = _scan(controller, BOB, keys[0], 8)
+        assert response.extra == {"scanned": 2, "denied": 6}
+        assert _lines(response) == ["pub0002@0", "pub0005@0"]
+    assert len(controller.policy_engine.decisions) == len(keys)
+    assert controller.get(BOB, "pub0005").ok
+    assert controller.get(BOB, "pub0004").status == 403
 
 
 def test_scan_grants_what_get_grants_with_the_callers_certificates(

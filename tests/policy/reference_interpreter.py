@@ -36,17 +36,24 @@ class PolicyInterpreter:
     ) -> Decision:
         """Check whether ``operation`` is permitted under ``policy``."""
         clauses = policy.permissions.get(operation)
-        decision = Decision(granted=False, operation=operation)
         if not clauses:
-            return decision
+            return Decision(granted=False, operation=operation)
+        evaluated = [0]  # predicates run so far, across every tried clause
         for clause_index, clause in enumerate(clauses):
             bindings = Bindings(len(policy.variables), policy.variables)
-            if self._clause_holds(policy, clause, ctx, bindings, decision):
-                decision.granted = True
-                decision.matched_clause = clause_index
-                decision.bindings = bindings.snapshot()
-                return decision
-        return decision
+            if self._clause_holds(policy, clause, ctx, bindings, evaluated):
+                return Decision(
+                    granted=True,
+                    operation=operation,
+                    matched_clause=clause_index,
+                    bindings=bindings.snapshot(),
+                    predicates_evaluated=evaluated[0],
+                )
+        return Decision(
+            granted=False,
+            operation=operation,
+            predicates_evaluated=evaluated[0],
+        )
 
     def check(
         self, policy: CompiledPolicy, operation: str, ctx: EvalContext
@@ -66,10 +73,10 @@ class PolicyInterpreter:
         clause: list,
         ctx: EvalContext,
         bindings: Bindings,
-        decision: Decision,
+        evaluated: list,
     ) -> bool:
         for instruction in clause:
-            decision.predicates_evaluated += 1
+            evaluated[0] += 1
             spec = predicate_by_opcode(instruction.opcode)
             try:
                 args = [

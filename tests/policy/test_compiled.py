@@ -3,8 +3,12 @@ against the reference interpreter."""
 
 import os
 import re
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
+import pytest
+
+from repro.policy.ast import PubKeyValue
 from repro.policy.compiled import (
     Decision,
     DecisionCache,
@@ -110,20 +114,50 @@ def test_duplicate_clauses_replay_the_first_outcome():
 # DecisionCache
 # ---------------------------------------------------------------------------
 
-def _decision(granted: bool = True) -> Decision:
-    return Decision(granted=granted, operation="read", matched_clause=0)
+def _decision(granted: bool = True, **fields) -> Decision:
+    return Decision(
+        granted=granted, operation="read", matched_clause=0, **fields
+    )
 
 
 def test_cache_round_trip_and_copy_isolation():
+    """A caller cannot change what the next hit returns.  The cache
+    hands out the one Decision it holds, so the isolation is the
+    Decision's own: every field is frozen, the bindings are a read-only
+    view, and the dict it was built from is not the dict it keeps."""
     cache = DecisionCache(max_entries=8)
-    cache.put("p1", "read", "shape", epoch=0, decision=_decision())
+    given = {"K": PubKeyValue(ALICE)}
+    cache.put(
+        "p1", "read", "shape", epoch=0, decision=_decision(bindings=given)
+    )
+    given["K"] = PubKeyValue(BOB)  # the constructor's argument, afterwards
     out = cache.get("p1", "read", "shape", now=1.0)
     assert out is not None and out.granted
-    # Mutating the returned Decision must not poison the cache.
-    out.granted = False
+    with pytest.raises(FrozenInstanceError):
+        out.granted = False
+    with pytest.raises(FrozenInstanceError):
+        out.bindings = {}
+    with pytest.raises(TypeError):
+        out.bindings["K"] = PubKeyValue(BOB)
+    with pytest.raises(TypeError):
+        del out.bindings["K"]
     again = cache.get("p1", "read", "shape", now=1.0)
-    assert again.granted
+    assert again is out
+    assert again.granted and again.bindings == {"K": PubKeyValue(ALICE)}
     assert cache.stats.hits == 2 and cache.stats.misses == 0
+
+
+def test_evaluated_decisions_are_immutable_too():
+    """What ``FastPolicy.evaluate`` returns is what the cache stores."""
+    policy = compile_policy("read :- sessionKeyIs(K)")
+    decision = compile_closures(policy).evaluate(
+        "read", EvalContext(operation="read", session_key=ALICE)
+    )
+    assert decision.bindings == {"K": PubKeyValue(ALICE)}
+    with pytest.raises(TypeError):
+        decision.bindings["K"] = PubKeyValue(BOB)
+    with pytest.raises(FrozenInstanceError):
+        decision.matched_clause = 7
 
 
 def test_epoch_advance_makes_old_entries_unreachable():

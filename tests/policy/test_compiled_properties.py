@@ -1,6 +1,6 @@
 """Property-based tests: shipped evaluator vs the reference interpreter.
 
-Two families:
+Four families:
 
 * equivalence — for any policy the grammar can express and any
   context, the closures produce a Decision identical field-by-field
@@ -11,15 +11,24 @@ Two families:
   or denial;
 * fact lookup — ``objSays`` answers a pattern with nothing to bind by
   set membership and any other by the ordered scan, and both equal the
-  ordered ``unify_tuple`` scan (``POLICY_SEED`` moves the examples).
+  ordered ``unify_tuple`` scan (``POLICY_SEED`` moves the examples);
+* read-set — the decision cache keys a verdict by the inputs its
+  policy's conjuncts can read and by nothing else, so one engine serving
+  any sequence of requests answers each as a fresh evaluation would
+  (``POLICY_SEED`` again), and every ``ctx`` attribute the evaluator
+  reads is accounted to a shape component or to "uncacheable".
 """
 
+import ast
 import os
 import string
+from pathlib import Path
 
-from hypothesis import given, seed, settings
+import pytest
+from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
+import repro.policy.compiled as compiled_module
 from repro.policy.ast import (
     HashValue,
     IntValue,
@@ -27,7 +36,11 @@ from repro.policy.ast import (
     StrValue,
     TupleValue,
 )
-from repro.policy.compiled import PolicyEngine, compile_closures
+from repro.policy.compiled import (
+    PolicyEngine,
+    compile_closures,
+    compiled_form,
+)
 from repro.policy.compiler import compile_policy
 from repro.policy.context import EvalContext, Facts, ObjectView, VersionInfo
 from repro.policy.evalcore import (
@@ -253,3 +266,208 @@ def test_obj_says_lookup_equals_the_ordered_unify_scan(case):
     args = [StrValue("log"), IntValue(0), _resolved(pattern, actual)]
     assert lookup_predicate("objSays").impl(ctx, actual, args) == held
     assert actual.snapshot() == expected.snapshot()
+
+
+# -- the request shape is the policy's read-set -----------------------------
+
+#: Every cacheable way a conjunct can look at a request, over pools
+#: small enough that two contexts often agree on everything but one
+#: input.  Variables are per clause, so ``objId(this, O) /\ objId(log,
+#: O)`` relates two inputs and ``eq(V, 1) /\ nextVersion(V)`` pins one.
+_CONJUNCTS = [
+    "sessionKeyIs(k'aa')", "sessionKeyIs(k'bb')", "sessionKeyIs(K)",
+    "objId(this, 'obj-a')", "objId(this, NULL)", "objId(this, O)",
+    "objId(log, 'obj-a')", "objId(log, NULL)", "objId(log, O)",
+    "objId(log, L)",
+    "nextVersion(0)", "nextVersion(V)", "nextVersion(V + 1)",
+    "nextIndex(1)", "nextIndex(log, V)", "nextIndex(this, 1)",
+    "eq(V, 1)", "eq(1, 1)", "eq(O, 'obj-b')",
+]
+_READ_SET = {
+    "reads_this": ("this",),
+    "reads_log": ("log",),
+    "reads_version": ("nextVersion", "nextIndex"),
+}
+
+_clause = st.lists(st.sampled_from(_CONJUNCTS), min_size=1, max_size=3)
+_rule = st.lists(_clause, min_size=1, max_size=3)
+_pendings = [
+    None,
+    VersionInfo.from_content(b"one body"),
+    VersionInfo.from_content(b"another body", policy_hash="ab"),
+]
+_request = st.tuples(
+    st.sampled_from(["read", "update"]),
+    st.sampled_from(["aa", "bb", "cc"]),            # session key
+    st.sampled_from([None, "obj-a", "obj-b"]),      # this_id
+    st.sampled_from([None, "obj-a", "log-a"]),      # log_id
+    st.sampled_from([None, 0, 1, 2]),               # request_version
+    st.sampled_from(_pendings),
+)
+
+
+def _source(read, update) -> str:
+    def rule(name, clauses):
+        return f"{name} :- " + " \\/ ".join(
+            " /\\ ".join(clause) for clause in clauses
+        )
+
+    return rule("read", read) + "\n" + rule("update", update)
+
+
+_READ_SET_CASE = dict(
+    read=_rule,
+    update=_rule,
+    requests=st.lists(_request, min_size=2, max_size=12),
+)
+
+
+@seed(POLICY_SEED)
+@settings(max_examples=200, deadline=None)
+@given(**_READ_SET_CASE)
+def test_one_engine_answers_every_request_as_a_fresh_evaluation(
+    read, update, requests
+):
+    """ONE engine, no epoch advance, a sequence of requests that differ
+    in session key, ``this_id`` (None included), ``log_id``, request
+    version and pending write: whatever the cache remembers, each answer
+    equals a fresh ``fast.evaluate`` and the reference interpreter field
+    by field.  A policy that reads an input its shape omits fails here:
+    with ``reads_this``, ``reads_log`` or ``reads_version`` forced off
+    this very test goes red (the next test runs it that way)."""
+    policy = compile_policy(_source(read, update))
+    assert compiled_form(policy).cacheable
+    fresh = compile_closures(policy)
+    engine = PolicyEngine()
+    for operation, key, this_id, log_id, version, pending in requests:
+        ctx = EvalContext(
+            operation=operation,
+            session_key=key,
+            this_id=this_id,
+            log_id=log_id,
+            request_version=version,
+            pending=pending,
+        )
+        served = engine.evaluate(policy, operation, ctx)
+        assert_identical(fresh.evaluate(operation, ctx), served, "fresh")
+        assert_identical(
+            INTERP.evaluate(policy, operation, ctx), served, "reference"
+        )
+    stats = engine.decisions.stats
+    assert stats.hits + stats.misses == len(requests)
+    assert stats.misses == len(engine.decisions) <= len(requests)
+
+
+@pytest.mark.parametrize("flag", sorted(_READ_SET))
+def test_the_read_set_property_needs_every_flag(flag, monkeypatch):
+    compile_real = compile_closures
+
+    def compile_blind(policy):
+        fast = compile_real(policy)
+        setattr(fast, flag, False)
+        return fast
+
+    monkeypatch.setattr(compiled_module, "compile_closures", compile_blind)
+    # The same property over the same examples, minus the shrinking.
+    first_failure = settings(
+        max_examples=200, deadline=None, phases=[Phase.generate]
+    )
+    the_property = (
+        test_one_engine_answers_every_request_as_a_fresh_evaluation
+        .hypothesis.inner_test
+    )
+    with pytest.raises(AssertionError, match="decision divergence"):
+        seed(POLICY_SEED)(first_failure(given(**_READ_SET_CASE)(the_property)))()
+
+
+@seed(POLICY_SEED)
+@settings(max_examples=100, deadline=None)
+@given(read=_rule, update=_rule)
+def test_read_set_is_what_the_conjuncts_mention(read, update):
+    """Recorded at compile time, whether or not folding or an earlier
+    failing conjunct makes the read unreachable: never too small."""
+    source = _source(read, update)
+    fast = compile_closures(compile_policy(source))
+    for flag, mentions in _READ_SET.items():
+        assert getattr(fast, flag) == any(m in source for m in mentions)
+    assert not fast.uses_certificates and not fast.uses_objects
+
+
+def test_pending_write_is_in_no_shape():
+    """Only ``ctx.version_info`` reads the pending write, and every
+    opcode that gets there makes the policy uncacheable — so a PUT body
+    never splits a cacheable verdict, and never reaches a cached one."""
+    acl = compile_policy("update :- sessionKeyIs(k'aa') /\\ nextVersion(V)")
+    sized = compile_policy(
+        "update :- objId(this, O) /\\ nextVersion(V) /\\ objSize(O, V, 8)"
+    )
+    engine = PolicyEngine()
+    for body in (b"one body", b"another one", b"12345678"):
+        ctx = EvalContext(
+            operation="update",
+            session_key="aa",
+            this_id="obj-a",
+            request_version=0,
+            pending=VersionInfo.from_content(body),
+        )
+        assert engine.evaluate(acl, "update", ctx).granted
+        assert engine.evaluate(sized, "update", ctx).granted == (
+            len(body) == 8
+        )
+    assert compiled_form(sized).request_shape(ctx) is None
+    assert len(engine.decisions) == 1
+    assert (engine.decisions.stats.hits, engine.decisions.stats.misses) == (
+        2, 1,
+    )
+
+
+#: Every attribute of the context the evaluator reads, against the
+#: shape component that covers it.  An attribute that is not here —
+#: a new predicate reading something new — fails the guard below until
+#: someone decides which of the two it is.
+_UNCACHEABLE = "object state: uncacheable (_OBJECT_OPCODES)"
+_CTX_READS = {
+    "session_key": "shape[0], always",
+    "this_id": "shape[1] when reads_this",
+    "log_id": "shape[2] when reads_log",
+    "resolve_ref": "reads this_id / log_id: shape[1], shape[2]",
+    "request_version": "shape[3] when reads_version",
+    "certificates": "shape[4] when uses_certificates",
+    "certified_tuples": "certificates, key_registry, now, nonce",
+    "key_registry": "presented keys: shape[4]; authority keys: the "
+                    "controller's configuration, no part of a request",
+    "nonce": "shape[5] when uses_certificates",
+    "now": "valid_until, checked on every hit",
+    "objects": _UNCACHEABLE,
+    "view": _UNCACHEABLE,
+    "version_info": _UNCACHEABLE,
+    "pending": _UNCACHEABLE + ", via version_info only",
+}
+
+
+def _attribute_reads(path: Path, receiver: str, inside: str | None = None):
+    tree = ast.parse(path.read_text())
+    if inside is not None:
+        (tree,) = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == inside
+        ]
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == receiver
+    }
+
+
+def test_every_context_read_is_covered_by_the_shape_or_uncacheable():
+    package = Path(compiled_module.__file__).parent
+    direct = _attribute_reads(
+        package / "predicates.py", "ctx"
+    ) | _attribute_reads(package / "compiled.py", "ctx")
+    own = _attribute_reads(package / "context.py", "self", "EvalContext")
+    assert direct | own == set(_CTX_READS)
+    # ``pending`` and the object views are read by EvalContext itself
+    # and by nothing that compiles or runs a conjunct.
+    assert not direct & {"pending", "objects"}

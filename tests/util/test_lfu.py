@@ -303,3 +303,43 @@ def test_aging_merge_preserves_bucket_fifo(trace_seed):
                 k for k in cache._key_bucket if cache._key_bucket[k] is bucket
             ]
             bucket = bucket.next
+
+
+def test_aging_frees_the_old_chain_without_the_cycle_collector():
+    """An aging pass rebuilds the bucket chain; the buckets it replaces
+    were left linked ``prev <-> next``, so only a gen-2 collection freed
+    them (each with its emptied, unshrunk ``OrderedDict``).  With the
+    collector off, nothing aged may be left for it — and the
+    frequencies are still those of the plain count-and-halve model."""
+    import gc
+
+    from repro.util.lfu import _Bucket
+
+    interval = 512
+    model = {f"k{i:02d}": 1 for i in range(64)}
+    touches = 0
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cache = LFUCache(max_entries=64, age_interval=interval)
+        for key in model:
+            cache.put(key, key)
+        for step in range(4000):  # 15 aging passes over a long chain
+            for key in (f"k{(step * step) % 64:02d}", f"k{step % 7:02d}"):
+                assert cache.get(key) == key
+                model[key] += 1
+                touches += 1
+                if touches % interval == 0:
+                    model = {k: max(1, f // 2) for k, f in model.items()}
+        live = {id(bucket) for bucket in cache._key_bucket.values()}
+        assert [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, _Bucket) and id(obj) not in live
+        ] == []
+    finally:
+        if was_enabled:
+            gc.enable()
+    _check_structure(cache)
+    assert {key: cache.frequency(key) for key in cache} == model
+    assert (cache.stats.hits, cache.stats.evictions) == (8000, 0)
