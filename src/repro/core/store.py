@@ -8,6 +8,10 @@ controller, §2.2)::
     v/<key>/<version>    object content for one version
     p/<policy-hash>      compiled policy blobs
 
+The bytes of each — record layout, AAD, the AEAD construction, and why
+nothing reads the format before it — are in docs/resilience.md,
+"At-rest formats".
+
 Placement (§4.5): a deterministic hash of the object key picks the
 primary drive; replicas go on the following positions in the drive
 list.  No replication metadata is kept anywhere.
@@ -34,9 +38,11 @@ from __future__ import annotations
 
 import hashlib
 import secrets
+import struct
 import time as _time
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 
 from repro.core.antientropy import KIND_OBJECT, KIND_POLICY, DirtyJournal
 from repro.core.effects import (
@@ -63,6 +69,25 @@ from repro.errors import (
 from repro.policy.context import Facts, ObjectView, VersionInfo
 from repro.kinetic.protocol import Op, decode_fields, encode_fields
 from repro.telemetry import NULL_TELEMETRY
+
+
+#: One version in an ``m/`` record: version, size, SHA-256 of the
+#: content, index of its policy hash in the record's ``ph`` list.
+_ROW = struct.Struct(">QQ32sB")
+_FIELDS = {"cv": int, "key": str, "ph": list, "policy": bytes, "rows": bytes}
+
+
+def _raw_digest(hex_digest: str) -> bytes:
+    """The 32 bytes of a SHA-256 digest spelled as ``hexdigest()`` does;
+    anything else would not decode back to itself."""
+    raw = bytes.fromhex(hex_digest)
+    if len(raw) != 32 or raw.hex() != hex_digest:
+        raise ValueError(f"{hex_digest!r} is not a SHA-256 hex digest")
+    return raw
+
+
+def _optional_digest(hex_digest: str) -> bytes:
+    return _raw_digest(hex_digest) if hex_digest else b""
 
 
 @dataclass
@@ -96,36 +121,72 @@ class StoredMeta:
         return 96 + len(self.key) + 80 * len(self.versions)
 
     def encode(self) -> bytes:
-        return encode_fields(
-            {
-                "key": self.key,
-                "cv": self.current_version + 1,  # varints are unsigned
-                "policy": self.policy_id,
-                "versions": [
-                    [m.version, m.size, m.content_hash, m.policy_hash]
-                    for m in sorted(
-                        self.versions.values(), key=lambda m: m.version
-                    )
-                ],
-            }
-        )
+        """The at-rest ``m/`` record ("At-rest formats", docs/resilience.md):
+        digests as raw bytes, each distinct ``policy_hash`` spelled once
+        (``ph``, in first-use order; ``""`` is empty) and one fixed-width
+        :data:`_ROW` per version, ascending, packed into ``rows``."""
+        hashes: dict[str, int] = {}
+        try:
+            rows = [
+                _ROW.pack(
+                    m.version, m.size, _raw_digest(m.content_hash),
+                    hashes.setdefault(m.policy_hash, len(hashes)),
+                )
+                for m in sorted(
+                    self.versions.values(), key=attrgetter("version")
+                )
+            ]
+            return encode_fields(
+                {
+                    "key": self.key,
+                    "cv": self.current_version + 1,  # varints are unsigned
+                    "policy": _optional_digest(self.policy_id),
+                    "ph": [_optional_digest(h) for h in hashes],
+                    "rows": b"".join(rows),
+                }
+            )
+        except (struct.error, ValueError) as exc:
+            raise KineticError(
+                f"metadata of {self.key!r} does not fit its record: {exc}"
+            ) from exc
 
     @classmethod
     def decode(cls, blob: bytes) -> "StoredMeta":
+        """Inverse of :meth:`encode`; accepts only its exact output.
+
+        The record is plaintext, so an error names the rule broken and
+        never a decoded value."""
         fields_ = decode_fields(blob)
-        meta = cls(
-            key=fields_["key"],
-            current_version=int(fields_["cv"]) - 1,
-            policy_id=fields_["policy"],
+        if {name: type(value) for name, value in fields_.items()} != _FIELDS:
+            raise KineticError("not the fields of a metadata record")
+        hashes, rows = fields_["ph"], fields_["rows"]
+        if any(
+            type(raw) is not bytes or len(raw) not in (0, 32)
+            for raw in (fields_["policy"], *hashes)
+        ) or len(set(hashes)) != len(hashes):
+            raise KineticError("policy digests are not distinct 32-byte values")
+        if len(rows) % _ROW.size:
+            raise KineticError("version rows are not whole rows")
+        unpacked = list(_ROW.iter_unpack(rows))
+        versions = [row[0] for row in unpacked]
+        if versions != sorted(set(versions)):
+            raise KineticError("version rows out of order")
+        # One record, one spelling: ``ph`` is exactly the hashes the
+        # rows name, in the order the rows first name them.
+        if list(dict.fromkeys(row[3] for row in unpacked)) != list(
+            range(len(hashes))
+        ):
+            raise KineticError("policy hash list does not match its rows")
+        names = [raw.hex() for raw in hashes]
+        return cls(
+            fields_["key"], fields_["cv"] - 1, fields_["policy"].hex(),
+            {
+                version: VersionMeta(
+                    version, size, content_hash.hex(), names[index]
+                )
+                for version, size, content_hash, index in unpacked
+            },
         )
-        for version, size, content_hash, policy_hash in fields_["versions"]:
-            meta.versions[int(version)] = VersionMeta(
-                version=int(version),
-                size=int(size),
-                content_hash=content_hash,
-                policy_hash=policy_hash,
-            )
-        return meta
 
 
 def placement(key: str, num_drives: int, replication_factor: int) -> list[int]:

@@ -5,13 +5,18 @@ Our AES-GCM (:mod:`repro.crypto.gcm`) is pure Python and therefore too
 slow for benchmark workloads that push 100k objects through the
 functional data path.  :class:`StreamAead` provides the same interface
 and guarantees — confidentiality plus integrity with associated data —
-built from SHA-256 primitives that run at C speed in the standard
-library:
+built from hash primitives that run at C speed in the standard library:
 
-- keystream: ``SHA256(key || nonce || counter)`` blocks XORed over the
-  plaintext (a CTR-mode PRF cipher);
-- authentication: encrypt-then-MAC with HMAC-SHA256 over
-  ``nonce || aad || ciphertext`` under a separate derived key.
+- keystream: ``SHAKE256(enc_key || nonce)`` squeezed to the plaintext's
+  length in one call and XORed over it (an XOF stream cipher);
+- authentication: encrypt-then-MAC, HMAC-SHA256 over ``nonce ||
+  u64 len(aad) || aad || ciphertext`` under a separate derived key,
+  truncated to 16 bytes.
+
+This is at-rest format v2 ("At-rest formats" in docs/resilience.md).
+The two keys are derived under labels the earlier SHA-256-CTR
+construction never used, so a blob it sealed fails its tag here: a
+corrupt replica, never plaintext noise.
 
 Literal AES-GCM stays where throughput does not matter: the secure
 channel, attestation and pin sealing use :class:`repro.crypto.gcm
@@ -25,11 +30,9 @@ import hmac
 
 from repro.errors import CryptoError, IntegrityError
 
-_BLOCK = 32  # SHA-256 digest size
-
 
 class StreamAead:
-    """SHA-256-CTR + HMAC-SHA256 AEAD (see module docstring)."""
+    """SHAKE256 stream + HMAC-SHA256 AEAD (see module docstring)."""
 
     TAG_SIZE = 16
     NONCE_SIZE = 12
@@ -37,18 +40,11 @@ class StreamAead:
     def __init__(self, key: bytes):
         if len(key) < 16:
             raise CryptoError("AEAD key must be at least 16 bytes")
-        self._enc_key = hashlib.sha256(b"enc" + key).digest()
-        self._mac_key = hashlib.sha256(b"mac" + key).digest()
+        self._enc_key = hashlib.sha256(b"pesos-v2-enc" + key).digest()
+        self._mac_key = hashlib.sha256(b"pesos-v2-mac" + key).digest()
 
     def _keystream(self, nonce: bytes, length: int) -> bytes:
-        blocks = []
-        for counter in range((length + _BLOCK - 1) // _BLOCK):
-            blocks.append(
-                hashlib.sha256(
-                    self._enc_key + nonce + counter.to_bytes(8, "big")
-                ).digest()
-            )
-        return b"".join(blocks)[:length]
+        return hashlib.shake_256(self._enc_key + nonce).digest(length)
 
     def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
         mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)

@@ -31,8 +31,10 @@ db_version, new_version, force]`` (``value`` None: a DELETE;
 ``new_version`` None: the drive picks one).  One signed frame, so the
 drive authenticates once and applies every op or none.
 
-The TLV encoding is also the at-rest format of ``StoredMeta`` records
-and compiled policies (whose SHA-256 is the policy id); its bytes are
+The TLV encoding is also the at-rest format of compiled policies
+(whose SHA-256 is the policy id) and the five-field container of a
+``StoredMeta`` record, whose version rows travel packed in one bytes
+field (docs/resilience.md, "At-rest formats"); the bytes of both are
 pinned by golden vectors in ``tests/kinetic/test_codec.py``.
 """
 

@@ -163,7 +163,7 @@ class LFUCache(Generic[K, V]):
         self._values.clear()
         self._weights.clear()
         self._key_bucket.clear()
-        self._head = None
+        self._drop_chain()
         self._total_weight = 0
         # A reset starts a fresh aging epoch; leftover access counts
         # would make the first aging pass fire early on the new
@@ -216,17 +216,13 @@ class LFUCache(Generic[K, V]):
         self._accesses_since_age = 0
         # Halve every frequency by rebuilding the bucket chain.  Rare
         # (once per age_interval accesses), so the O(n) cost amortizes.
-        # The old chain is unlinked as it is walked: left linked
-        # prev<->next, only a cycle collection would free its buckets.
         by_freq: dict[int, list[K]] = {}
         bucket = self._head
         while bucket:
             aged = max(1, bucket.freq // 2)
             by_freq.setdefault(aged, []).extend(bucket.keys)
-            following = bucket.next
-            bucket.prev = bucket.next = None
-            bucket = following
-        self._head = None
+            bucket = bucket.next
+        self._drop_chain()
         self._key_bucket.clear()
         prev: _Bucket | None = None
         for freq in sorted(by_freq):
@@ -240,6 +236,16 @@ class LFUCache(Generic[K, V]):
             else:
                 self._head = nb
             prev = nb
+
+    def _drop_chain(self) -> None:
+        """Forget every bucket, unlinking each: a chain dropped while
+        linked prev<->next is freed only by a cycle collection."""
+        bucket = self._head
+        while bucket:
+            following = bucket.next
+            bucket.prev = bucket.next = None
+            bucket = following
+        self._head = None
 
     def _unlink(self, bucket: _Bucket) -> None:
         if bucket.prev:

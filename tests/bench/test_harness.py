@@ -119,8 +119,11 @@ def test_run_point_with_telemetry_exposes_layer_gauges(loaded):
 
 def test_des_sees_the_parents_events_for_every_request(monkeypatch):
     """The controller bounds the effects backlog nobody drains; the DES
-    drains per request and must not notice.  The SHA is of the
-    per-request event lists of this run at 1ff8262, before the bound."""
+    drains per request and must not notice.  The kinds SHA — the
+    per-request event lists of this run without their byte sizes — is
+    54bf4fd's, the commit before at-rest format v2; the full SHA was
+    re-captured with that format, which moved the encrypt/decrypt/disk
+    sizes of metadata records and nothing else."""
     import hashlib
 
     from repro.bench.model import SystemModel
@@ -150,6 +153,10 @@ def test_des_sees_the_parents_events_for_every_request(monkeypatch):
     )
     run_point(loaded, 4, measure_ops=2400, warmup_ops=100)
     assert (len(seen), sum(map(len, seen))) == (2503, 17619)
+    kinds = [[event[0] for event in events] for events in seen]
+    assert hashlib.sha256(repr(kinds).encode()).hexdigest() == (
+        "f22f10abee89d693104ff7202f451872485d9a0d13c3fb054be46de43f96af9f"
+    )
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
-        "85e0969fab0104129cd61da61f980bba46b8b634f0bf23b499a6ef75a216d61f"
+        "5d2ce7df028f4add523d7508403e96d08a3ec34fbaf6b19dbabf5f03673381c3"
     )

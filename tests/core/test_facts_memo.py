@@ -8,6 +8,8 @@ reference interpreter), and the pinned effects of one MAL read and one
 MAL write — the memo skips tokenising, not a lookup.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core.cache import CacheConfig, CacheManager
@@ -433,7 +435,9 @@ def test_memo_warm_equals_cold_parse_equals_reference(
 
 
 # ---------------------------------------------------------------------------
-# The effects of a MAL read and a MAL write, pinned at 1ff8262
+# The effects of a MAL read and a MAL write, pinned at 1ff8262; the byte
+# sizes of the sealed ``m/`` record (the second ``encrypt`` and
+# ``disk_write`` of each PUT) re-captured for at-rest format v2
 # ---------------------------------------------------------------------------
 
 _HIT_KEYS, _HIT_POLICY, _HIT_OBJECT = (
@@ -447,8 +451,8 @@ MAL_READ_EFFECTS = [
     _HIT_KEYS,
     _HIT_KEYS, _HIT_POLICY, ("policy_check", 1), _HIT_OBJECT, ("copy", 0),
     ("copy", 31), _HIT_KEYS, _HIT_POLICY, _HIT_POLICY, _HIT_KEYS,
-    ("policy_check", 3), ("encrypt", 31), ("encrypt", 382),
-    ("disk_write", 1, 59), ("disk_write", 1, 410),
+    ("policy_check", 3), ("encrypt", 31), ("encrypt", 207),
+    ("disk_write", 1, 59), ("disk_write", 1, 235),
     _HIT_KEYS, _HIT_POLICY, _HIT_KEYS, _HIT_KEYS, _HIT_OBJECT,
     ("policy_check", 5), _HIT_OBJECT, ("copy", 13),
 ]
@@ -457,15 +461,27 @@ MAL_WRITE_EFFECTS = [
     _HIT_KEYS,
     _HIT_KEYS, _HIT_POLICY, ("policy_check", 1), _HIT_OBJECT, ("copy", 31),
     ("copy", 201), _HIT_KEYS, _HIT_POLICY, _HIT_POLICY, _HIT_KEYS,
-    ("policy_check", 3), ("encrypt", 201), ("encrypt", 521),
-    ("disk_write", 1, 229), ("disk_write", 1, 549),
+    ("policy_check", 3), ("encrypt", 201), ("encrypt", 257),
+    ("disk_write", 1, 229), ("disk_write", 1, 285),
     ("copy", 14), _HIT_KEYS, _HIT_POLICY, _HIT_POLICY, _HIT_KEYS,
     _HIT_KEYS, _HIT_OBJECT, ("policy_check", 8), ("encrypt", 14),
-    ("encrypt", 378), ("disk_write", 0, 42), ("disk_write", 0, 406),
+    ("encrypt", 203), ("disk_write", 0, 42), ("disk_write", 0, 231),
 ]
+#: SHA-256 of the two lists' event kinds alone, taken from the lists as
+#: 54bf4fd pinned them: the format change moved sizes, not events.
+MAL_EFFECT_KINDS_SHA = (
+    "4af89c2e34c98757a7d7a8f30df048c9bbeabdd01437a08f53c0cdbf499c2373"
+)
 
 
 def test_mal_read_and_write_effects_are_the_parents(parsed):
+    kinds = [
+        [event[0] for event in effects]
+        for effects in (MAL_READ_EFFECTS, MAL_WRITE_EFFECTS)
+    ]
+    assert hashlib.sha256(repr(kinds).encode()).hexdigest() == (
+        MAL_EFFECT_KINDS_SHA
+    )
     controller = PesosController(_clients(), storage_key=b"k" * 32)
     mal = MalStore(controller)
     mal.protect(ALICE, "record", b"initial state")

@@ -22,6 +22,8 @@ from repro.errors import (
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 
+POLICY_HASH = hashlib.sha256(b"a compiled policy").hexdigest()
+
 
 def _store(num_drives=3, replication=1, **kwargs):
     cluster = DriveCluster(num_drives=num_drives)
@@ -60,12 +62,13 @@ def test_meta_roundtrip():
     meta = StoredMeta(key="obj")
     assert not meta.exists
     store, _ = _store()
-    store.store_version(meta, b"hello", policy_hash="ph")
+    store.store_version(meta, b"hello", policy_hash=POLICY_HASH)
     loaded = store.read_meta("obj")
     assert loaded.exists
     assert loaded.current_version == 0
     assert loaded.latest().size == 5
-    assert loaded.latest().policy_hash == "ph"
+    assert loaded.latest().policy_hash == POLICY_HASH
+    assert loaded.latest().content_hash == hashlib.sha256(b"hello").hexdigest()
     assert loaded.policy_id == ""
 
 
@@ -237,15 +240,16 @@ def test_metadata_record_is_flat_in_the_number_of_versions():
     meta = StoredMeta(key="hot")
     sizes = {}
     for version in range(1000):
-        store.store_version(meta, b"v%03d" % version, "ph")
+        store.store_version(meta, b"v%03d" % version, POLICY_HASH)
         if version + 1 in (VERSION_METADATA_WINDOW + 1, 1000):
             sizes[version + 1] = (
                 len(meta.encode()), sum(d.key_count for d in cluster.drives)
             )
     (early_bytes, early_keys), (late_bytes, late_keys) = sizes.values()
-    # Only the varint width of the version numbers may differ.
-    assert late_bytes - early_bytes <= 2 * VERSION_METADATA_WINDOW
-    assert late_bytes <= 80 * VERSION_METADATA_WINDOW
+    # Rows are fixed-width (49 B) and the one policy hash is spelled
+    # once: only the varint of the current version may grow.
+    assert late_bytes - early_bytes == 1
+    assert late_bytes == 49 * VERSION_METADATA_WINDOW + 72
     assert late_keys == early_keys == 3 * (VERSION_METADATA_WINDOW + 1)
     assert sorted(meta.versions) == list(
         range(1000 - VERSION_METADATA_WINDOW, 1000)

@@ -1,11 +1,15 @@
 """StoreBackedView: lazy content loading for policy evaluation."""
 
+import hashlib
+
 import pytest
 
 from repro.core.cache import CacheManager
 from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+
+POLICY_HASH = hashlib.sha256(b"a compiled policy").hexdigest()
 
 
 @pytest.fixture()
@@ -19,7 +23,7 @@ def store():
 
 def _view(store, content=b"'fact'(42)", cache=None):
     meta = StoredMeta(key="obj")
-    store.store_version(meta, content, policy_hash="ph")
+    store.store_version(meta, content, policy_hash=POLICY_HASH)
     return StoreBackedView(meta, store, cache or CacheManager()), meta
 
 
@@ -28,7 +32,7 @@ def test_metadata_served_without_content_reads(store):
     drive_gets_before = store.clients[0].drive.stats.gets
     info = view.info(0)
     assert info.size == len(b"'fact'(42)")
-    assert info.policy_hash == "ph"
+    assert info.policy_hash == POLICY_HASH
     assert info.content_hash  # from metadata, no disk read
     assert store.clients[0].drive.stats.gets == drive_gets_before
 

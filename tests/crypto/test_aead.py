@@ -1,5 +1,8 @@
 """The seal/open contract, for StreamAead and literal AES-GCM alike."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,3 +91,51 @@ def test_empty_plaintext(aead):
 def test_stream_roundtrip_property(key, nonce, plaintext, aad):
     aead = StreamAead(key)
     assert aead.open(nonce, aead.seal(nonce, plaintext, aad), aad) == plaintext
+
+
+# -- at-rest format v2: a known answer, and no reader for v1 ---------------
+
+KAT_KEY = bytes(range(32))
+KAT_NONCE = bytes(range(100, 112))
+KAT_AAD = b"meta:k"
+KAT_PLAINTEXT = b"at-rest format v2: one SHAKE256 call, 'pesos-v2-' key labels"
+KAT_SEALED = bytes.fromhex(
+    "f562e789bff5ceb6fa8c23db14d5fe111fe927a7d3d54b45d16648bcc16d5f36c077fdd6"
+    "286755471140ac1ccef799e8a7eb3dcbfbcf49369081aa52b942ac1b70157a357f3fb99d"
+    "f1820d80"
+)
+#: ``b"at-rest format v1: SHA-256-CTR keystream, 'enc'/'mac' labels"``
+#: sealed under the same key, nonce and AAD by ``StreamAead`` as it was
+#: at 54bf4fd, the commit before format v2.
+V1_SEALED = bytes.fromhex(
+    "41deb64e06f2375b1085e7a1c913703867f9c76f1c75502c4f2c7d20e4602d1245ba39f0"
+    "e7cb66dbde977170d75f8ed04aa41851b535a95e4be9bd416c46bd80137b5f6125a24562"
+    "1e60a8d4"
+)
+
+
+def test_stream_known_answer():
+    """The construction, spelled out with the standard library alone."""
+    aead = StreamAead(KAT_KEY)
+    assert aead.seal(KAT_NONCE, KAT_PLAINTEXT, KAT_AAD) == KAT_SEALED
+    assert aead.open(KAT_NONCE, KAT_SEALED, KAT_AAD) == KAT_PLAINTEXT
+
+    enc_key = hashlib.sha256(b"pesos-v2-enc" + KAT_KEY).digest()
+    mac_key = hashlib.sha256(b"pesos-v2-mac" + KAT_KEY).digest()
+    keystream = hashlib.shake_256(enc_key + KAT_NONCE).digest(
+        len(KAT_PLAINTEXT)
+    )
+    ciphertext = bytes(p ^ k for p, k in zip(KAT_PLAINTEXT, keystream))
+    tag = hmac.new(
+        mac_key,
+        KAT_NONCE + len(KAT_AAD).to_bytes(8, "big") + KAT_AAD + ciphertext,
+        "sha256",
+    ).digest()[:StreamAead.TAG_SIZE]
+    assert ciphertext + tag == KAT_SEALED
+
+
+def test_blob_sealed_by_format_v1_fails_its_tag():
+    """No deployed data, so no v1 reader — but a v1 blob must fail
+    closed (a corrupt copy), not open as keystream noise."""
+    with pytest.raises(IntegrityError):
+        StreamAead(KAT_KEY).open(KAT_NONCE, V1_SEALED, KAT_AAD)

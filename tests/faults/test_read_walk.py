@@ -43,9 +43,21 @@ ORDER = placement(KEY, 3, 3)
 POLICY_ORDER = placement(POLICY_ID, 3, 3)
 
 READERS = ("value", "meta", "meta-verified", "policy", "policy-verified")
-FAULTS = ("offline", "missing", "corrupt", "truncated", "stale")
+FAULTS = ("offline", "missing", "corrupt", "truncated", "stale", "sealed-v1")
 #: The metric kind each injected fault must be counted under.
-METRIC_KIND = {"truncated": "corrupt"}
+METRIC_KIND = {"truncated": "corrupt", "sealed-v1": "corrupt"}
+
+#: ``m/obj`` as at-rest format v1 wrote it, captured at 54bf4fd (the
+#: commit before format v2): version 7 of ``obj`` — newer than anything
+#: a scenario writes — sealed by that commit's ``StreamAead(b"w" * 32)``
+#: with nonce ``b"format-v1 nc"`` and AAD ``b"meta:obj"``.  There is no
+#: reader for it: it must fail its tag, as any corrupt copy does.
+SEALED_V1_META = bytes.fromhex(
+    "666f726d61742d7631206e636d456ad1ba31217e25f2592613b7497541c43e82fd361b87"
+    "250eb21ebebb21a06d795f9d16b1d7b2f8e4d56f842204223e44def482e3616e4c4735be"
+    "f8d2da7e8e6472eff8047e76b8197a958d4d3cc4dce42528bd8103cd063e3a2b3a78930c"
+    "e376afc6e9bbf92cc5009ce2f1ddf0a35bf0ed98e6de7b1e5aea32da5c"
+)
 
 
 def _sees_staleness(reader: str) -> bool:
@@ -120,6 +132,8 @@ class Scenario:
             entry.value = entry.value[:5]
         elif fault == "stale":
             entry.value = self.old
+        elif fault == "sealed-v1":
+            entry.value = SEALED_V1_META
         else:  # pragma: no cover - guards the parametrisation
             raise AssertionError(fault)
 
@@ -153,6 +167,8 @@ class Scenario:
 def test_primary_fault_fails_over_repairs_journals_and_counts(reader, fault):
     if fault == "stale" and not _sees_staleness(reader):
         pytest.skip("an unpinned immutable blob has no newer generation")
+    if fault == "sealed-v1" and not reader.startswith("meta"):
+        pytest.skip("the captured v1 blob is an m/ record")
     scenario = Scenario(reader)
     store, cluster = scenario.store, scenario.cluster
     primary, second = scenario.order[0], scenario.order[1]

@@ -1,10 +1,13 @@
 """The TLV codec and the frame against the reference codec, golden
 vectors and hostile bytes.
 
-The TLV bytes are the at-rest format of ``StoredMeta`` and compiled
-policies, so the encoder must stay byte-identical to the stream-based
-one that wrote them (``reference_codec``); the decoder must accept
-exactly those bytes and nothing that merely parses to the same fields.
+The TLV bytes are the at-rest format of compiled policies and the
+container of the ``StoredMeta`` record, so the encoder must stay
+byte-identical to the stream-based one that wrote them
+(``reference_codec``); the decoder must accept exactly those bytes and
+nothing that merely parses to the same fields.  The record's own rules
+(packed rows, indexed policy hashes) are pinned below the golden
+vectors.
 """
 
 import struct
@@ -166,24 +169,20 @@ def test_malformed_fields_rejected(blob, error):
 
 
 # ---------------------------------------------------------------------------
-# Golden vectors (generated at the commit before the codec was rewritten)
+# Golden vectors: the policy and the frames generated at the commit
+# before the codec was rewritten, the metadata record with at-rest
+# format v2 (docs/resilience.md, "At-rest formats")
 # ---------------------------------------------------------------------------
 
 GOLDEN_META_HEX = (
-    "040263760003036b6579021175736572732f616c6963652fc3bc6ec3af06706f6c696379"
-    "024061626162616261626162616261626162616261626162616261626162616261626162"
-    "616261626162616261626162616261626162616261626162616261626162087665727369"
-    "6f6e730303030400000080a0060240303130313031303130313031303130313031303130"
-    "313031303130313031303130313031303130313031303130313031303130313031303130"
-    "313031303130310200030400010080c00c02403032303230323032303230323032303230"
-    "323032303230323032303230323032303230323032303230323032303230323032303230"
-    "323032303230323032303202406364636463646364636463646364636463646364636463"
-    "646364636463646364636463646364636463646364636463646364636463646364636463"
-    "6463646364030400020080e0120240303330333033303330333033303330333033303330"
-    "333033303330333033303330333033303330333033303330333033303330333033303330"
-    "333033303330330240636463646364636463646364636463646364636463646364636463"
-    "646364636463646364636463646364636463646364636463646364636463646364636463"
-    "64"
+    "050263760003036b6579021175736572732f616c6963652fc3bc6ec3af02706803020100"
+    "0120cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd0670"
+    "6f6c6963790120ababababababababababababababababababababababababababababab"
+    "ababab04726f777301930100000000000000000000000000019000010101010101010101"
+    "010101010101010101010101010101010101010101010100000000000000000100000000"
+    "000320000202020202020202020202020202020202020202020202020202020202020202"
+    "010000000000000002000000000004b00003030303030303030303030303030303030303"
+    "0303030303030303030303030301"
 )
 
 GOLDEN_POLICY_SOURCE = r"""
@@ -239,6 +238,212 @@ def test_golden_compiled_policy_bytes_and_hash():
     assert loaded.policy_hash() == GOLDEN_POLICY_HASH
     assert loaded.permissions == policy.permissions
     assert loaded.constants == policy.constants
+
+
+# ---------------------------------------------------------------------------
+# Metadata record v2: decodes canonically or not at all
+# ---------------------------------------------------------------------------
+
+_digests = st.binary(min_size=32, max_size=32).map(bytes.hex)
+
+
+@st.composite
+def _stored_metas(draw):
+    policy_hashes = draw(
+        st.lists(st.one_of(st.just(""), _digests), min_size=1, max_size=3,
+                 unique=True)
+    )
+    versions = draw(
+        st.lists(st.integers(0, 2**64 - 1), max_size=40, unique=True)
+    )
+    meta = StoredMeta(
+        key=draw(st.text(max_size=24)),
+        current_version=draw(st.integers(-1, 2**63)),
+        policy_id=draw(st.one_of(st.just(""), _digests)),
+    )
+    for version in versions:  # unsorted on purpose: encode orders them
+        meta.versions[version] = VersionMeta(
+            version=version,
+            size=draw(st.integers(0, 2**64 - 1)),
+            content_hash=draw(_digests),
+            policy_hash=draw(st.sampled_from(policy_hashes)),
+        )
+    return meta
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stored_metas())
+def test_stored_meta_roundtrip_property(meta):
+    blob = meta.encode()
+    loaded = StoredMeta.decode(blob)
+    assert loaded == meta
+    assert list(loaded.versions) == sorted(meta.versions)
+    assert loaded.encode() == blob
+    # Each distinct policy hash is spelled once, each row is 49 bytes.
+    fields = decode_fields(blob)
+    assert len(fields["ph"]) == len(
+        {m.policy_hash for m in meta.versions.values()}
+    )
+    assert len(fields["rows"]) == 49 * len(meta.versions)
+
+
+#: Spelled out here, not imported: the tests pin the row layout.
+_ROW = struct.Struct(">QQ32sB")
+_H1, _H2 = b"\x11" * 32, b"\x22" * 32
+
+
+def _record(version_rows, ph=(_H1,), drop=None, **overrides) -> bytes:
+    """A hand-built record: what ``encode`` would never emit, too."""
+    fields = {
+        "key": "k", "cv": 2, "policy": b"",
+        "ph": list(ph) if isinstance(ph, tuple) else ph,
+        "rows": b"".join(_ROW.pack(*row) for row in version_rows),
+    }
+    fields.update(overrides)
+    fields.pop(drop, None)
+    return encode_fields(fields)
+
+
+def test_record_helper_builds_what_encode_builds():
+    meta = StoredMeta.decode(_record(
+        [(0, 5, _H2, 0), (1, 6, _H2, 1), (2, 7, _H2, 0)], ph=(_H1, b"")
+    ))
+    assert [m.policy_hash for m in meta.versions.values()] == [
+        _H1.hex(), "", _H1.hex()
+    ]
+    assert meta.encode() == _record(
+        [(0, 5, _H2, 0), (1, 6, _H2, 1), (2, 7, _H2, 0)], ph=(_H1, b"")
+    )
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pytest.param(_record([(0, 5, _H2, 0)], rows=b"\0" * 48),
+                     id="rows-not-whole"),
+        pytest.param(_record([(0, 5, _H2, 0)], rows=b"\0" * 50),
+                     id="rows-trailing-byte"),
+        pytest.param(_record([(1, 5, _H2, 0), (1, 5, _H2, 0)]),
+                     id="version-repeated"),
+        pytest.param(_record([(2, 5, _H2, 0), (1, 5, _H2, 0)]),
+                     id="versions-descending"),
+        pytest.param(_record([(0, 5, _H2, 1)]), id="index-out-of-range"),
+        pytest.param(_record([(0, 5, _H2, 0)], ph=()), id="index-into-empty"),
+        pytest.param(_record([(0, 5, _H2, 0)], ph=(_H1, _H2)),
+                     id="ph-unused"),
+        pytest.param(_record([], ph=(_H1,)), id="ph-unused-no-rows"),
+        pytest.param(
+            _record([(0, 5, _H2, 1), (1, 5, _H2, 0)], ph=(_H1, _H2)),
+            id="ph-out-of-first-use-order",
+        ),
+        pytest.param(
+            _record([(0, 5, _H2, 0), (1, 5, _H2, 1)], ph=(_H1, _H1)),
+            id="ph-listed-twice",
+        ),
+        pytest.param(_record([(0, 5, _H2, 0)], ph=(_H1[:31],)),
+                     id="ph-31-bytes"),
+        pytest.param(_record([(0, 5, _H2, 0)], policy=_H1 + b"\0"),
+                     id="policy-33-bytes"),
+        pytest.param(_record([(0, 5, _H2, 0)], policy=_H1.hex()),
+                     id="policy-as-hex-string"),
+        pytest.param(_record([(0, 5, _H2, 0)], rows="rows"),
+                     id="rows-not-bytes"),
+        pytest.param(_record([(0, 5, _H2, 0)], ph=_H1), id="ph-not-a-list"),
+        pytest.param(_record([(0, 5, _H2, 0)], ph=(_H1.hex(),)),
+                     id="ph-entry-not-bytes"),
+        pytest.param(_record([(0, 5, _H2, 0)], cv=None), id="cv-not-an-int"),
+        pytest.param(_record([(0, 5, _H2, 0)], drop="ph"), id="field-missing"),
+        pytest.param(_record([(0, 5, _H2, 0)], extra=1), id="field-extra"),
+        pytest.param(
+            encode_fields({
+                "key": "k", "cv": 1, "policy": "",
+                "versions": [[0, 5, _H2.hex(), _H1.hex()]],
+            }),
+            id="record-v1",
+        ),
+    ],
+)
+def test_stored_meta_decode_rejects_noncanonical_records(blob):
+    with pytest.raises(KineticError):
+        StoredMeta.decode(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    meta=_stored_metas(),
+    field=st.sampled_from(["cv", "key", "ph", "policy", "rows"]),
+    data=st.data(),
+)
+def test_whatever_decodes_is_what_encode_would_write(meta, field, data):
+    """One field of a valid record replaced by arbitrary bytes, rows or
+    hashes: ``decode`` refuses it, or it is the canonical record of what
+    it decodes to — no two records decode to the same metadata."""
+    fields = decode_fields(meta.encode())
+    width = st.sampled_from([0, 31, 32, 33])
+    raw = st.one_of(
+        width.flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+        st.sampled_from(fields["ph"] + [b""]),
+    )
+    fields[field] = data.draw({
+        "cv": st.integers(0, 2**64 - 1),
+        "key": st.text(max_size=8),
+        "ph": st.lists(raw, max_size=4),
+        "policy": raw,
+        "rows": st.one_of(
+            st.binary(max_size=120),
+            st.lists(
+                st.tuples(
+                    st.integers(0, 5), st.integers(0, 9),
+                    st.binary(min_size=32, max_size=32), st.integers(0, 4),
+                ),
+                max_size=5,
+            ).map(lambda rows: b"".join(_ROW.pack(*row) for row in rows)),
+        ),
+    }[field])
+    blob = encode_fields(fields)
+    try:
+        loaded = StoredMeta.decode(blob)
+    except KineticError:
+        return
+    assert loaded.encode() == blob
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("content_hash", "ph"),
+        ("content_hash", ""),
+        ("content_hash", "AB" * 32),           # not as hexdigest() spells it
+        ("content_hash", "ab" * 31),
+        ("content_hash", "ab" * 31 + " abab"),  # fromhex would skip the blank
+        ("content_hash", "zz" * 32),
+        ("policy_hash", "ph"),
+        ("policy_hash", "ab" * 16),
+        ("policy_id", "p1"),
+    ],
+)
+def test_stored_meta_encode_refuses_what_is_not_a_sha256_hex_digest(
+    field, value
+):
+    meta = _golden_meta()
+    target = meta if field == "policy_id" else meta.versions[1]
+    setattr(target, field, value)
+    with pytest.raises(KineticError):
+        meta.encode()
+
+
+def test_stored_meta_encode_refuses_what_a_row_cannot_hold():
+    meta = _golden_meta()
+    meta.versions[1].size = 2**64
+    with pytest.raises(KineticError):
+        meta.encode()
+    meta = _golden_meta()
+    for version in range(3, 300):  # 257+ distinct hashes: index > u8
+        meta.versions[version] = VersionMeta(
+            version, 1, "00" * 32, f"{version:064x}"
+        )
+    with pytest.raises(KineticError):
+        meta.encode()
 
 
 # ---------------------------------------------------------------------------

@@ -343,3 +343,36 @@ def test_aging_frees_the_old_chain_without_the_cycle_collector():
     _check_structure(cache)
     assert {key: cache.frequency(key) for key in cache} == model
     assert (cache.stats.hits, cache.stats.evictions) == (8000, 0)
+
+
+def test_clear_frees_the_chain_without_the_cycle_collector():
+    """``clear()`` dropped its bucket chain still linked ``prev <->
+    next`` — the leak shape the aging pass had.  With the collector off
+    no bucket may outlive the clear, and the cache works afterwards."""
+    import gc
+
+    from repro.util.lfu import _Bucket
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        others = {
+            id(obj) for obj in gc.get_objects() if isinstance(obj, _Bucket)
+        }
+        cache = LFUCache(max_entries=16)
+        for index in range(16):
+            cache.put(index, index)
+            for _ in range(index):  # 16 distinct frequencies: a long chain
+                cache.get(index)
+        cache.clear()
+        assert [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, _Bucket) and id(obj) not in others
+        ] == []
+    finally:
+        if was_enabled:
+            gc.enable()
+    cache.put("a", 1)
+    assert cache.get("a") == 1 and len(cache) == 1
+    _check_structure(cache)
