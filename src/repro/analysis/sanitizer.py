@@ -1,8 +1,7 @@
 """Shadow-state hook API for the concurrency sanitizer.
 
-The deterministic engine (:mod:`repro.core.engine`), the request-lock
-table (:mod:`repro.core.locks`), the VLL transaction manager
-(:mod:`repro.core.txn`) and the green-thread scheduler
+The deterministic engine (:mod:`repro.core.engine`), the per-key lock
+table (:mod:`repro.core.txn`) and the green-thread scheduler
 (:mod:`repro.sgx.scheduler`) all carry a ``sanitizer`` attribute.  By
 default it is the shared :data:`NULL_SANITIZER`, whose every hook is a
 no-op — exactly the ``NullTelemetry`` pattern, so the uninstrumented
@@ -14,9 +13,9 @@ A :class:`ShadowState` instance records a flat event stream instead:
 - ``("dispatch", tid)`` — the scheduler handed a green thread the CPU;
   every later event is attributed to ``tid`` until the next dispatch.
 - ``("acquire", tid, lock_id, mode)`` / ``("release", tid, lock_id)``
-  — one lock taken or dropped.  Request locks and VLL transaction
-  locks both use ``("obj", k)`` ids: the two tables cross-exclude per
-  key, so they are one logical lock to the analyzers.
+  — one lock taken or dropped.  Every lock event comes from the one
+  lock table, :class:`repro.core.txn.VllManager`, under one id per
+  key, ``("obj", k)``, whether a request or a transaction holds it.
 - ``("acquire_group", tid, lock_ids)`` / ``("release_group", ...)`` —
   an all-or-nothing multi-lock acquisition (VLL takes every lock of a
   committing transaction at once).  Group members create no ordering

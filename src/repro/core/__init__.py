@@ -10,7 +10,8 @@ lives here, in one layer, exactly as the paper argues it should:
 - :mod:`repro.core.store` — the object store over Kinetic drives:
   versioned layout, AES-GCM-style payload encryption, replication
   placement (§4.5).
-- :mod:`repro.core.txn` — VLL-based ACID transactions (§4.4).
+- :mod:`repro.core.txn` — the per-key lock table and VLL-based ACID
+  transactions (§4.4).
 - :mod:`repro.core.controller` — bootstrap (attestation, disk lock-out)
   and the request handler that enforces policies on every access.
 """

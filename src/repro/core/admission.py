@@ -36,10 +36,12 @@ with a ``Retry-After`` hint — the same response plumbing
 :class:`~repro.errors.ReplicationDegraded` uses.  The hint carries
 seeded PRF jitter (a pure function of ``(seed, decision index)``, like
 the fault schedules) so a thundering herd decorrelates without
-breaking byte-replayability.  Every decision lands in
+breaking byte-replayability.  Every queue-path decision lands in
 :attr:`AdmissionController.decision_log`, which the engine folds into
 ``trace_bytes()`` — two same-seed runs shed the same requests at the
-same points, byte for byte.
+same points, byte for byte.  The synchronous gate only counts its
+decisions: nothing replays a log of one-at-a-time requests, and a list
+that grows with every request served has no place in the enclave.
 """
 
 from __future__ import annotations
@@ -173,6 +175,10 @@ class _QueueEntry:
     priority: int
     enqueued_at: float
     deadline: float | None
+    #: The request and the session that sent it, so a shed of this
+    #: entry (evicted to make room, or expired) is audited like any.
+    request: Request
+    fingerprint: str
 
 
 class AdmissionQueue:
@@ -300,9 +306,13 @@ class AdmissionController:
             self.config.queue_depth, self.config.max_queue_delay
         )
         self.limiter = AdaptiveLimiter(self.config)
-        #: Every decision in order: ``(index, outcome, retry_after)``.
-        #: Appended deterministically, folded into the engine trace.
+        #: Every :meth:`offer` / :meth:`dispatch` decision in order:
+        #: ``(index, outcome, status, retry_after)``.  Appended
+        #: deterministically, folded into the engine trace.
         self.decision_log: list[tuple] = []
+        #: Decisions made so far on either path: the log index and the
+        #: Retry-After PRF input.
+        self._decisions = 0
         #: Shed queue entries not yet claimed by the caller:
         #: ``(token, decision)`` pairs (see :meth:`take_shed`).
         self._shed: list[tuple[object, AdmissionDecision]] = []
@@ -361,7 +371,9 @@ class AdmissionController:
         self, request: Request, fingerprint: str, now: float
     ) -> AdmissionDecision:
         """Per-session token-bucket check; the synchronous gate."""
-        decision = self._record(self._check_rate(request, fingerprint, now))
+        decision = self._record(
+            self._check_rate(request, fingerprint, now), log=False
+        )
         self._audit_shed(decision, request, fingerprint, now)
         return decision
 
@@ -420,6 +432,8 @@ class AdmissionController:
             priority=self.config.priority_of(request.method),
             enqueued_at=vnow,
             deadline=deadline,
+            request=request,
+            fingerprint=fingerprint,
         )
         victim = self.queue.push(entry)
         self._g_queue.set(len(self.queue))
@@ -428,8 +442,7 @@ class AdmissionController:
             self._audit_shed(decision, request, fingerprint, vnow)
             return decision
         if victim is not None:
-            shed = self._record(self._shed_decision(SHED_QUEUE_FULL))
-            self._shed.append((victim.token, shed))
+            self._shed_queued(victim, SHED_QUEUE_FULL, vnow)
         return self._record(ADMIT)
 
     def dispatch(self, vnow: float, budget: int) -> list[object]:
@@ -445,9 +458,7 @@ class AdmissionController:
                 if entry.deadline is not None and vnow > entry.deadline
                 else SHED_QUEUE_DELAY
             )
-            self._shed.append(
-                (entry.token, self._record(self._shed_decision(reason)))
-            )
+            self._shed_queued(entry, reason, vnow)
         ready: list[object] = []
         while len(ready) < budget:
             entry = self.queue.pop()
@@ -502,11 +513,19 @@ class AdmissionController:
             retry_after=round(self._jitter(reason), 9),
         )
 
+    def _shed_queued(
+        self, entry: _QueueEntry, reason: str, vnow: float
+    ) -> None:
+        """Shed an entry that was already admitted to the queue."""
+        decision = self._record(self._shed_decision(reason))
+        self._audit_shed(decision, entry.request, entry.fingerprint, vnow)
+        self._shed.append((entry.token, decision))
+
     def _jitter(self, reason: str) -> float:
         """Seeded PRF Retry-After: pure in (seed, decision index)."""
         config = self.config
         digest = hashlib.sha256(
-            f"{config.seed}:{len(self.decision_log)}:{reason}".encode()
+            f"{config.seed}:{self._decisions}:{reason}".encode()
         ).digest()
         frac = int.from_bytes(digest[:8], "big") / 2**64
         return config.retry_after_base + frac * config.retry_after_jitter
@@ -518,9 +537,7 @@ class AdmissionController:
         fingerprint: str,
         vnow: float,
     ) -> None:
-        """Append a shed to the audit chain (queue-eviction sheds of
-        *other* requests carry no request context here and stay in
-        :attr:`decision_log` only)."""
+        """Append a shed to the audit chain, whatever shed it."""
         if decision.admitted or self.auditor is None:
             return
         self.auditor.record_shed(
@@ -531,18 +548,21 @@ class AdmissionController:
             vnow=vnow,
         )
 
-    def _record(self, decision: AdmissionDecision) -> AdmissionDecision:
-        index = len(self.decision_log)
-        self.decision_log.append(
-            (
-                index,
-                decision.reason,
-                decision.status,
-                "-"
-                if decision.retry_after is None
-                else f"{decision.retry_after:.9f}",
+    def _record(
+        self, decision: AdmissionDecision, log: bool = True
+    ) -> AdmissionDecision:
+        if log:
+            self.decision_log.append(
+                (
+                    self._decisions,
+                    decision.reason,
+                    decision.status,
+                    "-"
+                    if decision.retry_after is None
+                    else f"{decision.retry_after:.9f}",
+                )
             )
-        )
+        self._decisions += 1
         if decision.admitted:
             self.admitted += 1
         else:

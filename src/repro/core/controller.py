@@ -40,7 +40,6 @@ from repro.core.request import METHOD_TABLE, Request, Response
 from repro.core.session import Session, SessionManager
 from repro.core.freshness import FreshnessAuthority, FreshnessEnvironment
 from repro.core.ssdcache import SSD_READ, SSD_WRITE, SsdCacheTier
-from repro.core.locks import KeyLockTable
 from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
 from repro.core.txn import Transaction, VllManager
 from repro.errors import (
@@ -239,20 +238,13 @@ class PesosController:
         #: Public keys of external authorities (time servers, group
         #: CAs) by fingerprint, available to certificateSays.
         self.authority_keys = dict(authority_keys or {})
-        #: Per-key locks for non-transactional requests.  Idle (and
-        #: free) under the sequential request path; the concurrent
-        #: engine acquires them so overlapping requests on the same
-        #: object stay serializable.  Wired to the VLL manager both
-        #: ways: transactional locks conflict with request locks, and
-        #: releasing a request lock drains the transaction queue.
-        self.request_locks = KeyLockTable()
+        #: The per-key lock table and transaction queue.  Commits go
+        #: through it on every path; the per-request holds are idle
+        #: (and free) under the sequential request path and taken by
+        #: the concurrent engine, so overlapping requests on the same
+        #: object stay serializable.
         self.txns = VllManager(
-            self._execute_transaction,
-            telemetry=self.telemetry,
-            request_locks=self.request_locks,
-        )
-        self.request_locks.bind(
-            conflicts=self.txns.holds, on_release=self.txns.notify_release
+            self._execute_transaction, telemetry=self.telemetry
         )
         self.requests_handled = 0
         #: Requests inside :meth:`handle` that hold an index into

@@ -21,9 +21,10 @@ path into generators:
   thread the call suspends and travels through
   :class:`~repro.sgx.syscalls.AsyncSyscallInterface`; on the main
   thread (bootstrap, load phases) it executes inline.
-- Per-key request locks (:class:`repro.core.locks.KeyLockTable`) keep
-  overlapping non-transactional operations on the same object
-  serializable, and cooperate with the VLL transaction queue.
+- Per-key request holds in the controller's one lock table
+  (:class:`repro.core.txn.VllManager`) keep overlapping
+  non-transactional operations on the same object serializable, among
+  themselves and against transactions.
 
 Dispatch order is driven by a seeded
 :class:`~repro.sgx.scheduler.DispatchSchedule`, so any interleaving a
@@ -245,7 +246,7 @@ class ConcurrentEngine:
         self._pending: deque[_Item] = deque()
         self._round_latencies: list[float] = []
         self._local = threading.local()
-        self._locks = controller.request_locks
+        self._locks = controller.txns
         self._clients = list(controller.store.clients)
         self._client_index = {
             id(client): i for i, client in enumerate(self._clients)
@@ -256,9 +257,6 @@ class ConcurrentEngine:
         # drives; close() restores the shared no-op.
         self.scheduler.sanitizer = self.sanitizer
         self._locks.sanitizer = self.sanitizer
-        txns = getattr(controller, "txns", None)
-        if txns is not None:
-            txns.sanitizer = self.sanitizer
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -267,9 +265,6 @@ class ConcurrentEngine:
         self.controller.store.install_io_interceptor(None)
         self.scheduler.sanitizer = NULL_SANITIZER
         self._locks.sanitizer = NULL_SANITIZER
-        txns = getattr(self.controller, "txns", None)
-        if txns is not None:
-            txns.sanitizer = NULL_SANITIZER
 
     def __enter__(self) -> "ConcurrentEngine":
         return self

@@ -1,4 +1,4 @@
-"""ACID multi-object transactions via a VLL variant (§4.4).
+"""The per-key lock table and ACID multi-object transactions (§4.4).
 
 Pesos adapts the VLL lock manager (Ren et al.): a committing
 transaction tries to take all of its locks at once.  If every lock was
@@ -9,24 +9,30 @@ held only by itself — so the front can always run.
 
 Unlike the original in-memory-database implementation, the lock table
 here is a small dict keyed by object keys, since only a fraction of
-keys are expected to see transactional access.
+keys are expected to see contended access.  It is the *one* per-key
+lock of the system: a record per key counts the non-transactional
+requests holding it (shared readers or one exclusive writer, taken by
+the concurrent engine through :meth:`VllManager.try_acquire`) beside
+the transactions queued or running on it.
 
-Since the concurrent request engine (:mod:`repro.core.engine`) lets
-commits overlap drive I/O, the manager is now overlap-aware:
-
-- Keys held by *currently executing* transactions are tracked
-  separately (``_running``), and :meth:`VllManager._drain_queue` only
-  runs the queue front when its locks are *truly exclusive* — held by
-  nobody but the front itself and transactions queued behind it (the
-  actual VLL invariant; the sequential code could assume any drain
-  point implied exclusivity).
-- Non-transactional requests take per-key locks in a
-  :class:`repro.core.locks.KeyLockTable` wired in via
-  ``request_locks``; commits treat those holds as conflicts, and
-  request-lock releases drain the queue.
-- Aborting a QUEUED transaction drains the queue after unlocking —
-  previously the released keys could leave a runnable front stalled
-  until an unrelated commit happened to drain.
+- A request hold refuses conflicting request holds and makes a commit
+  queue; a transaction on a key, queued or running, refuses every
+  request hold on it.  There is no blocking acquire: a refused green
+  thread yields to the scheduler and retries (requests hold at most
+  one key, commits take all of theirs at once, so nothing holds while
+  it waits and nothing deadlocks).
+- Commits overlap drive I/O under the engine, so the queue front runs
+  only when its keys are *truly exclusive*: no request hold and no
+  transaction still executing on them.  Other transactions counted on
+  those keys are queued behind it and never block it.
+- Draining the queue is the table's own step after every event that
+  can free a front: a request release, a transaction finishing, an
+  abort of a queued transaction.
+- A transaction owns its failure.  Whatever :class:`PesosError` its
+  executor raises ends it ``aborted`` with the text recorded, on
+  whichever thread drained it; :meth:`VllManager.release` and
+  :meth:`VllManager.abort` therefore never raise on behalf of a
+  transaction the caller has nothing to do with.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.analysis.sanitizer import NULL_SANITIZER
-from repro.errors import TransactionError
+from repro.core.asyncapi import RESULT_BUFFER_SIZE
+from repro.errors import PesosError, TransactionError
 from repro.telemetry import NULL_TELEMETRY
 
 OPEN = "open"
@@ -87,32 +94,50 @@ class Transaction:
         self.writes[key] = (value, policy_id)
 
 
+@dataclass
+class _KeyLock:
+    """Every hold on one object key; the record exists while any does."""
+
+    #: Non-transactional requests reading the key.
+    shared: int = 0
+    #: One non-transactional request writing it.
+    exclusive: bool = False
+    #: Transactions that took the key at commit: queued or running.
+    txns: int = 0
+    #: Of those, how many are executing right now.
+    running: int = 0
+
+    @property
+    def requested(self) -> bool:
+        """Whether a non-transactional request holds the key."""
+        return self.exclusive or self.shared > 0
+
+
 class VllManager:
-    """Lock table + transaction queue (exclusive locks only)."""
+    """The per-key lock table plus the transaction queue."""
 
     def __init__(
         self,
         executor: Callable[[Transaction], dict],
         telemetry=None,
-        request_locks=None,
     ):
         self._executor = executor
-        self._locks: dict[str, int] = {}
-        #: Keys held by transactions whose executor is running right
-        #: now (commits overlap under the concurrent engine).
-        self._running: dict[str, int] = {}
-        #: Optional :class:`repro.core.locks.KeyLockTable` holding the
-        #: non-transactional per-key request locks; holds there block
-        #: commits, and the table's release hook drains our queue.
-        self.request_locks = request_locks
+        self._locks: dict[str, _KeyLock] = {}
         self._queue: deque[Transaction] = deque()
         self._transactions: dict[str, Transaction] = {}
+        #: Ids of finished transactions, oldest first.  Only the last
+        #: ``RESULT_BUFFER_SIZE`` stay resident (write values and
+        #: results included), the §4.1 bound on buffered results; open
+        #: and queued transactions are never dropped.
+        self._finished: deque[str] = deque()
         self._ids = itertools.count(1)
         self.executed_immediately = 0
         self.executed_from_queue = 0
         self.aborted = 0
         self.telemetry = telemetry or NULL_TELEMETRY
         #: Concurrency-sanitizer hooks; the shared no-op by default.
+        #: Every lock event of the system is reported from this class,
+        #: under one id per key, ``("obj", key)``.
         self.sanitizer = NULL_SANITIZER
         self._m_outcomes = self.telemetry.counter(
             "pesos_txn_total",
@@ -153,106 +178,140 @@ class VllManager:
     def abort(self, tx: Transaction) -> None:
         if tx.state == QUEUED:
             self._queue.remove(tx)
-            self._unlock(tx)
-            tx.state = ABORTED
+            self._unlock(tx.keys())
+            self._finish(tx, ABORTED)
             # The keys just released may be all the queue front was
             # waiting for; without this drain the followers stall
             # until some unrelated commit happens to drain for them.
-            self._drain_queue()
+            self._drain()
         elif tx.state == OPEN:
-            tx.state = ABORTED
+            self._finish(tx, ABORTED)
         else:
             raise TransactionError(f"cannot abort {tx.state} transaction")
         self.aborted += 1
         self._m_outcomes.labels("client_abort").inc()
 
-    # -- VLL commit path --------------------------------------------------------
+    def _finish(self, tx: Transaction, state: str) -> None:
+        tx.state = state
+        self._finished.append(tx.txid)
+        if len(self._finished) > RESULT_BUFFER_SIZE:
+            # ``None``: an id can be listed twice (a client abort that
+            # lands while the executor is suspended; see ROADMAP).
+            self._transactions.pop(self._finished.popleft(), None)
+
+    # -- request holds -------------------------------------------------------
+
+    def try_acquire(self, key: str, exclusive: bool = True) -> bool:
+        """Take one request hold if compatible; never blocks."""
+        lock = self._locks.get(key)
+        if lock is None:
+            lock = self._locks[key] = _KeyLock()
+        elif lock.txns or lock.exclusive or (exclusive and lock.shared):
+            return False
+        if exclusive:
+            lock.exclusive = True
+        else:
+            lock.shared += 1
+        self.sanitizer.on_lock_acquire(
+            ("obj", key), "w" if exclusive else "r"
+        )
+        return True
+
+    def release(self, key: str, exclusive: bool = True) -> None:
+        """Drop one request hold (``KeyError`` if it was never taken),
+        then run whatever queued transactions that frees."""
+        lock = self._locks[key]
+        if exclusive and lock.exclusive:
+            lock.exclusive = False
+        elif not exclusive and lock.shared:
+            lock.shared -= 1
+        else:
+            raise KeyError(key)
+        if not (lock.requested or lock.txns):
+            del self._locks[key]
+        self.sanitizer.on_lock_release(("obj", key))
+        self._drain()
+
+    # -- VLL commit path -----------------------------------------------------
 
     def commit(self, tx: Transaction) -> Transaction:
-        """Try to run ``tx``; it either executes now or queues."""
+        """Try to run ``tx``; it either executes now or queues.
+
+        Executed now, a failure that is not a :class:`TransactionError`
+        (a storage error) is raised to the committer once the
+        transaction is ``aborted`` and its keys are free, so its answer
+        keeps that error's status and Retry-After.
+        """
         tx._require_open()
-        keys = tx.keys()
-        blocked = any(
-            self._locks.get(key, 0) > 0 or self._request_locked(key)
-            for key in keys
-        )
-        for key in keys:
-            self._locks[key] = self._locks.get(key, 0) + 1
+        locks = [self._locks.setdefault(key, _KeyLock()) for key in tx.keys()]
+        blocked = any(lock.txns or lock.requested for lock in locks)
+        for lock in locks:
+            lock.txns += 1
         if blocked:
             tx.state = QUEUED
             self._queue.append(tx)
-        else:
-            self._run(tx)
-            self.executed_immediately += 1
-            self._drain_queue()
+            return tx
+        failure = self._run(tx)
+        self.executed_immediately += 1
+        self._drain()
+        if failure is not None and not isinstance(failure, TransactionError):
+            raise failure
         return tx
 
-    def _request_locked(self, key: str) -> bool:
-        return self.request_locks is not None and self.request_locks.locked(
-            key
-        )
-
-    def _run(self, tx: Transaction) -> None:
+    def _run(self, tx: Transaction) -> PesosError | None:
+        """Execute ``tx`` under its keys; returns what aborted it."""
         # The VLL grab in commit() is all-at-once (no hold-and-wait),
         # and a queued transaction runs on whichever thread drains the
         # queue — so the group is attributed here, to the thread that
-        # actually executes under the locks.  Lock id ("obj", key) is
-        # shared with KeyLockTable: the cross-wired conflict checks
-        # make the two tables one logical lock per key.
-        group = [("obj", key) for key in tx.keys()]
+        # actually executes under the locks.
+        keys = tx.keys()
+        group = [("obj", key) for key in keys]
         self.sanitizer.on_group_acquire(group)
-        for key in tx.keys():
-            self._running[key] = self._running.get(key, 0) + 1
-        with self.telemetry.span(
-            "txn.execute", txid=tx.txid, keys=len(tx.keys())
-        ):
+        for key in keys:
+            self._locks[key].running += 1
+        failure = None
+        with self.telemetry.span("txn.execute", txid=tx.txid, keys=len(keys)):
             try:
                 tx.results = self._executor(tx)
-                tx.state = COMMITTED
+                self._finish(tx, COMMITTED)
                 self._m_outcomes.labels("committed").inc()
-            except TransactionError as exc:
-                tx.state = ABORTED
+            except PesosError as exc:
+                failure = exc
                 tx.error = str(exc)
+                self._finish(tx, ABORTED)
                 self.aborted += 1
                 self._m_outcomes.labels("aborted").inc()
             finally:
-                for key in tx.keys():
-                    remaining = self._running.get(key, 0) - 1
-                    if remaining <= 0:
-                        self._running.pop(key, None)
-                    else:
-                        self._running[key] = remaining
-                self._unlock(tx)
+                for key in keys:
+                    self._locks[key].running -= 1
+                self._unlock(keys)
                 self.sanitizer.on_group_release(group)
+        return failure
 
-    def _unlock(self, tx: Transaction) -> None:
-        for key in tx.keys():
-            remaining = self._locks.get(key, 0) - 1
-            if remaining <= 0:
-                self._locks.pop(key, None)
-            else:
-                self._locks[key] = remaining
+    def _unlock(self, keys: list) -> None:
+        for key in keys:
+            lock = self._locks[key]
+            lock.txns -= 1
+            if not (lock.txns or lock.requested):
+                del self._locks[key]
 
     def _front_exclusive(self, front: Transaction) -> bool:
         """VLL invariant check: may the queue front execute *now*?
 
-        All other ``_locks`` holders of the front's keys are queued
+        Every other transaction counted on the front's keys is queued
         behind it (queue order mirrors acquisition order), so those
         never block it.  What does block it, once execution overlaps
         drive I/O: a transaction still *running* on one of its keys,
-        or a non-transactional request holding the per-key lock.
+        or a non-transactional request holding one.
         """
-        return all(
-            self._running.get(key, 0) == 0
-            and not self._request_locked(key)
-            for key in front.keys()
-        )
+        locks = (self._locks[key] for key in front.keys())
+        return not any(lock.running or lock.requested for lock in locks)
 
-    def _drain_queue(self) -> None:
+    def _drain(self) -> None:
         # Run queued transactions front-first while the front's locks
         # are truly exclusive; execution may in turn unblock the next
         # front, so keep draining.  A front still blocked by a running
-        # transaction (or a request lock) stays queued — whoever
+        # transaction (or a request hold) stays queued — whoever
         # releases that hold drains again.
         while self._queue and self._front_exclusive(self._queue[0]):
             front = self._queue.popleft()
@@ -261,20 +320,12 @@ class VllManager:
             self.executed_from_queue += 1
             self._m_queued.inc()
 
-    def notify_release(self, key: str) -> None:
-        """Request-lock release hook: a waiter may now be runnable."""
-        if self._queue:
-            self._drain_queue()
-
-    # -- introspection ------------------------------------------------------------
+    # -- introspection -------------------------------------------------------
 
     @property
     def queue_length(self) -> int:
         return len(self._queue)
 
-    def holds(self, key: str) -> bool:
-        """Whether any transaction (queued or running) locks ``key``."""
-        return self._locks.get(key, 0) > 0
-
     def locked_keys(self) -> set:
+        """Keys with any hold on them (empty at quiescence)."""
         return set(self._locks)

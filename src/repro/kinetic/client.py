@@ -4,18 +4,17 @@ The Pesos controller talks to drives exclusively through this client.
 It keeps a per-connection sequence number, HMAC-signs every request,
 verifies the HMAC on every response (mutual authentication), checks
 the drive's identity certificate on connect (drive-replacement
-detection, §2.4), and offers both synchronous calls and an
-asynchronous pipeline with a bounded pending-request window — the
-paper's §4.3 rework of pipe-based synchronization into concurrent data
-structures.
+detection, §2.4).  Calls are synchronous; overlapping drive I/O
+across requests (the job of the paper's §4.3 rework of the C library's
+pipe-based synchronization) is done above this class: the concurrent
+engine installs :attr:`KineticClient.interceptor` and suspends the
+calling green thread at every data-path operation.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.certs import TrustStore
@@ -33,20 +32,6 @@ from repro.kinetic.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY
 
 
-@dataclass
-class PendingRequest:
-    """An async request waiting for its response."""
-
-    sequence: int
-    request: Message
-    callback: Callable[[Message], None] | None = None
-    response: Message | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.response is not None
-
-
 class KineticClient:
     """A mutually-authenticated connection to one Kinetic drive."""
 
@@ -57,7 +42,6 @@ class KineticClient:
         hmac_key: bytes,
         trust_store: TrustStore | None = None,
         now: float = 0.0,
-        max_pending: int = 64,
         retry_policy: RetryPolicy | None = None,
         retry_seed: int = 0,
         sleeper: Callable[[float], None] | None = None,
@@ -75,8 +59,6 @@ class KineticClient:
         #: and submit the call on the async syscall interface; the
         #: interceptor executes the real call via :meth:`direct`.
         self.interceptor = interceptor
-        self._pending: deque[PendingRequest] = deque()
-        self.max_pending = max_pending
         self.requests_sent = 0
         self.bytes_on_wire = 0
         #: Transient-error retry schedule; None disables retrying.
@@ -161,7 +143,10 @@ class KineticClient:
                 f"drive rejected identity {self.identity!r}: "
                 f"{response.status_message}"
             )
-        self._authenticate(request, response)
+        if not response.verify(self._key):
+            raise IntegrityError("response HMAC invalid (spoofed drive?)")
+        if response.sequence != request.sequence:
+            raise KineticError("response sequence mismatch")
         if response.status == StatusCode.NOT_AUTHORIZED:
             raise KineticAuthError(response.status_message)
         if response.status == StatusCode.VERSION_MISMATCH:
@@ -174,14 +159,7 @@ class KineticClient:
             )
         return response
 
-    def _authenticate(self, request: Message, response: Message) -> None:
-        """Raise unless ``response`` is the drive's own answer to ``request``."""
-        if not response.verify(self._key):
-            raise IntegrityError("response HMAC invalid (spoofed drive?)")
-        if response.sequence != request.sequence:
-            raise KineticError("response sequence mismatch")
-
-    # -- synchronous API -------------------------------------------------------
+    # -- operations --------------------------------------------------------
 
     def direct(self, op: str, *args: Any, **kwargs: Any) -> Any:
         """Execute a data-path op inline, bypassing the interceptor."""
@@ -331,47 +309,3 @@ class KineticClient:
 
     def flush(self) -> None:
         self._roundtrip(MessageType.FLUSHALLDATA, {})
-
-    # -- asynchronous pipeline ---------------------------------------------------
-
-    def submit(
-        self,
-        message_type: MessageType,
-        body: dict,
-        callback: Callable[[Message], None] | None = None,
-    ) -> PendingRequest:
-        """Queue a request without waiting for its response."""
-        if len(self._pending) >= self.max_pending:
-            raise KineticError("pending window full")
-        request = self._next_message(message_type, body)
-        pending = PendingRequest(
-            sequence=request.sequence, request=request, callback=callback
-        )
-        self._pending.append(pending)
-        return pending
-
-    def drain(self, max_responses: int | None = None) -> int:
-        """Execute queued requests; returns how many completed.
-
-        Responses complete in submission order (one TCP connection).
-        Status failures are recorded on the pending entry rather than
-        raised, matching the callback-style C library; a response that
-        is not authentically the drive's raises like the synchronous
-        path and never reaches the callback.
-        """
-        completed = 0
-        while self._pending and (max_responses is None or completed < max_responses):
-            pending = self._pending.popleft()
-            response = self._exchange(pending.request)
-            # The drive's HMAC_FAILURE rejection is itself unsigned.
-            if response.status != StatusCode.HMAC_FAILURE:
-                self._authenticate(pending.request, response)
-            pending.response = response
-            if pending.callback is not None:
-                pending.callback(response)
-            completed += 1
-        return completed
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)

@@ -17,7 +17,10 @@ Grammar::
                  | IDENT                     # variable
 
 ``destroy`` normalizes to ``delete``.  A permission missing from the
-policy is never granted (deny by default).
+policy is never granted (deny by default).  Tuple terms nest at most
+:data:`MAX_TERM_DEPTH` deep: the parser, the compiler and the evaluator
+all recurse per level, and a client-supplied policy must be refused as
+a syntax error, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -45,11 +48,17 @@ _OPERATIONS = {"read": "read", "update": "update", "delete": "delete",
                "destroy": "delete"}
 _OBJECT_REFS = {"this", "log"}
 
+#: Deepest ``f(g(h(...)))`` accepted.  Each level costs four parser
+#: frames: 800 of the default recursion limit's 1 000 at the bound,
+#: which leaves room for the request path (some 15 frames) above it.
+MAX_TERM_DEPTH = 200
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._index = 0
+        self._depth = 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -170,7 +179,13 @@ class _Parser:
 
     def _tuple_term(self, name: str) -> TupleTerm:
         self._expect(TokenType.LPAREN)
+        self._depth += 1
+        if self._depth > MAX_TERM_DEPTH:
+            raise self._error(
+                f"terms nested more than {MAX_TERM_DEPTH} deep"
+            )
         args = self._args()
+        self._depth -= 1
         self._expect(TokenType.RPAREN)
         return TupleTerm(name=name, args=tuple(args))
 

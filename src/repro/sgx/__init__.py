@@ -30,7 +30,6 @@ from repro.sgx.attestation import AttestationService, Quote, SgxPlatform
 from repro.sgx.costs import NATIVE_COSTS, SGX_COSTS, CostModel
 from repro.sgx.enclave import Enclave, EnclaveBinary
 from repro.sgx.scheduler import UserspaceScheduler
-from repro.sgx.shields import HostFileSystem, ShieldedFileSystem
 from repro.sgx.syscalls import AsyncSyscallInterface, SyscallRequest
 
 __all__ = [
@@ -39,12 +38,10 @@ __all__ = [
     "CostModel",
     "Enclave",
     "EnclaveBinary",
-    "HostFileSystem",
     "NATIVE_COSTS",
     "Quote",
     "SGX_COSTS",
     "SgxPlatform",
-    "ShieldedFileSystem",
     "SyscallRequest",
     "UserspaceScheduler",
 ]

@@ -9,9 +9,11 @@ pushes the index back on a return queue (§4.6).
 
 This module implements that machinery functionally — real slots, real
 queues, an untrusted worker that executes Python callables — so tests
-can demonstrate ordering, slot reuse, and shield behaviour.  Benchmarks
-charge per-call virtual-time costs from the cost model instead of
-running the worker.
+can demonstrate ordering and slot reuse, and the concurrent engine
+carries every drive operation through it.  Arguments cross as they
+are: what the engine submits is already sealed by the store and
+signed by the Kinetic client.  Benchmarks charge per-call virtual-time
+costs from the cost model instead of running the worker.
 """
 
 from __future__ import annotations
@@ -36,39 +38,21 @@ class SyscallRequest:
     slot: int
     operation: str
     args: tuple = ()
-    shielded_args: tuple = ()
     result: Any = None
     error: BaseException | None = None
     done: bool = False
 
 
-@dataclass
-class Shield:
-    """Transparent argument protection (Scone file shields).
-
-    ``protect`` is applied to arguments on submission and ``unprotect``
-    to results on completion — modelling transparent encryption of data
-    written through syscalls plus basic Iago-attack validation of
-    results (e.g. a read must not return more than was asked).
-    """
-
-    protect: Callable[[Any], Any] = lambda value: value
-    unprotect: Callable[[Any], Any] = lambda value: value
-    validate: Callable[[SyscallRequest], None] = lambda request: None
-
-
 class AsyncSyscallInterface:
     """Slots + submission/return queues between enclave and runtime."""
 
-    def __init__(self, num_slots: int = 64, shield: Shield | None = None,
-                 telemetry=None):
+    def __init__(self, num_slots: int = 64, telemetry=None):
         if num_slots < 1:
             raise ConfigurationError("need at least one syscall slot")
         self._slots: list[SyscallRequest | None] = [None] * num_slots
         self._free: deque[int] = deque(range(num_slots))
         self._submission: deque[int] = deque()
         self._returns: deque[int] = deque()
-        self._shield = shield or Shield()
         self._handlers: dict[str, Callable[..., Any]] = {}
         self.submitted = 0
         self.completed = 0
@@ -101,7 +85,7 @@ class AsyncSyscallInterface:
             try:
                 if handler is None:
                     raise PesosError(f"ENOSYS: {request.operation}")
-                request.result = handler(*request.shielded_args)
+                request.result = handler(*request.args)
             except BaseException as exc:  # noqa: BLE001 - errno semantics
                 request.error = exc
             request.done = True
@@ -146,9 +130,8 @@ class AsyncSyscallInterface:
         if not self._free:
             raise SyscallQueueFull("no free syscall slots")
         slot_index = self._free.popleft()
-        shielded = tuple(self._shield.protect(arg) for arg in args)
         self._slots[slot_index] = SyscallRequest(
-            slot=slot_index, operation=operation, args=args, shielded_args=shielded
+            slot=slot_index, operation=operation, args=args
         )
         self._submission.append(slot_index)
         self.submitted += 1
@@ -162,9 +145,6 @@ class AsyncSyscallInterface:
         slot_index = self._returns.popleft()
         request = self._slots[slot_index]
         assert request is not None and request.done
-        self._shield.validate(request)
-        if request.error is None:
-            request.result = self._shield.unprotect(request.result)
         self._slots[slot_index] = None
         self._free.append(slot_index)
         self.completed += 1

@@ -65,7 +65,7 @@ def test_socket_inside_enclave_flagged():
 def test_builtin_open_inside_enclave_flagged():
     assert [
         f.rule
-        for f in lint_source("fh = open('x')\n", "sgx/shields.py")
+        for f in lint_source("fh = open('x')\n", "sgx/enclave.py")
     ] == ["sgx-enclave-io"]
 
 
@@ -75,7 +75,7 @@ def test_syscall_model_is_exempt():
 
 
 def test_aead_open_method_is_not_builtin_open():
-    assert lint_source("x = aead.open(blob)\n", "sgx/shields.py") == []
+    assert lint_source("x = aead.open(blob)\n", "sgx/enclave.py") == []
 
 
 def test_io_outside_sgx_is_not_this_rules_problem():

@@ -125,10 +125,8 @@ def test_engine_close_restores_the_null_sanitizer():
     controller = build_small_system(0)
     shadow = ShadowState()
     engine = ConcurrentEngine(controller, seed=0, sanitizer=shadow)
-    assert controller.request_locks.sanitizer is shadow
     assert controller.txns.sanitizer is shadow
     assert engine.scheduler.sanitizer is shadow
     engine.close()
-    assert controller.request_locks.sanitizer is not shadow
     assert controller.txns.sanitizer is not shadow
-    assert not controller.request_locks.sanitizer.enabled
+    assert not controller.txns.sanitizer.enabled

@@ -286,10 +286,10 @@ def explore(
                 f"seed {seed}: op {index} "
                 f"({requests[index].method}) crashed: {response.error}"
             )
-    if len(controller.request_locks):
+    if controller.txns.locked_keys():
         raise LinearizabilityError(
-            f"seed {seed}: request locks leaked: "
-            f"{controller.request_locks.snapshot()}"
+            f"seed {seed}: key locks leaked: "
+            f"{sorted(controller.txns.locked_keys())}"
         )
     if controller.txns.queue_length:
         raise LinearizabilityError(

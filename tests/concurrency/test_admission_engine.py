@@ -8,8 +8,6 @@ lose an acknowledged write: every 2xx put remains readable afterwards.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.admission import AdmissionConfig, AdmissionController
 from repro.core.engine import ConcurrentEngine
 from repro.core.request import Request, build_http_request, parse_http_response
@@ -264,6 +262,41 @@ def test_sheds_are_audited_whichever_front_end_admitted_them():
     assert engine_chain.decisions_by_kind == server_chain.decisions_by_kind
     assert engine_chain.head == server_chain.head
     assert engine_chain.verify()["ok"]
+
+
+def test_evicted_and_expired_queue_entries_are_audited():
+    """Eight gets then eight puts into a queue of four: the puts evict
+    the four queued gets, and 12 requests answer 503.  At d387684 the
+    chain held 8 ``shed`` records — an entry shed *after* it was queued
+    left none."""
+    controller = build_controller(audit_log_size=4096)
+    admission = AdmissionController(AdmissionConfig(queue_depth=4))
+    requests = [Request(method="get", key=f"k{i}") for i in range(8)] + [
+        Request(method="put", key=f"k{i}", value=b"v") for i in range(8)
+    ]
+    with ConcurrentEngine(controller, admission=admission) as engine:
+        responses = engine.run_batch(requests, "fp")
+    shed = [i for i, r in enumerate(responses) if r.status == 503]
+    assert len(shed) == 12
+    records = [r for r in controller.auditor.records if r.decision == "shed"]
+    assert sorted((r.operation, r.key) for r in records) == sorted(
+        (requests[i].method, requests[i].key) for i in shed
+    )
+    assert {(r.session, r.detail) for r in records} == {("fp", "queue_full")}
+    assert controller.auditor.verify()["ok"]
+
+    # Expiry at dispatch takes the same path.
+    controller = build_controller(audit_log_size=64)
+    admission = AdmissionController(
+        AdmissionConfig(max_queue_delay=0.5)
+    ).attach(controller)
+    admission.offer("old", Request(method="get", key="stale"), "fp-a", 0.0, 0.0)
+    assert admission.dispatch(1.0, budget=8) == []
+    (record,) = controller.auditor.records
+    assert (record.operation, record.key, record.session, record.detail) == (
+        "get", "stale", "fp-a", "queue_delay",
+    )
+    assert record.vnow == 1.0
 
 
 def test_sharded_sheds_reach_the_shards_chain_and_counters():

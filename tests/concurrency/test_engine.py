@@ -94,7 +94,7 @@ class TestEngineExecution:
         # Every key readable afterwards through the plain path.
         for i in range(8):
             assert controller.get("fp", f"k{i}").ok
-        assert len(controller.request_locks) == 0
+        assert controller.txns.locked_keys() == set()
 
     def test_overlapping_requests_share_rounds(self):
         wide = build_controller()
@@ -142,7 +142,7 @@ class TestEngineExecution:
         assert responses[0].status == 200
         assert responses[index].status == 500
         assert "handler blew up" in responses[index].error
-        assert len(controller.request_locks) == 0
+        assert controller.txns.locked_keys() == set()
 
     def test_rejects_zero_inflight(self):
         controller = build_controller()

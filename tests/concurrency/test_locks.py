@@ -1,8 +1,9 @@
-"""Property tests for the per-key request-lock layer.
+"""Property tests for the request holds of the one per-key lock table.
 
-The lock table must never deadlock the cooperative scheduler (requests
-spin-yield instead of blocking, and multi-key acquisition is
-all-or-nothing), must keep reader/writer exclusion, and must always be
+The table must never deadlock the cooperative scheduler (requests
+spin-yield instead of blocking and hold one key at a time; commits
+take all their keys at once), must keep reader/writer exclusion among
+requests and between requests and transactions, and must always be
 empty once every holder has released.
 """
 
@@ -20,24 +21,35 @@ try:
 except ImportError:  # pragma: no cover - hypothesis ships in CI
     HAVE_HYPOTHESIS = False
 
-from repro.core.locks import KeyLockTable
+from repro.core.txn import COMMITTED, QUEUED, VllManager
 from repro.sgx.scheduler import DispatchSchedule, UserspaceScheduler
 from repro.sgx.syscalls import AsyncSyscallInterface
 
 KEYS = ["a", "b", "c"]
 
 
+def make_table(executor=None):
+    return VllManager(executor or (lambda tx: {"ran": tx.txid}))
+
+
+def committing(table, *keys):
+    tx = table.create("fp")
+    for key in keys:
+        tx.add_write(key, b"v")
+    return table.commit(tx)
+
+
 def test_exclusive_excludes_everything():
-    table = KeyLockTable()
+    table = make_table()
     assert table.try_acquire("k", exclusive=True)
     assert not table.try_acquire("k", exclusive=True)
     assert not table.try_acquire("k", exclusive=False)
     table.release("k", exclusive=True)
-    assert len(table) == 0
+    assert table.locked_keys() == set()
 
 
 def test_shared_holds_overlap_but_block_writers():
-    table = KeyLockTable()
+    table = make_table()
     assert table.try_acquire("k", exclusive=False)
     assert table.try_acquire("k", exclusive=False)
     assert not table.try_acquire("k", exclusive=True)
@@ -48,45 +60,53 @@ def test_shared_holds_overlap_but_block_writers():
 
 
 def test_release_of_never_taken_lock_raises():
-    table = KeyLockTable()
+    table = make_table()
     with pytest.raises(KeyError):
         table.release("ghost", exclusive=True)
     table.try_acquire("k", exclusive=False)
     with pytest.raises(KeyError):
         table.release("other", exclusive=False)
+    with pytest.raises(KeyError):
+        table.release("k", exclusive=True)  # held, but not in this mode
+    table.release("k", exclusive=False)
+    assert table.locked_keys() == set()
 
 
-def test_try_acquire_all_rolls_back_on_conflict():
-    table = KeyLockTable()
-    assert table.try_acquire("b", exclusive=True)
-    assert not table.try_acquire_all(["a", "b", "c"], exclusive=True)
-    # The partial grab of "a" must have been rolled back.
-    assert not table.locked("a")
-    assert not table.locked("c")
-    table.release("b", exclusive=True)
-    assert table.try_acquire_all(["a", "b", "c"], exclusive=True)
-    table.release_all(["a", "b", "c"], exclusive=True)
-    assert len(table) == 0
+def test_transaction_on_a_key_blocks_both_modes():
+    """A transaction vetoes request holds while queued and while running."""
+    seen_while_running = []
 
+    def executor(tx):
+        seen_while_running.append(
+            (table.try_acquire("hot", True), table.try_acquire("hot", False))
+        )
+        return {}
 
-def test_conflicts_callback_blocks_both_modes():
-    vetoed = {"hot"}
-    table = KeyLockTable(conflicts=lambda key: key in vetoed)
+    table = make_table(executor)
+    assert table.try_acquire("gate", exclusive=True)
+    queued = committing(table, "gate", "hot")
+    assert queued.state == QUEUED
     assert not table.try_acquire("hot", exclusive=True)
     assert not table.try_acquire("hot", exclusive=False)
     assert table.try_acquire("cold", exclusive=True)
-    vetoed.clear()
+    table.release("gate", exclusive=True)  # the transaction runs here
+    assert queued.state == COMMITTED
+    assert seen_while_running == [(False, False)]
     assert table.try_acquire("hot", exclusive=True)
 
 
-def test_on_release_fires_per_release():
-    released = []
-    table = KeyLockTable(on_release=released.append)
+def test_every_release_drains_the_queue():
+    table = make_table()
     table.try_acquire("k", exclusive=False)
     table.try_acquire("k", exclusive=False)
+    waiter = committing(table, "k")
+    assert waiter.state == QUEUED
     table.release("k", exclusive=False)
+    assert waiter.state == QUEUED  # one reader still holds the key
     table.release("k", exclusive=False)
-    assert released == ["k", "k"]
+    assert waiter.state == COMMITTED
+    assert table.executed_from_queue == 1
+    assert table.locked_keys() == set()
 
 
 if HAVE_HYPOTHESIS:
@@ -107,7 +127,7 @@ if HAVE_HYPOTHESIS:
         ``hold``, either releases it immediately or keeps it; kept
         holds release at the end, after which the table must be empty.
         """
-        table = KeyLockTable()
+        table = make_table()
         held: list[tuple[str, bool]] = []
         for key, exclusive, hold in steps:
             if table.try_acquire(key, exclusive):
@@ -116,44 +136,58 @@ if HAVE_HYPOTHESIS:
                 else:
                     table.release(key, exclusive)
             # Exclusion invariant after every step: a key is never
-            # both shared and exclusive.
+            # both shared and exclusive, and the record counts exactly
+            # the holds this test kept.
             for probe in KEYS:
-                shared = bool(table._shared.get(probe, 0))
-                assert not (shared and probe in table._exclusive)
+                lock = table._locks.get(probe)
+                readers = held.count((probe, False))
+                writers = held.count((probe, True))
+                assert writers <= 1 and not (readers and writers)
+                if lock is None:
+                    assert not readers and not writers
+                else:
+                    assert (lock.shared, lock.exclusive) == (
+                        readers, bool(writers)
+                    )
         for key, exclusive in reversed(held):
             table.release(key, exclusive)
-        assert len(table) == 0
+        assert table.locked_keys() == set()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_green_threads_never_deadlock(seed):
     """Random lock traffic from green threads drains to quiescence.
 
-    Each green thread performs a seeded sequence of multi-key
-    all-or-nothing acquisitions with spin-yield retry, holds the keys
-    across a few reschedules, then releases.  Under any dispatch
-    schedule the run must finish (no deadlock, no livelock within the
-    round bound) with the table empty.
+    Each green thread performs a seeded sequence of steps: a single-key
+    request hold taken with spin-yield retry and kept across a few
+    reschedules, or a commit over a random key set (all keys at once;
+    it queues when any is held).  Under any dispatch schedule the run
+    must finish (no deadlock, no livelock within the round bound) with
+    the table empty, the queue empty and every commit executed.
     """
-    table = KeyLockTable()
+    table = make_table()
     scheduler = UserspaceScheduler(
         AsyncSyscallInterface(num_slots=4),
         hardware_threads=4,
         schedule=DispatchSchedule(seed),
     )
+    commits = []
 
     def worker(worker_seed):
         rng = random.Random(worker_seed)
         for _ in range(6):
-            keys = sorted(
-                rng.sample(KEYS, rng.randrange(1, len(KEYS) + 1))
-            )
+            if rng.random() < 0.25:
+                keys = rng.sample(KEYS, rng.randrange(1, len(KEYS) + 1))
+                commits.append(committing(table, *keys))
+                yield "yield"
+                continue
+            key = rng.choice(KEYS)
             exclusive = rng.random() < 0.6
-            while not table.try_acquire_all(keys, exclusive):
+            while not table.try_acquire(key, exclusive):
                 yield "yield"
             for _ in range(rng.randrange(3)):
                 yield "yield"
-            table.release_all(keys, exclusive)
+            table.release(key, exclusive)
         return "done"
 
     threads = [
@@ -162,5 +196,7 @@ def test_green_threads_never_deadlock(seed):
     scheduler.run_to_completion(max_rounds=10_000)
     assert all(thread.result == "done" for thread in threads)
     assert all(thread.error is None for thread in threads)
-    assert len(table) == 0
-    assert table.acquisitions >= 8 * 6
+    assert table.locked_keys() == set()
+    assert table.queue_length == 0
+    assert commits and all(tx.state == COMMITTED for tx in commits)
+    assert table.executed_from_queue > 0

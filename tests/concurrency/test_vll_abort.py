@@ -6,15 +6,14 @@ only conflict was the aborted transaction stayed QUEUED until some
 unrelated commit happened to drain for it — forever, on a quiet
 system.  The sequential request path could not observe the stall (the
 queue was always drained before the outermost commit returned), but
-any out-of-band lock holder — a concurrent request holding a key lock,
-or another queued transaction — makes it reachable.
+any other lock holder — a concurrent request holding the key, a
+transaction still executing on it — makes it reachable.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.locks import KeyLockTable
 from repro.core.txn import QUEUED, VllManager
 from repro.errors import TransactionError
 
@@ -38,12 +37,15 @@ def make_queued_pair(manager):
 
 def test_abort_of_queued_tx_drains_followers():
     manager = VllManager(run_writes)
-    # Simulate an in-flight lock holder on "x" the way the lock table
-    # sees one mid-overlap: the count is up but no queued transaction
-    # owns it (pre-fix, only a *commit* ever drained the queue).
-    manager._locks["x"] = manager._locks.get("x", 0) + 1
-    blocked, follower = make_queued_pair(manager)
-    manager._locks["x"] -= 1  # the external holder finishes
+    assert manager.try_acquire("x", exclusive=True)  # a put in flight
+    blocked = manager.create("fp")
+    blocked.add_write("x", b"1")
+    blocked.add_write("y", b"1")
+    follower = manager.create("fp")
+    follower.add_write("y", b"2")
+    manager.commit(blocked)  # waits for the put on "x"
+    manager.commit(follower)  # waits for ``blocked`` on "y" only
+    assert (blocked.state, follower.state) == (QUEUED, QUEUED)
 
     manager.abort(blocked)
 
@@ -52,42 +54,50 @@ def test_abort_of_queued_tx_drains_followers():
         "follower stayed QUEUED after its only blocker aborted"
     )
     assert manager.queue_length == 0
+    assert manager.locked_keys() == {"x"}
+    manager.release("x", exclusive=True)
     assert manager.locked_keys() == set()
 
 
 def test_abort_drain_respects_running_transactions():
-    manager = VllManager(run_writes)
-    # A transaction mid-execution on "x" (its commit overlaps drive
-    # I/O under the engine): lock count up AND marked running, exactly
-    # as ``_run`` tracks it.
-    manager._locks["x"] = manager._locks.get("x", 0) + 1
-    manager._running["x"] = 1
-    blocked, follower = make_queued_pair(manager)
+    """A transaction mid-execution on "x" (under the engine its commit
+    overlaps drive I/O) blocks the queue front even when the abort of
+    another queued transaction drains."""
+    seen = []
 
-    # Blocker still executing: the abort must NOT run the follower.
-    manager.abort(blocked)
-    assert follower.state == QUEUED
+    def executor(tx):
+        if tx is runner:
+            blocked, follower = make_queued_pair(manager)
+            # Blocker still executing: the abort must NOT run the
+            # follower.
+            manager.abort(blocked)
+            seen.append((blocked, follower, follower.state))
+        return run_writes(tx)
 
-    # The running transaction finishes; its unlock path drains.
-    manager._running.pop("x")
-    manager._locks["x"] -= 1
-    manager._drain_queue()
+    manager = VllManager(executor)
+    runner = manager.create("fp")
+    runner.add_write("x", b"0")
+    manager.commit(runner)
+
+    (blocked, follower, state_at_abort), = seen
+    assert blocked.state == "aborted"
+    assert state_at_abort == QUEUED
+    # The running transaction finished; its unlock path drained.
     assert follower.state == "committed"
+    assert manager.locked_keys() == set()
 
 
-def test_abort_via_request_lock_wiring():
-    """End-to-end over the real lock table, as the engine wires it."""
-    table = KeyLockTable()
-    manager = VllManager(run_writes, request_locks=table)
-    table.bind(conflicts=manager.holds, on_release=manager.notify_release)
+def test_abort_behind_a_request_hold():
+    """End to end over request holds, as the engine takes them."""
+    manager = VllManager(run_writes)
 
-    assert table.try_acquire("x", exclusive=True)  # a concurrent put
+    assert manager.try_acquire("x", exclusive=True)  # a concurrent put
     blocked, follower = make_queued_pair(manager)
 
     manager.abort(blocked)
-    assert follower.state == QUEUED  # request lock still held
+    assert follower.state == QUEUED  # request hold still there
 
-    table.release("x", exclusive=True)  # put finishes -> drain fires
+    manager.release("x", exclusive=True)  # put finishes -> drain runs
     assert follower.state == "committed"
     assert manager.queue_length == 0
 

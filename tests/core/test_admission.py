@@ -23,7 +23,8 @@ from repro.telemetry import Telemetry
 def _entry(seq, priority=1, at=0.0, deadline=None):
     return _QueueEntry(
         seq=seq, token=seq, priority=priority, enqueued_at=at,
-        deadline=deadline,
+        deadline=deadline, request=Request(method="get", key=f"k{seq}"),
+        fingerprint="fp",
     )
 
 
@@ -194,6 +195,29 @@ def test_rate_limiting_disabled_by_default():
     admission = AdmissionController(sessions=SessionManager())
     for _ in range(100):
         assert admission.check(Request(method="get", key="k"), "fp", 0.0).admitted
+
+
+def test_sync_gate_keeps_no_per_request_log():
+    """``check`` runs on every ``handle_bytes`` request; at d387684 it
+    appended a tuple per call (10 001 entries here, 108.6 B each, for
+    ever).  It now only advances the decision counter, so the
+    Retry-After PRF still sees index 10 000 on the first shed."""
+    admission = _rate_controller(rate=1000.0, burst=10000.0, seed=5)
+    request = Request(method="get", key="k")
+    for _ in range(10000):
+        assert admission.check(request, "fp", 0.0).admitted
+    shed = admission.check(request, "fp", 0.0)
+    assert admission.decision_log == []
+    assert (shed.reason, shed.retry_after) == (SHED_RATE, 0.053920524)
+    assert admission.admitted == 10000
+    assert admission.shed_by_reason == {SHED_RATE: 1}
+
+
+def test_log_index_counts_sync_decisions_too():
+    admission = _rate_controller(rate=None)
+    admission.check(Request(method="get", key="k"), "fp", 0.0)
+    _offer(admission, "t0")
+    assert [entry[0] for entry in admission.decision_log] == [1]
 
 
 # -- controller: queue path ------------------------------------------------

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.asyncapi import RESULT_BUFFER_SIZE
 from repro.core.txn import ABORTED, COMMITTED, QUEUED, Transaction, VllManager
-from repro.errors import TransactionError
+from repro.errors import ReplicationDegraded, TransactionError
 
 
 def _manager(executor=None):
@@ -150,3 +151,55 @@ def test_disjoint_transactions_do_not_queue():
     mgr.commit(b)
     assert mgr.executed_immediately == 2
     assert mgr.executed_from_queue == 0
+
+
+def test_storage_failure_aborts_and_reaches_only_the_committer():
+    """Any PesosError ends the transaction; run on the committer's own
+    thread it is raised to it (after the keys are free), run from the
+    queue it stays on the transaction."""
+    def degraded(tx):
+        raise ReplicationDegraded("1 of 2 replicas acknowledged")
+
+    mgr = _manager(degraded)
+    own = mgr.create("fp")
+    own.add_write("a", b"v")
+    with pytest.raises(ReplicationDegraded):
+        mgr.commit(own)
+    assert own.state == ABORTED and "replicas" in own.error
+    assert mgr.locked_keys() == set()
+
+    assert mgr.try_acquire("a")
+    queued = mgr.create("fp")
+    queued.add_write("a", b"v")
+    mgr.commit(queued)
+    assert queued.state == QUEUED
+    mgr.release("a")  # runs the transaction; must not raise
+    assert queued.state == ABORTED and "replicas" in queued.error
+    assert mgr.locked_keys() == set()
+    assert mgr.aborted == 2 and mgr.executed_from_queue == 1
+
+
+def test_finished_transactions_are_bounded():
+    """Only the last RESULT_BUFFER_SIZE finished transactions stay
+    resident (5 000 of 5 000 did at d387684); open and queued ones do."""
+    mgr = _manager()
+    still_open = mgr.create("fp")
+    assert mgr.try_acquire("held")
+    waiting = mgr.create("fp")
+    waiting.add_write("held", b"v")
+    mgr.commit(waiting)
+    finished = []
+    for i in range(5000):
+        tx = mgr.create("fp")
+        tx.add_write("a", b"x" * 1024)
+        if i % 10:
+            mgr.commit(tx)
+        else:
+            mgr.abort(tx)
+        finished.append(tx)
+    assert len(mgr._transactions) == RESULT_BUFFER_SIZE + 2
+    assert mgr.get(still_open.txid, "fp") is still_open
+    assert mgr.get(waiting.txid, "fp") is waiting
+    assert mgr.get(finished[-RESULT_BUFFER_SIZE].txid, "fp")
+    with pytest.raises(TransactionError, match="no transaction"):
+        mgr.get(finished[-RESULT_BUFFER_SIZE - 1].txid, "fp")

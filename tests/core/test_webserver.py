@@ -50,6 +50,23 @@ def test_http_policy_denial_maps_to_403(server, controller):
     assert parse_http_response(raw).status == 403
 
 
+@pytest.mark.parametrize(
+    "depth, status", [(100, 200), (200, 200), (400, 400), (5000, 400)]
+)
+def test_deeply_nested_policy_is_a_400_not_a_crash(server, depth, status):
+    """1.2 KB of ``f(f(...f(1)...))`` 400 deep raised ``RecursionError``
+    straight out of ``handle_bytes`` at d387684."""
+    source = "read :- eq(" + "f(" * depth + "1" + ")" * depth + ", 1)"
+    response = parse_http_response(
+        server.handle_bytes(
+            _http(Request(method="put_policy", value=source.encode())), ALICE
+        )
+    )
+    assert response.status == status
+    if status == 400:
+        assert "nested more than 200 deep" in response.error
+
+
 def test_stats_accumulate(server):
     server.handle_bytes(_http(Request(method="put", key="k", value=b"v")), ALICE)
     assert server._m_requests.value == 1

@@ -1,4 +1,4 @@
-"""Client library: sync API, errors, async pipeline, certificates."""
+"""Client library: operations, errors, certificates, spoofed responses."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.errors import (
 )
 from repro.kinetic.client import KineticClient
 from repro.kinetic.drive import KineticDrive, Role
-from repro.kinetic.protocol import MessageType, StatusCode
 
 
 @pytest.fixture()
@@ -139,49 +138,6 @@ def test_uncertified_drive_rejected_when_trust_required(drive):
         KineticClient(drive, "demo", KineticDrive.DEMO_KEY, trust_store=trust)
 
 
-def test_async_pipeline_completion_order(client):
-    results = []
-    client.submit(
-        MessageType.PUT,
-        {"key": b"k1", "value": b"v1", "db_version": b""},
-        callback=lambda r: results.append(("put", r.status)),
-    )
-    client.submit(
-        MessageType.GET,
-        {"key": b"k1"},
-        callback=lambda r: results.append(("get", r.status)),
-    )
-    assert client.pending_count == 2
-    assert client.drain() == 2
-    assert results == [
-        ("put", StatusCode.SUCCESS),
-        ("get", StatusCode.SUCCESS),
-    ]
-    assert client.pending_count == 0
-
-
-def test_async_pipeline_window_bound(drive):
-    client = KineticClient(drive, "demo", KineticDrive.DEMO_KEY, max_pending=2)
-    client.submit(MessageType.NOOP, {})
-    client.submit(MessageType.NOOP, {})
-    with pytest.raises(KineticError, match="window full"):
-        client.submit(MessageType.NOOP, {})
-
-
-def test_async_pipeline_partial_drain(client):
-    for _ in range(3):
-        client.submit(MessageType.NOOP, {})
-    assert client.drain(max_responses=2) == 2
-    assert client.pending_count == 1
-
-
-def test_async_failure_recorded_not_raised(client):
-    pending = client.submit(MessageType.GET, {"key": b"missing"})
-    client.drain()
-    assert pending.done
-    assert pending.response.status == StatusCode.NOT_FOUND
-
-
 class _SpoofingDrive:
     """A man in the middle that rewrites the real drive's responses."""
 
@@ -210,36 +166,13 @@ def _replay_other_sequence(response):
     "rewrite, error",
     [(_forge_value, IntegrityError), (_replay_other_sequence, KineticError)],
 )
-def test_async_spoofed_response_raises_before_callback(drive, rewrite, error):
+def test_spoofed_response_raises(drive, rewrite, error):
     KineticClient(drive, "demo", KineticDrive.DEMO_KEY).put(b"k", b"v")
     client = KineticClient(
         _SpoofingDrive(drive, rewrite), "demo", KineticDrive.DEMO_KEY
     )
-    delivered = []
-    pending = client.submit(
-        MessageType.GET, {"key": b"k"}, callback=delivered.append
-    )
-    with pytest.raises(error):
-        client.drain()
-    assert delivered == [] and not pending.done
-    # The synchronous path refuses the same responses.
     with pytest.raises(error):
         client.get(b"k")
-
-
-def test_async_rejected_identity_recorded_not_raised(drive):
-    client = KineticClient(drive, "demo", b"wrong key")
-    pending = client.submit(MessageType.NOOP, {})
-    client.drain()
-    assert pending.response.status == StatusCode.HMAC_FAILURE
-
-
-def test_async_wire_accounting_counts_both_legs(client):
-    client.submit(MessageType.NOOP, {})
-    client.drain()
-    sent_and_received = client.bytes_on_wire
-    client.noop()
-    assert client.bytes_on_wire == 2 * sent_and_received
 
 
 def test_wire_accounting(client):

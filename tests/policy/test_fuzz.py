@@ -8,7 +8,7 @@ a crash, hang, or foreign exception.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PolicyError
+from repro.errors import PesosError, PolicyError
 from repro.kinetic.protocol import decode_fields, encode_fields
 from repro.policy.binary import CompiledPolicy
 from repro.policy.compiled import compile_closures
@@ -20,6 +20,7 @@ from repro.policy.context import (
     parse_content_tuples,
 )
 from repro.policy.lexer import tokenize
+from repro.policy.parser import MAX_TERM_DEPTH
 from tests.policy.difftest import assert_identical
 from tests.policy.reference_interpreter import PolicyInterpreter
 
@@ -55,6 +56,27 @@ def test_compiler_policy_shaped_garbage(source):
         compile_policy(source)
     except PolicyError:
         pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.integers(min_value=0, max_value=3000),
+    opener=st.sampled_from(["f(", "'q'(", "f(1, ", "f(X + "]),
+    closed=st.booleans(),
+)
+def test_compiler_survives_any_nesting(depth, opener, closed):
+    """Nesting is the one input dimension random text never reaches:
+    past ``MAX_TERM_DEPTH`` the answer is a syntax error, at any depth
+    it is not the interpreter's ``RecursionError``."""
+    source = "read :- eq(" + opener * depth + "1"
+    if closed:
+        source += ")" * depth + ", 1)"
+    try:
+        compile_policy(source)
+    except PesosError:
+        assert not closed or depth > MAX_TERM_DEPTH
+    else:
+        assert closed and depth <= MAX_TERM_DEPTH
 
 
 # Random bytes almost never get past the TLV decoder, so the loader's

@@ -1,11 +1,10 @@
-"""Async syscall interface: slots, queues, shields, errors."""
+"""Async syscall interface: slots, queues, errors."""
 
 import pytest
 
 from repro.errors import ConfigurationError, PesosError
 from repro.sgx.syscalls import (
     AsyncSyscallInterface,
-    Shield,
     SyscallQueueFull,
 )
 
@@ -66,37 +65,6 @@ def test_worker_respects_max_calls():
     assert iface.run_worker(max_calls=1) == 1
     assert iface.poll().result == 1
     assert iface.poll() is None
-
-
-def test_shield_protects_arguments():
-    # Model transparent write encryption: data leaves the enclave XORed.
-    shield = Shield(protect=lambda v: v[::-1] if isinstance(v, str) else v)
-    iface = AsyncSyscallInterface(num_slots=2, shield=shield)
-    seen = []
-    iface.register_handler("write", lambda data: seen.append(data))
-    iface.call("write", "secret")
-    assert seen == ["terces"]  # untrusted side never saw plaintext order
-
-
-def test_shield_unprotects_results():
-    shield = Shield(unprotect=lambda v: v.upper() if isinstance(v, str) else v)
-    iface = AsyncSyscallInterface(num_slots=2, shield=shield)
-    iface.register_handler("read", lambda: "data")
-    assert iface.call("read") == "DATA"
-
-
-def test_shield_validation_detects_iago():
-    def validate(request):
-        if request.operation == "read" and len(request.result or b"") > 4:
-            raise PesosError("Iago: read returned more than requested")
-
-    shield = Shield(validate=validate)
-    iface = AsyncSyscallInterface(num_slots=2, shield=shield)
-    iface.register_handler("read", lambda: b"way too much data")
-    iface.submit("read")
-    iface.run_worker()
-    with pytest.raises(PesosError, match="Iago"):
-        iface.poll()
 
 
 def test_counters():
