@@ -21,12 +21,12 @@ byte).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis import ShadowState
 from repro.core.cache import CacheConfig
 from repro.core.controller import ControllerConfig, PesosController
-from repro.core.engine import ConcurrentEngine, EngineTiming
+from repro.core.engine import ConcurrentEngine
 from repro.core.request import Request
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
@@ -46,7 +46,6 @@ class ConcurrencyConfig:
     worker_counts: tuple = (1, 2, 4, 8)
     seed: int = 7
     max_inflight: int = 32
-    timing: EngineTiming = field(default_factory=EngineTiming)
 
 
 @dataclass
@@ -151,7 +150,6 @@ def run_concurrency_point(
         seed=config.seed,
         hardware_threads=workers,
         max_inflight=config.max_inflight,
-        timing=config.timing,
     ) as engine:
         responses = engine.run_batch(make_workload(config), "fp-bench")
         for response in responses:
@@ -206,7 +204,6 @@ def run_sanitizer_overhead(
             seed=config.seed,
             hardware_threads=workers,
             max_inflight=config.max_inflight,
-            timing=config.timing,
             sanitizer=sanitizer,
         ) as engine:
             engine.run_batch(make_workload(config), "fp-bench")
@@ -235,7 +232,6 @@ def run_trace(
         seed=config.seed,
         hardware_threads=workers,
         max_inflight=config.max_inflight,
-        timing=config.timing,
     ) as engine:
         engine.run_batch(make_workload(config), "fp-bench")
         return engine.trace_bytes()

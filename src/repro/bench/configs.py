@@ -1,17 +1,22 @@
-"""Evaluation configurations and calibration constants (§6.1).
+"""Evaluation configurations (§6.1).
 
 Four configurations, as in the paper: {native, Pesos(SGX)} x
-{Kinetic simulator, Kinetic HDD}.  The calibration constants target
-the paper's measured operating points on its testbed (Xeon E3-1270 v5,
-8 hardware threads, 10 GbE to the workload generator, three 4 TB
-Kinetic drives in an Ember enclosure with a shared 1 GbE uplink):
+{Kinetic simulator, Kinetic HDD}: the deployment (drives, network,
+enclosure, cores) around the controller costs of :mod:`repro.sgx.costs`
+and the drive models of :mod:`repro.kinetic.timing`.  Together they
+target the paper's measured operating points on its testbed (Xeon
+E3-1270 v5, 8 hardware threads, 10 GbE to the workload generator, three
+4 TB Kinetic drives in an Ember enclosure with a shared 1 GbE uplink):
 
 - native + simulator peaks ~95 kIOP/s at 1 KB (Fig. 3)
 - Pesos + simulator ~85 kIOP/s — >=85% of native (Fig. 3)
 - one dedicated Kinetic HDD ~820 IOP/s (Fig. 5)
 - three HDDs behind the shared enclosure uplink ~1.1 kIOP/s (Fig. 3)
-- single-client latency vs the simulator ~0.8 ms (Fig. 4, an
+- single-client latency vs the simulator ~0.75 ms (Fig. 4, an
   acknowledged artifact of the simulator's per-request overhead)
+
+Costs are per *frame* on the drive link, as the effects ledger records
+them: a PUT is one drive visit per replica, as in the paper.
 """
 
 from __future__ import annotations
@@ -19,33 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.kinetic.timing import DriveTiming, HddTiming, SimulatorTiming
-from repro.sgx.costs import CostModel
+from repro.sgx.costs import NATIVE_COSTS, SGX_COSTS, CostModel
 
 SIM_BACKEND = "sim"
 DISK_BACKEND = "disk"
-
-#: Controller CPU budget per request, calibrated so 8 hardware threads
-#: saturate near the paper's peak rates.  These extend the generic SGX
-#: cost models with the request-path constants of the Pesos prototype.
-NATIVE_REQUEST_COSTS = CostModel(
-    name="native",
-    request_parse=70e-6,     # TLS record + HTTP parse + handler dispatch
-    per_byte_copy=3.0e-9,    # payload movement through the request path
-    policy_check=0.30e-6,    # per evaluated predicate
-    policy_compile=150e-6,   # lex + parse + emit binary form
-    encrypt_fixed=0.4e-6,   # AES-NI key schedule + tag
-    encrypt_per_byte=0.4e-9,
-)
-
-SGX_REQUEST_COSTS = replace(
-    NATIVE_REQUEST_COSTS,
-    name="sgx",
-    syscall_sync=8.0e-6,
-    syscall_async=1.1e-6,
-    boundary_per_byte=0.9e-9,
-    epc_page_fault=12.0e-6,
-    epc_limit=96 * 1024 * 1024,
-)
 
 
 @dataclass
@@ -70,14 +52,15 @@ class SystemConfig:
     drive_net_latency: float = 55e-6
     drive_bandwidth: float = 1.17e9
 
-    #: CPU spent per backend operation (marshalling one Kinetic
-    #: request/response pair through the client library).
-    disk_op_cpu: float = 9.0e-6
-    #: Extra CPU per backend *write beyond the first replica* —
-    #: replication coordination (§6.3).  The SGX build pays heavily
-    #: here (buffer copies in and out of the enclave per replica), so
-    #: make_config sets a larger value for SGX.
-    replica_write_cpu: float = 9e-6
+    #: CPU spent per drive frame (marshalling one Kinetic
+    #: request/response pair through the client library): all a native
+    #: replica (Fig. 7) or a MAL log append (Fig. 10) costs.
+    disk_op_cpu: float = 28e-6
+    #: Extra CPU per frame *to a replica beyond the first* —
+    #: replication coordination (§6.3).  Only the SGX build pays it
+    #: (buffer copies in and out of the enclave per replica), so
+    #: make_config sets it for SGX.
+    replica_write_cpu: float = 0.0
 
     #: Serialization point modeling the Ember enclosure's single
     #: shared uplink (only the Fig. 3/4 disk configuration has it).
@@ -94,16 +77,6 @@ class SystemConfig:
 
     #: In-enclave footprint besides caches (binary + runtime buffers).
     fixed_enclave_bytes: int = 17 * 1024 * 1024
-
-    @property
-    def is_sgx(self) -> bool:
-        return self.cost.epc_limit is not None or self.cost.syscall_async > 0
-
-    def with_replication(self, factor: int) -> "SystemConfig":
-        return replace(
-            self, replication_factor=factor,
-            name=f"{self.name}-r{factor}",
-        )
 
 
 def paper_ratio_caches(record_count: int, value_size: int):
@@ -141,37 +114,28 @@ def make_config(
     wiring); Fig. 5 gives every controller its own port.
     """
     if mode == "native":
-        cost = NATIVE_REQUEST_COSTS
+        cost, replica_cpu = NATIVE_COSTS, 0.0
     elif mode == "sgx":
-        cost = SGX_REQUEST_COSTS
+        # Fig. 7: Pesos loses ~30 % on the first added replica.
+        cost, replica_cpu = SGX_COSTS, 48e-6
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    replica_cpu = 9e-6 if mode == "native" else 34e-6
-    if backend == SIM_BACKEND:
-        timing: DriveTiming = SimulatorTiming(
-            base_seconds=235e-6, per_byte=0.5e-9, concurrency=32
-        )
-        config = SystemConfig(
-            name=f"{mode}-sim",
-            cost=cost,
-            backend=backend,
-            num_drives=num_drives,
-            drive_timing=timing,
-            replica_write_cpu=replica_cpu,
-        )
-    elif backend == DISK_BACKEND:
-        timing = HddTiming()
-        config = SystemConfig(
-            name=f"{mode}-disk",
-            cost=cost,
-            backend=backend,
-            num_drives=num_drives,
-            drive_timing=timing,
-            drive_bandwidth=1.17e8,  # 1 GbE to the enclosure
-            enclosure_per_op=0.66e-3 if shared_enclosure else 0.0,
-            replica_write_cpu=replica_cpu,
-        )
-    else:
+    if backend not in (SIM_BACKEND, DISK_BACKEND):
         raise ValueError(f"unknown backend {backend!r}")
+    config = SystemConfig(
+        name=f"{mode}-{backend}",
+        cost=cost,
+        backend=backend,
+        num_drives=num_drives,
+        replica_write_cpu=replica_cpu,
+    )
+    if backend == DISK_BACKEND:
+        config = replace(
+            config,
+            drive_timing=HddTiming(),
+            drive_bandwidth=1.17e8,  # 1 GbE to the enclosure
+            # One frame at a time: Fig. 3's ~1,080 IOP/s plateau.
+            enclosure_per_op=1.0e-3 if shared_enclosure else 0.0,
+        )
     return replace(config, **overrides) if overrides else config

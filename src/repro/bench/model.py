@@ -7,10 +7,11 @@ service stations, the optional shared enclosure uplink — and exposes
 client request functionally and charges its costs in virtual time:
 
 1. client->controller network (latency + serialized transfer),
-2. controller CPU (parse, copies, crypto, policy work, syscall and
-   enclave-boundary overheads derived from the request's recorded
-   effects),
-3. one service visit per backend operation the request performed
+2. controller CPU (parse, copies, crypto, policy work, and per drive
+   frame the marshalling, syscall pair and replication overheads, all
+   derived from the request's recorded effects),
+3. one service visit per frame the request put on the drive link —
+   a GET, a GETKEYRANGE page, a PUT or COMMIT of however many records
    (network + optional enclosure + drive),
 4. response marshalling CPU and the return network hop.
 
@@ -27,15 +28,18 @@ from repro.bench.configs import SystemConfig
 from repro.core.effects import (
     DECRYPT,
     DISK_DELETE,
+    DISK_RANGE,
     DISK_READ,
     DISK_WRITE,
     ENCRYPT,
     POLICY_CHECK,
     POLICY_COMPILE,
     POLICY_LOAD,
+    SSD_READ,
+    SSD_WRITE,
+    transitions,
 )
-from repro.core.ssdcache import SSD_READ, SSD_WRITE
-from repro.kinetic.timing import OP_DELETE, OP_READ, OP_WRITE
+from repro.kinetic.timing import OP_DELETE, OP_RANGE, OP_READ, OP_WRITE
 from repro.sim import Environment, Histogram, Resource, ThroughputMeter
 from repro.telemetry import NULL_TELEMETRY
 
@@ -50,6 +54,14 @@ LAYERS = (
     "drive_service",
 )
 
+#: The drive operation each frame effect is served as.
+_FRAME_OPS = {
+    DISK_READ: OP_READ,
+    DISK_RANGE: OP_RANGE,
+    DISK_WRITE: OP_WRITE,
+    DISK_DELETE: OP_DELETE,
+}
+
 
 class DriveStation:
     """Virtual-time service model for one backend drive."""
@@ -59,7 +71,7 @@ class DriveStation:
         env: Environment,
         config: SystemConfig,
         seed: int,
-        layer_seconds: dict | None = None,
+        layer_seconds: dict,
     ):
         self.env = env
         self.timing = config.drive_timing
@@ -71,8 +83,7 @@ class DriveStation:
         yield self.resource.acquire()
         try:
             service_time = self.timing.service_time(op, nbytes, self._rng)
-            if self._layer_seconds is not None:
-                self._layer_seconds["drive_service"] += service_time
+            self._layer_seconds["drive_service"] += service_time
             yield self.env.timeout(service_time)
         finally:
             self.resource.release()
@@ -151,24 +162,18 @@ class SystemModel:
         cpu += cost.copy_cost(request_bytes + response_bytes)
         disk_ops = []
         ssd_ops = []
-        writes_seen = 0
         for event in events:
             kind = event[0]
-            if kind == SSD_READ:
-                ssd_ops.append((SSD_READ, event[1]))
-            elif kind == SSD_WRITE:
-                ssd_ops.append((SSD_WRITE, event[1]))
-            elif kind == DISK_READ:
-                disk_ops.append((OP_READ, event[1], event[2]))
-            elif kind == DISK_WRITE:
-                writes_seen += 1
-                if writes_seen > 2:
-                    # The first replica's value+meta (one ledger entry per
-                    # record of its frame); the rest is replication (§6.3).
+            if kind in _FRAME_OPS:
+                # One visit and one marshalling charge per frame; a
+                # replica past the first adds coordination (§6.3).
+                _kind, drive, nbytes, *mutation = event
+                disk_ops.append((_FRAME_OPS[kind], drive, nbytes))
+                cpu += self.config.disk_op_cpu
+                if mutation and mutation[1]:  # replica ordinal > 0
                     cpu += self.config.replica_write_cpu
-                disk_ops.append((OP_WRITE, event[1], event[2]))
-            elif kind == DISK_DELETE:
-                disk_ops.append((OP_DELETE, event[1], event[2]))
+            elif kind in (SSD_READ, SSD_WRITE):
+                ssd_ops.append((kind, event[1]))
             elif kind in (ENCRYPT, DECRYPT):
                 cpu += cost.encryption_cost(event[1])
             elif kind == POLICY_CHECK:
@@ -177,12 +182,7 @@ class SystemModel:
                 cpu += cost.policy_compile
             elif kind == POLICY_LOAD:
                 cpu += cost.policy_load
-        cpu += len(disk_ops) * self.config.disk_op_cpu
-        # Syscalls: client socket recv+send, one send+recv pair per
-        # backend operation (async interface under Scone), and one
-        # read/write syscall per SSD-tier access.
-        syscalls = 2 + 2 * len(disk_ops) + len(ssd_ops)
-        cpu += syscalls * cost.syscall_cost()
+        cpu += sum(transitions(events).values()) * cost.syscall_cost()
         # Enclave-boundary copies for payload and backend traffic.
         ssd_bytes = sum(nbytes for _op, nbytes in ssd_ops)
         disk_bytes = sum(nbytes for _op, _idx, nbytes in disk_ops)

@@ -70,9 +70,6 @@ class OverloadConfig:
     #: Distinct client fingerprints issuing the load.
     clients: int = 8
     seed: int = 11
-    #: Ops per virtual second; None calibrates from the engine's
-    #: virtual-time cost model (deterministic, not wall-clock).
-    capacity: float | None = None
 
 
 # Open-loop round constants: the model's tuning, the same for every
@@ -429,7 +426,7 @@ def run_overload_sweep(
 ) -> dict[str, list[OverloadPoint]]:
     """Both series over every multiplier; admission first."""
     config = config or OverloadConfig()
-    capacity = config.capacity or calibrate_capacity(config)
+    capacity = calibrate_capacity(config)
     sweep: dict[str, list[OverloadPoint]] = {
         "admission": [],
         "no-admission": [],

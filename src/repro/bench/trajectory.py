@@ -14,7 +14,7 @@ Entries are plain metric dictionaries with **no timestamps and no
 environment fingerprints**: every headline number here is virtual-time
 and seed-deterministic, so a regenerated file on an unchanged tree is
 byte-identical to the committed one — which is itself a reproducibility
-check.  Callers that want provenance pass an explicit ``run_id``.
+check.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def record(
     headline: dict,
     directory: str | None = None,
     history_limit: int = HISTORY_LIMIT,
-    run_id: str | None = None,
 ) -> str:
     """Write ``headline`` as the bench's latest entry; returns the path.
 
@@ -62,8 +61,6 @@ def record(
     unchanged tree must leave the file byte-identical.
     """
     entry = dict(sorted(headline.items()))
-    if run_id is not None:
-        entry["run_id"] = run_id
     existing = load(name, directory)
     history: list[dict] = []
     if existing is not None:

@@ -28,18 +28,16 @@ from repro.core.asyncapi import AsyncTracker
 from repro.core.cache import CacheConfig, CacheManager
 from repro.core.effects import (
     COPY,
-    DISK_DELETE,
-    DISK_READ,
-    DISK_WRITE,
     EffectsRecorder,
     POLICY_CHECK,
     POLICY_COMPILE,
     POLICY_LOAD,
+    transitions,
 )
 from repro.core.request import METHOD_TABLE, Request, Response
 from repro.core.session import Session, SessionManager
 from repro.core.freshness import FreshnessAuthority, FreshnessEnvironment
-from repro.core.ssdcache import SSD_READ, SSD_WRITE, SsdCacheTier
+from repro.core.ssdcache import SsdCacheTier
 from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
 from repro.core.txn import Transaction, VllManager
 from repro.errors import (
@@ -285,7 +283,7 @@ class PesosController:
             "pesos_sgx_transitions_total",
             "Estimated enclave transitions (async syscall submissions) "
             "per the cost model: 2 per client socket pair, 2 per drive "
-            "operation, 1 per SSD-tier access.",
+            "frame, 1 per SSD-tier access.",
             ("reason",),
         )
         self._publish_derived()
@@ -444,26 +442,11 @@ class PesosController:
         return report
 
     def _count_transitions(self, events_before: int) -> None:
-        """Estimate enclave transitions from this request's effects.
-
-        Mirrors the benchmark cost model's syscall accounting
-        (:meth:`repro.bench.model.SystemModel._derive_costs`): one
-        send/recv pair on the client socket, one pair per backend drive
-        operation, one syscall per SSD-tier access.
-        """
-        disk_ops = 0
-        ssd_ops = 0
-        for event in self.effects.events[events_before:]:
-            kind = event[0]
-            if kind in (DISK_READ, DISK_WRITE, DISK_DELETE):
-                disk_ops += 1
-            elif kind in (SSD_READ, SSD_WRITE):
-                ssd_ops += 1
-        self._m_transitions.labels("client_io").inc(2)
-        if disk_ops:
-            self._m_transitions.labels("drive_io").inc(2 * disk_ops)
-        if ssd_ops:
-            self._m_transitions.labels("ssd_io").inc(ssd_ops)
+        """Count the enclave transitions this request's effects imply."""
+        counts = transitions(self.effects.events[events_before:])
+        for reason, count in counts.items():
+            if count:
+                self._m_transitions.labels(reason).inc(count)
 
     def _publish_derived(self) -> None:
         """Gauges and counters read off live state at scrape time."""
@@ -1011,6 +994,7 @@ class PesosController:
     ) -> Response:
         tx = self.txns.get(request.txid, session.fingerprint)
         self.txns.abort(tx)
+        session.transactions.discard(tx.txid)
         return Response(status=200, txid=tx.txid)
 
     def _handle_tx_results(
@@ -1030,34 +1014,39 @@ class PesosController:
     def _execute_transaction(self, tx: Transaction) -> dict:
         """Atomic execution: authorise everything, then apply every write."""
         session, now = tx.session, tx.now
-        results: dict[str, bytes] = {}
+        try:
+            results: dict[str, bytes] = {}
 
-        # Phase 1: reads and authorisation, with no side effects.  Any
-        # refusal aborts the transaction before a single write lands.
-        staged = []
-        for key in tx.reads:
-            sub = Request(method="get", key=key)
-            try:
-                response = self._handle_get(sub, session, now)
-            except PesosError as exc:
-                raise TransactionError(f"read {key!r}: {exc}") from exc
-            results[f"read:{key}"] = response.value
-        for key, (value, policy_id) in tx.writes.items():
-            sub = Request(
-                method="put", key=key, value=value, policy_id=policy_id
-            )
-            try:
-                granted = self._authorize_update(sub, session, now)
-            except (PolicyDenied, RequestError) as exc:
-                raise TransactionError(str(exc)) from exc
-            staged.append((sub, granted))
+            # Phase 1: reads and authorisation, with no side effects.  Any
+            # refusal aborts the transaction before a single write lands.
+            staged = []
+            for key in tx.reads:
+                sub = Request(method="get", key=key)
+                try:
+                    response = self._handle_get(sub, session, now)
+                except PesosError as exc:
+                    raise TransactionError(f"read {key!r}: {exc}") from exc
+                results[f"read:{key}"] = response.value
+            for key, (value, policy_id) in tx.writes.items():
+                sub = Request(
+                    method="put", key=key, value=value, policy_id=policy_id
+                )
+                try:
+                    granted = self._authorize_update(sub, session, now)
+                except (PolicyDenied, RequestError) as exc:
+                    raise TransactionError(str(exc)) from exc
+                staged.append((sub, granted))
 
-        # Phase 2: apply all writes (every one already granted).
-        for sub, granted in staged:
-            self.effects.record(COPY, len(sub.value))
-            response = self._apply_put(sub, granted)
-            results[f"write:{sub.key}"] = f"v{response.version}".encode()
-        return results
+            # Phase 2: apply all writes (every one already granted).
+            for sub, granted in staged:
+                self.effects.record(COPY, len(sub.value))
+                response = self._apply_put(sub, granted)
+                results[f"write:{sub.key}"] = f"v{response.version}".encode()
+            return results
+        finally:
+            # Ended, whichever request's thread ran it: the handle is
+            # open no longer.
+            session.transactions.discard(tx.txid)
 
     # ------------------------------------------------------------------
     # Convenience API (used by examples and tests)

@@ -1,9 +1,10 @@
 """Side-effect accounting for the benchmark harness.
 
 The controller is functional code; the discrete-event benchmarks need
-to know what each request *did* — disk operations, bytes copied,
-cache hits, policy work — to charge virtual time.  Components record
-effects here; the simulation drains the recorder after each request.
+to know what each request *did* — frames put on the drive link, bytes
+copied, cache hits, policy work — to charge virtual time.  Components
+record effects here; the simulation drains the recorder after each
+request.  One effect per frame a drive answered, not per record.
 
 Recording is deliberately cheap (a tuple append plus one counter
 increment) because it sits on the hot path of 100k-operation benchmark
@@ -21,8 +22,11 @@ from __future__ import annotations
 from repro.telemetry.metrics import MetricsRegistry
 
 DISK_READ = "disk_read"
+DISK_RANGE = "disk_range"
 DISK_WRITE = "disk_write"
 DISK_DELETE = "disk_delete"
+SSD_READ = "ssd_read"
+SSD_WRITE = "ssd_write"
 CACHE_HIT = "cache_hit"
 CACHE_MISS = "cache_miss"
 ENCRYPT = "encrypt"
@@ -31,6 +35,24 @@ POLICY_CHECK = "policy_check"
 POLICY_COMPILE = "policy_compile"
 POLICY_LOAD = "policy_load"
 COPY = "copy"
+
+#: One frame to one drive, a backend visit: ``(kind, drive index,
+#: value bytes)``, then for a write or delete frame ``(records in the
+#: frame, replicas that took the mutation before this one)``.  A
+#: ``GETKEYRANGE`` page is a ``DISK_RANGE`` whose bytes are its keys.
+DRIVE_FRAMES = frozenset((DISK_READ, DISK_RANGE, DISK_WRITE, DISK_DELETE))
+
+
+def transitions(events) -> dict[str, int]:
+    """Enclave transitions one request's effects imply, by reason.
+
+    Read by the cost model and ``pesos_sgx_transitions_total``: a pair
+    on the client socket, a pair per drive frame, one per SSD access.
+    """
+    kinds = [event[0] for event in events]
+    frames = sum(kind in DRIVE_FRAMES for kind in kinds)
+    ssd = sum(kind in (SSD_READ, SSD_WRITE) for kind in kinds)
+    return {"client_io": 2, "drive_io": 2 * frames, "ssd_io": ssd}
 
 
 class EffectsRecorder:

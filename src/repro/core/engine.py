@@ -33,10 +33,11 @@ drive operations to the same drive are coalesced into batched
 submissions before the untrusted worker runs.
 
 Virtual time: the engine charges a simple overlap-aware cost model
-(:class:`EngineTiming`) as it runs — drives serve their per-round
+(:data:`ENGINE_TIMING`) as it runs — drives serve their per-round
 batches in parallel, enclave CPU is serial — so benchmarks can compare
 concurrent against sequential execution in virtual seconds while the
-functional behaviour stays bit-exact.
+functional behaviour stays bit-exact.  Its values derive from the
+constants the discrete-event benchmarks are calibrated with.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ from repro.analysis.sanitizer import NULL_SANITIZER
 from repro.core.admission import AdmissionController
 from repro.core.request import METHOD_TABLE, Request, Response
 from repro.errors import ConfigurationError
+from repro.kinetic.timing import SimulatorTiming
+from repro.sgx.costs import SGX_COSTS
 from repro.sgx.scheduler import DispatchSchedule, UserspaceScheduler
 from repro.sgx.syscalls import AsyncSyscallInterface
 
@@ -130,20 +133,36 @@ class TaskHandle:
         return payload
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineTiming:
     """Virtual-time cost model for engine runs.
 
     Enclave CPU is serial (charged per dispatched segment); drives
-    serve their per-round batches in parallel with a fixed submission
-    overhead per *batched* submission — which is what coalescing saves
-    — plus a per-operation service time.
+    serve their per-round batches in parallel with a fixed cost per
+    *batched* submission — which is what coalescing saves — plus a
+    per-operation service time.  No field has a number of its own
+    (DESIGN.md §6): a request of k drive frames runs k + 1 segments, so
+    at ``request_parse / 2`` a segment the one-frame base case costs
+    its ``request_parse`` and each further frame what the DES charges
+    for one (``disk_op_cpu``, to within 6 %); a batch pays the
+    simulator's per-visit floor ``base_seconds`` once and each
+    operation its share of the throughput, ``base_seconds /
+    concurrency``; a submission is one ``syscall_async``.
     """
 
-    cpu_per_segment: float = 12e-6
-    drive_base: float = 200e-6
-    drive_per_op: float = 60e-6
-    syscall_submit: float = 1.1e-6
+    cpu_per_segment: float
+    drive_base: float
+    drive_per_op: float
+    syscall_submit: float
+
+
+_SIM = SimulatorTiming()
+ENGINE_TIMING = EngineTiming(
+    cpu_per_segment=SGX_COSTS.request_parse / 2,
+    drive_base=_SIM.base_seconds,
+    drive_per_op=_SIM.base_seconds / _SIM.concurrency,
+    syscall_submit=SGX_COSTS.syscall_async,
+)
 
 
 @dataclass
@@ -202,7 +221,6 @@ class ConcurrentEngine:
         seed: int = 0,
         hardware_threads: int = 8,
         max_inflight: int = 32,
-        timing: EngineTiming | None = None,
         coalesce: bool = True,
         sanitizer=None,
         admission: AdmissionController | None = None,
@@ -223,7 +241,6 @@ class ConcurrentEngine:
         #: The default shared no-op keeps the hot path free: one
         #: attribute lookup and a no-op call per event site.
         self.sanitizer = NULL_SANITIZER if sanitizer is None else sanitizer
-        self.timing = timing or EngineTiming()
         self.coalesce = coalesce
         self.syscalls = AsyncSyscallInterface(
             num_slots=max(64, 2 * max_inflight),
@@ -497,7 +514,7 @@ class ConcurrentEngine:
         # serve their round batches in parallel with one another.  A
         # coalesced batch pays the drive's base cost once; uncoalesced
         # traffic pays it per operation.
-        timing = self.timing
+        timing = ENGINE_TIMING
         switches = self.scheduler.total_context_switches
         segments = switches - self._last_switches
         self._last_switches = switches

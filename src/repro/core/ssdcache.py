@@ -32,13 +32,11 @@ import hashlib
 import secrets
 from dataclasses import dataclass, field
 
+from repro.core.effects import SSD_READ, SSD_WRITE
 from repro.crypto.aead import StreamAead
 from repro.errors import IntegrityError
 from repro.telemetry import NULL_TELEMETRY
 from repro.util.lfu import LFUCache
-
-SSD_READ = "ssd_read"
-SSD_WRITE = "ssd_write"
 
 
 @dataclass

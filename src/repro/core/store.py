@@ -48,6 +48,7 @@ from repro.core.antientropy import KIND_OBJECT, KIND_POLICY, DirtyJournal
 from repro.core.effects import (
     DECRYPT,
     DISK_DELETE,
+    DISK_RANGE,
     DISK_READ,
     DISK_WRITE,
     ENCRYPT,
@@ -397,7 +398,9 @@ class ObjectStore:
         """GET one replica's sealed blob, or raise :class:`_CannotServe`.
 
         The only place a read talks to a drive.  Every outcome feeds
-        the drive's circuit breaker and the per-kind failure counter.
+        the drive's circuit breaker and the per-kind failure counter,
+        and every frame the drive answered, found or not, is one
+        ``DISK_READ`` on the effects ledger.
         """
         try:
             blob, _version = self.clients[index].get(disk_key)
@@ -408,9 +411,11 @@ class ObjectStore:
         except KineticNotFound:
             # The drive answered; the data is missing there.
             self.health.record_success(index)
+            self.effects.record(DISK_READ, index, 0)
             self._m_replica_failures.labels("missing").inc()
             raise _CannotServe("missing", None)
         self.health.record_success(index)
+        self.effects.record(DISK_READ, index, len(blob))
         if self.telemetry.enabled:
             self._m_drive_bytes.labels("read").inc(len(blob))
         return blob
@@ -466,7 +471,7 @@ class ObjectStore:
                 self.clients[index].put(disk_key, blob, force=True)
             except KineticError:
                 continue
-            self.effects.record(DISK_WRITE, index, len(blob))
+            self.effects.record(DISK_WRITE, index, len(blob), 1, reseeded)
             reseeded += 1
         return reseeded
 
@@ -523,7 +528,6 @@ class ObjectStore:
                 ):
                     self._reject_stale(walk, index, object_key)
                     continue
-                self.effects.record(DISK_READ, index, len(blob))
                 self._served(walk, kind, object_key, disk_key, blob)
                 return value
         self._unserved(walk, StaleReplica(
@@ -573,7 +577,6 @@ class ObjectStore:
                 served = plain
                 served_blob = blob
                 if digest == expected:
-                    self.effects.record(DISK_READ, index, len(blob))
                     break
         if served is None:
             # The pin proves the record exists, so a live replica
@@ -613,7 +616,6 @@ class ObjectStore:
                 except _CannotServe as signal:
                     walk.cannot_serve(index, *signal.args)
                     continue
-                self.effects.record(DISK_READ, index, len(blob))
                 found.append((index, StoredMeta.decode(plain), blob))
                 if len(found) + walk.missing >= walk.quorum:
                     break
@@ -656,7 +658,7 @@ class ObjectStore:
             for index in walk.order:
                 if index in walk.open and wrote >= quorum:
                     behind.append(index)
-                elif self._send(index, ops):
+                elif self._send(index, ops, wrote):
                     wrote += 1
                 else:
                     behind.append(index)
@@ -678,12 +680,13 @@ class ObjectStore:
             self.journal.mark(kind, object_key, behind)
         return wrote
 
-    def _send(self, index: int, ops: list[Op]) -> bool:
+    def _send(self, index: int, ops: list[Op], ordinal: int) -> bool:
         """One replica's share of a mutation; False when unreachable.
 
         One record is a plain PUT, more are one all-or-none ``COMMIT``
-        frame; the effects ledger sees one entry per record either way
-        (the DES model is calibrated to a two-record PUT).
+        frame; either way it is one frame on the wire and one entry in
+        the effects ledger.  ``ordinal`` counts the replicas that took
+        the mutation before this one.
         """
         client = self.clients[index]
         try:
@@ -696,9 +699,11 @@ class ObjectStore:
             self._m_replica_failures.labels("offline").inc()
             return False
         self.health.record_success(index)
-        for op in ops:
-            kind = DISK_DELETE if op.value is None else DISK_WRITE
-            self.effects.record(kind, index, len(op.value or b""))
+        values = [op.value for op in ops if op.value is not None]
+        kind = DISK_WRITE if values else DISK_DELETE
+        self.effects.record(
+            kind, index, sum(map(len, values)), len(ops), ordinal
+        )
         return True
 
     def _delete_all_replicas(self, object_key: str, ops: list[Op]) -> None:
@@ -707,8 +712,11 @@ class ObjectStore:
         started = _time.perf_counter() if instrumented else 0.0
         with self.telemetry.span("kinetic.delete", key=object_key):
             self.health.tick()
+            sent = 0
             for index in self._replicas(object_key):
-                if not self._send(index, ops):
+                if self._send(index, ops, sent):
+                    sent += 1
+                else:
                     # The unreachable replica keeps its copy: journal
                     # the key for a later scrub.  Without tombstones a
                     # partial delete is not durable (docs/resilience.md).
@@ -749,7 +757,7 @@ class ObjectStore:
             except KineticError:
                 return keys
             self.health.record_success(index)
-            self.effects.record(DISK_READ, index, sum(len(k) for k in page))
+            self.effects.record(DISK_RANGE, index, sum(len(k) for k in page))
             keys += page
             if limit is not None or len(page) < page_size:
                 return keys

@@ -28,6 +28,10 @@ the transactions queued or running on it.
 - Draining the queue is the table's own step after every event that
   can free a front: a request release, a transaction finishing, an
   abort of a queued transaction.
+- A transaction is ``running`` from the moment its executor starts
+  until it finishes; under the engine that spans drive I/O, and for
+  that long it refuses abort, further reads and writes, and a second
+  commit.
 - A transaction owns its failure.  Whatever :class:`PesosError` its
   executor raises ends it ``aborted`` with the text recorded, on
   whichever thread drained it; :meth:`VllManager.release` and
@@ -49,6 +53,7 @@ from repro.telemetry import NULL_TELEMETRY
 
 OPEN = "open"
 QUEUED = "queued"
+RUNNING = "running"
 COMMITTED = "committed"
 ABORTED = "aborted"
 
@@ -127,8 +132,8 @@ class VllManager:
         self._transactions: dict[str, Transaction] = {}
         #: Ids of finished transactions, oldest first.  Only the last
         #: ``RESULT_BUFFER_SIZE`` stay resident (write values and
-        #: results included), the §4.1 bound on buffered results; open
-        #: and queued transactions are never dropped.
+        #: results included), the §4.1 bound on buffered results; open,
+        #: queued and running transactions are never dropped.
         self._finished: deque[str] = deque()
         self._ids = itertools.count(1)
         self.executed_immediately = 0
@@ -195,9 +200,7 @@ class VllManager:
         tx.state = state
         self._finished.append(tx.txid)
         if len(self._finished) > RESULT_BUFFER_SIZE:
-            # ``None``: an id can be listed twice (a client abort that
-            # lands while the executor is suspended; see ROADMAP).
-            self._transactions.pop(self._finished.popleft(), None)
+            del self._transactions[self._finished.popleft()]
 
     # -- request holds -------------------------------------------------------
 
@@ -264,6 +267,7 @@ class VllManager:
         # and a queued transaction runs on whichever thread drains the
         # queue — so the group is attributed here, to the thread that
         # actually executes under the locks.
+        tx.state = RUNNING
         keys = tx.keys()
         group = [("obj", key) for key in keys]
         self.sanitizer.on_group_acquire(group)
@@ -314,9 +318,7 @@ class VllManager:
         # transaction (or a request hold) stays queued — whoever
         # releases that hold drains again.
         while self._queue and self._front_exclusive(self._queue[0]):
-            front = self._queue.popleft()
-            front.state = OPEN
-            self._run(front)
+            self._run(self._queue.popleft())
             self.executed_from_queue += 1
             self._m_queued.inc()
 

@@ -1,5 +1,10 @@
 """Cost model for shielded execution, charged in virtual time.
 
+The one home of the controller's calibrated CPU constants (DESIGN.md
+§6): the field defaults are the request-path costs both builds share,
+:data:`NATIVE_COSTS` / :data:`SGX_COSTS` the only two instances, read
+by the discrete-event benchmarks and by the concurrent engine's clock.
+
 All values are seconds (virtual).  The SGX numbers follow the published
 measurements the paper builds on: enclave transitions cost microseconds
 (Scone/FlexSC motivation), asynchronous syscalls amortize most of that,
@@ -19,23 +24,21 @@ from dataclasses import dataclass, replace
 class CostModel:
     """Virtual-time costs for one controller configuration."""
 
-    name: str
-
-    #: Base CPU time to parse + route one client request (HTTP, REST).
-    request_parse: float = 2.0e-6
+    #: Base CPU time of one client request (TLS, HTTP, dispatch).
+    request_parse: float = 53e-6
     #: CPU time per byte moved through the request path (memcpy, TLS).
-    per_byte_copy: float = 0.30e-9
-    #: CPU time to evaluate one compiled policy (cache hit path).
-    policy_check: float = 0.8e-6
-    #: CPU time to compile a policy from source.
-    policy_compile: float = 40.0e-6
+    per_byte_copy: float = 3.0e-9
+    #: CPU time per evaluated policy predicate (cache hit path).
+    policy_check: float = 0.30e-6
+    #: CPU time to compile a policy from source (lex + parse + emit).
+    policy_compile: float = 150e-6
     #: CPU time to load + validate a compiled policy fetched from disk
     #: (binary decode, hash check, cache insertion).
     policy_load: float = 45.0e-6
     #: AES-GCM cost per byte for payload encryption (hardware AES-NI).
-    encrypt_per_byte: float = 0.45e-9
+    encrypt_per_byte: float = 0.4e-9
     #: Fixed cost per AES-GCM operation (key schedule, tag).
-    encrypt_fixed: float = 0.35e-6
+    encrypt_fixed: float = 0.4e-6
 
     # -- enclave-specific ------------------------------------------------
     #: Synchronous syscall (enclave exit + re-enter).  Zero for native.
@@ -49,14 +52,9 @@ class CostModel:
     #: Usable EPC bytes (None = unlimited, i.e. native).
     epc_limit: int | None = None
 
-    #: Whether the async syscall interface is enabled (Scone default).
-    async_syscalls: bool = True
-
     def syscall_cost(self) -> float:
         """Cost of issuing one system call under this configuration."""
-        if self.syscall_sync == 0.0 and self.syscall_async == 0.0:
-            return 0.0
-        return self.syscall_async if self.async_syscalls else self.syscall_sync
+        return self.syscall_async
 
     def copy_cost(self, nbytes: int) -> float:
         """Cost of moving ``nbytes`` through the request path."""
@@ -67,21 +65,20 @@ class CostModel:
         return self.encrypt_fixed + nbytes * self.encrypt_per_byte
 
     def with_sync_syscalls(self) -> "CostModel":
-        """Ablation: disable the async syscall interface."""
-        return replace(self, name=self.name + "+sync", async_syscalls=False)
+        """Ablation: every call traps (enclave exit + re-enter)."""
+        return replace(self, syscall_async=self.syscall_sync)
 
 
 #: Native (non-SGX) controller build: no enclave overheads.
-NATIVE_COSTS = CostModel(name="native")
+NATIVE_COSTS = CostModel()
 
 #: SGX controller (Scone) build.  Transition and paging costs follow the
 #: Scone paper's measurements on Skylake v1 SGX; the per-byte shield cost
 #: reflects transparent encryption of data crossing the boundary.
 SGX_COSTS = CostModel(
-    name="sgx",
     syscall_sync=8.0e-6,
-    syscall_async=1.1e-6,
-    boundary_per_byte=0.25e-9,
+    syscall_async=1.5e-6,
+    boundary_per_byte=0.9e-9,
     epc_page_fault=12.0e-6,
     epc_limit=96 * 1024 * 1024,
 )

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.bench.configs import (
-    make_config,
-    paper_ratio_caches,
-    NATIVE_REQUEST_COSTS,
-    SGX_REQUEST_COSTS,
-)
+from repro.bench.configs import make_config, paper_ratio_caches
 from repro.kinetic.timing import HddTiming, SimulatorTiming
+from repro.sgx.costs import NATIVE_COSTS, SGX_COSTS
 
 
 def test_four_configurations_exist():
@@ -22,20 +18,20 @@ def test_four_configurations_exist():
 
 def test_sgx_config_carries_enclave_costs():
     config = make_config("sgx", "sim")
-    assert config.is_sgx
     assert config.cost.syscall_cost() > 0
     assert config.cost.epc_limit == 96 * 1024 * 1024
 
 
 def test_native_config_has_no_enclave_costs():
     config = make_config("native", "sim")
-    assert not config.is_sgx
+    assert config.cost.epc_limit is None
     assert config.cost.syscall_cost() == 0
 
 
 def test_backends_pick_timing_models():
-    assert isinstance(make_config("sgx", "sim").drive_timing, SimulatorTiming)
-    assert isinstance(make_config("sgx", "disk").drive_timing, HddTiming)
+    # The calibrated dataclass defaults, not a second set of numbers.
+    assert make_config("sgx", "sim").drive_timing == SimulatorTiming()
+    assert make_config("sgx", "disk").drive_timing == HddTiming()
 
 
 def test_disk_config_models_shared_enclosure():
@@ -53,8 +49,10 @@ def test_sgx_replication_costs_more_than_native():
 
 def test_request_costs_shared_between_modes():
     # Same request-path constants; only enclave overheads differ.
-    assert NATIVE_REQUEST_COSTS.request_parse == SGX_REQUEST_COSTS.request_parse
-    assert SGX_REQUEST_COSTS.boundary_per_byte > 0
+    assert make_config("native", "sim").cost is NATIVE_COSTS
+    assert make_config("sgx", "disk").cost is SGX_COSTS
+    assert NATIVE_COSTS.request_parse == SGX_COSTS.request_parse
+    assert SGX_COSTS.boundary_per_byte > 0
 
 
 def test_unknown_mode_and_backend_rejected():
@@ -62,12 +60,6 @@ def test_unknown_mode_and_backend_rejected():
         make_config("tpm", "sim")
     with pytest.raises(ValueError):
         make_config("sgx", "tape")
-
-
-def test_with_replication_helper():
-    config = make_config("sgx", "sim").with_replication(3)
-    assert config.replication_factor == 3
-    assert config.name.endswith("-r3")
 
 
 def test_paper_ratio_caches_scale():

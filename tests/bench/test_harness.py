@@ -119,11 +119,14 @@ def test_run_point_with_telemetry_exposes_layer_gauges(loaded):
 
 def test_des_sees_the_parents_events_for_every_request(monkeypatch):
     """The controller bounds the effects backlog nobody drains; the DES
-    drains per request and must not notice.  The kinds SHA — the
-    per-request event lists of this run without their byte sizes — is
-    54bf4fd's, the commit before at-rest format v2; the full SHA was
-    re-captured with that format, which moved the encrypt/decrypt/disk
-    sizes of metadata records and nothing else."""
+    drains per request and must not notice.  Both SHAs and the event
+    count were re-captured when the ledger went to one effect per frame
+    (PR 22): the 1 261 PUTs of this run each record one ``disk_write``
+    (value + ``m/`` bytes summed, then records 2, ordinal 0) where they
+    recorded two, 17 619 - 1 261 events, and each of the 30 GETs records
+    its ``disk_read`` when the drive answers, before the ``decrypt``
+    instead of after it.  Folding 87c2486's lists (kinds ``f22f10ab…``,
+    full ``5d2ce7df…``) those two ways gives these lists exactly."""
     import hashlib
 
     from repro.bench.model import SystemModel
@@ -152,11 +155,11 @@ def test_des_sees_the_parents_events_for_every_request(monkeypatch):
         [("copy", 0)] * (EFFECTS_BACKLOG + 1)
     )
     run_point(loaded, 4, measure_ops=2400, warmup_ops=100)
-    assert (len(seen), sum(map(len, seen))) == (2503, 17619)
+    assert (len(seen), sum(map(len, seen))) == (2503, 16358)
     kinds = [[event[0] for event in events] for events in seen]
     assert hashlib.sha256(repr(kinds).encode()).hexdigest() == (
-        "f22f10abee89d693104ff7202f451872485d9a0d13c3fb054be46de43f96af9f"
+        "03af0d222c6391d4d3dfe727f6a1f59e187c7a3f0bcfe55e1d0219fab81602f5"
     )
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
-        "5d2ce7df028f4add523d7508403e96d08a3ec34fbaf6b19dbabf5f03673381c3"
+        "4133a3fa68cc7aaa25412c7382fdf426321fa07dab73fa6e2ac97677f918c678"
     )

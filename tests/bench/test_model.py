@@ -6,6 +6,7 @@ from repro.bench.configs import make_config
 from repro.bench.model import SystemModel
 from repro.core.controller import PesosController
 from repro.core.effects import (
+    DISK_RANGE,
     DISK_READ,
     DISK_WRITE,
     ENCRYPT,
@@ -33,22 +34,57 @@ def test_costs_scale_with_disk_ops():
     _env, model = _model()
     cpu_none, ops_none, _ssd = model._derive_costs([], 1024, 1024)
     cpu_two, ops_two, _ssd = model._derive_costs(
-        [(DISK_WRITE, 0, 1024), (DISK_WRITE, 0, 128)], 1024, 1024
+        [(DISK_WRITE, 0, 1152, 2, 0), (DISK_READ, 0, 128)], 1024, 1024
     )
     assert len(ops_none) == 0
     assert len(ops_two) == 2
     assert cpu_two > cpu_none
 
 
+def _frame_cpu(model, nbytes):
+    """What any frame costs: marshalling, a syscall pair, the bytes."""
+    cost = model.config.cost
+    return (
+        model.config.disk_op_cpu
+        + 2 * cost.syscall_cost()
+        + nbytes * cost.boundary_per_byte
+    )
+
+
 def test_replica_writes_charged_beyond_two():
+    """Replication CPU goes by the replica ordinal each frame carries
+    (it went by counting a request's writes past the second)."""
     _env, model = _model()
-    base_events = [(DISK_WRITE, 0, 1024), (DISK_WRITE, 1, 128)]
-    replicated = base_events + [(DISK_WRITE, 2, 1024), (DISK_WRITE, 2, 128)]
-    cpu_base, _, _ = model._derive_costs(base_events, 1024, 64)
-    cpu_repl, _, _ = model._derive_costs(replicated, 1024, 64)
-    extra = cpu_repl - cpu_base
-    # Two extra writes: replica coordination + per-op + syscalls.
-    assert extra > 2 * model.config.replica_write_cpu
+    first = [(DISK_WRITE, 0, 1152, 2, 0)]
+    replicated = first + [(DISK_WRITE, 1, 1152, 2, 1), (DISK_WRITE, 2, 1152, 3, 2)]
+    cpu_first, ops_first, _ = model._derive_costs(first, 1024, 64)
+    cpu_repl, ops_repl, _ = model._derive_costs(replicated, 1024, 64)
+    # One visit per frame, whatever its record count.
+    assert (len(ops_first), len(ops_repl)) == (1, 3)
+    # Each further replica: a frame plus replication coordination.
+    assert cpu_repl - cpu_first == pytest.approx(
+        2 * (_frame_cpu(model, 1152) + model.config.replica_write_cpu)
+    )
+
+
+def test_unreplicated_frames_in_one_request_pay_no_replication():
+    # A MAL write: the log append and the object PUT are two frames of
+    # one request, each to its first replica.
+    _env, model = _model()
+    one = [(DISK_WRITE, 0, 1152, 2, 0)]
+    mal = one + [(DISK_WRITE, 1, 1152, 2, 0)]
+    cpu_one, _, _ = model._derive_costs(one, 1024, 64)
+    cpu_mal, _, _ = model._derive_costs(mal, 1024, 64)
+    assert model.config.replica_write_cpu > 0
+    assert cpu_mal - cpu_one == pytest.approx(_frame_cpu(model, 1152))
+
+
+def test_range_page_is_served_as_a_range_visit():
+    _env, model = _model()
+    _cpu, ops, _ = model._derive_costs(
+        [(DISK_RANGE, 2, 300), (DISK_READ, 2, 300)], 64, 64
+    )
+    assert ops == [("range", 2, 300), ("read", 2, 300)]
 
 
 def test_sgx_charges_more_than_native_for_same_events():
@@ -89,7 +125,7 @@ def test_request_lifecycle_advances_time_and_meters():
     model.meter.open_window(env.now)
 
     def execute():
-        model.controller.effects.record(DISK_WRITE, 0, 1024)
+        model.controller.effects.record(DISK_WRITE, 0, 1024, 1, 0)
         return Response(status=200, value=b"x" * 128)
 
     done = {}

@@ -65,9 +65,12 @@ def test_sweep_is_byte_replayable():
 #: ops per virtual second, arrivals and queue deadlines are floats in
 #: units of ``1 / capacity``, and at exactly 1x a few same-round
 #: get/put pairs dispatch in the other order — the same 192
-#: completions, all 200, none shed.
+#: completions, all 200, none shed.  Re-pinned again (was
+#: ``48aa1c369300675f``) for the same reason when the engine's clock
+#: became derived from the calibrated constants (PR 22: capacity
+#: 6 598 -> 4 710); the other three did not move.
 _PINNED_TRACES = {
-    (1.0, True): "48aa1c369300675f",
+    (1.0, True): "88e64e0c416fda00",
     (1.0, False): "cbf8087d4d102e43",
     (4.0, True): "0d4d530476481a0a",
     (4.0, False): "cbf8087d4d102e43",

@@ -53,14 +53,6 @@ def test_history_is_bounded(tmp_path):
     assert [entry["goodput"] for entry in data["history"]] == [2.0, 3.0, 4.0]
 
 
-def test_run_id_is_optional_provenance(tmp_path):
-    directory = str(tmp_path)
-    trajectory.record(
-        "demo", {"goodput": 1.0}, directory=directory, run_id="ci-42"
-    )
-    assert trajectory.load("demo", directory)["latest"]["run_id"] == "ci-42"
-
-
 def test_file_is_sorted_and_newline_terminated(tmp_path):
     directory = str(tmp_path)
     path = trajectory.record(

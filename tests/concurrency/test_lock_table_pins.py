@@ -14,6 +14,15 @@ read-modify-write, a two-key transaction committed right after a put
 to one of its keys (so on most schedules it queues behind that request
 hold and is drained by its release), a second transaction on the same
 keys queued behind the first, and a client abort of that second one.
+
+Seven trace digests were re-captured once, in PR 22, for one reason: on
+seeds 3, 4 and 8 (both widths) and seed 7 (one thread) the abort lands
+while the second transaction's executor is suspended at drive I/O.  It
+used to read as ``open`` there, so ``abort_tx`` answered 200, counted an
+abort and the transaction committed anyway; it is ``running`` now and
+the abort answers 409.  One status in the completion log is all that
+moved: the sanitizer streams and spin counts of those seeds, and every
+byte of the other nine, are still d387684's.
 """
 
 from __future__ import annotations
@@ -36,20 +45,20 @@ SEEDS = range(1, 9)
 PINS = {
     (1, 1): ("587215de9e3f736e", "5cceca2f99edc1af", 3),
     (1, 2): ("5578ba6b424de35c", "bee5a7415ac69c26", 3),
-    (1, 3): ("23e38e613d66f5b5", "5d6c13f97ed614d5", 6),
-    (1, 4): ("911920b1f5b01e92", "f816a7a2c8603cb6", 7),
+    (1, 3): ("23e38e613d66f5b5", "b9b0e5ff6a1b9ce5", 6),
+    (1, 4): ("911920b1f5b01e92", "01bdd95d9ff0bac1", 7),
     (1, 5): ("84651a2599ff5f7f", "ed0af4d46efe419a", 11),
     (1, 6): ("f0136edd4a92b551", "0c5349bc724d89a7", 7),
-    (1, 7): ("cfb9258415df2a00", "3506dc60b46be5d3", 8),
-    (1, 8): ("1039b2d98e05650a", "7f07e1277da8c98c", 6),
+    (1, 7): ("cfb9258415df2a00", "538c6dab54cf6b92", 8),
+    (1, 8): ("1039b2d98e05650a", "fc81c54fea688f1c", 6),
     (8, 1): ("a2b5bc1bc84ec8b0", "6ba4c2ee7d19c39f", 57),
     (8, 2): ("1a4b9261b7a75628", "c0692b853d7921db", 51),
-    (8, 3): ("af2d3fde03e7548e", "b235e8926d0411ef", 114),
-    (8, 4): ("c65fc23ab36ef171", "b1378ffedcbf266c", 121),
+    (8, 3): ("af2d3fde03e7548e", "0078511fd219a798", 114),
+    (8, 4): ("c65fc23ab36ef171", "078b5d6d38fc8df5", 121),
     (8, 5): ("1def4220670dc895", "93c9c8f2554ff36e", 81),
     (8, 6): ("ed1ec62428872dab", "431b3d8f175e2baf", 66),
     (8, 7): ("edae8fae7a4fee88", "d4bd276e4971795f", 89),
-    (8, 8): ("afd2fafe95dd34f6", "673e4d86995632bc", 106),
+    (8, 8): ("afd2fafe95dd34f6", "8cf49b9a86bb3e76", 106),
 }
 
 
@@ -131,3 +140,23 @@ def test_the_batch_reaches_every_lock_interaction():
                 and second.state == "aborted"
             )
     assert drained and aborted_queued and spun
+
+
+@pytest.mark.parametrize("hardware_threads", [1, 8])
+def test_a_running_transaction_refuses_abort(hardware_threads):
+    """An abort that lands mid-run is refused, not acknowledged and
+    ignored: no transaction ends both committed and aborted, and none is
+    finished twice."""
+    refused = 0
+    for seed in range(40):
+        controller, txs, responses, _, _, _ = run_fixed_batch(
+            seed, hardware_threads
+        )
+        txns = controller.txns
+        finished = list(txns._finished)
+        assert sorted(finished) == sorted(set(finished)), (seed, finished)
+        assert txns.aborted == sum(tx.state == "aborted" for tx in txs), seed
+        second = txs[1]
+        assert (responses[7].status == 200) == (second.state == "aborted")
+        refused += "running" in responses[7].error
+    assert refused

@@ -154,3 +154,38 @@ def test_async_commit(controller):
     )
     assert status.ok
     assert controller.get(ALICE, "k").value == b"v1"
+
+
+def test_session_holds_only_open_transactions(controller):
+    """``Session.transactions`` is the set of *open* handles that
+    ``footprint()`` says it is: a transaction leaves it when it ends,
+    committed or aborted (it grew by ``len(txid) + 48`` bytes per
+    transaction, for ever, at 87c2486)."""
+    from repro.core.request import build_http_request, parse_http_response
+    from repro.core.webserver import WebServer
+
+    server = WebServer(controller)
+
+    def call(**fields):
+        raw = server.handle_bytes(
+            build_http_request(Request(**fields)), ALICE
+        )
+        return parse_http_response(raw)
+
+    first = call(method="create_tx")
+    session = controller.sessions.lookup(ALICE, now=0.0)
+    assert session.transactions == {first.txid}
+    assert call(method="abort_tx", txid=first.txid).status == 200
+    start = session.footprint()
+    for index in range(5000):
+        txid = call(method="create_tx").txid
+        if index % 1000 == 0:
+            call(method="add_write", key="k", value=b"v", txid=txid)
+            assert session.footprint() > start
+        assert call(method="commit_tx", txid=txid).status == 200
+    # One whose policy refuses it ends aborted, and leaves as well.
+    txid = call(method="create_tx").txid
+    call(method="add_write", key="k", value=b"v", policy_id="0" * 64, txid=txid)
+    assert call(method="commit_tx", txid=txid).status == 409
+    assert session.transactions == set()
+    assert session.footprint() == start

@@ -144,3 +144,105 @@ def test_backlog_is_never_dropped_under_a_request_in_flight():
 
     # The backlog crosses the bound while the batch is in flight.
     assert transitions(EFFECTS_BACKLOG - 20) == transitions(0)
+
+
+# -- one effect per frame (PR 22) --------------------------------------------
+
+
+def _rf3(telemetry=None, **config):
+    from repro.core.controller import ControllerConfig, PesosController
+    from tests.core.conftest import make_clients
+
+    clients, _cluster = make_clients()
+    controller = PesosController(
+        clients,
+        storage_key=b"k" * 32,
+        config=ControllerConfig(replication_factor=3, **config),
+        telemetry=telemetry,
+    )
+    return controller, clients
+
+
+def _frames(events):
+    return [event for event in events if event[0].startswith("disk_")]
+
+
+def test_an_update_records_one_effect_per_replica_frame():
+    from repro.core.store import VERSION_METADATA_WINDOW
+    from tests.core.conftest import ALICE
+
+    controller, _clients = _rf3(keep_history=True)
+    assert controller.put(ALICE, "k", b"v0").ok
+    controller.effects.drain()
+    assert controller.put(ALICE, "k", b"v1").ok
+    writes = _frames(controller.effects.drain())
+    # Three frames on the wire (six records), three entries: the value
+    # and the m/ record ride together, replicas in the order written.
+    assert [event[0] for event in writes] == ["disk_write"] * 3
+    assert sorted(event[1] for event in writes) == [0, 1, 2]
+    assert [event[3:] for event in writes] == [(2, 0), (2, 1), (2, 2)]
+    assert len({event[2] for event in writes}) == 1
+
+    for index in range(2, VERSION_METADATA_WINDOW + 1):
+        controller.effects.drain()
+        assert controller.put(ALICE, "k", b"v%d" % index).ok
+    # The frame that pushes version 0 out of the window deletes its value.
+    writes = _frames(controller.effects.drain())
+    assert [event[3:] for event in writes] == [(3, 0), (3, 1), (3, 2)]
+
+
+def test_drive_io_transitions_are_twice_the_frames_sent():
+    """Through the wire surface at RF 3: whatever the request, the
+    counter moves by a send/recv pair per frame the clients sent."""
+    from repro.core.request import (
+        Request, build_http_request, parse_http_response,
+    )
+    from repro.core.webserver import WebServer
+    from repro.telemetry import Telemetry
+    from tests.core.conftest import ALICE
+
+    telemetry = Telemetry()
+    controller, clients = _rf3(telemetry)
+    server = WebServer(controller)
+    counter = telemetry.registry.get("pesos_sgx_transitions_total")
+
+    def step(request):
+        sent = sum(client.requests_sent for client in clients)
+        before = counter.labels("drive_io").value
+        raw = server.handle_bytes(build_http_request(request), ALICE)
+        assert parse_http_response(raw).status == 200
+        frames = sum(client.requests_sent for client in clients) - sent
+        assert counter.labels("drive_io").value - before == 2 * frames
+        return frames
+
+    # A first PUT also walks three replicas that answer "not found".
+    assert step(Request(method="put", key="a", value=b"1")) == 6
+    assert step(Request(method="put", key="b", value=b"2")) == 6
+    # 12 transitions for these 3 frames at 87c2486 (6 disk_write effects).
+    assert step(Request(method="put", key="a", value=b"3")) == 3
+    controller.caches.invalidate_meta("a")
+    controller.caches.invalidate_object("a@1")
+    assert step(Request(method="get", key="a")) == 2
+    assert step(Request(method="scan", key="a", scan_count=2)) >= 3
+    assert step(Request(method="delete", key="b")) == 3
+
+
+def test_a_scan_page_is_a_range_visit(replicated_controller):
+    from repro.core.request import Request
+    from tests.core.conftest import ALICE
+
+    controller = replicated_controller
+    for key in ("a", "b", "c"):
+        assert controller.put(ALICE, key, b"v").ok
+    controller.effects.drain()
+    assert controller.handle(
+        Request(method="scan", key="a", scan_count=3), ALICE
+    ).ok
+    pages = [
+        event for event in controller.effects.drain()
+        if event[0] == "disk_range"
+    ]
+    # One GETKEYRANGE page per drive, its bytes the keys it listed
+    # (a disk_read, never priced as a range, at 87c2486).
+    assert sorted(event[1] for event in pages) == [0, 1, 2]
+    assert all(event[2] == 3 * len(b"m/a") for event in pages)

@@ -436,8 +436,11 @@ def test_memo_warm_equals_cold_parse_equals_reference(
 
 # ---------------------------------------------------------------------------
 # The effects of a MAL read and a MAL write, pinned at 1ff8262; the byte
-# sizes of the sealed ``m/`` record (the second ``encrypt`` and
-# ``disk_write`` of each PUT) re-captured for at-rest format v2
+# sizes of the sealed ``m/`` record (the second ``encrypt`` of each PUT)
+# re-captured for at-rest format v2; the ``disk_write`` rows re-captured
+# when the ledger went to one effect per frame (PR 22): a PUT's value
+# and ``m/`` record are one row whose bytes are their sum (59 + 235,
+# 229 + 285, 42 + 231), followed by its record count and replica ordinal
 # ---------------------------------------------------------------------------
 
 _HIT_KEYS, _HIT_POLICY, _HIT_OBJECT = (
@@ -452,7 +455,7 @@ MAL_READ_EFFECTS = [
     _HIT_KEYS, _HIT_POLICY, ("policy_check", 1), _HIT_OBJECT, ("copy", 0),
     ("copy", 31), _HIT_KEYS, _HIT_POLICY, _HIT_POLICY, _HIT_KEYS,
     ("policy_check", 3), ("encrypt", 31), ("encrypt", 207),
-    ("disk_write", 1, 59), ("disk_write", 1, 235),
+    ("disk_write", 1, 294, 2, 0),
     _HIT_KEYS, _HIT_POLICY, _HIT_KEYS, _HIT_KEYS, _HIT_OBJECT,
     ("policy_check", 5), _HIT_OBJECT, ("copy", 13),
 ]
@@ -462,15 +465,16 @@ MAL_WRITE_EFFECTS = [
     _HIT_KEYS, _HIT_POLICY, ("policy_check", 1), _HIT_OBJECT, ("copy", 31),
     ("copy", 201), _HIT_KEYS, _HIT_POLICY, _HIT_POLICY, _HIT_KEYS,
     ("policy_check", 3), ("encrypt", 201), ("encrypt", 257),
-    ("disk_write", 1, 229), ("disk_write", 1, 285),
+    ("disk_write", 1, 514, 2, 0),
     ("copy", 14), _HIT_KEYS, _HIT_POLICY, _HIT_POLICY, _HIT_KEYS,
     _HIT_KEYS, _HIT_OBJECT, ("policy_check", 8), ("encrypt", 14),
-    ("encrypt", 203), ("disk_write", 0, 42), ("disk_write", 0, 231),
+    ("encrypt", 203), ("disk_write", 0, 273, 2, 0),
 ]
-#: SHA-256 of the two lists' event kinds alone, taken from the lists as
-#: 54bf4fd pinned them: the format change moved sizes, not events.
+#: SHA-256 of the two lists' event kinds alone: the lists as 54bf4fd
+#: pinned them (``4af89c2e…``: the format change moved sizes, not
+#: events) less the second ``disk_write`` of each of the three PUTs.
 MAL_EFFECT_KINDS_SHA = (
-    "4af89c2e34c98757a7d7a8f30df048c9bbeabdd01437a08f53c0cdbf499c2373"
+    "0a244965b1b310914103554c906cd8fcd31781546f02dce95d1e0db0da8a9882"
 )
 
 

@@ -92,7 +92,7 @@ def test_constructors_only_lost_parameters():
     ]
     assert _parameters(ConcurrentEngine.__init__) == [
         "self", "controller", "seed", "hardware_threads", "max_inflight",
-        "timing", "coalesce", "sanitizer", "admission",
+        "coalesce", "sanitizer", "admission",
     ]
     assert _parameters(KineticClient.__init__) == [
         "self", "drive", "identity", "hmac_key", "trust_store", "now",

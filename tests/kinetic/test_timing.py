@@ -26,22 +26,28 @@ def test_fixed_timing_is_constant():
 
 
 def test_simulator_orders_of_magnitude_faster_than_hdd():
-    sim = _mean(SimulatorTiming(), OP_READ, 1024)
-    hdd = _mean(HddTiming(), OP_READ, 1024)
-    assert hdd > 20 * sim
+    # In visits per second: the simulator's per-visit latency floor is
+    # only ~2x below the HDD's, its capacity two orders above.
+    sim, hdd = SimulatorTiming(), HddTiming()
+    sim_rate = sim.concurrency / _mean(sim, OP_READ, 1024)
+    hdd_rate = hdd.concurrency / _mean(hdd, OP_READ, 1024)
+    assert sim_rate > 100 * hdd_rate
+    assert _mean(sim, OP_READ, 1024) < _mean(hdd, OP_READ, 1024)
 
 
-def test_simulator_mean_in_tens_of_microseconds():
+def test_simulator_mean_is_the_latency_floor():
+    # ~0.47 ms per visit: what puts single-client latency at the
+    # paper's ~0.75 ms (Fig. 4).
     mean = _mean(SimulatorTiming(), OP_WRITE, 1024)
-    assert 10e-6 < mean < 100e-6
+    assert 400e-6 < mean < 550e-6
 
 
 def test_hdd_supports_roughly_800_iops_at_1kb():
-    # A Pesos client op issues ~2 drive ops (value + metadata), so the
-    # per-drive-op rate sits near 2x the paper's 823 client-ops/s.
+    # A visit is one frame; YCSB-A costs ~1.25 visits per client op,
+    # so ~1,000 visits/s is the paper's 823 client-ops/s.
     mean = _mean(HddTiming(), OP_WRITE, 1024)
     rate = 1.0 / mean
-    assert 1200 < rate < 2200
+    assert 900 < rate < 1150
 
 
 def test_larger_payloads_cost_more():
