@@ -21,7 +21,7 @@ from repro.analysis.findings import (
     render_text,
     sort_findings,
 )
-from repro.analysis.lint import lint_source, lint_tree
+from repro.analysis.lint import lint_source
 from repro.analysis.policy_verify import (
     verify_policy,
     verify_source,
@@ -44,7 +44,6 @@ __all__ = [
     "find_deadlocks",
     "find_races",
     "lint_source",
-    "lint_tree",
     "render_json_report",
     "render_markdown",
     "render_text",

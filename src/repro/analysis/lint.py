@@ -79,7 +79,6 @@ line above (see :mod:`repro.analysis.findings`).
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
 from repro.analysis.findings import Finding, suppressed_rules
 
@@ -649,14 +648,3 @@ def lint_source(source: str, rel_path: str) -> list[Finding]:
         for f in visitor.findings
         if f.rule not in suppressed_rules(lines, f.line)
     ]
-
-
-def lint_tree(root: Path) -> list[Finding]:
-    """Lint every ``.py`` file under ``root`` (the ``repro`` package)."""
-    findings: list[Finding] = []
-    for path in sorted(root.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        rel = path.relative_to(root).as_posix()
-        findings.extend(lint_source(path.read_text(), rel))
-    return findings

@@ -292,5 +292,5 @@ class SystemModel:
         yield env.timeout(self._charge("client_net", config.client_net_latency))
 
         self.latency.add(env.now - started)
-        self.meter.record(request_bytes + response_bytes)
+        self.meter.record()
         return response

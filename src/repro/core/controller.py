@@ -52,7 +52,7 @@ from repro.errors import (
 )
 from repro.kinetic.drive import KineticDrive, Role
 from repro.policy.binary import CompiledPolicy
-from repro.policy.compiled import PolicyEngine
+from repro.policy.compiled import Decision, PolicyEngine, compiled_form
 from repro.policy.compiler import compile_source
 from repro.policy.context import EvalContext, VersionInfo
 from repro.sgx.attestation import attest_and_provision
@@ -623,12 +623,11 @@ class PesosController:
             nonce=session.nonce,
         )
 
-    def _check_policy(
-        self,
-        operation: str,
-        policy: CompiledPolicy,
-        ctx: EvalContext,
-    ) -> None:
+    def _evaluate(
+        self, operation: str, policy: CompiledPolicy, ctx: EvalContext
+    ) -> Decision:
+        """One evaluation performed: the engine's verdict (served from
+        the decision cache or computed), timed, one ``POLICY_CHECK``."""
         if self.telemetry.enabled:
             started = _time.perf_counter()
             with self.telemetry.span("policy.check", operation=operation):
@@ -637,19 +636,30 @@ class PesosController:
         else:
             decision = self.policy_engine.evaluate(policy, operation, ctx)
         self.effects.record(POLICY_CHECK, decision.predicates_evaluated)
+        return decision
+
+    def _settle(
+        self, policy_hash: str, decision: Decision, session_key: str,
+        key: str, now: float,
+    ) -> bool:
+        """Audit ``decision`` on ``key``, count a denial; True if granted."""
         if self.auditor is not None:
             self.auditor.record_decision(
-                decision,
-                policy_hash=policy.policy_hash(),
-                session=ctx.session_key,
-                key=ctx.this_id or ctx.log_id,
-                vnow=ctx.now,
+                decision, policy_hash, session_key, key, now
             )
         if not decision.granted:
-            self._m_denied.labels(operation).inc()
-            raise PolicyDenied(
-                f"policy denies {operation} on {ctx.this_id or ctx.log_id}"
-            )
+            self._m_denied.labels(decision.operation).inc()
+        return decision.granted
+
+    def _check_policy(
+        self, operation: str, policy: CompiledPolicy, ctx: EvalContext
+    ) -> None:
+        key = ctx.this_id or ctx.log_id
+        decision = self._evaluate(operation, policy, ctx)
+        if not self._settle(
+            policy.policy_hash(), decision, ctx.session_key, key, ctx.now
+        ):
+            raise PolicyDenied(f"policy denies {operation} on {key}")
 
     # ------------------------------------------------------------------
     # Object operations
@@ -799,23 +809,40 @@ class PesosController:
         are *skipped*, not fatal: one locked-down object must not veto
         the rest of the range.  The response body is one
         ``key@version`` line per visible record.
+
+        A policy that reads nothing of the object is evaluated for the
+        first record it governs, and while the epoch stands that verdict
+        serves the later ones: each still resolved, audited and counted.
         """
         count = min(request.scan_count, MAX_SCAN_COUNT)
         # Per-record caller: the request minus what describes the range.
         caller = replace(request, log_key="", version=None)
         lines: list[str] = []
         denied = 0
+        decisions = self.policy_engine.decisions
+        #: (policy id, epoch) -> (policy hash, verdict), this request's
+        verdicts: dict = {}
         for key in self.store.scan_keys(request.key, count):
-            try:
-                meta = self._authorize_existing(
-                    "read", key, caller, session, now
-                )
-            except ObjectNotFound:
+            meta = self._get_meta(key)
+            if meta is None or not meta.exists:
                 # Deleted between the range listing and the meta read.
                 continue
-            except PolicyDenied:
-                denied += 1
-                continue
+            if self.config.enforce_policies and meta.policy_id:
+                memo = meta.policy_id, decisions.epoch
+                verdict = verdicts.get(memo)
+                if verdict is None:
+                    policy = self._governing_policy(meta.policy_id)
+                    ctx = self._build_context(
+                        "read", key, caller, session, meta, now
+                    )
+                    verdict = policy.policy_hash(), self._evaluate(
+                        "read", policy, ctx
+                    )
+                    if compiled_form(policy).object_blind:
+                        verdicts[memo] = verdict
+                if not self._settle(*verdict, session.fingerprint, key, now):
+                    denied += 1
+                    continue
             lines.append(f"{key}@{meta.current_version}")
         payload = "\n".join(lines).encode()
         self.effects.record(COPY, len(payload))

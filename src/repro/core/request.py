@@ -10,6 +10,7 @@ all benchmarks work on the structured :class:`Request` directly.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 from urllib.parse import parse_qs, quote, unquote, urlparse
@@ -127,21 +128,34 @@ class Response:
 # HTTP framing
 # ---------------------------------------------------------------------------
 
+# Any spelling a server might honour (case, space before the colon, a
+# folded line) declares a length; to miss one is to skip the check.
+_CONTENT_LENGTHS = re.compile(
+    rb"(?im)^[ \t]*content-length[ \t]*:[ \t]*([^\r\n]*?)[ \t]*(?=\r|\Z)"
+)
+
+
 def parse_http_request(raw: bytes) -> Request:
     """Parse an HTTP/1.1 POST into a :class:`Request`.
 
     The URL path is ``/<method>/<key>``; query parameters carry policy
     id, version, async flag, txid, operation id and log key; the body
-    is the value.
+    is the value, whose length in decimal is what a ``Content-Length``
+    header, when present, must say, once.
     """
     try:
         head, _, body = raw.partition(b"\r\n\r\n")
-        request_line = head.split(b"\r\n", 1)[0].decode()
-        verb, target, _version = request_line.split(" ", 2)
+        request_line, _, headers = head.partition(b"\r\n")
+        verb, target, _version = request_line.decode().split(" ", 2)
     except (ValueError, UnicodeDecodeError) as exc:
         raise RequestError(f"malformed HTTP request: {exc}") from exc
     if verb != "POST":
         raise RequestError(f"only POST is supported, got {verb}")
+    declared = _CONTENT_LENGTHS.findall(headers)
+    if declared and declared != [b"%d" % len(body)]:
+        raise RequestError(
+            f"Content-Length does not describe the {len(body)}-byte body"
+        )
     parsed = urlparse(target)
     parts = [part for part in parsed.path.split("/") if part]
     if not parts:

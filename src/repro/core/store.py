@@ -736,7 +736,7 @@ class ObjectStore:
         through the whole range; a ``limit`` is a single page, since
         the drive returns at most that many keys and fewer means the
         range is exhausted.  A drive that fails mid-range contributes
-        what it returned so far.
+        what it returned so far, and is counted as failing.
         """
         end_key = prefix + b"\xff" * 64
         page_size = limit or _RANGE_PAGE
@@ -750,11 +750,13 @@ class ObjectStore:
                     max_returned=page_size,
                     start_inclusive=inclusive,
                 )
-            except (DriveOffline, TransientIOError):
+            except KineticError as exc:
+                # Unreachable, or a refusal or garbled reply for a page.
+                lost = isinstance(exc, (DriveOffline, TransientIOError))
                 self.health.record_failure(index)
-                self._m_replica_failures.labels("offline").inc()
-                return keys
-            except KineticError:
+                self._m_replica_failures.labels(
+                    "offline" if lost else "corrupt"
+                ).inc()
                 return keys
             self.health.record_success(index)
             self.effects.record(DISK_RANGE, index, sum(len(k) for k in page))
@@ -796,19 +798,19 @@ class ObjectStore:
         """
         if count < 1:
             return []
-        found: set[str] = set()
+        found: set[bytes] = set()
         with self.telemetry.span(
             "kinetic.getkeyrange", key=start_key, count=count
         ):
             self.health.tick()
             for index in range(len(self.clients)):
-                if not self.health.allow(index):
-                    continue
-                for disk_key in self._drive_keys(
-                    index, b"m/", self.meta_key(start_key), count
-                ):
-                    found.add(disk_key[2:].decode())
-        return sorted(found)[:count]
+                if self.health.allow(index):
+                    found.update(self._drive_keys(
+                        index, b"m/", self.meta_key(start_key), count
+                    ))
+        # UTF-8 byte order is code-point order: merge as bytes, decode
+        # only the keys that made the cut.
+        return [key[2:].decode() for key in sorted(found)[:count]]
 
     # -- authenticated freshness -------------------------------------------
 

@@ -143,6 +143,8 @@ _TYPE_BYTES = 1
 _TYPE_STR = 2
 _TYPE_LIST = 3
 _TYPE_NONE = 4
+#: Type byte + one-byte length of a byte string shorter than 128.
+_SHORT_BYTES = [bytes((_TYPE_BYTES, n)) for n in range(0x80)]
 
 
 def _append_varint(out: bytearray, value: int) -> None:
@@ -174,7 +176,12 @@ def _append_value(out: bytearray, value) -> None:
         out.append(_TYPE_LIST)
         _append_varint(out, len(value))
         for item in value:
-            _append_value(out, item)
+            # A key list (GETKEYRANGE): short byte strings, in line.
+            if type(item) is bytes and len(item) < 0x80:
+                out += _SHORT_BYTES[len(item)]
+                out += item
+            else:
+                _append_value(out, item)
     else:
         raise KineticError(f"cannot encode field of type {type(value).__name__}")
 
@@ -224,8 +231,15 @@ def _read_value(data: bytes, pos: int):
         except UnicodeDecodeError as exc:
             raise KineticError(f"invalid string field: {exc}") from exc
     items = []
+    end = len(data)
     for _ in range(length):
-        item, pos = _read_value(data, pos)
+        # A short byte string that fits, in line; anything else, and
+        # every refusal, is the general path's.
+        stop = pos + 2 + data[pos + 1] if pos + 1 < end else end + 1
+        if stop <= end and data[pos] == _TYPE_BYTES and data[pos + 1] < 0x80:
+            item, pos = data[pos + 2:stop], stop
+        else:
+            item, pos = _read_value(data, pos)
         items.append(item)
     return items, pos
 
@@ -401,7 +415,3 @@ class Message:
     @property
     def ok(self) -> bool:
         return self.status == StatusCode.SUCCESS
-
-    def wire_size(self) -> int:
-        """Encoded size in bytes (used for virtual-time transfer costs)."""
-        return len(self.encode())

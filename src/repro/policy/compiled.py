@@ -343,6 +343,14 @@ class FastPolicy:
     def cacheable(self) -> bool:
         return not self.uses_objects and not self.dynamic_freshness
 
+    @property
+    def object_blind(self) -> bool:
+        """No conjunct can observe which object is checked: every
+        record of one scan has the same :meth:`request_shape`."""
+        return self.cacheable and not (
+            self.reads_this or self.reads_log or self.reads_version
+        )
+
     def valid_until(self, ctx: EvalContext) -> float | None:
         """First future instant at which this decision could change.
 

@@ -11,7 +11,6 @@ from repro.sim.core import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -26,7 +25,6 @@ __all__ = [
     "Environment",
     "Event",
     "Histogram",
-    "Interrupt",
     "Process",
     "Resource",
     "SimulationError",

@@ -20,14 +20,6 @@ class SimulationError(PesosError):
     """Misuse of the simulation kernel (double trigger, bad yield...)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence processes can wait on.
 
@@ -101,30 +93,17 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator):
         super().__init__(env)
         self._generator = generator
-        self._target: Event | None = None
         # Bootstrap: resume the generator at the current instant.
         bootstrap = Event(env)
         bootstrap.callbacks.append(self._resume)
         bootstrap._triggered = True
         env._schedule(bootstrap)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at this instant."""
-        if self._triggered:
-            return  # already finished; interrupt is a no-op
-        wakeup = Event(self.env)
-        wakeup.callbacks.append(
-            lambda _ev: self._resume_with_exception(Interrupt(cause))
-        )
-        wakeup._triggered = True
-        self.env._schedule(wakeup)
-
     # -- internals ----------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         if self._triggered:
             return
-        self._target = None
         try:
             if event._exception is not None:
                 target = self._generator.throw(event._exception)
@@ -140,28 +119,12 @@ class Process(Event):
             return
         self._wait_on(target)
 
-    def _resume_with_exception(self, exc: BaseException) -> None:
-        if self._triggered:
-            return
-        if self._target is not None and self in self._target.callbacks:
-            self._target.callbacks.remove(self)
-        try:
-            target = self._generator.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except BaseException as err:
-            self._finish_error(err)
-            return
-        self._wait_on(target)
-
     def _wait_on(self, target: Any) -> None:
         if not isinstance(target, Event):
             self._finish_error(
                 SimulationError(f"process yielded non-event {target!r}")
             )
             return
-        self._target = target
         if target._processed:
             # Already fired: resume immediately at this instant.
             immediate = Event(self.env)

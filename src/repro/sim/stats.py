@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -130,21 +130,16 @@ class ThroughputMeter:
     started_at: float | None = None
     closed_at: float | None = None
     completed: int = 0
-    bytes_moved: int = 0
-    _warmup_completed: int = field(default=0, repr=False)
 
     def open_window(self, now: float) -> None:
         self.started_at = now
-        self._warmup_completed = self.completed
         self.completed = 0
-        self.bytes_moved = 0
 
     def close_window(self, now: float) -> None:
         self.closed_at = now
 
-    def record(self, nbytes: int = 0) -> None:
+    def record(self) -> None:
         self.completed += 1
-        self.bytes_moved += nbytes
 
     def rate(self, now: float | None = None) -> float:
         """Operations per second over the open window."""
@@ -154,11 +149,3 @@ class ThroughputMeter:
         if end is None or end <= self.started_at:
             return 0.0
         return self.completed / (end - self.started_at)
-
-    def byte_rate(self, now: float | None = None) -> float:
-        if self.started_at is None:
-            return 0.0
-        end = self.closed_at if self.closed_at is not None else now
-        if end is None or end <= self.started_at:
-            return 0.0
-        return self.bytes_moved / (end - self.started_at)

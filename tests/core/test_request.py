@@ -100,6 +100,41 @@ def test_http_request_missing_method():
         parse_http_request(b"POST / HTTP/1.1\r\n\r\n")
 
 
+def _put_doc(*header_lines, body=b"hello"):
+    head = b"".join(line + b"\r\n" for line in header_lines)
+    return b"POST /put/doc HTTP/1.1\r\n" + head + b"\r\n" + body
+
+
+def test_http_request_content_length_must_equal_the_body():
+    """A declared length is checked, not ignored: a cut-off body or a
+    body with a pipelined request behind it is not stored as the value."""
+    assert parse_http_request(_put_doc(b"Content-Length: 5")).value == b"hello"
+    assert parse_http_request(_put_doc(b"content-length:5 ")).value == b"hello"
+    assert parse_http_request(_put_doc(b"Content-Length: 0", body=b"")).value == b""
+    browser = (b"Host: pesos.example", b"Accept: */*", b"Content-Length : 5", b"X-a: b")
+    assert parse_http_request(_put_doc(*browser)).value == b"hello"
+    assert parse_http_request(_put_doc()).value == b"hello"  # absent: as before
+    pipelined = b"hello" + _put_doc(b"Content-Length: 5", body=b"world")
+    for refused in (
+        _put_doc(b"Content-Length: 1024"),  # short body
+        _put_doc(b"Content-Length: 5", body=pipelined),  # long body
+        _put_doc(b"Content-Length: five"),
+        _put_doc(b"Content-Length: -5"),
+        _put_doc(b"Content-Length: 05"),
+        _put_doc(b"Content-Length: 5, 5"),
+        _put_doc(b"Content-Length:"),
+        _put_doc(b"Content-Length: " + b"9" * 5000),
+        _put_doc(b"Content-Length: 5", b"Content-Length: 5"),  # duplicated
+        _put_doc(b"Content-Length: 5", b"CONTENT-LENGTH: 6"),
+        _put_doc(*browser, body=b"hell"),  # not the only header
+        _put_doc(b"Content-Length : 1024"),  # space before the colon
+        _put_doc(b" Content-Length: 1024"),  # leading whitespace
+        _put_doc(b"X-Pad: a", b"\tContent-Length: 1024"),  # obs-fold
+    ):
+        with pytest.raises(RequestError):
+            parse_http_request(refused)
+
+
 def test_http_response_roundtrip():
     original = Response(
         status=200,

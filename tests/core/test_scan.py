@@ -1,5 +1,7 @@
 """Range scans (GETKEYRANGE) and read-modify-write through the stack."""
 
+import random
+
 import pytest
 
 import repro.core.controller as controller_module
@@ -13,8 +15,18 @@ from repro.core.request import (
 )
 from repro.crypto.certs import CertificateAuthority
 from repro.errors import RequestError
+from repro.kinetic.drive import KineticDrive
+from repro.kinetic.protocol import MessageType, StatusCode
+from repro.telemetry import Telemetry
 from repro.usecases.time_based import TimeAuthority, TimeVault
 from tests.core.conftest import ALICE, BOB
+
+
+#: ``test_scan_audits_each_record_under_its_own_key``'s chain head at
+#: 88c1bf4, where each of the 200 records was checked on its own.
+_AUDITED_SCAN_HEAD = (
+    "3b5ca711455eb3b51877a455ce1d7182fc67a92c100ce82f5ef27a7ba5f649f4"
+)
 
 
 def _load(controller, count=12, prefix="obj", policy_id=""):
@@ -96,6 +108,19 @@ def test_scan_skips_policy_denied_records(controller):
     assert len(_lines(alice_view)) == 8
 
 
+def _record_evaluations(controller, monkeypatch):
+    """The ``this`` id of every evaluation the controller performs."""
+    evaluated = []
+    evaluate = controller._evaluate
+
+    def recording(operation, policy, ctx):
+        evaluated.append(ctx.this_id)
+        return evaluate(operation, policy, ctx)
+
+    monkeypatch.setattr(controller, "_evaluate", recording)
+    return evaluated
+
+
 def _acl(controller, *readers):
     readable = " \\/ ".join(f"sessionKeyIs(k'{fp}')" for fp in readers)
     return controller.put_policy(
@@ -105,10 +130,11 @@ def _acl(controller, *readers):
 
 def test_scan_over_one_acl_evaluates_once_per_caller(controller):
     """An ACL reads the session key and nothing else of the request, so
-    its verdict is keyed by the caller: a 100-record scan is 100 checks
-    (each record is still checked, and audited when auditing is on) but
-    one evaluation, and the decision cache holds callers x policies
-    entries, not one per record per caller."""
+    its verdict is keyed by the caller: a 100-record scan settles 100
+    records (each is still resolved, counted, and audited when auditing
+    is on) from one evaluation per caller per epoch, asks the decision
+    cache once per (scan, policy), and the cache holds callers x
+    policies entries, not one per record per caller."""
     keys = _load(controller, 100, "rec", _acl(controller, ALICE, BOB))
     decisions = controller.policy_engine.decisions
     assert len(decisions) == 0  # the last PUT advanced the epoch
@@ -123,12 +149,145 @@ def test_scan_over_one_acl_evaluates_once_per_caller(controller):
             }
     assert len(decisions) == len(callers)  # x 1 policy
     assert decisions.stats.misses - before[1] == len(callers)
-    assert decisions.stats.hits - before[0] == 600 - len(callers)
+    assert decisions.stats.hits - before[0] == 6 - len(callers)
     # A new epoch costs the same again, no more.
     assert controller.put(ALICE, keys[0], b"w").ok
     assert _scan(controller, BOB, keys[0], 100).extra["scanned"] == 100
     assert len(decisions) == 1
     assert decisions.stats.misses - before[1] == len(callers) + 2  # PUT, BOB
+
+
+def test_scan_reevaluates_when_the_epoch_moves_between_records(
+    controller, monkeypatch
+):
+    """The verdict is a local of the request and of the epoch it was
+    reached in: a mutation interleaved under the engine drops it."""
+    keys = _load(controller, 6, "rec", _acl(controller, ALICE))
+    evaluated = _record_evaluations(controller, monkeypatch)
+    assert _scan(controller, ALICE, keys[0], 6).extra["scanned"] == 6
+    assert evaluated == keys[:1]
+    get_meta = controller._get_meta
+
+    def interleaved_put(key):
+        if key == keys[3]:
+            controller.policy_engine.advance_epoch()
+        return get_meta(key)
+
+    monkeypatch.setattr(controller, "_get_meta", interleaved_put)
+    evaluated.clear()
+    assert _scan(controller, BOB, keys[0], 6).extra == {
+        "scanned": 0, "denied": 6,
+    }
+    assert evaluated == [keys[0], keys[3]]
+
+
+def test_scan_audits_each_record_under_its_own_key(clients):
+    """What the memo saves is evaluation, not evidence: 100 records are
+    100 decision records, and the chain is the one a check per record
+    wrote (head captured at 88c1bf4 for this scenario)."""
+    controller = controller_module.PesosController(
+        clients, storage_key=b"k" * 32,
+        config=controller_module.ControllerConfig(audit_log_size=4096),
+    )
+    keys = _load(controller, 100, "rec", _acl(controller, ALICE))
+    before = len(controller.auditor)
+    assert _scan(controller, ALICE, keys[0], 100).extra["scanned"] == 100
+    assert _scan(controller, BOB, keys[0], 100).extra["denied"] == 100
+    records = list(controller.auditor.records)[before:]
+    assert [record.key for record in records] == keys * 2
+    assert {record.decision for record in records[:100]} == {"allow"}
+    assert {record.decision for record in records[100:]} == {"deny"}
+    assert controller.auditor.verify()["ok"]
+    assert controller.auditor.head == _AUDITED_SCAN_HEAD
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_scan_answers_what_per_key_gets_answer(controller, monkeypatch, seed):
+    """Differential over the memo's boundary: two ACLs (one evaluation
+    per scan each), a policy that reads ``this`` by id, one that reads
+    the record's own content and one that reads a fixed gate object
+    (each evaluated for every record, the first two with verdicts that
+    vary along the range), and unprotected records, in seeded order."""
+    rng = random.Random(seed)
+    update = f"update :- sessionKeyIs(k'{ALICE}')"
+    assert controller.put(ALICE, "gate", b"'open'(1)").ok
+    once_per_scan = [
+        _acl(controller, ALICE, BOB), _acl(controller, ALICE, "fp-carol"),
+    ]
+    per_record = [
+        controller.put_policy(ALICE, f"read :- {body}\n{update}").policy_id
+        for body in (
+            "objSays(this, V, 'open'(1))",
+            "objSays('gate', V, 'open'(1))",
+            "objId(this, 'mix0003') \\/ objId(this, 'mix0011')"
+            " \\/ objId(this, 'mix0020')",
+        )
+    ]
+    policies = once_per_scan + per_record + [""]
+    keys = [f"mix{index:04d}" for index in range(30)]
+    bound = {}
+    for index, key in enumerate(keys):
+        bound[key] = policies[index % 2] if index < 8 else rng.choice(policies)
+        assert controller.put(
+            ALICE, key, b"'open'(%d)" % rng.randrange(2), policy_id=bound[key]
+        ).ok
+    evaluated = _record_evaluations(controller, monkeypatch)
+    for caller in (ALICE, BOB, "fp-carol"):
+        for _again in range(3):
+            start = rng.randrange(len(keys))
+            covered = keys[start:start + rng.randrange(1, len(keys) + 1)]
+            evaluated.clear()
+            response = _scan(controller, caller, covered[0], len(covered))
+            first_under = {bound[key]: key for key in reversed(covered)}
+            assert evaluated == [
+                key for key in covered
+                if bound[key] in per_record
+                or bound[key] and first_under[bound[key]] == key
+            ]
+            expected, refused = [], 0
+            for key in covered:
+                answer = controller.get(caller, key)
+                assert answer.status in (200, 403)
+                if answer.ok:
+                    expected.append(f"{key}@{answer.version}")
+                else:
+                    refused += 1
+            assert _lines(response) == expected
+            assert response.extra == {
+                "scanned": len(expected), "denied": refused,
+            }
+
+
+def test_scan_counts_a_drive_that_refuses_the_range_read(clients, cluster):
+    """A GETKEYRANGE answered with an error status (or a reply that
+    does not validate) is a replica failure like any other: counted,
+    fed to the breaker, and served around."""
+    controller = controller_module.PesosController(
+        clients, storage_key=b"k" * 32, telemetry=Telemetry(),
+        config=controller_module.ControllerConfig(
+            replication_factor=3, breaker_threshold=2
+        ),
+    )
+    keys = _load(controller, 6)
+    store = controller.store
+    refusing = cluster.drive(1)
+    handle = refusing.handle
+
+    def refuse_ranges(request):
+        if request.message_type != MessageType.GETKEYRANGE:
+            return handle(request)
+        return request.make_response(
+            StatusCode.INTERNAL_ERROR, status_message="range index damaged"
+        ).sign(KineticDrive.DEMO_KEY)
+
+    refusing.handle = refuse_ranges
+    store._m_replica_failures.reset()
+    for _twice in range(2):
+        response = _scan(controller, ALICE, keys[0], 6)
+        assert [line.split("@")[0] for line in _lines(response)] == keys
+    assert store._m_replica_failures.series()[("corrupt",)] == 2
+    assert not store.health.allow(1)  # the breaker heard both
+    assert store.health.allow(0) and store.health.allow(2)
 
 
 def test_scan_over_two_policies_counts_each_record_under_its_own(controller):
@@ -187,13 +346,13 @@ def test_scan_grants_what_get_grants_with_the_callers_certificates(
     session = controller.sessions.connect(BOB, now=now)
     chain = authority.chain_for(int(now), nonce=session.nonce)
     log_ids = []
-    check = controller._check_policy
+    evaluate = controller._evaluate
 
-    def recording_check(operation, policy, ctx):
+    def recording_evaluate(operation, policy, ctx):
         log_ids.append(ctx.log_id)
-        check(operation, policy, ctx)
+        return evaluate(operation, policy, ctx)
 
-    monkeypatch.setattr(controller, "_check_policy", recording_check)
+    monkeypatch.setattr(controller, "_evaluate", recording_evaluate)
 
     assert controller.get(BOB, keys[0], now=now, certificates=chain).ok
     assert controller.get(BOB, keys[0], now=now).status == 403
@@ -204,8 +363,10 @@ def test_scan_grants_what_get_grants_with_the_callers_certificates(
         BOB, now=now,
     )
     assert with_chain.extra == {"scanned": 2, "denied": 0}
-    # The scan's own log reference does not leak into per-record checks.
-    assert log_ids == [key + controller_module.LOG_SUFFIX for key in keys]
+    # The scan's own log reference does not leak into a record's check;
+    # the capsule policy reads the certificates and nothing of the
+    # record, so the first record's evaluation serves the second.
+    assert log_ids == [keys[0] + controller_module.LOG_SUFFIX]
     without = controller.handle(
         Request(method="scan", key=keys[0], scan_count=2), BOB, now=now
     )

@@ -112,6 +112,56 @@ def test_decoder_accepts_exactly_canonical_bytes_random(blob):
     _assert_accepts_exactly_canonical(blob)
 
 
+# A list's items are encoded and decoded in one loop when they are byte
+# strings with a one-byte length (a GETKEYRANGE reply); these lists sit
+# on both sides of that boundary, item by item.
+_edge_bytes = st.sampled_from([0, 1, 127, 128, 300]).flatmap(
+    lambda size: st.binary(min_size=size, max_size=size)
+)
+_list_items = st.recursive(
+    st.one_of(_edge_bytes, st.integers(0, 2**64 - 1), st.none()),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=10,
+)
+_key_lists = st.lists(_list_items, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_key_lists, st.data())
+def test_list_items_in_line_are_the_recursive_encoding(items, data):
+    fields = {"keys": items}
+    blob = encode_fields(fields)
+    assert blob == reference_codec.encode_fields(fields)
+    assert decode_fields(blob) == fields
+    _assert_accepts_exactly_canonical(_mutate(blob, data))
+
+
+def _key_list(count: int, items: bytes) -> bytes:
+    return b"\x01\x04keys\x03" + bytes([count]) + items
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        pytest.param(_key_list(2, b"\x01\x01a\x01\x81\x00b"),
+                     "non-minimal varint", id="non-minimal-item-length"),
+        pytest.param(_key_list(2, b"\x01\x01a\x01\x05bc"),
+                     "field length 5 exceeds remaining payload 2",
+                     id="truncated-item"),
+        pytest.param(_key_list(2, b"\x01\x01a\x01"),
+                     "truncated varint", id="item-cut-after-its-type"),
+        pytest.param(_key_list(2, b"\x01\x01a"),
+                     "truncated field value", id="item-missing"),
+        pytest.param(_key_list(1, b"\x01\x01a\x00"),
+                     "1 bytes after the last field", id="trailing-byte"),
+    ],
+)
+def test_list_item_refusals_are_the_general_paths(blob, message):
+    """Messages as the all-recursive decoder (88c1bf4) worded them."""
+    with pytest.raises(WIRE_ERRORS, match=message):
+        decode_fields(blob)
+
+
 def _field(key: bytes, value: bytes) -> bytes:
     return bytes([len(key)]) + key + value
 

@@ -154,7 +154,3 @@ def test_error_response_not_ok():
     )
     assert not response.ok
     assert response.status_message == "missing"
-
-
-def test_wire_size_positive():
-    assert _message().sign(b"k").wire_size() > 0

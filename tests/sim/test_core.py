@@ -1,10 +1,9 @@
-"""DES kernel: event ordering, processes, conditions, interrupts."""
+"""DES kernel: event ordering, processes, conditions."""
 
 import pytest
 
 from repro.sim import (
     Environment,
-    Interrupt,
     SimulationError,
 )
 
@@ -220,38 +219,6 @@ def test_all_of_collects_values():
     env.process(proc())
     env.run()
     assert collected == [["a", "b"]]
-
-
-def test_interrupt_wakes_sleeping_process():
-    env = Environment()
-    log = []
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-        except Interrupt as intr:
-            log.append((env.now, intr.cause))
-
-    def poker(target):
-        yield env.timeout(3)
-        target.interrupt("wake up")
-
-    target = env.process(sleeper())
-    env.process(poker(target))
-    env.run()
-    assert log == [(3, "wake up")]
-
-
-def test_interrupt_finished_process_is_noop():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    proc = env.process(quick())
-    env.run()
-    proc.interrupt()  # must not raise
-    env.run()
 
 
 def test_yield_already_processed_event():
