@@ -50,7 +50,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.request import METHOD_TABLE, Request, Response
+from repro.core.request import METHOD_TABLE, Request, Response, error_response
 from repro.errors import OverloadShed, RateLimited
 from repro.telemetry import NULL_TELEMETRY
 
@@ -155,11 +155,7 @@ class AdmissionDecision:
                 f"request shed by admission control ({self.reason})",
                 retry_after=self.retry_after,
             )
-        return Response(
-            status=exc.status,
-            error=str(exc),
-            retry_after=exc.retry_after,
-        )
+        return error_response(exc)
 
 
 #: Shared decision for the common case (admitted, nothing to report).

@@ -34,7 +34,7 @@ from repro.core.effects import (
     POLICY_LOAD,
     transitions,
 )
-from repro.core.request import METHOD_TABLE, Request, Response
+from repro.core.request import METHOD_TABLE, Request, Response, error_response
 from repro.core.session import Session, SessionManager
 from repro.core.freshness import FreshnessAuthority, FreshnessEnvironment
 from repro.core.ssdcache import SsdCacheTier
@@ -387,7 +387,7 @@ class PesosController:
                 return self._handle_async(request, session, now)
             return self._dispatch(request, session, now)
         except PesosError as exc:
-            return self._error_response(exc)
+            return error_response(exc)
 
     def _freshness_gate(self, now: float) -> None:
         """Refuse every request while fork detection holds the line.
@@ -402,15 +402,6 @@ class PesosController:
             raise ForkDetected(
                 f"controller refuses to serve: {self.freshness.fork_reason}"
             )
-
-    @staticmethod
-    def _error_response(exc: PesosError) -> Response:
-        """Render an error, carrying any Retry-After degradation hint."""
-        return Response(
-            status=exc.status,
-            error=str(exc),
-            retry_after=getattr(exc, "retry_after", None),
-        )
 
     def _pump_anti_entropy(self) -> None:
         """Run one repair pass every ``anti_entropy_interval`` requests.
@@ -512,7 +503,7 @@ class PesosController:
         try:
             result = self._dispatch(request, session, now)
         except PesosError as exc:
-            result = self._error_response(exc)
+            result = error_response(exc)
         if not self.async_tracker.complete(entry.operation_id, result):
             # The result buffer already evicted this entry: the write
             # ran (and may have been applied), but the client can never

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from typing import NamedTuple
-from urllib.parse import parse_qs, quote, unquote, urlparse
+from urllib.parse import quote, unquote, unquote_plus
 
-from repro.errors import RequestError
+from repro.errors import PesosError, RequestError
 
 
 class MethodSpec(NamedTuple):
@@ -124,6 +125,16 @@ class Response:
         return 200 <= self.status < 300
 
 
+def error_response(exc: PesosError) -> Response:
+    """The one mapping of a failure to a response: its status, its
+    message, and any ``Retry-After`` degradation hint it carries."""
+    return Response(
+        status=exc.status,
+        error=str(exc),
+        retry_after=getattr(exc, "retry_after", None),
+    )
+
+
 # ---------------------------------------------------------------------------
 # HTTP framing
 # ---------------------------------------------------------------------------
@@ -133,6 +144,43 @@ class Response:
 _CONTENT_LENGTHS = re.compile(
     rb"(?im)^[ \t]*content-length[ \t]*:[ \t]*([^\r\n]*?)[ \t]*(?=\r|\Z)"
 )
+
+
+def split_target(target: str) -> tuple[str, dict[str, str]]:
+    """The one reading of a request target: its path and parameters.
+
+    Origin-form only: ``1*( "/" [ segment ] ) [ "?" pair *( "&" pair ) ]``,
+    ``pair = name "=" value``.  The path comes back as its non-empty
+    segments joined by ``/``, not yet percent-decoded; names and values
+    come back decoded once, ``+`` a space, a pair with no value absent,
+    the first of a repeated name winning.  ``;`` is an ordinary
+    character; a ``#`` is refused, because a client keeps its fragment
+    and one that arrives is part of a name the sender did not quote.
+    """
+    if not target.startswith("/") or "#" in target:
+        raise RequestError("request target is not origin-form (or has a '#')")
+    path, _, query = target.partition("?")
+    params: dict[str, str] = {}
+    if query:
+        for pair in query.split("&"):
+            name, _, value = pair.partition("=")
+            if value:
+                params.setdefault(unquote_plus(name), unquote_plus(value))
+    path = path.strip("/")
+    if "//" in path:
+        path = "/".join(filter(None, path.split("/")))
+    return path, params
+
+
+def decimal_param(params: dict[str, str], name: str, default):
+    """A parameter that is ASCII decimal digits and nothing else —
+    at most eighteen, which ``int`` always takes and 2**63 holds."""
+    text = params.get(name)
+    if text is None:
+        return default
+    if not (text.isascii() and text.isdigit() and len(text) <= 18):
+        raise RequestError(f"{name} must be a decimal number, got {text!r}")
+    return int(text)
 
 
 def parse_http_request(raw: bytes) -> Request:
@@ -156,49 +204,23 @@ def parse_http_request(raw: bytes) -> Request:
         raise RequestError(
             f"Content-Length does not describe the {len(body)}-byte body"
         )
-    parsed = urlparse(target)
-    parts = [part for part in parsed.path.split("/") if part]
-    if not parts:
-        raise RequestError("missing method in URL path")
-    method = parts[0]
-    key = unquote("/".join(parts[1:])) if len(parts) > 1 else ""
-    params = parse_qs(parsed.query)
-
-    def single(name: str, default: str = "") -> str:
-        values = params.get(name)
-        return values[0] if values else default
-
-    version_text = single("version")
-    count_text = single("count")
-    request = Request(
-        method=method,
-        key=key,
-        value=body,
-        policy_id=single("policy"),
-        version=int(version_text) if version_text else None,
-        asynchronous=single("async") in ("1", "true"),
-        txid=single("txid"),
-        operation_id=single("op"),
-        log_key=unquote(single("log")),
-        scan_count=int(count_text) if count_text else 0,
-    )
-    request.validate()
+    path, params = split_target(target)
+    method, _, key = path.partition("/")
+    request = Request(method=method, key=unquote(key), value=body)
+    if params:
+        request.policy_id = params.get("policy", "")
+        request.version = decimal_param(params, "version", None)
+        request.asynchronous = params.get("async") in ("1", "true")
+        request.txid = params.get("txid", "")
+        request.operation_id = params.get("op", "")
+        request.log_key = params.get("log", "")
+        request.scan_count = decimal_param(params, "count", 0)
+    request.validate()  # an empty path is the unknown method ''
     return request
 
 
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    401: "Unauthorized",
-    403: "Forbidden",
-    404: "Not Found",
-    409: "Conflict",
-    410: "Gone",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+#: The stdlib's phrases: what every status the program sends carried.
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 def render_http_response(response: Response) -> bytes:

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from repro.core.admission import AdmissionConfig, AdmissionController
 from repro.core.controller import PesosController
-from repro.core.request import Request, Response
+from repro.core.request import Request, Response, error_response
 from repro.errors import ConfigurationError, RequestError, TransactionError
 
 
@@ -91,9 +91,8 @@ class ShardedPesos:
             if index is None:
                 from repro.errors import ResultExpired
 
-                return Response(
-                    status=ResultExpired.status,
-                    error=f"no shard holds {request.operation_id}",
+                return error_response(
+                    ResultExpired(f"no shard holds {request.operation_id}")
                 )
             return self._route(index, request, fingerprint, now)
         # Keyed object operations.
@@ -141,9 +140,8 @@ class ShardedPesos:
     ) -> Response:
         bound = self._txid_shard.get(request.txid)
         if bound is None:
-            return Response(
-                status=TransactionError.status,
-                error=f"no transaction {request.txid!r}",
+            return error_response(
+                TransactionError(f"no transaction {request.txid!r}")
             )
         key_shard = self.shard_index(request.key)
         if bound == -1:
@@ -155,12 +153,11 @@ class ShardedPesos:
             self._txid_shard[request.txid] = key_shard
             self._txid_shard[f"real:{request.txid}"] = create.txid  # type: ignore[assignment]
         elif key_shard != bound:
-            return Response(
-                status=TransactionError.status,
-                error=(
+            return error_response(
+                TransactionError(
                     f"cross-shard transaction: {request.key!r} maps to "
                     f"shard {key_shard}, transaction bound to {bound}"
-                ),
+                )
             )
         return self._forward_tx(request, fingerprint, now)
 
@@ -169,9 +166,8 @@ class ShardedPesos:
     ) -> Response:
         bound = self._txid_shard.get(request.txid)
         if bound is None:
-            return Response(
-                status=TransactionError.status,
-                error=f"no transaction {request.txid!r}",
+            return error_response(
+                TransactionError(f"no transaction {request.txid!r}")
             )
         if bound == -1:
             # Never touched a key: commit/abort of an empty transaction.

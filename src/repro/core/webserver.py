@@ -25,18 +25,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from urllib.parse import parse_qs, urlparse
 
 from repro.core.controller import PesosController
 from repro.core.request import (
     _REASONS,
+    Request,
     Response,
+    decimal_param,
+    error_response,
     parse_http_request,
     render_http_response,
+    split_target,
 )
 from repro.crypto.certs import KeyPair, TrustStore
 from repro.crypto.channel import SecureChannel, establish_channel
-from repro.errors import PesosError
+from repro.errors import PesosError, RequestError
 from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
@@ -107,19 +110,25 @@ class WebServer:
 
         ``fingerprint`` identifies the authenticated client (in the
         TLS front-end it comes from the session's peer certificate).
+        The cycle is :meth:`_parse`, :meth:`_serve` and rendering; a
+        disabled telemetry has nothing to feed, so they run bare (the
+        rule ``PesosController.handle`` follows), and a live one runs
+        the same steps inside its spans and counters.
         """
         if raw.startswith(b"GET /_"):
             return self._handle_admin(raw)
         telemetry = self.telemetry
+        if not telemetry.enabled:
+            answer = self._parse(raw)
+            if isinstance(answer, Request):
+                answer = self._serve(answer, fingerprint, now)
+            return render_http_response(answer)
         self._m_requests.inc()
         self._m_bytes.labels("in").inc(len(raw))
-        method: str | None = None
+        request = None
         with telemetry.span("http.request", fingerprint=fingerprint) as root:
             try:
-                with telemetry.span("http.parse", bytes=len(raw)):
-                    request = parse_http_request(raw)
-            except PesosError as exc:
-                response = Response(status=exc.status, error=str(exc))
+                answer = self._parse(raw, telemetry.span)
             # Deliberately broad: *any* non-protocol failure
             # (framing bug, codec crash) must be counted before it
             # propagates to the transport layer, and it is re-raised
@@ -129,39 +138,16 @@ class WebServer:
                 self._m_errors.labels("parse_failure").inc()
                 root.set("error", "parse_failure")
                 raise
-            else:
-                method = request.method
+            if isinstance(answer, Request):
+                request = answer
                 root.set("method", request.method)
                 if request.key:
                     root.set("key", request.key)
-                decision = (
-                    None
-                    if self.admission is None
-                    else self.admission.check(request, fingerprint, now)
-                )
-                if decision is not None and not decision.admitted:
-                    # Shed before any side effect: the controller never
-                    # sees the request, so retrying is always safe.
-                    response = decision.to_response()
-                    root.set("shed", decision.reason)
-                else:
-                    try:
-                        response = self.controller.handle(
-                            request, fingerprint, now
-                        )
-                    except PesosError as exc:
-                        response = Response(
-                            status=exc.status,
-                            error=str(exc),
-                            retry_after=getattr(exc, "retry_after", None),
-                        )
-            self._m_responses.labels(str(response.status)).inc()
-            if not response.ok:
-                self._m_errors.labels("response").inc()
-            root.set("status", response.status)
+                answer = self._serve(request, fingerprint, now, root)
+            root.set("status", answer.status)
             with telemetry.span("http.render"):
-                rendered = render_http_response(response)
-        if method is not None:
+                rendered = self._render(answer)
+        if request is not None:
             # Fold the finished request into the SLO error budgets:
             # virtual duration when the tracer has a virtual clock
             # (benchmarks), wall seconds otherwise.  Sheds count as bad
@@ -170,8 +156,45 @@ class WebServer:
             if latency is None:
                 latency = root.duration
             telemetry.record_request(
-                method, response.ok, latency, now, trace_id=root.trace_id
+                request.method, answer.ok, latency, now, trace_id=root.trace_id
             )
+        return rendered
+
+    def _parse(self, raw: bytes, span=None) -> Request | Response:
+        """The request ``raw`` carries, or the response that refuses it
+        (under a live telemetry's ``span`` factory, after the refusal
+        has crossed the ``http.parse`` span)."""
+        try:
+            if span is None:
+                return parse_http_request(raw)
+            with span("http.parse", bytes=len(raw)):
+                return parse_http_request(raw)
+        except PesosError as exc:
+            return error_response(exc)
+
+    def _serve(
+        self, request: Request, fingerprint: str, now: float, root=None
+    ) -> Response:
+        """Admit, then handle; a live ``root`` span learns of a shed."""
+        if self.admission is not None:
+            decision = self.admission.check(request, fingerprint, now)
+            if not decision.admitted:
+                # Shed before any side effect: the controller never
+                # sees the request, so retrying is always safe.
+                if root is not None:
+                    root.set("shed", decision.reason)
+                return decision.to_response()
+        try:
+            return self.controller.handle(request, fingerprint, now)
+        except PesosError as exc:
+            return error_response(exc)
+
+    def _render(self, response: Response) -> bytes:
+        """Count a response, then serialize it."""
+        self._m_responses.labels(str(response.status)).inc()
+        if not response.ok:
+            self._m_errors.labels("response").inc()
+        rendered = render_http_response(response)
         self._m_bytes.labels("out").inc(len(rendered))
         return rendered
 
@@ -196,54 +219,40 @@ class WebServer:
         """
         from repro.core.engine import ConcurrentEngine
 
-        rendered: list[bytes | None] = [None] * len(items)
-        parsed: list[tuple[int, object, str]] = []
-        for index, (raw, fingerprint) in enumerate(items):
+        answers: list[Request | Response] = []
+        for raw, _fingerprint in items:
             self._m_requests.inc()
             self._m_bytes.labels("in").inc(len(raw))
-            try:
-                request = parse_http_request(raw)
-            except PesosError as exc:
-                response = Response(status=exc.status, error=str(exc))
-                self._m_responses.labels(str(response.status)).inc()
-                self._m_errors.labels("response").inc()
-                rendered[index] = render_http_response(response)
-            else:
-                parsed.append((index, request, fingerprint))
-
+            answers.append(self._parse(raw))
+        parsed = [
+            index for index, answer in enumerate(answers)
+            if isinstance(answer, Request)
+        ]
         with ConcurrentEngine(
             self.controller,
             seed=seed,
             hardware_threads=workers,
             admission=self.admission,
         ) as engine:
-            for _index, request, fingerprint in parsed:
-                engine.submit(request, fingerprint, now=now)
-            responses = engine.run()
-
-        for (index, _request, _fingerprint), response in zip(
-            parsed, responses
-        ):
-            self._m_responses.labels(str(response.status)).inc()
-            if not response.ok:
-                self._m_errors.labels("response").inc()
-            rendered[index] = render_http_response(response)
-        for raw_response in rendered:
-            assert raw_response is not None
-            self._m_bytes.labels("out").inc(len(raw_response))
-        return rendered  # type: ignore[return-value]
+            for index in parsed:
+                engine.submit(answers[index], items[index][1], now=now)
+            for index, response in zip(parsed, engine.run()):
+                answers[index] = response
+        return [self._render(response) for response in answers]
 
     # -- admin surface ----------------------------------------------------
 
     def _handle_admin(self, raw: bytes) -> bytes:
         """Serve ``/_health``, ``/_metrics``, ``/_traces``, ``/_slo``,
         and ``/_audit``."""
-        request_line = raw.split(b"\r\n", 1)[0].decode("latin-1")
-        parts = request_line.split(" ")
-        target = parts[1] if len(parts) > 1 else ""
-        parsed = urlparse(target)
-        params = parse_qs(parsed.query)
-        if parsed.path == "/_health":
+        # ``raw`` starts ``GET /_``, so the line has a second word.
+        target = raw.split(b"\r\n", 1)[0].decode("latin-1").split(" ")[1]
+        try:
+            path, params = split_target(target)
+            limit = decimal_param(params, "limit", None)
+        except RequestError as exc:
+            return _admin_response(400, "text/plain", f"{exc}\n".encode())
+        if path == "_health":
             # Health must answer even with telemetry disabled: it is
             # what the load balancer polls when things go wrong.
             report = self.controller.health()
@@ -265,7 +274,7 @@ class WebServer:
             status = 503 if report["status"] == "critical" else 200
             body = json.dumps(report, sort_keys=True).encode() + b"\n"
             return _admin_response(status, "application/json", body)
-        if parsed.path == "/_audit":
+        if path == "_audit":
             # The audit chain is a security artifact, not telemetry: it
             # answers even when metrics are off (it is config-gated by
             # ``ControllerConfig.audit_log_size`` instead).
@@ -274,12 +283,8 @@ class WebServer:
                 return _admin_response(
                     503, "text/plain", b"audit log disabled\n"
                 )
-            try:
-                limit = int(params.get("limit", ["64"])[0])
-            except ValueError:
-                limit = 64
-            verify = params.get("verify", ["0"])[0] not in ("", "0")
-            snapshot = auditor.snapshot(limit=limit, verify=verify)
+            verify = params.get("verify", "0") != "0"
+            snapshot = auditor.snapshot(limit=limit or 64, verify=verify)
             status = 200
             if verify and not snapshot["verification"]["ok"]:
                 status = 500  # the chain itself is the failing component
@@ -289,21 +294,21 @@ class WebServer:
             return _admin_response(
                 503, "text/plain", b"telemetry disabled\n"
             )
-        if parsed.path == "/_metrics":
-            if params.get("format", [""])[0] == "json":
+        if path == "_metrics":
+            if params.get("format") == "json":
                 body = render_json(self.telemetry.registry).encode()
                 return _admin_response(200, "application/json", body)
             body = render_prometheus(self.telemetry.registry).encode()
             return _admin_response(
                 200, "text/plain; version=0.0.4; charset=utf-8", body
             )
-        if parsed.path == "/_slo":
+        if path == "_slo":
             slo = self.telemetry.slo
             if slo is None:
                 return _admin_response(
                     503, "text/plain", b"no slo engine attached\n"
                 )
-            if params.get("format", [""])[0] == "prometheus":
+            if params.get("format") == "prometheus":
                 # The engine's own four families, whatever else the
                 # live registry holds.
                 own = MetricsRegistry()
@@ -314,14 +319,10 @@ class WebServer:
                 )
             body = json.dumps(slo.snapshot(), sort_keys=True).encode() + b"\n"
             return _admin_response(200, "application/json", body)
-        if parsed.path == "/_traces":
-            try:
-                limit = int(params.get("limit", ["32"])[0])
-            except ValueError:
-                limit = 32
-            slow_only = params.get("slow", ["0"])[0] not in ("", "0")
+        if path == "_traces":
+            slow_only = params.get("slow", "0") != "0"
             body = render_traces_json(
-                self.telemetry.tracer, limit, slow_only=slow_only
+                self.telemetry.tracer, limit or 32, slow_only=slow_only
             ).encode()
             return _admin_response(200, "application/json", body)
         return _admin_response(404, "text/plain", b"unknown admin path\n")

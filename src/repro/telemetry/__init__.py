@@ -13,9 +13,9 @@ lookup and benchmark numbers are unaffected.  Recording and
 registration are therefore never guarded — code just records, and the
 null objects swallow it.  What ``telemetry.enabled`` *does* guard is
 work done only to feed an instrument: a ``perf_counter()`` pair around
-a drive operation, the span-plus-counters wrapper in
-``PesosController.handle``, reading ``telemetry.tracer`` or ``.slo``
-(both ``None`` on the null object).
+a drive operation, the span-plus-counters wrappers around the request
+cycle in ``WebServer.handle_bytes`` and ``PesosController.handle``,
+reading ``telemetry.tracer`` or ``.slo`` (``None`` on the null object).
 
 Usage::
 

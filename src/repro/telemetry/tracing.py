@@ -111,14 +111,8 @@ class _NullSpan:
     """Reusable no-op span so disabled tracing costs one attr lookup."""
 
     __slots__ = ()
-    name = ""
-    op = ""
-    trace_id = 0
     attributes: dict = {}
-    children: list = []
     duration = 0.0
-    virtual_duration = None
-    error = ""
 
     def __enter__(self) -> "_NullSpan":
         return self

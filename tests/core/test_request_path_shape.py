@@ -1,0 +1,61 @@
+"""Pins the shape of the front door: one target parser, one error mapping.
+
+``core/request.py::split_target`` is the only reading of a request
+target (the client surface and the admin surface both use it), and
+``error_response`` the only place a failure becomes a response.  These
+guards keep a stdlib URL parser, or a second mapping, from growing
+back on the request path.
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).parent
+URL_PARSERS = {"urlparse", "urlsplit", "parse_qs", "parse_qsl"}
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every imported name, bare name and attribute name in a module."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_nothing_in_core_uses_a_stdlib_url_parser():
+    modules = sorted((SRC / "core").rglob("*.py"))
+    assert len(modules) > 15
+    found = {
+        str(path.relative_to(SRC)): sorted(used)
+        for path in modules
+        if (used := _names_used(path) & URL_PARSERS)
+    }
+    assert found == {}
+
+
+def test_a_failure_becomes_a_response_in_one_place():
+    """A ``Response`` built from an error's own ``status`` or ``str()``
+    is ``error_response``'s body and nobody else's."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "Response"
+                and any(
+                    keyword.arg == "status"
+                    and getattr(keyword.value, "attr", None) == "status"
+                    or keyword.arg == "error"
+                    and getattr(getattr(keyword.value, "func", None), "id", None) == "str"
+                    for keyword in node.keywords
+                )
+            ):
+                sites.append(str(path.relative_to(SRC)))
+    assert sites == ["core/request.py"]
