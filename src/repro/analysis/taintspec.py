@@ -286,6 +286,8 @@ DEFAULT_REGISTRY = TaintRegistry(
             ("recv_key", "channel receive key"),
             ("_enc_key", "derived encryption subkey"),
             ("_mac_key", "derived MAC subkey"),
+            ("_ipad_state", "HMAC inner pad state (RFC 2104 §4)"),
+            ("_opad_state", "HMAC outer pad state (RFC 2104 §4)"),
             ("private_key", "asymmetric private key"),
             ("admin_key", "drive admin HMAC credential"),
             ("hmac_key", "drive HMAC credential"),

@@ -11,7 +11,8 @@ built from hash primitives that run at C speed in the standard library:
   length in one call and XORed over it (an XOF stream cipher);
 - authentication: encrypt-then-MAC, HMAC-SHA256 over ``nonce ||
   u64 len(aad) || aad || ciphertext`` under a separate derived key,
-  truncated to 16 bytes.
+  truncated to 16 bytes.  Every HMAC here and on the Kinetic wire is a
+  :class:`HmacSha256`, its pad states hashed once per key (RFC 2104 §4).
 
 This is at-rest format v2 ("At-rest formats" in docs/resilience.md).
 The two keys are derived under labels the earlier SHA-256-CTR
@@ -30,6 +31,27 @@ import hmac
 
 from repro.errors import CryptoError, IntegrityError
 
+_IPAD, _OPAD = (bytes(byte ^ pad for byte in range(256)) for pad in (0x36, 0x5C))
+
+
+class HmacSha256:
+    """HMAC-SHA256 (RFC 2104) under one key, its pad states precomputed."""
+
+    def __init__(self, key: bytes):
+        if len(key) > 64:  # longer than a SHA-256 block: hashed first
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(64, b"\0")
+        self._ipad_state = hashlib.sha256(key.translate(_IPAD))
+        self._opad_state = hashlib.sha256(key.translate(_OPAD))
+
+    def digest(self, *parts: bytes) -> bytes:
+        """The MAC of the concatenation of ``parts``."""
+        inner = self._ipad_state.copy()
+        inner.update(b"".join(parts))
+        outer = self._opad_state.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
 
 class StreamAead:
     """SHAKE256 stream + HMAC-SHA256 AEAD (see module docstring)."""
@@ -41,18 +63,15 @@ class StreamAead:
         if len(key) < 16:
             raise CryptoError("AEAD key must be at least 16 bytes")
         self._enc_key = hashlib.sha256(b"pesos-v2-enc" + key).digest()
-        self._mac_key = hashlib.sha256(b"pesos-v2-mac" + key).digest()
+        self._mac_key = HmacSha256(hashlib.sha256(b"pesos-v2-mac" + key).digest())
 
     def _keystream(self, nonce: bytes, length: int) -> bytes:
         return hashlib.shake_256(self._enc_key + nonce).digest(length)
 
     def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)
-        mac.update(nonce)
-        mac.update(len(aad).to_bytes(8, "big"))
-        mac.update(aad)
-        mac.update(ciphertext)
-        return mac.digest()[: self.TAG_SIZE]
+        return self._mac_key.digest(
+            nonce, len(aad).to_bytes(8, "big"), aad, ciphertext
+        )[: self.TAG_SIZE]
 
     @staticmethod
     def _xor(data: bytes, keystream: bytes) -> bytes:
@@ -83,4 +102,3 @@ class StreamAead:
             raise IntegrityError("AEAD tag mismatch")
         keystream = self._keystream(nonce, len(ciphertext))
         return self._xor(ciphertext, keystream)
-

@@ -18,11 +18,10 @@ protection and enforcing in-order delivery.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import secrets
 from dataclasses import dataclass
 
+from repro.crypto.aead import HmacSha256
 from repro.crypto.certs import Certificate, KeyPair, TrustStore
 from repro.crypto.gcm import AesGcm
 from repro.errors import CertificateError, IntegrityError
@@ -44,16 +43,11 @@ _DH_GENERATOR = 2
 
 def _hkdf(secret: bytes, salt: bytes, info: bytes, length: int) -> bytes:
     """HKDF-SHA256 extract-and-expand (RFC 5869)."""
-    prk = hmac.new(salt, secret, hashlib.sha256).digest()
-    blocks = b""
-    output = b""
-    counter = 1
-    while len(output) < length:
-        blocks = hmac.new(
-            prk, blocks + info + bytes([counter]), hashlib.sha256
-        ).digest()
+    prk = HmacSha256(HmacSha256(salt).digest(secret))
+    blocks = output = b""
+    for counter in range(1, (length + 31) // 32 + 1):  # 32-byte blocks
+        blocks = prk.digest(blocks, info, bytes([counter]))
         output += blocks
-        counter += 1
     return output[:length]
 
 

@@ -14,9 +14,8 @@ This package reproduces that stack:
   versioned puts, range scans, user accounts with ACL roles, security
   (account replacement, the lock-out Pesos performs at bootstrap),
   peer-to-peer push, and device log/stats.
-- :mod:`repro.kinetic.client` — the client library: connection +
-  sequence numbers, synchronous calls and an asynchronous pipeline with
-  a pending-request window (the paper's ring-buffer redesign, §4.3).
+- :mod:`repro.kinetic.client` — the client library: connection,
+  sequence numbers, one keyed HMAC per identity, synchronous calls.
 - :mod:`repro.kinetic.cluster` — a named set of drives with failover.
 - :mod:`repro.kinetic.timing` — virtual-time service models for the two
   evaluation backends: the in-memory Kinetic *simulator* and the

@@ -17,6 +17,7 @@ import random
 from collections.abc import Callable
 from typing import Any
 
+from repro.crypto.aead import HmacSha256
 from repro.crypto.certs import TrustStore
 from repro.errors import (
     CertificateError,
@@ -50,7 +51,7 @@ class KineticClient:
     ):
         self.drive = drive
         self.identity = identity
-        self._key = hmac_key
+        self._mac_key = HmacSha256(hmac_key)  # keyed once, per identity
         self._sequence = 0
         #: When set, the data-path operations (``get``/``put``/
         #: ``delete``/``commit``) are routed through ``interceptor(client, op,
@@ -89,13 +90,8 @@ class KineticClient:
 
     def _next_message(self, message_type: MessageType, body: dict) -> Message:
         self._sequence += 1
-        message = Message(
-            message_type=message_type,
-            identity=self.identity,
-            sequence=self._sequence,
-            body=body,
-        )
-        return message.sign(self._key)
+        message = Message(message_type, self.identity, self._sequence, body)
+        return message.sign(self._mac_key)
 
     def _roundtrip(self, message_type: MessageType, body: dict) -> Message:
         """Send one request (retrying transient errors) and validate."""
@@ -137,13 +133,13 @@ class KineticClient:
         self.bytes_on_wire += len(response_wire)
         return Message.decode(response_wire)
 
-    def _validate(self, request: Message, response: Message) -> Message:
+    def _validate(self, request: Message, response: Message) -> None:
         if response.status == StatusCode.HMAC_FAILURE:
             raise KineticAuthError(
                 f"drive rejected identity {self.identity!r}: "
                 f"{response.status_message}"
             )
-        if not response.verify(self._key):
+        if not response.verify(self._mac_key):
             raise IntegrityError("response HMAC invalid (spoofed drive?)")
         if response.sequence != request.sequence:
             raise KineticError("response sequence mismatch")
@@ -157,7 +153,6 @@ class KineticClient:
             raise KineticError(
                 f"{response.status.name}: {response.status_message}"
             )
-        return response
 
     # -- operations --------------------------------------------------------
 
@@ -192,12 +187,7 @@ class KineticClient:
         new_version: bytes | None = None,
         force: bool = False,
     ) -> bytes:
-        body: dict[str, Any] = {
-            "key": key,
-            "value": value,
-            "db_version": db_version,
-            "force": force,
-        }
+        body = {"key": key, "value": value, "db_version": db_version, "force": force}
         if new_version is not None:
             body["new_version"] = new_version
         response = self._roundtrip(MessageType.PUT, body)
@@ -244,20 +234,14 @@ class KineticClient:
         return response.body["applied"]
 
     def get_next(self, key: bytes) -> tuple[bytes, bytes, bytes]:
-        response = self._roundtrip(MessageType.GETNEXT, {"key": key})
-        return (
-            response.body["key"],
-            response.body["value"],
-            response.body["db_version"],
-        )
+        return self._neighbour(MessageType.GETNEXT, key)
 
     def get_previous(self, key: bytes) -> tuple[bytes, bytes, bytes]:
-        response = self._roundtrip(MessageType.GETPREVIOUS, {"key": key})
-        return (
-            response.body["key"],
-            response.body["value"],
-            response.body["db_version"],
-        )
+        return self._neighbour(MessageType.GETPREVIOUS, key)
+
+    def _neighbour(self, message_type: MessageType, key: bytes) -> tuple:
+        body = self._roundtrip(message_type, {"key": key}).body
+        return body["key"], body["value"], body["db_version"]
 
     def get_key_range(
         self,

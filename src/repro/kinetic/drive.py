@@ -22,8 +22,11 @@ from __future__ import annotations
 import bisect
 import enum
 import secrets
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from repro.crypto.aead import HmacSha256
 from repro.crypto.certs import Certificate, CertificateAuthority, KeyPair
 from repro.errors import DriveOffline
 from repro.kinetic.protocol import Message, MessageType, Op, StatusCode
@@ -51,37 +54,28 @@ class Role(enum.Flag):
 
 @dataclass
 class Acl:
-    """One identity's credentials and permissions on a drive."""
+    """An identity's keyed MAC (built once, with the account) and roles."""
 
     identity: str
-    hmac_key: bytes
+    mac: HmacSha256
     roles: Role
 
-    @classmethod
-    def admin(cls, identity: str, hmac_key: bytes | None = None) -> "Acl":
-        return cls(
-            identity=identity,
-            hmac_key=hmac_key or secrets.token_bytes(32),
-            roles=Role.all(),
-        )
+
+#: The type each request body field must have: a body that gives one
+#: another type, or lacks one its op requires, is refused before it runs.
+_FIELD_TYPES = dict(
+    key=bytes, value=bytes, db_version=bytes, new_version=bytes,
+    start_key=bytes, end_key=bytes, peer=str, force=int, start_inclusive=int,
+    end_inclusive=int, reverse=int, max_returned=int, erase=int,
+    cluster_version=int, keys=(list, tuple), accounts=(list, tuple),
+    ops=(list, tuple),
+)
 
 
-_REQUIRED_ROLE = {
-    MessageType.GET: Role.READ,
-    MessageType.GETVERSION: Role.READ,
-    MessageType.GETNEXT: Role.RANGE,
-    MessageType.GETPREVIOUS: Role.RANGE,
-    MessageType.GETKEYRANGE: Role.RANGE,
-    MessageType.PUT: Role.WRITE,
-    MessageType.DELETE: Role.DELETE,
-    MessageType.PEER2PEERPUSH: Role.P2P,
-    MessageType.GETLOG: Role.GETLOG,
-    MessageType.SECURITY: Role.SECURITY,
-    MessageType.SETUP: Role.SETUP,
-    MessageType.FLUSHALLDATA: Role.WRITE,
-    MessageType.NOOP: Role.READ,
-    MessageType.COMMIT: Role.WRITE | Role.DELETE,
-}
+class _Op(NamedTuple):
+    role: Role  # what the identity must hold
+    fields: set  # the body fields it must send
+    run: Callable[["KineticDrive", Message], Message]
 
 
 @dataclass
@@ -128,9 +122,7 @@ class KineticDrive:
         self._sorted_keys: list[bytes] = []
         self._accounts: dict[str, Acl] = {
             self.DEMO_IDENTITY: Acl(
-                identity=self.DEMO_IDENTITY,
-                hmac_key=self.DEMO_KEY,
-                roles=Role.all(),
+                self.DEMO_IDENTITY, HmacSha256(self.DEMO_KEY), Role.all()
             )
         }
         self._online = True
@@ -180,43 +172,35 @@ class KineticDrive:
     # -- request handling ---------------------------------------------------
 
     def handle(self, request: Message) -> Message:
-        """Authenticate, authorize, and execute one command."""
+        """Authenticate, authorize, check the body, and execute one command."""
         if not self._online:
             raise DriveOffline(f"drive {self.drive_id} is offline")
 
         acl = self._accounts.get(request.identity)
-        if acl is None or not request.verify(acl.hmac_key):
+        if acl is None or not request.verify(acl.mac):
             self.stats.auth_failures += 1
-            response = request.make_response(
+            # No key is known to be the sender's, so this goes unsigned;
+            # the client reads the status before it verifies.
+            return request.make_response(
                 StatusCode.HMAC_FAILURE, status_message="authentication failed"
             )
-            # Unauthenticated responses are signed with the demo key if
-            # present, else left unsigned — the client will notice.
-            return response
 
-        required = _REQUIRED_ROLE.get(request.message_type)
-        if required is None:
-            return self._signed(
-                request.make_response(
-                    StatusCode.INVALID_REQUEST,
-                    status_message=f"unsupported type {request.message_type}",
-                ),
-                acl,
-            )
-        if acl.roles & required != required:
-            return self._signed(
-                request.make_response(
-                    StatusCode.NOT_AUTHORIZED,
-                    status_message=f"missing role {required}",
-                ),
-                acl,
-            )
-
-        handler = getattr(self, f"_op_{request.message_type.name.lower()}")
-        return self._signed(handler(request), acl)
-
-    def _signed(self, response: Message, acl: Acl) -> Message:
-        return response.sign(acl.hmac_key)
+        op = self._OPS.get(request.message_type)
+        if op is None:
+            status = StatusCode.INVALID_REQUEST
+            refusal = f"unsupported type {request.message_type}"
+        elif acl.roles & op.role != op.role:
+            status, refusal = StatusCode.NOT_AUTHORIZED, f"missing role {op.role}"
+        elif not op.fields <= request.body.keys() or not all(
+            isinstance(value, _FIELD_TYPES.get(name, object))
+            for name, value in request.body.items()
+        ):
+            status, refusal = StatusCode.INVALID_REQUEST, "malformed body"
+        else:
+            return op.run(self, request).sign(acl.mac)
+        return request.make_response(status, status_message=refusal).sign(
+            acl.mac
+        )
 
     # -- data operations -----------------------------------------------------
 
@@ -271,59 +255,42 @@ class KineticDrive:
         return request.make_response(StatusCode.SUCCESS)
 
     def _op_getnext(self, request: Message) -> Message:
-        key = request.body["key"]
-        index = bisect.bisect_right(self._sorted_keys, key)
-        if index >= len(self._sorted_keys):
-            return request.make_response(StatusCode.NOT_FOUND)
-        next_key = self._sorted_keys[index]
-        entry = self._entries[next_key]
-        return request.make_response(
-            StatusCode.SUCCESS,
-            body={
-                "key": next_key,
-                "value": entry.value,
-                "db_version": entry.version,
-            },
-        )
+        index = bisect.bisect_right(self._sorted_keys, request.body["key"])
+        return self._neighbour(request, index)
 
     def _op_getprevious(self, request: Message) -> Message:
-        key = request.body["key"]
-        index = bisect.bisect_left(self._sorted_keys, key)
-        if index == 0:
+        index = bisect.bisect_left(self._sorted_keys, request.body["key"])
+        return self._neighbour(request, index - 1)
+
+    def _neighbour(self, request: Message, index: int) -> Message:
+        if not 0 <= index < len(self._sorted_keys):
             return request.make_response(StatusCode.NOT_FOUND)
-        prev_key = self._sorted_keys[index - 1]
-        entry = self._entries[prev_key]
+        key = self._sorted_keys[index]
+        entry = self._entries[key]
         return request.make_response(
             StatusCode.SUCCESS,
-            body={
-                "key": prev_key,
-                "value": entry.value,
-                "db_version": entry.version,
-            },
+            body={"key": key, "value": entry.value, "db_version": entry.version},
         )
 
     def _op_getkeyrange(self, request: Message) -> Message:
-        start = request.body.get("start_key", b"")
-        end = request.body.get("end_key", b"\xff" * 32)
-        start_inclusive = bool(request.body.get("start_inclusive", True))
-        end_inclusive = bool(request.body.get("end_inclusive", True))
-        max_returned = int(request.body.get("max_returned", 200))
-        reverse = bool(request.body.get("reverse", False))
-
-        if start_inclusive:
-            lo = bisect.bisect_left(self._sorted_keys, start)
+        body, keys = request.body, self._sorted_keys
+        start = body.get("start_key", b"")
+        end = body.get("end_key", b"\xff" * 32)
+        if body.get("start_inclusive", True):
+            lo = bisect.bisect_left(keys, start)
         else:
-            lo = bisect.bisect_right(self._sorted_keys, start)
-        if end_inclusive:
-            hi = bisect.bisect_right(self._sorted_keys, end)
+            lo = bisect.bisect_right(keys, start)
+        if body.get("end_inclusive", True):
+            hi = bisect.bisect_right(keys, end)
         else:
-            hi = bisect.bisect_left(self._sorted_keys, end)
-        keys = self._sorted_keys[lo:hi]
-        if reverse:
-            keys = keys[::-1]
-        keys = keys[:max_returned]
+            hi = bisect.bisect_left(keys, end)
+        keys = keys[lo:hi]
+        if body.get("reverse"):
+            keys.reverse()
         self.stats.range_scans += 1
-        return request.make_response(StatusCode.SUCCESS, body={"keys": keys})
+        return request.make_response(
+            StatusCode.SUCCESS, body={"keys": keys[: body.get("max_returned", 200)]}
+        )
 
     def _op_noop(self, request: Message) -> Message:
         return request.make_response(StatusCode.SUCCESS)
@@ -339,7 +306,7 @@ class KineticDrive:
         """The frame's ops, or None when the body is not a list of them."""
         try:
             ops = [Op(*item) for item in body["ops"]]
-        except (KeyError, TypeError):
+        except TypeError:
             return None
         optional_bytes = (bytes, type(None))
         well_formed = all(
@@ -428,20 +395,24 @@ class KineticDrive:
     def _op_security(self, request: Message) -> Message:
         """Atomically replace the account table (the bootstrap lock-out)."""
         accounts = request.body["accounts"]  # list of [identity, key, roles]
+        if not all(
+            isinstance(item, (list, tuple)) and len(item) == 3
+            and isinstance(item[0], str) and isinstance(item[1], bytes)
+            and isinstance(item[2], int) and 0 <= item[2] <= Role.all().value
+            for item in accounts
+        ):
+            return request.make_response(
+                StatusCode.INVALID_REQUEST, status_message="malformed accounts"
+            )
         if not accounts:
             return request.make_response(
                 StatusCode.INVALID_REQUEST,
                 status_message="refusing to remove every account",
             )
-        new_table = {}
-        for item in accounts:
-            identity, hmac_key, roles_value = item
-            new_table[identity] = Acl(
-                identity=identity,
-                hmac_key=hmac_key,
-                roles=Role(roles_value),
-            )
-        self._accounts = new_table
+        self._accounts = {
+            identity: Acl(identity, HmacSha256(hmac_key), Role(roles))
+            for identity, hmac_key, roles in accounts
+        }
         return request.make_response(StatusCode.SUCCESS)
 
     def _op_setup(self, request: Message) -> Message:
@@ -458,6 +429,10 @@ class KineticDrive:
         peer_id = request.body["peer"]
         keys = request.body["keys"]
         peer = self._peers.get(peer_id)
+        if not all(isinstance(key, bytes) for key in keys):
+            return request.make_response(
+                StatusCode.INVALID_REQUEST, status_message="malformed keys"
+            )
         if peer is None:
             return request.make_response(
                 StatusCode.INVALID_REQUEST,
@@ -499,3 +474,22 @@ class KineticDrive:
                 "auth_failures": self.stats.auth_failures,
             },
         )
+
+    _OPS = {
+        MessageType.GET: _Op(Role.READ, {"key"}, _op_get),
+        MessageType.GETVERSION: _Op(Role.READ, {"key"}, _op_getversion),
+        MessageType.GETNEXT: _Op(Role.RANGE, {"key"}, _op_getnext),
+        MessageType.GETPREVIOUS: _Op(Role.RANGE, {"key"}, _op_getprevious),
+        MessageType.GETKEYRANGE: _Op(Role.RANGE, set(), _op_getkeyrange),
+        MessageType.PUT: _Op(Role.WRITE, {"key", "value"}, _op_put),
+        MessageType.DELETE: _Op(Role.DELETE, {"key"}, _op_delete),
+        MessageType.PEER2PEERPUSH: _Op(
+            Role.P2P, {"peer", "keys"}, _op_peer2peerpush
+        ),
+        MessageType.GETLOG: _Op(Role.GETLOG, set(), _op_getlog),
+        MessageType.SECURITY: _Op(Role.SECURITY, {"accounts"}, _op_security),
+        MessageType.SETUP: _Op(Role.SETUP, set(), _op_setup),
+        MessageType.FLUSHALLDATA: _Op(Role.WRITE, set(), _op_flushalldata),
+        MessageType.NOOP: _Op(Role.READ, set(), _op_noop),
+        MessageType.COMMIT: _Op(Role.WRITE | Role.DELETE, {"ops"}, _op_commit),
+    }

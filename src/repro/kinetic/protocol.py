@@ -7,7 +7,8 @@ binary header in front of our own tag/length/value encoding
 carries a command header (type, status, sequence, identity), a body of
 operation parameters, and an HMAC-SHA256 over the encoded command keyed
 by the identity's secret — which is exactly how Kinetic authenticates
-requests.
+requests.  The MAC is one :class:`~repro.crypto.aead.HmacSha256` per
+identity, keyed once where the secret is held (RFC 2104 §4).
 
 Frame layout (integers big-endian)::
 
@@ -35,17 +36,23 @@ The TLV encoding is also the at-rest format of compiled policies
 (whose SHA-256 is the policy id) and the five-field container of a
 ``StoredMeta`` record, whose version rows travel packed in one bytes
 field (docs/resilience.md, "At-rest formats"); the bytes of both are
-pinned by golden vectors in ``tests/kinetic/test_codec.py``.
+pinned by golden vectors in ``tests/kinetic/test_codec.py``.  Field-name
+prefixes are encoded once; byte strings under 16 KiB (a one- or two-byte
+length), None, bools and ints below 128 are written and read in line;
+every other value and every refusal takes the one general path.  Ints
+are unsigned 64-bit both ways.
 """
 
 from __future__ import annotations
 
 import enum
-import hmac as hmac_mod
+import functools
 import struct
 from dataclasses import dataclass, field
+from hmac import compare_digest
 from typing import NamedTuple
 
+from repro.crypto.aead import HmacSha256
 from repro.errors import KineticError
 from repro.util.varint import decode_varint, encode_varint
 
@@ -97,30 +104,18 @@ class StatusCode(enum.IntEnum):
     NO_SPACE = 8
 
 
-_RESPONSE_OF = {
-    MessageType.GET: MessageType.GET_RESPONSE,
-    MessageType.PUT: MessageType.PUT_RESPONSE,
-    MessageType.DELETE: MessageType.DELETE_RESPONSE,
-    MessageType.GETNEXT: MessageType.GETNEXT_RESPONSE,
-    MessageType.GETPREVIOUS: MessageType.GETPREVIOUS_RESPONSE,
-    MessageType.GETKEYRANGE: MessageType.GETKEYRANGE_RESPONSE,
-    MessageType.GETVERSION: MessageType.GETVERSION_RESPONSE,
-    MessageType.SECURITY: MessageType.SECURITY_RESPONSE,
-    MessageType.SETUP: MessageType.SETUP_RESPONSE,
-    MessageType.PEER2PEERPUSH: MessageType.PEER2PEERPUSH_RESPONSE,
-    MessageType.NOOP: MessageType.NOOP_RESPONSE,
-    MessageType.GETLOG: MessageType.GETLOG_RESPONSE,
-    MessageType.FLUSHALLDATA: MessageType.FLUSHALLDATA_RESPONSE,
-    MessageType.COMMIT: MessageType.COMMIT_RESPONSE,
-}
+#: A request type's response type is the value after it.
+_RESPONSE_OF = {t: MessageType(t + 1) for t in MessageType if t % 2}
+#: Header byte -> enum member, so decoding a frame calls no enum.
+_TYPE_OF = {int(t): t for t in MessageType}
+_STATUS_OF = {int(s): s for s in StatusCode}
 
 
 def response_type(request_type: MessageType) -> MessageType:
     """The response MessageType paired with a request type."""
-    try:
-        return _RESPONSE_OF[request_type]
-    except KeyError:
-        raise KineticError(f"{request_type!r} is not a request type") from None
+    if request_type not in _RESPONSE_OF:
+        raise KineticError(f"{request_type!r} is not a request type")
+    return _RESPONSE_OF[request_type]
 
 
 class Op(NamedTuple):
@@ -138,121 +133,150 @@ class Op(NamedTuple):
 # TLV field encoding
 # ---------------------------------------------------------------------------
 
-_TYPE_INT = 0
-_TYPE_BYTES = 1
-_TYPE_STR = 2
-_TYPE_LIST = 3
-_TYPE_NONE = 4
-#: Type byte + one-byte length of a byte string shorter than 128.
+_TYPE_INT, _TYPE_BYTES, _TYPE_STR, _TYPE_LIST, _TYPE_NONE = range(5)
+#: Heads written in line: a byte string's with a one-byte length and an
+#: int's below 128 (bools too).
 _SHORT_BYTES = [bytes((_TYPE_BYTES, n)) for n in range(0x80)]
+_SMALL_INTS = [bytes((_TYPE_INT, n)) for n in range(0x80)]
 
 
-def _append_varint(out: bytearray, value: int) -> None:
-    if value < 0x80:
-        out.append(value)
-    else:
-        out += encode_varint(value)
+@functools.lru_cache(maxsize=256)
+def _name_prefix(name: str) -> bytes:
+    """A field name's length varint and UTF-8, encoded once per name."""
+    raw = name.encode()
+    return encode_varint(len(raw)) + raw
+
+
+def _append_values(out: bytearray, items, fields: dict | None = None) -> None:
+    """Write list ``items``, or the ``fields`` named in ``items``."""
+    for item in items:
+        if fields is not None:
+            out += _name_prefix(item)
+            item = fields[item]
+        kind = type(item)
+        if kind is bytes and len(item) < 0x4000:
+            size = len(item)
+            out += _SHORT_BYTES[size] if size < 0x80 else bytes(
+                (_TYPE_BYTES, size & 0x7F | 0x80, size >> 7)
+            )
+            out += item
+        elif item is None:
+            out.append(_TYPE_NONE)
+        elif (kind is int or kind is bool) and 0 <= item < 0x80:
+            out += _SMALL_INTS[item]
+        else:
+            _append_value(out, item)
 
 
 def _append_value(out: bytearray, value) -> None:
-    if isinstance(value, bytes):
-        out.append(_TYPE_BYTES)
-        _append_varint(out, len(value))
-        out += value
-    elif isinstance(value, str):
-        raw = value.encode()
-        out.append(_TYPE_STR)
-        _append_varint(out, len(raw))
+    """The general path: any value the codec can write; refuses the rest."""
+    if isinstance(value, (bytes, str)):
+        is_bytes = isinstance(value, bytes)
+        raw = value if is_bytes else value.encode()
+        out.append(_TYPE_BYTES if is_bytes else _TYPE_STR)
+        out += encode_varint(len(raw))
         out += raw
     elif value is None:
         out.append(_TYPE_NONE)
     elif isinstance(value, int):
         # Includes bools, which encode as 0/1.
-        if value < 0:
-            raise KineticError(f"cannot encode negative int {value}")
+        if value < 0 or value >> 64:
+            raise KineticError(f"cannot encode int {value}: not a u64")
         out.append(_TYPE_INT)
-        _append_varint(out, value)
+        out += encode_varint(value)
     elif isinstance(value, (list, tuple)):
         out.append(_TYPE_LIST)
-        _append_varint(out, len(value))
-        for item in value:
-            # A key list (GETKEYRANGE): short byte strings, in line.
-            if type(item) is bytes and len(item) < 0x80:
-                out += _SHORT_BYTES[len(item)]
-                out += item
-            else:
-                _append_value(out, item)
+        out += encode_varint(len(value))
+        _append_values(out, value)
     else:
         raise KineticError(f"cannot encode field of type {type(value).__name__}")
 
 
-def _canonical_varint(data: bytes, pos: int) -> tuple[int, int]:
-    """One canonical varint at ``pos``; returns ``(value, next_pos)``."""
+def _read_varint(data: bytes, pos: int, what: str = "") -> tuple[int, int]:
+    """The canonical varint at ``pos``: ``(value, next_pos)``.  With
+    ``what`` it is a length and must fit the bytes that remain, so no
+    attacker-chosen length up to 2^64 allocates or indexes past them."""
     if pos < len(data) and data[pos] < 0x80:
-        return data[pos], pos + 1
-    value, end = decode_varint(data, pos)
-    if not data[end - 1]:
-        raise KineticError("non-minimal varint")
+        value, end = data[pos], pos + 1
+    else:
+        value, end = decode_varint(data, pos)
+        if not data[end - 1]:
+            raise KineticError("non-minimal varint")
+    if what and value > len(data) - end:
+        raise KineticError(f"{what} {value} exceeds remaining payload {len(data) - end}")
     return value, end
 
 
-def _read_length(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    """A length varint, validated against the bytes that remain.
-
-    Length fields are attacker-controlled varints up to 2^64; checking
-    them against the remaining payload prevents huge-allocation and
-    index-overflow attacks (found by fuzzing).
-    """
-    length, pos = _canonical_varint(data, pos)
-    if length > len(data) - pos:
-        raise KineticError(
-            f"{what} {length} exceeds remaining payload {len(data) - pos}"
-        )
-    return length, pos
-
-
 def _read_value(data: bytes, pos: int):
+    """The general path: the value at ``pos``, ``(value, next_pos)``;
+    every refusal of a value is made here or in :func:`_read_varint`."""
     if pos >= len(data):
         raise KineticError("truncated field value")
     kind = data[pos]
     if kind == _TYPE_NONE:
         return None, pos + 1
     if kind == _TYPE_INT:
-        return _canonical_varint(data, pos + 1)
+        return _read_varint(data, pos + 1)
     if kind > _TYPE_NONE:
         raise KineticError(f"unknown field type {kind}")
     # A list's count is a length too: each element needs >= 1 byte.
-    length, pos = _read_length(data, pos + 1, "field length")
+    length, pos = _read_varint(data, pos + 1, "field length")
+    if kind == _TYPE_LIST:
+        return _read_values(data, pos, length)
+    end = pos + length
     if kind == _TYPE_BYTES:
-        return data[pos:pos + length], pos + length
-    if kind == _TYPE_STR:
-        try:
-            return data[pos:pos + length].decode(), pos + length
-        except UnicodeDecodeError as exc:
-            raise KineticError(f"invalid string field: {exc}") from exc
-    items = []
-    end = len(data)
-    for _ in range(length):
-        # A short byte string that fits, in line; anything else, and
-        # every refusal, is the general path's.
-        stop = pos + 2 + data[pos + 1] if pos + 1 < end else end + 1
-        if stop <= end and data[pos] == _TYPE_BYTES and data[pos + 1] < 0x80:
-            item, pos = data[pos + 2:stop], stop
+        return data[pos:end], end
+    try:
+        return data[pos:end].decode(), end
+    except UnicodeDecodeError as exc:
+        raise KineticError(f"invalid string field: {exc}") from exc
+
+
+def _read_values(data: bytes, pos: int, count: int, fields: dict | None = None):
+    """``count`` list items, or named ``fields``, from ``pos``:
+    ``(items or fields, next_pos)``; the general path decides the rest."""
+    items, end, previous = [], len(data), None
+    for _ in range(count):
+        if fields is not None:
+            size, start = (data[pos], pos + 1) if pos < end else (0x80, pos)
+            if size > 0x7F or start + size > end:
+                size, start = _read_varint(data, pos, "field key length")
+            pos = start + size
+            try:
+                name = data[start:pos].decode()
+            except UnicodeDecodeError as exc:
+                raise KineticError(f"invalid field key: {exc}") from exc
+            if previous is not None and name <= previous:
+                raise KineticError(f"field key {name!r} out of order")
+            previous = name
+        kind = data[pos] if pos < end else -1
+        if kind == _TYPE_BYTES and pos + 1 < end:
+            size, start = data[pos + 1], pos + 2
+            if size > 0x7F:  # a canonical two-byte length, else too long
+                high = data[start] if start < end else 0
+                size = size - 0x80 + (high << 7) if 0 < high < 0x80 else end
+                start += 1
+            if start + size > end:
+                value, pos = _read_value(data, pos)
+            else:
+                value, pos = data[start:start + size], start + size
+        elif kind == _TYPE_NONE:
+            value, pos = None, pos + 1
+        elif kind == _TYPE_INT and pos + 1 < end and data[pos + 1] < 0x80:
+            value, pos = data[pos + 1], pos + 2
         else:
-            item, pos = _read_value(data, pos)
-        items.append(item)
-    return items, pos
+            value, pos = _read_value(data, pos)
+        if fields is None:
+            items.append(value)
+        else:
+            fields[name] = value
+    return (items if fields is None else fields), pos
 
 
 def encode_fields(fields: dict) -> bytes:
     """Encode a flat dict of fields deterministically (sorted keys)."""
-    out = bytearray()
-    _append_varint(out, len(fields))
-    for key in sorted(fields):
-        raw_key = key.encode()
-        _append_varint(out, len(raw_key))
-        out += raw_key
-        _append_value(out, fields[key])
+    out = bytearray(encode_varint(len(fields)))
+    _append_values(out, sorted(fields), fields)
     return bytes(out)
 
 
@@ -264,19 +288,8 @@ def decode_fields(data: bytes) -> dict:
     strings never decode to the same dict, which is what lets the HMAC
     and ``policy_hash`` be taken over the bytes as received.
     """
-    count, pos = _read_length(data, 0, "field count")
-    fields = {}
-    previous = None
-    for _ in range(count):
-        key_len, pos = _read_length(data, pos, "field key length")
-        try:
-            key = data[pos:pos + key_len].decode()
-        except UnicodeDecodeError as exc:
-            raise KineticError(f"invalid field key: {exc}") from exc
-        if previous is not None and key <= previous:
-            raise KineticError(f"field key {key!r} out of order")
-        previous = key
-        fields[key], pos = _read_value(data, pos + key_len)
+    count, pos = _read_varint(data, 0, "field count")
+    fields, pos = _read_values(data, pos, count, {})
     if pos != len(data):
         raise KineticError(f"{len(data) - pos} bytes after the last field")
     return fields
@@ -326,37 +339,33 @@ class Message:
             raise KineticError(f"command does not fit the header: {exc}") from exc
         return b"".join((_PREFIX, header, identity, status_message, body))
 
-    def sign(self, key: bytes) -> "Message":
-        """Attach an HMAC-SHA256 computed with ``key``.
+    def sign(self, mac: HmacSha256) -> "Message":
+        """Attach the HMAC-SHA256 of the command under ``mac``'s key.
 
         The command is encoded once, here; :meth:`encode` frames those
         same bytes.
         """
         self._signed = self.command_bytes()
         self._received = None
-        self.hmac = hmac_mod.digest(key, self._signed, "sha256")
+        self.hmac = mac.digest(self._signed)
         return self
 
-    def verify(self, key: bytes) -> bool:
-        """Check the attached HMAC against ``key``.
+    def verify(self, mac: HmacSha256) -> bool:
+        """Check the attached HMAC under ``mac``'s key.
 
         A decoded message is authenticated over the command bytes that
         were received, not over a re-encoding of what they parsed to.
         A message built locally is re-encoded, so fields changed after
         :meth:`sign` no longer verify.
         """
-        command = (
-            self._received if self._received is not None
-            else self.command_bytes()
-        )
-        expected = hmac_mod.digest(key, command, "sha256")
-        return hmac_mod.compare_digest(expected, self.hmac)
+        received = self._received
+        command = self.command_bytes() if received is None else received
+        return compare_digest(mac.digest(command), self.hmac)
 
     def encode(self) -> bytes:
         """Serialize to a framed wire blob."""
-        command = (
-            self._signed if self._signed is not None else self.command_bytes()
-        )
+        signed = self._signed
+        command = self.command_bytes() if signed is None else signed
         if len(self.hmac) > 0xFF:
             raise KineticError(f"hmac of {len(self.hmac)} bytes does not fit")
         return b"".join((command, bytes((len(self.hmac),)), self.hmac))
@@ -371,7 +380,7 @@ class Message:
         if len(data) < _HEADER_END:
             raise KineticError("truncated frame header")
         (
-            message_type, status, sequence,
+            type_byte, status_byte, sequence,
             identity_len, status_message_len, body_len,
         ) = _HEADER.unpack_from(data, len(_PREFIX))
         identity_end = _HEADER_END + identity_len
@@ -382,18 +391,18 @@ class Message:
             raise KineticError("header lengths exceed the frame")
         if command_end + 1 + data[command_end] != len(data):
             raise KineticError("frame length does not match its header")
+        message_type = _TYPE_OF.get(type_byte)
+        status = _STATUS_OF.get(status_byte)
+        if message_type is None or status is None:
+            raise KineticError(f"malformed command: type {type_byte}, status {status_byte}")
         try:
             return cls(
-                message_type=MessageType(message_type),
-                identity=data[_HEADER_END:identity_end].decode(),
-                sequence=sequence,
-                status=StatusCode(status),
-                status_message=data[identity_end:body_start].decode(),
-                body=decode_fields(data[body_start:command_end]),
-                hmac=data[command_end + 1:],
-                _received=data[:command_end],
+                message_type, data[_HEADER_END:identity_end].decode(),
+                sequence, decode_fields(data[body_start:command_end]),
+                status, data[identity_end:body_start].decode(),
+                data[command_end + 1:], None, data[:command_end],
             )
-        except ValueError as exc:  # unknown enum value, invalid UTF-8
+        except UnicodeDecodeError as exc:
             raise KineticError(f"malformed command: {exc}") from exc
 
     def make_response(
@@ -404,12 +413,8 @@ class Message:
     ) -> "Message":
         """Build the (unsigned) response paired with this request."""
         return Message(
-            message_type=response_type(self.message_type),
-            identity=self.identity,
-            sequence=self.sequence,
-            body=body or {},
-            status=status,
-            status_message=status_message,
+            response_type(self.message_type), self.identity, self.sequence,
+            body or {}, status, status_message,
         )
 
     @property

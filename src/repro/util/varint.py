@@ -17,9 +17,11 @@ _MAX_VARINT_BYTES = 10  # 64 bits / 7 bits-per-byte, rounded up
 
 
 def encode_varint(value: int) -> bytes:
-    """Encode a non-negative integer as a LEB128 varint."""
-    if value < 0:
-        raise VarintError(f"varints are unsigned, got {value}")
+    """Encode an unsigned 64-bit integer as a LEB128 varint."""
+    if 0 <= value < 0x80:
+        return bytes((value,))
+    if value < 0 or value >> 64:
+        raise VarintError(f"varints are unsigned 64-bit, got {value}")
     out = bytearray()
     while True:
         byte = value & 0x7F
@@ -45,7 +47,8 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
         byte = data[pos]
         pos += 1
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
+        if not byte & 0x80 and not result >> 64:
             return result, pos
         shift += 7
+    # More than ten bytes, or a last (tenth) byte above 0x01.
     raise VarintError("varint exceeds 64 bits")

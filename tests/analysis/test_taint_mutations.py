@@ -13,9 +13,10 @@ leak classes the threat model bans (drive write, wire frame, metric
 label, span attribute, HTTP body, audit entry, exception message, log
 line — plus the commit-frame variant of the drive write, which only
 reaches the drive through a deferred call two functions down, the
-HTTP error-header variant, and the scrape-time variant of the metric
+HTTP error-header variant, the scrape-time variant of the metric
 label, where the value is read by a callable handed to
-``telemetry.derived`` rather than passed to ``.labels()``).
+``telemetry.derived`` rather than passed to ``.labels()``, and a span
+attribute carrying an HMAC's precomputed pad state).
 """
 
 import shutil
@@ -94,12 +95,12 @@ def test_plaintext_in_commit_frame_detected(tmp_path):
 
 
 def test_key_in_wire_frame_detected(tmp_path):
-    # Embedding the HMAC key into a PUT request body.
+    # Embedding the client's keyed HMAC into a PUT request body.
     root = mutate(
         tmp_path,
         CLIENT,
         "        response = self._roundtrip(MessageType.PUT, body)",
-        '        body["debug_mac"] = self._key\n'
+        '        body["debug_mac"] = self._mac_key\n'
         "        response = self._roundtrip(MessageType.PUT, body)",
     )
     assert "taint/wire-frame" in rules_in(analyze_package(root), CLIENT)
@@ -161,6 +162,22 @@ def test_plaintext_span_attribute_detected(tmp_path):
         "            key=meta.key,\n"
         "            version=new_version,\n"
         "            payload=value,\n"
+        "        ):",
+    )
+    assert "taint/span-attribute" in rules_in(analyze_package(root), STORE)
+
+
+def test_mac_pad_state_span_attribute_detected(tmp_path):
+    # Recording a precomputed HMAC pad state, reached through objects no
+    # other rule marks, on a trace span: only the pad-state name sources
+    # make it key material.
+    root = mutate(
+        tmp_path,
+        STORE,
+        "            bytes=len(value),\n"
+        "        ):",
+        "            bytes=len(value),\n"
+        "            mac=self._aead._mac_key._ipad_state,\n"
         "        ):",
     )
     assert "taint/span-attribute" in rules_in(analyze_package(root), STORE)

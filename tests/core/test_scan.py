@@ -13,6 +13,7 @@ from repro.core.request import (
     parse_http_response,
     render_http_response,
 )
+from repro.crypto.aead import HmacSha256
 from repro.crypto.certs import CertificateAuthority
 from repro.errors import RequestError
 from repro.kinetic.drive import KineticDrive
@@ -278,7 +279,7 @@ def test_scan_counts_a_drive_that_refuses_the_range_read(clients, cluster):
             return handle(request)
         return request.make_response(
             StatusCode.INTERNAL_ERROR, status_message="range index damaged"
-        ).sign(KineticDrive.DEMO_KEY)
+        ).sign(HmacSha256(KineticDrive.DEMO_KEY))
 
     refusing.handle = refuse_ranges
     store._m_replica_failures.reset()

@@ -1,4 +1,5 @@
-"""The seal/open contract, for StreamAead and literal AES-GCM alike."""
+"""The seal/open contract, for StreamAead and literal AES-GCM alike,
+and the keyed HMAC both StreamAead and the Kinetic wire use."""
 
 import hashlib
 import hmac
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aead import StreamAead
+from repro.crypto.aead import HmacSha256, StreamAead
 from repro.crypto.gcm import AesGcm
 from repro.errors import CryptoError, IntegrityError
 
@@ -139,3 +140,21 @@ def test_blob_sealed_by_format_v1_fails_its_tag():
     closed (a corrupt copy), not open as keystream noise."""
     with pytest.raises(IntegrityError):
         StreamAead(KAT_KEY).open(KAT_NONCE, V1_SEALED, KAT_AAD)
+
+
+# -- the keyed HMAC: RFC 2104 with its pads hashed once ----------------------
+
+
+@pytest.mark.parametrize("key_size", [0, 1, 8, 32, 63, 64, 65, 200])
+@settings(max_examples=25, deadline=None)
+@given(message=st.binary(max_size=4096), cut=st.integers(0, 4096))
+def test_keyed_mac_is_hmac_sha256(key_size, message, cut):
+    """Keys shorter than, equal to and longer than the 64-byte block
+    (hashed first, as RFC 2104 requires), messages of 0-4 KB, given
+    whole or in two parts."""
+    key = bytes(range(key_size))
+    mac = HmacSha256(key)
+    expected = hmac.digest(key, message, "sha256")
+    assert mac.digest(message) == expected
+    assert mac.digest(message[:cut], message[cut:]) == expected
+    assert mac.digest(message) == expected  # the pad states are not used up

@@ -35,10 +35,10 @@ def read_varint(stream: io.BytesIO) -> int:
             raise VarintError("truncated varint")
         byte = chunk[0]
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
+        if not byte & 0x80 and not result >> 64:
             return result
         shift += 7
-    raise VarintError("varint exceeds 64 bits")
+    raise VarintError("varint exceeds 64 bits")  # or a tenth byte above 1
 
 
 def _read_exact(stream: io.BytesIO, length: int, what: str) -> bytes:
@@ -57,8 +57,8 @@ def _write_value(stream: io.BytesIO, value) -> None:
         stream.write(bytes([_TYPE_INT]))
         write_varint(stream, int(value))
     elif isinstance(value, int):
-        if value < 0:
-            raise KineticError(f"cannot encode negative int {value}")
+        if value < 0 or value >> 64:
+            raise KineticError(f"cannot encode int {value} in 64 bits")
         stream.write(bytes([_TYPE_INT]))
         write_varint(stream, value)
     elif isinstance(value, bytes):

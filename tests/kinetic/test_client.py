@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.aead import HmacSha256
 from repro.crypto.certs import CertificateAuthority, TrustStore
 from repro.errors import (
     CertificateError,
@@ -13,6 +14,7 @@ from repro.errors import (
 )
 from repro.kinetic.client import KineticClient
 from repro.kinetic.drive import KineticDrive, Role
+from repro.kinetic.protocol import MessageType
 
 
 @pytest.fixture()
@@ -154,12 +156,12 @@ class _SpoofingDrive:
 
 def _forge_value(response):
     response.body["value"] = b"forged"
-    return response.sign(b"not the account key")
+    return response.sign(HmacSha256(b"not the account key"))
 
 
 def _replay_other_sequence(response):
     response.sequence += 1
-    return response.sign(KineticDrive.DEMO_KEY)
+    return response.sign(HmacSha256(KineticDrive.DEMO_KEY))
 
 
 @pytest.mark.parametrize(
@@ -173,6 +175,53 @@ def test_spoofed_response_raises(drive, rewrite, error):
     )
     with pytest.raises(error):
         client.get(b"k")
+
+
+@pytest.mark.parametrize(
+    "message_type, body",
+    [
+        (MessageType.GET, {}),
+        (MessageType.DELETE, {}),
+        (MessageType.PUT, {"key": b"k"}),
+        (MessageType.PUT, {"key": b"k", "value": 5}),
+        (MessageType.GET, {"key": [b"a"]}),
+        (MessageType.GETNEXT, {"key": None}),
+        (MessageType.GETKEYRANGE, {"max_returned": None}),
+        (MessageType.SETUP, {"cluster_version": b"3"}),
+        (MessageType.SECURITY, {"accounts": [[b"x"]]}),
+        (MessageType.SECURITY, {"accounts": [["x", b"key", 1 << 8]]}),
+        (MessageType.PEER2PEERPUSH, {"peer": "disk-1", "keys": [[b"k"]]}),
+        (MessageType.COMMIT, {}),
+    ],
+)
+def test_authenticated_malformed_body_is_an_invalid_request(
+    drive, client, message_type, body
+):
+    """A signed frame whose body lacks a field, or gives one the wrong
+    type, is answered INVALID_REQUEST — a KineticError the client and
+    the store handle — and changes nothing on the drive."""
+    client.put(b"k", b"v")
+    drive.register_peer(KineticDrive("disk-1"))
+    before = (
+        dict(drive._entries), drive.used_bytes, repr(drive.stats),
+        drive.identities(),
+    )
+    with pytest.raises(KineticError, match="INVALID_REQUEST"):
+        client._roundtrip(message_type, body)
+    after = (
+        dict(drive._entries), drive.used_bytes, repr(drive.stats),
+        drive.identities(),
+    )
+    assert after == before
+    assert client.get(b"k")[0] == b"v"  # still authenticated, still there
+
+
+def test_unauthenticated_reply_is_unsigned(drive):
+    bad_client = KineticClient(drive, identity="demo", hmac_key=b"wrong")
+    request = bad_client._next_message(MessageType.NOOP, {})
+    response = drive.handle(request)
+    assert response.status.name == "HMAC_FAILURE"
+    assert response.hmac == b""
 
 
 def test_wire_accounting(client):

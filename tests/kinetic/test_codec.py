@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.store import StoredMeta, VersionMeta
+from repro.crypto.aead import HmacSha256
 from repro.errors import KineticError
 from repro.kinetic import protocol
 from repro.kinetic.protocol import (
@@ -28,7 +29,7 @@ from repro.kinetic.protocol import (
 )
 from repro.policy.binary import CompiledPolicy
 from repro.policy.compiler import compile_policy
-from repro.util.varint import VarintError
+from repro.util.varint import VarintError, encode_varint
 from tests.kinetic import reference_codec
 
 WIRE_ERRORS = (KineticError, VarintError)
@@ -162,11 +163,108 @@ def test_list_item_refusals_are_the_general_paths(blob, message):
         decode_fields(blob)
 
 
+# A byte string is written and read in line when its length varint has
+# one or two bytes; these lengths sit on both sides of each boundary, and
+# the COMMIT-shaped bodies carry values of 1-20 KB in five-item ops.
+_boundary_bytes = st.sampled_from([0, 127, 128, 16_383, 16_384]).flatmap(
+    lambda size: st.binary(min_size=size, max_size=size)
+)
+_ops = st.lists(
+    st.tuples(
+        st.binary(min_size=1, max_size=40),
+        st.one_of(
+            st.none(),
+            st.integers(1024, 20 * 1024).map(lambda size: b"v" * size),
+        ),
+        st.binary(max_size=8),
+        st.one_of(st.none(), st.binary(min_size=8, max_size=8)),
+        st.booleans(),
+    ).map(list),
+    min_size=1,
+    max_size=4,
+)
+_long_fields = st.one_of(
+    st.dictionaries(
+        st.text(max_size=8),
+        st.one_of(_boundary_bytes, st.lists(_boundary_bytes, max_size=3)),
+        max_size=3,
+    ),
+    _ops.map(lambda ops: {"ops": ops}),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_long_fields, st.data())
+def test_long_byte_strings_and_commit_bodies_match_the_reference(
+    fields, data
+):
+    blob = encode_fields(fields)
+    assert blob == reference_codec.encode_fields(fields)
+    assert decode_fields(blob) == reference_codec.decode_fields(blob)
+    _assert_accepts_exactly_canonical(_mutate(blob, data))
+
+
 def _field(key: bytes, value: bytes) -> bytes:
     return bytes([len(key)]) + key + value
 
 
 INT_1 = b"\x00\x01"
+
+
+def _bytes_value(head: bytes, payload: int) -> bytes:
+    return b"\x01" + _field(b"a", b"\x01" + head + b"x" * payload)
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        pytest.param(_bytes_value(b"\x80\x00", 0), "non-minimal varint",
+                     id="two-byte-length-non-minimal"),
+        pytest.param(_bytes_value(b"\x80", 0), "truncated varint",
+                     id="two-byte-length-cut"),
+        pytest.param(_bytes_value(b"\x80\x01", 127),
+                     "field length 128 exceeds remaining payload 127",
+                     id="two-byte-length-exceeds-payload"),
+        pytest.param(_bytes_value(b"\xff\x7f", 10),
+                     "field length 16383 exceeds remaining payload 10",
+                     id="largest-two-byte-length-exceeds-payload"),
+        pytest.param(_bytes_value(b"\x80\x80\x00", 0), "non-minimal varint",
+                     id="three-byte-length-non-minimal"),
+        pytest.param(_key_list(1, b"\x01\x80\x00"), "non-minimal varint",
+                     id="two-byte-item-length-non-minimal"),
+        pytest.param(b"\x01\x80\x01" + b"a" * 10,
+                     "field key length 128 exceeds remaining payload 10",
+                     id="two-byte-key-length-exceeds-payload"),
+    ],
+)
+def test_two_byte_length_refusals_are_the_general_paths(blob, message):
+    """The in-line reader hands every near miss to the general path."""
+    with pytest.raises(WIRE_ERRORS, match=message):
+        decode_fields(blob)
+
+
+@pytest.mark.parametrize("size", [127, 128, 16_383, 16_384])
+def test_lengths_at_the_in_line_boundaries_decode(size):
+    value = bytes(range(256)) * (size // 256) + bytes(size % 256)
+    blob = b"\x01" + _field(b"a", b"\x01" + encode_varint(size) + value)
+    assert decode_fields(blob) == {"a": value}
+    assert encode_fields({"a": value}) == blob
+
+
+def test_ints_are_64_bit_both_ways():
+    """Nothing above 2**64 - 1 is written, and no tenth varint byte
+    above 0x01 is read (such a varint used to decode up to 2**70 - 1)."""
+    top = {"n": 2**64 - 1}
+    assert decode_fields(encode_fields(top)) == top
+    for value in (2**64, 2**69, 2**80):
+        with pytest.raises(KineticError):
+            encode_fields({"n": value})
+        with pytest.raises(KineticError):
+            reference_codec.encode_fields({"n": value})
+    blob = b"\x01" + _field(b"n", b"\x00" + b"\x80" * 9 + b"\x02")  # 2**64
+    for decode in (decode_fields, reference_codec.decode_fields):
+        with pytest.raises(VarintError, match="exceeds 64 bits"):
+            decode(blob)
 
 
 @pytest.mark.parametrize(
@@ -500,7 +598,7 @@ def test_stored_meta_encode_refuses_what_a_row_cannot_hold():
 # Frames
 # ---------------------------------------------------------------------------
 
-KEY = b"secret"
+KEY = HmacSha256(b"secret")
 
 
 def _signed(**kwargs) -> Message:
@@ -531,7 +629,7 @@ def test_frame_roundtrip_property(message):
     wire = message.sign(KEY).encode()
     decoded = Message.decode(wire)
     assert decoded.verify(KEY)
-    assert not decoded.verify(b"wrong")
+    assert not decoded.verify(HmacSha256(b"wrong"))
     assert decoded.command_bytes() == message.command_bytes()
     assert decoded.hmac == message.hmac
     assert decoded.encode() == wire

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.aead import HmacSha256
 from repro.errors import DriveOffline
 from repro.kinetic.drive import Acl, KineticDrive, Role
 from repro.kinetic.protocol import Message, MessageType, StatusCode
@@ -15,7 +16,7 @@ def _request(message_type, body, identity="demo", key=KEY, sequence=1):
         identity=identity,
         sequence=sequence,
         body=body,
-    ).sign(key)
+    ).sign(HmacSha256(key))
 
 
 def _put(drive, key, value, **extra):
@@ -295,8 +296,8 @@ def test_getlog_reports_stats(drive):
 
 def test_responses_are_signed(drive):
     response = _put(drive, b"k", b"v")
-    assert response.verify(KEY)
-    assert not response.verify(b"other")
+    assert response.verify(HmacSha256(KEY))
+    assert not response.verify(HmacSha256(b"other"))
 
 
 def test_drive_certificate_issued():

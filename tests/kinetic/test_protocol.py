@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.crypto.aead import HmacSha256
 from repro.errors import KineticError
 from repro.kinetic.protocol import (
     Message,
@@ -70,6 +71,9 @@ def test_field_roundtrip_property(fields):
     assert decode_fields(encode_fields(fields)) == fields
 
 
+SECRET = HmacSha256(b"secret")
+
+
 def _message(**kwargs):
     defaults = dict(
         message_type=MessageType.PUT,
@@ -82,40 +86,40 @@ def _message(**kwargs):
 
 
 def test_message_wire_roundtrip():
-    message = _message().sign(b"secret")
+    message = _message().sign(SECRET)
     decoded = Message.decode(message.encode())
     assert decoded.message_type == MessageType.PUT
     assert decoded.identity == "pesos"
     assert decoded.sequence == 7
     assert decoded.body == {"key": b"k1", "value": b"v1"}
-    assert decoded.verify(b"secret")
+    assert decoded.verify(SECRET)
 
 
 def test_hmac_fails_with_wrong_key():
-    message = _message().sign(b"secret")
-    assert not message.verify(b"wrong")
+    message = _message().sign(SECRET)
+    assert not message.verify(HmacSha256(b"wrong"))
 
 
 def test_hmac_fails_after_body_tamper():
-    message = _message().sign(b"secret")
+    message = _message().sign(SECRET)
     message.body["value"] = b"evil"
-    assert not message.verify(b"secret")
+    assert not message.verify(SECRET)
 
 
 def test_hmac_covers_sequence():
-    message = _message().sign(b"secret")
+    message = _message().sign(SECRET)
     message.sequence = 99
-    assert not message.verify(b"secret")
+    assert not message.verify(SECRET)
 
 
 def test_bad_magic_rejected():
-    message = _message().sign(b"k")
+    message = _message().sign(SECRET)
     with pytest.raises(KineticError):
         Message.decode(b"X" + message.encode()[1:])
 
 
 def test_truncated_frame_rejected():
-    wire = _message().sign(b"k").encode()
+    wire = _message().sign(SECRET).encode()
     with pytest.raises(KineticError):
         Message.decode(wire[: len(wire) // 2])
 
