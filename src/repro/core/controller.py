@@ -149,16 +149,20 @@ def verify_attestation(statement: bytes, signature: bytes, public_key) -> dict:
 
 
 class _ViewMap:
-    """Lazy object-id → view mapping handed to the policy context."""
+    """Lazy object-id → view mapping handed to the policy context,
+    seeded with the metadata the request already holds for ``this``."""
 
-    def __init__(self, controller: "PesosController"):
+    def __init__(self, controller: "PesosController", this_id, this_meta):
         self._controller = controller
         self._views: dict = {}
+        self._this = this_id, this_meta
 
     def get(self, object_id: str):
         if object_id in self._views:
             return self._views[object_id]
-        meta = self._controller._get_meta(object_id)
+        this_id, meta = self._this
+        if object_id != this_id:
+            meta = self._controller._get_meta(object_id)
         view = None
         if meta is not None and meta.exists:
             view = StoreBackedView(
@@ -593,7 +597,7 @@ class PesosController:
         now: float,
         pending: VersionInfo | None = None,
     ) -> EvalContext:
-        exists = meta is not None and meta.exists
+        this_id = key if meta is not None and meta.exists else None
         # The context only writes its key registry while it iterates the
         # presented certificates: with none, the controller's own
         # registry and the request's (empty) list are shared, not copied.
@@ -601,10 +605,10 @@ class PesosController:
         return EvalContext(
             operation=operation,
             session_key=session.fingerprint,
-            this_id=key if exists else None,
+            this_id=this_id,
             log_id=request.log_key or key + LOG_SUFFIX,
             request_version=request.version,
-            objects=_ViewMap(self),
+            objects=_ViewMap(self, this_id, meta),
             pending=pending,
             certificates=list(presented) if presented else presented,
             key_registry=(
@@ -765,20 +769,21 @@ class PesosController:
             )
         cache_key = f"{request.key}@{version}"
         value = self.caches.get_object(cache_key)
-        if value is None and self.ssd_cache is not None:
-            value = self.ssd_cache.get(cache_key)
         if value is None:
-            # The content hash in the metadata record anchors the
-            # value: a lagging or replayed copy of an overwritten slot
-            # decrypts fine but cannot match.
-            value = self.store.read_value(
-                request.key,
-                version,
-                expect_sha256=meta.versions[version].content_hash,
-            )
             if self.ssd_cache is not None:
-                self.ssd_cache.put(cache_key, value)
-        self.caches.put_object(cache_key, value)
+                value = self.ssd_cache.get(cache_key)
+            if value is None:
+                # The content hash in the metadata record anchors the
+                # value: a lagging or replayed copy of an overwritten
+                # slot decrypts fine but cannot match.
+                value = self.store.read_value(
+                    request.key,
+                    version,
+                    expect_sha256=meta.versions[version].content_hash,
+                )
+                if self.ssd_cache is not None:
+                    self.ssd_cache.put(cache_key, value)
+            self.caches.put_object(cache_key, value)
         self.effects.record(COPY, len(value))
         return Response(
             status=200,

@@ -68,9 +68,13 @@ def test_sweep_is_byte_replayable():
 #: completions, all 200, none shed.  Re-pinned again (was
 #: ``48aa1c369300675f``) for the same reason when the engine's clock
 #: became derived from the calibrated constants (PR 22: capacity
-#: 6 598 -> 4 710); the other three did not move.
+#: 6 598 -> 4 710); the other three did not move.  Re-pinned once more
+#: (was ``88e64e0c416fda00``) when a cached GET stopped touching its
+#: object twice: the object region's eviction order shifts, so which
+#: GETs hit it does (not how many: 3 of 120), and at exactly 1x a few
+#: same-round pairs dispatch in the other order again.
 _PINNED_TRACES = {
-    (1.0, True): "88e64e0c416fda00",
+    (1.0, True): "fa4c033218217ce8",
     (1.0, False): "cbf8087d4d102e43",
     (4.0, True): "0d4d530476481a0a",
     (4.0, False): "cbf8087d4d102e43",

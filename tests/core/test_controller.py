@@ -291,6 +291,30 @@ def test_meta_cache_avoids_disk_reads(controller):
     assert "disk_read" not in {e[0] for e in controller.effects.drain()}
 
 
+def test_a_cached_get_touches_its_object_once(controller):
+    controller.put(ALICE, "hot", b"v")
+    before = controller.caches.objects.frequency("hot@0")
+    assert controller.get(ALICE, "hot").value == b"v"
+    assert controller.caches.objects.frequency("hot@0") == before + 1
+
+
+def test_a_get_from_the_drives_is_cached_once(controller):
+    controller.put(ALICE, "cold", b"v")
+    controller.caches.objects.clear()
+    assert controller.get(ALICE, "cold").value == b"v"
+    assert controller.caches.objects.frequency("cold@0") == 1
+
+
+def test_a_policy_reading_this_uses_the_requests_metadata(controller):
+    policy = controller.put_policy(
+        ALICE, "read :- objSays(this, V, 'ok'(1))\nupdate :- eq(1, 1)"
+    ).policy_id
+    controller.put(ALICE, "obj", b"'ok'(1)", policy_id=policy)
+    controller.effects.drain()
+    assert controller.get(ALICE, "obj").ok
+    assert controller.effects.drain().count(("cache_hit", "keys")) == 1
+
+
 def test_object_cache_serves_policy_eval_objects(controller):
     # §4.2: objects fetched during policy evaluation get cached.
     log_policy = controller.put_policy(

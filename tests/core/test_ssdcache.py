@@ -112,6 +112,20 @@ def test_controller_serves_reads_from_ssd(ssd_controller):
     assert "disk_read" not in {e[0] for e in controller.effects.drain()}
 
 
+def test_a_get_from_ssd_is_cached_once_then_hits_the_enclave(
+    ssd_controller,
+):
+    controller = ssd_controller
+    controller.put(ALICE, "obj", b"value")
+    controller.caches.objects.clear()
+    assert controller.get(ALICE, "obj").value == b"value"
+    assert controller.ssd_cache.stats.hits == 1
+    assert controller.caches.objects.frequency("obj@0") == 1
+    assert controller.get(ALICE, "obj").value == b"value"
+    assert controller.ssd_cache.stats.hits == 1  # the enclave served it
+    assert controller.caches.objects.frequency("obj@0") == 2
+
+
 def test_controller_falls_back_to_disk_on_ssd_tamper(ssd_controller):
     controller = ssd_controller
     controller.put(ALICE, "obj", b"value")
