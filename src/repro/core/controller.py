@@ -539,9 +539,10 @@ class PesosController:
     # ------------------------------------------------------------------
 
     def _get_meta(self, key: str) -> StoredMeta | None:
-        meta = self.caches.get_meta(key)
-        if meta is not None:
-            return meta
+        return self.caches.get_meta(key) or self._load_meta(key)
+
+    def _load_meta(self, key: str) -> StoredMeta | None:
+        """A keys-region miss: the SSD tier, then the drives."""
         if self.ssd_cache is not None:
             blob = self.ssd_cache.get(f"m:{key}")
             if blob is not None:
@@ -818,8 +819,9 @@ class PesosController:
         decisions = self.policy_engine.decisions
         #: (policy id, epoch) -> (policy hash, verdict), this request's
         verdicts: dict = {}
+        cached_meta = self.caches.get_meta
         for key in self.store.scan_keys(request.key, count):
-            meta = self._get_meta(key)
+            meta = cached_meta(key) or self._load_meta(key)
             if meta is None or not meta.exists:
                 # Deleted between the range listing and the meta read.
                 continue

@@ -745,21 +745,17 @@ class ObjectStore:
         while True:
             try:
                 page = self.clients[index].get_key_range(
-                    start_key=cursor,
-                    end_key=end_key,
-                    max_returned=page_size,
+                    start_key=cursor, end_key=end_key, max_returned=page_size,
                     start_inclusive=inclusive,
                 )
             except KineticError as exc:
                 # Unreachable, or a refusal or garbled reply for a page.
                 lost = isinstance(exc, (DriveOffline, TransientIOError))
                 self.health.record_failure(index)
-                self._m_replica_failures.labels(
-                    "offline" if lost else "corrupt"
-                ).inc()
+                self._m_replica_failures.labels("offline" if lost else "corrupt").inc()
                 return keys
             self.health.record_success(index)
-            self.effects.record(DISK_RANGE, index, sum(len(k) for k in page))
+            self.effects.record(DISK_RANGE, index, sum(map(len, page)))
             keys += page
             if limit is not None or len(page) < page_size:
                 return keys
@@ -774,15 +770,12 @@ class ObjectStore:
         Offline drives are skipped — whether the missing coverage
         matters is decided by the root comparison, not here.
         """
-        labels: set[str] = set()
-        for index in range(len(self.clients)):
-            for prefix, to_label in (
-                (b"m/", object_label),
-                (b"p/", policy_label),
-            ):
-                for disk_key in self._drive_keys(index, prefix, prefix):
-                    labels.add(to_label(disk_key[len(prefix):].decode()))
-        return sorted(labels)
+        return sorted({
+            to_label(disk_key[len(prefix):].decode())
+            for index in range(len(self.clients))
+            for prefix, to_label in ((b"m/", object_label), (b"p/", policy_label))
+            for disk_key in self._drive_keys(index, prefix, prefix)
+        })
 
     def scan_keys(self, start_key: str, count: int) -> list[str]:
         """Object keys >= ``start_key``, merged across the fleet.
@@ -799,9 +792,7 @@ class ObjectStore:
         if count < 1:
             return []
         found: set[bytes] = set()
-        with self.telemetry.span(
-            "kinetic.getkeyrange", key=start_key, count=count
-        ):
+        with self.telemetry.span("kinetic.getkeyrange", key=start_key, count=count):
             self.health.tick()
             for index in range(len(self.clients)):
                 if self.health.allow(index):

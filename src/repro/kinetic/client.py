@@ -252,18 +252,16 @@ class KineticClient:
         end_inclusive: bool = True,
         reverse: bool = False,
     ) -> list[bytes]:
-        response = self._roundtrip(
-            MessageType.GETKEYRANGE,
-            {
-                "start_key": start_key,
-                "end_key": end_key,
-                "max_returned": max_returned,
-                "start_inclusive": start_inclusive,
-                "end_inclusive": end_inclusive,
-                "reverse": reverse,
-            },
-        )
-        return response.body["keys"]
+        """A flag at the drive's default is left out of the request, as
+        protobuf leaves out a default-valued field."""
+        body = dict(start_key=start_key, end_key=end_key, max_returned=max_returned)
+        if not start_inclusive:
+            body["start_inclusive"] = start_inclusive
+        if not end_inclusive:
+            body["end_inclusive"] = end_inclusive
+        if reverse:
+            body["reverse"] = reverse
+        return self._roundtrip(MessageType.GETKEYRANGE, body).body["keys"]
 
     def set_security(self, accounts: list[tuple[str, bytes, Role]]) -> None:
         """Replace the drive's account table."""

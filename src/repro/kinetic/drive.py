@@ -46,10 +46,7 @@ class Role(enum.Flag):
 
     @classmethod
     def all(cls) -> "Role":
-        result = cls.READ
-        for role in cls:
-            result |= role
-        return result
+        return ~cls(0)
 
 
 @dataclass
@@ -276,21 +273,18 @@ class KineticDrive:
         body, keys = request.body, self._sorted_keys
         start = body.get("start_key", b"")
         end = body.get("end_key", b"\xff" * 32)
-        if body.get("start_inclusive", True):
-            lo = bisect.bisect_left(keys, start)
-        else:
-            lo = bisect.bisect_right(keys, start)
-        if body.get("end_inclusive", True):
-            hi = bisect.bisect_right(keys, end)
-        else:
-            hi = bisect.bisect_left(keys, end)
-        keys = keys[lo:hi]
+        left, right = bisect.bisect_left, bisect.bisect_right
+        lo = (left if body.get("start_inclusive", True) else right)(keys, start)
+        hi = (right if body.get("end_inclusive", True) else left)(keys, end)
+        # Copy only the window returned, not the rest of the range.
+        limit = body.get("max_returned", 200)
         if body.get("reverse"):
+            keys = keys[max(lo, hi - limit):hi]
             keys.reverse()
+        else:
+            keys = keys[lo:min(hi, lo + limit)]
         self.stats.range_scans += 1
-        return request.make_response(
-            StatusCode.SUCCESS, body={"keys": keys[: body.get("max_returned", 200)]}
-        )
+        return request.make_response(StatusCode.SUCCESS, body={"keys": keys})
 
     def _op_noop(self, request: Message) -> Message:
         return request.make_response(StatusCode.SUCCESS)
@@ -454,11 +448,10 @@ class KineticDrive:
 
     def _entries_put_raw(self, key: bytes, value: bytes, version: bytes) -> None:
         entry = self._entries.get(key)
-        delta = len(value) - (len(entry.value) if entry else 0)
         if entry is None:
             bisect.insort(self._sorted_keys, key)
+        self._used_bytes += len(value) - (len(entry.value) if entry else 0)
         self._entries[key] = _Entry(value=value, version=version)
-        self._used_bytes += delta
 
     def _op_getlog(self, request: Message) -> Message:
         return request.make_response(

@@ -30,7 +30,10 @@ A ``COMMIT`` request is the one multi-record write: its body is
 ``{"ops": [op, ...]}``, each :class:`Op` the list ``[key, value,
 db_version, new_version, force]`` (``value`` None: a DELETE;
 ``new_version`` None: the drive picks one).  One signed frame, so the
-drive authenticates once and applies every op or none.
+drive authenticates once and applies every op or none.  A
+``GETKEYRANGE`` request names ``start_inclusive``, ``end_inclusive``
+and ``reverse`` only off their defaults (true, true, false), as
+protobuf leaves out a default-valued field.
 
 The TLV encoding is also the at-rest format of compiled policies
 (whose SHA-256 is the policy id) and the five-field container of a
@@ -38,9 +41,10 @@ The TLV encoding is also the at-rest format of compiled policies
 field (docs/resilience.md, "At-rest formats"); the bytes of both are
 pinned by golden vectors in ``tests/kinetic/test_codec.py``.  Field-name
 prefixes are encoded once; byte strings under 16 KiB (a one- or two-byte
-length), None, bools and ints below 128 are written and read in line;
-every other value and every refusal takes the one general path.  Ints
-are unsigned 64-bit both ways.
+length), None, bools and ints below 128 are written and read in line,
+and a list of more than four byte strings of one length under 128 is
+read in bulk; every other value and every refusal takes the one general
+path.  Ints are unsigned 64-bit both ways.
 """
 
 from __future__ import annotations
@@ -236,6 +240,18 @@ def _read_values(data: bytes, pos: int, count: int, fields: dict | None = None):
     """``count`` list items, or named ``fields``, from ``pos``:
     ``(items or fields, next_pos)``; the general path decides the rest."""
     items, end, previous = [], len(data), None
+    if fields is None and count > 4 and pos + 1 < end and data[pos] == _TYPE_BYTES:
+        # Byte strings of one length under 128 (a GETKEYRANGE reply): the
+        # second head, then two stride comparisons check every head; one
+        # fixed-stride unpack (a small format per length) copies them out.
+        size = data[pos + 1]
+        stride = size + 2
+        stop = pos + stride * count
+        if (size < 0x80 and stop <= end and data[pos + stride + 1] == size
+                and data[pos + stride] == _TYPE_BYTES
+                and data[pos:stop:stride] == bytes((_TYPE_BYTES,)) * count
+                and data[pos + 1:stop:stride] == bytes((size,)) * count):
+            return [key for key, in struct.iter_unpack("2x%ds" % size, data[pos:stop])], stop
     for _ in range(count):
         if fields is not None:
             size, start = (data[pos], pos + 1) if pos < end else (0x80, pos)

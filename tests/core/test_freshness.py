@@ -19,10 +19,11 @@ from repro.core.freshness import (
     policy_label,
     record_digest,
 )
-from repro.core.store import ObjectStore, StoredMeta
+from repro.core.store import _RANGE_PAGE, ObjectStore, StoredMeta
 from repro.errors import ForkDetected, FreshnessError, StaleReplica
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.kinetic.protocol import MessageType
 from repro.telemetry import Telemetry, render_prometheus
 
 FP = "fp-freshness"
@@ -262,6 +263,38 @@ def test_trust_on_first_use_adopts_existing_fleet():
     assert len(authority.tree) == 2
     assert authority.tree.get(object_label("pre-existing")) is not None
     assert authority.tree.get(policy_label("pol-1")) is not None
+
+
+def test_rebuild_pages_every_label_past_two_range_pages(monkeypatch):
+    """Three drives with more than two ``GETKEYRANGE`` pages of ``m/``
+    and of ``p/`` keys each: the pager's exclusive cursor, the one flag
+    it sends off its default, carries the rebuild across every page."""
+    store, cluster = _store(replication=3)
+    count = 2 * _RANGE_PAGE + 17
+    for index in range(count):
+        store.store_version(StoredMeta(key=f"obj{index:04d}"), b"v", "")
+        store.write_policy(f"pol{index:04d}", b"blob")
+    flags = []
+    for drive in cluster.drives:
+        def handle(request, inner=drive.handle):
+            if request.message_type == MessageType.GETKEYRANGE:
+                flags.append(request.body.keys() - {
+                    "start_key", "end_key", "max_returned",
+                })
+            return inner(request)
+        monkeypatch.setattr(drive, "handle", handle)
+    authority = FreshnessAuthority(FreshnessEnvironment.ephemeral())
+    authority.bootstrap(store)
+    assert not authority.forked and authority.active
+    labels = [object_label(f"obj{index:04d}") for index in range(count)]
+    labels += [policy_label(f"pol{index:04d}") for index in range(count)]
+    assert len(authority.tree) == len(labels)
+    assert all(authority.tree.get(label) is not None for label in labels)
+    # Per drive and prefix: an inclusive first page, then two exclusive
+    # ones (200, 200 and 17 keys; the short one ends the range).
+    assert flags.count(set()) == 3 * 2
+    assert flags.count({"start_inclusive"}) == 3 * 2 * 2
+    assert len(flags) == 3 * 2 * 3
 
 
 def test_destroyed_pin_storage_is_a_fork():

@@ -167,14 +167,14 @@ def test_scan_reevaluates_when_the_epoch_moves_between_records(
     evaluated = _record_evaluations(controller, monkeypatch)
     assert _scan(controller, ALICE, keys[0], 6).extra["scanned"] == 6
     assert evaluated == keys[:1]
-    get_meta = controller._get_meta
+    get_meta = controller.caches.get_meta  # the loop's per-record seam
 
     def interleaved_put(key):
         if key == keys[3]:
             controller.policy_engine.advance_epoch()
         return get_meta(key)
 
-    monkeypatch.setattr(controller, "_get_meta", interleaved_put)
+    monkeypatch.setattr(controller.caches, "get_meta", interleaved_put)
     evaluated.clear()
     assert _scan(controller, BOB, keys[0], 6).extra == {
         "scanned": 0, "denied": 6,

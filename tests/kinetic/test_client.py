@@ -69,6 +69,45 @@ def test_key_range(client):
     assert client.get_key_range(b"a", b"c") == [b"a", b"b", b"c"]
 
 
+class _RecordingDrive(KineticDrive):
+    """A drive that keeps the body of every request it authenticates."""
+
+    def __init__(self, drive_id):
+        super().__init__(drive_id)
+        self.bodies = []
+
+    def handle(self, request):
+        self.bodies.append(dict(request.body))
+        return super().handle(request)
+
+
+@pytest.mark.parametrize(
+    "flag, default", [("start_inclusive", True), ("end_inclusive", True),
+                      ("reverse", False)],
+)
+def test_key_range_sends_a_flag_only_off_its_default(flag, default):
+    """As protobuf leaves out a default-valued field: the request names
+    a flag only when it differs, and the drive answers the same keys
+    whether a default is left out or spelled out."""
+    drive = _RecordingDrive("disk-0")
+    client = KineticClient(drive, identity="demo", hmac_key=KineticDrive.DEMO_KEY)
+    for key in (b"a", b"b", b"c", b"d"):
+        client.put(key, b"v")
+    for value in (default, not default):
+        drive.bodies.clear()
+        keys = client.get_key_range(b"a", b"d", 3, **{flag: value})
+        (body,) = drive.bodies
+        assert (flag in body) == (value != default)
+        assert body.keys() - {flag} == {"start_key", "end_key", "max_returned"}
+        spelled_out = client._roundtrip(
+            MessageType.GETKEYRANGE, {**body, flag: value}
+        ).body["keys"]
+        assert keys == spelled_out
+    assert client.get_key_range(b"a", b"d", start_inclusive=False,
+                                end_inclusive=False) == [b"b", b"c"]
+    assert client.get_key_range(b"a", b"d", 2, reverse=True) == [b"d", b"c"]
+
+
 def test_get_next_previous(client):
     for key in (b"a", b"c"):
         client.put(key, key)

@@ -60,7 +60,9 @@ def test_encoder_is_byte_identical_to_reference(fields):
 
 
 def test_encoder_rejects_what_the_reference_rejects():
-    for bad in ({"x": -1}, {"x": 1.5}, {"x": bytearray(b"b")}, {"x": [object()]}):
+    uniform_but_one = [b"abcd"] * 3 + [bytearray(b"abcd"), b"abcd"]
+    for bad in ({"x": -1}, {"x": 1.5}, {"x": bytearray(b"b")}, {"x": [object()]},
+                {"keys": uniform_but_one}):
         with pytest.raises(KineticError):
             reference_codec.encode_fields(bad)
         with pytest.raises(KineticError):
@@ -155,12 +157,106 @@ def _key_list(count: int, items: bytes) -> bytes:
                      "truncated field value", id="item-missing"),
         pytest.param(_key_list(1, b"\x01\x01a\x00"),
                      "1 bytes after the last field", id="trailing-byte"),
+        # Five items, one length: each defect sits after four good heads.
+        pytest.param(_key_list(5, b"\x01\x01a" * 4 + b"\x01\x01"),
+                     "field length 1 exceeds remaining payload 0",
+                     id="uniform-last-item-cut"),
+        pytest.param(_key_list(6, b"\x01\x01a" * 5),
+                     "truncated field value", id="uniform-item-missing"),
+        pytest.param(_key_list(5, b"\x01\x01a" * 4 + b"\x01\x81\x00a"),
+                     "non-minimal varint", id="uniform-non-minimal-length"),
+        pytest.param(_key_list(5, b"\x01\x01a" * 4 + b"\x09\x01a"),
+                     "unknown field type 9", id="uniform-unknown-type"),
+        pytest.param(_key_list(5, b"\x01\x01a" * 5 + b"\x00"),
+                     "1 bytes after the last field", id="uniform-trailing-byte"),
+        pytest.param(_key_list(5, (b"\x01\x85" + bytes(133)) * 5),
+                     "non-minimal varint", id="uniform-two-byte-lengths"),
     ],
 )
 def test_list_item_refusals_are_the_general_paths(blob, message):
     """Messages as the all-recursive decoder (88c1bf4) worded them."""
     with pytest.raises(WIRE_ERRORS, match=message):
         decode_fields(blob)
+
+
+# A list of more than four byte strings of one length under 128 (a
+# GETKEYRANGE reply) is read in bulk.  These lists sit on both sides of
+# each condition: 4 and 5 items, lengths 0, 127 and 128, and one
+# intruder of another length or type.
+_uniform_lists = st.tuples(
+    st.sampled_from([0, 1, 127, 128]), st.integers(4, 7)
+).flatmap(lambda shape: st.lists(
+    st.binary(min_size=shape[0], max_size=shape[0]),
+    min_size=shape[1], max_size=shape[1],
+))
+_intruders = st.one_of(
+    st.binary(max_size=130), st.text(max_size=3), st.integers(0, 300),
+    st.none(), st.just([b"ab"]),
+)
+
+
+@st.composite
+def _bulk_candidates(draw):
+    items = draw(_uniform_lists)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(items) - 1))
+        size = len(items[0])
+        items[at] = draw(st.one_of(_intruders, st.just("x" * size)))
+    return items
+
+
+def _general_refusal(blob: bytes) -> str:
+    """How ``_key_list``'s items, read one by one on the general path,
+    refuse ``blob`` (a header left whole)."""
+    try:
+        count, pos = protocol._read_varint(blob, 7, "field length")
+        for _ in range(count):
+            _, pos = protocol._read_value(blob, pos)
+    except WIRE_ERRORS as exc:
+        return str(exc)
+    return f"{len(blob) - pos} bytes after the last field"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bulk_candidates())
+def test_uniform_lists_match_the_reference_and_refuse_on_the_general_path(
+    items,
+):
+    fields = {"keys": items}
+    blob = encode_fields(fields)
+    assert blob == reference_codec.encode_fields(fields)
+    assert blob[:8] == _key_list(len(items), b"")
+    assert decode_fields(blob) == reference_codec.decode_fields(blob) == fields
+    for cut in range(len(blob)):
+        with pytest.raises(WIRE_ERRORS) as refused:
+            decode_fields(blob[:cut])
+        if cut >= 8:
+            assert str(refused.value) == _general_refusal(blob[:cut])
+            innermost = refused.tb
+            while innermost.tb_next is not None:
+                innermost = innermost.tb_next
+            assert innermost.tb_frame.f_code.co_name in {
+                "_read_value", "_read_varint", "decode_varint",
+            }
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        pytest.param([[b"k" * 8, b"v" * 8, b"d" * 8, b"n" * 8, True]],
+                     id="heads-alike-until-force"),
+        pytest.param([[b"k" * 8, b"v" * 300, b"", None, False]] * 3,
+                     id="value-of-another-length"),
+        pytest.param([[b"k" * 8] * 5], id="five-alike"),
+    ],
+)
+def test_commit_bodies_match_the_reference_at_every_cut(ops):
+    fields = {"ops": ops}
+    blob = encode_fields(fields)
+    assert blob == reference_codec.encode_fields(fields)
+    assert decode_fields(blob) == reference_codec.decode_fields(blob) == fields
+    for cut in range(len(blob)):
+        _assert_accepts_exactly_canonical(blob[:cut])
 
 
 # A byte string is written and read in line when its length varint has

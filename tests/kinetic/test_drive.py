@@ -1,6 +1,10 @@
 """Drive semantics: versioned puts, ranges, ACLs, security, P2P."""
 
+import bisect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.aead import HmacSha256
 from repro.errors import DriveOffline
@@ -146,6 +150,80 @@ def test_getkeyrange_reverse_and_limit(drive):
         )
     )
     assert response.body["keys"] == [b"d", b"c"]
+
+
+def _whole_range_then_cut(keys, body):
+    """GETKEYRANGE as the drive answered it before it bounded the copy:
+    the whole range, reversed if asked, then cut to ``max_returned``."""
+    start = body.get("start_key", b"")
+    end = body.get("end_key", b"\xff" * 32)
+    if body.get("start_inclusive", True):
+        lo = bisect.bisect_left(keys, start)
+    else:
+        lo = bisect.bisect_right(keys, start)
+    if body.get("end_inclusive", True):
+        hi = bisect.bisect_right(keys, end)
+    else:
+        hi = bisect.bisect_left(keys, end)
+    keys = keys[lo:hi]
+    if body.get("reverse"):
+        keys.reverse()
+    return keys[: body.get("max_returned", 200)]
+
+
+_short_keys = st.binary(min_size=1, max_size=2)
+_range_bodies = st.fixed_dictionaries(
+    {"start_key": _short_keys, "end_key": _short_keys},
+    optional={
+        # 0, 1, below and above the range size, and the default 200.
+        "max_returned": st.one_of(st.sampled_from([0, 1]), st.integers(0, 40)),
+        "start_inclusive": st.booleans(),
+        "end_inclusive": st.booleans(),
+        "reverse": st.booleans(),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_short_keys, unique=True, max_size=30), _range_bodies)
+def test_getkeyrange_answers_what_whole_range_slicing_answered(keys, body):
+    """Start past end, exclusive bounds, limits of 0 and 1 and around
+    the range size, both directions: the window is the old answer."""
+    drive = KineticDrive("disk-0")
+    for key in keys:
+        assert _put(drive, key, b"v").ok
+    response = drive.handle(_request(MessageType.GETKEYRANGE, body))
+    assert response.ok
+    assert response.body["keys"] == _whole_range_then_cut(sorted(keys), body)
+
+
+class _SliceWidths(list):
+    """A sorted key list that records the width of every slice taken."""
+
+    def __init__(self, keys):
+        super().__init__(keys)
+        self.widths = []
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.widths.append(len(range(*index.indices(len(self)))))
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("limit", [0, 1, 7, 50])
+def test_getkeyrange_copies_no_more_than_it_returns(drive, reverse, limit):
+    for index in range(300):
+        _put(drive, b"m/%04d" % index, b"v")
+    drive._sorted_keys = _SliceWidths(drive._sorted_keys)
+    response = drive.handle(_request(
+        MessageType.GETKEYRANGE,
+        {"start_key": b"m/0100", "end_key": b"m/\xff", "max_returned": limit,
+         "reverse": reverse},
+    ))
+    assert len(response.body["keys"]) == limit
+    assert drive._sorted_keys.widths
+    assert max(drive._sorted_keys.widths) <= limit
 
 
 def test_getnext_getprevious(drive):
