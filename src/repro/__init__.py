@@ -29,7 +29,7 @@ Package map:
 - :mod:`repro.policy` — the declarative policy language + engine.
 - :mod:`repro.kinetic` — Kinetic drives, protocol, client library.
 - :mod:`repro.sgx` — shielded execution: attestation, EPC, syscalls.
-- :mod:`repro.crypto` — AES-GCM, RSA, certificates, secure channels.
+- :mod:`repro.crypto` — one AEAD, RSA, certificates, secure channels.
 - :mod:`repro.usecases` — content server, time capsules, versioned
   storage, mandatory access logging (§5).
 - :mod:`repro.ycsb` — workload generation (§6.1).

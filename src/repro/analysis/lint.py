@@ -32,13 +32,13 @@ suite depends on but cannot easily assert:
     broad handler in ``core/`` that only re-raises is flagged as a
     *warning* so each one carries a written justification pragma.
 ``crypto-nonce-reuse``
-    Every AEAD/GCM ``seal``/``encrypt`` call's nonce argument must be
+    Every AEAD ``seal``/``encrypt`` call's nonce argument must be
     visibly fresh: ``secrets.token_bytes(...)``, a monotonic-counter
     ``.to_bytes(...)`` derivation, a nonce-derivation helper call, or
     a pass-through ``nonce`` parameter of an enclosing wrapper.  A
     constant, reused attribute, or anything else repeats (key, nonce)
-    pairs — which breaks GCM catastrophically (key recovery, not just
-    one lost message).
+    pairs — which reuses the keystream, and XORing two ciphertexts
+    then yields the XOR of their plaintexts.
 ``telemetry-label-cardinality``
     ``.labels(...)`` arguments must be bounded: no f-strings,
     ``%``/``.format`` formatting, or values named after unbounded
@@ -519,7 +519,7 @@ class _Visitor(ast.NodeVisitor):
             "crypto-nonce-reuse",
             node,
             f".{func.attr}() nonce is not visibly fresh: a repeated "
-            "(key, nonce) pair breaks GCM outright; use "
+            "(key, nonce) pair reuses the keystream; use "
             "secrets.token_bytes(), a monotonic counter's .to_bytes(), "
             "or a nonce-derivation helper",
         )

@@ -194,7 +194,10 @@ class TaintRegistry:
 
 #: Receivers that identify an AEAD primitive in this codebase.
 _AEAD_RECEIVERS = frozenset(
-    {"aead", "gcm", "_aead", "_gcm", "_recv_gcm", "_send_gcm"}
+    {
+        "aead", "gcm", "_aead", "_gcm", "_recv_gcm", "_send_gcm",
+        "_recv_aead", "_send_aead",
+    }
 )
 
 #: Receivers that identify a raw Kinetic drive client.
@@ -213,7 +216,7 @@ DEFAULT_REGISTRY = TaintRegistry(
             method="decrypt",
             kind=KIND_PLAINTEXT,
             receiver_hints=_AEAD_RECEIVERS,
-            reason="AES decrypt() returns raw plaintext blocks",
+            reason="a cipher's decrypt() returns raw plaintext",
         ),
         CallSource(
             method="unseal",

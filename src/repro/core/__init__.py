@@ -8,7 +8,7 @@ lives here, in one layer, exactly as the paper argues it should:
 - :mod:`repro.core.cache` — the bounded in-enclave cache regions (§4.2).
 - :mod:`repro.core.asyncapi` — the asynchronous operation API (§4.1).
 - :mod:`repro.core.store` — the object store over Kinetic drives:
-  versioned layout, AES-GCM-style payload encryption, replication
+  versioned layout, AEAD payload encryption, replication
   placement (§4.5).
 - :mod:`repro.core.txn` — the per-key lock table and VLL-based ACID
   transactions (§4.4).

@@ -2,32 +2,29 @@
 
 Pesos relies on OpenSSL for TLS, AES-GCM object encryption, and X.509
 client/disk identities.  This package provides functionally equivalent
-pure-Python primitives:
+primitives:
 
-- :mod:`repro.crypto.aes` — the AES block cipher (FIPS-197).
-- :mod:`repro.crypto.gcm` — AES-GCM authenticated encryption (SP 800-38D).
+- :mod:`repro.crypto.aead` — the one sealing construction (SHAKE256
+  stream + HMAC-SHA256) for objects, enclave-sealed state, attestation
+  responses and channel records.
 - :mod:`repro.crypto.rsa` — RSA keygen and PKCS#1 v1.5 signatures.
 - :mod:`repro.crypto.certs` — certificates with chains and CA verification.
 - :mod:`repro.crypto.channel` — a mutually-authenticated secure channel
   (the TLS stand-in used between clients, the controller, and drives).
 
-Pure Python is slow in wall-clock terms; benchmark experiments charge
-crypto cost in *virtual* time while the functional data path really
-encrypts, so confidentiality-relevant behaviour is always exercised.
+Benchmark experiments charge AES-GCM on AES-NI in *virtual* time
+(:mod:`repro.sgx.costs`) while the functional path really seals with
+the AEAD above, so confidentiality-relevant behaviour is always
+exercised.
 """
 
-from repro.crypto.aes import AES
 from repro.crypto.certs import Certificate, CertificateAuthority, KeyPair
-from repro.crypto.gcm import AesGcm, GcmTagError
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 from repro.crypto.channel import SecureChannel, establish_channel
 
 __all__ = [
-    "AES",
-    "AesGcm",
     "Certificate",
     "CertificateAuthority",
-    "GcmTagError",
     "KeyPair",
     "RsaPrivateKey",
     "RsaPublicKey",

@@ -1,10 +1,11 @@
-"""Fast authenticated encryption for the object data path.
+"""The one sealing construction: objects, enclave state, channel records.
 
-Pesos encrypts every object with AES-GCM before it reaches a drive.
-Our AES-GCM (:mod:`repro.crypto.gcm`) is pure Python and therefore too
-slow for benchmark workloads that push 100k objects through the
-functional data path.  :class:`StreamAead` provides the same interface
-and guarantees — confidentiality plus integrity with associated data —
+Pesos encrypts every object, its enclave-sealed state and its TLS
+records with AES-GCM before they leave the enclave.  The standard
+library has no AES, and a pure-Python one is too slow for workloads
+that push 100k objects through the functional data path, so
+:class:`StreamAead` gives the same guarantees — confidentiality plus
+integrity with associated data, a 12-byte nonce and a 16-byte tag —
 built from hash primitives that run at C speed in the standard library:
 
 - keystream: ``SHAKE256(enc_key || nonce)`` squeezed to the plaintext's
@@ -17,11 +18,9 @@ built from hash primitives that run at C speed in the standard library:
 This is at-rest format v2 ("At-rest formats" in docs/resilience.md).
 The two keys are derived under labels the earlier SHA-256-CTR
 construction never used, so a blob it sealed fails its tag here: a
-corrupt replica, never plaintext noise.
-
-Literal AES-GCM stays where throughput does not matter: the secure
-channel, attestation and pin sealing use :class:`repro.crypto.gcm
-.AesGcm`, which has the same ``seal``/``open`` interface.
+corrupt replica, never plaintext noise.  Enclave-sealed state (the
+freshness pin) and attestation responses use the same construction
+under their own keys, as do :mod:`repro.crypto.channel` records.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ module implements the equivalent protocol with our own primitives:
    produces a shared secret; each side signs the handshake transcript
    with its long-term RSA key (a SIGMA-style handshake), preventing
    man-in-the-middle attacks.
-4. Both sides derive directional AES-GCM record keys via HKDF-SHA256.
+4. Both sides derive directional record keys via HKDF-SHA256; records
+   are sealed with the data path's AEAD (:class:`StreamAead`).
 
-Records carry a sequence number used as the GCM nonce, giving replay
+Records carry a sequence number used as the AEAD nonce, giving replay
 protection and enforcing in-order delivery.
 """
 
@@ -21,9 +22,8 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 
-from repro.crypto.aead import HmacSha256
+from repro.crypto.aead import HmacSha256, StreamAead
 from repro.crypto.certs import Certificate, KeyPair, TrustStore
-from repro.crypto.gcm import AesGcm
 from repro.errors import CertificateError, IntegrityError
 
 # RFC 3526 MODP group 14 (2048-bit) prime; generator 2.
@@ -68,7 +68,7 @@ class HandshakeMessage:
 
 
 class SecureChannel:
-    """One endpoint of an established channel: GCM records + sequencing."""
+    """One endpoint of an established channel: AEAD records + sequencing."""
 
     def __init__(
         self,
@@ -77,8 +77,8 @@ class SecureChannel:
         peer_certificate: Certificate,
         local_certificate: Certificate,
     ):
-        self._send_gcm = AesGcm(send_key)
-        self._recv_gcm = AesGcm(recv_key)
+        self._send_aead = StreamAead(send_key)
+        self._recv_aead = StreamAead(recv_key)
         self._send_seq = 0
         self._recv_seq = 0
         self.peer_certificate = peer_certificate
@@ -95,7 +95,7 @@ class SecureChannel:
         """Protect ``plaintext`` into a record blob."""
         nonce = self._send_seq.to_bytes(12, "big")
         self._send_seq += 1
-        record = self._send_gcm.seal(nonce, plaintext, aad)
+        record = self._send_aead.seal(nonce, plaintext, aad)
         self.bytes_sent += len(record)
         return record
 
@@ -103,7 +103,7 @@ class SecureChannel:
         """Open the next record; raises on tamper, replay, or reorder."""
         nonce = self._recv_seq.to_bytes(12, "big")
         self._recv_seq += 1
-        plaintext = self._recv_gcm.open(nonce, record, aad)
+        plaintext = self._recv_aead.open(nonce, record, aad)
         self.bytes_received += len(record)
         return plaintext
 

@@ -23,7 +23,7 @@ import json
 import secrets
 from dataclasses import dataclass
 
-from repro.crypto.gcm import AesGcm
+from repro.crypto.aead import StreamAead
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 from repro.errors import AttestationError, CryptoError
 from repro.sgx.enclave import Enclave, EnclaveBinary
@@ -125,7 +125,7 @@ class AttestationService:
     def attest(self, quote: Quote, response_key: bytes) -> bytes:
         """Verify ``quote``; return secrets sealed under ``response_key``.
 
-        ``response_key`` is a 16-byte AES key whose SHA-256 the enclave
+        ``response_key`` is a 16-byte AEAD key whose SHA-256 the enclave
         placed in the quote's report data, binding the response to the
         attested enclave.  Raises :class:`AttestationError` otherwise.
         """
@@ -149,7 +149,7 @@ class AttestationService:
         self._log(quote, "ok")
         nonce = secrets.token_bytes(12)
         payload = json.dumps(registration.secrets).encode()
-        return nonce + AesGcm(response_key).seal(nonce, payload)
+        return nonce + StreamAead(response_key).seal(nonce, payload)
 
     @staticmethod
     def open_provisioned(blob: bytes, response_key: bytes) -> dict:
@@ -158,7 +158,7 @@ class AttestationService:
             raise AttestationError("provisioning blob truncated")
         nonce, sealed = blob[:12], blob[12:]
         try:
-            return json.loads(AesGcm(response_key).open(nonce, sealed))
+            return json.loads(StreamAead(response_key).open(nonce, sealed))
         except CryptoError as exc:
             raise AttestationError("cannot decrypt provisioning blob") from exc
 

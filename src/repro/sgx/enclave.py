@@ -16,7 +16,7 @@ import hashlib
 import secrets
 from dataclasses import dataclass, field
 
-from repro.crypto.gcm import AesGcm
+from repro.crypto.aead import StreamAead
 from repro.errors import AttestationError, CryptoError
 
 
@@ -100,13 +100,14 @@ class Enclave:
         self._sealing_key = hashlib.sha256(
             self.platform_root_key + bytes.fromhex(self.measurement)
         ).digest()[:16]
+        self._aead = StreamAead(self._sealing_key)
 
     # -- sealing ----------------------------------------------------------
 
     def seal(self, data: bytes) -> bytes:
         """Encrypt ``data`` so only this enclave identity can recover it."""
         nonce = secrets.token_bytes(12)
-        return nonce + AesGcm(self._sealing_key).seal(nonce, data)
+        return nonce + self._aead.seal(nonce, data)
 
     def unseal(self, blob: bytes) -> bytes:
         """Recover sealed data; fails for a different measurement."""
@@ -114,7 +115,7 @@ class Enclave:
             raise AttestationError("sealed blob truncated")
         nonce, payload = blob[:12], blob[12:]
         try:
-            return AesGcm(self._sealing_key).open(nonce, payload)
+            return self._aead.open(nonce, payload)
         except CryptoError as exc:
             raise AttestationError(
                 "unseal failed: data sealed by a different enclave"

@@ -15,8 +15,9 @@ line — plus the commit-frame variant of the drive write, which only
 reaches the drive through a deferred call two functions down, the
 HTTP error-header variant, the scrape-time variant of the metric
 label, where the value is read by a callable handed to
-``telemetry.derived`` rather than passed to ``.labels()``, and a span
-attribute carrying an HMAC's precomputed pad state).
+``telemetry.derived`` rather than passed to ``.labels()``, a span
+attribute carrying an HMAC's precomputed pad state, and an opened
+secure-channel record in an exception message).
 """
 
 import shutil
@@ -32,6 +33,8 @@ STORE = "core/store.py"
 CLIENT = "kinetic/client.py"
 CONTROLLER = "core/controller.py"
 WEBSERVER = "core/webserver.py"
+CHANNEL = "crypto/channel.py"
+CHANNEL_OPEN = "        plaintext = self._recv_aead.open(nonce, record, aad)\n"
 
 
 def mutate(tmp_path: Path, rel_path: str, old: str, new: str) -> Path:
@@ -232,6 +235,22 @@ def test_plaintext_exception_message_detected(tmp_path):
     )
 
 
+def test_channel_record_in_exception_message_detected(tmp_path):
+    # Quoting an opened channel record: the receiving AEAD is a
+    # SecureChannel attribute, so its name must be an AEAD receiver.
+    root = mutate(
+        tmp_path,
+        CHANNEL,
+        CHANNEL_OPEN,
+        CHANNEL_OPEN
+        + "        if not plaintext:\n"
+        '            raise IntegrityError(f"empty record {plaintext!r}")\n',
+    )
+    assert "taint/exception-message" in rules_in(
+        analyze_package(root), CHANNEL
+    )
+
+
 def test_plaintext_log_line_detected(tmp_path):
     # Debug print of the value on the write path.
     root = mutate(
@@ -300,6 +319,7 @@ def test_mutated_tree_reports_only_the_mutation(tmp_path):
         (CONTROLLER, GET_RESPONSE),
         (WEBSERVER, "unknown admin path"),
         (SSDCACHE, ENCLAVE_BYTES_READER),
+        (CHANNEL, CHANNEL_OPEN),
     ],
 )
 def test_anchors_still_exist(rel_path, anchor):

@@ -4,8 +4,7 @@ import pytest
 
 from repro.crypto.channel import establish_channel
 from repro.crypto.certs import CertificateAuthority, TrustStore
-from repro.crypto.gcm import GcmTagError
-from repro.errors import CertificateError
+from repro.errors import CertificateError, IntegrityError
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +31,8 @@ def test_records_are_ordered(alice, bob, trust_store):
     client, server = establish_channel(alice, bob, trust_store, trust_store)
     first = client.send(b"one")
     second = client.send(b"two")
-    # Delivering out of order fails the GCM check (nonce = sequence).
-    with pytest.raises(GcmTagError):
+    # Delivering out of order fails the tag check (nonce = sequence).
+    with pytest.raises(IntegrityError):
         server.recv(second)
 
 
@@ -41,7 +40,7 @@ def test_replay_rejected(alice, bob, trust_store):
     client, server = establish_channel(alice, bob, trust_store, trust_store)
     record = client.send(b"once")
     assert server.recv(record) == b"once"
-    with pytest.raises(GcmTagError):
+    with pytest.raises(IntegrityError):
         server.recv(record)
 
 
@@ -49,8 +48,15 @@ def test_tampered_record_rejected(alice, bob, trust_store):
     client, server = establish_channel(alice, bob, trust_store, trust_store)
     record = bytearray(client.send(b"payload"))
     record[0] ^= 0xFF
-    with pytest.raises(GcmTagError):
+    with pytest.raises(IntegrityError):
         server.recv(bytes(record))
+
+
+def test_record_with_wrong_aad_rejected(alice, bob, trust_store):
+    client, server = establish_channel(alice, bob, trust_store, trust_store)
+    record = client.send(b"payload", b"hdr")
+    with pytest.raises(IntegrityError):
+        server.recv(record, b"other hdr")
 
 
 def test_untrusted_client_rejected(bob, trust_store):

@@ -1,6 +1,7 @@
 """Remote attestation: genuine flows and every failure path."""
 
 import hashlib
+import json
 import secrets
 
 import pytest
@@ -98,3 +99,35 @@ def test_audit_log_records_outcomes(service, platform):
 def test_truncated_blob_rejected():
     with pytest.raises(AttestationError):
         AttestationService.open_provisioned(b"x", b"k" * 16)
+
+
+def _provisioning_blob(service, platform):
+    response_key = secrets.token_bytes(16)
+    quote = platform.quote(
+        platform.launch(BINARY), hashlib.sha256(response_key).digest()
+    )
+    return service.attest(quote, response_key), response_key
+
+
+@pytest.mark.parametrize(
+    "offset", [0, 11, 12, -17, -16, -1], ids=lambda o: f"byte{o}"
+)
+def test_flipped_byte_in_provisioning_blob_refused(service, platform, offset):
+    blob, response_key = _provisioning_blob(service, platform)
+    tampered = bytearray(blob)
+    tampered[offset] ^= 1
+    with pytest.raises(AttestationError):
+        AttestationService.open_provisioned(bytes(tampered), response_key)
+
+
+@pytest.mark.parametrize("size", [0, 11, 12, 27])
+def test_short_provisioning_blob_is_an_attestation_error(size):
+    with pytest.raises(AttestationError):
+        AttestationService.open_provisioned(bytes(size), b"k" * 16)
+
+
+def test_provisioning_blob_is_nonce_plus_payload_plus_tag(service, platform):
+    blob, response_key = _provisioning_blob(service, platform)
+    payload = json.dumps(SECRETS).encode()
+    assert len(blob) == 12 + len(payload) + 16
+    assert AttestationService.open_provisioned(blob, response_key) == SECRETS

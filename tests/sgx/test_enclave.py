@@ -55,6 +55,41 @@ def test_unseal_truncated_blob():
         _enclave().unseal(b"short")
 
 
+@pytest.mark.parametrize(
+    "offset", [0, 11, 12, -17, -16, -1], ids=lambda o: f"byte{o}"
+)
+def test_unseal_refuses_a_flipped_byte(offset):
+    """Nonce (bytes 0-11), ciphertext and tag (last 16) are all bound."""
+    blob = bytearray(_enclave().seal(b"pin state payload"))
+    blob[offset] ^= 1
+    with pytest.raises(AttestationError):
+        _enclave().unseal(bytes(blob))
+
+
+@pytest.mark.parametrize("size", [0, 11, 12, 27])
+def test_unseal_refuses_short_blobs_as_attestation_errors(size):
+    """Shorter than nonce + tag: never a bare IntegrityError."""
+    with pytest.raises(AttestationError):
+        _enclave().unseal(bytes(size))
+
+
+@pytest.mark.parametrize("size", [0, 1, 27, 300])
+def test_sealed_size_is_nonce_plus_payload_plus_tag(size):
+    assert len(_enclave().seal(bytes(size))) == 12 + size + 16
+
+
+def test_seal_from_the_aes_gcm_construction_is_foreign():
+    """``b'{"counter": 7}'`` sealed by this enclave identity with the
+    AES-GCM construction the enclave used before: there is no reader
+    for it, so it fails closed like any foreign seal."""
+    aes_gcm_seal = bytes.fromhex(
+        "000102030405060708090a0b9525f3e1c3557eb70a055797339298e15c5ff73d"
+        "653dec339a020f4021ab"
+    )
+    with pytest.raises(AttestationError):
+        _enclave().unseal(aes_gcm_seal)
+
+
 def test_bad_root_key_rejected():
     with pytest.raises(CryptoError):
         Enclave(binary=BINARY, platform_root_key=b"short")
