@@ -148,10 +148,12 @@ def freshness_overhead(
     shrinks as objects grow.
     """
     from repro.core.effects import DECRYPT, ENCRYPT, EffectsRecorder
-    from repro.core.freshness import FreshnessAuthority, FreshnessEnvironment
+    from repro.core.freshness import FreshnessAuthority
     from repro.core.store import ObjectStore, StoredMeta
     from repro.kinetic.cluster import DriveCluster
     from repro.kinetic.drive import KineticDrive
+    from repro.sgx.attestation import SgxPlatform
+    from repro.sgx.enclave import EnclaveBinary
 
     def build(with_freshness: bool):
         cluster = DriveCluster(num_drives=3)
@@ -167,7 +169,10 @@ def freshness_overhead(
         )
         authority = None
         if with_freshness:
-            authority = FreshnessAuthority(FreshnessEnvironment.ephemeral())
+            enclave = SgxPlatform("bench-host").launch(
+                EnclaveBinary("pesos", b"bench controller")
+            )
+            authority = FreshnessAuthority(enclave)
             authority.bootstrap(store)
             store.freshness = authority
         return store, effects, authority

@@ -12,7 +12,9 @@ deployment flow — launch the enclave, remotely attest against the
 attestation service to receive runtime secrets, connect to every
 configured Kinetic drive with the factory credentials, and take
 exclusive control by replacing all drive accounts with a single
-controller-only admin identity.
+controller-only admin identity.  It is also the restart: drives that
+reject the factory account are ours already, and with freshness on
+every boot checks the fleet against the platform's pin.
 """
 
 from __future__ import annotations
@@ -36,13 +38,15 @@ from repro.core.effects import (
 )
 from repro.core.request import METHOD_TABLE, Request, Response, error_response
 from repro.core.session import Session, SessionManager
-from repro.core.freshness import FreshnessAuthority, FreshnessEnvironment
+from repro.core.freshness import FreshnessAuthority, pin_new_fleet
 from repro.core.ssdcache import SsdCacheTier
 from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
 from repro.core.txn import Transaction, VllManager
 from repro.errors import (
+    ConfigurationError,
     ForkDetected,
     IntegrityError,
+    KineticAuthError,
     ObjectNotFound,
     PesosError,
     PolicyDenied,
@@ -100,9 +104,10 @@ class ControllerConfig:
     #: pinned by a sealed monotonic counter
     #: (:mod:`repro.core.freshness`): reads verify Merkle proofs
     #: instead of trusting replica version numbers, and startup
-    #: refuses to serve after fork detection.  Implied by passing a
-    #: ``freshness_env`` to the controller.  Set by the wall benchmark
-    #: (``a_fresh``); the ROADMAP's one-trust-path item removes it.
+    #: refuses to serve after fork detection.  Needs the controller's
+    #: ``enclave``, whose platform keeps the counter and the pin.  Set
+    #: by the wall benchmark (``a_fresh``); the ROADMAP's
+    #: one-trust-path item removes it.
     freshness_enabled: bool = False
     # -- kept only because the seeded chaos suites (the correctness
     # oracle) record outcomes against their values ----------------------
@@ -148,6 +153,15 @@ def verify_attestation(statement: bytes, signature: bytes, public_key) -> dict:
     return json.loads(statement)
 
 
+def _accepts(client) -> bool:
+    """Whether the drive still knows the client's identity."""
+    try:
+        client.noop()
+    except KineticAuthError:
+        return False
+    return True
+
+
 class _ViewMap:
     """Lazy object-id → view mapping handed to the policy context,
     seeded with the metadata the request already holds for ``this``."""
@@ -184,7 +198,7 @@ class PesosController:
         effects: EffectsRecorder | None = None,
         signing_keys=None,
         telemetry=None,
-        freshness_env=None,
+        enclave=None,
     ):
         self.config = config or ControllerConfig()
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -229,10 +243,11 @@ class PesosController:
         #: never attached to the store — the request gate refuses
         #: service before any read happens.
         self.freshness = None
-        if self.config.freshness_enabled or freshness_env is not None:
-            env = freshness_env or FreshnessEnvironment.ephemeral()
+        if self.config.freshness_enabled:
+            if enclave is None:
+                raise ConfigurationError("freshness needs the enclave")
             self.freshness = FreshnessAuthority(
-                env, telemetry=self.telemetry, auditor=self.auditor
+                enclave, telemetry=self.telemetry, auditor=self.auditor
             )
             self.freshness.bootstrap(self.store)
             if not self.freshness.forked:
@@ -308,6 +323,7 @@ class PesosController:
         telemetry=None,
     ) -> "PesosController":
         """Full §3.1 bootstrap: attest, connect, lock out everyone else."""
+        config = config or ControllerConfig()
         enclave = platform.launch(binary)
         provided = attest_and_provision(attestation_service, platform, enclave)
         storage_key = bytes.fromhex(provided["storage_key"])
@@ -315,12 +331,19 @@ class PesosController:
         admin_key = bytes.fromhex(provided["disk_hmac_key"])
 
         # Connect with factory credentials, then atomically replace the
-        # account table with our single admin account on every drive —
-        # locking out all other users, including the cloud provider.
-        factory_clients = cluster.connect_all(
-            KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
-        )
-        for client in factory_clients:
+        # account table with our single admin account on every drive
+        # still on them — locking out all other users, including the
+        # cloud provider.  A fleet taken over whole is new: pin it empty.
+        factory = [
+            client
+            for client in cluster.connect_all(
+                KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
+            )
+            if _accepts(client)
+        ]
+        if config.freshness_enabled and len(factory) == len(cluster):
+            pin_new_fleet(enclave)
+        for client in factory:
             # Provisioning the drive's account table necessarily sends
             # the admin HMAC credential over the wire: this is the
             # Kinetic security-setup protocol itself (done once, under
@@ -334,6 +357,7 @@ class PesosController:
             config=config,
             authority_keys=authority_keys,
             telemetry=telemetry,
+            enclave=enclave,
         )
 
     # ------------------------------------------------------------------

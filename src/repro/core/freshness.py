@@ -17,11 +17,12 @@ key-value stores rooted in an enclave:
   tree lives in enclave memory and supports membership and absence
   proofs against its root.
 - A **sealed, monotonically-advancing pin**: every metadata mutation
-  advances a :class:`repro.sgx.enclave.MonotonicCounter` and persists
-  ``seal(root_hash ‖ counter ‖ pending)`` to untrusted storage
-  (:class:`PinStore`).  The hardware counter survives restarts, so a
-  replayed sealed pin (correctly sealed, but stale) is caught by a
-  counter mismatch.
+  advances the platform's :class:`repro.sgx.enclave.MonotonicCounter`
+  and stores ``seal(root_hash ‖ counter ‖ pending)``, sealed by the
+  controller's own enclave, in the platform's untrusted ``pin_slot``
+  (:class:`repro.sgx.attestation.SgxPlatform`).  Counter and slot
+  outlive the enclave, so a replayed sealed pin (correctly sealed, but
+  stale) is caught by a counter mismatch at the next launch.
 - **Verified reads**: the store asks :meth:`FreshnessAuthority
   .acceptable` for the pinned leaf digest (a proof generated from the
   tree and verified against the pinned root); replicas whose record
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     AttestationError,
@@ -63,7 +64,7 @@ from repro.errors import (
     KineticError,
     TransientIOError,
 )
-from repro.sgx.enclave import Enclave, EnclaveBinary, MonotonicCounter
+from repro.sgx.enclave import Enclave
 from repro.telemetry import NULL_TELEMETRY
 
 #: Label prefixes in the authenticated dictionary.
@@ -83,13 +84,12 @@ def policy_label(policy_id: str) -> str:
     return LABEL_POLICY + policy_id
 
 
-def record_digest(plain: bytes) -> str:
-    """Leaf digest of one plaintext metadata record."""
-    return hashlib.sha256(plain).hexdigest()
-
-
 def _h(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+#: Leaf digest of one plaintext metadata record.
+record_digest = _h
 
 
 def _empty_hashes() -> list[str]:
@@ -136,16 +136,12 @@ class MerkleTree:
         self._digests: dict[str, str] = {}
         self._buckets: dict[int, list[str]] = {}
         self._nodes: dict[tuple[int, int], str] = {}
-        #: SHA-256 invocations and bytes digested, for the
-        #: deterministic overhead bench (crypto work, not wall time).
-        self.hash_ops = 0
+        #: Bytes digested, for the deterministic overhead bench (crypto
+        #: work, not wall time).
         self.hash_bytes = 0
 
     def __len__(self) -> int:
         return len(self._digests)
-
-    def labels(self) -> list[str]:
-        return sorted(self._digests)
 
     @staticmethod
     def slot_of(label: str) -> int:
@@ -183,24 +179,26 @@ class MerkleTree:
     # -- hashing ----------------------------------------------------------
 
     def _hash(self, data: bytes) -> str:
-        self.hash_ops += 1
         self.hash_bytes += len(data)
         return _h(data)
 
-    def _bucket_hash(self, slot: int) -> str:
-        labels = self._buckets.get(slot)
-        if not labels:
-            return _EMPTY[TREE_DEPTH]
-        body = "\n".join(
-            f"{label}={self._digests[label]}" for label in labels
+    def _items(self, slot: int) -> tuple:
+        return tuple(
+            (name, self._digests[name])
+            for name in self._buckets.get(slot, ())
         )
+
+    def _bucket_hash(self, items: tuple) -> str:
+        if not items:
+            return _EMPTY[TREE_DEPTH]
+        body = "\n".join(f"{name}={digest}" for name, digest in items)
         return self._hash(b"bucket:" + body.encode())
 
     def _node(self, level: int, index: int) -> str:
         return self._nodes.get((level, index), _EMPTY[level])
 
     def _update_path(self, slot: int) -> None:
-        digest = self._bucket_hash(slot)
+        digest = self._bucket_hash(self._items(slot))
         index = slot
         for level in range(TREE_DEPTH, 0, -1):
             if digest == _EMPTY[level]:
@@ -208,14 +206,8 @@ class MerkleTree:
             else:
                 self._nodes[(level, index)] = digest
             sibling = self._node(level, index ^ 1)
-            if index & 1:
-                digest = self._hash(
-                    bytes.fromhex(sibling) + bytes.fromhex(digest)
-                )
-            else:
-                digest = self._hash(
-                    bytes.fromhex(digest) + bytes.fromhex(sibling)
-                )
+            pair = sibling + digest if index & 1 else digest + sibling
+            digest = self._hash(bytes.fromhex(pair))
             index >>= 1
         if digest == _EMPTY[0]:
             self._nodes.pop((0, 0), None)
@@ -227,10 +219,7 @@ class MerkleTree:
     def prove(self, label: str) -> FreshnessProof:
         """Membership (or absence) proof for ``label``."""
         slot = self.slot_of(label)
-        items = tuple(
-            (name, self._digests[name])
-            for name in self._buckets.get(slot, [])
-        )
+        items = self._items(slot)
         siblings = []
         index = slot
         for level in range(TREE_DEPTH, 0, -1):
@@ -253,23 +242,11 @@ class MerkleTree:
                 f"proof slot {proof.slot} does not match label "
                 f"{proof.label!r}"
             )
-        if proof.items:
-            body = "\n".join(
-                f"{name}={digest}" for name, digest in proof.items
-            )
-            digest = self._hash(b"bucket:" + body.encode())
-        else:
-            digest = _EMPTY[TREE_DEPTH]
+        digest = self._bucket_hash(proof.items)
         index = proof.slot
         for sibling in proof.siblings:
-            if index & 1:
-                digest = self._hash(
-                    bytes.fromhex(sibling) + bytes.fromhex(digest)
-                )
-            else:
-                digest = self._hash(
-                    bytes.fromhex(digest) + bytes.fromhex(sibling)
-                )
+            pair = sibling + digest if index & 1 else digest + sibling
+            digest = self._hash(bytes.fromhex(pair))
             index >>= 1
         if digest != root:
             raise FreshnessError(
@@ -323,49 +300,32 @@ class ProofCache:
         return len(self._entries)
 
 
-class PinStore:
-    """Untrusted persistence for the sealed pin blob.
+def _seal_pin(enclave: Enclave, root: str, pending: dict, vnow: float):
+    """Advance the platform counter and store ``seal(root ‖ counter)``
+    in its pin slot; return the counter and the payload's length."""
+    platform = enclave.platform
+    counter = platform.counter.increment()
+    payload = json.dumps(
+        {
+            "root": root,
+            "counter": counter,
+            "pending": {
+                label: [old, new] for label, (old, new) in sorted(pending.items())
+            },
+            "vnow": vnow,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode()
+    platform.pin_slot = enclave.seal(payload)
+    return counter, len(payload)
 
-    Models the host file / cloud KV slot the sealed state lives in:
-    the adversary may replay an old blob or destroy it, which is
-    exactly what fork detection must catch.  Tests tamper by assigning
-    :attr:`blob` directly.
-    """
 
-    def __init__(self):
-        self.blob: bytes | None = None
-        self.saves = 0
-
-    def save(self, blob: bytes) -> None:
-        self.blob = blob
-        self.saves += 1
-
-    def load(self) -> bytes | None:
-        return self.blob
-
-
-@dataclass
-class FreshnessEnvironment:
-    """The trusted hardware the freshness protocol is rooted in.
-
-    All three pieces outlive any one controller process: tests pass
-    the same environment across simulated restarts, exactly as the
-    physical platform would persist.
-    """
-
-    enclave: Enclave
-    counter: MonotonicCounter
-    pin_store: PinStore = field(default_factory=PinStore)
-
-    @classmethod
-    def ephemeral(cls, platform_key: bytes | None = None) -> "FreshnessEnvironment":
-        """A self-contained environment for single-process lifetimes."""
-        binary = EnclaveBinary(name="pesos-freshness", content=b"freshness")
-        key = platform_key or bytes(range(32))
-        return cls(
-            enclave=Enclave(binary=binary, platform_root_key=key),
-            counter=MonotonicCounter(),
-        )
+def pin_new_fleet(enclave: Enclave) -> None:
+    """Pin the empty root before taking over a factory fleet: its first
+    bootstrap then boots clean on empty drives and forks on drives that
+    still hold records, whatever an earlier fleet left pinned."""
+    _seal_pin(enclave, _EMPTY[0], {}, 0.0)
 
 
 class FreshnessAuthority:
@@ -377,9 +337,11 @@ class FreshnessAuthority:
     run atomically between preemption points.
     """
 
-    def __init__(self, env: FreshnessEnvironment, telemetry=None,
-                 auditor=None):
-        self.env = env
+    def __init__(self, enclave: Enclave, telemetry=None, auditor=None):
+        #: Seals and unseals pins; the platform that launched it holds
+        #: the counter and the pin slot.
+        self.enclave = enclave
+        self.platform = enclave.platform
         self.tree = MerkleTree()
         self.cache = ProofCache()
         #: In-flight mutations: label -> (old leaf, new leaf); either
@@ -401,10 +363,9 @@ class FreshnessAuthority:
         self.proofs_verified = 0
         self.proofs_failed = 0
         self.stale_rejected = 0
-        #: Candidate records hashed during verified reads (crypto work
-        #: the unverified read path does not do), for the overhead
+        #: Candidate-record bytes hashed during verified reads (crypto
+        #: work the unverified read path does not do), for the overhead
         #: bench.
-        self.leaf_hash_ops = 0
         self.leaf_hash_bytes = 0
         self._publish(telemetry or NULL_TELEMETRY)
 
@@ -464,7 +425,7 @@ class FreshnessAuthority:
     @property
     def epoch(self) -> int:
         """The current pin epoch (the hardware counter value)."""
-        return self.env.counter.read()
+        return self.platform.counter.read()
 
     @property
     def root(self) -> str:
@@ -503,23 +464,11 @@ class FreshnessAuthority:
         persisted blob is immediately stale and a replay of it fails
         the counter check at the next startup.
         """
-        counter = self.env.counter.increment()
-        payload = json.dumps(
-            {
-                "root": self.tree.root,
-                "counter": counter,
-                "pending": {
-                    label: [old, new]
-                    for label, (old, new) in sorted(self.pending.items())
-                },
-                "vnow": self.vnow,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
-        self.env.pin_store.save(self.env.enclave.seal(payload))
+        counter, size = _seal_pin(
+            self.enclave, self.tree.root, self.pending, self.vnow
+        )
         self.seals += 1
-        self.seal_bytes += len(payload)
+        self.seal_bytes += size
         self.pins += 1
         self.last_pin_vnow = self.vnow
         if self.auditor is not None:
@@ -606,7 +555,6 @@ class FreshnessAuthority:
 
     def leaf_digest(self, plain: bytes) -> str:
         """Hash one candidate record, counting the crypto work."""
-        self.leaf_hash_ops += 1
         self.leaf_hash_bytes += len(plain)
         return record_digest(plain)
 
@@ -633,8 +581,8 @@ class FreshnessAuthority:
         authority enters the forked state and the controller refuses
         to serve.
         """
-        blob = self.env.pin_store.load()
-        hw_counter = self.env.counter.read()
+        blob = self.platform.pin_slot
+        hw_counter = self.platform.counter.read()
         if blob is None:
             if hw_counter != 0:
                 self._fork(
@@ -642,14 +590,15 @@ class FreshnessAuthority:
                     f"reads {hw_counter}: pin storage was destroyed"
                 )
                 return
-            # First launch: adopt whatever the fleet holds (trust on
-            # first use) and pin it.
+            # The platform never pinned: adopt whatever the fleet
+            # holds (trust on first use) and pin it.  ``launch`` pins
+            # a new fleet before it gets here.
             self._rebuild_from(store)
             self.active = True
             self._pin("bootstrap")
             return
         try:
-            state = json.loads(self.env.enclave.unseal(blob))
+            state = json.loads(self.enclave.unseal(blob))
         except AttestationError:
             self._fork(
                 "sealed pin state does not unseal: foreign or corrupt seal"
@@ -724,13 +673,12 @@ class FreshnessAuthority:
 
 __all__ = [
     "FreshnessAuthority",
-    "FreshnessEnvironment",
     "FreshnessProof",
     "MerkleTree",
-    "PinStore",
     "ProofCache",
     "TREE_DEPTH",
     "object_label",
+    "pin_new_fleet",
     "policy_label",
     "record_digest",
 ]

@@ -22,11 +22,12 @@ import hashlib
 import json
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.aead import StreamAead
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 from repro.errors import AttestationError, CryptoError
-from repro.sgx.enclave import Enclave, EnclaveBinary
+from repro.sgx.enclave import Enclave, EnclaveBinary, MonotonicCounter
 from repro.telemetry import NULL_TELEMETRY
 
 
@@ -51,12 +52,22 @@ class Quote:
 
 
 class SgxPlatform:
-    """One SGX-capable machine: root sealing key + quoting key."""
+    """One SGX-capable machine: root sealing key, quoting key, and the
+    state that outlives every enclave launched on it — a
+    :class:`MonotonicCounter` and the host's untrusted ``pin_slot`` for
+    sealed freshness state (the adversary may replay or delete it)."""
 
     def __init__(self, platform_id: str, key_bits: int = 1024):
         self.platform_id = platform_id
         self.root_key = secrets.token_bytes(32)
-        self._quoting_key: RsaPrivateKey = generate_keypair(bits=key_bits)
+        self.key_bits = key_bits
+        self.counter = MonotonicCounter()
+        self.pin_slot: bytes | None = None
+
+    @cached_property
+    def _quoting_key(self) -> RsaPrivateKey:
+        """Generated on first use: most platforms never quote."""
+        return generate_keypair(bits=self.key_bits)
 
     @property
     def quoting_public_key(self) -> RsaPublicKey:
@@ -65,7 +76,10 @@ class SgxPlatform:
     def launch(self, binary: EnclaveBinary, heap_bytes: int = 64 << 20) -> Enclave:
         """Load a binary into a fresh enclave on this platform."""
         return Enclave(
-            binary=binary, platform_root_key=self.root_key, heap_bytes=heap_bytes
+            binary=binary,
+            platform_root_key=self.root_key,
+            heap_bytes=heap_bytes,
+            platform=self,
         )
 
     def quote(self, enclave: Enclave, report_data: bytes) -> Quote:
@@ -91,7 +105,6 @@ class SgxPlatform:
 class _Registration:
     measurement: str
     secrets: dict
-    attest_count: int = 0
 
 
 class AttestationService:
@@ -145,7 +158,6 @@ class AttestationService:
         if hashlib.sha256(response_key).digest() != quote.report_data:
             self._log(quote, "report-data-mismatch")
             raise AttestationError("response key not bound in report data")
-        registration.attest_count += 1
         self._log(quote, "ok")
         nonce = secrets.token_bytes(12)
         payload = json.dumps(registration.secrets).encode()

@@ -60,9 +60,8 @@ class MonotonicCounter:
     so a replayed sealed blob — correctly sealed, but stale — is
     detected by a counter mismatch at startup.
 
-    The object models the *hardware* resource: tests pass the same
-    instance across simulated controller restarts, exactly as the same
-    physical NVRAM cell would persist.
+    One lives on each :class:`repro.sgx.attestation.SgxPlatform` and
+    outlives every enclave launched there.
     """
 
     value: int = 0
@@ -85,13 +84,16 @@ class Enclave:
 
     Holds the sealing key (derived from platform root key + measurement,
     as real SGX derives it via EGETKEY) and any runtime secrets the
-    attestation service provisioned.
+    attestation service provisioned.  ``platform`` is the
+    :class:`repro.sgx.attestation.SgxPlatform` that launched it, whose
+    counter and pin slot outlive the enclave.
     """
 
     binary: EnclaveBinary
     platform_root_key: bytes
     heap_bytes: int = 64 * 1024 * 1024
     secrets: dict = field(default_factory=dict)
+    platform: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.platform_root_key) != 32:

@@ -11,7 +11,6 @@ import pytest
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.freshness import (
     FreshnessAuthority,
-    FreshnessEnvironment,
     FreshnessProof,
     MerkleTree,
     ProofCache,
@@ -24,11 +23,15 @@ from repro.errors import ForkDetected, FreshnessError, StaleReplica
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.kinetic.protocol import MessageType
+from repro.sgx.attestation import SgxPlatform
+from repro.sgx.enclave import EnclaveBinary
 from repro.telemetry import Telemetry, render_prometheus
 
 FP = "fp-freshness"
 
 OPEN_POLICY = "read :- sessionKeyIs(K)\nupdate :- sessionKeyIs(K)"
+
+BINARY = EnclaveBinary(name="pesos", content=b"controller v1")
 
 
 def _store(num_drives=3, replication=2, **kwargs):
@@ -42,15 +45,15 @@ def _store(num_drives=3, replication=2, **kwargs):
     return store, cluster
 
 
-def _verified_store(env=None, **kwargs):
+def _verified_store(**kwargs):
     """A store with a bootstrapped freshness authority attached."""
     store, cluster = _store(**kwargs)
-    env = env or FreshnessEnvironment.ephemeral()
-    authority = FreshnessAuthority(env)
+    platform = SgxPlatform("host")
+    authority = FreshnessAuthority(platform.launch(BINARY))
     authority.bootstrap(store)
     assert not authority.forked
     store.freshness = authority
-    return store, cluster, authority, env
+    return store, cluster, authority, platform
 
 
 def _fleet_state(cluster):
@@ -174,7 +177,7 @@ def test_proof_cache_overflow_clears_deterministically():
 
 
 def test_put_policy_invalidates_warm_proof_cache():
-    store, _cluster, authority, _env = _verified_store()
+    store, _cluster, authority, _platform = _verified_store()
     meta = StoredMeta(key="obj")
     store.store_version(meta, b"payload", "")
     store.read_meta("obj")  # miss: verifies one proof, warms the cache
@@ -193,20 +196,20 @@ def test_put_policy_invalidates_warm_proof_cache():
 
 
 def test_prepare_settle_advances_counter_twice():
-    _store_, _cluster, authority, env = _verified_store()
+    _store_, _cluster, authority, platform = _verified_store()
     epoch0 = authority.epoch
     label = object_label("obj")
     authority.prepare(label, "d" * 64)
-    assert env.counter.read() == epoch0 + 1
+    assert platform.counter.read() == epoch0 + 1
     assert label in authority.pending
     authority.settle(label)
-    assert env.counter.read() == epoch0 + 2
+    assert platform.counter.read() == epoch0 + 2
     assert not authority.pending
     assert authority.tree.get(label) == "d" * 64
 
 
 def test_abort_reverts_leaf_but_keeps_pending():
-    _store_, _cluster, authority, _env = _verified_store()
+    _store_, _cluster, authority, _platform = _verified_store()
     label = object_label("obj")
     authority.prepare(label, "a" * 64)
     authority.settle(label)
@@ -224,11 +227,13 @@ def test_abort_reverts_leaf_but_keeps_pending():
 
 
 def test_every_pin_seals_fresh_counter_state():
-    _store_, _cluster, authority, env = _verified_store()
-    saves_before = env.pin_store.saves
+    _store_, _cluster, authority, platform = _verified_store()
+    bumps_before = platform.counter.bumps
+    slot_before = platform.pin_slot
     authority.prepare(object_label("k"), "c" * 64)
+    assert platform.pin_slot != slot_before
     authority.settle(object_label("k"))
-    assert env.pin_store.saves == saves_before + 2
+    assert platform.counter.bumps == bumps_before + 2
     assert authority.seals == authority.pins
 
 
@@ -236,7 +241,7 @@ def test_every_pin_seals_fresh_counter_state():
 
 
 def test_counter_sealing_survives_enclave_restart():
-    store, _cluster, authority, env = _verified_store()
+    store, _cluster, authority, platform = _verified_store()
     meta = StoredMeta(key="obj")
     store.store_version(meta, b"v1", "")
     store.write_policy("pol-1", b"blob")
@@ -245,11 +250,11 @@ def test_counter_sealing_survives_enclave_restart():
     # unseals, matches the hardware counter, and the rebuilt tree
     # reproduces the pinned root.
     store.freshness = None
-    restarted = FreshnessAuthority(env)
+    restarted = FreshnessAuthority(platform.launch(BINARY))
     restarted.bootstrap(store)
     assert not restarted.forked and restarted.active
     assert restarted.root == root
-    assert restarted.epoch == env.counter.read()
+    assert restarted.epoch == platform.counter.read()
 
 
 def test_trust_on_first_use_adopts_existing_fleet():
@@ -257,7 +262,7 @@ def test_trust_on_first_use_adopts_existing_fleet():
     meta = StoredMeta(key="pre-existing")
     store.store_version(meta, b"v1", "")
     store.write_policy("pol-1", b"blob")
-    authority = FreshnessAuthority(FreshnessEnvironment.ephemeral())
+    authority = FreshnessAuthority(SgxPlatform("host").launch(BINARY))
     authority.bootstrap(store)
     assert not authority.forked and authority.active
     assert len(authority.tree) == 2
@@ -283,7 +288,7 @@ def test_rebuild_pages_every_label_past_two_range_pages(monkeypatch):
                 })
             return inner(request)
         monkeypatch.setattr(drive, "handle", handle)
-    authority = FreshnessAuthority(FreshnessEnvironment.ephemeral())
+    authority = FreshnessAuthority(SgxPlatform("host").launch(BINARY))
     authority.bootstrap(store)
     assert not authority.forked and authority.active
     labels = [object_label(f"obj{index:04d}") for index in range(count)]
@@ -298,48 +303,48 @@ def test_rebuild_pages_every_label_past_two_range_pages(monkeypatch):
 
 
 def test_destroyed_pin_storage_is_a_fork():
-    store, _cluster, _authority, env = _verified_store()
+    store, _cluster, _authority, platform = _verified_store()
     store.store_version(StoredMeta(key="obj"), b"v1", "")
-    env.pin_store.blob = None  # host deleted the sealed state
+    platform.pin_slot = None  # host deleted the sealed state
     store.freshness = None
-    restarted = FreshnessAuthority(env)
+    restarted = FreshnessAuthority(platform.launch(BINARY))
     restarted.bootstrap(store)
     assert restarted.forked
     assert "counter" in restarted.fork_reason
 
 
 def test_replayed_stale_pin_blob_is_a_fork():
-    store, _cluster, _authority, env = _verified_store()
+    store, _cluster, _authority, platform = _verified_store()
     store.store_version(StoredMeta(key="obj"), b"v1", "")
-    stale_blob = env.pin_store.blob
+    stale_blob = platform.pin_slot
     store.store_version(StoredMeta(key="obj2"), b"v2", "")
-    env.pin_store.blob = stale_blob  # host replayed an old seal
+    platform.pin_slot = stale_blob  # host replayed an old seal
     store.freshness = None
-    restarted = FreshnessAuthority(env)
+    restarted = FreshnessAuthority(platform.launch(BINARY))
     restarted.bootstrap(store)
     assert restarted.forked
     assert "stale sealed" in restarted.fork_reason
 
 
 def test_foreign_seal_is_a_fork():
-    store, _cluster, _authority, env = _verified_store()
-    env.pin_store.blob = b"not-a-seal-at-all"
+    store, _cluster, _authority, platform = _verified_store()
+    platform.pin_slot = b"not-a-seal-at-all"
     store.freshness = None
-    restarted = FreshnessAuthority(env)
+    restarted = FreshnessAuthority(platform.launch(BINARY))
     restarted.bootstrap(store)
     assert restarted.forked
     assert "unseal" in restarted.fork_reason
 
 
 def test_rolled_back_fleet_is_a_fork():
-    store, cluster, _authority, env = _verified_store()
+    store, cluster, _authority, platform = _verified_store()
     store.store_version(StoredMeta(key="obj"), b"v1", "")
     old_fleet = _fleet_state(cluster)
     store.store_version(StoredMeta(key="obj"), b"v2", "")
     store.write_policy("pol-1", b"blob")
     _restore_fleet(cluster, old_fleet)  # cloud restored an old image
     store.freshness = None
-    restarted = FreshnessAuthority(env)
+    restarted = FreshnessAuthority(platform.launch(BINARY))
     restarted.bootstrap(store)
     assert restarted.forked
     assert "never pinned" in restarted.fork_reason
@@ -352,13 +357,13 @@ def test_crashed_prepare_resolves_without_fork():
     divergence is exactly the unsettled mutation, adopt what the
     drives actually hold, and re-pin.
     """
-    store, _cluster, authority, env = _verified_store()
+    store, _cluster, authority, platform = _verified_store()
     store.store_version(StoredMeta(key="obj"), b"v1", "")
     # Simulate a crash between prepare and the drive write: the tree
     # and seal carry the new leaf, the fleet still holds the old one.
     authority.prepare(object_label("obj2"), "e" * 64)
     store.freshness = None
-    restarted = FreshnessAuthority(env)
+    restarted = FreshnessAuthority(platform.launch(BINARY))
     restarted.bootstrap(store)
     assert not restarted.forked and restarted.active
     # The phantom label was adopted as the drives prove it: absent.
@@ -369,7 +374,7 @@ def test_crashed_prepare_resolves_without_fork():
 
 
 def test_proven_absence_answers_without_drive_io():
-    store, _cluster, _authority, _env = _verified_store()
+    store, _cluster, _authority, _platform = _verified_store()
     store.store_version(StoredMeta(key="exists"), b"v", "")
     sent_before = [client.requests_sent for client in store.clients]
     assert store.read_meta("never-written") is None
@@ -377,7 +382,7 @@ def test_proven_absence_answers_without_drive_io():
 
 
 def test_uniformly_stale_replicas_raise_stale_replica():
-    store, cluster, authority, _env = _verified_store(replication=3)
+    store, cluster, authority, _platform = _verified_store(replication=3)
     meta = StoredMeta(key="obj")
     store.store_version(meta, b"v1", "")
     old_fleet = _fleet_state(cluster)
@@ -389,7 +394,7 @@ def test_uniformly_stale_replicas_raise_stale_replica():
 
 
 def test_minority_stale_replica_is_outvoted_and_reseeded():
-    store, cluster, authority, _env = _verified_store(replication=3)
+    store, cluster, authority, _platform = _verified_store(replication=3)
     meta = StoredMeta(key="obj")
     store.store_version(meta, b"v1", "")
     old_fleet = _fleet_state(cluster)
@@ -427,7 +432,7 @@ def test_policy_repair_refuses_content_address_mismatch():
 # -- operator surfaces -----------------------------------------------------
 
 
-def _controller(env, telemetry=None, **overrides):
+def _controller(platform, telemetry=None, **overrides):
     cluster = DriveCluster(num_drives=3)
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
@@ -435,23 +440,23 @@ def _controller(env, telemetry=None, **overrides):
     controller = PesosController(
         clients,
         storage_key=b"c" * 32,
-        config=ControllerConfig(**overrides),
+        config=ControllerConfig(freshness_enabled=True, **overrides),
         telemetry=telemetry,
-        freshness_env=env,
+        enclave=platform.launch(BINARY),
     )
     return controller, cluster
 
 
 def test_health_and_metrics_expose_freshness_state():
     telemetry = Telemetry()
-    env = FreshnessEnvironment.ephemeral()
-    controller, _cluster = _controller(env, telemetry=telemetry)
+    platform = SgxPlatform("host")
+    controller, _cluster = _controller(platform, telemetry=telemetry)
     assert controller.put(FP, "obj", b"value").ok
     assert controller.get(FP, "obj").ok
     report = controller.health()
     block = report["freshness"]
     assert block["active"] and not block["forked"]
-    assert block["epoch"] == env.counter.read() > 0
+    assert block["epoch"] == platform.counter.read() > 0
     assert block["proof_cache"]["hits"] + block["proof_cache"]["misses"] > 0
     text = render_prometheus(telemetry.registry)
     assert "pesos_freshness_pins_total" in text
@@ -460,19 +465,19 @@ def test_health_and_metrics_expose_freshness_state():
 
 
 def test_forked_controller_refuses_requests_and_goes_critical():
-    env = FreshnessEnvironment.ephemeral()
-    controller, cluster = _controller(env)
+    platform = SgxPlatform("host")
+    controller, cluster = _controller(platform)
     assert controller.put(FP, "obj", b"value").ok
-    env.pin_store.blob = None  # destroy the sealed pin across restart
+    platform.pin_slot = None  # destroy the sealed pin across restart
     telemetry = Telemetry()
     restarted = PesosController(
         cluster.connect_all(
             KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
         ),
         storage_key=b"c" * 32,
-        config=ControllerConfig(),
+        config=ControllerConfig(freshness_enabled=True),
         telemetry=telemetry,
-        freshness_env=env,
+        enclave=platform.launch(BINARY),
     )
     assert restarted.freshness.forked
     response = restarted.get(FP, "obj")
@@ -484,30 +489,30 @@ def test_forked_controller_refuses_requests_and_goes_critical():
 
 
 def test_pin_events_are_hash_chained_into_the_audit_log():
-    env = FreshnessEnvironment.ephemeral()
-    controller, _cluster = _controller(env, audit_log_size=4096)
+    platform = SgxPlatform("host")
+    controller, _cluster = _controller(platform, audit_log_size=4096)
     assert controller.put(FP, "obj", b"value").ok
     assert controller.delete(FP, "obj").ok
     records = controller.auditor.tail(limit=256)
     pins = [record for record in records if record.operation == "pin"]
     assert len(pins) == controller.freshness.pins
-    assert pins[-1].key == f"epoch:{env.counter.read()}"
+    assert pins[-1].key == f"epoch:{platform.counter.read()}"
     assert pins[-1].policy_hash == controller.freshness.root
     assert controller.auditor.verify()["ok"]
 
 
 def test_fork_event_is_audited():
-    env = FreshnessEnvironment.ephemeral()
-    controller, cluster = _controller(env, audit_log_size=4096)
+    platform = SgxPlatform("host")
+    controller, cluster = _controller(platform, audit_log_size=4096)
     assert controller.put(FP, "obj", b"value").ok
-    env.pin_store.blob = None
+    platform.pin_slot = None
     restarted = PesosController(
         cluster.connect_all(
             KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
         ),
         storage_key=b"c" * 32,
-        config=ControllerConfig(audit_log_size=4096),
-        freshness_env=env,
+        config=ControllerConfig(freshness_enabled=True, audit_log_size=4096),
+        enclave=platform.launch(BINARY),
     )
     records = restarted.auditor.tail(limit=16)
     forks = [record for record in records if record.decision == "fork"]

@@ -16,10 +16,14 @@ from repro.faults import FaultInjector
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.kinetic.retry import RetryPolicy
+from repro.sgx.enclave import EnclaveBinary
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 FP = "fp-chaos"
+
+#: The controller binary every chaos enclave runs.
+BINARY = EnclaveBinary(name="pesos", content=b"chaos controller")
 
 
 @dataclass
@@ -38,7 +42,7 @@ def chaos_stack(
     seed: int = CHAOS_SEED,
     retry_policy: RetryPolicy | None = RetryPolicy(),
     telemetry=None,
-    freshness_env=None,
+    platform=None,
     **config_overrides,
 ) -> ChaosStack:
     """Build cluster → wrap with faults → connect → controller.
@@ -47,9 +51,9 @@ def chaos_stack(
     every drive, or a dict of drive index to spec.  Drives whose
     schedule starts offline are tolerated (degraded bootstrap).
 
-    ``freshness_env`` enables rollback/fork protection; passing the
-    same environment across two chaos_stack calls (against the same
-    cluster) models a controller restart on surviving hardware.
+    ``platform`` launches the controller's enclave, which
+    ``freshness_enabled`` needs; :func:`restart_controller` on the same
+    platform models a restart on surviving hardware.
     """
     cluster = DriveCluster(num_drives=num_drives)
     injector = FaultInjector(seed=seed)
@@ -66,7 +70,7 @@ def chaos_stack(
         storage_key=b"chaos-key".ljust(32, b"\0"),
         config=ControllerConfig(**config_overrides),
         telemetry=telemetry,
-        freshness_env=freshness_env,
+        enclave=platform.launch(BINARY) if platform else None,
     )
     return ChaosStack(
         cluster=cluster,
@@ -78,17 +82,17 @@ def chaos_stack(
 
 def restart_controller(
     stack: ChaosStack,
-    freshness_env=None,
+    platform=None,
     telemetry=None,
     **config_overrides,
 ) -> PesosController:
     """Model a controller restart over the surviving drive fleet.
 
     A fresh controller (fresh caches, fresh sessions) bootstraps
-    against the stack's existing fault-wrapped cluster.  Passing the
-    original ``freshness_env`` models the trusted hardware (enclave
-    identity, monotonic counter, pin slot) persisting across the
-    restart — which is what makes fork detection possible.
+    against the stack's existing fault-wrapped cluster.  On the
+    original ``platform`` the new enclave finds the monotonic counter
+    and the pin slot its predecessor left — which is what makes fork
+    detection possible.
     """
     clients = stack.cluster.connect_all(
         KineticDrive.DEMO_IDENTITY,
@@ -102,7 +106,7 @@ def restart_controller(
         storage_key=b"chaos-key".ljust(32, b"\0"),
         config=ControllerConfig(**config_overrides),
         telemetry=telemetry,
-        freshness_env=freshness_env,
+        enclave=platform.launch(BINARY) if platform else None,
     )
     stack.clients = clients
     stack.controller = controller

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.core.freshness import FreshnessEnvironment
 from repro.core.request import Request
 from repro.policy.compiler import compile_source
+from repro.sgx.attestation import SgxPlatform
 
 from tests.faults.conftest import FP, chaos_stack, restart_controller
 
@@ -135,14 +135,11 @@ CONFIGS = {
 
 def _prepared(scenario, config: dict, replication_factor: int):
     """A fresh stack with ``scenario``'s setup applied and read back."""
-    env = (
-        FreshnessEnvironment.ephemeral()
-        if config.get("freshness_enabled") else None
-    )
+    platform = SgxPlatform("crash-host")
     stack = chaos_stack(
         num_drives=3,
         retry_policy=None,
-        freshness_env=env,
+        platform=platform,
         replication_factor=replication_factor,
         **config,
     )
@@ -151,7 +148,7 @@ def _prepared(scenario, config: dict, replication_factor: int):
     # so the recorded drive-op count holds for each crash run.
     for key, state in scenario.before.items():
         assert _read(stack.controller, key) == (state, None)
-    return stack, env
+    return stack, platform
 
 
 def _read(controller, key):
@@ -166,7 +163,7 @@ def _read(controller, key):
 
 def _record(scenario, config, replication_factor) -> int:
     """Drive ops of the failure-free run (which must read as ``after``)."""
-    stack, _env = _prepared(scenario, config, replication_factor)
+    stack, _platform = _prepared(scenario, config, replication_factor)
     start = stack.injector.global_op
     assert scenario.mutate(stack.controller).ok
     total = stack.injector.global_op - start
@@ -177,7 +174,7 @@ def _record(scenario, config, replication_factor) -> int:
 
 def _crash_and_recover(scenario, config, replication_factor, prefix):
     """Run ``scenario`` killed after ``prefix`` drive ops; restart."""
-    stack, env = _prepared(scenario, config, replication_factor)
+    stack, platform = _prepared(scenario, config, replication_factor)
     _kill_after(stack.injector, prefix)
     try:
         acknowledged = scenario.mutate(stack.controller).ok
@@ -186,7 +183,7 @@ def _crash_and_recover(scenario, config, replication_factor, prefix):
     _revive(stack.injector)
     controller = restart_controller(
         stack,
-        freshness_env=env,
+        platform=platform,
         replication_factor=replication_factor,
         **config,
     )

@@ -19,11 +19,7 @@ import pytest
 
 from repro.core.antientropy import KIND_OBJECT, KIND_POLICY
 from repro.core.controller import ControllerConfig, PesosController
-from repro.core.freshness import (
-    FreshnessAuthority,
-    FreshnessEnvironment,
-    object_label,
-)
+from repro.core.freshness import FreshnessAuthority, object_label
 from repro.core.request import Request
 from repro.core.store import ObjectStore, StoredMeta, placement
 from repro.errors import (
@@ -35,7 +31,10 @@ from repro.errors import (
 )
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.sgx.attestation import SgxPlatform
 from repro.telemetry import Telemetry
+
+from tests.faults.conftest import BINARY
 
 KEY = "obj"
 POLICY_ID = "pol-1"
@@ -87,7 +86,9 @@ class Scenario:
             telemetry=Telemetry(),
         )
         if reader.endswith("-verified"):
-            authority = FreshnessAuthority(FreshnessEnvironment.ephemeral())
+            authority = FreshnessAuthority(
+                SgxPlatform("walk-host").launch(BINARY)
+            )
             authority.bootstrap(self.store)
             assert not authority.forked
             self.store.freshness = authority

@@ -15,10 +15,10 @@ import random
 import pytest
 
 from repro.core.cache import CacheConfig
-from repro.core.freshness import FreshnessEnvironment
 from repro.core.store import placement
 from repro.faults import DriveFaultSpec
 from repro.kinetic.retry import RetryPolicy
+from repro.sgx.attestation import SgxPlatform
 
 from tests.faults.conftest import (
     CHAOS_SEED,
@@ -38,21 +38,22 @@ OPEN_POLICY = "read :- sessionKeyIs(K)\nupdate :- sessionKeyIs(K)"
 NO_CACHE = CacheConfig(object_bytes=1, key_bytes=1)
 
 
-def _freshness_stack(seed, specs=None, env=None, cache=NO_CACHE, **overrides):
-    env = env or FreshnessEnvironment.ephemeral()
+def _freshness_stack(seed, specs=None, cache=NO_CACHE, **overrides):
+    platform = SgxPlatform("chaos-host")
     stack = chaos_stack(
         num_drives=3,
         specs=specs,
         seed=seed,
         retry_policy=RetryPolicy(max_attempts=8),
-        freshness_env=env,
+        platform=platform,
+        freshness_enabled=True,
         replication_factor=3,
         write_quorum=2,
         cache=cache,
         **overrides,
     )
     assert not stack.controller.freshness.forked
-    return stack, env
+    return stack, platform
 
 
 # -- rollback + replay under degraded quorum -------------------------------
@@ -65,7 +66,7 @@ def test_rollback_and_replay_never_serve_stale_reads(offset):
     latest acknowledged value or a 5xx — never stale data."""
     seed = BASE + offset
     rng = random.Random(seed)
-    stack, _env = _freshness_stack(
+    stack, _platform = _freshness_stack(
         seed,
         specs={2: DriveFaultSpec(replay_rate=0.2, drop_rate=0.02)},
         anti_entropy_interval=20,
@@ -144,7 +145,7 @@ def test_total_replay_is_refused_not_served(offset):
     verified read must fail closed (503), and serve correct data again
     the moment the replay stops."""
     seed = BASE + 600 + offset
-    stack, _env = _freshness_stack(seed)
+    stack, _platform = _freshness_stack(seed)
     controller = stack.controller
     assert controller.put(FP, "obj", b"old").ok
     assert controller.put(FP, "obj", b"new").ok  # stocks replay buffers
@@ -185,7 +186,7 @@ def test_replayed_log_blob_never_says_what_the_log_no_longer_says(offset):
     answers 403 (or a 5xx refusal under total replay), never 200."""
     seed = BASE + 700 + offset
     rng = random.Random(seed)
-    stack, _env = _freshness_stack(
+    stack, _platform = _freshness_stack(
         seed,
         # Objects stay cached (the memo is in play); metadata never is.
         cache=CacheConfig(key_bytes=1),
@@ -237,7 +238,7 @@ def test_fork_across_restart_is_always_detected(offset):
     restart (same trusted hardware): bootstrap must refuse to serve."""
     seed = BASE + 200 + offset
     rng = random.Random(seed)
-    stack, env = _freshness_stack(seed)
+    stack, platform = _freshness_stack(seed)
     controller = stack.controller
 
     for index in range(rng.randrange(2, 6)):
@@ -252,7 +253,9 @@ def test_fork_across_restart_is_always_detected(offset):
         assert drive.restore_snapshot("fork")
     assert stack.injector.stats.forks == 3
 
-    restarted = restart_controller(stack, freshness_env=env)
+    restarted = restart_controller(
+        stack, platform=platform, freshness_enabled=True
+    )
     assert restarted.freshness.forked, "fork went undetected"
     assert "never pinned" in restarted.freshness.fork_reason
     assert restarted.health()["status"] == "critical"
@@ -265,14 +268,16 @@ def test_stale_pin_replay_across_restart_is_detected(offset):
     """The host replays an old sealed pin blob (drives untouched):
     the monotonic counter exposes it at bootstrap."""
     seed = BASE + 300 + offset
-    stack, env = _freshness_stack(seed)
+    stack, platform = _freshness_stack(seed)
     controller = stack.controller
     assert controller.put(FP, "obj", b"v1").ok
-    stale_blob = env.pin_store.blob
+    stale_blob = platform.pin_slot
     assert controller.put(FP, "obj", b"v2").ok
-    env.pin_store.blob = stale_blob
+    platform.pin_slot = stale_blob
 
-    restarted = restart_controller(stack, freshness_env=env)
+    restarted = restart_controller(
+        stack, platform=platform, freshness_enabled=True
+    )
     assert restarted.freshness.forked
     assert "stale sealed" in restarted.freshness.fork_reason
     assert restarted.get(FP, "obj").status == 503
@@ -283,7 +288,7 @@ def test_clean_restart_after_chaos_is_not_a_fork(offset):
     """No-attack control: transient drops plus a restart on the same
     hardware must bootstrap active and keep serving verified reads."""
     seed = BASE + 400 + offset
-    stack, env = _freshness_stack(
+    stack, platform = _freshness_stack(
         seed, specs={1: DriveFaultSpec(drop_rate=0.05)}
     )
     controller = stack.controller
@@ -300,7 +305,9 @@ def test_clean_restart_after_chaos_is_not_a_fork(offset):
     # docs/freshness.md).
     stack.injector.reschedule(1, DriveFaultSpec())
 
-    restarted = restart_controller(stack, freshness_env=env)
+    restarted = restart_controller(
+        stack, platform=platform, freshness_enabled=True
+    )
     assert not restarted.freshness.forked, restarted.freshness.fork_reason
     assert restarted.health()["status"] != "critical"
     for key, value in acked.items():

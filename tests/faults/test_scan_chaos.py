@@ -14,10 +14,10 @@ import random
 import pytest
 
 from repro.core.cache import CacheConfig
-from repro.core.freshness import FreshnessEnvironment
 from repro.core.request import Request
 from repro.faults import DriveFaultSpec
 from repro.kinetic.retry import RetryPolicy
+from repro.sgx.attestation import SgxPlatform
 from repro.ycsb.workload import WORKLOAD_E, generate_trace
 
 from tests.faults.conftest import CHAOS_SEED, FP, chaos_stack
@@ -31,7 +31,8 @@ def _freshness_stack(seed, specs=None):
         specs=specs,
         seed=seed,
         retry_policy=RetryPolicy(max_attempts=8),
-        freshness_env=FreshnessEnvironment.ephemeral(),
+        platform=SgxPlatform("chaos-host"),
+        freshness_enabled=True,
         replication_factor=3,
         write_quorum=2,
         cache=CacheConfig(object_bytes=1, key_bytes=1),

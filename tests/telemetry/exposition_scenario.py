@@ -34,6 +34,8 @@ from repro.core.request import (
 from repro.core.webserver import WebServer
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.sgx.attestation import SgxPlatform
+from repro.sgx.enclave import EnclaveBinary
 from repro.sim import Environment
 from repro.telemetry import SloEngine, Telemetry
 
@@ -89,6 +91,9 @@ def run_scenario() -> dict:
             cache=CacheConfig(object_bytes=160, key_bytes=700),
         ),
         telemetry=telemetry,
+        enclave=SgxPlatform("golden-host").launch(
+            EnclaveBinary(name="pesos", content=b"controller v1")
+        ),
     )
     env = Environment()
     model = SystemModel(
