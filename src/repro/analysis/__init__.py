@@ -12,43 +12,3 @@ Three cooperating analyzers, one CLI (``python -m repro.analysis``):
 - **Project lint** (:mod:`repro.analysis.lint`): AST rules protecting
   the determinism, enclave-boundary, and telemetry invariants.
 """
-
-from repro.analysis.deadlock import find_deadlocks
-from repro.analysis.findings import (
-    Finding,
-    render_json_report,
-    render_markdown,
-    render_text,
-    sort_findings,
-)
-from repro.analysis.lint import lint_source
-from repro.analysis.policy_verify import (
-    verify_policy,
-    verify_source,
-    warnings_payload,
-)
-from repro.analysis.races import find_races
-from repro.analysis.sanitizer import (
-    MAIN_THREAD,
-    NULL_SANITIZER,
-    NullSanitizer,
-    ShadowState,
-)
-
-__all__ = [
-    "Finding",
-    "MAIN_THREAD",
-    "NULL_SANITIZER",
-    "NullSanitizer",
-    "ShadowState",
-    "find_deadlocks",
-    "find_races",
-    "lint_source",
-    "render_json_report",
-    "render_markdown",
-    "render_text",
-    "sort_findings",
-    "verify_policy",
-    "verify_source",
-    "warnings_payload",
-]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.analysis import ShadowState
+from repro.analysis.sanitizer import ShadowState
 from repro.core.cache import CacheConfig
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.engine import ConcurrentEngine
@@ -188,7 +188,7 @@ def run_sanitizer_overhead(
     """Virtual-time cost of recording sanitizer shadow state.
 
     Runs the same seeded workload twice — hooks at the no-op default,
-    then with a recording :class:`~repro.analysis.ShadowState` — and
+    then with a recording :class:`~repro.analysis.sanitizer.ShadowState` — and
     reports both virtual times.  The hooks sit outside the cost model,
     so the two runs must stay within 5% of each other (in practice they
     are bit-identical: instrumentation observes the schedule, it never

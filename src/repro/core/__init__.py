@@ -23,7 +23,6 @@ from repro.core.controller import (
 )
 from repro.core.request import Request, Response
 from repro.core.session import Session, SessionManager
-from repro.core.sharding import ShardedPesos
 from repro.core.ssdcache import SsdCacheTier
 from repro.core.store import ObjectStore, StoredMeta
 from repro.core.webserver import WebServer
@@ -36,7 +35,6 @@ __all__ = [
     "Response",
     "Session",
     "SessionManager",
-    "ShardedPesos",
     "SsdCacheTier",
     "StoredMeta",
     "WebServer",

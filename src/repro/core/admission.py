@@ -280,7 +280,7 @@ class AdaptiveLimiter:
 class AdmissionController:
     """Overload protection between the web server and the engine.
 
-    One instance guards one controller (one shard).  The synchronous
+    One instance guards one controller.  The synchronous
     request path uses :meth:`check` (rate limit only — there is no
     queue when requests are served one at a time); the concurrent
     engine uses :meth:`offer` / :meth:`dispatch` / :meth:`observe` and

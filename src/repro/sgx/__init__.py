@@ -25,23 +25,3 @@ native-vs-SGX deltas; :class:`repro.bench.model.SystemModel` charges
 them in the discrete-event benchmarks, EPC paging analytically from
 the enclave's footprint (``_epc_cost``).
 """
-
-from repro.sgx.attestation import AttestationService, Quote, SgxPlatform
-from repro.sgx.costs import NATIVE_COSTS, SGX_COSTS, CostModel
-from repro.sgx.enclave import Enclave, EnclaveBinary
-from repro.sgx.scheduler import UserspaceScheduler
-from repro.sgx.syscalls import AsyncSyscallInterface, SyscallRequest
-
-__all__ = [
-    "AsyncSyscallInterface",
-    "AttestationService",
-    "CostModel",
-    "Enclave",
-    "EnclaveBinary",
-    "NATIVE_COSTS",
-    "Quote",
-    "SGX_COSTS",
-    "SgxPlatform",
-    "SyscallRequest",
-    "UserspaceScheduler",
-]

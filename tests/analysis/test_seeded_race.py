@@ -12,7 +12,9 @@ Two directions:
 
 import pytest
 
-from repro.analysis import ShadowState, find_deadlocks, find_races
+from repro.analysis.deadlock import find_deadlocks
+from repro.analysis.races import find_races
+from repro.analysis.sanitizer import ShadowState
 from repro.core.engine import ConcurrentEngine
 from tests.concurrency.harness import (
     LinearizabilityError,

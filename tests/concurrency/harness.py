@@ -32,7 +32,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.analysis import ShadowState, find_deadlocks, find_races
+from repro.analysis.deadlock import find_deadlocks
+from repro.analysis.races import find_races
+from repro.analysis.sanitizer import ShadowState
 from repro.core.cache import CacheConfig
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.engine import ConcurrentEngine

@@ -12,6 +12,7 @@ from repro.core.admission import AdmissionConfig, AdmissionController
 from repro.core.engine import ConcurrentEngine
 from repro.core.request import Request, build_http_request, parse_http_response
 from repro.core.webserver import WebServer
+from repro.telemetry import Telemetry
 from tests.concurrency.test_engine import build_controller, workload
 
 
@@ -147,7 +148,7 @@ def test_webserver_batch_path_sheds_and_serves():
 
 
 def test_webserver_sync_path_rate_limits_429():
-    controller = build_controller()
+    controller = build_controller(telemetry=Telemetry(), audit_log_size=64)
     server = WebServer(
         controller,
         admission=AdmissionController(
@@ -160,6 +161,16 @@ def test_webserver_sync_path_rate_limits_429():
     assert first.status in (200, 404)  # admitted (key may not exist)
     assert second.status == 429
     assert second.retry_after is not None
+    # The shed reaches the controller's audit chain and its counters.
+    assert controller.auditor.decisions_by_kind == {"shed": 1}
+    (record,) = controller.auditor.records
+    assert (record.operation, record.session, record.detail) == (
+        "get", "fp-a", "rate_limited",
+    )
+    decisions = controller.telemetry.registry.get(
+        "pesos_admission_decisions_total"
+    )
+    assert decisions.labels("rate_limited").value == 1
 
 
 def test_health_reports_admission_state():
@@ -298,28 +309,3 @@ def test_evicted_and_expired_queue_entries_are_audited():
     )
     assert record.vnow == 1.0
 
-
-def test_sharded_sheds_reach_the_shards_chain_and_counters():
-    from repro.core.sharding import ShardedPesos
-    from repro.telemetry import Telemetry
-
-    shards = [build_controller(audit_log_size=64) for _ in range(2)]
-    for shard in shards:
-        shard.telemetry = Telemetry()
-    sharded = ShardedPesos(
-        shards, admission=AdmissionConfig(rate_per_second=0.001, burst=1.0)
-    )
-    request = Request(method="get", key="k")
-    index = sharded.shard_index("k")
-    first = sharded.handle(request, "fp-a", now=0.0)
-    second = sharded.handle(request, "fp-a", now=0.0)
-    assert first.status in (200, 404) and second.status == 429
-    owner, other = shards[index], shards[1 - index]
-    assert owner.auditor.decisions_by_kind == {"shed": 1}
-    (record,) = owner.auditor.records
-    assert (record.operation, record.session, record.detail) == (
-        "get", "fp-a", "rate_limited",
-    )
-    assert len(other.auditor) == 0
-    decisions = owner.telemetry.registry.get("pesos_admission_decisions_total")
-    assert decisions.labels("rate_limited").value == 1

@@ -18,7 +18,7 @@ from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 
 
-def build_controller(num_drives=4, **config_overrides):
+def build_controller(num_drives=4, telemetry=None, **config_overrides):
     cluster = DriveCluster(num_drives=num_drives)
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
@@ -33,6 +33,7 @@ def build_controller(num_drives=4, **config_overrides):
             ),
             **config_overrides,
         ),
+        telemetry=telemetry,
     )
 
 

@@ -31,7 +31,7 @@ import hashlib
 
 import pytest
 
-from repro.analysis import ShadowState
+from repro.analysis.sanitizer import ShadowState
 from repro.core.engine import ConcurrentEngine
 from repro.core.request import Request
 

@@ -4,10 +4,15 @@
 target (the client surface and the admin surface both use it), and
 ``error_response`` the only place a failure becomes a response.  These
 guards keep a stdlib URL parser, or a second mapping, from growing
-back on the request path.
+back on the request path.  The last guard keeps the request path's
+import closure to code a request runs: no linter, no analyzer, no DES
+constants or Scone model, no benchmark or simulator.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -59,3 +64,41 @@ def test_a_failure_becomes_a_response_in_one_place():
             ):
                 sites.append(str(path.relative_to(SRC)))
     assert sites == ["core/request.py"]
+
+
+NOT_ON_THE_REQUEST_PATH = tuple(
+    f"{package}.{name}"
+    for package, names in {
+        "repro.analysis": ("lint", "races", "deadlock", "taint", "taintspec", "callgraph"),
+        "repro.sgx": ("costs", "scheduler", "syscalls"),
+        "repro.core": ("sharding",),
+        "repro": ("bench", "sim"),
+    }.items()
+    for name in names
+)
+
+
+def test_the_request_path_imports_only_what_it_runs():
+    """A fresh interpreter that imports the web server and the controller
+    has loaded none of the modules no request runs."""
+    probe = (
+        "import sys\n"
+        "import repro.core.webserver, repro.core.controller\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "repro.core.controller" in loaded
+    stray = sorted(
+        module
+        for module in loaded
+        for banned in NOT_ON_THE_REQUEST_PATH
+        if module == banned or module.startswith(banned + ".")
+    )
+    assert stray == []
