@@ -15,28 +15,3 @@ lives here, in one layer, exactly as the paper argues it should:
 - :mod:`repro.core.controller` — bootstrap (attestation, disk lock-out)
   and the request handler that enforces policies on every access.
 """
-
-from repro.core.controller import (
-    ControllerConfig,
-    PesosController,
-    verify_attestation,
-)
-from repro.core.request import Request, Response
-from repro.core.session import Session, SessionManager
-from repro.core.ssdcache import SsdCacheTier
-from repro.core.store import ObjectStore, StoredMeta
-from repro.core.webserver import WebServer
-
-__all__ = [
-    "ControllerConfig",
-    "ObjectStore",
-    "PesosController",
-    "Request",
-    "Response",
-    "Session",
-    "SessionManager",
-    "SsdCacheTier",
-    "StoredMeta",
-    "WebServer",
-    "verify_attestation",
-]

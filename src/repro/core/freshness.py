@@ -18,7 +18,7 @@ key-value stores rooted in an enclave:
   proofs against its root.
 - A **sealed, monotonically-advancing pin**: every metadata mutation
   advances the platform's :class:`repro.sgx.enclave.MonotonicCounter`
-  and stores ``seal(root_hash ‖ counter ‖ pending)``, sealed by the
+  and stores ``seal(root ‖ counter ‖ vnow ‖ pending)`` (:func:`pack_pin`), sealed by the
   controller's own enclave, in the platform's untrusted ``pin_slot``
   (:class:`repro.sgx.attestation.SgxPlatform`).  Counter and slot
   outlive the enclave, so a replayed sealed pin (correctly sealed, but
@@ -52,8 +52,9 @@ invalidates every cached proof.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
-import json
+import struct
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -92,14 +93,12 @@ def _h(data: bytes) -> str:
 record_digest = _h
 
 
-def _empty_hashes() -> list[str]:
-    """Subtree hash of an all-empty subtree, per level (root first)."""
-    levels = [""] * (TREE_DEPTH + 1)
-    levels[TREE_DEPTH] = _h(b"pesos-freshness-empty-bucket")
-    for level in range(TREE_DEPTH - 1, -1, -1):
-        child = bytes.fromhex(levels[level + 1])
-        levels[level] = _h(child + child)
-    return levels
+def _empty_hashes() -> list[bytes]:
+    """Digest of an all-empty subtree, per level (root first)."""
+    levels = [hashlib.sha256(b"pesos-freshness-empty-bucket").digest()]
+    for _ in range(TREE_DEPTH):
+        levels.append(hashlib.sha256(levels[-1] * 2).digest())
+    return levels[::-1]
 
 
 _EMPTY = _empty_hashes()
@@ -128,14 +127,20 @@ class MerkleTree:
     holds its labels sorted, so the structure (and every root) is a
     pure function of the mapping — independent of insertion order,
     which is what makes same-seed runs byte-reproducible.  Updates
-    rewrite one bucket and the ``TREE_DEPTH`` nodes above it; empty
-    subtrees hash to precomputed constants and are never materialized.
+    rewrite one bucket and the ``TREE_DEPTH`` nodes above it; a subtree
+    no update has reached hashes to a precomputed constant and is not
+    stored.  Nodes are raw 32-byte digests, one dict per level keyed by
+    index; they are spelled in hex only where the tree is read from
+    outside (:attr:`root`, :meth:`prove`, :meth:`verify`).
     """
 
     def __init__(self):
         self._digests: dict[str, str] = {}
         self._buckets: dict[int, list[str]] = {}
-        self._nodes: dict[tuple[int, int], str] = {}
+        #: Per level, root first: the nodes some update has written.
+        self._levels: list[dict[int, bytes]] = [{} for _ in _EMPTY]
+        #: Bucket to root: each level's nodes and its empty digest.
+        self._path = list(zip(self._levels[:0:-1], _EMPTY[:0:-1]))
         #: Bytes digested, for the deterministic overhead bench (crypto
         #: work, not wall time).
         self.hash_bytes = 0
@@ -166,21 +171,15 @@ class MerkleTree:
                 del self._buckets[slot]
         else:
             if not present:
-                import bisect
-
                 bisect.insort(bucket, label)
             self._digests[label] = digest
         self._update_path(slot)
 
     @property
     def root(self) -> str:
-        return self._nodes.get((0, 0), _EMPTY[0])
+        return self._levels[0].get(0, _EMPTY[0]).hex()
 
     # -- hashing ----------------------------------------------------------
-
-    def _hash(self, data: bytes) -> str:
-        self.hash_bytes += len(data)
-        return _h(data)
 
     def _items(self, slot: int) -> tuple:
         return tuple(
@@ -188,45 +187,41 @@ class MerkleTree:
             for name in self._buckets.get(slot, ())
         )
 
-    def _bucket_hash(self, items: tuple) -> str:
+    def _bucket_hash(self, items: tuple) -> bytes:
         if not items:
             return _EMPTY[TREE_DEPTH]
-        body = "\n".join(f"{name}={digest}" for name, digest in items)
-        return self._hash(b"bucket:" + body.encode())
-
-    def _node(self, level: int, index: int) -> str:
-        return self._nodes.get((level, index), _EMPTY[level])
+        body = b"bucket:" + "\n".join(
+            f"{name}={digest}" for name, digest in items
+        ).encode()
+        self.hash_bytes += len(body)
+        return hashlib.sha256(body).digest()
 
     def _update_path(self, slot: int) -> None:
         digest = self._bucket_hash(self._items(slot))
         index = slot
-        for level in range(TREE_DEPTH, 0, -1):
-            if digest == _EMPTY[level]:
-                self._nodes.pop((level, index), None)
-            else:
-                self._nodes[(level, index)] = digest
-            sibling = self._node(level, index ^ 1)
-            pair = sibling + digest if index & 1 else digest + sibling
-            digest = self._hash(bytes.fromhex(pair))
+        sha256 = hashlib.sha256
+        for nodes, empty in self._path:
+            nodes[index] = digest
+            sibling = nodes.get(index ^ 1, empty)
+            digest = sha256(
+                sibling + digest if index & 1 else digest + sibling
+            ).digest()
             index >>= 1
-        if digest == _EMPTY[0]:
-            self._nodes.pop((0, 0), None)
-        else:
-            self._nodes[(0, 0)] = digest
+        self.hash_bytes += 64 * TREE_DEPTH
+        self._levels[0][0] = digest
 
     # -- proofs -----------------------------------------------------------
 
     def prove(self, label: str) -> FreshnessProof:
         """Membership (or absence) proof for ``label``."""
-        slot = self.slot_of(label)
-        items = self._items(slot)
+        slot = index = self.slot_of(label)
         siblings = []
-        index = slot
-        for level in range(TREE_DEPTH, 0, -1):
-            siblings.append(self._node(level, index ^ 1))
+        for nodes, empty in self._path:
+            siblings.append(nodes.get(index ^ 1, empty).hex())
             index >>= 1
         return FreshnessProof(
-            label=label, slot=slot, items=items, siblings=tuple(siblings)
+            label=label, slot=slot, items=self._items(slot),
+            siblings=tuple(siblings),
         )
 
     def verify(self, root: str, proof: FreshnessProof) -> str | None:
@@ -244,11 +239,13 @@ class MerkleTree:
             )
         digest = self._bucket_hash(proof.items)
         index = proof.slot
-        for sibling in proof.siblings:
-            pair = sibling + digest if index & 1 else digest + sibling
-            digest = self._hash(bytes.fromhex(pair))
+        for sibling in map(bytes.fromhex, proof.siblings):
+            digest = hashlib.sha256(
+                sibling + digest if index & 1 else digest + sibling
+            ).digest()
             index >>= 1
-        if digest != root:
+        self.hash_bytes += 64 * len(proof.siblings)
+        if digest.hex() != root:
             raise FreshnessError(
                 f"proof for {proof.label!r} does not reproduce the "
                 f"pinned root"
@@ -300,23 +297,52 @@ class ProofCache:
         return len(self._entries)
 
 
+#: A pin payload: root, counter, vnow and the number of pending entries;
+#: then per pending label, ascending, its UTF-8 length (u32: any key the
+#: store takes packs) and bytes and its old and new leaf, each 32 raw
+#: bytes (zeros: absent).
+_PIN = struct.Struct(">32sQdI")
+_ABSENT = bytes(32)
+
+
+def pack_pin(root: str, counter: int, vnow: float, pending: dict) -> bytes:
+    """The payload a pin seals (docs/freshness.md, "The pin protocol")."""
+    out = [_PIN.pack(bytes.fromhex(root), counter, vnow, len(pending))]
+    for label, sides in sorted(pending.items()):
+        raw = label.encode()
+        out += [len(raw).to_bytes(4, "big"), raw]
+        out += [_ABSENT if side is None else bytes.fromhex(side) for side in sides]
+    return b"".join(out)
+
+
+def unpack_pin(payload: bytes) -> tuple[str, int, float, dict]:
+    """Inverse of :func:`pack_pin`; ValueError unless ``payload`` is
+    exactly what it packs.  There is no reader for any other layout."""
+    if len(payload) < _PIN.size:
+        raise ValueError("pin payload shorter than its head")
+    root, counter, vnow, count = _PIN.unpack_from(payload)
+    pending, pos, last = {}, _PIN.size, None
+    for _ in range(count):
+        end = pos + 4 + int.from_bytes(payload[pos:pos + 4], "big")
+        label, sides, pos = payload[pos + 4:end], (end, end + 32), end + 64
+        if pos > len(payload) or last is not None and label <= last:
+            raise ValueError("pending entry runs past the payload or out of order")
+        pending[label.decode()] = tuple(
+            None if payload[at:at + 32] == _ABSENT else payload[at:at + 32].hex()
+            for at in sides
+        )
+        last = label
+    if pos != len(payload):
+        raise ValueError("bytes after the last pending entry")
+    return root.hex(), counter, vnow, pending
+
+
 def _seal_pin(enclave: Enclave, root: str, pending: dict, vnow: float):
     """Advance the platform counter and store ``seal(root ‖ counter)``
     in its pin slot; return the counter and the payload's length."""
     platform = enclave.platform
     counter = platform.counter.increment()
-    payload = json.dumps(
-        {
-            "root": root,
-            "counter": counter,
-            "pending": {
-                label: [old, new] for label, (old, new) in sorted(pending.items())
-            },
-            "vnow": vnow,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode()
+    payload = pack_pin(root, counter, vnow, pending)
     platform.pin_slot = enclave.seal(payload)
     return counter, len(payload)
 
@@ -325,7 +351,7 @@ def pin_new_fleet(enclave: Enclave) -> None:
     """Pin the empty root before taking over a factory fleet: its first
     bootstrap then boots clean on empty drives and forks on drives that
     still hold records, whatever an earlier fleet left pinned."""
-    _seal_pin(enclave, _EMPTY[0], {}, 0.0)
+    _seal_pin(enclave, _EMPTY[0].hex(), {}, 0.0)
 
 
 class FreshnessAuthority:
@@ -598,29 +624,27 @@ class FreshnessAuthority:
             self._pin("bootstrap")
             return
         try:
-            state = json.loads(self.enclave.unseal(blob))
-        except AttestationError:
+            root, counter, _vnow, pending = unpack_pin(
+                self.enclave.unseal(blob)
+            )
+        except (AttestationError, ValueError):
             self._fork(
                 "sealed pin state does not unseal: foreign or corrupt seal"
             )
             return
-        if state["counter"] != hw_counter:
+        if counter != hw_counter:
             # The audited fork reason quotes the unsealed pin state's
             # counter — an integrity reading the chain must record,
             # not secret content.
             # pesos: allow[taint/audit-entry]
             self._fork(
-                f"sealed pin carries counter {state['counter']} but the "
+                f"sealed pin carries counter {counter} but the "
                 f"monotonic counter reads {hw_counter}: stale sealed "
                 f"state was replayed"
             )
             return
-        pending = {
-            label: (old, new)
-            for label, (old, new) in state.get("pending", {}).items()
-        }
         self._rebuild_from(store)
-        if self.tree.root != state["root"]:
+        if self.tree.root != root:
             # The only legitimate divergence is an unsettled mutation
             # that never reached the drives: substituting each pending
             # label's *new* leaf must reproduce the pinned root, and
@@ -634,7 +658,7 @@ class FreshnessAuthority:
                     break
                 restore.append((label, proved))
                 self.tree.set(label, new)
-            if not resolvable or self.tree.root != state["root"]:
+            if not resolvable or self.tree.root != root:
                 self._fork(
                     "drive fleet proves a metadata root the monotonic "
                     "counter never pinned: rollback or fork of drive state"
@@ -678,7 +702,9 @@ __all__ = [
     "ProofCache",
     "TREE_DEPTH",
     "object_label",
+    "pack_pin",
     "pin_new_fleet",
     "policy_label",
     "record_digest",
+    "unpack_pin",
 ]

@@ -263,7 +263,7 @@ def build_http_request(request: Request) -> bytes:
     """Serialize a :class:`Request` as HTTP bytes (client side)."""
     query = []
     if request.policy_id:
-        query.append(f"policy={request.policy_id}")
+        query.append(f"policy={quote(request.policy_id, safe='')}")
     if request.version is not None:
         query.append(f"version={request.version}")
     if request.scan_count:
@@ -271,9 +271,9 @@ def build_http_request(request: Request) -> bytes:
     if request.asynchronous:
         query.append("async=1")
     if request.txid:
-        query.append(f"txid={request.txid}")
+        query.append(f"txid={quote(request.txid, safe='')}")
     if request.operation_id:
-        query.append(f"op={request.operation_id}")
+        query.append(f"op={quote(request.operation_id, safe='')}")
     if request.log_key:
         query.append(f"log={quote(request.log_key, safe='')}")
     path = f"/{request.method}"

@@ -36,6 +36,7 @@ What differs between reading a value, a pinned record and an unpinned
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import secrets
 import struct
@@ -68,6 +69,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.policy.context import Facts, ObjectView, VersionInfo
+from repro.kinetic import protocol
 from repro.kinetic.protocol import Op, decode_fields, encode_fields
 from repro.telemetry import NULL_TELEMETRY
 
@@ -78,9 +80,11 @@ _ROW = struct.Struct(">QQ32sB")
 _FIELDS = {"cv": int, "key": str, "ph": list, "policy": bytes, "rows": bytes}
 
 
+@functools.lru_cache(maxsize=1024)
 def _raw_digest(hex_digest: str) -> bytes:
     """The 32 bytes of a SHA-256 digest spelled as ``hexdigest()`` does;
-    anything else would not decode back to itself."""
+    anything else would not decode back to itself.  Memoised, as each
+    PUT re-encodes every version row of its record."""
     raw = bytes.fromhex(hex_digest)
     if len(raw) != 32 or raw.hex() != hex_digest:
         raise ValueError(f"{hex_digest!r} is not a SHA-256 hex digest")
@@ -206,6 +210,14 @@ _RANGE_PAGE = 200
 #: of versions; with history kept it bounds drive space too, because the
 #: frame that drops a version from the record deletes its content.
 VERSION_METADATA_WINDOW = 32
+
+
+def _commit_body(ops: list[Op]) -> bytes | None:
+    """The ``COMMIT`` body of one mutation, encoded once for all its
+    replicas; None for one record written, which travels as a PUT."""
+    if len(ops) == 1 and ops[0].value is not None:
+        return None
+    return protocol.encode_fields({"ops": ops})  # the global the wall tracer counts
 
 
 def _forced(disk_key: bytes, blob: bytes | None = None) -> Op:
@@ -654,11 +666,12 @@ class ObjectStore:
         quorum = min(self.write_quorum, len(walk.order))
         wrote = 0
         behind: list[int] = []
+        body = _commit_body(ops)
         with self.telemetry.span("kinetic.put", key=object_key, bytes=nbytes):
             for index in walk.order:
                 if index in walk.open and wrote >= quorum:
                     behind.append(index)
-                elif self._send(index, ops, wrote):
+                elif self._send(index, ops, wrote, body):
                     wrote += 1
                 else:
                     behind.append(index)
@@ -680,20 +693,20 @@ class ObjectStore:
             self.journal.mark(kind, object_key, behind)
         return wrote
 
-    def _send(self, index: int, ops: list[Op], ordinal: int) -> bool:
+    def _send(self, index: int, ops: list[Op], ordinal: int, body: bytes | None) -> bool:
         """One replica's share of a mutation; False when unreachable.
 
         One record is a plain PUT, more are one all-or-none ``COMMIT``
-        frame; either way it is one frame on the wire and one entry in
-        the effects ledger.  ``ordinal`` counts the replicas that took
-        the mutation before this one.
+        frame of ``body``; either way it is one frame on the wire and
+        one entry in the effects ledger.  ``ordinal`` counts the
+        replicas that took the mutation before this one.
         """
         client = self.clients[index]
         try:
-            if len(ops) == 1 and ops[0].value is not None:
+            if body is None:
                 client.put(ops[0].key, ops[0].value, force=True)
             else:
-                client.commit(ops)
+                client.commit(ops, encoded=body)
         except (DriveOffline, TransientIOError):
             self.health.record_failure(index)
             self._m_replica_failures.labels("offline").inc()
@@ -713,8 +726,9 @@ class ObjectStore:
         with self.telemetry.span("kinetic.delete", key=object_key):
             self.health.tick()
             sent = 0
+            body = _commit_body(ops)
             for index in self._replicas(object_key):
-                if self._send(index, ops, sent):
+                if self._send(index, ops, sent, body):
                     sent += 1
                 else:
                     # The unreachable replica keeps its copy: journal

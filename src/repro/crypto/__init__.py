@@ -17,18 +17,3 @@ Benchmark experiments charge AES-GCM on AES-NI in *virtual* time
 the AEAD above, so confidentiality-relevant behaviour is always
 exercised.
 """
-
-from repro.crypto.certs import Certificate, CertificateAuthority, KeyPair
-from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
-from repro.crypto.channel import SecureChannel, establish_channel
-
-__all__ = [
-    "Certificate",
-    "CertificateAuthority",
-    "KeyPair",
-    "RsaPrivateKey",
-    "RsaPublicKey",
-    "SecureChannel",
-    "establish_channel",
-    "generate_keypair",
-]

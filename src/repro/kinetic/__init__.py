@@ -21,23 +21,3 @@ This package reproduces that stack:
   evaluation backends: the in-memory Kinetic *simulator* and the
   mechanical Kinetic *HDD* (seek + rotation + transfer).
 """
-
-from repro.kinetic.client import KineticClient
-from repro.kinetic.cluster import DriveCluster
-from repro.kinetic.drive import Acl, KineticDrive, Role
-from repro.kinetic.protocol import Message, MessageType, StatusCode
-from repro.kinetic.timing import DriveTiming, HddTiming, SimulatorTiming
-
-__all__ = [
-    "Acl",
-    "DriveCluster",
-    "DriveTiming",
-    "HddTiming",
-    "KineticClient",
-    "KineticDrive",
-    "Message",
-    "MessageType",
-    "Role",
-    "SimulatorTiming",
-    "StatusCode",
-]

@@ -88,12 +88,12 @@ class KineticClient:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _next_message(self, message_type: MessageType, body: dict) -> Message:
+    def _next_message(self, message_type: MessageType, body: dict | bytes) -> Message:
         self._sequence += 1
         message = Message(message_type, self.identity, self._sequence, body)
         return message.sign(self._mac_key)
 
-    def _roundtrip(self, message_type: MessageType, body: dict) -> Message:
+    def _roundtrip(self, message_type: MessageType, body: dict | bytes) -> Message:
         """Send one request (retrying transient errors) and validate."""
         request = self._next_message(message_type, body)
         policy = self.retry_policy
@@ -224,13 +224,18 @@ class KineticClient:
             {"key": key, "db_version": db_version, "force": force},
         )
 
-    def commit(self, ops: list[Op]) -> int:
+    def commit(self, ops: list[Op], encoded: bytes | None = None) -> int:
         """Apply ``ops`` all-or-none, in one frame; returns records applied
-        (a forced DELETE of an absent key applies nothing, without error)."""
-        return self._routed("commit", ops)
+        (a forced DELETE of an absent key applies nothing, without error).
+        ``encoded`` must be ``encode_fields({"ops": ops})``, made once by a
+        caller that sends the same ops to several drives: the frame then
+        carries those bytes as its body, and ``ops`` only tells the
+        interceptor which keys the frame writes."""
+        return self._routed("commit", ops, encoded=encoded)
 
-    def _commit(self, ops: list[Op]) -> int:
-        response = self._roundtrip(MessageType.COMMIT, {"ops": ops})
+    def _commit(self, ops: list[Op], encoded: bytes | None = None) -> int:
+        body = {"ops": ops} if encoded is None else encoded
+        response = self._roundtrip(MessageType.COMMIT, body)
         return response.body["applied"]
 
     def get_next(self, key: bytes) -> tuple[bytes, bytes, bytes]:

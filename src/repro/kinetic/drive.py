@@ -51,11 +51,12 @@ class Role(enum.Flag):
 
 @dataclass
 class Acl:
-    """An identity's keyed MAC (built once, with the account) and roles."""
+    """An identity's keyed MAC (built once, with the account) and roles,
+    as the int mask of their :class:`Role` bits."""
 
     identity: str
     mac: HmacSha256
-    roles: Role
+    roles: int
 
 
 #: The type each request body field must have: a body that gives one
@@ -69,8 +70,16 @@ _FIELD_TYPES = dict(
 )
 
 
+def _typed(body: dict) -> bool:
+    """Whether every field of ``body`` has its :data:`_FIELD_TYPES` type."""
+    for name, value in body.items():
+        if not isinstance(value, _FIELD_TYPES.get(name, object)):
+            return False
+    return True
+
+
 class _Op(NamedTuple):
-    role: Role  # what the identity must hold
+    role: int  # the Role bits the identity must hold
     fields: set  # the body fields it must send
     run: Callable[["KineticDrive", Message], Message]
 
@@ -119,7 +128,7 @@ class KineticDrive:
         self._sorted_keys: list[bytes] = []
         self._accounts: dict[str, Acl] = {
             self.DEMO_IDENTITY: Acl(
-                self.DEMO_IDENTITY, HmacSha256(self.DEMO_KEY), Role.all()
+                self.DEMO_IDENTITY, HmacSha256(self.DEMO_KEY), Role.all().value
             )
         }
         self._online = True
@@ -187,11 +196,9 @@ class KineticDrive:
             status = StatusCode.INVALID_REQUEST
             refusal = f"unsupported type {request.message_type}"
         elif acl.roles & op.role != op.role:
-            status, refusal = StatusCode.NOT_AUTHORIZED, f"missing role {op.role}"
-        elif not op.fields <= request.body.keys() or not all(
-            isinstance(value, _FIELD_TYPES.get(name, object))
-            for name, value in request.body.items()
-        ):
+            status = StatusCode.NOT_AUTHORIZED
+            refusal = f"missing role {Role(op.role)}"
+        elif not op.fields <= request.body.keys() or not _typed(request.body):
             status, refusal = StatusCode.INVALID_REQUEST, "malformed body"
         else:
             return op.run(self, request).sign(acl.mac)
@@ -298,19 +305,22 @@ class KineticDrive:
     @staticmethod
     def _parse_ops(body: dict) -> list[Op] | None:
         """The frame's ops, or None when the body is not a list of them."""
-        try:
-            ops = [Op(*item) for item in body["ops"]]
-        except TypeError:
-            return None
         optional_bytes = (bytes, type(None))
-        well_formed = all(
-            isinstance(op.key, bytes)
-            and isinstance(op.value, optional_bytes)
-            and isinstance(op.db_version, bytes)
-            and isinstance(op.new_version, optional_bytes)
-            for op in ops
-        )
-        return ops if well_formed else None
+        ops = []
+        for item in body["ops"]:
+            try:
+                op = Op(*item)
+            except TypeError:
+                return None
+            if not (
+                isinstance(op.key, bytes)
+                and isinstance(op.value, optional_bytes)
+                and isinstance(op.db_version, bytes)
+                and isinstance(op.new_version, optional_bytes)
+            ):
+                return None
+            ops.append(op)
+        return ops
 
     def _op_commit(self, request: Message) -> Message:
         """Validate every op of the frame, then apply all or none."""
@@ -404,7 +414,7 @@ class KineticDrive:
                 status_message="refusing to remove every account",
             )
         self._accounts = {
-            identity: Acl(identity, HmacSha256(hmac_key), Role(roles))
+            identity: Acl(identity, HmacSha256(hmac_key), roles)
             for identity, hmac_key, roles in accounts
         }
         return request.make_response(StatusCode.SUCCESS)
@@ -469,20 +479,20 @@ class KineticDrive:
         )
 
     _OPS = {
-        MessageType.GET: _Op(Role.READ, {"key"}, _op_get),
-        MessageType.GETVERSION: _Op(Role.READ, {"key"}, _op_getversion),
-        MessageType.GETNEXT: _Op(Role.RANGE, {"key"}, _op_getnext),
-        MessageType.GETPREVIOUS: _Op(Role.RANGE, {"key"}, _op_getprevious),
-        MessageType.GETKEYRANGE: _Op(Role.RANGE, set(), _op_getkeyrange),
-        MessageType.PUT: _Op(Role.WRITE, {"key", "value"}, _op_put),
-        MessageType.DELETE: _Op(Role.DELETE, {"key"}, _op_delete),
+        MessageType.GET: _Op(Role.READ.value, {"key"}, _op_get),
+        MessageType.GETVERSION: _Op(Role.READ.value, {"key"}, _op_getversion),
+        MessageType.GETNEXT: _Op(Role.RANGE.value, {"key"}, _op_getnext),
+        MessageType.GETPREVIOUS: _Op(Role.RANGE.value, {"key"}, _op_getprevious),
+        MessageType.GETKEYRANGE: _Op(Role.RANGE.value, set(), _op_getkeyrange),
+        MessageType.PUT: _Op(Role.WRITE.value, {"key", "value"}, _op_put),
+        MessageType.DELETE: _Op(Role.DELETE.value, {"key"}, _op_delete),
         MessageType.PEER2PEERPUSH: _Op(
-            Role.P2P, {"peer", "keys"}, _op_peer2peerpush
+            Role.P2P.value, {"peer", "keys"}, _op_peer2peerpush
         ),
-        MessageType.GETLOG: _Op(Role.GETLOG, set(), _op_getlog),
-        MessageType.SECURITY: _Op(Role.SECURITY, {"accounts"}, _op_security),
-        MessageType.SETUP: _Op(Role.SETUP, set(), _op_setup),
-        MessageType.FLUSHALLDATA: _Op(Role.WRITE, set(), _op_flushalldata),
-        MessageType.NOOP: _Op(Role.READ, set(), _op_noop),
-        MessageType.COMMIT: _Op(Role.WRITE | Role.DELETE, {"ops"}, _op_commit),
+        MessageType.GETLOG: _Op(Role.GETLOG.value, set(), _op_getlog),
+        MessageType.SECURITY: _Op(Role.SECURITY.value, {"accounts"}, _op_security),
+        MessageType.SETUP: _Op(Role.SETUP.value, set(), _op_setup),
+        MessageType.FLUSHALLDATA: _Op(Role.WRITE.value, set(), _op_flushalldata),
+        MessageType.NOOP: _Op(Role.READ.value, set(), _op_noop),
+        MessageType.COMMIT: _Op((Role.WRITE | Role.DELETE).value, {"ops"}, _op_commit),
     }

@@ -41,10 +41,10 @@ The TLV encoding is also the at-rest format of compiled policies
 field (docs/resilience.md, "At-rest formats"); the bytes of both are
 pinned by golden vectors in ``tests/kinetic/test_codec.py``.  Field-name
 prefixes are encoded once; byte strings under 16 KiB (a one- or two-byte
-length), None, bools and ints below 128 are written and read in line,
-and a list of more than four byte strings of one length under 128 is
-read in bulk; every other value and every refusal takes the one general
-path.  Ints are unsigned 64-bit both ways.
+length), None, bools and ints below 128 are written and read in line, a
+list of under 128 items is read in line, and a list of more than four
+byte strings of one length under 128 is read in bulk; every other value
+and every refusal takes the one general path.  Ints are u64 both ways.
 """
 
 from __future__ import annotations
@@ -280,6 +280,8 @@ def _read_values(data: bytes, pos: int, count: int, fields: dict | None = None):
             value, pos = None, pos + 1
         elif kind == _TYPE_INT and pos + 1 < end and data[pos + 1] < 0x80:
             value, pos = data[pos + 1], pos + 2
+        elif kind == _TYPE_LIST and pos + 1 < end and data[pos + 1] <= min(0x7F, end - pos - 2):
+            value, pos = _read_values(data, pos + 2, data[pos + 1])  # a COMMIT's ops
         else:
             value, pos = _read_value(data, pos)
         if fields is None:
@@ -317,21 +319,24 @@ def decode_fields(data: bytes) -> dict:
 
 _MAGIC = ord("K")
 _VERSION = 1
-#: After magic and version: type, status, sequence, then the lengths
-#: of the identity, the status message and the TLV body.
-_HEADER = struct.Struct(">BBQHHI")
-_PREFIX = bytes((_MAGIC, _VERSION))
-_HEADER_END = len(_PREFIX) + _HEADER.size
+#: Magic, version, type, status, sequence, then the lengths of the
+#: identity, the status message and the TLV body.
+_HEADER = struct.Struct(">BBBBQHHI")
+_HEADER_END = _HEADER.size
+#: The body of a command without fields, as :func:`encode_fields` writes it.
+_EMPTY_BODY = bytes(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One Kinetic command: header + body, HMAC-authenticated."""
 
     message_type: MessageType
     identity: str
     sequence: int
-    body: dict = field(default_factory=dict)
+    #: The fields; or, for a command built to be sent, their encoding
+    #: (:func:`encode_fields`), made once for every drive it goes to.
+    body: dict | bytes = field(default_factory=dict)
     status: StatusCode = StatusCode.SUCCESS
     status_message: str = ""
     hmac: bytes = b""
@@ -345,15 +350,17 @@ class Message:
         """The canonical encoding covered by the HMAC (always fresh)."""
         identity = self.identity.encode()
         status_message = self.status_message.encode()
-        body = encode_fields(self.body)
+        body = self.body
+        if type(body) is not bytes:
+            body = encode_fields(body) if body else _EMPTY_BODY
         try:
             header = _HEADER.pack(
-                self.message_type, self.status, self.sequence,
+                _MAGIC, _VERSION, self.message_type, self.status, self.sequence,
                 len(identity), len(status_message), len(body),
             )
         except struct.error as exc:
             raise KineticError(f"command does not fit the header: {exc}") from exc
-        return b"".join((_PREFIX, header, identity, status_message, body))
+        return b"".join((header, identity, status_message, body))
 
     def sign(self, mac: HmacSha256) -> "Message":
         """Attach the HMAC-SHA256 of the command under ``mac``'s key.
@@ -389,16 +396,16 @@ class Message:
     @classmethod
     def decode(cls, data: bytes) -> "Message":
         """Parse a framed wire blob, accepting only canonical frames."""
-        if len(data) < len(_PREFIX) or data[0] != _MAGIC:
+        if len(data) < 2 or data[0] != _MAGIC:
             raise KineticError("bad frame magic")
         if data[1] != _VERSION:
             raise KineticError(f"unsupported frame version {data[1]}")
         if len(data) < _HEADER_END:
             raise KineticError("truncated frame header")
         (
-            type_byte, status_byte, sequence,
+            _magic, _version, type_byte, status_byte, sequence,
             identity_len, status_message_len, body_len,
-        ) = _HEADER.unpack_from(data, len(_PREFIX))
+        ) = _HEADER.unpack_from(data)
         identity_end = _HEADER_END + identity_len
         body_start = identity_end + status_message_len
         command_end = body_start + body_len

@@ -6,6 +6,8 @@ sealing across enclave restarts, every bootstrap fork-detection path,
 and the operator surfaces (health, metrics, audit chain).
 """
 
+import json
+
 import pytest
 
 from repro.core.controller import ControllerConfig, PesosController
@@ -15,8 +17,10 @@ from repro.core.freshness import (
     MerkleTree,
     ProofCache,
     object_label,
+    pack_pin,
     policy_label,
     record_digest,
+    unpack_pin,
 )
 from repro.core.store import _RANGE_PAGE, ObjectStore, StoredMeta
 from repro.errors import ForkDetected, FreshnessError, StaleReplica
@@ -334,6 +338,108 @@ def test_foreign_seal_is_a_fork():
     restarted.bootstrap(store)
     assert restarted.forked
     assert "unseal" in restarted.fork_reason
+
+
+# -- the pin payload ----------------------------------------------------------
+
+
+PENDING = {
+    object_label("b"): ("a" * 64, None),
+    object_label("a"): (None, "b" * 64),
+    policy_label("p\u00fc"): ("c" * 64, "d" * 64),
+}
+
+
+def test_pin_payload_round_trips():
+    root = MerkleTree().root
+    for pending in ({}, PENDING):
+        payload = pack_pin(root, 7, 1.25, pending)
+        assert unpack_pin(payload) == (root, 7, 1.25, pending)
+        # Head (root, counter, vnow, count), then per entry a u32 label
+        # length, the label and two 32-byte leaves.
+        assert len(payload) == 52 + sum(
+            4 + len(label.encode()) + 64 for label in pending
+        )
+
+
+def test_the_sealed_pin_is_the_packed_payload():
+    _store_, _cluster, authority, platform = _verified_store()
+    authority.vnow = 2.5
+    authority.prepare(object_label("k"), "c" * 64)
+    assert unpack_pin(authority.enclave.unseal(platform.pin_slot)) == (
+        authority.root, platform.counter.read(), 2.5,
+        {object_label("k"): (None, "c" * 64)},
+    )
+
+
+def test_a_key_past_64_kib_pins_and_restarts_clean():
+    """No key the store takes is too long for the pin: the write of a
+    70 000-character key pins, later writes still pin, and a restart
+    boots clean on the fleet it left."""
+    store, _cluster, authority, platform = _verified_store()
+    key = "k" * 70_000
+    store.store_version(StoredMeta(key=key), b"v1", "")
+    store.store_version(StoredMeta(key="short"), b"v2", "")
+    assert authority.pending == {}
+    assert authority.epoch == platform.counter.read() == 5
+    store.freshness = None
+    restarted = FreshnessAuthority(platform.launch(BINARY))
+    restarted.bootstrap(store)
+    assert restarted.active and not restarted.forked
+    assert restarted.root == authority.root
+    assert restarted.expected(object_label(key)) is not None
+
+
+def _json_era(payload: bytes) -> list:
+    """The pin as the sorted-JSON payload once sealed it."""
+    root, counter, vnow, pending = unpack_pin(payload)
+    return [
+        json.dumps(
+            {"counter": counter, "pending": entries, "root": root, "vnow": vnow},
+            sort_keys=True, separators=(",", ":"),
+        ).encode()
+        for entries in ({}, {k: list(v) for k, v in sorted(pending.items())})
+    ]
+
+
+def _label_length(payload: bytes, length: int) -> bytes:
+    return payload[:52] + length.to_bytes(4, "big") + payload[56:]
+
+
+MALFORMED = {
+    "truncated": lambda payload: [payload[:cut] for cut in range(len(payload))],
+    "trailing": lambda payload: [payload + b"\0", payload + payload[-40:]],
+    "label-length": lambda payload: [
+        _label_length(payload, length)
+        for length in (0, len(object_label("k")) - 1, len(object_label("k")) + 1,
+                       len(payload), 0xFFFF, 0xFFFFFFFF)
+    ],
+    "json-era": _json_era,
+}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED))
+def test_own_sealed_malformed_pin_is_a_foreign_or_corrupt_seal(kind):
+    """A payload the controller's own enclave sealed, so it unseals, but
+    that is not exactly what :func:`pack_pin` writes: there is no other
+    reader, a JSON-era pin included."""
+    store, _cluster, authority, platform = _verified_store()
+    authority.prepare(object_label("k"), "c" * 64)  # never written
+    store.freshness = None
+    payload = authority.enclave.unseal(platform.pin_slot)
+    enclave = platform.launch(BINARY)
+    for bad in MALFORMED[kind](payload):
+        platform.pin_slot = enclave.seal(bad)
+        restarted = FreshnessAuthority(enclave)
+        restarted.bootstrap(store)
+        assert restarted.forked, bad
+        assert "foreign or corrupt seal" in restarted.fork_reason
+    # The well-formed payload, sealed the same way, boots clean: the
+    # pending entry explains the write that never reached the drives.
+    platform.pin_slot = enclave.seal(payload)
+    restarted = FreshnessAuthority(enclave)
+    restarted.bootstrap(store)
+    assert restarted.active and not restarted.forked
 
 
 def test_rolled_back_fleet_is_a_fork():

@@ -78,6 +78,36 @@ def test_http_request_roundtrip():
     assert parsed.log_key == "photos/cat.jpg.log"
 
 
+#: Ids that a query string would split, cut short or re-read if they
+#: travelled unquoted.
+AWKWARD_IDS = ["a&version=9", "a=b", "a+b", "a#frag", "100%", "two words",
+               "&=+#% ", "tx-1f2e"]
+
+
+@pytest.mark.parametrize("ident", AWKWARD_IDS)
+def test_http_request_quotes_every_id_it_carries(ident):
+    original = Request(
+        method="put", key="k", value=b"v", policy_id=ident, txid=ident,
+        operation_id=ident, log_key=ident,
+    )
+    parsed = parse_http_request(build_http_request(original))
+    assert (parsed.policy_id, parsed.txid, parsed.operation_id, parsed.log_key) == (
+        ident, ident, ident, ident,
+    )
+    assert parsed.version is None  # nothing smuggled in
+
+
+def test_hex_ids_and_tx_tokens_quote_to_themselves():
+    """The bytes of an ordinary request do not change with the quoting."""
+    wire = build_http_request(Request(
+        method="put", key="k", value=b"v", policy_id="0a" * 32,
+        txid="tx-00000001", operation_id="op-7",
+    ))
+    assert wire.startswith(
+        b"POST /put/k?policy=" + b"0a" * 32 + b"&txid=tx-00000001&op=op-7 HTTP/1.1\r\n"
+    )
+
+
 def test_http_request_minimal():
     parsed = parse_http_request(b"POST /get/mykey HTTP/1.1\r\n\r\n")
     assert parsed.method == "get"

@@ -6,7 +6,7 @@ target (the client surface and the admin surface both use it), and
 guards keep a stdlib URL parser, or a second mapping, from growing
 back on the request path.  The last guard keeps the request path's
 import closure to code a request runs: no linter, no analyzer, no DES
-constants or Scone model, no benchmark or simulator.
+constants, drive timing or Scone model, no benchmark or simulator.
 """
 
 import ast
@@ -71,6 +71,7 @@ NOT_ON_THE_REQUEST_PATH = tuple(
     for package, names in {
         "repro.analysis": ("lint", "races", "deadlock", "taint", "taintspec", "callgraph"),
         "repro.sgx": ("costs", "scheduler", "syscalls"),
+        "repro.kinetic": ("timing",),
         "repro.core": ("sharding",),
         "repro": ("bench", "sim"),
     }.items()

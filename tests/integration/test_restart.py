@@ -9,12 +9,12 @@ a rolled-back fleet or a forged pin is refused, an honest fleet
 serves its latest writes.
 """
 
-import json
 import secrets
 
 import pytest
 
 from repro.core.controller import ControllerConfig, PesosController
+from repro.core.freshness import pack_pin
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive, Role
 from repro.sgx.attestation import AttestationService, SgxPlatform
@@ -54,13 +54,9 @@ class Host:
 
 
 def _forged_pin(forger: Enclave, root: str, counter: int) -> bytes:
-    """A pin in the authority's format, sealed by ``forger``."""
-    payload = json.dumps(
-        {"counter": counter, "pending": {}, "root": root, "vnow": 0.0},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode()
-    return forger.seal(payload)
+    """A pin packed by the authority's own packer, sealed by ``forger``:
+    it differs from a real pin only in its seal."""
+    return forger.seal(pack_pin(root, counter, 0.0, {}))
 
 
 def test_restart_over_rolled_back_fleet_forks():

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.store import StoredMeta
+from repro.core.store import ObjectStore, StoredMeta
 from repro.crypto.aead import HmacSha256, StreamAead
 from repro.kinetic import protocol
 from repro.kinetic.client import KineticClient
+from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.kinetic.protocol import Message, MessageType
 
@@ -112,3 +113,49 @@ def test_a_command_is_encoded_through_the_module_global(monkeypatch):
     assert len(calls) == 1
     assert Message.decode(wire).verify(mac)
     assert len(calls) == 1
+
+
+def test_a_mutation_is_encoded_once_for_all_its_replicas(monkeypatch):
+    """An RF 3 ``store_version`` encodes its ``COMMIT`` body once, through
+    the module global; each replica's frame still carries that client's
+    own sequence and authenticates at its drive."""
+    cluster = DriveCluster(num_drives=3)
+    clients = cluster.connect_all(KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY)
+    store = ObjectStore(clients, b"k" * 32, replication_factor=3)
+    bodies, frames = [], []
+    original = protocol.encode_fields
+
+    def counted(fields):
+        if "ops" in fields:
+            bodies.append(fields)
+        return original(fields)
+
+    monkeypatch.setattr(protocol, "encode_fields", counted)
+    for drive in cluster.drives:
+        def handle(request, drive=drive, inner=drive.handle):
+            if request.message_type == MessageType.COMMIT:
+                mac = drive._accounts[request.identity].mac
+                frames.append((drive.drive_id, request.sequence, request.verify(mac)))
+            return inner(request)
+
+        monkeypatch.setattr(drive, "handle", handle)
+    store.store_version(StoredMeta(key="obj"), b"value", "")
+    assert len(bodies) == 1
+    assert sorted(frames) == sorted(
+        (client.drive.drive_id, client._sequence, True) for client in clients
+    )
+    assert store.read_value("obj", 0) == b"value"
+
+
+def test_a_prebuilt_body_is_the_signed_body():
+    """A command built from an encoded body signs the bytes its fields
+    would, and stops verifying once its body changes."""
+    mac = HmacSha256(KineticDrive.DEMO_KEY)
+    ops = [protocol.Op(b"a", b"1", force=True)]
+    fields = {"ops": ops}
+    message = Message(MessageType.COMMIT, "demo", 4, protocol.encode_fields(fields))
+    message.sign(mac)
+    assert message.command_bytes() == Message(MessageType.COMMIT, "demo", 4, fields).command_bytes()
+    assert message.verify(mac)
+    message.body = protocol.encode_fields({"ops": ops * 2})
+    assert not message.verify(mac)
