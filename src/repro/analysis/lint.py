@@ -55,10 +55,10 @@ suite depends on but cannot easily assert:
 ``core-unverified-meta-read``
     ``core/`` code outside the store and the freshness layer never
     reads drive state through a raw client call (``.get``,
-    ``.get_key_range``, ...).  Such reads bypass Merkle proof
-    verification against the pinned root, so a replayed stale replica
-    would be trusted on its version number alone — the exact hole
-    rollback protection closes.  Route reads through
+    ``.get_key_range``, ...).  Such reads skip the check of the
+    record's digest against the pinned Merkle leaf, so a replayed stale
+    replica would be trusted on its version number alone — the exact
+    hole rollback protection closes.  Route reads through
     ``ObjectStore.read_meta`` / ``read_policy`` / ``read_value``;
     deliberate raw reads (e.g. migration sources whose result
     re-enters the verified path) carry pragmas.
@@ -146,7 +146,7 @@ _HIGH_CARDINALITY_NAMES = {
 _TIME_PARAM_NAMES = {"now", "wall_clock", "timestamp"}
 
 
-#: Drive-client read methods that return raw (proof-unverified) state.
+#: Drive-client read methods that return raw (unverified) state.
 _DRIVE_READ_ATTRS = {
     "get",
     "get_version",
@@ -352,8 +352,8 @@ class _Visitor(ast.NodeVisitor):
             self.report(
                 "core-unverified-meta-read",
                 node,
-                f"raw drive read .{func.attr}() bypasses Merkle proof "
-                "verification against the pinned root; read through the "
+                f"raw drive read .{func.attr}() skips the record digest "
+                "check against the pinned Merkle leaf; read through the "
                 "store's verified read path",
             )
 

@@ -127,7 +127,7 @@ def fig3_fig4(clients=None) -> tuple[FigureResult, FigureResult]:
 
 
 # ---------------------------------------------------------------------------
-# Freshness: crypto-work overhead of proof-verified metadata reads
+# Freshness: crypto-work overhead of pinned-leaf metadata reads
 # ---------------------------------------------------------------------------
 
 def freshness_overhead(
@@ -138,14 +138,14 @@ def freshness_overhead(
     Two identical stores run the same workload — one with a freshness
     authority pinned to a monotonic counter, one without — and the
     overhead is the ratio of *crypto bytes processed* during the
-    measured (read-only, cache-warm) phase: AEAD payloads opened, plus
-    on the protected side Merkle/leaf hashing and pin sealing.
-    Counting bytes instead of wall time makes the recorded figure a
-    pure function of the workload, so the committed BENCH entry
-    regenerates byte-identically on any machine.  With the proof cache
-    warm the budget is <= 10% (docs/freshness.md); the dominant cost
-    left is one SHA-256 over each metadata record, so the overhead
-    shrinks as objects grow.
+    measured (read-only, after one warm-up round) phase: AEAD payloads
+    opened, plus on the protected side Merkle/leaf hashing and pin
+    sealing.  Counting bytes instead of wall time makes the recorded
+    figure a pure function of the workload, so the committed BENCH
+    entry regenerates byte-identically on any machine.  The budget is
+    <= 10% (docs/freshness.md).  A read looks its leaf up in the
+    in-enclave tree without hashing, so the cost is one SHA-256 over
+    each metadata record, and the overhead shrinks as objects grow.
     """
     from repro.core.effects import DECRYPT, ENCRYPT, EffectsRecorder
     from repro.core.freshness import FreshnessAuthority
@@ -183,8 +183,8 @@ def freshness_overhead(
             key = f"bench/{index:04d}"
             value = bytes((index + j) % 251 for j in range(value_size))
             metas[key] = store.store_version(StoredMeta(key=key), value, "")
-        # Warm-up round: populates the proof cache; the baseline side
-        # plays it too so both stores enter measurement identically.
+        # Warm-up round: both stores play it, so both enter the
+        # measurement identically.
         for key, meta in metas.items():
             store.read_meta(key)
             store.read_value(key, meta.current_version)
@@ -221,9 +221,6 @@ def freshness_overhead(
     )
     result = {
         "freshness_overhead_pct": overhead_pct,
-        "freshness_proof_cache_hit_ratio": round(
-            authority.cache.hit_ratio, 4
-        ),
         "freshness_pins": authority.pins,
         "freshness_epoch": authority.epoch,
     }

@@ -131,10 +131,10 @@ class AntiEntropyRepairer:
         return report
 
     def _repair_object(self, key: str) -> tuple[int, bool]:
-        # With a freshness authority attached, this read verifies a
-        # Merkle proof against the pinned root — so repair converges
-        # the fleet toward the *proof-verified* freshest record, never
-        # toward a stale-but-valid replica a rollback attack planted.
+        # With a freshness authority attached, this read serves only a
+        # record whose digest equals the pinned leaf — so repair
+        # converges the fleet toward the *pinned* record, never toward
+        # a stale-but-valid replica a rollback attack planted.
         meta = self.store.read_meta(key)
         if meta is None or not meta.exists:
             # Deleted since it was journaled; nothing left to repair.
@@ -156,8 +156,8 @@ class AntiEntropyRepairer:
         # rollback amplifier.  Blobs that are not compiled policies at
         # all (the store API allows arbitrary bytes) have no hash to
         # check; the AEAD open already authenticated them.  With a
-        # freshness authority attached the read above is additionally
-        # proof-verified against the pinned root.
+        # freshness authority attached the read above additionally
+        # matches the blob's digest against the pinned leaf.
         from repro.errors import PolicyError
         from repro.policy.binary import CompiledPolicy
 

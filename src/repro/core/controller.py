@@ -102,12 +102,12 @@ class ControllerConfig:
     audit_log_size: int | None = None
     #: Root object/policy metadata in an authenticated dictionary
     #: pinned by a sealed monotonic counter
-    #: (:mod:`repro.core.freshness`): reads verify Merkle proofs
-    #: instead of trusting replica version numbers, and startup
-    #: refuses to serve after fork detection.  Needs the controller's
-    #: ``enclave``, whose platform keeps the counter and the pin.  Set
-    #: by the wall benchmark (``a_fresh``); the ROADMAP's
-    #: one-trust-path item removes it.
+    #: (:mod:`repro.core.freshness`): reads compare each replica's
+    #: record digest with the tree's pinned leaf instead of trusting
+    #: version numbers, and startup refuses to serve after fork
+    #: detection.  Needs the controller's ``enclave``, whose platform
+    #: keeps the counter and the pin.  Set by the wall benchmark
+    #: (``a_fresh``); the ROADMAP's one-trust-path item removes it.
     freshness_enabled: bool = False
     # -- kept only because the seeded chaos suites (the correctness
     # oracle) record outcomes against their values ----------------------
@@ -441,6 +441,10 @@ class PesosController:
         if self.requests_handled % self.config.anti_entropy_interval:
             return
         if not len(self.store.journal):
+            return
+        if self.freshness is not None and self.freshness.forked:
+            # A repair pass writes replicas by the unverified
+            # newest-of-quorum rule; a forked controller writes nothing.
             return
         try:
             self.anti_entropy.run_once(max_keys=ANTI_ENTROPY_BATCH)
@@ -824,11 +828,11 @@ class PesosController:
 
         The store merges the ``m/`` ranges of every reachable drive;
         each returned object is then resolved through the normal
-        metadata path — proof-verified when freshness is on — and
-        policy-checked for ``read`` exactly as a ``get`` of it by the
-        same caller would be.  Records whose policy denies the caller
-        are *skipped*, not fatal: one locked-down object must not veto
-        the rest of the range.  The response body is one
+        metadata path — checked against the pinned leaf when freshness
+        is on — and policy-checked for ``read`` exactly as a ``get`` of
+        it by the same caller would be.  Records whose policy denies
+        the caller are *skipped*, not fatal: one locked-down object must
+        not veto the rest of the range.  The response body is one
         ``key@version`` line per visible record.
 
         A policy that reads nothing of the object is evaluated for the

@@ -14,8 +14,7 @@ key-value stores rooted in an enclave:
 - A **sparse Merkle tree** (:class:`MerkleTree`) over every metadata
   label — ``o/<key>`` for object records, ``p/<id>`` for policy blobs
   — whose leaves are SHA-256 digests of the *plaintext* records.  The
-  tree lives in enclave memory and supports membership and absence
-  proofs against its root.
+  tree lives in enclave memory; its root is what the pin commits to.
 - A **sealed, monotonically-advancing pin**: every metadata mutation
   advances the platform's :class:`repro.sgx.enclave.MonotonicCounter`
   and stores ``seal(root ‖ counter ‖ vnow ‖ pending)`` (:func:`pack_pin`), sealed by the
@@ -24,11 +23,11 @@ key-value stores rooted in an enclave:
   outlive the enclave, so a replayed sealed pin (correctly sealed, but
   stale) is caught by a counter mismatch at the next launch.
 - **Verified reads**: the store asks :meth:`FreshnessAuthority
-  .acceptable` for the pinned leaf digest (a proof generated from the
-  tree and verified against the pinned root); replicas whose record
-  digest does not match are rejected as stale, failed over, and
-  repaired.  Absence is proven the same way, so a replayed record of
-  a deleted object can never resurrect it.
+  .acceptable` for the leaf digest the tree holds and compares each
+  replica's record digest with it; a replica that does not match is
+  rejected as stale, failed over, and repaired.  A label the tree does
+  not hold answers absent, so a replayed record of a deleted object
+  can never resurrect it.
 - **Fork detection at startup** (:meth:`FreshnessAuthority.bootstrap`):
   the controller unseals the pin, checks the sealed counter against
   the hardware counter, rebuilds the tree from the freshest drive
@@ -43,11 +42,10 @@ and re-pins whatever the drives prove.  The inherent residual window
 (shared with lightweight-collective-memory designs) is the single most
 recent unsettled mutation; everything older is rollback-protected.
 
-The proof hot path is cached: :class:`ProofCache` memoizes verified
-leaf digests keyed by the pin epoch (the counter value), so steady-
-state reads cost one SHA-256 over the record instead of a full proof
-verification.  Any pin advance changes the epoch and implicitly
-invalidates every cached proof.
+No read builds a Merkle proof.  A proof convinces a verifier that holds
+only the root; here the verifier is the enclave that holds the whole
+tree, and the tree never leaves enclave memory, so the leaf it holds is
+the pinned leaf.  A read costs one SHA-256 over each candidate record.
 """
 
 from __future__ import annotations
@@ -55,13 +53,12 @@ from __future__ import annotations
 import bisect
 import hashlib
 import struct
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.errors import (
     AttestationError,
     DriveOffline,
     ForkDetected,
-    FreshnessError,
     KineticError,
     TransientIOError,
 )
@@ -72,8 +69,8 @@ from repro.telemetry import NULL_TELEMETRY
 LABEL_OBJECT = "o/"
 LABEL_POLICY = "p/"
 
-#: Tree depth: 16 bits of the label hash pick the bucket slot, so the
-#: proof path is 16 sibling hashes regardless of dictionary size.
+#: Tree depth: 16 bits of the label hash pick the bucket slot, so an
+#: update rehashes 16 nodes regardless of dictionary size.
 TREE_DEPTH = 16
 
 
@@ -104,22 +101,6 @@ def _empty_hashes() -> list[bytes]:
 _EMPTY = _empty_hashes()
 
 
-@dataclass(frozen=True)
-class FreshnessProof:
-    """Membership/absence proof for one label against a pinned root.
-
-    ``items`` is the full (label, digest) content of the label's
-    bucket — membership shows the pair present, absence shows the
-    bucket without it — and ``siblings`` are the ``TREE_DEPTH`` sibling
-    hashes from the bucket up to the root.
-    """
-
-    label: str
-    slot: int
-    items: tuple
-    siblings: tuple
-
-
 class MerkleTree:
     """Sparse Merkle tree over label → leaf-digest mappings.
 
@@ -130,8 +111,7 @@ class MerkleTree:
     rewrite one bucket and the ``TREE_DEPTH`` nodes above it; a subtree
     no update has reached hashes to a precomputed constant and is not
     stored.  Nodes are raw 32-byte digests, one dict per level keyed by
-    index; they are spelled in hex only where the tree is read from
-    outside (:attr:`root`, :meth:`prove`, :meth:`verify`).
+    index; only :attr:`root` spells one in hex.
     """
 
     def __init__(self):
@@ -181,23 +161,18 @@ class MerkleTree:
 
     # -- hashing ----------------------------------------------------------
 
-    def _items(self, slot: int) -> tuple:
-        return tuple(
-            (name, self._digests[name])
-            for name in self._buckets.get(slot, ())
-        )
-
-    def _bucket_hash(self, items: tuple) -> bytes:
-        if not items:
+    def _bucket_hash(self, slot: int) -> bytes:
+        names = self._buckets.get(slot)
+        if not names:
             return _EMPTY[TREE_DEPTH]
         body = b"bucket:" + "\n".join(
-            f"{name}={digest}" for name, digest in items
+            f"{name}={self._digests[name]}" for name in names
         ).encode()
         self.hash_bytes += len(body)
         return hashlib.sha256(body).digest()
 
     def _update_path(self, slot: int) -> None:
-        digest = self._bucket_hash(self._items(slot))
+        digest = self._bucket_hash(slot)
         index = slot
         sha256 = hashlib.sha256
         for nodes, empty in self._path:
@@ -209,92 +184,6 @@ class MerkleTree:
             index >>= 1
         self.hash_bytes += 64 * TREE_DEPTH
         self._levels[0][0] = digest
-
-    # -- proofs -----------------------------------------------------------
-
-    def prove(self, label: str) -> FreshnessProof:
-        """Membership (or absence) proof for ``label``."""
-        slot = index = self.slot_of(label)
-        siblings = []
-        for nodes, empty in self._path:
-            siblings.append(nodes.get(index ^ 1, empty).hex())
-            index >>= 1
-        return FreshnessProof(
-            label=label, slot=slot, items=self._items(slot),
-            siblings=tuple(siblings),
-        )
-
-    def verify(self, root: str, proof: FreshnessProof) -> str | None:
-        """Check ``proof`` against ``root``; return the proven digest.
-
-        Returns the label's leaf digest for a membership proof, None
-        for a verified absence proof; raises
-        :class:`~repro.errors.FreshnessError` when the proof does not
-        reproduce the root (tampered bucket or path).
-        """
-        if proof.slot != self.slot_of(proof.label):
-            raise FreshnessError(
-                f"proof slot {proof.slot} does not match label "
-                f"{proof.label!r}"
-            )
-        digest = self._bucket_hash(proof.items)
-        index = proof.slot
-        for sibling in map(bytes.fromhex, proof.siblings):
-            digest = hashlib.sha256(
-                sibling + digest if index & 1 else digest + sibling
-            ).digest()
-            index >>= 1
-        self.hash_bytes += 64 * len(proof.siblings)
-        if digest.hex() != root:
-            raise FreshnessError(
-                f"proof for {proof.label!r} does not reproduce the "
-                f"pinned root"
-            )
-        for name, leaf in proof.items:
-            if name == proof.label:
-                return leaf
-        return None
-
-
-class ProofCache:
-    """Verified leaf digests, keyed by (pin epoch, label).
-
-    Entries are valid only for the epoch (monotonic-counter value)
-    they were verified under; a pin advance bumps the epoch, which
-    lazily invalidates every entry — no sweep, no per-entry bookkeeping
-    on the pin path.
-    """
-
-    def __init__(self, capacity: int = 4096):
-        self.capacity = capacity
-        self._entries: dict[str, tuple[int, str | None]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, epoch: int, label: str):
-        """``(found, digest)`` — found is False on miss or stale epoch."""
-        entry = self._entries.get(label)
-        if entry is not None and entry[0] == epoch:
-            self.hits += 1
-            return True, entry[1]
-        self.misses += 1
-        return False, None
-
-    def put(self, epoch: int, label: str, digest: str | None) -> None:
-        if len(self._entries) >= self.capacity and label not in self._entries:
-            # Deterministic relief valve: drop the whole map rather
-            # than track per-entry recency (entries re-verify in one
-            # proof each).
-            self._entries.clear()
-        self._entries[label] = (epoch, digest)
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 #: A pin payload: root, counter, vnow and the number of pending entries;
@@ -369,7 +258,10 @@ class FreshnessAuthority:
         self.enclave = enclave
         self.platform = enclave.platform
         self.tree = MerkleTree()
-        self.cache = ProofCache()
+        #: Always zero: the wall benchmark's counter snapshot
+        #: (benchmarks/wall/harness.py:197-200) still reads a lookup
+        #: cache's hits and misses off the authority.
+        self.cache = SimpleNamespace(hits=0, misses=0)
         #: In-flight mutations: label -> (old leaf, new leaf); either
         #: side is acceptable until the mutation settles.
         self.pending: dict[str, tuple[str | None, str | None]] = {}
@@ -386,8 +278,6 @@ class FreshnessAuthority:
         self.pins = 0
         self.seals = 0
         self.seal_bytes = 0
-        self.proofs_verified = 0
-        self.proofs_failed = 0
         self.stale_rejected = 0
         #: Candidate-record bytes hashed during verified reads (crypto
         #: work the unverified read path does not do), for the overhead
@@ -404,27 +294,10 @@ class FreshnessAuthority:
             lambda: self.pins,
         )
         telemetry.derived(
-            "pesos_freshness_proofs_total",
-            "counter",
-            "Merkle proofs checked against the pinned root.",
-            lambda: [
-                ("verified", self.proofs_verified),
-                ("failed", self.proofs_failed),
-            ],
-            ("outcome",),
-        )
-        telemetry.derived(
             "pesos_freshness_stale_rejected_total",
             "counter",
             "Replica records rejected for proving a stale leaf.",
             lambda: self.stale_rejected,
-        )
-        telemetry.derived(
-            "pesos_freshness_proof_cache_total",
-            "counter",
-            "Proof-cache lookups by result.",
-            lambda: [("hit", self.cache.hits), ("miss", self.cache.misses)],
-            ("result",),
         )
         telemetry.derived(
             "pesos_freshness_epoch",
@@ -470,14 +343,7 @@ class FreshnessAuthority:
             "pending": len(self.pending),
             "pins": self.pins,
             "last_pin_vnow": self.last_pin_vnow,
-            "proofs_verified": self.proofs_verified,
-            "proofs_failed": self.proofs_failed,
             "stale_rejected": self.stale_rejected,
-            "proof_cache": {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "hit_ratio": round(self.cache.hit_ratio, 4),
-            },
         }
 
     # -- pinning ----------------------------------------------------------
@@ -544,30 +410,19 @@ class FreshnessAuthority:
             )
 
     def expected(self, label: str) -> str | None:
-        """The proof-verified leaf digest pinned for ``label``.
+        """The leaf digest the pinned tree holds for ``label``.
 
-        Cache hit: no hashing at all.  Miss: generate a proof from the
-        tree, verify it against the pinned root, memoize under the
-        current epoch.
+        A plain lookup: the tree is the one the pin commits to and it
+        never leaves enclave memory, so there is no outside copy whose
+        proof would need checking against the root.
         """
         self._gate()
-        found, digest = self.cache.get(self.epoch, label)
-        if found:
-            return digest
-        proof = self.tree.prove(label)
-        try:
-            digest = self.tree.verify(self.tree.root, proof)
-        except FreshnessError:
-            self.proofs_failed += 1
-            raise
-        self.proofs_verified += 1
-        self.cache.put(self.epoch, label, digest)
-        return digest
+        return self.tree.get(label)
 
     def acceptable(self, label: str):
         """``(expected, allowed)`` digests for one verified read.
 
-        ``expected`` is the pinned leaf (None = proven absent);
+        ``expected`` is the pinned leaf (None = absent from the tree);
         ``allowed`` additionally admits both sides of an unsettled
         pending mutation, which is how reads stay available across the
         prepare→write crash window.
@@ -697,9 +552,7 @@ class FreshnessAuthority:
 
 __all__ = [
     "FreshnessAuthority",
-    "FreshnessProof",
     "MerkleTree",
-    "ProofCache",
     "TREE_DEPTH",
     "object_label",
     "pack_pin",

@@ -556,11 +556,12 @@ class ObjectStore:
         label: str,
         kind: str,
     ) -> bytes | None:
-        """Pinned rule: the first record equal to the proved leaf digest.
+        """Pinned rule: the first record equal to the pinned leaf digest.
 
-        The freshness authority proves what digest the record *must*
-        have, so a single matching reply suffices — or that the label
-        is absent, which answers without any drive I/O.  While a
+        The freshness authority's in-enclave tree holds the digest the
+        record *must* have, so a single reply whose record digest
+        matches it suffices; a label the tree does not hold is absent,
+        which answers without any drive I/O.  While a
         mutation of the label is unsettled, a replica holding its other
         side is kept as a fallback (and never re-seeded over): that is
         what keeps reads available across the prepare→write crash
@@ -921,9 +922,10 @@ class ObjectStore:
     def read_meta(self, key: str) -> StoredMeta | None:
         """Fetch object metadata; None when absent.
 
-        Proof-verified against the pinned Merkle root when a freshness
-        authority is active (:meth:`_read_pinned`), newest of a quorum
-        otherwise (:meth:`_read_newest`).
+        When a freshness authority is active, a replica's record must
+        hash to the leaf the pinned Merkle tree holds for the key
+        (:meth:`_read_pinned`); otherwise the newest of a quorum serves
+        (:meth:`_read_newest`).
         """
         disk_key, aad = self._meta_record(key)
         if self._verifying():

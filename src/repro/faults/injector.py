@@ -150,7 +150,7 @@ class FaultyDrive:
         The stale entry is swapped in only for the duration of the
         inner call, so the drive HMAC-signs a perfectly-formed response
         carrying data the controller overwrote long ago — precisely
-        what version numbers cannot detect and Merkle proofs can.
+        what version numbers cannot detect and a pinned Merkle leaf can.
         """
         key = request.body.get("key")
         history = self._retained.get(key) if key is not None else None

@@ -5,16 +5,20 @@ pin and audit record so far was taken over.
 digests in one dict per level; this copy keeps them as hex strings keyed
 by ``(level, index)``, as the tree first shipped, and stays here,
 unoptimised, as the oracle ``test_merkle_differential.py`` compares the
-shipped tree against.  Roots, proofs and absence proofs must agree byte
-for byte.
+shipped tree against: roots must agree byte for byte.  It keeps the
+membership and absence proofs the shipped tree no longer builds (the
+shipped tree never leaves the enclave, so a read looks its leaf up);
+the leaf a proof verifies against this tree's root is the oracle for
+that lookup.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+from dataclasses import dataclass
 
-from repro.core.freshness import TREE_DEPTH, FreshnessProof
+from repro.core.freshness import TREE_DEPTH
 from repro.errors import FreshnessError
 
 
@@ -33,6 +37,22 @@ def _empty_hashes() -> list[str]:
 
 
 _EMPTY = _empty_hashes()
+
+
+@dataclass(frozen=True)
+class FreshnessProof:
+    """Membership/absence proof for one label against a root.
+
+    ``items`` is the full (label, digest) content of the label's
+    bucket — membership shows the pair present, absence shows the
+    bucket without it — and ``siblings`` are the ``TREE_DEPTH`` sibling
+    hashes from the bucket up to the root.
+    """
+
+    label: str
+    slot: int
+    items: tuple
+    siblings: tuple
 
 
 class ReferenceMerkleTree:

@@ -1,7 +1,6 @@
 """Unit tests for rollback/fork protection (:mod:`repro.core.freshness`).
 
-Covers the Merkle layer (membership/absence proofs, tamper rejection),
-the epoch-keyed proof cache, the write-ahead pin protocol, counter
+Covers the Merkle layer, the write-ahead pin protocol, counter
 sealing across enclave restarts, every bootstrap fork-detection path,
 and the operator surfaces (health, metrics, audit chain).
 """
@@ -13,9 +12,7 @@ import pytest
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.freshness import (
     FreshnessAuthority,
-    FreshnessProof,
     MerkleTree,
-    ProofCache,
     object_label,
     pack_pin,
     policy_label,
@@ -23,7 +20,7 @@ from repro.core.freshness import (
     unpack_pin,
 )
 from repro.core.store import _RANGE_PAGE, ObjectStore, StoredMeta
-from repro.errors import ForkDetected, FreshnessError, StaleReplica
+from repro.errors import ForkDetected, StaleReplica
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.kinetic.protocol import MessageType
@@ -92,59 +89,7 @@ def _restore_fleet(cluster, snapshot):
         drive._used_bytes = used_bytes
 
 
-# -- Merkle tree proofs ----------------------------------------------------
-
-
-def test_membership_proof_roundtrip():
-    tree = MerkleTree()
-    digests = {}
-    for index in range(40):
-        label = object_label(f"key-{index}")
-        digest = record_digest(f"record-{index}".encode())
-        tree.set(label, digest)
-        digests[label] = digest
-    for label, digest in digests.items():
-        proof = tree.prove(label)
-        assert tree.verify(tree.root, proof) == digest
-
-
-def test_absence_proof_roundtrip():
-    tree = MerkleTree()
-    for index in range(10):
-        tree.set(object_label(f"key-{index}"), record_digest(b"x"))
-    proof = tree.prove(object_label("never-written"))
-    assert tree.verify(tree.root, proof) is None
-
-
-def test_tampered_proof_is_rejected():
-    tree = MerkleTree()
-    tree.set(object_label("a"), record_digest(b"one"))
-    tree.set(object_label("b"), record_digest(b"two"))
-    proof = tree.prove(object_label("a"))
-    forged = FreshnessProof(
-        label=proof.label,
-        slot=proof.slot,
-        items=tuple(
-            (name, record_digest(b"EVIL")) for name, _d in proof.items
-        ),
-        siblings=proof.siblings,
-    )
-    with pytest.raises(FreshnessError):
-        tree.verify(tree.root, forged)
-
-
-def test_proof_for_wrong_slot_is_rejected():
-    tree = MerkleTree()
-    tree.set(object_label("a"), record_digest(b"one"))
-    proof = tree.prove(object_label("a"))
-    mislabeled = FreshnessProof(
-        label=object_label("b"),  # slot no longer matches the label
-        slot=proof.slot,
-        items=proof.items,
-        siblings=proof.siblings,
-    )
-    with pytest.raises(FreshnessError):
-        tree.verify(tree.root, mislabeled)
+# -- Merkle tree -----------------------------------------------------------
 
 
 def test_delete_restores_previous_root():
@@ -156,44 +101,6 @@ def test_delete_restores_previous_root():
     tree.set(object_label("b"), None)
     assert tree.root == root_before
     assert len(tree) == 1
-
-
-# -- proof cache -----------------------------------------------------------
-
-
-def test_proof_cache_is_invalidated_by_epoch_advance():
-    cache = ProofCache()
-    cache.put(7, "o/key", "digest")
-    assert cache.get(7, "o/key") == (True, "digest")
-    # A pin advance bumps the epoch; the old entry must not serve.
-    assert cache.get(8, "o/key") == (False, None)
-    assert cache.hits == 1 and cache.misses == 1
-
-
-def test_proof_cache_overflow_clears_deterministically():
-    cache = ProofCache(capacity=2)
-    cache.put(1, "a", "d1")
-    cache.put(1, "b", "d2")
-    cache.put(1, "c", "d3")  # over capacity: whole map dropped first
-    assert len(cache) == 1
-    assert cache.get(1, "a") == (False, None)
-    assert cache.get(1, "c") == (True, "d3")
-
-
-def test_put_policy_invalidates_warm_proof_cache():
-    store, _cluster, authority, _platform = _verified_store()
-    meta = StoredMeta(key="obj")
-    store.store_version(meta, b"payload", "")
-    store.read_meta("obj")  # miss: verifies one proof, warms the cache
-    hits_before = authority.cache.hits
-    store.read_meta("obj")
-    assert authority.cache.hits == hits_before + 1
-    # A policy write pins a new root (epoch advance): every cached
-    # proof — object entries included — is stale and must re-verify.
-    store.write_policy("pol-x", b"policy-blob")
-    misses_before = authority.cache.misses
-    store.read_meta("obj")
-    assert authority.cache.misses == misses_before + 1
 
 
 # -- pin protocol ----------------------------------------------------------
@@ -563,10 +470,8 @@ def test_health_and_metrics_expose_freshness_state():
     block = report["freshness"]
     assert block["active"] and not block["forked"]
     assert block["epoch"] == platform.counter.read() > 0
-    assert block["proof_cache"]["hits"] + block["proof_cache"]["misses"] > 0
     text = render_prometheus(telemetry.registry)
     assert "pesos_freshness_pins_total" in text
-    assert 'pesos_freshness_proofs_total{outcome="verified"}' in text
     assert "pesos_fork_detected 0" in text
 
 

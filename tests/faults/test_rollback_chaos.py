@@ -3,8 +3,8 @@
 The acceptance bar (ISSUE 7): across 100+ seeded scenarios composing
 rollback-to-old-version, replay-of-stale-replica and fork-across-
 restart attacks with crashes and quorum degradation, the store serves
-**zero stale acknowledged reads** (every read is either proof-verified
-current or a 5xx) and detects **every fork** at bootstrap.
+**zero stale acknowledged reads** (every read either matches the pinned
+leaf or is a 5xx) and detects **every fork** at bootstrap.
 
 Seeds derive from ``CHAOS_SEED`` so the CI matrix sweeps disjoint
 regions of the scenario space.
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.core.cache import CacheConfig
-from repro.core.store import placement
+from repro.core.store import ObjectStore, placement
 from repro.faults import DriveFaultSpec
 from repro.kinetic.retry import RetryPolicy
 from repro.sgx.attestation import SgxPlatform
@@ -33,8 +33,8 @@ OPEN_POLICY = "read :- sessionKeyIs(K)\nupdate :- sessionKeyIs(K)"
 
 
 #: Effectively no enclave object/key caching (1-byte budgets): every
-#: read in these scenarios must go to the (attacked) drives and verify
-#: a proof.
+#: read in these scenarios must go to the (attacked) drives and match
+#: the pinned leaf.
 NO_CACHE = CacheConfig(object_bytes=1, key_bytes=1)
 
 
@@ -182,7 +182,7 @@ def test_replayed_log_blob_never_says_what_the_log_no_longer_says(offset):
     (``keep_history=False``), so every replica holds a retained blob
     that still names them; replicas then replay it while the object
     cache keeps being emptied.  The facts must come from bytes the
-    proof-verified metadata's content hash admits: the intruder's probe
+    verified metadata's content hash admits: the intruder's probe
     answers 403 (or a 5xx refusal under total replay), never 200."""
     seed = BASE + 700 + offset
     rng = random.Random(seed)
@@ -261,6 +261,46 @@ def test_fork_across_restart_is_always_detected(offset):
     assert restarted.health()["status"] == "critical"
     response = restarted.get(FP, "pre-0")
     assert response.status == 503 and not response.ok
+
+
+def test_forked_controller_runs_no_repair_pass():
+    """A fork detected with a key in the repair journal: the refused
+    requests must not pump anti-entropy, whose repair writes replicas
+    by the unverified newest-of-quorum rule."""
+    platform = SgxPlatform("chaos-host")
+    stack = chaos_stack(
+        platform=platform,
+        replication_factor=3,
+        freshness_enabled=True,
+        anti_entropy_interval=1,
+    )
+    for index in range(4):
+        assert stack.controller.put(FP, f"pre-{index}", b"pre").ok
+    for drive in stack.injector.drives:
+        drive.capture_snapshot()
+    assert stack.controller.put(FP, "post-0", b"post").ok
+    for drive in stack.injector.drives:
+        assert drive.restore_snapshot("fork")
+    # One replica missing puts the key in the journal at the rebuild.
+    inner = stack.injector.drives[0]._inner
+    disk_key = ObjectStore.meta_key("pre-0")
+    del inner._entries[disk_key]
+    inner._sorted_keys.remove(disk_key)
+
+    restarted = restart_controller(
+        stack,
+        platform=platform,
+        replication_factor=3,
+        freshness_enabled=True,
+        anti_entropy_interval=1,
+    )
+    assert restarted.freshness.forked
+    assert ("object", "pre-0") in restarted.store.journal
+    puts = [drive._inner.stats.puts for drive in stack.injector.drives]
+    for index in range(3):
+        assert restarted.get(FP, f"pre-{index}").status == 503
+    assert restarted.anti_entropy.runs == 0
+    assert [drive._inner.stats.puts for drive in stack.injector.drives] == puts
 
 
 @pytest.mark.parametrize("offset", range(10))

@@ -3,7 +3,7 @@
 The satellite contract (ISSUE 8): compose rollback faults with range
 scans across 50 seeded scenarios and observe **zero stale acked
 reads**.  Scans return key@version listings; every per-key metadata
-read behind them goes through the proof-verified path, so a rolled-back
+read behind them goes through the verified path, so a rolled-back
 replica can degrade a scan (5xx, shorter range) but can never make it
 advertise a stale version as current — and follow-up GETs on scanned
 keys must serve the acked bytes or refuse.

@@ -87,7 +87,7 @@ def run_scenario() -> dict:
             audit_log_size=48,
             freshness_enabled=True,
             # Small enough that the run evicts: reads fall through to
-            # the SSD tier and to proof-verified drive reads.
+            # the SSD tier and to verified drive reads.
             cache=CacheConfig(object_bytes=160, key_bytes=700),
         ),
         telemetry=telemetry,
