@@ -8,12 +8,12 @@ paper-vs-measured results.
 
 Quick start::
 
-    from repro import PesosController, DriveCluster, KineticDrive
+    from repro import PesosController
+    from repro.kinetic.cluster import DriveCluster
+    from repro.kinetic.protocol import DEMO_IDENTITY, DEMO_KEY
 
     cluster = DriveCluster(num_drives=3)
-    clients = cluster.connect_all(
-        KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
-    )
+    clients = cluster.connect_all(DEMO_IDENTITY, DEMO_KEY)
     controller = PesosController(clients, storage_key=b"k" * 32)
 
     policy = controller.put_policy(
@@ -27,7 +27,9 @@ Package map:
 
 - :mod:`repro.core` — the controller (the paper's contribution).
 - :mod:`repro.policy` — the declarative policy language + engine.
-- :mod:`repro.kinetic` — Kinetic drives, protocol, client library.
+- :mod:`repro.kinetic` — Kinetic drives, protocol, client library.  The
+  drives and the cluster are the untrusted side of the wire: import
+  them from :mod:`repro.kinetic.drive` and :mod:`repro.kinetic.cluster`.
 - :mod:`repro.sgx` — shielded execution: attestation, EPC, syscalls.
 - :mod:`repro.crypto` — one AEAD, RSA, certificates, secure channels.
 - :mod:`repro.usecases` — content server, time capsules, versioned
@@ -39,16 +41,12 @@ Package map:
 
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.request import Request, Response
-from repro.kinetic.cluster import DriveCluster
-from repro.kinetic.drive import KineticDrive
 from repro.policy.compiler import compile_policy
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ControllerConfig",
-    "DriveCluster",
-    "KineticDrive",
     "PesosController",
     "Request",
     "Response",

@@ -6,7 +6,10 @@ get the interprocedural secrecy-flow taint pass (whole-package by
 nature; ``--no-taint`` skips it, single-file targets never run it).
 With no targets, analyzes the ``repro`` package this module was
 imported from plus ``examples/policies/*.policy`` under the current
-directory.
+directory.  A target that does not exist, or is none of the three
+kinds, is a usage error (exit 2), never a silent pass.  A policy
+owner lints a policy here (``python -m repro.analysis my.policy``)
+before uploading it; the controller runs no verifier.
 
 ``--fail-on-findings`` exits 1 when any *error*-severity finding
 remains after pragma suppression; warnings are reported but do not
@@ -146,6 +149,11 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the interprocedural secrecy-flow taint pass",
     )
     args = parser.parse_args(argv)
+    for target in args.targets:
+        if not target.exists():
+            parser.error(f"{target}: no such file or directory")
+        if not (target.is_dir() or target.suffix in (".py", ".policy")):
+            parser.error(f"{target}: not a directory, .py or .policy file")
 
     targets = args.targets or default_targets()
     findings = analyze_targets(targets, taint=not args.no_taint)

@@ -29,9 +29,10 @@ reviews.  The verifier walks a :class:`~repro.policy.binary.CompiledPolicy`
     policy hash (non-canonical or tampered encoding), or the embedded
     source text no longer compiles to this binary.
 
-``verify_policy`` returns findings; ``verify_source`` is the
-convenience used by the controller's ``put_policy`` path to attach
-structured warnings to the response.
+``verify_policy`` returns findings; ``verify_source`` compiles source
+text first.  The owner runs both through ``python -m repro.analysis
+my.policy`` before uploading a policy; the controller compiles and
+enforces whatever it is given and runs no verifier.
 """
 
 from __future__ import annotations
@@ -452,17 +453,6 @@ def verify_policy(policy: CompiledPolicy) -> list[Finding]:
 
 
 def verify_source(source: str) -> list[Finding]:
-    """Compile and verify policy source text (controller PUT path)."""
+    """Compile and verify policy source text (the owner's pre-upload lint)."""
     return verify_policy(compile_source(source))
 
-
-def warnings_payload(findings: list[Finding]) -> list[dict]:
-    """Findings as the structured warning list a PUT response carries."""
-    return [
-        {
-            "rule": f.rule,
-            "severity": f.severity,
-            "message": f.message,
-        }
-        for f in findings
-    ]

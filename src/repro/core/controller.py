@@ -24,7 +24,6 @@ import secrets as _secrets
 import time as _time
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.policy_verify import verify_policy, warnings_payload
 from repro.core.antientropy import AntiEntropyRepairer
 from repro.core.asyncapi import AsyncTracker
 from repro.core.cache import CacheConfig, CacheManager
@@ -54,7 +53,7 @@ from repro.errors import (
     RequestError,
     TransactionError,
 )
-from repro.kinetic.drive import KineticDrive, Role
+from repro.kinetic.protocol import DEMO_IDENTITY, DEMO_KEY, Role
 from repro.policy.binary import CompiledPolicy
 from repro.policy.compiled import Decision, PolicyEngine, compiled_form
 from repro.policy.compiler import compile_source
@@ -336,9 +335,7 @@ class PesosController:
         # cloud provider.  A fleet taken over whole is new: pin it empty.
         factory = [
             client
-            for client in cluster.connect_all(
-                KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
-            )
+            for client in cluster.connect_all(DEMO_IDENTITY, DEMO_KEY)
             if _accepts(client)
         ]
         if config.freshness_enabled and len(factory) == len(cluster):
@@ -986,15 +983,7 @@ class PesosController:
         # new text; the epoch still moves on every mutation, so cache
         # safety never rests on that argument.
         self.policy_engine.advance_epoch()
-        response = Response(status=200, policy_id=policy_id)
-        # Static verification is advisory at PUT time: an unsatisfiable
-        # or shadowed clause is legal, just almost certainly not what
-        # the operator meant.  Surface it now, on the response, instead
-        # of as a silent denial later.
-        findings = verify_policy(policy)
-        if findings:
-            response.extra["warnings"] = warnings_payload(findings)
-        return response
+        return Response(status=200, policy_id=policy_id)
 
     def _handle_get_policy(
         self, request: Request, session: Session, now: float

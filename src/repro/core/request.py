@@ -9,7 +9,6 @@ all benchmarks work on the structured :class:`Request` directly.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from http import HTTPStatus
@@ -239,13 +238,6 @@ def render_http_response(response: Response) -> bytes:
         headers.append(f"X-Pesos-Error: {quote(response.error)}")
     if response.retry_after is not None:
         headers.append(f"Retry-After: {response.retry_after:g}")
-    if response.extra.get("warnings"):
-        # Structured policy-verifier warnings, URL-quoted JSON: the
-        # header survives the flat name/value transport unharmed.
-        headers.append(
-            "X-Pesos-Policy-Warnings: "
-            + quote(json.dumps(response.extra["warnings"]), safe="")
-        )
     if "scanned" in response.extra:
         headers.append(f"X-Pesos-Scanned: {response.extra['scanned']}")
     if "denied" in response.extra:
@@ -298,10 +290,6 @@ def parse_http_response(raw: bytes) -> Response:
         name, _, value = line.partition(": ")
         headers[name] = value
     extra = {}
-    if "X-Pesos-Policy-Warnings" in headers:
-        extra["warnings"] = json.loads(
-            unquote(headers["X-Pesos-Policy-Warnings"])
-        )
     if "X-Pesos-Scanned" in headers:
         extra["scanned"] = int(headers["X-Pesos-Scanned"])
     if "X-Pesos-Denied" in headers:

@@ -4,8 +4,9 @@
 :class:`~repro.kinetic.drive.KineticDrive`: every attribute the rest of
 the system touches (``online``, ``certificate``, ``drive_id``,
 ``stats``, even test access to ``_entries``) delegates to the wrapped
-drive, so the happy path is byte-for-byte the same code.  Only
-``handle`` is intercepted, where the drive's
+drive, so the happy path is byte-for-byte the same code.  Frames
+enter through ``handle_wire``, the drive's own, which decodes them and
+calls ``handle``; only ``handle`` is intercepted, where the drive's
 :class:`~repro.faults.schedule.FaultSchedule` gets to drop the request,
 bit-flip the at-rest blob about to be read, or charge virtual latency.
 
@@ -92,6 +93,10 @@ class FaultyDrive:
     @property
     def local_op(self) -> int:
         return self._local_op
+
+    #: The drive's frame entry, bound here so that a frame reaches
+    #: :meth:`handle` and its schedule rather than the inner drive.
+    handle_wire = KineticDrive.handle_wire
 
     def handle(self, request: Message) -> Message:
         injector = self._injector

@@ -4,11 +4,15 @@ The Pesos controller talks to drives exclusively through this client.
 It keeps a per-connection sequence number, HMAC-signs every request,
 verifies the HMAC on every response (mutual authentication), checks
 the drive's identity certificate on connect (drive-replacement
-detection, §2.4).  Calls are synchronous; overlapping drive I/O
-across requests (the job of the paper's §4.3 rework of the C library's
-pipe-based synchronization) is done above this class: the concurrent
-engine installs :attr:`KineticClient.interceptor` and suspends the
-calling green thread at every data-path operation.
+detection, §2.4).  What crosses to the drive is bytes: the client
+hands it a signed frame and decodes the frame it answers with, and
+the drive decodes and encodes on its own side, so no drive code runs
+in the client's (the enclave's) process image.  Calls are
+synchronous; overlapping drive I/O across requests (the job of the
+paper's §4.3 rework of the C library's pipe-based synchronization) is
+done above this class: the concurrent engine installs
+:attr:`KineticClient.interceptor` and suspends the calling green
+thread at every data-path operation.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from repro.errors import (
     KineticNotFound,
     KineticVersionMismatch,
 )
-from repro.kinetic.drive import KineticDrive, Role
-from repro.kinetic.protocol import Message, MessageType, Op, StatusCode
+from repro.kinetic.protocol import Message, MessageType, Op, Role, StatusCode
 from repro.kinetic.retry import RetryPolicy
 from repro.telemetry import NULL_TELEMETRY
 
@@ -38,7 +41,7 @@ class KineticClient:
 
     def __init__(
         self,
-        drive: KineticDrive,
+        drive,
         identity: str,
         hmac_key: bytes,
         trust_store: TrustStore | None = None,
@@ -49,6 +52,8 @@ class KineticClient:
         telemetry=None,
         interceptor: Callable[..., Any] | None = None,
     ):
+        #: The far end; used only for what a TLS connection gives:
+        #: ``handle_wire`` (frame in, frame out), ``drive_id``, ``certificate``.
         self.drive = drive
         self.identity = identity
         self._mac_key = HmacSha256(hmac_key)  # keyed once, per identity
@@ -122,14 +127,12 @@ class KineticClient:
         return response
 
     def _exchange(self, request: Message) -> Message:
-        """One wire round trip (no retrying, no status validation)."""
+        """One wire round trip (no retrying, no status validation): the
+        signed frame goes out, and the drive's frame comes back."""
         self.requests_sent += 1
-        # Encode/decode both ways: the real library serializes through
-        # protobuf; doing so keeps the wire format honest.
         wire = request.encode()
         self.bytes_on_wire += len(wire)
-        response = self.drive.handle(Message.decode(wire))
-        response_wire = response.encode()
+        response_wire = self.drive.handle_wire(wire)
         self.bytes_on_wire += len(response_wire)
         return Message.decode(response_wire)
 

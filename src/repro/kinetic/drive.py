@@ -20,7 +20,6 @@ no-op, not a refusal, so a record can be retired blind.
 from __future__ import annotations
 
 import bisect
-import enum
 import secrets
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -29,24 +28,9 @@ from typing import NamedTuple
 from repro.crypto.aead import HmacSha256
 from repro.crypto.certs import Certificate, CertificateAuthority, KeyPair
 from repro.errors import DriveOffline
-from repro.kinetic.protocol import Message, MessageType, Op, StatusCode
-
-
-class Role(enum.Flag):
-    """Permission roles attachable to a drive identity."""
-
-    READ = enum.auto()
-    WRITE = enum.auto()
-    DELETE = enum.auto()
-    RANGE = enum.auto()
-    P2P = enum.auto()
-    GETLOG = enum.auto()
-    SECURITY = enum.auto()
-    SETUP = enum.auto()
-
-    @classmethod
-    def all(cls) -> "Role":
-        return ~cls(0)
+from repro.kinetic.protocol import (
+    DEMO_IDENTITY, DEMO_KEY, Message, MessageType, Op, Role, StatusCode,
+)
 
 
 @dataclass
@@ -112,8 +96,8 @@ class KineticDrive:
     via a SECURITY command.
     """
 
-    DEMO_IDENTITY = "demo"
-    DEMO_KEY = b"asdfasdf"  # the actual Kinetic factory default secret
+    DEMO_IDENTITY = DEMO_IDENTITY
+    DEMO_KEY = DEMO_KEY
 
     def __init__(
         self,
@@ -176,6 +160,11 @@ class KineticDrive:
         return sorted(self._accounts)
 
     # -- request handling ---------------------------------------------------
+
+    def handle_wire(self, wire: bytes) -> bytes:
+        """Answer one request frame with one response frame: the drive
+        decodes and encodes on its own side of the connection."""
+        return self.handle(Message.decode(wire)).encode()
 
     def handle(self, request: Message) -> Message:
         """Authenticate, authorize, check the body, and execute one command."""

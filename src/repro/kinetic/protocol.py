@@ -108,6 +108,28 @@ class StatusCode(enum.IntEnum):
     NO_SPACE = 8
 
 
+class Role(enum.Flag):
+    """Permission roles attachable to a drive identity."""
+
+    READ = enum.auto()
+    WRITE = enum.auto()
+    DELETE = enum.auto()
+    RANGE = enum.auto()
+    P2P = enum.auto()
+    GETLOG = enum.auto()
+    SECURITY = enum.auto()
+    SETUP = enum.auto()
+
+    @classmethod
+    def all(cls) -> "Role":
+        return ~cls(0)
+
+
+#: The account every factory-default drive ships with (see KineticDrive).
+DEMO_IDENTITY = "demo"
+DEMO_KEY = b"asdfasdf"  # the actual Kinetic factory default secret
+
+
 #: A request type's response type is the value after it.
 _RESPONSE_OF = {t: MessageType(t + 1) for t in MessageType if t % 2}
 #: Header byte -> enum member, so decoding a frame calls no enum.

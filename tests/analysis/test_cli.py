@@ -5,6 +5,8 @@ schema downstream tooling parses — including taint findings."""
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.__main__ import _taint_root, main
 
 LEAKY = (
@@ -63,6 +65,28 @@ def test_warnings_do_not_fail_the_gate(tmp_path, capsys):
     )
     assert main([str(tmp_path / "repro"), "--fail-on-findings"]) == 0
     assert "core-no-swallow" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, problem",
+    [
+        ("src/repo", "no such file or directory"),
+        ("typo.policy", "no such file or directory"),
+        ("notes.txt", "not a directory, .py or .policy file"),
+    ],
+)
+def test_a_target_it_cannot_read_is_a_usage_error(tmp_path, capsys, name, problem):
+    """The gate never passes on a path it never read: a missing path, a
+    missing ``.policy`` file or a file of another kind exits 2, naming
+    the path, before anything is analyzed."""
+    (tmp_path / "notes.txt").write_text("not code\n")
+    target = tmp_path / name
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(target), "--fail-on-findings"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{target}: {problem}" in captured.err
+    assert "no findings" not in captured.out
 
 
 def test_single_file_target_never_runs_taint(tmp_path, capsys):

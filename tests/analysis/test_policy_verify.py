@@ -1,22 +1,14 @@
-"""Policy static verifier: defect fixtures + the controller surface."""
+"""Policy static verifier: defect fixtures and the example policies.
+
+The verifier is the owner's pre-upload lint (``python -m repro.analysis
+my.policy``); the controller runs none of it on ``put_policy``.
+"""
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.policy_verify import (
-    verify_policy,
-    verify_source,
-    warnings_payload,
-)
-from repro.core.controller import ControllerConfig, PesosController
-from repro.core.request import (
-    Request,
-    parse_http_response,
-    render_http_response,
-)
-from repro.kinetic.cluster import DriveCluster
-from repro.kinetic.drive import KineticDrive
+from repro.analysis.policy_verify import verify_policy, verify_source
 from repro.policy.ast import IntValue
 from repro.policy.binary import CompiledPolicy, Instruction
 from repro.policy.compiler import compile_source
@@ -148,56 +140,3 @@ def test_divergent_stale_embedded_source():
 def test_example_policies_are_clean(path):
     assert verify_source(path.read_text()) == []
 
-
-def test_warnings_payload_shape():
-    findings = verify_source(
-        "update :- currVersion(O, V) /\\ lt(V, 5) /\\ gt(V, 9)"
-    )
-    payload = warnings_payload(findings)
-    assert payload[0]["rule"] == "policy/unsat"
-    assert set(payload[0]) == {"rule", "severity", "message"}
-
-
-# ---------------------------------------------------------------------------
-# Controller + HTTP surface
-# ---------------------------------------------------------------------------
-
-def _controller(**config):
-    cluster = DriveCluster(num_drives=1)
-    clients = cluster.connect_all(
-        KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
-    )
-    return PesosController(
-        clients,
-        storage_key=b"k" * 32,
-        config=ControllerConfig(**config),
-    )
-
-
-BAD_POLICY = "update :- currVersion(O, V) /\\ lt(V, 5) /\\ gt(V, 9)"
-
-
-def test_put_policy_attaches_structured_warnings():
-    controller = _controller()
-    response = controller.put_policy("fp", BAD_POLICY)
-    assert response.ok  # advisory, never a rejection
-    warnings = response.extra["warnings"]
-    assert warnings[0]["rule"] == "policy/unsat"
-
-
-def test_put_policy_clean_source_has_no_warnings():
-    controller = _controller()
-    response = controller.put_policy("fp", "read :- sessionKeyIs(K)")
-    assert response.ok
-    assert "warnings" not in response.extra
-
-
-def test_warnings_survive_the_http_response_roundtrip():
-    controller = _controller()
-    response = controller.handle(
-        Request(method="put_policy", value=BAD_POLICY.encode()), "fp"
-    )
-    wire = render_http_response(response)
-    assert b"X-Pesos-Policy-Warnings:" in wire
-    parsed = parse_http_response(wire)
-    assert parsed.extra["warnings"] == response.extra["warnings"]

@@ -5,8 +5,10 @@ target (the client surface and the admin surface both use it), and
 ``error_response`` the only place a failure becomes a response.  These
 guards keep a stdlib URL parser, or a second mapping, from growing
 back on the request path.  The last guard keeps the request path's
-import closure to code a request runs: no linter, no analyzer, no DES
-constants, drive timing or Scone model, no benchmark or simulator.
+import closure to code a request runs: no linter, no analyzer or policy
+verifier, no DES constants, drive timing or Scone model, no drive or
+drive cluster (the untrusted side of the wire), no benchmark or
+simulator.
 """
 
 import ast
@@ -69,9 +71,12 @@ def test_a_failure_becomes_a_response_in_one_place():
 NOT_ON_THE_REQUEST_PATH = tuple(
     f"{package}.{name}"
     for package, names in {
-        "repro.analysis": ("lint", "races", "deadlock", "taint", "taintspec", "callgraph"),
+        "repro.analysis": (
+            "lint", "races", "deadlock", "taint", "taintspec", "callgraph",
+            "policy_verify", "findings",
+        ),
         "repro.sgx": ("costs", "scheduler", "syscalls"),
-        "repro.kinetic": ("timing",),
+        "repro.kinetic": ("timing", "drive", "cluster"),
         "repro.core": ("sharding",),
         "repro": ("bench", "sim"),
     }.items()
@@ -80,11 +85,13 @@ NOT_ON_THE_REQUEST_PATH = tuple(
 
 
 def test_the_request_path_imports_only_what_it_runs():
-    """A fresh interpreter that imports the web server and the controller
-    has loaded none of the modules no request runs."""
+    """A fresh interpreter that imports the web server, the controller
+    and the Kinetic client library (it runs in the enclave and holds
+    the drive HMAC key) has loaded none of the modules no request runs."""
     probe = (
         "import sys\n"
-        "import repro.core.webserver, repro.core.controller\n"
+        "import repro.core.webserver, repro.core.controller, "
+        "repro.kinetic.client\n"
         "print('\\n'.join(sorted(sys.modules)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
@@ -96,6 +103,7 @@ def test_the_request_path_imports_only_what_it_runs():
         check=True,
     ).stdout.split()
     assert "repro.core.controller" in loaded
+    assert "repro.kinetic.client" in loaded
     stray = sorted(
         module
         for module in loaded

@@ -1,4 +1,4 @@
-"""Client library: operations, errors, certificates, spoofed responses."""
+"""Client library: operations, errors, certificates, spoofed frames."""
 
 import pytest
 
@@ -14,7 +14,7 @@ from repro.errors import (
 )
 from repro.kinetic.client import KineticClient
 from repro.kinetic.drive import KineticDrive, Role
-from repro.kinetic.protocol import MessageType
+from repro.kinetic.protocol import Message, MessageType, Op
 
 
 @pytest.fixture()
@@ -180,17 +180,18 @@ def test_uncertified_drive_rejected_when_trust_required(drive):
 
 
 class _SpoofingDrive:
-    """A man in the middle that rewrites the real drive's responses."""
+    """A man in the middle on the wire: it decodes the real drive's
+    reply frame, rewrites the message and re-encodes it."""
 
     def __init__(self, inner, rewrite):
         self._inner = inner
         self._rewrite = rewrite
+        self.drive_id = inner.drive_id
+        self.certificate = inner.certificate
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def handle(self, request):
-        return self._rewrite(self._inner.handle(request))
+    def handle_wire(self, wire):
+        reply = Message.decode(self._inner.handle_wire(wire))
+        return self._rewrite(reply).encode()
 
 
 def _forge_value(response):
@@ -203,9 +204,21 @@ def _replay_other_sequence(response):
     return response.sign(HmacSha256(KineticDrive.DEMO_KEY))
 
 
+def _flip_a_body_byte(response):
+    """One bit of the value flipped in flight, the drive's HMAC kept."""
+    value = bytearray(response.body["value"])
+    value[0] ^= 0x01
+    response.body["value"] = bytes(value)
+    return response
+
+
 @pytest.mark.parametrize(
     "rewrite, error",
-    [(_forge_value, IntegrityError), (_replay_other_sequence, KineticError)],
+    [
+        (_forge_value, IntegrityError),
+        (_replay_other_sequence, KineticError),
+        (_flip_a_body_byte, IntegrityError),
+    ],
 )
 def test_spoofed_response_raises(drive, rewrite, error):
     KineticClient(drive, "demo", KineticDrive.DEMO_KEY).put(b"k", b"v")
@@ -214,6 +227,38 @@ def test_spoofed_response_raises(drive, rewrite, error):
     )
     with pytest.raises(error):
         client.get(b"k")
+
+
+class _Connection:
+    """What a TLS connection to a drive gives the client: frames both
+    ways, the id it dialled and the certificate it was shown — no
+    drive object, so no ``handle`` and no ``stats``."""
+
+    __slots__ = ("handle_wire", "drive_id", "certificate")
+
+    def __init__(self, drive):
+        self.handle_wire = drive.handle_wire
+        self.drive_id = drive.drive_id
+        self.certificate = drive.certificate
+
+
+def test_a_client_needs_only_frames_an_id_and_a_certificate():
+    ca = CertificateAuthority("vendor", key_bits=512)
+    trust = TrustStore()
+    trust.add(ca)
+    connection = _Connection(KineticDrive("d", identity_ca=ca))
+    assert not hasattr(connection, "handle")
+    assert not hasattr(connection, "stats")
+    client = KineticClient(
+        connection, "demo", KineticDrive.DEMO_KEY, trust_store=trust
+    )
+    version = client.put(b"k", b"v")
+    assert client.get(b"k") == (b"v", version)
+    assert client.commit([Op(b"a", b"1", force=True), Op(b"k", None, force=True)]) == 2
+    assert client.get_key_range(b"", b"\xff") == [b"a"]
+    client.set_security([("pesos", b"admin-key", Role.all())])
+    with pytest.raises(KineticAuthError):
+        client.noop()  # the demo identity is gone
 
 
 @pytest.mark.parametrize(
