@@ -821,12 +821,12 @@ class PesosController:
     def _handle_scan(
         self, request: Request, session: Session, now: float
     ) -> Response:
-        """Range scan (YCSB-E): keys >= start key via ``GETKEYRANGE``.
+        """Range scan (YCSB-E): keys >= start key.
 
-        The store merges the ``m/`` ranges of every reachable drive;
-        each returned object is then resolved through the normal
-        metadata path — checked against the pinned leaf when freshness
-        is on — and policy-checked for ``read`` exactly as a ``get`` of
+        The store slices its in-enclave key directory, no drive I/O
+        once a listing seeded it; each key is then resolved through the
+        normal metadata path — checked against the pinned leaf when
+        freshness is on — and policy-checked for ``read`` as a ``get`` of
         it by the same caller would be.  Records whose policy denies
         the caller are *skipped*, not fatal: one locked-down object must
         not veto the rest of the range.  The response body is one
@@ -848,7 +848,9 @@ class PesosController:
         for key in self.store.scan_keys(request.key, count):
             meta = cached_meta(key) or self._load_meta(key)
             if meta is None or not meta.exists:
-                # Deleted between the range listing and the meta read.
+                # Listed, but no record serves: one only some replicas
+                # gained, a delete that missed a replica, or a key the
+                # seeding listing picked up.
                 continue
             if self.config.enforce_policies and meta.policy_id:
                 memo = meta.policy_id, decisions.epoch

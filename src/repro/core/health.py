@@ -79,19 +79,24 @@ class HealthTracker:
         self.clock += 1
         return self.clock
 
-    def allow(self, index: int) -> bool:
-        """Whether the store should send this drive a request now."""
+    def due(self, index: int) -> bool:
+        """Whether :meth:`allow` would let a request through, without
+        taking the half-open probe."""
         health = self._get(index)
-        if health.state == CLOSED:
-            return True
-        if (
+        return health.state == CLOSED or (
             health.state == OPEN
             and self.clock - health.opened_at >= self.cooldown_ops
-        ):
+        )
+
+    def allow(self, index: int) -> bool:
+        """Whether the store should send this drive a request now."""
+        if not self.due(index):
+            return False
+        health = self._get(index)
+        if health.state == OPEN:
             health.state = HALF_OPEN
-            health.probes += 1
-            return True  # this caller is the probe
-        return False
+            health.probes += 1  # this caller is the probe
+        return True
 
     def record_success(self, index: int) -> None:
         health = self._get(index)

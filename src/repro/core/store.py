@@ -41,6 +41,7 @@ import hashlib
 import secrets
 import struct
 import time as _time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
@@ -198,11 +199,16 @@ def placement(key: str, num_drives: int, replication_factor: int) -> list[int]:
     """Deterministic drive placement: primary + following positions."""
     digest = hashlib.sha256(key.encode()).digest()
     primary = int.from_bytes(digest[:8], "big") % num_drives
+    return _window(primary, num_drives, replication_factor)
+
+
+def _window(primary: int, num_drives: int, replication_factor: int) -> list[int]:
+    """The placement whose primary is drive ``primary``."""
     count = min(replication_factor, num_drives)
     return [(primary + offset) % num_drives for offset in range(count)]
 
 
-#: Keys per ``GETKEYRANGE`` page when the caller sets no limit.
+#: Keys per ``GETKEYRANGE`` page.
 _RANGE_PAGE = 200
 
 #: Versions one ``m/`` record describes.  A PUT re-seals the whole
@@ -246,13 +252,7 @@ class _Walk:
         #: drives; breaker-open ones are asked only as a last resort.
         self.open = [i for i in replicas if not store.health.allow(i)]
         self.order = [i for i in replicas if i not in self.open] + self.open
-        #: An acknowledged write reached ``write_quorum`` replicas, so
-        #: this many definitive replies intersect every one of them:
-        #: enough "not found" prove absence, enough records hold the
-        #: newest.
-        self.quorum = len(replicas) - min(
-            store.write_quorum, len(replicas)
-        ) + 1
+        self.quorum = store.read_quorum
         self.started = (
             _time.perf_counter() if store.telemetry.enabled else 0.0
         )
@@ -310,6 +310,15 @@ class ObjectStore:
                 f"write_quorum {self.write_quorum} outside "
                 f"[1, {effective_replicas}]"
             )
+        #: An acknowledged write reached ``write_quorum`` replicas of its
+        #: placement, so this many definitive replies (or complete key
+        #: listings) intersect every one of them: enough "not found"
+        #: prove absence, enough records hold the newest.
+        self.read_quorum = effective_replicas - self.write_quorum + 1
+        #: The directory: every object key, sorted, in enclave memory
+        #: (~73 B a key).  A fleet listing seeds it (:meth:`_list`),
+        #: :meth:`_file` keeps it; None until seeded.
+        self.directory: list[str] | None = None
         self.health = HealthTracker(
             len(clients),
             threshold=breaker_threshold,
@@ -642,6 +651,9 @@ class ObjectStore:
             if meta.current_version < newest.current_version:
                 self._reject_stale(walk, index, key)
         self._served(walk, KIND_OBJECT, key, disk_key, blob)
+        # A write refused below quorum that some replica kept is served
+        # here, so scans list it too.
+        self._file(key, live=True)
         return newest
 
     # -- replica writes ----------------------------------------------------
@@ -743,38 +755,72 @@ class ObjectStore:
 
     # -- key ranges --------------------------------------------------------
 
-    def _drive_keys(self, index: int, prefix: bytes, start: bytes,
-                    limit: int | None = None) -> list[bytes]:
-        """One drive's disk keys from ``start`` to the end of ``prefix``.
+    def _drive_keys(self, index: int, prefix: bytes) -> tuple[list[str], bool]:
+        """One drive's names under ``prefix``, and whether it listed all.
 
-        The one ``GETKEYRANGE`` pager.  Without a ``limit`` it pages
-        through the whole range; a ``limit`` is a single page, since
-        the drive returns at most that many keys and fewer means the
-        range is exhausted.  A drive that fails mid-range contributes
-        what it returned so far, and is counted as failing.
+        The one ``GETKEYRANGE`` pager.  A drive that fails mid-range
+        contributes what it returned so far, and is counted as failing.
+        A key that is not UTF-8 names no object: counted as corrupt.
         """
         end_key = prefix + b"\xff" * 64
-        page_size = limit or _RANGE_PAGE
-        keys: list[bytes] = []
-        cursor, inclusive = start, True
+        names: list[str] = []
+        cursor, inclusive = prefix, True
         while True:
             try:
                 page = self.clients[index].get_key_range(
-                    start_key=cursor, end_key=end_key, max_returned=page_size,
-                    start_inclusive=inclusive,
+                    start_key=cursor, end_key=end_key,
+                    max_returned=_RANGE_PAGE, start_inclusive=inclusive,
                 )
             except KineticError as exc:
                 # Unreachable, or a refusal or garbled reply for a page.
                 lost = isinstance(exc, (DriveOffline, TransientIOError))
                 self.health.record_failure(index)
                 self._m_replica_failures.labels("offline" if lost else "corrupt").inc()
-                return keys
+                return names, False
             self.health.record_success(index)
             self.effects.record(DISK_RANGE, index, sum(map(len, page)))
-            keys += page
-            if limit is not None or len(page) < page_size:
-                return keys
+            for key in page:
+                try:
+                    names.append(key[len(prefix):].decode())
+                except UnicodeDecodeError:
+                    self._m_replica_failures.labels("corrupt").inc()
+            if len(page) < _RANGE_PAGE:
+                return names, True
             cursor, inclusive = page[-1], False
+
+    def _covers(self, drives: set[int]) -> bool:
+        """Whether ``drives`` hold ``read_quorum`` replicas of every
+        placement, and so every acknowledged object between them."""
+        count = len(self.clients)
+        return all(
+            len(drives.intersection(
+                _window(primary, count, self.replication_factor)
+            )) >= self.read_quorum
+            for primary in range(count)
+        )
+
+    def _list(self, prefixes: tuple[bytes, ...]) -> list[set[str]]:
+        """The names under each prefix on every drive that answered.
+
+        The first prefix is ``m/``.  Breaker-open drives are not asked.
+        When the drives that listed their whole ranges cover every
+        placement (:meth:`_covers`), the listing seeds the directory.
+        """
+        asked = [
+            index for index in range(len(self.clients))
+            if self.health.allow(index)
+        ]
+        listed: list[set[str]] = [set() for _prefix in prefixes]
+        complete = set(asked)
+        for index in asked:
+            for names, prefix in zip(listed, prefixes):
+                keys, whole = self._drive_keys(index, prefix)
+                names.update(keys)
+                if not whole:
+                    complete.discard(index)
+        if self._covers(complete):
+            self.directory = sorted(listed[0])
+        return listed
 
     def scan_labels(self) -> list[str]:
         """Every metadata label present on any reachable drive.
@@ -782,41 +828,62 @@ class ObjectStore:
         Used by :meth:`repro.core.freshness.FreshnessAuthority
         .bootstrap` to rebuild the authenticated dictionary at startup:
         the union over all drives of the ``m/`` and ``p/`` key ranges.
-        Offline drives are skipped — whether the missing coverage
-        matters is decided by the root comparison, not here.
+        Offline and breaker-open drives are skipped — whether the
+        missing coverage matters is decided by the root comparison, not
+        here.  The same listing seeds the directory (:meth:`_list`).
         """
-        return sorted({
-            to_label(disk_key[len(prefix):].decode())
-            for index in range(len(self.clients))
-            for prefix, to_label in ((b"m/", object_label), (b"p/", policy_label))
-            for disk_key in self._drive_keys(index, prefix, prefix)
-        })
+        objects, policies = self._list((b"m/", b"p/"))
+        return sorted([
+            *map(object_label, objects), *map(policy_label, policies)
+        ])
 
     def scan_keys(self, start_key: str, count: int) -> list[str]:
-        """Object keys >= ``start_key``, merged across the fleet.
+        """Object keys >= ``start_key``: a slice of the directory.
 
-        The Kinetic ``GETKEYRANGE`` path for YCSB-E range scans:
-        placement hashes scatter adjacent object keys across drives,
-        so one logical scan is the sorted union of every drive's
-        ``m/`` range, truncated to ``count`` keys.  Offline and
-        breaker-open drives are skipped — with replication their keys
-        surface from the surviving replicas; without it the scan is
-        best-effort over the reachable fleet (per-key reads still
-        verify, a scan never vouches for freshness itself).
+        The YCSB-E range scan reads no drive.  The controller is the
+        fleet's only writer (§3.1), so after seeding the directory
+        changes only with its own writes and reads (:meth:`_file`):
+        no replica can hide a key from a scan, or add one that a GET
+        would not find.  If
+        bootstrap did not seed it, the first scan lists the ``m/``
+        ranges to do so, and answers 503 while the drives that answer
+        cannot.  While the drives whose breakers let a request through
+        cannot cover the fleet, a scan answers 503 without asking any.
         """
         if count < 1:
             return []
-        found: set[bytes] = set()
-        with self.telemetry.span("kinetic.getkeyrange", key=start_key, count=count):
-            self.health.tick()
-            for index in range(len(self.clients)):
-                if self.health.allow(index):
-                    found.update(self._drive_keys(
-                        index, b"m/", self.meta_key(start_key), count
-                    ))
-        # UTF-8 byte order is code-point order: merge as bytes, decode
-        # only the keys that made the cut.
-        return [key[2:].decode() for key in sorted(found)[:count]]
+        self.health.tick()
+        if self.directory is None:
+            if self._covers({
+                index for index in range(len(self.clients))
+                if self.health.due(index)
+            }):
+                with self.telemetry.span(
+                    "kinetic.getkeyrange", key=start_key
+                ):
+                    self._list((b"m/",))
+            if self.directory is None:
+                raise DriveOffline(
+                    "the drives that answered do not list every "
+                    "placement: no scan until they do"
+                )
+        keys = self.directory
+        at = bisect_left(keys, start_key)
+        return keys[at:at + count]
+
+    def _file(self, key: str, live: bool) -> None:
+        """Bring the directory in step with a record of ``key`` that
+        the store acknowledged writing or served (``live``), or with a
+        delete of it: a scan lists what a GET would find."""
+        keys = self.directory
+        if keys is None:
+            return
+        at = bisect_left(keys, key)
+        held = at < len(keys) and keys[at] == key
+        if live and not held:
+            keys.insert(at, key)
+        elif held and not live:
+            del keys[at]
 
     # -- authenticated freshness -------------------------------------------
 
@@ -945,6 +1012,7 @@ class ObjectStore:
             plain,
             lambda: self._write_replicas(meta.key, ops),
         )
+        self._file(meta.key, live=True)
 
     # -- object content ------------------------------------------------------------
 
@@ -1007,6 +1075,7 @@ class ObjectStore:
             object_label(key), plain,
             lambda: self._write_replicas(key, ops),
         )
+        self._file(key, live=True)
         if not self.keep_history:
             # The new value overwrote the latest slot in place; only
             # the in-memory record needs pruning.
@@ -1029,6 +1098,7 @@ class ObjectStore:
             object_label(key), None,
             lambda: self._delete_all_replicas(key, ops),
         )
+        self._file(key, live=False)
 
     # -- integrity maintenance ---------------------------------------------------
 

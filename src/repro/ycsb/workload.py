@@ -8,8 +8,8 @@ generator off the measurement path.
 
 Workloads E and F (Cooper et al., SoCC'10) extend the stock set:
 
-- **E** is scan-heavy: 95% short range scans (``GETKEYRANGE`` through
-  the store) whose start key follows the workload distribution and
+- **E** is scan-heavy: 95% short range scans (slices of the store's
+  key directory) whose start key follows the workload distribution and
   whose length is drawn per-operation from a scan-length
   distribution, plus 5% inserts.
 - **F** is read-modify-write: 50% reads, 50% atomic RMW cycles that

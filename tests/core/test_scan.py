@@ -13,14 +13,15 @@ from repro.core.request import (
     parse_http_response,
     render_http_response,
 )
+from repro.core.store import placement
 from repro.crypto.aead import HmacSha256
 from repro.crypto.certs import CertificateAuthority
-from repro.errors import RequestError
+from repro.errors import DriveOffline, RequestError
 from repro.kinetic.drive import KineticDrive
 from repro.kinetic.protocol import MessageType, StatusCode
 from repro.telemetry import Telemetry
 from repro.usecases.time_based import TimeAuthority, TimeVault
-from tests.core.conftest import ALICE, BOB
+from tests.core.conftest import ALICE, BOB, make_clients
 
 
 #: ``test_scan_audits_each_record_under_its_own_key``'s chain head at
@@ -261,12 +262,13 @@ def test_scan_answers_what_per_key_gets_answer(controller, monkeypatch, seed):
 
 def test_scan_counts_a_drive_that_refuses_the_range_read(clients, cluster):
     """A GETKEYRANGE answered with an error status (or a reply that
-    does not validate) is a replica failure like any other: counted,
-    fed to the breaker, and served around."""
+    does not validate) is a replica failure like any other: the listing
+    that seeds the key directory counts it, feeds it to the breaker,
+    and serves around it."""
     controller = controller_module.PesosController(
         clients, storage_key=b"k" * 32, telemetry=Telemetry(),
         config=controller_module.ControllerConfig(
-            replication_factor=3, breaker_threshold=2
+            replication_factor=3, breaker_threshold=1
         ),
     )
     keys = _load(controller, 6)
@@ -286,8 +288,9 @@ def test_scan_counts_a_drive_that_refuses_the_range_read(clients, cluster):
     for _twice in range(2):
         response = _scan(controller, ALICE, keys[0], 6)
         assert [line.split("@")[0] for line in _lines(response)] == keys
-    assert store._m_replica_failures.series()[("corrupt",)] == 2
-    assert not store.health.allow(1)  # the breaker heard both
+    # One listing: the second scan reads the directory it seeded.
+    assert store._m_replica_failures.series()[("corrupt",)] == 1
+    assert not store.health.allow(1)  # the breaker heard it
     assert store.health.allow(0) and store.health.allow(2)
 
 
@@ -447,3 +450,140 @@ def test_scan_replicated_store_deduplicates(replicated_controller):
     lines = _lines(_scan(replicated_controller, ALICE, keys[0], 12))
     returned = [line.split("@")[0] for line in lines]
     assert returned == keys
+
+
+def test_a_key_that_is_not_utf8_is_skipped_and_counted(clients, cluster):
+    """One drive holding an ``m/`` key that does not decode must not
+    break the listing: the key names no object, so it is counted as a
+    corrupt reply and left out."""
+    controller = controller_module.PesosController(
+        clients, storage_key=b"k" * 32, telemetry=Telemetry(),
+        config=controller_module.ControllerConfig(replication_factor=3),
+    )
+    keys = _load(controller, 5, "k")
+    cluster.drive(1)._entries_put_raw(b"m/k0002\xff", b"junk", b"1")
+    store = controller.store
+    store._m_replica_failures.reset()
+    response = _scan(controller, ALICE, keys[0], 10)
+    assert response.ok, response.error
+    assert [line.split("@")[0] for line in _lines(response)] == keys
+    assert store._m_replica_failures.series()[("corrupt",)] == 1
+
+
+@pytest.mark.parametrize("breakers_open", [False, True])
+def test_a_scan_no_drive_answered_is_a_503(
+    replicated_controller, cluster, breakers_open
+):
+    """Before anything listed the fleet, a scan whose listing no drive
+    answers has no keys to vouch for: 503, as an uncached GET answers,
+    not 200 with nothing scanned — whether the drives were asked or
+    their breakers were already open.  While the breakers stay open,
+    repeated scans answer 503 without sending a drive a range read; the
+    first scan after the cooldown probes the fleet and lists it."""
+    controller = replicated_controller
+    store = controller.store
+    keys = _load(controller, 5)
+    for drive in cluster.drives:
+        drive.fail()
+    if breakers_open:
+        for _trip in range(3):
+            with pytest.raises(DriveOffline):
+                store.read_meta(keys[0])
+        assert not any(map(store.health.due, range(3)))
+    response = _scan(controller, ALICE, keys[0], 5)
+    assert response.status == 503, (response.status, response.extra)
+    for drive in cluster.drives:
+        drive.recover()
+    ranges = [drive.stats.range_scans for drive in cluster.drives]
+    refused = 0
+    while (response := _scan(controller, ALICE, keys[0], 5)).status == 503:
+        assert [drive.stats.range_scans for drive in cluster.drives] == ranges
+        refused += 1
+        assert refused < store.health.cooldown_ops
+    assert response.ok, response.error
+    assert refused == (store.health.cooldown_ops - 2 if breakers_open else 0)
+
+
+def _refuse_writes(client, op, args, kwargs):
+    """A client interceptor: reads pass, every PUT or COMMIT is lost."""
+    if op in ("put", "commit"):
+        raise DriveOffline("injected write loss")
+    return client.direct(op, *args, **kwargs)
+
+
+def test_a_seeded_directory_answers_scans_and_follows_acked_writes():
+    """After the first scan's listing, scans send no range read, and
+    the directory changes with exactly the acknowledged creates and
+    deletes: one acked at ``write_quorum`` below RF is in, one refused
+    below quorum is out."""
+    clients, cluster = make_clients()
+    controller = controller_module.PesosController(
+        clients, storage_key=b"k" * 32,
+        config=controller_module.ControllerConfig(
+            replication_factor=3, write_quorum=2
+        ),
+    )
+    rng = random.Random(38)
+    live = set(_load(controller, 20))
+    assert _scan(controller, ALICE, min(live), 1).ok  # seeds
+    ranges = [drive.stats.range_scans for drive in cluster.drives]
+    for _scan_index in range(100):
+        start = rng.choice(sorted(live))
+        count = rng.randint(1, 30)
+        listed = _lines(_scan(controller, ALICE, start, count))
+        assert [line.split("@")[0] for line in listed] == sorted(
+            key for key in live if key >= start
+        )[:count]
+    assert [drive.stats.range_scans for drive in cluster.drives] == ranges
+
+    for step in range(60):
+        if rng.random() < 0.6:
+            key = f"new{rng.randrange(40):04d}"
+            assert controller.put(ALICE, key, b"v").ok
+            live.add(key)
+        else:
+            key = rng.choice(sorted(live))
+            assert controller.delete(ALICE, key).ok
+            live.discard(key)
+    clients[0].interceptor = _refuse_writes
+    assert controller.put(ALICE, "acked-at-two", b"v").ok
+    live.add("acked-at-two")
+    clients[1].interceptor = _refuse_writes
+    assert controller.put(ALICE, "refused", b"v").status == 503
+    for client in clients:
+        client.interceptor = None
+    assert controller.store.directory == sorted(live)
+    assert [drive.stats.range_scans for drive in cluster.drives] == ranges
+
+
+@pytest.mark.parametrize("then", ["put", "get"])
+def test_a_refused_create_a_replica_kept_is_listed_once_served(then):
+    """With freshness off, a create refused below quorum that reached
+    one replica stays there, and a quorum read serves it.  Once a GET
+    serves that record, or a PUT of the same key is acknowledged as its
+    next version, scans list the key: a scan lists what a GET finds."""
+    clients, _cluster = make_clients()
+    controller = controller_module.PesosController(
+        clients, storage_key=b"k" * 32,
+        config=controller_module.ControllerConfig(
+            replication_factor=3, write_quorum=2
+        ),
+    )
+    keys = _load(controller, 5)
+    assert _scan(controller, ALICE, keys[0], 1).ok  # seeds
+    _primary, *others = placement("refused", 3, 3)
+    for index in others:
+        clients[index].interceptor = _refuse_writes
+    assert controller.put(ALICE, "refused", b"v0").status == 503
+    for client in clients:
+        client.interceptor = None
+    if then == "put":
+        response = controller.put(ALICE, "refused", b"v1")
+        assert response.ok and response.version == 1
+    else:
+        response = controller.get(ALICE, "refused")
+        assert response.ok and response.value == b"v0"
+    listed = _lines(_scan(controller, ALICE, keys[0], 10))
+    assert [line.split("@")[0] for line in listed] == sorted(
+        keys + ["refused"]
+    )

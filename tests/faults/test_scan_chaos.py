@@ -15,14 +15,25 @@ import pytest
 
 from repro.core.cache import CacheConfig
 from repro.core.request import Request
+from repro.core.store import ObjectStore
 from repro.faults import DriveFaultSpec
 from repro.kinetic.retry import RetryPolicy
 from repro.sgx.attestation import SgxPlatform
 from repro.ycsb.workload import WORKLOAD_E, generate_trace
 
-from tests.faults.conftest import CHAOS_SEED, FP, chaos_stack
+from tests.faults.conftest import CHAOS_SEED, FP, chaos_stack, restart_controller
 
 BASE = CHAOS_SEED * 1000 + 700
+
+
+#: The controller every scenario boots, and restarts into.
+_CONFIG = dict(
+    freshness_enabled=True,
+    replication_factor=3,
+    write_quorum=2,
+    cache=CacheConfig(object_bytes=1, key_bytes=1),
+    anti_entropy_interval=20,
+)
 
 
 def _freshness_stack(seed, specs=None):
@@ -32,11 +43,7 @@ def _freshness_stack(seed, specs=None):
         seed=seed,
         retry_policy=RetryPolicy(max_attempts=8),
         platform=SgxPlatform("chaos-host"),
-        freshness_enabled=True,
-        replication_factor=3,
-        write_quorum=2,
-        cache=CacheConfig(object_bytes=1, key_bytes=1),
-        anti_entropy_interval=20,
+        **_CONFIG,
     )
     assert not stack.controller.freshness.forked
     return stack
@@ -150,3 +157,60 @@ def test_scan_heavy_chaos_serves_no_stale_acked_reads(offset):
         assert int(final[key]) == versions[key], key
         read = controller.get(FP, key)
         assert read.ok and read.value == acked[key]
+
+
+def _loaded(seed):
+    """A freshness stack holding eight acknowledged objects."""
+    stack = _freshness_stack(seed)
+    keys = [f"user{index:012d}" for index in range(8)]
+    for key in keys:
+        assert stack.controller.put(FP, key, b"v:" + key.encode()).ok
+    return stack, keys
+
+
+def _full_scan(controller, keys):
+    return controller.handle(
+        Request(method="scan", key=keys[0], scan_count=len(keys)), FP
+    )
+
+
+@pytest.mark.parametrize("offset", range(4))
+def test_a_key_every_replica_drops_after_boot_is_listed_or_refused(offset):
+    """A restart's listing seeds the scan's key directory; then every
+    replica loses one object's ``m/`` record before the first scan.
+    The scan lists the key or fails with a 5xx: dropping it silently
+    would report an acknowledged object as deleted."""
+    seed = BASE + 100 + offset
+    stack, keys = _loaded(seed)
+    platform = stack.controller.freshness.platform
+    controller = restart_controller(stack, platform=platform, **_CONFIG)
+    assert not controller.freshness.forked
+    hidden = random.Random(seed).choice(keys)
+    disk_key = ObjectStore.meta_key(hidden)
+    for drive in stack.injector.drives:
+        del drive._inner._entries[disk_key]
+        drive._inner._sorted_keys.remove(disk_key)
+    response = _full_scan(controller, keys)
+    if response.ok:
+        assert hidden in _scan_keys(response)
+    else:
+        assert response.status >= 500, (response.status, response.error)
+
+
+@pytest.mark.parametrize("offset", range(4))
+def test_a_record_one_replica_gains_is_never_listed(offset):
+    """One replica gains an ``m/`` record the controller never wrote —
+    a real sealed record of another key, under a key between two live
+    ones.  No scan lists it."""
+    seed = BASE + 200 + offset
+    rng = random.Random(seed)
+    stack, keys = _loaded(seed)
+    invented = rng.choice(keys) + "x"
+    inner = rng.choice(stack.injector.drives)._inner
+    donor = inner._entries[ObjectStore.meta_key(rng.choice(keys))]
+    inner._entries_put_raw(
+        ObjectStore.meta_key(invented), donor.value, donor.version
+    )
+    response = _full_scan(stack.controller, keys + [invented])
+    assert response.ok, response.error
+    assert set(_scan_keys(response)) == set(keys)

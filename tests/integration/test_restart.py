@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.freshness import pack_pin
+from repro.core.request import Request
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive, Role
 from repro.sgx.attestation import AttestationService, SgxPlatform
@@ -87,6 +88,27 @@ def test_restart_serves_the_latest_write(freshness):
     response = restarted.get(FP, "k")
     assert response.status == 200 and response.value == b"new"
     assert restarted.put(FP, "k", b"newer").ok
+
+
+def test_restart_over_a_key_that_is_not_utf8_boots_and_scans():
+    """Bootstrap's listing seeds both the tree and the scan's key
+    directory; an ``m/`` key on one drive that does not decode names
+    no object and is left out of both."""
+    host, cluster = Host(), DriveCluster(num_drives=3)
+    controller = host.launch(cluster)
+    keys = [f"k{index}" for index in range(5)]
+    for key in keys:
+        assert controller.put(FP, key, b"v").ok
+    cluster.drive(1)._entries_put_raw(b"m/k2\xff", b"junk", b"1")
+
+    restarted = host.launch(cluster)
+    assert restarted.freshness.active and not restarted.freshness.forked
+    assert restarted.store.directory == keys  # no second listing
+    response = restarted.handle(
+        Request(method="scan", key="k0", scan_count=10), FP
+    )
+    assert response.ok, response.error
+    assert response.value.decode().splitlines() == [f"{k}@0" for k in keys]
 
 
 #: Enclaves a host can seal with, other than the controller's own.
