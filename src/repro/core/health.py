@@ -49,11 +49,7 @@ class DriveHealth:
 
 
 class HealthTracker:
-    """Circuit breakers for a fleet of drives, indexed like clients.
-
-    The drive list can grow at runtime (the hash-ring rebalancer
-    appends clients), so lookups auto-extend.
-    """
+    """Circuit breakers for a fleet of drives, indexed like clients."""
 
     def __init__(
         self, num_drives: int, threshold: int = 3, cooldown_ops: int = 64
@@ -66,13 +62,8 @@ class HealthTracker:
     def __len__(self) -> int:
         return len(self._drives)
 
-    def _get(self, index: int) -> DriveHealth:
-        while index >= len(self._drives):
-            self._drives.append(DriveHealth())
-        return self._drives[index]
-
     def state_of(self, index: int) -> DriveHealth:
-        return self._get(index)
+        return self._drives[index]
 
     def tick(self) -> int:
         """Advance the breaker clock (one store-level operation)."""
@@ -82,7 +73,7 @@ class HealthTracker:
     def due(self, index: int) -> bool:
         """Whether :meth:`allow` would let a request through, without
         taking the half-open probe."""
-        health = self._get(index)
+        health = self._drives[index]
         return health.state == CLOSED or (
             health.state == OPEN
             and self.clock - health.opened_at >= self.cooldown_ops
@@ -92,20 +83,20 @@ class HealthTracker:
         """Whether the store should send this drive a request now."""
         if not self.due(index):
             return False
-        health = self._get(index)
+        health = self._drives[index]
         if health.state == OPEN:
             health.state = HALF_OPEN
             health.probes += 1  # this caller is the probe
         return True
 
     def record_success(self, index: int) -> None:
-        health = self._get(index)
+        health = self._drives[index]
         health.successes += 1
         health.consecutive_failures = 0
         health.state = CLOSED
 
     def record_failure(self, index: int) -> None:
-        health = self._get(index)
+        health = self._drives[index]
         health.failures += 1
         health.consecutive_failures += 1
         if (

@@ -6,7 +6,7 @@ controller, §2.2)::
     m/<key>              object metadata: current version, policy
                          binding, per-version size/hash records
     v/<key>/<version>    object content for one version
-    p/<policy-hash>      compiled policy blobs
+    p/<policy-hash>      compiled policy blobs, named by their SHA-256
 
 The bytes of each — record layout, AAD, the AEAD construction, and why
 nothing reads the format before it — are in docs/resilience.md,
@@ -21,7 +21,8 @@ a new version's content and the metadata record naming it travel in
 one Kinetic ``COMMIT`` frame, applied whole or not at all, so no crash
 leaves new bytes under old metadata; deleting an object is one frame
 per replica too.  :meth:`ObjectStore._write_replicas` holds the quorum
-contract.  Every replica interaction feeds a per-drive circuit breaker
+contract for every mutation, deletes included.  Every replica
+interaction, read-repair too, feeds a per-drive circuit breaker
 (:mod:`repro.core.health`).
 
 Reads are one walk over the placement.  :meth:`ObjectStore._fetch` and
@@ -29,9 +30,9 @@ Reads are one walk over the placement.  :meth:`ObjectStore._fetch` and
 :class:`_CannotServe` signal, :class:`_Walk` orders the replicas and
 keeps what the walk learned, :meth:`ObjectStore._served` repairs what
 answered wrong and :meth:`ObjectStore._unserved` ranks the errors.
-What differs between reading a value, a pinned record and an unpinned
-``m/`` record is only when a plaintext is *accepted*: the three
-``_read_*`` rules.
+What differs between reading a value or policy blob, a pinned ``m/``
+record and an unpinned one is only when a plaintext is *accepted*: the
+three ``_read_*`` rules.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.core.effects import (
     ENCRYPT,
     NullRecorder,
 )
-from repro.core.freshness import object_label, policy_label, record_digest
+from repro.core.freshness import object_label, record_digest
 from repro.core.health import STATE_CODES, HealthTracker
 from repro.crypto.aead import StreamAead
 from repro.errors import (
@@ -485,15 +486,16 @@ class ObjectStore:
             )
 
     def _reseed(self, disk_key: bytes, blob: bytes, indexes) -> int:
-        """Overwrite replicas with a sealed blob; returns how many took it."""
+        """Overwrite replicas with a sealed blob, each through
+        :meth:`_send`; returns how many took it.  A re-seed that fails
+        never fails the read it repairs."""
+        ops = [_forced(disk_key, blob)]
         reseeded = 0
         for index in indexes:
             try:
-                self.clients[index].put(disk_key, blob, force=True)
+                reseeded += self._send(index, ops, reseeded, None)
             except KineticError:
-                continue
-            self.effects.record(DISK_WRITE, index, len(blob), 1, reseeded)
-            reseeded += 1
+                continue  # answered, but refused
         return reseeded
 
     def _unserved(self, walk: _Walk, stale: Exception | None = None) -> None:
@@ -527,13 +529,13 @@ class ObjectStore:
         kind: str,
         expect_sha256: str | None,
     ) -> bytes:
-        """Value rule: the first plaintext matching the recorded hash.
+        """Value rule: the first plaintext matching the expected hash.
 
-        ``v/`` and ``p/`` keys are written once per slot, so any copy
-        that opens is the record — except the in-place slot of a
-        history-less store, where a lagging replica holds the previous
-        value under the same AAD.  ``expect_sha256`` (the content hash
-        in the metadata record) tells the two apart.
+        ``v/`` keys are written once per slot, so any copy that opens
+        is the record — except the in-place slot of a history-less
+        store, where a lagging replica holds the previous value under
+        the same AAD.  ``expect_sha256`` (the content hash in the
+        metadata record, or a policy's id) tells the two apart.
         """
         walk = _Walk(self, object_key)
         with self.telemetry.span("kinetic.get", key=object_key):
@@ -558,14 +560,9 @@ class ObjectStore:
         raise KineticNotFound(object_key)
 
     def _read_pinned(
-        self,
-        object_key: str,
-        disk_key: bytes,
-        aad: bytes,
-        label: str,
-        kind: str,
+        self, object_key: str, disk_key: bytes, aad: bytes
     ) -> bytes | None:
-        """Pinned rule: the first record equal to the pinned leaf digest.
+        """Pinned rule (``m/``): the first record equal to the pinned leaf.
 
         The freshness authority's in-enclave tree holds the digest the
         record *must* have, so a single reply whose record digest
@@ -576,6 +573,7 @@ class ObjectStore:
         what keeps reads available across the prepare→write crash
         window.
         """
+        label = object_label(object_key)
         expected, allowed = self.freshness.acceptable(label)
         if expected is None:
             return None
@@ -610,7 +608,7 @@ class ObjectStore:
                 f"{self.freshness.epoch})"
             ))
             raise KineticNotFound(object_key)
-        self._served(walk, kind, object_key, disk_key, served_blob)
+        self._served(walk, KIND_OBJECT, object_key, disk_key, served_blob)
         return served
 
     def _read_newest(
@@ -667,7 +665,8 @@ class ObjectStore:
                         kind: str = KIND_OBJECT) -> int:
         """Send ``ops`` to every replica; succeed iff ``write_quorum`` held.
 
-        Each replica takes all of ``ops`` or none (:meth:`_send`).
+        A put or, when no op carries a value, a delete.  Each replica
+        takes all of ``ops`` or none (:meth:`_send`).
         Breaker-open drives are skipped (no timeout paid) unless the
         quorum would otherwise fail.  Acknowledged writes below full
         replication journal the key for anti-entropy; below quorum the
@@ -675,12 +674,14 @@ class ObjectStore:
         *some* replica took it and now diverges from the rest.
         """
         nbytes = sum(len(op.value) for op in ops if op.value is not None)
+        # A sealed blob is never empty: no bytes means only deletes.
+        op, span = ("write", "kinetic.put") if nbytes else ("delete", "kinetic.delete")
         walk = _Walk(self, object_key)
         quorum = min(self.write_quorum, len(walk.order))
         wrote = 0
         behind: list[int] = []
         body = _commit_body(ops)
-        with self.telemetry.span("kinetic.put", key=object_key, bytes=nbytes):
+        with self.telemetry.span(span, key=object_key, bytes=nbytes):
             for index in walk.order:
                 if index in walk.open and wrote >= quorum:
                     behind.append(index)
@@ -689,7 +690,7 @@ class ObjectStore:
                 else:
                     behind.append(index)
         if self.telemetry.enabled:
-            self._h_drive_op.labels("write").observe(
+            self._h_drive_op.labels(op).observe(
                 _time.perf_counter() - walk.started
             )
             self._m_drive_bytes.labels("written").inc(wrote * nbytes)
@@ -732,36 +733,16 @@ class ObjectStore:
         )
         return True
 
-    def _delete_all_replicas(self, object_key: str, ops: list[Op]) -> None:
-        """Send a frame of DELETEs to every replica, best effort."""
-        instrumented = self.telemetry.enabled
-        started = _time.perf_counter() if instrumented else 0.0
-        with self.telemetry.span("kinetic.delete", key=object_key):
-            self.health.tick()
-            sent = 0
-            body = _commit_body(ops)
-            for index in self._replicas(object_key):
-                if self._send(index, ops, sent, body):
-                    sent += 1
-                else:
-                    # The unreachable replica keeps its copy: journal
-                    # the key for a later scrub.  Without tombstones a
-                    # partial delete is not durable (docs/resilience.md).
-                    self.journal.mark(KIND_OBJECT, object_key, (index,))
-        if instrumented:
-            self._h_drive_op.labels("delete").observe(
-                _time.perf_counter() - started
-            )
-
     # -- key ranges --------------------------------------------------------
 
-    def _drive_keys(self, index: int, prefix: bytes) -> tuple[list[str], bool]:
-        """One drive's names under ``prefix``, and whether it listed all.
+    def _drive_keys(self, index: int) -> tuple[list[str], bool]:
+        """One drive's object keys (``m/``), and whether it listed all.
 
         The one ``GETKEYRANGE`` pager.  A drive that fails mid-range
         contributes what it returned so far, and is counted as failing.
         A key that is not UTF-8 names no object: counted as corrupt.
         """
+        prefix = b"m/"
         end_key = prefix + b"\xff" * 64
         names: list[str] = []
         cursor, inclusive = prefix, True
@@ -799,43 +780,40 @@ class ObjectStore:
             for primary in range(count)
         )
 
-    def _list(self, prefixes: tuple[bytes, ...]) -> list[set[str]]:
-        """The names under each prefix on every drive that answered.
+    def _list(self) -> list[str]:
+        """Every object key on the drives that answered, sorted.
 
-        The first prefix is ``m/``.  Breaker-open drives are not asked.
-        When the drives that listed their whole ranges cover every
-        placement (:meth:`_covers`), the listing seeds the directory.
+        Breaker-open drives are not asked.  When the drives that listed
+        their whole ranges cover every placement (:meth:`_covers`), the
+        listing seeds the directory.
         """
         asked = [
             index for index in range(len(self.clients))
             if self.health.allow(index)
         ]
-        listed: list[set[str]] = [set() for _prefix in prefixes]
+        names: set[str] = set()
         complete = set(asked)
         for index in asked:
-            for names, prefix in zip(listed, prefixes):
-                keys, whole = self._drive_keys(index, prefix)
-                names.update(keys)
-                if not whole:
-                    complete.discard(index)
+            keys, whole = self._drive_keys(index)
+            names.update(keys)
+            if not whole:
+                complete.discard(index)
+        listed = sorted(names)
         if self._covers(complete):
-            self.directory = sorted(listed[0])
+            self.directory = listed
         return listed
 
     def scan_labels(self) -> list[str]:
-        """Every metadata label present on any reachable drive.
+        """Every object label present on any reachable drive.
 
         Used by :meth:`repro.core.freshness.FreshnessAuthority
         .bootstrap` to rebuild the authenticated dictionary at startup:
-        the union over all drives of the ``m/`` and ``p/`` key ranges.
-        Offline and breaker-open drives are skipped — whether the
-        missing coverage matters is decided by the root comparison, not
-        here.  The same listing seeds the directory (:meth:`_list`).
+        the union over all drives of the ``m/`` key ranges.  Offline
+        and breaker-open drives are skipped — whether the missing
+        coverage matters is decided by the root comparison, not here.
+        The same listing seeds the directory (:meth:`_list`).
         """
-        objects, policies = self._list((b"m/", b"p/"))
-        return sorted([
-            *map(object_label, objects), *map(policy_label, policies)
-        ])
+        return list(map(object_label, self._list()))
 
     def scan_keys(self, start_key: str, count: int) -> list[str]:
         """Object keys >= ``start_key``: a slice of the directory.
@@ -861,7 +839,7 @@ class ObjectStore:
                 with self.telemetry.span(
                     "kinetic.getkeyrange", key=start_key
                 ):
-                    self._list((b"m/",))
+                    self._list()
             if self.directory is None:
                 raise DriveOffline(
                     "the drives that answered do not list every "
@@ -888,7 +866,7 @@ class ObjectStore:
     # -- authenticated freshness -------------------------------------------
 
     def _pinned_write(self, label: str, plain: bytes | None, write) -> None:
-        """Run one mutation of a metadata label (``plain`` None: delete).
+        """Run one mutation of an object label (``plain`` None: delete).
 
         Without an active freshness authority that is just ``write()``.
         With one it is the write-ahead pin protocol: the new leaf is
@@ -996,9 +974,7 @@ class ObjectStore:
         """
         disk_key, aad = self._meta_record(key)
         if self._verifying():
-            plain = self._read_pinned(
-                key, disk_key, aad, object_label(key), KIND_OBJECT
-            )
+            plain = self._read_pinned(key, disk_key, aad)
             return None if plain is None else StoredMeta.decode(plain)
         return self._read_newest(key, disk_key, aad)
 
@@ -1095,8 +1071,7 @@ class ObjectStore:
         ]
         ops.append(_forced(self.meta_key(key)))
         self._pinned_write(
-            object_label(key), None,
-            lambda: self._delete_all_replicas(key, ops),
+            object_label(key), None, lambda: self._write_replicas(key, ops)
         )
         self._file(key, live=False)
 
@@ -1164,28 +1139,23 @@ class ObjectStore:
 
     # -- policies -----------------------------------------------------------------------
 
-    def write_policy(self, policy_id: str, blob: bytes) -> None:
+    def write_policy(self, blob: bytes) -> str:
+        """Store a policy blob under its content address, the SHA-256
+        of ``blob``, and return that id.  Bytes that name themselves
+        cannot go stale, so no pin covers them (docs/freshness.md)."""
+        policy_id = record_digest(blob)
         disk_key, aad = self._policy_record(policy_id)
-        sealed = self._seal(blob, aad)
-        self._pinned_write(
-            policy_label(policy_id),
-            blob,
-            lambda: self._write_replicas(
-                policy_id, [_forced(disk_key, sealed)], kind=KIND_POLICY
-            ),
-        )
+        ops = [_forced(disk_key, self._seal(blob, aad))]
+        self._write_replicas(policy_id, ops, kind=KIND_POLICY)
+        return policy_id
 
     def read_policy(self, policy_id: str) -> bytes | None:
+        """The blob whose SHA-256 is ``policy_id``, freshness on or off:
+        a copy that opens but hashes otherwise is stale."""
         disk_key, aad = self._policy_record(policy_id)
-        if self._verifying():
-            return self._read_pinned(
-                policy_id, disk_key, aad, policy_label(policy_id),
-                KIND_POLICY,
-            )
         try:
-            # Content-addressed and written once: any copy that opens.
             return self._read_matching(
-                policy_id, disk_key, aad, KIND_POLICY, None
+                policy_id, disk_key, aad, KIND_POLICY, policy_id
             )
         except KineticNotFound:
             return None

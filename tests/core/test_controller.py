@@ -234,7 +234,7 @@ def test_bound_policy_that_cannot_be_loaded_refuses(clients, cluster):
     meta = controller._get_meta("doc")
     assert (meta.exists, meta.current_version, meta.policy_id) == (True, 0, acl)
     # The record comes back (anti-entropy, an operator): so does service.
-    controller.store.write_policy(acl, blob)
+    assert controller.store.write_policy(blob) == acl
     assert controller.get(ALICE, "doc").value == b"secret"
     assert controller.get(BOB, "doc").status == 403
 

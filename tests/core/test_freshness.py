@@ -15,7 +15,6 @@ from repro.core.freshness import (
     MerkleTree,
     object_label,
     pack_pin,
-    policy_label,
     record_digest,
     unpack_pin,
 )
@@ -130,8 +129,10 @@ def test_abort_reverts_leaf_but_keeps_pending():
     # The leaf is reverted (the quorum never took the write)...
     assert authority.tree.get(label) == "a" * 64
     assert authority.root == root_before
-    # ...but the pending entry survives: a minority replica may hold
-    # the new record, and reads must accept either side.
+    # ...but the pending entry survives, its sides swapped so the
+    # pinned leaf stays second: a minority replica may hold the new
+    # record, and reads must accept either side.
+    assert authority.pending[label] == ("b" * 64, "a" * 64)
     expected, allowed = authority.acceptable(label)
     assert expected == "a" * 64
     assert allowed == {"a" * 64, "b" * 64}
@@ -155,7 +156,9 @@ def test_counter_sealing_survives_enclave_restart():
     store, _cluster, authority, platform = _verified_store()
     meta = StoredMeta(key="obj")
     store.store_version(meta, b"v1", "")
-    store.write_policy("pol-1", b"blob")
+    pins = authority.pins
+    store.write_policy(b"blob")
+    assert authority.pins == pins  # a policy needs no pin
     root = authority.root
     # Same trusted hardware, new controller process: the sealed pin
     # unseals, matches the hardware counter, and the rebuilt tree
@@ -172,24 +175,24 @@ def test_trust_on_first_use_adopts_existing_fleet():
     store, _cluster = _store()
     meta = StoredMeta(key="pre-existing")
     store.store_version(meta, b"v1", "")
-    store.write_policy("pol-1", b"blob")
+    store.write_policy(b"blob")
     authority = FreshnessAuthority(SgxPlatform("host").launch(BINARY))
     authority.bootstrap(store)
     assert not authority.forked and authority.active
-    assert len(authority.tree) == 2
-    assert authority.tree.get(object_label("pre-existing")) is not None
-    assert authority.tree.get(policy_label("pol-1")) is not None
+    # Object records only: a policy is its own digest.
+    assert list(authority.tree._digests) == [object_label("pre-existing")]
 
 
 def test_rebuild_pages_every_label_past_two_range_pages(monkeypatch):
     """Three drives with more than two ``GETKEYRANGE`` pages of ``m/``
-    and of ``p/`` keys each: the pager's exclusive cursor, the one flag
-    it sends off its default, carries the rebuild across every page."""
+    keys each: the pager's exclusive cursor, the one flag it sends off
+    its default, carries the rebuild across every page.  The ``p/``
+    range beside them is never listed."""
     store, cluster = _store(replication=3)
     count = 2 * _RANGE_PAGE + 17
     for index in range(count):
         store.store_version(StoredMeta(key=f"obj{index:04d}"), b"v", "")
-        store.write_policy(f"pol{index:04d}", b"blob")
+        store.write_policy(b"blob%04d" % index)
     flags = []
     for drive in cluster.drives:
         def handle(request, inner=drive.handle):
@@ -203,14 +206,13 @@ def test_rebuild_pages_every_label_past_two_range_pages(monkeypatch):
     authority.bootstrap(store)
     assert not authority.forked and authority.active
     labels = [object_label(f"obj{index:04d}") for index in range(count)]
-    labels += [policy_label(f"pol{index:04d}") for index in range(count)]
     assert len(authority.tree) == len(labels)
     assert all(authority.tree.get(label) is not None for label in labels)
-    # Per drive and prefix: an inclusive first page, then two exclusive
-    # ones (200, 200 and 17 keys; the short one ends the range).
-    assert flags.count(set()) == 3 * 2
-    assert flags.count({"start_inclusive"}) == 3 * 2 * 2
-    assert len(flags) == 3 * 2 * 3
+    # Per drive: an inclusive first page, then two exclusive ones (200,
+    # 200 and 17 keys; the short one ends the range).
+    assert flags.count(set()) == 3
+    assert flags.count({"start_inclusive"}) == 3 * 2
+    assert len(flags) == 3 * 3
 
 
 def test_destroyed_pin_storage_is_a_fork():
@@ -253,7 +255,7 @@ def test_foreign_seal_is_a_fork():
 PENDING = {
     object_label("b"): ("a" * 64, None),
     object_label("a"): (None, "b" * 64),
-    policy_label("p\u00fc"): ("c" * 64, "d" * 64),
+    object_label("p\u00fc"): ("c" * 64, "d" * 64),
 }
 
 
@@ -354,7 +356,7 @@ def test_rolled_back_fleet_is_a_fork():
     store.store_version(StoredMeta(key="obj"), b"v1", "")
     old_fleet = _fleet_state(cluster)
     store.store_version(StoredMeta(key="obj"), b"v2", "")
-    store.write_policy("pol-1", b"blob")
+    store.write_policy(b"blob")
     _restore_fleet(cluster, old_fleet)  # cloud restored an old image
     store.freshness = None
     restarted = FreshnessAuthority(platform.launch(BINARY))
@@ -428,18 +430,26 @@ def test_minority_stale_replica_is_outvoted_and_reseeded():
 
 def test_policy_repair_refuses_content_address_mismatch():
     from repro.core.antientropy import KIND_POLICY, AntiEntropyRepairer
+    from repro.core.store import placement
     from repro.policy.compiler import compile_source
 
-    store, _cluster = _store()
-    blob = compile_source(OPEN_POLICY).to_bytes()
-    # A valid compiled policy stored under a *different* id: exactly
-    # what a rollback adversary would feed the repairer.
-    store.write_policy("wrong-id", blob)
-    store.journal.mark(KIND_POLICY, "wrong-id")
-    repairer = AntiEntropyRepairer(store)
-    report = repairer.run_once()
-    assert "wrong-id" in report["pending"]
-    assert (KIND_POLICY, "wrong-id") in store.journal
+    store, cluster = _store(replication=3)
+    policy_id = store.write_policy(compile_source(OPEN_POLICY).to_bytes())
+    disk_key, aad = store._policy_record(policy_id)
+    # Another valid compiled policy sealed under the id's AAD, the only
+    # copy left: it opens, but is not the policy the id names.
+    planted = store._seal(compile_source("read :- sessionKeyIs(K)").to_bytes(), aad)
+    first, *others = placement(policy_id, 3, 3)
+    cluster.drive(first)._entries[disk_key].value = planted
+    for index in others:
+        del cluster.drive(index)._entries[disk_key]
+    store.journal.mark(KIND_POLICY, policy_id)
+    report = AntiEntropyRepairer(store).run_once()
+    assert policy_id in report["pending"]
+    assert (KIND_POLICY, policy_id) in store.journal
+    # Neither the repair nor its read spread the planted blob.
+    assert all(disk_key not in cluster.drive(index)._entries for index in others)
+    assert cluster.drive(first)._entries[disk_key].value == planted
 
 
 # -- operator surfaces -----------------------------------------------------
@@ -458,6 +468,32 @@ def _controller(platform, telemetry=None, **overrides):
         enclave=platform.launch(BINARY),
     )
     return controller, cluster
+
+
+def test_a_policy_upload_advances_no_counter():
+    platform = SgxPlatform("host")
+    controller, _cluster = _controller(platform)
+    pins, epoch = controller.freshness.pins, platform.counter.read()
+    policy_id = controller.put_policy(FP, OPEN_POLICY).policy_id
+    assert (controller.freshness.pins, platform.counter.read()) == (pins, epoch)
+    assert controller.freshness.tree.get(f"p/{policy_id}") is None
+    assert controller.put(FP, "obj", b"value", policy_id=policy_id).ok
+
+
+def test_a_policy_the_fleet_hides_fails_closed():
+    """No pin names the policy, so a fleet that drops it leaves the
+    object's binding unloadable: refused (500), never waved through."""
+    platform = SgxPlatform("host")
+    controller, cluster = _controller(platform)
+    policy_id = controller.put_policy(FP, OPEN_POLICY).policy_id
+    assert controller.put(FP, "obj", b"value", policy_id=policy_id).ok
+    for drive in cluster:
+        drive._entries.pop(ObjectStore.policy_key(policy_id), None)
+    controller.caches.policies.remove(policy_id)
+    response = controller.get(FP, "obj")
+    assert response.status == 500
+    assert "cannot be loaded" in response.error
+    assert not response.value
 
 
 def test_health_and_metrics_expose_freshness_state():

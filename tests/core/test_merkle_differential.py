@@ -27,7 +27,6 @@ from repro.core.freshness import (
     FreshnessAuthority,
     MerkleTree,
     object_label,
-    policy_label,
     record_digest,
 )
 from repro.sgx.attestation import SgxPlatform
@@ -38,9 +37,11 @@ from tests.core.reference_merkle import ReferenceMerkleTree
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 #: A label pool small enough that sequences rebind and delete often and
-#: large enough that some labels share a bucket slot or a sibling.
+#: large enough that some labels share a bucket slot or a sibling.  The
+#: tree takes any string; the ``p/`` labels keep the sequences drawn
+#: while policies still had leaves.
 POOL = [object_label(f"key-{index}") for index in range(500)] + [
-    policy_label(f"{index:064x}") for index in range(100)
+    f"p/{index:064x}" for index in range(100)
 ]
 
 
@@ -150,7 +151,11 @@ def test_authority_lookups_match_the_reference_proofs(case):
             else:
                 authority.abort(label)
                 if label in pending:
-                    reference.set(label, pending[label][0])
+                    # The tree takes the other side, which is now the
+                    # pinned one: the pair swaps.
+                    other, pinned = pending[label]
+                    pending[label] = (pinned, other)
+                    reference.set(label, other)
         bound = {label: reference.get(label) for label in POOL if reference.get(label)}
         assert authority.root == reference.root, step
         assert authority.pending == pending, step

@@ -229,7 +229,7 @@ def test_malformed_policy_blob_on_the_drive_is_a_policy_error():
             "permissions": [["update", [[[11, [["c", 0]]]]]]],
         }
     )
-    controller.store.write_policy("bad-policy", blob)
-    response = controller.put(ALICE, "doc", b"v", policy_id="bad-policy")
+    bad_policy = controller.store.write_policy(blob)
+    response = controller.put(ALICE, "doc", b"v", policy_id=bad_policy)
     assert response.status == 400
     assert "malformed policy" in response.error

@@ -198,8 +198,9 @@ def test_delete_object_removes_everything():
 
 def test_policy_blob_roundtrip():
     store, _ = _store()
-    store.write_policy("abcd", b"compiled-policy-bytes")
-    assert store.read_policy("abcd") == b"compiled-policy-bytes"
+    policy_id = store.write_policy(b"compiled-policy-bytes")
+    assert policy_id == hashlib.sha256(b"compiled-policy-bytes").hexdigest()
+    assert store.read_policy(policy_id) == b"compiled-policy-bytes"
     assert store.read_policy("missing") is None
 
 

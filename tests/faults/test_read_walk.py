@@ -3,7 +3,8 @@
 Every read in :mod:`repro.core.store` — a value, an ``m/`` or ``p/``
 record, with or without the freshness authority — is the same walk
 under a different acceptance rule, so one parametrised test asserts
-the same four observables for every reader and every primary fault:
+the same four observables for every reader and every primary fault
+(a ``p/`` blob is read by the value rule, against its id):
 
 * the read is served from the next replica in placement order;
 * a replica that answered wrong is re-seeded inline with the sealed
@@ -19,7 +20,7 @@ import pytest
 
 from repro.core.antientropy import KIND_OBJECT, KIND_POLICY
 from repro.core.controller import ControllerConfig, PesosController
-from repro.core.freshness import FreshnessAuthority, object_label
+from repro.core.freshness import FreshnessAuthority, object_label, record_digest
 from repro.core.request import Request
 from repro.core.store import ObjectStore, StoredMeta, placement
 from repro.errors import (
@@ -37,7 +38,8 @@ from repro.telemetry import Telemetry
 from tests.faults.conftest import BINARY
 
 KEY = "obj"
-POLICY_ID = "pol-1"
+POLICY = b"NEW-policy"
+POLICY_ID = record_digest(POLICY)
 ORDER = placement(KEY, 3, 3)
 POLICY_ORDER = placement(POLICY_ID, 3, 3)
 
@@ -57,12 +59,6 @@ SEALED_V1_META = bytes.fromhex(
     "f8d2da7e8e6472eff8047e76b8197a958d4d3cc4dce42528bd8103cd063e3a2b3a78930c"
     "e376afc6e9bbf92cc5009ce2f1ddf0a35bf0ed98e6de7b1e5aea32da5c"
 )
-
-
-def _sees_staleness(reader: str) -> bool:
-    # An immutable p/ blob read without a pin has nothing to compare
-    # against; every other reader is given a way to tell old from new.
-    return reader != "policy"
 
 
 class Scenario:
@@ -97,16 +93,19 @@ class Scenario:
         self.name = POLICY_ID if is_policy else KEY
         self.order = POLICY_ORDER if is_policy else ORDER
         self.meta = StoredMeta(key=KEY)
-        self._write(b"old-value", b"old-policy")
-        self.old = self._at_rest(self.order[0])
-        self._write(b"NEW-value", b"NEW-policy")
-        self.expected = b"NEW-policy" if is_policy else b"NEW-value"
+        self.store.store_version(self.meta, b"old-value", "")
+        if is_policy:
+            # A policy has one generation: "stale" is other bytes
+            # sealed under its id's AAD, which open but hash otherwise.
+            _disk_key, aad = self.store._policy_record(POLICY_ID)
+            self.old = self.store._seal(b"old-policy", aad)
+        else:
+            self.old = self._at_rest(self.order[0])
+        self.store.store_version(self.meta, b"NEW-value", "")
+        assert self.store.write_policy(POLICY) == POLICY_ID
+        self.expected = POLICY if is_policy else b"NEW-value"
         self.store._m_replica_failures.reset()
         self.store._m_read_repair.reset()
-
-    def _write(self, value: bytes, policy: bytes) -> None:
-        self.store.store_version(self.meta, value, "")
-        self.store.write_policy(POLICY_ID, policy)
 
     @property
     def disk_key(self) -> bytes:
@@ -166,8 +165,6 @@ class Scenario:
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("reader", READERS)
 def test_primary_fault_fails_over_repairs_journals_and_counts(reader, fault):
-    if fault == "stale" and not _sees_staleness(reader):
-        pytest.skip("an unpinned immutable blob has no newer generation")
     if fault == "sealed-v1" and not reader.startswith("meta"):
         pytest.skip("the captured v1 blob is an m/ record")
     scenario = Scenario(reader)
@@ -238,6 +235,31 @@ def test_value_rule_error_precedence(faults, write_quorum, error):
 
 
 @pytest.mark.parametrize(
+    "faults, error",
+    [
+        (("stale", "corrupt", "offline"), StaleReplica),
+        (("corrupt", "offline", "offline"), IntegrityError),
+        # No pin proves a policy exists; the corrupt copy does.
+        (("missing", "corrupt", "offline"), IntegrityError),
+        (("offline", "offline", "offline"), DriveOffline),
+    ],
+)
+@pytest.mark.parametrize("reader", ("policy", "policy-verified"))
+def test_policy_rule_error_precedence(reader, faults, error):
+    """A policy is read by the value rule against its id, with
+    freshness off or on alike."""
+    scenario = _unserved(reader, faults)
+    with pytest.raises(error):
+        scenario.read()
+
+
+@pytest.mark.parametrize("reader", ("policy", "policy-verified"))
+def test_a_policy_no_replica_holds_is_absent(reader):
+    scenario = _unserved(reader, ("missing", "missing", "offline"))
+    assert scenario.read() is None
+
+
+@pytest.mark.parametrize(
     "faults, outcome",
     [
         (("corrupt", "missing", "offline"), IntegrityError),
@@ -265,7 +287,7 @@ def test_newest_of_quorum_rule_error_precedence(faults, outcome):
         (("offline", "offline", "offline"), DriveOffline),
     ],
 )
-@pytest.mark.parametrize("reader", ("meta-verified", "policy-verified"))
+@pytest.mark.parametrize("reader", ("meta-verified",))
 def test_pinned_rule_error_precedence(reader, faults, error):
     scenario = _unserved(reader, faults)
     with pytest.raises(error):

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from repro.core.controller import ControllerConfig, PesosController
+from repro.core.freshness import record_digest
 from repro.core.health import CLOSED, OPEN
 from repro.core.store import ObjectStore, StoredMeta, placement
 from repro.core.webserver import WebServer
-from repro.errors import IntegrityError, ReplicationDegraded
+from repro.errors import DriveOffline, IntegrityError, ReplicationDegraded
 from repro.faults import DriveFaultSpec
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
@@ -162,15 +164,55 @@ def test_anti_entropy_repairs_policies_by_rewrite():
     from repro.core.antientropy import AntiEntropyRepairer
 
     store, cluster = _store(replication=2, write_quorum=1)
-    dead = placement("pol-1", 3, 2)[1]
+    policy_id = record_digest(b"compiled-bytes")
+    dead = placement(policy_id, 3, 2)[1]
     cluster.drive(dead).fail()
-    store.write_policy("pol-1", b"compiled-bytes")
-    assert ("policy", "pol-1") in store.journal
+    assert store.write_policy(b"compiled-bytes") == policy_id
+    assert ("policy", policy_id) in store.journal
     cluster.drive(dead).recover()
     AntiEntropyRepairer(store).run_until_converged()
     assert len(store.journal) == 0
-    key = ObjectStore.policy_key("pol-1")
+    key = ObjectStore.policy_key(policy_id)
     assert key in cluster.drive(dead)._entries
+
+
+def test_a_reseed_to_a_failing_drive_counts_against_its_breaker():
+    """Read-repair writes like any write: its drive's breaker hears how
+    it went, and a failed re-seed still never fails the read."""
+    store, cluster = _store(replication=3, breaker_threshold=1)
+    meta = StoredMeta(key="obj")
+    store.store_version(meta, b"v1", "")
+    first = placement("obj", 3, 3)[0]
+    del cluster.drive(first)._entries[ObjectStore.meta_key("obj")]
+
+    def refuse(*args, **kwargs):
+        raise DriveOffline("write path down")
+
+    store.clients[first].put = refuse
+    assert store.read_meta("obj").current_version == 0
+    assert store.health.state_of(first).failures == 1
+    assert store.health.state_of(first).state == OPEN
+    assert ("object", "obj") in store.journal
+
+
+def test_a_delete_a_replica_missed_is_refused():
+    """A delete goes through the write quorum: one replica down at
+    the default full quorum answers 503, and the key stays readable."""
+    cluster = DriveCluster(num_drives=3)
+    controller = PesosController(
+        cluster.connect_all(KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY),
+        storage_key=b"d" * 32,
+        config=ControllerConfig(replication_factor=3),
+    )
+    assert controller.put(FP, "k", b"value").ok
+    dead = placement("k", 3, 3)[0]
+    cluster.drive(dead).fail()
+    response = controller.delete(FP, "k")
+    assert response.status == ReplicationDegraded.status == 503
+    assert controller.store.journal.pending("object", "k") == {dead}
+    cluster.drive(dead).recover()
+    response = controller.get(FP, "k")
+    assert response.status == 200 and response.value == b"value"
 
 
 # -- controller degradation and the health surface -------------------------

@@ -16,6 +16,7 @@ import pytest
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.freshness import pack_pin
 from repro.core.request import Request
+from repro.core.store import placement
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive, Role
 from repro.sgx.attestation import AttestationService, SgxPlatform
@@ -88,6 +89,43 @@ def test_restart_serves_the_latest_write(freshness):
     response = restarted.get(FP, "k")
     assert response.status == 200 and response.value == b"new"
     assert restarted.put(FP, "k", b"newer").ok
+
+
+def test_restart_after_a_refused_write_boots():
+    """A write refused below quorum reverts its pinned leaf; the pin
+    records that the reverted side is the pinned one, so the replicas
+    that did take the write are one side of a pending pair, not a fork."""
+    host, cluster = Host(), DriveCluster(num_drives=3)
+    controller = host.launch(cluster)
+    assert controller.put(FP, "other", b"kept").ok
+    assert controller.put(FP, "k", b"old").ok
+    last = placement("k", 3, 3)[-1]
+    cluster.drive(last).fail()
+    assert controller.put(FP, "k", b"new").status == 503
+    cluster.drive(last).recover()
+
+    restarted = host.launch(cluster)
+    assert restarted.freshness.active and not restarted.freshness.forked
+    assert restarted.get(FP, "other").value == b"kept"
+    response = restarted.get(FP, "k")
+    assert response.status == 200 and response.value in (b"old", b"new")
+
+
+def test_restart_after_a_delete_a_replica_missed_boots():
+    """The delete is refused (503) rather than acknowledged, so the
+    replica that kept the record holds the pinned leaf."""
+    host, cluster = Host(), DriveCluster(num_drives=3)
+    controller = host.launch(cluster)
+    assert controller.put(FP, "k", b"value").ok
+    primary = placement("k", 3, 3)[0]
+    cluster.drive(primary).fail()
+    controller.delete(FP, "k")
+    cluster.drive(primary).recover()
+
+    restarted = host.launch(cluster)
+    assert restarted.freshness.active and not restarted.freshness.forked
+    response = restarted.get(FP, "k")
+    assert response.status == 200 and response.value == b"value"
 
 
 def test_restart_over_a_key_that_is_not_utf8_boots_and_scans():
