@@ -12,7 +12,12 @@ Run: ``python examples/content_server.py``
 from repro.core.controller import PesosController
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.sgx.attestation import SgxPlatform
+from repro.sgx.enclave import EnclaveBinary
 from repro.usecases.content_server import ContentServer
+
+#: The controller binary; its platform keeps the rollback-protection pin.
+BINARY = EnclaveBinary("pesos", b"example controller")
 
 ADMIN = "fp-admin"
 AUTHORS = {"ana": "fp-ana", "ben": "fp-ben"}
@@ -25,7 +30,10 @@ def main() -> None:
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    controller = PesosController(clients, storage_key=b"s" * 32)
+    controller = PesosController(
+        clients, storage_key=b"s" * 32,
+        enclave=SgxPlatform("host").launch(BINARY),
+    )
     server = ContentServer(controller, admin_fingerprint=ADMIN)
 
     # Authors publish; subscribers (and the authors) may read.

@@ -12,7 +12,12 @@ Run: ``python examples/mandatory_access_logging.py``
 from repro.core.controller import PesosController
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.sgx.attestation import SgxPlatform
+from repro.sgx.enclave import EnclaveBinary
 from repro.usecases.mal import MalStore
+
+#: The controller binary; its platform keeps the rollback-protection pin.
+BINARY = EnclaveBinary("pesos", b"example controller")
 
 HOSPITAL, DR_WHO, DR_EVIL = "fp-hospital", "fp-dr-who", "fp-dr-evil"
 
@@ -22,7 +27,10 @@ def main() -> None:
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    controller = PesosController(clients, storage_key=b"m" * 32)
+    controller = PesosController(
+        clients, storage_key=b"m" * 32,
+        enclave=SgxPlatform("host").launch(BINARY),
+    )
     mal = MalStore(controller)
 
     mal.protect(HOSPITAL, "patient/4711", b"blood type: 0-; allergies: none")

@@ -14,6 +14,11 @@ from repro.core.request import Request
 from repro.core.store import placement
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.sgx.attestation import SgxPlatform
+from repro.sgx.enclave import EnclaveBinary
+
+#: The controller binary; its platform keeps the rollback-protection pin.
+BINARY = EnclaveBinary("pesos", b"example controller")
 
 BANK, MALLORY = "fp-bank", "fp-mallory"
 
@@ -27,6 +32,7 @@ def main() -> None:
         clients,
         storage_key=b"r" * 32,
         config=ControllerConfig(replication_factor=2),
+        enclave=SgxPlatform("host").launch(BINARY),
     )
 
     # --- replication and failover -----------------------------------------

@@ -23,6 +23,11 @@ from repro.core.store import placement
 from repro.crypto.certs import CertificateAuthority
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.sgx.attestation import SgxPlatform
+from repro.sgx.enclave import EnclaveBinary
+
+#: The controller binary; its platform keeps the rollback-protection pin.
+BINARY = EnclaveBinary("pesos", b"example controller")
 
 ALICE = "fp-alice"
 
@@ -42,6 +47,7 @@ def main() -> None:
         storage_key=b"a" * 32,
         config=ControllerConfig(replication_factor=2),
         signing_keys=controller_keys,
+        enclave=SgxPlatform("host").launch(BINARY),
     )
 
     policy = controller.put_policy(ALICE, "read :- sessionKeyIs(K)\n"

@@ -14,7 +14,12 @@ from repro.core.controller import PesosController
 from repro.crypto.certs import CertificateAuthority
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.sgx.attestation import SgxPlatform
+from repro.sgx.enclave import EnclaveBinary
 from repro.usecases.time_based import TimeAuthority, TimeVault
+
+#: The controller binary; its platform keeps the rollback-protection pin.
+BINARY = EnclaveBinary("pesos", b"example controller")
 
 ALICE, BOB = "fp-alice", "fp-bob"
 RELEASE = 1_800_000_000  # the embargo lifts at this (unix) time
@@ -33,6 +38,7 @@ def main() -> None:
         clients,
         storage_key=b"t" * 32,
         authority_keys={ca.public_key.fingerprint(): ca.public_key},
+        enclave=SgxPlatform("host").launch(BINARY),
     )
     vault = TimeVault(controller, authority, ca.public_key.fingerprint())
 

@@ -13,7 +13,12 @@ Run: ``python examples/versioned_audit.py``
 from repro.core.controller import PesosController
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.sgx.attestation import SgxPlatform
+from repro.sgx.enclave import EnclaveBinary
 from repro.usecases.versioned import VersionedStore
+
+#: The controller binary; its platform keeps the rollback-protection pin.
+BINARY = EnclaveBinary("pesos", b"example controller")
 
 OP_A, OP_B, AUDITOR = "fp-op-a", "fp-op-b", "fp-auditor"
 
@@ -23,7 +28,10 @@ def main() -> None:
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    controller = PesosController(clients, storage_key=b"v" * 32)
+    controller = PesosController(
+        clients, storage_key=b"v" * 32,
+        enclave=SgxPlatform("host").launch(BINARY),
+    )
     store = VersionedStore(controller)
 
     # Create the ruleset (creation must target version 0).

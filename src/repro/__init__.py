@@ -11,10 +11,15 @@ Quick start::
     from repro import PesosController
     from repro.kinetic.cluster import DriveCluster
     from repro.kinetic.protocol import DEMO_IDENTITY, DEMO_KEY
+    from repro.sgx.attestation import SgxPlatform
+    from repro.sgx.enclave import EnclaveBinary
 
     cluster = DriveCluster(num_drives=3)
     clients = cluster.connect_all(DEMO_IDENTITY, DEMO_KEY)
-    controller = PesosController(clients, storage_key=b"k" * 32)
+    # The enclave's platform keeps the rollback-protection pin.
+    enclave = SgxPlatform("host").launch(EnclaveBinary("pesos", b"v1"))
+    controller = PesosController(clients, storage_key=b"k" * 32,
+                                 enclave=enclave)
 
     policy = controller.put_policy(
         "fp-alice", "read :- sessionKeyIs(k'fp-alice')\n"

@@ -24,12 +24,14 @@ import random
 from dataclasses import dataclass
 
 from repro.analysis.sanitizer import ShadowState
+from repro.bench.harness import BENCH_BINARY
 from repro.core.cache import CacheConfig
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.engine import ConcurrentEngine
 from repro.core.request import Request
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.sgx.attestation import SgxPlatform
 
 
 @dataclass
@@ -105,6 +107,7 @@ def build_concurrency_system(
             audit_log_size=audit_log_size,
         ),
         telemetry=telemetry,
+        enclave=SgxPlatform("bench-host").launch(BENCH_BINARY),
     )
     payload = _payload(config.value_size, config.seed)
     for index in range(config.record_count):

@@ -19,6 +19,7 @@ from dataclasses import replace
 
 from repro.bench.configs import make_config, paper_ratio_caches
 from repro.bench.harness import (
+    BENCH_BINARY,
     ExperimentResult,
     LoadedSystem,
     _default_executor,
@@ -153,7 +154,6 @@ def freshness_overhead(
     from repro.kinetic.cluster import DriveCluster
     from repro.kinetic.drive import KineticDrive
     from repro.sgx.attestation import SgxPlatform
-    from repro.sgx.enclave import EnclaveBinary
 
     def build(with_freshness: bool):
         cluster = DriveCluster(num_drives=3)
@@ -169,9 +169,7 @@ def freshness_overhead(
         )
         authority = None
         if with_freshness:
-            enclave = SgxPlatform("bench-host").launch(
-                EnclaveBinary("pesos", b"bench controller")
-            )
+            enclave = SgxPlatform("bench-host").launch(BENCH_BINARY)
             authority = FreshnessAuthority(enclave)
             authority.bootstrap(store)
             store.freshness = authority

@@ -19,6 +19,8 @@ from repro.core.cache import CacheConfig
 from repro.core.controller import ControllerConfig, PesosController
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.sgx.attestation import SgxPlatform
+from repro.sgx.enclave import EnclaveBinary
 from repro.sim import Environment
 from repro.ycsb.runner import load_phase, operation_request
 from repro.ycsb.workload import (
@@ -84,6 +86,10 @@ class LoadedSystem:
         return self._payload_cache[size]
 
 
+#: The controller binary every DES bench enclave runs.
+BENCH_BINARY = EnclaveBinary("pesos", b"bench controller")
+
+
 def build_system(
     config: SystemConfig,
     workload: WorkloadSpec | None = None,
@@ -118,6 +124,7 @@ def build_system(
             enforce_policies=enforce_policies,
             ssd_cache_entries=ssd_cache_entries,
         ),
+        enclave=SgxPlatform("bench-host").launch(BENCH_BINARY),
     )
     policy_id = ""
     if policy_source:

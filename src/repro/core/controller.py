@@ -38,7 +38,7 @@ from repro.core.effects import (
 from repro.core.request import METHOD_TABLE, Request, Response, error_response
 from repro.core.session import Session, SessionManager
 from repro.core.freshness import FreshnessAuthority, pin_new_fleet
-from repro.core.ssdcache import SsdCacheTier
+from repro.core.ssdcache import SimulatedSsd, SsdCacheTier
 from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
 from repro.core.txn import Transaction, VllManager
 from repro.errors import (
@@ -89,7 +89,7 @@ class ControllerConfig:
     #: enforcement" baseline used in §6.2).
     enforce_policies: bool = True
     # -- set differently by more than one bench or example --------------
-    #: Entries in the untrusted-SSD cache tier's freshness table
+    #: Blobs the untrusted-SSD cache tier's device holds
     #: (see :mod:`repro.core.ssdcache`); None disables the tier.
     ssd_cache_entries: int | None = None
     #: Replicas that must persist a write before it is acknowledged;
@@ -99,15 +99,13 @@ class ControllerConfig:
     #: chain (:mod:`repro.sgx.auditlog`); None disables auditing and
     #: keeps the policy hot path free of hashing.
     audit_log_size: int | None = None
-    #: Root object/policy metadata in an authenticated dictionary
-    #: pinned by a sealed monotonic counter
-    #: (:mod:`repro.core.freshness`): reads compare each replica's
-    #: record digest with the tree's pinned leaf instead of trusting
-    #: version numbers, and startup refuses to serve after fork
-    #: detection.  Needs the controller's ``enclave``, whose platform
-    #: keeps the counter and the pin.  Set by the wall benchmark
-    #: (``a_fresh``); the ROADMAP's one-trust-path item removes it.
-    freshness_enabled: bool = False
+    #: Root object metadata in an authenticated dictionary pinned by a
+    #: sealed monotonic counter (:mod:`repro.core.freshness`): reads
+    #: check each replica against the pinned leaf, not version numbers,
+    #: and startup refuses to serve after fork detection.  On by
+    #: default, so the controller needs its ``enclave``; the wall
+    #: benchmark names it, so it stays until one trust path is left.
+    freshness_enabled: bool = True
     # -- kept only because the seeded chaos suites (the correctness
     # oracle) record outcomes against their values ----------------------
     #: Consecutive per-drive failures before its circuit breaker opens,
@@ -232,6 +230,14 @@ class PesosController:
             breaker_threshold=self.config.breaker_threshold,
             breaker_cooldown_ops=self.config.breaker_cooldown_ops,
         )
+        if self.config.ssd_cache_entries:
+            #: The untrusted SSD below the enclave caches (paper future
+            #: work; §8), read and written by the store.
+            self.store.ssd = SsdCacheTier(
+                SimulatedSsd(capacity=self.config.ssd_cache_entries),
+                effects=self.effects,
+                telemetry=self.telemetry,
+            )
         self.anti_entropy = AntiEntropyRepairer(
             self.store, telemetry=self.telemetry
         )
@@ -270,15 +276,6 @@ class PesosController:
         #: "cryptographic attestation for the stored objects and their
         #: associated policies").  A :class:`repro.crypto.certs.KeyPair`.
         self.signing_keys = signing_keys
-        #: Optional untrusted-SSD cache tier between the enclave
-        #: caches and the drives (paper future work; §8).
-        self.ssd_cache = None
-        if self.config.ssd_cache_entries:
-            self.ssd_cache = SsdCacheTier(
-                max_entries=self.config.ssd_cache_entries,
-                effects=self.effects,
-                telemetry=self.telemetry,
-            )
         self._m_ops = self.telemetry.counter(
             "pesos_controller_requests_total",
             "Requests handled by the controller, by method and outcome.",
@@ -567,18 +564,10 @@ class PesosController:
         return self.caches.get_meta(key) or self._load_meta(key)
 
     def _load_meta(self, key: str) -> StoredMeta | None:
-        """A keys-region miss: the SSD tier, then the drives."""
-        if self.ssd_cache is not None:
-            blob = self.ssd_cache.get(f"m:{key}")
-            if blob is not None:
-                meta = StoredMeta.decode(blob)
-                self.caches.put_meta(key, meta)
-                return meta
+        """A keys-region miss: the store (the SSD tier, then the drives)."""
         meta = self.store.read_meta(key)
         if meta is not None:
             self.caches.put_meta(key, meta)
-            if self.ssd_cache is not None:
-                self.ssd_cache.put(f"m:{key}", meta.encode())
         return meta
 
     def _existing_meta(self, key: str) -> StoredMeta:
@@ -760,11 +749,6 @@ class PesosController:
         self.caches.put_object(
             f"{request.key}@{meta.current_version}", request.value
         )
-        if self.ssd_cache is not None:
-            self.ssd_cache.put(
-                f"{request.key}@{meta.current_version}", request.value
-            )
-            self.ssd_cache.put(f"m:{request.key}", meta.encode())
         return Response(
             status=200,
             version=meta.current_version,
@@ -796,19 +780,14 @@ class PesosController:
         cache_key = f"{request.key}@{version}"
         value = self.caches.get_object(cache_key)
         if value is None:
-            if self.ssd_cache is not None:
-                value = self.ssd_cache.get(cache_key)
-            if value is None:
-                # The content hash in the metadata record anchors the
-                # value: a lagging or replayed copy of an overwritten
-                # slot decrypts fine but cannot match.
-                value = self.store.read_value(
-                    request.key,
-                    version,
-                    expect_sha256=meta.versions[version].content_hash,
-                )
-                if self.ssd_cache is not None:
-                    self.ssd_cache.put(cache_key, value)
+            # The content hash in the metadata record anchors the value:
+            # a lagging or replayed copy of an overwritten slot, on a
+            # drive or on the SSD, decrypts fine but cannot match.
+            value = self.store.read_value(
+                request.key,
+                version,
+                expect_sha256=meta.versions[version].content_hash,
+            )
             self.caches.put_object(cache_key, value)
         self.effects.record(COPY, len(value))
         return Response(
@@ -907,10 +886,6 @@ class PesosController:
         self.caches.invalidate_meta(request.key)
         for version in meta.versions:
             self.caches.invalidate_object(f"{request.key}@{version}")
-            if self.ssd_cache is not None:
-                self.ssd_cache.invalidate(f"{request.key}@{version}")
-        if self.ssd_cache is not None:
-            self.ssd_cache.invalidate(f"m:{request.key}")
         return Response(status=200)
 
     def _handle_attest(

@@ -58,7 +58,7 @@ import hashlib
 import struct
 from types import SimpleNamespace
 
-from repro.errors import AttestationError, ForkDetected, KineticError
+from repro.errors import AttestationError, CryptoError, ForkDetected, KineticError
 from repro.sgx.enclave import Enclave
 from repro.telemetry import NULL_TELEMETRY
 
@@ -470,9 +470,9 @@ class FreshnessAuthority:
             # The platform never pinned: adopt whatever the fleet
             # holds (trust on first use) and pin it.  ``launch`` pins
             # a new fleet before it gets here.
-            self._rebuild_from(store)
-            self.active = True
-            self._pin("bootstrap")
+            if self._rebuild_from(store):
+                self.active = True
+                self._pin("bootstrap")
             return
         try:
             root, counter, _vnow, pending = unpack_pin(
@@ -494,7 +494,8 @@ class FreshnessAuthority:
                 f"state was replayed"
             )
             return
-        self._rebuild_from(store)
+        if not self._rebuild_from(store):
+            return
         if self.tree.root != root:
             # The only legitimate divergence is an unsettled mutation
             # the drives did not settle: substituting each pending
@@ -522,11 +523,21 @@ class FreshnessAuthority:
         self.active = True
         self._pin("bootstrap")
 
-    def _rebuild_from(self, store) -> None:
-        """Rebuild the tree from the freshest reachable object records."""
+    def _rebuild_from(self, store) -> bool:
+        """Rebuild the tree from the freshest reachable object records,
+        read without repair; False, forked, if one does not open."""
         for label in store.scan_labels():
+            key = label[len(LABEL_OBJECT):]
             try:
-                meta = store.read_meta(label[len(LABEL_OBJECT):])
+                meta = store._read_newest(
+                    key, *store._meta_record(key), repair=False
+                )
+            except CryptoError:
+                self._fork(
+                    "no replica of a metadata record opens under this "
+                    "enclave's storage key: a foreign or corrupt fleet"
+                )
+                return False
             except KineticError:
                 # Unreachable during rebuild: the label stays out of
                 # the tree; the root comparison decides whether that
@@ -534,6 +545,7 @@ class FreshnessAuthority:
                 continue
             if meta is not None:
                 self.tree.set(label, record_digest(meta.encode()))
+        return True
 
 
 __all__ = [

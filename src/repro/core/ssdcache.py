@@ -5,78 +5,62 @@ caching layer to overcome the limitations of main memory capacity
 (EPC paging) and slow disk performance, while protecting against
 integrity and freshness attacks."
 
-Design: cached blobs live *outside* the enclave on a host-local SSD
-the adversary fully controls.  The enclave keeps only a small
-*freshness table*: for every cached entry, the nonce it was sealed
-with and the SHA-256 of the sealed blob (~56 bytes per entry, so a
-multi-gigabyte SSD cache costs megabytes of enclave memory).  On a
-cache read the enclave
-
-1. recomputes the blob hash and compares it with the table entry —
-   a *tampered* blob fails here;
-2. opens the AEAD seal with the recorded nonce — a blob *substituted*
-   from a different key/nonce fails here;
-3. and because the table entry is overwritten on every update, a
-   *replayed stale* blob (the freshness/rollback attack) fails the
-   hash comparison too.
-
-Evicting a freshness-table entry makes the corresponding SSD blob
-permanently unusable, so the bounded in-enclave table is the cache's
-true capacity limit — exactly the EPC-extension trade the paper
-proposes.
+Design: the SSD is one more untrusted copy of what the drives hold.
+The store gives it the sealed bytes a drive replica takes, under the
+record's drive key, and accepts a copy only if it passes a drive
+replica's checks (:meth:`repro.core.store.ObjectStore._from_ssd`): the
+AEAD tag (a *tampered* blob fails), the record's AAD (a *substituted*
+one), then the anchor the enclave holds — a value's ``content_hash``,
+a metadata record's pinned leaf (a *replayed stale* one).  A copy that
+fails, or that the device withholds, is a miss served from the drives.
+Metadata is cached only while freshness pins it.  The enclave keeps
+nothing per entry: the device bounds the tier, and evicts.
 """
 
 from __future__ import annotations
 
-import hashlib
-import secrets
 from dataclasses import dataclass, field
 
 from repro.core.effects import SSD_READ, SSD_WRITE
-from repro.crypto.aead import StreamAead
-from repro.errors import IntegrityError
 from repro.telemetry import NULL_TELEMETRY
-from repro.util.lfu import LFUCache
 
 
 @dataclass
 class SimulatedSsd:
-    """The untrusted device: a blob store the adversary may rewrite."""
+    """The untrusted device: a blob store the adversary may rewrite.
 
+    It holds at most ``capacity`` blobs; a write past that evicts the
+    blob written longest ago.
+    """
+
+    capacity: int
     blobs: dict = field(default_factory=dict)
-    reads: int = 0
-    writes: int = 0
 
-    def read(self, key: str) -> bytes | None:
-        self.reads += 1
+    def read(self, key: bytes) -> bytes | None:
         return self.blobs.get(key)
 
-    def write(self, key: str, blob: bytes) -> None:
-        self.writes += 1
+    def write(self, key: bytes, blob: bytes) -> None:
+        self.blobs.pop(key, None)
         self.blobs[key] = blob
+        if len(self.blobs) > self.capacity:
+            del self.blobs[next(iter(self.blobs))]
 
-    def discard(self, key: str) -> None:
+    def discard(self, key: bytes) -> None:
         self.blobs.pop(key, None)
 
     # -- attack helpers (tests / demos) ---------------------------------
 
-    def tamper(self, key: str, flip_byte: int = 0) -> None:
+    def tamper(self, key: bytes, flip_byte: int = 0) -> None:
         blob = bytearray(self.blobs[key])
         blob[flip_byte] ^= 0xFF
         self.blobs[key] = bytes(blob)
 
-    def snapshot(self, key: str) -> bytes:
+    def snapshot(self, key: bytes) -> bytes:
         return self.blobs[key]
 
-    def rollback(self, key: str, old_blob: bytes) -> None:
+    def rollback(self, key: bytes, old_blob: bytes) -> None:
         """Replay an earlier (validly sealed) blob."""
         self.blobs[key] = old_blob
-
-
-@dataclass(frozen=True)
-class _FreshnessRecord:
-    nonce: bytes
-    blob_hash: bytes
 
 
 @dataclass
@@ -93,22 +77,11 @@ class SsdCacheStats:
 
 
 class SsdCacheTier:
-    """Enclave-side view of the untrusted SSD cache."""
+    """The enclave's side of the untrusted SSD: the one place that
+    counts its hits, misses and rejected copies; nothing per entry."""
 
-    #: Approximate enclave bytes per freshness-table entry.
-    RECORD_BYTES = 56
-
-    def __init__(
-        self,
-        device: SimulatedSsd | None = None,
-        max_entries: int = 65536,
-        key: bytes | None = None,
-        effects=None,
-        telemetry=None,
-    ):
-        self.device = device or SimulatedSsd()
-        self._aead = StreamAead(key or secrets.token_bytes(32))
-        self._records: LFUCache = LFUCache(max_entries=max_entries)
+    def __init__(self, device: SimulatedSsd, effects=None, telemetry=None):
+        self.device = device
         self.stats = SsdCacheStats()
         self._effects = effects
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -123,79 +96,38 @@ class SsdCacheTier:
             "SSD cache tier hit ratio since start.",
             lambda: self.stats.hit_ratio,
         )
-        self.telemetry.derived(
-            "pesos_ssd_cache_enclave_bytes",
-            "gauge",
-            "In-enclave freshness-table footprint of the SSD tier.",
-            self.enclave_bytes,
-        )
 
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def enclave_bytes(self) -> int:
-        """In-enclave footprint of the freshness table."""
-        return len(self._records) * self.RECORD_BYTES
-
-    # -- cache operations ---------------------------------------------------
-
-    def put(self, key: str, value: bytes) -> None:
-        """Seal ``value`` onto the SSD and record its freshness."""
-        nonce = secrets.token_bytes(12)
-        blob = self._aead.seal(nonce, value, key.encode())
-        self.device.write(key, blob)
-        self._records.put(
-            key,
-            _FreshnessRecord(
-                nonce=nonce, blob_hash=hashlib.sha256(blob).digest()
-            ),
-        )
-        self.stats.inserts += 1
-        self._m_events.labels("insert").inc()
-        if self._effects is not None:
-            self._effects.record(SSD_WRITE, len(blob))
-
-    def get(self, key: str) -> bytes | None:
-        """Fetch and verify; returns None on miss OR any integrity issue.
-
-        An integrity/freshness failure is indistinguishable from a
-        miss to callers (they re-fetch from the trusted drives), but
-        it is counted and the poisoned entry is dropped.
-        """
-        record = self._records.get(key)
-        if record is None:
-            self.stats.misses += 1
-            self._m_events.labels("miss").inc()
-            return None
+    def get(self, key: bytes, accept) -> bytes | None:
+        """The device's copy of ``key`` as ``accept`` opens it (None for
+        a copy that fails its check).  A copy the device lacks is a
+        miss; one that fails is counted, dropped, and a miss too."""
         blob = self.device.read(key)
-        if self._effects is not None and blob is not None:
-            self._effects.record(SSD_READ, len(blob))
         if blob is None:
-            # The untrusted side lost (or withheld) the blob.
-            self._records.remove(key)
-            self.stats.misses += 1
-            self._m_events.labels("miss").inc()
+            self._missed()
             return None
-        if hashlib.sha256(blob).digest() != record.blob_hash:
-            self._poisoned(key)
-            return None
-        try:
-            value = self._aead.open(record.nonce, blob, key.encode())
-        except IntegrityError:
-            self._poisoned(key)
+        if self._effects is not None:
+            self._effects.record(SSD_READ, len(blob))
+        value = accept(blob)
+        if value is None:
+            self.stats.integrity_failures += 1
+            self._m_events.labels("integrity_failure").inc()
+            self._missed()
+            self.device.discard(key)
             return None
         self.stats.hits += 1
         self._m_events.labels("hit").inc()
         return value
 
-    def invalidate(self, key: str) -> None:
-        self._records.remove(key)
+    def put(self, key: bytes, blob: bytes) -> None:
+        self.device.write(key, blob)
+        self.stats.inserts += 1
+        self._m_events.labels("insert").inc()
+        if self._effects is not None:
+            self._effects.record(SSD_WRITE, len(blob))
+
+    def discard(self, key: bytes) -> None:
         self.device.discard(key)
 
-    def _poisoned(self, key: str) -> None:
-        self.stats.integrity_failures += 1
+    def _missed(self) -> None:
         self.stats.misses += 1
-        self._m_events.labels("integrity_failure").inc()
         self._m_events.labels("miss").inc()
-        self._records.remove(key)
-        self.device.discard(key)

@@ -227,6 +227,11 @@ def _commit_body(ops: list[Op]) -> bytes | None:
     return protocol.encode_fields({"ops": ops})  # the global the wall tracer counts
 
 
+def _matches(value: bytes, expect_sha256: str | None) -> bool:
+    """The value anchor: the hash the caller expects, if it has one."""
+    return expect_sha256 is None or hashlib.sha256(value).hexdigest() == expect_sha256
+
+
 def _forced(disk_key: bytes, blob: bytes | None = None) -> Op:
     """An unconditional PUT, or DELETE (no blob): replicas are
     overwritten, never compare-and-swapped, so an op can be re-sent."""
@@ -331,6 +336,9 @@ class ObjectStore:
         #: pinned Merkle root and mutations pin a new root
         #: (:mod:`repro.core.freshness`).
         self.freshness = None
+        #: The untrusted SSD tier (:mod:`repro.core.ssdcache`), attached
+        #: by the controller when configured.
+        self.ssd = None
         self.effects = effects or NullRecorder()
         self._aead = StreamAead(storage_key)
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -449,12 +457,16 @@ class ObjectStore:
         short to hold a nonce (a :class:`CryptoError` that is not an
         ``IntegrityError``) are the same fault, a corrupt copy.
         """
-        self.effects.record(DECRYPT, len(blob))
         try:
-            return self._aead.open(blob[:12], blob[12:], aad)
+            return self._decrypt(blob, aad)
         except CryptoError as exc:
             self._m_replica_failures.labels("corrupt").inc()
             raise _CannotServe("corrupt", exc)
+
+    def _decrypt(self, blob: bytes, aad: bytes) -> bytes:
+        """AEAD-open a blob :meth:`_seal` made; raises ``CryptoError``."""
+        self.effects.record(DECRYPT, len(blob))
+        return self._aead.open(blob[:12], blob[12:], aad)
 
     def _reject_stale(self, walk: _Walk, index: int, label: str) -> None:
         """A copy that authenticates but is not the record looked for."""
@@ -537,6 +549,13 @@ class ObjectStore:
         the same AAD.  ``expect_sha256`` (the content hash in the
         metadata record, or a policy's id) tells the two apart.
         """
+        # Values go through the SSD, policies (read once) do not.
+        ssd = self.ssd if kind == KIND_OBJECT else None
+        value = ssd and self._from_ssd(
+            disk_key, aad, partial(_matches, expect_sha256=expect_sha256)
+        )
+        if value is not None:
+            return value
         walk = _Walk(self, object_key)
         with self.telemetry.span("kinetic.get", key=object_key):
             for index in walk.order:
@@ -546,12 +565,12 @@ class ObjectStore:
                 except _CannotServe as signal:
                     walk.cannot_serve(index, *signal.args)
                     continue
-                if expect_sha256 is not None and (
-                    hashlib.sha256(value).hexdigest() != expect_sha256
-                ):
+                if not _matches(value, expect_sha256):
                     self._reject_stale(walk, index, object_key)
                     continue
                 self._served(walk, kind, object_key, disk_key, blob)
+                if ssd is not None:
+                    ssd.put(disk_key, blob)
                 return value
         self._unserved(walk, StaleReplica(
             f"no reachable replica of {object_key!r} holds the "
@@ -577,6 +596,13 @@ class ObjectStore:
         expected, allowed = self.freshness.acceptable(label)
         if expected is None:
             return None
+        # The SSD serves the pinned leaf alone: a pending side is left
+        # to the drive walk's preference rule below.
+        plain = self.ssd and self._from_ssd(
+            disk_key, aad, lambda plain: self._admitted(plain, {expected}) is not None
+        )
+        if plain is not None:
+            return plain
         walk = _Walk(self, object_key)
         served: bytes | None = None
         served_blob = b""
@@ -588,8 +614,8 @@ class ObjectStore:
                 except _CannotServe as signal:
                     walk.cannot_serve(index, *signal.args)
                     continue
-                digest = self.freshness.leaf_digest(plain)
-                if digest not in allowed:
+                digest = self._admitted(plain, allowed)
+                if digest is None:
                     self._reject_stale(walk, index, label)
                     continue
                 # The pinned leaf ends the walk; a pending side answers
@@ -609,10 +635,32 @@ class ObjectStore:
             ))
             raise KineticNotFound(object_key)
         self._served(walk, KIND_OBJECT, object_key, disk_key, served_blob)
+        if self.ssd is not None:
+            self.ssd.put(disk_key, served_blob)
         return served
 
+    def _admitted(self, plain: bytes, allowed: set) -> str | None:
+        """The metadata anchor: the leaf digest of ``plain`` if
+        ``allowed`` (:meth:`FreshnessAuthority.acceptable`) holds it."""
+        digest = self.freshness.leaf_digest(plain)
+        return digest if digest in allowed else None
+
+    def _from_ssd(self, disk_key: bytes, aad: bytes, anchored) -> bytes | None:
+        """The SSD's copy of a record if it passes a drive replica's
+        checks (the AEAD open, then ``anchored``); else None.  A copy
+        that fails is the SSD's fault, counted by the tier alone."""
+
+        def accept(blob: bytes) -> bytes | None:
+            try:
+                plain = self._decrypt(blob, aad)
+            except CryptoError:
+                return None
+            return plain if anchored(plain) else None
+
+        return self.ssd.get(disk_key, accept)
+
     def _read_newest(
-        self, key: str, disk_key: bytes, aad: bytes
+        self, key: str, disk_key: bytes, aad: bytes, repair: bool = True
     ) -> StoredMeta | None:
         """Newest-of-quorum rule, for the one mutable key (``m/``).
 
@@ -624,7 +672,9 @@ class ObjectStore:
         serves the newest *reachable* record — whoever relaxed the
         write quorum chose availability — and the key stays journaled.
         This is the rule that trusts replica version numbers; the
-        pinned rule replaces it when freshness is on.
+        pinned rule replaces it when freshness is on.  Without
+        ``repair`` the read re-seeds, journals and files nothing: the
+        bootstrap rebuild must not write to a fleet it may yet refuse.
         """
         walk = _Walk(self, key)
         found = []  # (replica, record, its sealed blob) per record read
@@ -645,6 +695,8 @@ class ObjectStore:
         _index, newest, blob = max(
             found, key=lambda reply: reply[1].current_version
         )
+        if not repair:
+            return newest
         for index, meta, _blob in found:
             if meta.current_version < newest.current_version:
                 self._reject_stale(walk, index, key)
@@ -655,6 +707,17 @@ class ObjectStore:
         return newest
 
     # -- replica writes ----------------------------------------------------
+
+    def _mirror(self, ops: list[Op], pinned: bool) -> None:
+        """Give the SSD what acknowledged ``ops`` gave the drives; an
+        ``m/`` record only if ``pinned``, as only a pin dates one."""
+        if self.ssd is None:
+            return
+        for op in ops:
+            if op.value is None:
+                self.ssd.discard(op.key)
+            elif pinned or not op.key.startswith(b"m/"):
+                self.ssd.put(op.key, op.value)
 
     def _seal(self, blob: bytes, aad: bytes) -> bytes:
         nonce = secrets.token_bytes(12)
@@ -865,10 +928,11 @@ class ObjectStore:
 
     # -- authenticated freshness -------------------------------------------
 
-    def _pinned_write(self, label: str, plain: bytes | None, write) -> None:
-        """Run one mutation of an object label (``plain`` None: delete).
+    def _pinned_write(self, key: str, plain: bytes | None, ops: list[Op]) -> None:
+        """Write ``ops``, one mutation of ``key``'s object label
+        (``plain`` None: delete), to the replicas and then the SSD.
 
-        Without an active freshness authority that is just ``write()``.
+        Without an active freshness authority that is just the write.
         With one it is the write-ahead pin protocol: the new leaf is
         pinned *before* any replica sees the write (prepare), settled
         once the quorum acknowledged, and reverted — with the pending
@@ -876,13 +940,15 @@ class ObjectStore:
         record — when the write failed below quorum.
         """
         if not self._verifying():
-            write()
+            self._write_replicas(key, ops)
+            self._mirror(ops, pinned=False)
             return
+        label = object_label(key)
         self.freshness.prepare(
             label, None if plain is None else record_digest(plain)
         )
         try:
-            write()
+            self._write_replicas(key, ops)
         # Deliberately broad: whatever the write failed with, the
         # pending pin must be rolled back before the error propagates
         # — an abandoned prepare would wedge every later mutation.
@@ -891,6 +957,7 @@ class ObjectStore:
             self.freshness.abort(label)
             raise
         self.freshness.settle(label)
+        self._mirror(ops, pinned=True)
 
     # -- health reporting --------------------------------------------------
 
@@ -983,11 +1050,7 @@ class ObjectStore:
         plain = meta.encode()
         disk_key, aad = self._meta_record(meta.key)
         ops = [_forced(disk_key, self._seal(plain, aad))]
-        self._pinned_write(
-            object_label(meta.key),
-            plain,
-            lambda: self._write_replicas(meta.key, ops),
-        )
+        self._pinned_write(meta.key, plain, ops)
         self._file(meta.key, live=True)
 
     # -- object content ------------------------------------------------------------
@@ -1047,10 +1110,7 @@ class ObjectStore:
             # Out of the record means unreachable: free the content.
             # (Without history the one slot was just overwritten.)
             ops += [_forced(self.value_key(key, stale)) for stale in dropped]
-        self._pinned_write(
-            object_label(key), plain,
-            lambda: self._write_replicas(key, ops),
-        )
+        self._pinned_write(key, plain, ops)
         self._file(key, live=True)
         if not self.keep_history:
             # The new value overwrote the latest slot in place; only
@@ -1070,9 +1130,7 @@ class ObjectStore:
             for slot in dict.fromkeys(map(self._slot, meta.versions))
         ]
         ops.append(_forced(self.meta_key(key)))
-        self._pinned_write(
-            object_label(key), None, lambda: self._write_replicas(key, ops)
-        )
+        self._pinned_write(key, None, ops)
         self._file(key, live=False)
 
     # -- integrity maintenance ---------------------------------------------------

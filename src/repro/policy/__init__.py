@@ -44,7 +44,6 @@ from repro.policy.compiled import (
 from repro.policy.compiler import compile_policy, compile_source
 from repro.policy.context import EvalContext, ObjectView
 from repro.policy.parser import parse_policy
-from repro.policy.render import explain_policy, render_policy
 
 __all__ = [
     "CompiledPolicy",
@@ -62,7 +61,5 @@ __all__ = [
     "Value",
     "compile_policy",
     "compile_source",
-    "explain_policy",
     "parse_policy",
-    "render_policy",
 ]

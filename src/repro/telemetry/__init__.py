@@ -20,7 +20,7 @@ reading ``telemetry.tracer`` or ``.slo`` (``None`` on the null object).
 Usage::
 
     telemetry = Telemetry()
-    controller = PesosController(clients, telemetry=telemetry)
+    controller = PesosController(clients, telemetry=telemetry, enclave=enclave)
     server = WebServer(controller)          # inherits the telemetry
     ...
     print(render_prometheus(telemetry.registry))

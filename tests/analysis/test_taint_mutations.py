@@ -121,8 +121,7 @@ def test_plaintext_metric_label_detected(tmp_path):
     assert "taint/metric-label" in rules_in(analyze_package(root), STORE)
 
 
-SSDCACHE = "core/ssdcache.py"
-ENCLAVE_BYTES_READER = "            self.enclave_bytes,\n"
+JOURNAL_READER = "            lambda: len(self.journal),\n"
 
 
 @pytest.mark.parametrize(
@@ -140,7 +139,7 @@ ENCLAVE_BYTES_READER = "            self.enclave_bytes,\n"
         ),
         # The reader is a bound method returning decrypted content: the
         # analyzer follows the reference to what the method returns.
-        (SSDCACHE, ENCLAVE_BYTES_READER, "            self.get,\n"),
+        (STORE, JOURNAL_READER, "            self.read_value,\n"),
     ],
     ids=["lambda", "method"],
 )
@@ -318,7 +317,7 @@ def test_mutated_tree_reports_only_the_mutation(tmp_path):
         (CLIENT, "        response = self._roundtrip(MessageType.PUT, body)"),
         (CONTROLLER, GET_RESPONSE),
         (WEBSERVER, "unknown admin path"),
-        (SSDCACHE, ENCLAVE_BYTES_READER),
+        (STORE, JOURNAL_READER),
         (CHANNEL, CHANNEL_OPEN),
     ],
 )

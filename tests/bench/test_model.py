@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.configs import make_config
 from repro.bench.model import SystemModel
-from repro.core.controller import PesosController
 from repro.core.effects import (
     DISK_RANGE,
     DISK_READ,
@@ -17,6 +16,7 @@ from repro.core.request import Response
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.sim import Environment
+from tests.enclave import boot
 
 
 def _model(mode="sgx", **overrides):
@@ -25,7 +25,7 @@ def _model(mode="sgx", **overrides):
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    controller = PesosController(clients, storage_key=b"k" * 32)
+    controller = boot(clients, storage_key=b"k" * 32)
     env = Environment()
     return env, SystemModel(env, controller, config)
 

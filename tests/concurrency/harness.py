@@ -41,6 +41,7 @@ from repro.core.engine import ConcurrentEngine
 from repro.core.request import Request
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from tests.enclave import boot
 
 R_KEYS = [f"r-{i}" for i in range(6)]
 T_KEYS = ["t-a", "t-b"]
@@ -74,7 +75,7 @@ def build_small_system(seed: int) -> PesosController:
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    controller = PesosController(
+    controller = boot(
         clients,
         storage_key=b"explore-key".ljust(32, b"\0"),
         config=ControllerConfig(

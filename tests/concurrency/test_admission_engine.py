@@ -147,6 +147,11 @@ def test_webserver_batch_path_sheds_and_serves():
     )
 
 
+def _refusals(controller):
+    """The chain's records but its freshness pins."""
+    return [r for r in controller.auditor.records if r.operation != "pin"]
+
+
 def test_webserver_sync_path_rate_limits_429():
     controller = build_controller(telemetry=Telemetry(), audit_log_size=64)
     server = WebServer(
@@ -161,9 +166,10 @@ def test_webserver_sync_path_rate_limits_429():
     assert first.status in (200, 404)  # admitted (key may not exist)
     assert second.status == 429
     assert second.retry_after is not None
-    # The shed reaches the controller's audit chain and its counters.
-    assert controller.auditor.decisions_by_kind == {"shed": 1}
-    (record,) = controller.auditor.records
+    # The shed reaches the controller's audit chain and its counters;
+    # the one other record is the boot's freshness pin.
+    assert controller.auditor.decisions_by_kind == {"pin": 1, "shed": 1}
+    (record,) = _refusals(controller)
     assert (record.operation, record.session, record.detail) == (
         "get", "fp-a", "rate_limited",
     )
@@ -303,7 +309,7 @@ def test_evicted_and_expired_queue_entries_are_audited():
     ).attach(controller)
     admission.offer("old", Request(method="get", key="stale"), "fp-a", 0.0, 0.0)
     assert admission.dispatch(1.0, budget=8) == []
-    (record,) = controller.auditor.records
+    (record,) = _refusals(controller)
     assert (record.operation, record.key, record.session, record.detail) == (
         "get", "stale", "fp-a", "queue_delay",
     )

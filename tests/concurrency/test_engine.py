@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cache import CacheConfig
-from repro.core.controller import ControllerConfig, PesosController
+from repro.core.controller import ControllerConfig
 from repro.core.engine import ConcurrentEngine, ThreadTask
 from repro.core.request import (
     Request,
@@ -16,6 +16,7 @@ from repro.core.webserver import WebServer
 from repro.errors import ConfigurationError
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from tests.enclave import boot
 
 
 def build_controller(num_drives=4, telemetry=None, **config_overrides):
@@ -23,7 +24,7 @@ def build_controller(num_drives=4, telemetry=None, **config_overrides):
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    return PesosController(
+    return boot(
         clients,
         storage_key=b"engine-test-key".ljust(32, b"\0"),
         config=ControllerConfig(

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.controller import ControllerConfig, PesosController
+from repro.core.controller import ControllerConfig
 from repro.kinetic.client import KineticClient
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from tests.enclave import boot
 
 ALICE = "fp-alice"
 BOB = "fp-bob"
@@ -32,10 +33,10 @@ def clients(cluster):
 
 @pytest.fixture()
 def controller(clients):
-    return PesosController(clients, storage_key=b"k" * 32)
+    return boot(clients, storage_key=b"k" * 32)
 
 
 @pytest.fixture()
 def replicated_controller(clients):
     config = ControllerConfig(replication_factor=3)
-    return PesosController(clients, storage_key=b"k" * 32, config=config)
+    return boot(clients, storage_key=b"k" * 32, config=config)

@@ -5,16 +5,13 @@ import json
 
 import pytest
 
-from repro.core.controller import (
-    ControllerConfig,
-    PesosController,
-    verify_attestation,
-)
+from repro.core.controller import ControllerConfig, verify_attestation
 from repro.core.request import Request
 from repro.core.store import placement
 from repro.crypto.certs import CertificateAuthority
 from repro.errors import IntegrityError, ObjectNotFound
 from tests.core.conftest import ALICE, BOB
+from tests.enclave import boot
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +23,7 @@ def signing_keys():
 
 @pytest.fixture()
 def attesting_controller(clients, signing_keys):
-    return PesosController(
+    return boot(
         clients, storage_key=b"k" * 32, signing_keys=signing_keys
     )
 
@@ -104,7 +101,7 @@ def test_attestation_requires_signing_key(controller):
 
 @pytest.fixture()
 def replicated(clients):
-    return PesosController(
+    return boot(
         clients,
         storage_key=b"k" * 32,
         config=ControllerConfig(replication_factor=2),

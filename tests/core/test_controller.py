@@ -8,7 +8,9 @@ from repro.core.controller import ControllerConfig, PesosController
 from repro.core.request import Request
 from repro.core.store import ObjectStore
 from repro.crypto.certs import CertificateAuthority
+from repro.errors import ConfigurationError
 from tests.core.conftest import ALICE, BOB
+from tests.enclave import boot
 
 
 def test_config_is_eleven_reviewed_fields():
@@ -19,6 +21,18 @@ def test_config_is_eleven_reviewed_fields():
         "audit_log_size", "freshness_enabled", "breaker_threshold",
         "breaker_cooldown_ops", "anti_entropy_interval",
     ]
+
+
+def test_freshness_ships_on_and_needs_the_enclave(clients):
+    """Rollback protection is the default, and the library makes no
+    throwaway platform for it: without an enclave, the constructor
+    refuses unless freshness is turned off by name."""
+    assert ControllerConfig().freshness_enabled is True
+    with pytest.raises(ConfigurationError, match="enclave"):
+        PesosController(clients, storage_key=b"k" * 32)
+    off = ControllerConfig(freshness_enabled=False)
+    assert PesosController(clients, config=off).freshness is None
+    assert boot(clients).freshness.active
 
 
 def test_put_get_roundtrip(controller):
@@ -182,7 +196,7 @@ def test_bound_policy_that_cannot_be_loaded_refuses(clients, cluster):
     fault, not the caller's denial — and nothing is served, listed,
     attested, deleted, rebound or written.  (Each of these was granted
     unchecked while ``_check_policy`` returned on ``policy is None``.)"""
-    controller = PesosController(
+    controller = boot(
         clients,
         storage_key=b"k" * 32,
         signing_keys=CertificateAuthority("ctrl-ca", key_bits=512)
@@ -335,7 +349,7 @@ def test_sessions_created_per_fingerprint(controller):
 
 def test_enforcement_disabled_baseline(clients):
     config = ControllerConfig(enforce_policies=False)
-    controller = PesosController(clients, storage_key=b"k" * 32, config=config)
+    controller = boot(clients, storage_key=b"k" * 32, config=config)
     policy_id = controller.put_policy(
         ALICE, f"read :- sessionKeyIs(k'{ALICE}')\nupdate :- sessionKeyIs(k'{ALICE}')"
     ).policy_id

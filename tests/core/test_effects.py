@@ -1,6 +1,7 @@
 """Effects recorder semantics."""
 
 from repro.core.effects import DISK_READ, EffectsRecorder, NullRecorder
+from tests.enclave import boot
 
 
 def test_record_and_drain():
@@ -121,7 +122,7 @@ def test_backlog_is_never_dropped_under_a_request_in_flight():
     """``_count_transitions`` slices the list from an index taken at
     request start; green threads overlap, so a request that starts
     while another is parked at drive I/O must not drop the list."""
-    from repro.core.controller import EFFECTS_BACKLOG, PesosController
+    from repro.core.controller import EFFECTS_BACKLOG
     from repro.core.engine import ConcurrentEngine
     from repro.core.request import Request
     from repro.telemetry import Telemetry
@@ -129,7 +130,7 @@ def test_backlog_is_never_dropped_under_a_request_in_flight():
 
     def transitions(backlog):
         telemetry = Telemetry()
-        controller = PesosController(
+        controller = boot(
             make_clients()[0], storage_key=b"k" * 32, telemetry=telemetry
         )
         controller.effects.events.extend([("copy", 0)] * backlog)
@@ -150,11 +151,11 @@ def test_backlog_is_never_dropped_under_a_request_in_flight():
 
 
 def _rf3(telemetry=None, **config):
-    from repro.core.controller import ControllerConfig, PesosController
+    from repro.core.controller import ControllerConfig
     from tests.core.conftest import make_clients
 
     clients, _cluster = make_clients()
-    controller = PesosController(
+    controller = boot(
         clients,
         storage_key=b"k" * 32,
         config=ControllerConfig(replication_factor=3, **config),
@@ -215,33 +216,40 @@ def test_drive_io_transitions_are_twice_the_frames_sent():
         assert counter.labels("drive_io").value - before == 2 * frames
         return frames
 
-    # A first PUT also walks three replicas that answer "not found".
-    assert step(Request(method="put", key="a", value=b"1")) == 6
-    assert step(Request(method="put", key="b", value=b"2")) == 6
+    # A first PUT reads nothing: the pinned tree holds no leaf for the
+    # key (with freshness off it walked three "not found" replicas).
+    assert step(Request(method="put", key="a", value=b"1")) == 3
+    assert step(Request(method="put", key="b", value=b"2")) == 3
     # 12 transitions for these 3 frames at 87c2486 (6 disk_write effects).
     assert step(Request(method="put", key="a", value=b"3")) == 3
     controller.caches.invalidate_meta("a")
     controller.caches.invalidate_object("a@1")
     assert step(Request(method="get", key="a")) == 2
-    assert step(Request(method="scan", key="a", scan_count=2)) >= 3
+    # The boot's listing seeded the key directory: a scan sends nothing.
+    assert step(Request(method="scan", key="a", scan_count=2)) == 0
     assert step(Request(method="delete", key="b")) == 3
 
 
-def test_a_scan_page_is_a_range_visit(replicated_controller):
-    from repro.core.request import Request
+def test_a_scan_page_is_a_range_visit(replicated_controller, cluster):
+    """A page of the listing that seeds the scan's key directory (a
+    restart's boot lists the fleet) is one range visit."""
+    from repro.core.controller import ControllerConfig
+    from repro.core.effects import EffectsRecorder
+    from repro.kinetic.drive import KineticDrive
     from tests.core.conftest import ALICE
 
     controller = replicated_controller
     for key in ("a", "b", "c"):
         assert controller.put(ALICE, key, b"v").ok
-    controller.effects.drain()
-    assert controller.handle(
-        Request(method="scan", key="a", scan_count=3), ALICE
-    ).ok
-    pages = [
-        event for event in controller.effects.drain()
-        if event[0] == "disk_range"
-    ]
+    effects = EffectsRecorder()
+    boot(
+        cluster.connect_all(KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY),
+        controller.freshness.platform,
+        storage_key=b"k" * 32,
+        config=ControllerConfig(replication_factor=3),
+        effects=effects,
+    )
+    pages = [event for event in effects.drain() if event[0] == "disk_range"]
     # One GETKEYRANGE page per drive, its bytes the keys it listed
     # (a disk_read, never priced as a range, at 87c2486).
     assert sorted(event[1] for event in pages) == [0, 1, 2]

@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from repro.core.cache import CacheConfig, CacheManager
-from repro.core.controller import ControllerConfig, PesosController
+from repro.core.controller import ControllerConfig
 from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
 from repro.policy import context
 from repro.policy.compiled import PolicyEngine
@@ -27,6 +27,7 @@ from repro.policy.context import (
 )
 from repro.usecases.mal import MalStore, mal_policy, write_intent
 from tests.core.conftest import make_clients
+from tests.enclave import boot
 from tests.policy.difftest import assert_identical
 from tests.policy.reference_interpreter import PolicyInterpreter
 from tests.usecases.conftest import ALICE, BOB, CAROL
@@ -49,7 +50,7 @@ def _clients(num_drives=2):
 
 
 def _controller(**config):
-    return PesosController(
+    return boot(
         _clients(), storage_key=b"k" * 32, config=ControllerConfig(**config)
     )
 
@@ -488,7 +489,7 @@ def test_mal_read_and_write_effects_are_the_parents(parsed):
     assert hashlib.sha256(repr(kinds).encode()).hexdigest() == (
         MAL_EFFECT_KINDS_SHA
     )
-    controller = PesosController(_clients(), storage_key=b"k" * 32)
+    controller = boot(_clients(), storage_key=b"k" * 32)
     mal = MalStore(controller)
     mal.protect(ALICE, "record", b"initial state")
     controller.effects.drain()

@@ -463,7 +463,7 @@ def _controller(platform, telemetry=None, **overrides):
     controller = PesosController(
         clients,
         storage_key=b"c" * 32,
-        config=ControllerConfig(freshness_enabled=True, **overrides),
+        config=ControllerConfig(**overrides),
         telemetry=telemetry,
         enclave=platform.launch(BINARY),
     )
@@ -522,7 +522,7 @@ def test_forked_controller_refuses_requests_and_goes_critical():
             KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
         ),
         storage_key=b"c" * 32,
-        config=ControllerConfig(freshness_enabled=True),
+        config=ControllerConfig(),
         telemetry=telemetry,
         enclave=platform.launch(BINARY),
     )
@@ -558,7 +558,7 @@ def test_fork_event_is_audited():
             KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
         ),
         storage_key=b"c" * 32,
-        config=ControllerConfig(freshness_enabled=True, audit_log_size=4096),
+        config=ControllerConfig(audit_log_size=4096),
         enclave=platform.launch(BINARY),
     )
     records = restarted.auditor.tail(limit=16)

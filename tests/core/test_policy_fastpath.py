@@ -12,12 +12,20 @@ from repro.core.controller import ControllerConfig, PesosController
 from repro.core.request import Request, build_http_request, parse_http_response
 from repro.core.webserver import WebServer
 from tests.core.conftest import ADMIN, ALICE, BOB, make_clients
+from tests.enclave import boot
 
 
-def _controller() -> PesosController:
+def _controller(**config) -> PesosController:
     clients, _cluster = make_clients()
-    config = ControllerConfig(audit_log_size=64)
-    return PesosController(clients, storage_key=b"k" * 32, config=config)
+    config = ControllerConfig(audit_log_size=64, **config)
+    return boot(clients, storage_key=b"k" * 32, config=config)
+
+
+def _as_recorded() -> PesosController:
+    """Freshness off, explicitly: the audit heads pinned below were
+    recorded at 387d7dc, when it shipped off, and every pin would be
+    one more record in the chain."""
+    return _controller(freshness_enabled=False)
 
 
 def _scripted_run(controller: PesosController) -> list:
@@ -69,7 +77,7 @@ _INTERPRETER_AUDIT_HEAD = (
 
 
 def test_fast_path_is_response_and_audit_identical():
-    controller = _controller()
+    controller = _as_recorded()
     assert _scripted_run(controller) == _INTERPRETER_RUN
     # Same decisions, same clause paths, same chained digests: the
     # audit-compatibility guarantee, end to end.
@@ -144,7 +152,7 @@ def test_handle_batch_answers_like_sequential_handle_bytes():
     ]
     runs = {}
     for batched in (True, False):
-        controller = _controller()
+        controller = _as_recorded()
         acl = controller.put_policy(
             ALICE,
             "read :- "
@@ -193,7 +201,7 @@ def test_decision_cache_metrics_exported():
 
     telemetry = Telemetry()
     clients, _cluster = make_clients()
-    controller = PesosController(
+    controller = boot(
         clients, storage_key=b"k" * 32, telemetry=telemetry
     )
     acl = controller.put_policy(

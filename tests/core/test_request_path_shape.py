@@ -5,10 +5,10 @@ target (the client surface and the admin surface both use it), and
 ``error_response`` the only place a failure becomes a response.  These
 guards keep a stdlib URL parser, or a second mapping, from growing
 back on the request path.  The last guard keeps the request path's
-import closure to code a request runs: no linter, no analyzer or policy
-verifier, no DES constants, drive timing or Scone model, no drive or
-drive cluster (the untrusted side of the wire), no benchmark or
-simulator.
+import closure to code a request runs: no linter, no analyzer, policy
+verifier or policy pretty-printer, no DES constants, drive timing or
+Scone model, no drive or drive cluster (the untrusted side of the
+wire), no benchmark or simulator.
 """
 
 import ast
@@ -78,6 +78,7 @@ NOT_ON_THE_REQUEST_PATH = tuple(
         "repro.sgx": ("costs", "scheduler", "syscalls"),
         "repro.kinetic": ("timing", "drive", "cluster"),
         "repro.core": ("sharding",),
+        "repro.policy": ("render",),
         "repro": ("bench", "sim"),
     }.items()
     for name in names

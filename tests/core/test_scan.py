@@ -22,6 +22,7 @@ from repro.kinetic.protocol import MessageType, StatusCode
 from repro.telemetry import Telemetry
 from repro.usecases.time_based import TimeAuthority, TimeVault
 from tests.core.conftest import ALICE, BOB, make_clients
+from tests.enclave import boot
 
 
 #: ``test_scan_audits_each_record_under_its_own_key``'s chain head at
@@ -29,6 +30,16 @@ from tests.core.conftest import ALICE, BOB, make_clients
 _AUDITED_SCAN_HEAD = (
     "3b5ca711455eb3b51877a455ce1d7182fc67a92c100ce82f5ef27a7ba5f649f4"
 )
+
+
+def _freshness_off(clients, telemetry=None, **config):
+    """A controller with freshness off, which needs no enclave."""
+    return controller_module.PesosController(
+        clients, storage_key=b"k" * 32, telemetry=telemetry,
+        config=controller_module.ControllerConfig(
+            freshness_enabled=False, **config
+        ),
+    )
 
 
 def _load(controller, count=12, prefix="obj", policy_id=""):
@@ -186,11 +197,10 @@ def test_scan_reevaluates_when_the_epoch_moves_between_records(
 def test_scan_audits_each_record_under_its_own_key(clients):
     """What the memo saves is evaluation, not evidence: 100 records are
     100 decision records, and the chain is the one a check per record
-    wrote (head captured at 88c1bf4 for this scenario)."""
-    controller = controller_module.PesosController(
-        clients, storage_key=b"k" * 32,
-        config=controller_module.ControllerConfig(audit_log_size=4096),
-    )
+    wrote (head captured at 88c1bf4 for this scenario).  Freshness off,
+    explicitly: it shipped off then, and each load put's pins would be
+    more records in the chain."""
+    controller = _freshness_off(clients, audit_log_size=4096)
     keys = _load(controller, 100, "rec", _acl(controller, ALICE))
     before = len(controller.auditor)
     assert _scan(controller, ALICE, keys[0], 100).extra["scanned"] == 100
@@ -263,16 +273,13 @@ def test_scan_answers_what_per_key_gets_answer(controller, monkeypatch, seed):
 def test_scan_counts_a_drive_that_refuses_the_range_read(clients, cluster):
     """A GETKEYRANGE answered with an error status (or a reply that
     does not validate) is a replica failure like any other: the listing
-    that seeds the key directory counts it, feeds it to the breaker,
-    and serves around it."""
-    controller = controller_module.PesosController(
-        clients, storage_key=b"k" * 32, telemetry=Telemetry(),
-        config=controller_module.ControllerConfig(
-            replication_factor=3, breaker_threshold=1
-        ),
+    that seeds the key directory, a restart's, counts it, feeds it to
+    the breaker, and the scans serve around it."""
+    config = controller_module.ControllerConfig(
+        replication_factor=3, breaker_threshold=1
     )
+    controller = boot(clients, storage_key=b"k" * 32, config=config)
     keys = _load(controller, 6)
-    store = controller.store
     refusing = cluster.drive(1)
     handle = refusing.handle
 
@@ -284,11 +291,17 @@ def test_scan_counts_a_drive_that_refuses_the_range_read(clients, cluster):
         ).sign(HmacSha256(KineticDrive.DEMO_KEY))
 
     refusing.handle = refuse_ranges
-    store._m_replica_failures.reset()
+    controller = boot(
+        cluster.connect_all(KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY),
+        controller.freshness.platform,
+        storage_key=b"k" * 32, telemetry=Telemetry(), config=config,
+    )
+    assert controller.freshness.active
+    store = controller.store
     for _twice in range(2):
         response = _scan(controller, ALICE, keys[0], 6)
         assert [line.split("@")[0] for line in _lines(response)] == keys
-    # One listing: the second scan reads the directory it seeded.
+    # One listing, the boot's: the scans read the directory it seeded.
     assert store._m_replica_failures.series()[("corrupt",)] == 1
     assert not store.health.allow(1)  # the breaker heard it
     assert store.health.allow(0) and store.health.allow(2)
@@ -455,10 +468,11 @@ def test_scan_replicated_store_deduplicates(replicated_controller):
 def test_a_key_that_is_not_utf8_is_skipped_and_counted(clients, cluster):
     """One drive holding an ``m/`` key that does not decode must not
     break the listing: the key names no object, so it is counted as a
-    corrupt reply and left out."""
-    controller = controller_module.PesosController(
-        clients, storage_key=b"k" * 32, telemetry=Telemetry(),
-        config=controller_module.ControllerConfig(replication_factor=3),
+    corrupt reply and left out.  Freshness off, explicitly: only then
+    does a scan list the fleet (a boot's listing is
+    ``test_restart_over_a_key_that_is_not_utf8_boots_and_scans``)."""
+    controller = _freshness_off(
+        clients, telemetry=Telemetry(), replication_factor=3
     )
     keys = _load(controller, 5, "k")
     cluster.drive(1)._entries_put_raw(b"m/k0002\xff", b"junk", b"1")
@@ -471,16 +485,16 @@ def test_a_key_that_is_not_utf8_is_skipped_and_counted(clients, cluster):
 
 
 @pytest.mark.parametrize("breakers_open", [False, True])
-def test_a_scan_no_drive_answered_is_a_503(
-    replicated_controller, cluster, breakers_open
-):
+def test_a_scan_no_drive_answered_is_a_503(clients, cluster, breakers_open):
     """Before anything listed the fleet, a scan whose listing no drive
     answers has no keys to vouch for: 503, as an uncached GET answers,
     not 200 with nothing scanned — whether the drives were asked or
     their breakers were already open.  While the breakers stay open,
     repeated scans answer 503 without sending a drive a range read; the
-    first scan after the cooldown probes the fleet and lists it."""
-    controller = replicated_controller
+    first scan after the cooldown probes the fleet and lists it.
+    Freshness off, explicitly: with it on, the boot's listing seeds the
+    directory and no scan lists."""
+    controller = _freshness_off(clients, replication_factor=3)
     store = controller.store
     keys = _load(controller, 5)
     for drive in cluster.drives:
@@ -517,7 +531,7 @@ def test_a_seeded_directory_answers_scans_and_follows_acked_writes():
     deletes: one acked at ``write_quorum`` below RF is in, one refused
     below quorum is out."""
     clients, cluster = make_clients()
-    controller = controller_module.PesosController(
+    controller = boot(
         clients, storage_key=b"k" * 32,
         config=controller_module.ControllerConfig(
             replication_factor=3, write_quorum=2
@@ -558,16 +572,15 @@ def test_a_seeded_directory_answers_scans_and_follows_acked_writes():
 
 @pytest.mark.parametrize("then", ["put", "get"])
 def test_a_refused_create_a_replica_kept_is_listed_once_served(then):
-    """With freshness off, a create refused below quorum that reached
-    one replica stays there, and a quorum read serves it.  Once a GET
-    serves that record, or a PUT of the same key is acknowledged as its
-    next version, scans list the key: a scan lists what a GET finds."""
+    """With freshness off, explicitly, a create refused below quorum
+    that reached one replica stays there, and a quorum read serves it.
+    Once a GET serves that record, or a PUT of the same key is
+    acknowledged as its next version, scans list the key: a scan lists
+    what a GET finds.  (With freshness on the pinned tree holds no
+    leaf for the refused create, so a GET answers 404.)"""
     clients, _cluster = make_clients()
-    controller = controller_module.PesosController(
-        clients, storage_key=b"k" * 32,
-        config=controller_module.ControllerConfig(
-            replication_factor=3, write_quorum=2
-        ),
+    controller = _freshness_off(
+        clients, replication_factor=3, write_quorum=2
     )
     keys = _load(controller, 5)
     assert _scan(controller, ALICE, keys[0], 1).ok  # seeds

@@ -223,14 +223,15 @@ def _drive_keys(cluster):
 
 def test_store_version_is_one_replicated_write():
     """Value and ``m/`` record share one frame: three drive requests at
-    RF 3 (six records applied), and one ``_write_replicas`` in source."""
+    RF 3 (six records applied), and one ``_pinned_write`` (the one
+    ``_write_replicas`` of a mutation) in source."""
     store, cluster = _store(replication=3)
     sent = sum(client.requests_sent for client in store.clients)
     store.store_version(StoredMeta(key="obj"), b"hello", policy_hash="")
     assert sum(c.requests_sent for c in store.clients) == sent + 3
     assert sum(drive.stats.puts for drive in cluster.drives) == 6
     source = inspect.getsource(ObjectStore._store_version)
-    assert source.count("_write_replicas(") == 1
+    assert source.count("_pinned_write(") == 1
 
 
 def test_metadata_record_is_flat_in_the_number_of_versions():

@@ -15,7 +15,13 @@ operations (3 693), the 1 830 GET and 60 range lines identical to the
 old sequence, line for line.  The range side was re-pinned when a scan
 became a slice of the store's key directory: the 20 scans' 60 range
 reads became the first scan's listing that seeds it (two pages a
-drive), 3 639 lines, every other line unchanged.
+drive), 3 639 lines, every other line unchanged.  It was re-pinned once
+more when freshness shipped on: a create reads the ``m/`` record of a
+label the pinned tree does not hold from no drive (600 GETs fewer), and
+the bootstrap's listing of the empty fleet (one page a drive) seeds the
+directory the first scan listed (3 range reads fewer): 3 036 lines,
+1 800 commit frames as before.  With freshness off the script still
+sends the 3 639 above, and a second pin holds it to that.
 """
 
 import hashlib
@@ -26,22 +32,28 @@ from pathlib import Path
 
 import repro.core.store as store_module
 from repro.core.cache import CacheConfig
-from repro.core.controller import ControllerConfig, PesosController
+from repro.core.controller import ControllerConfig
 from repro.core.request import Request
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 
 from tests.core.conftest import ALICE
+from tests.enclave import boot
 
 #: SHA-256 over the drive-op lines of :func:`_scripted_run`; a commit
 #: frame is one line naming every record it puts or deletes.
 DRIVE_OP_SEQUENCE_SHA256 = (
+    "178e9572056dfe3986e4107f1ca3f3d8a568e9551e5665ef4fe7183fc11a7ceb"
+)
+DRIVE_OP_COUNT = 3036
+#: The same with freshness off: the sequence before freshness shipped on.
+FRESHNESS_OFF_SHA256 = (
     "6441729eeee11e5d308181a04670f8639bbf563c3cd45448e20a7534373ab3d6"
 )
-DRIVE_OP_COUNT = 3639
+FRESHNESS_OFF_COUNT = 3639
 
 
-def _scripted_run() -> list[str]:
+def _scripted_run(freshness_enabled: bool = True) -> list[str]:
     """200 keys, RF 3, no faults: insert, update, get cold, scan, delete."""
     cluster = DriveCluster(num_drives=3)
     clients = cluster.connect_all(
@@ -76,7 +88,7 @@ def _scripted_run() -> list[str]:
     for index, client in enumerate(clients):
         client.interceptor = record
         client.get_key_range = recording_range(index, client)
-    controller = PesosController(
+    controller = boot(
         clients,
         storage_key=b"k" * 32,
         # Caches far smaller than the data set, so the get phase reads
@@ -84,6 +96,7 @@ def _scripted_run() -> list[str]:
         config=ControllerConfig(
             replication_factor=3,
             cache=CacheConfig(object_bytes=4096, key_bytes=2048),
+            freshness_enabled=freshness_enabled,
         ),
     )
     rng = random.Random(15)
@@ -119,6 +132,16 @@ def test_failure_free_drive_op_sequence_is_the_recorded_one():
     assert len(ops) == DRIVE_OP_COUNT
     digest = hashlib.sha256("\n".join(ops).encode()).hexdigest()
     assert digest == DRIVE_OP_SEQUENCE_SHA256
+
+
+def test_failure_free_drive_op_sequence_with_freshness_off_is_the_recorded_one():
+    """Freshness off, explicitly: the newest-of-quorum path still ships
+    (``ControllerConfig(freshness_enabled=False)``), and its sequence
+    is the one recorded before freshness shipped on."""
+    ops = _scripted_run(freshness_enabled=False)
+    assert len(ops) == FRESHNESS_OFF_COUNT
+    digest = hashlib.sha256("\n".join(ops).encode()).hexdigest()
+    assert digest == FRESHNESS_OFF_SHA256
 
 
 def _source(module) -> str:

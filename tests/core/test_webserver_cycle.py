@@ -12,13 +12,14 @@ import pytest
 
 import repro.core.webserver as webserver_module
 from repro.core.admission import AdmissionConfig, AdmissionController
-from repro.core.controller import ControllerConfig, PesosController
+from repro.core.controller import ControllerConfig
 from repro.core.request import Request, build_http_request, parse_http_response
 from repro.core.webserver import WebServer
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.telemetry import NULL_TELEMETRY, Telemetry, Tracer
 from tests.core.conftest import ALICE, BOB
+from tests.enclave import boot
 
 EVE = "fp-eve"
 POLICY = f"read :- sessionKeyIs(k'{ALICE}')\nupdate :- sessionKeyIs(k'{ALICE}')"
@@ -46,7 +47,7 @@ class _Recording(Telemetry):
 
 def _deployment(telemetry):
     cluster = DriveCluster(num_drives=3)
-    controller = PesosController(
+    controller = boot(
         cluster.connect_all(KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY),
         storage_key=b"k" * 32,
         config=ControllerConfig(replication_factor=3),

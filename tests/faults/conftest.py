@@ -16,6 +16,7 @@ from repro.faults import FaultInjector
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.kinetic.retry import RetryPolicy
+from repro.sgx.attestation import SgxPlatform
 from repro.sgx.enclave import EnclaveBinary
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
@@ -34,6 +35,8 @@ class ChaosStack:
     injector: FaultInjector
     clients: list
     controller: PesosController
+    #: Where the controller's enclave runs; a restart reuses it.
+    platform: SgxPlatform
 
 
 def chaos_stack(
@@ -51,10 +54,12 @@ def chaos_stack(
     every drive, or a dict of drive index to spec.  Drives whose
     schedule starts offline are tolerated (degraded bootstrap).
 
-    ``platform`` launches the controller's enclave, which
-    ``freshness_enabled`` needs; :func:`restart_controller` on the same
-    platform models a restart on surviving hardware.
+    ``platform`` (a fresh one when omitted: its pin slot belongs to
+    this fleet) launches the controller's enclave, which freshness
+    needs; :func:`restart_controller` on the same platform models a
+    restart on surviving hardware.
     """
+    platform = platform or SgxPlatform("chaos-host")
     cluster = DriveCluster(num_drives=num_drives)
     injector = FaultInjector(seed=seed)
     injector.wrap_cluster(cluster, specs)
@@ -70,13 +75,14 @@ def chaos_stack(
         storage_key=b"chaos-key".ljust(32, b"\0"),
         config=ControllerConfig(**config_overrides),
         telemetry=telemetry,
-        enclave=platform.launch(BINARY) if platform else None,
+        enclave=platform.launch(BINARY),
     )
     return ChaosStack(
         cluster=cluster,
         injector=injector,
         clients=clients,
         controller=controller,
+        platform=platform,
     )
 
 
@@ -90,10 +96,11 @@ def restart_controller(
 
     A fresh controller (fresh caches, fresh sessions) bootstraps
     against the stack's existing fault-wrapped cluster.  On the
-    original ``platform`` the new enclave finds the monotonic counter
-    and the pin slot its predecessor left — which is what makes fork
-    detection possible.
+    original ``platform`` (the default) the new enclave finds the
+    monotonic counter and the pin slot its predecessor left — which is
+    what makes fork detection possible.
     """
+    platform = platform or stack.platform
     clients = stack.cluster.connect_all(
         KineticDrive.DEMO_IDENTITY,
         KineticDrive.DEMO_KEY,
@@ -106,7 +113,7 @@ def restart_controller(
         storage_key=b"chaos-key".ljust(32, b"\0"),
         config=ControllerConfig(**config_overrides),
         telemetry=telemetry,
-        enclave=platform.launch(BINARY) if platform else None,
+        enclave=platform.launch(BINARY),
     )
     stack.clients = clients
     stack.controller = controller

@@ -19,7 +19,7 @@ Below the matrix: what each rule raises when no replica can serve.
 import pytest
 
 from repro.core.antientropy import KIND_OBJECT, KIND_POLICY
-from repro.core.controller import ControllerConfig, PesosController
+from repro.core.controller import ControllerConfig
 from repro.core.freshness import FreshnessAuthority, object_label, record_digest
 from repro.core.request import Request
 from repro.core.store import ObjectStore, StoredMeta, placement
@@ -35,6 +35,7 @@ from repro.kinetic.drive import KineticDrive
 from repro.sgx.attestation import SgxPlatform
 from repro.telemetry import Telemetry
 
+from tests.enclave import boot
 from tests.faults.conftest import BINARY
 
 KEY = "obj"
@@ -331,12 +332,13 @@ GATED_BY_LOG = (
 )
 
 
-def _controller(cluster):
+def _controller(cluster, platform):
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    return PesosController(
+    return boot(
         clients,
+        platform,
         storage_key=b"k" * 32,
         config=ControllerConfig(
             replication_factor=3, keep_history=False, write_quorum=2
@@ -347,14 +349,14 @@ def _controller(cluster):
 def _primary_misses_the_second_put(key, old, new):
     """Returns (cluster, a restarted controller: cold caches, fresh
     breakers) with ``new`` acknowledged by two of three replicas."""
-    cluster = DriveCluster(num_drives=3)
-    controller = _controller(cluster)
+    cluster, platform = DriveCluster(num_drives=3), SgxPlatform("walk-host")
+    controller = _controller(cluster, platform)
     assert controller.put(FP, key, old).ok
     primary = placement(key, 3, 3)[0]
     cluster.drive(primary).fail()
     assert controller.put(FP, key, new).ok
     cluster.drive(primary).recover()
-    return cluster, _controller(cluster)
+    return cluster, _controller(cluster, platform)
 
 
 def _value_slot(cluster, key, index):

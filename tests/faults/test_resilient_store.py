@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.controller import ControllerConfig, PesosController
+from repro.core.controller import ControllerConfig
 from repro.core.freshness import record_digest
 from repro.core.health import CLOSED, OPEN
 from repro.core.store import ObjectStore, StoredMeta, placement
@@ -15,6 +15,7 @@ from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.telemetry import Telemetry, render_prometheus
 
+from tests.enclave import boot
 from tests.faults.conftest import FP, chaos_stack
 
 
@@ -199,7 +200,7 @@ def test_a_delete_a_replica_missed_is_refused():
     """A delete goes through the write quorum: one replica down at
     the default full quorum answers 503, and the key stays readable."""
     cluster = DriveCluster(num_drives=3)
-    controller = PesosController(
+    controller = boot(
         cluster.connect_all(KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY),
         storage_key=b"d" * 32,
         config=ControllerConfig(replication_factor=3),

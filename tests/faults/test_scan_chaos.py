@@ -28,7 +28,6 @@ BASE = CHAOS_SEED * 1000 + 700
 
 #: The controller every scenario boots, and restarts into.
 _CONFIG = dict(
-    freshness_enabled=True,
     replication_factor=3,
     write_quorum=2,
     cache=CacheConfig(object_bytes=1, key_bytes=1),

@@ -16,7 +16,7 @@ import pytest
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.freshness import pack_pin
 from repro.core.request import Request
-from repro.core.store import placement
+from repro.core.store import ObjectStore, placement
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive, Role
 from repro.sgx.attestation import AttestationService, SgxPlatform
@@ -74,6 +74,28 @@ def test_restart_over_rolled_back_fleet_forks():
     assert response.status == 503
     assert "never pinned" in restarted.freshness.fork_reason
     assert "never pinned" in response.error
+
+
+def test_a_forked_restart_writes_nothing_to_the_fleet():
+    """The bootstrap rebuild reads without re-seeding: a restart over a
+    rolled-back fleet, where one replica also lost a record, forks and
+    leaves every drive's PUT count where it was."""
+    host, cluster = Host(), DriveCluster(num_drives=3)
+    controller = host.launch(cluster)
+    for index in range(4):
+        assert controller.put(FP, f"pre-{index}", b"pre").ok
+    old_fleet = _fleet_state(cluster)
+    assert controller.put(FP, "post-0", b"post").ok
+    _restore_fleet(cluster, old_fleet)
+    first = cluster.drive(placement("pre-0", 3, 3)[0])
+    disk_key = ObjectStore.meta_key("pre-0")
+    del first._entries[disk_key]
+    first._sorted_keys.remove(disk_key)
+    puts = [drive.stats.puts for drive in cluster]
+
+    restarted = host.launch(cluster)
+    assert restarted.freshness.forked
+    assert [drive.stats.puts for drive in cluster] == puts
 
 
 @pytest.mark.parametrize("freshness", [False, True], ids=["off", "on"])

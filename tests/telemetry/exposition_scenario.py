@@ -85,7 +85,6 @@ def run_scenario() -> dict:
             write_quorum=2,
             ssd_cache_entries=32,
             audit_log_size=48,
-            freshness_enabled=True,
             # Small enough that the run evicts: reads fall through to
             # the SSD tier and to verified drive reads.
             cache=CacheConfig(object_bytes=160, key_bytes=700),

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from repro.core.controller import PesosController
 from repro.core.request import Request, build_http_request, parse_http_response
 from repro.core.webserver import WebServer
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from tests.core.conftest import ALICE, make_clients
+from tests.enclave import boot
 
 
 @pytest.fixture()
@@ -19,7 +19,7 @@ def telemetry():
 @pytest.fixture()
 def server(telemetry):
     clients, _cluster = make_clients()
-    controller = PesosController(
+    controller = boot(
         clients, storage_key=b"k" * 32, telemetry=telemetry
     )
     return WebServer(controller)
@@ -136,7 +136,7 @@ def test_unknown_admin_path_is_404(server):
 
 def test_disabled_telemetry_returns_503():
     clients, _cluster = make_clients()
-    controller = PesosController(clients, storage_key=b"k" * 32)
+    controller = boot(clients, storage_key=b"k" * 32)
     server = WebServer(controller, telemetry=NULL_TELEMETRY)
     status, body = _admin(server, "/_metrics")
     assert status == 503
@@ -167,7 +167,7 @@ def test_policy_denial_counted(server, telemetry):
 def test_slow_log_threshold():
     clients, _cluster = make_clients()
     slow_telemetry = Telemetry(slow_threshold=0.0)
-    controller = PesosController(
+    controller = boot(
         clients, storage_key=b"k" * 32, telemetry=slow_telemetry
     )
     server = WebServer(controller)
@@ -249,7 +249,7 @@ def test_health_and_admission_snapshot_under_null_telemetry():
     from repro.core.admission import AdmissionController
 
     clients, _cluster = make_clients()
-    controller = PesosController(clients, storage_key=b"k" * 32)
+    controller = boot(clients, storage_key=b"k" * 32)
     server = WebServer(
         controller, telemetry=NULL_TELEMETRY,
         admission=AdmissionController(),
@@ -268,7 +268,7 @@ def _audit_server(telemetry=None):
     from repro.core.controller import ControllerConfig
 
     clients, _cluster = make_clients()
-    controller = PesosController(
+    controller = boot(
         clients, storage_key=b"k" * 32,
         config=ControllerConfig(audit_log_size=64),
         telemetry=telemetry,
@@ -312,15 +312,17 @@ def test_audit_endpoint_records_decisions():
     status, body = _admin(server, "/_audit?verify=1")
     assert status == 200
     snap = json.loads(body)
-    assert snap["length"] == 2
-    assert snap["decisions"] == {"allow": 2}
+    # Two decisions, and three freshness pins: the boot's, then the
+    # prepare and settle of the write the update decision granted.
+    assert snap["length"] == 5
+    assert snap["decisions"] == {"allow": 2, "pin": 3}
     assert snap["verification"]["ok"]
     operations = [record["operation"] for record in snap["records"]]
-    assert operations == ["update", "read"]
+    assert operations == ["pin", "update", "pin", "pin", "read"]
     # The chain head also lands on the scrape.
     head = snap["head"]
     _status, metrics = _admin(server, "/_metrics")
-    assert f'pesos_audit_chain_head{{digest="{head}"}} 2' in metrics.decode()
+    assert f'pesos_audit_chain_head{{digest="{head}"}} 5' in metrics.decode()
 
 
 def test_audit_endpoint_answers_without_telemetry():
@@ -385,7 +387,7 @@ def test_policy_denial_lands_in_audit_chain():
 def test_traces_slow_only_filter():
     clients, _cluster = make_clients()
     slow_telemetry = Telemetry(slow_threshold=0.0)
-    controller = PesosController(
+    controller = boot(
         clients, storage_key=b"k" * 32, telemetry=slow_telemetry
     )
     server = WebServer(controller)

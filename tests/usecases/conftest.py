@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.controller import PesosController
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from tests.enclave import boot
 
 ALICE = "fp-alice"
 BOB = "fp-bob"
@@ -18,4 +18,4 @@ def controller():
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    return PesosController(clients, storage_key=b"k" * 32)
+    return boot(clients, storage_key=b"k" * 32)

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.controller import PesosController
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.usecases.versioned import versioned_policy
 from repro.ycsb.runner import TraceRunner, load_phase
 from repro.ycsb.workload import WORKLOAD_A, generate_trace
+from tests.enclave import boot
 
 CLIENT = "fp-ycsb"
 
@@ -18,7 +18,7 @@ def controller():
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    return PesosController(clients, storage_key=b"k" * 32)
+    return boot(clients, storage_key=b"k" * 32)
 
 
 @pytest.fixture()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.controller import PesosController
 from repro.core.request import Request
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
@@ -20,6 +19,7 @@ from repro.ycsb.workload import (
     trace_bytes,
 )
 from repro.errors import ConfigurationError
+from tests.enclave import boot
 
 CLIENT = "fp-ef"
 
@@ -29,7 +29,7 @@ def _controller():
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    return PesosController(clients, storage_key=b"k" * 32)
+    return boot(clients, storage_key=b"k" * 32)
 
 
 def test_workload_e_is_scan_heavy():
