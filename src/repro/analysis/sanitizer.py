@@ -2,13 +2,13 @@
 
 The deterministic engine (:mod:`repro.core.engine`), the per-key lock
 table (:mod:`repro.core.txn`) and the green-thread scheduler
-(:mod:`repro.sgx.scheduler`) all carry a ``sanitizer`` attribute.  By
-default it is the shared :data:`NULL_SANITIZER`, whose every hook is a
-no-op — exactly the ``NullTelemetry`` pattern, so the uninstrumented
-hot path costs one attribute lookup and the engine's virtual-time
-numbers are bit-identical with sanitizers off.
+(:mod:`repro.sgx.scheduler`) all carry a ``sanitizer`` attribute.  It
+is ``None`` by default, and each hook site is one ``is not None`` test,
+so the shipped request path imports nothing from :mod:`repro.analysis`
+and the engine's virtual-time numbers are bit-identical with the
+sanitizer off.
 
-A :class:`ShadowState` instance records a flat event stream instead:
+A :class:`ShadowState` instance records a flat event stream:
 
 - ``("dispatch", tid)`` — the scheduler handed a green thread the CPU;
   every later event is attributed to ``tid`` until the next dispatch.
@@ -40,38 +40,8 @@ from typing import Any
 MAIN_THREAD = -1
 
 
-class NullSanitizer:
-    """No-op hooks; the default wired into every instrumented layer."""
-
-    enabled = False
-
-    def on_dispatch(self, tid: int) -> None:
-        """A green thread was dispatched (or resumed)."""
-
-    def on_lock_acquire(self, lock_id: Any, mode: str = "w") -> None:
-        """The current thread took one lock."""
-
-    def on_lock_release(self, lock_id: Any) -> None:
-        """The current thread dropped one lock."""
-
-    def on_group_acquire(self, lock_ids: list) -> None:
-        """The current thread took several locks atomically."""
-
-    def on_group_release(self, lock_ids: list) -> None:
-        """The current thread dropped an atomic lock group."""
-
-    def on_access(self, field: Any, write: bool) -> None:
-        """The current thread touched one shared field."""
-
-
-#: Shared no-op instance (never mutated; safe to share everywhere).
-NULL_SANITIZER = NullSanitizer()
-
-
-class ShadowState(NullSanitizer):
+class ShadowState:
     """Event recorder attached to an engine run under analysis."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.events: list[tuple] = []
@@ -99,9 +69,6 @@ class ShadowState(NullSanitizer):
         self.events.append(
             ("access", self._current, field, "w" if write else "r")
         )
-
-    # NOTE: deliberately no __len__ — a fresh recorder must not be
-    # falsy, or ``sanitizer or NULL_SANITIZER`` idioms silently drop it.
 
 
 def replay_locksets(events: list[tuple]):

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from queue import SimpleQueue
 from typing import Any
 
-from repro.analysis.sanitizer import NULL_SANITIZER
 from repro.core.admission import AdmissionController
 from repro.core.request import METHOD_TABLE, Request, Response
 from repro.errors import ConfigurationError
@@ -237,10 +236,9 @@ class ConcurrentEngine:
         self.admission = admission
         if admission is not None:
             admission.attach(controller)
-        #: Concurrency-sanitizer hooks (see :mod:`repro.analysis`).
-        #: The default shared no-op keeps the hot path free: one
-        #: attribute lookup and a no-op call per event site.
-        self.sanitizer = NULL_SANITIZER if sanitizer is None else sanitizer
+        #: Concurrency-sanitizer hooks (see :mod:`repro.analysis`), or
+        #: ``None``: then each event site costs one ``is not None`` test.
+        self.sanitizer = sanitizer
         self.coalesce = coalesce
         self.syscalls = AsyncSyscallInterface(
             num_slots=max(64, 2 * max_inflight),
@@ -271,7 +269,7 @@ class ConcurrentEngine:
         self._last_switches = 0
         controller.store.install_io_interceptor(self._io_interceptor)
         # Fan the sanitizer out to every instrumented layer this engine
-        # drives; close() restores the shared no-op.
+        # drives; close() restores None.
         self.scheduler.sanitizer = self.sanitizer
         self._locks.sanitizer = self.sanitizer
 
@@ -280,8 +278,8 @@ class ConcurrentEngine:
     def close(self) -> None:
         """Uninstall the drive interceptor (engine no longer usable)."""
         self.controller.store.install_io_interceptor(None)
-        self.scheduler.sanitizer = NULL_SANITIZER
-        self._locks.sanitizer = NULL_SANITIZER
+        self.scheduler.sanitizer = None
+        self._locks.sanitizer = None
 
     def __enter__(self) -> "ConcurrentEngine":
         return self
@@ -471,7 +469,7 @@ class ConcurrentEngine:
         if handle is None:
             # Main thread (bootstrap, load phase, admin): inline.
             return client.direct(op, *args, **kwargs)  # pesos: allow[core-drive-io]
-        if self.sanitizer.enabled and args:
+        if self.sanitizer is not None and args:
             # The disk key is the shared state two requests can clobber;
             # report the access on the issuing thread, at submission
             # time, while the shadow state still attributes to it.  A

@@ -46,7 +46,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.analysis.sanitizer import NULL_SANITIZER
 from repro.core.asyncapi import RESULT_BUFFER_SIZE
 from repro.errors import PesosError, TransactionError
 from repro.telemetry import NULL_TELEMETRY
@@ -140,10 +139,10 @@ class VllManager:
         self.executed_from_queue = 0
         self.aborted = 0
         self.telemetry = telemetry or NULL_TELEMETRY
-        #: Concurrency-sanitizer hooks; the shared no-op by default.
-        #: Every lock event of the system is reported from this class,
-        #: under one id per key, ``("obj", key)``.
-        self.sanitizer = NULL_SANITIZER
+        #: Concurrency-sanitizer hooks, ``None`` by default.  Every lock
+        #: event of the system is reported from this class, under one
+        #: id per key, ``("obj", key)``.
+        self.sanitizer = None
         self._m_outcomes = self.telemetry.counter(
             "pesos_txn_total",
             "Transactions finished, by outcome.",
@@ -215,9 +214,10 @@ class VllManager:
             lock.exclusive = True
         else:
             lock.shared += 1
-        self.sanitizer.on_lock_acquire(
-            ("obj", key), "w" if exclusive else "r"
-        )
+        if self.sanitizer is not None:
+            self.sanitizer.on_lock_acquire(
+                ("obj", key), "w" if exclusive else "r"
+            )
         return True
 
     def release(self, key: str, exclusive: bool = True) -> None:
@@ -232,7 +232,8 @@ class VllManager:
             raise KeyError(key)
         if not (lock.requested or lock.txns):
             del self._locks[key]
-        self.sanitizer.on_lock_release(("obj", key))
+        if self.sanitizer is not None:
+            self.sanitizer.on_lock_release(("obj", key))
         self._drain()
 
     # -- VLL commit path -----------------------------------------------------
@@ -270,7 +271,8 @@ class VllManager:
         tx.state = RUNNING
         keys = tx.keys()
         group = [("obj", key) for key in keys]
-        self.sanitizer.on_group_acquire(group)
+        if self.sanitizer is not None:
+            self.sanitizer.on_group_acquire(group)
         for key in keys:
             self._locks[key].running += 1
         failure = None
@@ -289,7 +291,8 @@ class VllManager:
                 for key in keys:
                     self._locks[key].running -= 1
                 self._unlock(keys)
-                self.sanitizer.on_group_release(group)
+                if self.sanitizer is not None:
+                    self.sanitizer.on_group_release(group)
         return failure
 
     def _unlock(self, keys: list) -> None:

@@ -21,7 +21,6 @@ from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis.sanitizer import NULL_SANITIZER
 from repro.errors import ConfigurationError
 from repro.sgx.syscalls import AsyncSyscallInterface
 
@@ -100,10 +99,10 @@ class UserspaceScheduler:
         #: when a completed syscall unblocks one.  The replayable record
         #: the determinism tests compare across runs.
         self.dispatch_log: list[tuple[str, int]] = []
-        #: Concurrency-sanitizer hooks; the shared no-op by default.
-        #: Dispatch events give the shadow state its "current thread"
+        #: Concurrency-sanitizer hooks, ``None`` by default.  Dispatch
+        #: events give the shadow state its "current thread"
         #: attribution (only one green thread runs at a time).
-        self.sanitizer = NULL_SANITIZER
+        self.sanitizer = None
 
     def spawn(self, generator: Generator) -> GreenThread:
         """Register a new green thread; it runs on the next step."""
@@ -173,7 +172,8 @@ class UserspaceScheduler:
     def _run_until_preemption(self, thread: GreenThread, send_value: Any) -> None:
         thread.context_switches += 1
         self.total_context_switches += 1
-        self.sanitizer.on_dispatch(thread.tid)
+        if self.sanitizer is not None:
+            self.sanitizer.on_dispatch(thread.tid)
         try:
             yielded = thread.generator.send(send_value)
         except StopIteration as stop:
@@ -189,7 +189,8 @@ class UserspaceScheduler:
     def _throw_into(self, thread: GreenThread, error: BaseException) -> None:
         thread.context_switches += 1
         self.total_context_switches += 1
-        self.sanitizer.on_dispatch(thread.tid)
+        if self.sanitizer is not None:
+            self.sanitizer.on_dispatch(thread.tid)
         try:
             yielded = thread.generator.throw(error)
         except StopIteration as stop:

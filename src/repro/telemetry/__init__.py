@@ -15,7 +15,9 @@ null objects swallow it.  What ``telemetry.enabled`` *does* guard is
 work done only to feed an instrument: a ``perf_counter()`` pair around
 a drive operation, the span-plus-counters wrappers around the request
 cycle in ``WebServer.handle_bytes`` and ``PesosController.handle``,
-reading ``telemetry.tracer`` or ``.slo`` (``None`` on the null object).
+reading ``telemetry.tracer`` or ``.slo`` (``None`` on the null object,
+and ``.slo`` on a live one until a caller attaches an engine built from
+:mod:`repro.telemetry.slo`, which this package does not import).
 
 Usage::
 
@@ -42,7 +44,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.slo import SloEngine, SloSpec, classify, default_slos
 from repro.telemetry.tracing import NULL_SPAN, Span, Tracer
 
 
@@ -56,22 +57,20 @@ class Telemetry:
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         slow_threshold: float | None = None,
-        slo: SloEngine | None = None,
     ):
         self.registry = registry or MetricsRegistry()
         self.tracer = tracer or Tracer(slow_threshold=slow_threshold)
         #: Optional SLO engine (:mod:`repro.telemetry.slo`); attach one
         #: to make ``record_request`` fold completions into error
         #: budgets and to land budget/burn gauges on ``/_metrics``.
-        self.slo: SloEngine | None = None
-        if slo is not None:
-            self.attach_slo(slo)
+        self.slo = None
 
-    def attach_slo(self, slo: SloEngine | None = None) -> SloEngine:
-        """Attach (or create) the SLO engine and register its gauges."""
-        self.slo = slo or SloEngine()
-        self.slo.register(self.registry)
-        return self.slo
+    def attach_slo(self, slo):
+        """Attach ``slo`` (an :class:`~repro.telemetry.slo.SloEngine`)
+        and register its gauges; returns it."""
+        self.slo = slo
+        slo.register(self.registry)
+        return slo
 
     def record_request(
         self,
@@ -186,13 +185,9 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TELEMETRY",
     "NullTelemetry",
-    "SloEngine",
-    "SloSpec",
     "Span",
     "Telemetry",
     "Tracer",
-    "classify",
-    "default_slos",
     "registry_to_dict",
     "render_json",
     "render_prometheus",

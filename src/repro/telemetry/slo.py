@@ -109,20 +109,27 @@ class SloSpec:
             raise ConfigurationError(
                 f"slo {self.name!r}: target must be in (0, 1)"
             )
-        if self.window <= 0.0:
+        if any(
+            window is not None and window <= 0.0
+            for window in (self.window, self.fast_window, self.slow_window)
+        ):
             raise ConfigurationError(
                 f"slo {self.name!r}: window must be positive"
+            )
+        if self.threshold is not None and self.threshold < 0.0:
+            raise ConfigurationError(
+                f"slo {self.name!r}: threshold must not be negative"
             )
 
     @property
     def fast(self) -> float:
         """Fast alert window (default: 1/12 of the objective window)."""
-        return self.fast_window or self.window / 12.0
+        return self.window / 12.0 if self.fast_window is None else self.fast_window
 
     @property
     def slow(self) -> float:
         """Slow alert window (default: half the objective window)."""
-        return self.slow_window or self.window / 2.0
+        return self.window / 2.0 if self.slow_window is None else self.slow_window
 
 
 def default_slos(

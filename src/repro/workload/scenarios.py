@@ -22,7 +22,7 @@ from repro.bench.concurrency import ConcurrencyConfig, build_concurrency_system
 from repro.bench.overload import p99, run_open_loop
 from repro.core.request import Request
 from repro.telemetry import Telemetry
-from repro.telemetry.slo import classify
+from repro.telemetry.slo import SloEngine, classify
 
 
 def _base_system() -> ConcurrencyConfig:
@@ -153,7 +153,7 @@ def run_scenario(
     if telemetry is None:
         telemetry = Telemetry()
     if telemetry.enabled and telemetry.slo is None:
-        telemetry.attach_slo()
+        telemetry.attach_slo(SloEngine())
     controller = build_concurrency_system(config.base, telemetry=telemetry)
     telemetry = controller.telemetry
     run = run_open_loop(

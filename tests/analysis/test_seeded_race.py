@@ -5,7 +5,7 @@ Two directions:
 - *Regression*: an engine variant with request-lock acquisition
   removed must produce race findings — proof the shadow state actually
   observes the engine and the detector bites when protection is gone.
-- *No-op*: with the default ``NULL_SANITIZER`` the engine's virtual
+- *No-op*: with no sanitizer (the default ``None``) the engine's virtual
   time and trace bytes are bit-identical to a sanitized run's, so the
   hooks cannot perturb what the determinism suite certifies.
 """
@@ -130,5 +130,5 @@ def test_engine_close_restores_the_null_sanitizer():
     assert controller.txns.sanitizer is shadow
     assert engine.scheduler.sanitizer is shadow
     engine.close()
-    assert controller.txns.sanitizer is not shadow
-    assert not controller.txns.sanitizer.enabled
+    assert controller.txns.sanitizer is None
+    assert engine.scheduler.sanitizer is None

@@ -5,10 +5,11 @@ target (the client surface and the admin surface both use it), and
 ``error_response`` the only place a failure becomes a response.  These
 guards keep a stdlib URL parser, or a second mapping, from growing
 back on the request path.  The last guard keeps the request path's
-import closure to code a request runs: no linter, no analyzer, policy
-verifier or policy pretty-printer, no DES constants, drive timing or
-Scone model, no drive or drive cluster (the untrusted side of the
-wire), no benchmark or simulator.
+import closure to code a request runs: nothing of the analysis package
+(linter, analyzers, policy verifier, sanitizer hooks), no policy
+pretty-printer or SLO engine, no DES constants, drive timing or Scone
+model, no drive or drive cluster (the untrusted side of the wire), no
+benchmark or simulator.
 """
 
 import ast
@@ -71,15 +72,12 @@ def test_a_failure_becomes_a_response_in_one_place():
 NOT_ON_THE_REQUEST_PATH = tuple(
     f"{package}.{name}"
     for package, names in {
-        "repro.analysis": (
-            "lint", "races", "deadlock", "taint", "taintspec", "callgraph",
-            "policy_verify", "findings",
-        ),
         "repro.sgx": ("costs", "scheduler", "syscalls"),
         "repro.kinetic": ("timing", "drive", "cluster"),
         "repro.core": ("sharding",),
         "repro.policy": ("render",),
-        "repro": ("bench", "sim"),
+        "repro.telemetry": ("slo",),
+        "repro": ("analysis", "bench", "sim"),
     }.items()
     for name in names
 )

@@ -19,11 +19,9 @@ drives and the trusted hardware hold.
 
 Runs on the shipped default flags (freshness on, the same trusted
 hardware across the restart), with ``keep_history=False``, and with
-``freshness_enabled=True`` named, which since freshness shipped on
-repeats the default; and with freshness off, with and without history,
-so the newest-of-quorum recovery it still ships keeps its crash points
-until that path goes.  Each at replication factor 1 (the
-``ControllerConfig`` default) and 3.
+freshness off, with and without history, so the newest-of-quorum
+recovery it still ships keeps its crash points until that path goes.
+Each at replication factor 1 (the ``ControllerConfig`` default) and 3.
 """
 
 from dataclasses import dataclass, field
@@ -132,7 +130,6 @@ SCENARIOS = [
 CONFIGS = {
     "default": {},
     "no-history": {"keep_history": False},
-    "freshness": {"freshness_enabled": True},
     "freshness-off": {"freshness_enabled": False},
     "freshness-off-no-history": {
         "freshness_enabled": False, "keep_history": False,

@@ -37,7 +37,8 @@ from repro.kinetic.drive import KineticDrive
 from repro.sgx.attestation import SgxPlatform
 from repro.sgx.enclave import EnclaveBinary
 from repro.sim import Environment
-from repro.telemetry import SloEngine, Telemetry
+from repro.telemetry import Telemetry
+from repro.telemetry.slo import SloEngine
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -75,7 +76,8 @@ def _strip_wall_clock_json(text: str) -> str:
 
 def run_scenario() -> dict:
     """Run the script; return ``{golden file name: payload text}``."""
-    telemetry = Telemetry(slo=SloEngine())
+    telemetry = Telemetry()
+    telemetry.attach_slo(SloEngine())
     cluster = DriveCluster(num_drives=3)
     controller = PesosController(
         cluster.connect_all(KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY),

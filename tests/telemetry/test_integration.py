@@ -7,6 +7,7 @@ import pytest
 from repro.core.request import Request, build_http_request, parse_http_response
 from repro.core.webserver import WebServer
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.slo import SloEngine, SloSpec
 from tests.core.conftest import ALICE, make_clients
 from tests.enclave import boot
 
@@ -182,7 +183,7 @@ def test_slo_endpoint_503_without_engine(server):
 
 
 def test_slo_endpoint_reports_budgets(server, telemetry):
-    telemetry.attach_slo()
+    telemetry.attach_slo(SloEngine())
     _roundtrip(server)
     status, body = _admin(server, "/_slo")
     assert status == 200
@@ -195,7 +196,7 @@ def test_slo_endpoint_reports_budgets(server, telemetry):
 
 
 def test_slo_endpoint_prometheus_format(server, telemetry):
-    telemetry.attach_slo()
+    telemetry.attach_slo(SloEngine())
     _roundtrip(server)
     status, body = _admin(server, "/_slo?format=prometheus")
     assert status == 200
@@ -205,8 +206,6 @@ def test_slo_endpoint_prometheus_format(server, telemetry):
 
 
 def test_slo_exemplars_resolve_to_traces(server, telemetry):
-    from repro.telemetry import SloEngine, SloSpec
-
     # A zero-latency threshold makes every served GET a breach, so the
     # objective collects exemplar trace ids we can chase via /_traces.
     telemetry.attach_slo(SloEngine([
@@ -224,7 +223,7 @@ def test_slo_exemplars_resolve_to_traces(server, telemetry):
 
 
 def test_health_folds_slo_state(server, telemetry):
-    telemetry.attach_slo()
+    telemetry.attach_slo(SloEngine())
     _roundtrip(server)
     # One failing GET among three: budget (1% of 3 events) is blown.
     raw = server.handle_bytes(

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.telemetry import (
-    NullTelemetry,
-    Telemetry,
+from repro.telemetry import NullTelemetry, Telemetry, render_prometheus
+from repro.telemetry.slo import (
+    ObjectiveState,
+    SloEngine,
+    SloSpec,
     classify,
     default_slos,
-    render_prometheus,
 )
-from repro.telemetry.slo import ObjectiveState, SloEngine, SloSpec
 
 
 # -- classification ---------------------------------------------------------
@@ -49,9 +49,16 @@ def test_spec_rejects_target_out_of_range():
         SloSpec(name="x", request_class="get/p1", target=0.0)
 
 
-def test_spec_rejects_nonpositive_window():
+@pytest.mark.parametrize("bad", [
+    pytest.param({"window": 0.0}, id="window"),
+    pytest.param({"fast_window": 0.0}, id="fast-zero"),
+    pytest.param({"slow_window": 0.0}, id="slow-zero"),
+    pytest.param({"fast_window": -1.0, "slow_window": -1.0}, id="alerts-negative"),
+    pytest.param({"objective": "latency", "threshold": -0.5}, id="threshold-negative"),
+])
+def test_spec_rejects_nonpositive_window(bad):
     with pytest.raises(ConfigurationError):
-        SloSpec(name="x", request_class="get/p1", window=0.0)
+        SloSpec(name="x", request_class="get/p1", **bad)
 
 
 def test_spec_default_alert_windows():
@@ -256,7 +263,7 @@ def test_engine_metrics_land_on_registry():
 
 def test_telemetry_record_request_routes_to_engine():
     telemetry = Telemetry()
-    telemetry.attach_slo()
+    telemetry.attach_slo(SloEngine())
     telemetry.record_request("get", ok=True, latency=0.001, vnow=1.0)
     assert telemetry.slo.recorded == 1
 
