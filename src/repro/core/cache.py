@@ -4,8 +4,12 @@ Pesos maintains *separate* bounded memory regions per data kind so one
 hot region cannot evict another's entries: compiled policies (5 MB
 default), objects fetched for requests or during policy evaluation,
 and object keys/metadata (600 KB default).  All regions approximate
-LFU eviction and report hits/misses to the effects recorder so the
-benchmarks can observe cache behaviour (Fig. 8 depends on it).
+LFU eviction, and each region's :class:`~repro.util.lfu.CacheStats` is
+the one hit/miss count: :meth:`CacheManager.region_stats` reads it, and
+so do ``pesos_cache_{hits,misses}_total`` at scrape time.  A lookup
+records no effect, because the cost model charges none: Fig. 8's cliff
+is the ``POLICY_LOAD`` effect and the drive frames a policy-region miss
+goes on to cause.
 
 An object-region entry holds a version's bytes *and*, once a policy has
 asked what they say, the :class:`~repro.policy.context.Facts` parsed
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.effects import NullRecorder
 from repro.policy.context import Facts
 from repro.telemetry import NULL_TELEMETRY
 from repro.util.lfu import LFUCache
@@ -52,23 +55,34 @@ class _Resident:
     facts: Facts | None = None
 
 
-class CacheManager:
-    """The controller's cache regions plus effect reporting."""
+#: What :meth:`CacheManager.get_object` reads a miss as: no bytes.
+_ABSENT = _Resident(None)
 
-    def __init__(
-        self, config: CacheConfig | None = None, effects=None, telemetry=None
-    ):
+
+class CacheManager:
+    """The controller's cache regions and their scrape-time metrics."""
+
+    def __init__(self, config: CacheConfig | None = None, telemetry=None):
         self.config = config or CacheConfig()
-        self.effects = effects or NullRecorder()
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._m_hits = self.telemetry.counter(
+        self.telemetry.derived(
             "pesos_cache_hits_total",
+            "counter",
             "Enclave cache hits, by region.",
+            lambda: [
+                (region, stats.hits)
+                for region, stats in self.region_stats().items()
+            ],
             ("region",),
         )
-        self._m_misses = self.telemetry.counter(
+        self.telemetry.derived(
             "pesos_cache_misses_total",
+            "counter",
             "Enclave cache misses, by region.",
+            lambda: [
+                (region, stats.misses)
+                for region, stats in self.region_stats().items()
+            ],
             ("region",),
         )
         self.telemetry.derived(
@@ -108,24 +122,16 @@ class CacheManager:
             age_interval=self.config.age_interval,
         )
 
-    # -- region accessors with effect reporting ---------------------------
-
-    def _record(self, region: str, hit: bool) -> None:
-        self.effects.record_cache(region, hit)
-        (self._m_hits if hit else self._m_misses).labels(region).inc()
+    # -- region accessors -------------------------------------------------
 
     def get_policy(self, policy_id: str):
-        policy = self.policies.get(policy_id)
-        self._record(POLICY_REGION, policy is not None)
-        return policy
+        return self.policies.get(policy_id)
 
     def put_policy(self, policy_id: str, policy) -> None:
         self.policies.put(policy_id, policy)
 
     def get_object(self, cache_key: str):
-        entry = self.objects.get(cache_key)
-        self._record(OBJECT_REGION, entry is not None)
-        return None if entry is None else entry.data
+        return self.objects.get(cache_key, _ABSENT).data
 
     def put_object(self, cache_key: str, value: bytes) -> None:
         entry = self.objects.peek(cache_key)
@@ -152,9 +158,7 @@ class CacheManager:
         self.objects.remove(cache_key)
 
     def get_meta(self, key: str):
-        meta = self.keys.get(key)
-        self._record(KEY_REGION, meta is not None)
-        return meta
+        return self.keys.get(key)
 
     def put_meta(self, key: str, meta) -> None:
         self.keys.put(key, meta)

@@ -202,9 +202,7 @@ class PesosController:
         self.effects = effects or EffectsRecorder(
             registry=self.telemetry.registry
         )
-        self.caches = CacheManager(
-            self.config.cache, self.effects, telemetry=self.telemetry
-        )
+        self.caches = CacheManager(self.config.cache, telemetry=self.telemetry)
         self.sessions = SessionManager()
         self.async_tracker = AsyncTracker()
         #: The policy evaluator: compiled closures + decision cache.
@@ -823,15 +821,18 @@ class PesosController:
         decisions = self.policy_engine.decisions
         #: (policy id, epoch) -> (policy hash, verdict), this request's
         verdicts: dict = {}
+        # Read once per scan, not once per record.
         cached_meta = self.caches.get_meta
+        enforce = self.config.enforce_policies
+        emit = lines.append
         for key in self.store.scan_keys(request.key, count):
             meta = cached_meta(key) or self._load_meta(key)
-            if meta is None or not meta.exists:
+            if meta is None or meta.current_version < 0:
                 # Listed, but no record serves: one only some replicas
                 # gained, a delete that missed a replica, or a key the
                 # seeding listing picked up.
                 continue
-            if self.config.enforce_policies and meta.policy_id:
+            if enforce and meta.policy_id:
                 memo = meta.policy_id, decisions.epoch
                 verdict = verdicts.get(memo)
                 if verdict is None:
@@ -847,7 +848,7 @@ class PesosController:
                 if not self._settle(*verdict, session.fingerprint, key, now):
                     denied += 1
                     continue
-            lines.append(f"{key}@{meta.current_version}")
+            emit(f"{key}@{meta.current_version}")
         payload = "\n".join(lines).encode()
         self.effects.record(COPY, len(payload))
         return Response(

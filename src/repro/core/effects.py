@@ -2,9 +2,11 @@
 
 The controller is functional code; the discrete-event benchmarks need
 to know what each request *did* — frames put on the drive link, bytes
-copied, cache hits, policy work — to charge virtual time.  Components
-record effects here; the simulation drains the recorder after each
-request.  One effect per frame a drive answered, not per record.
+copied, policy work — to charge virtual time.  Components record
+effects here; the simulation drains the recorder after each request.
+One effect per frame a drive answered, not per record.  A cache lookup
+is no effect: the model charges none, and its region's LFU stats count
+it (:meth:`repro.core.cache.CacheManager.region_stats`).
 
 Recording is deliberately cheap (a tuple append plus one counter
 increment) because it sits on the hot path of 100k-operation benchmark
@@ -27,8 +29,6 @@ DISK_WRITE = "disk_write"
 DISK_DELETE = "disk_delete"
 SSD_READ = "ssd_read"
 SSD_WRITE = "ssd_write"
-CACHE_HIT = "cache_hit"
-CACHE_MISS = "cache_miss"
 ENCRYPT = "encrypt"
 DECRYPT = "decrypt"
 POLICY_CHECK = "policy_check"
@@ -68,8 +68,8 @@ class EffectsRecorder:
             "Side-effect events recorded per request path, by kind.",
             ("kind",),
         )
-        #: The counter's child per kind or ``(kind, region)``, resolved
-        #: once: ``labels()`` per event was ~7 % of a cached GET.
+        #: The counter's child per kind, resolved once: ``labels()`` per
+        #: event was ~7 % of a cached GET.
         self._children: dict = {}
 
     def record(self, kind: str, *detail) -> None:
@@ -84,18 +84,6 @@ class EffectsRecorder:
         events, self.events = self.events, []
         return events
 
-    def record_cache(self, region: str, hit: bool) -> None:
-        event = (CACHE_HIT if hit else CACHE_MISS, region)
-        self.events.append(event)
-        child = self._children.get(event)
-        if child is None:
-            # Bounded: kind is hit/miss and regions are the fixed cache
-            # tiers, so the label space cannot grow with the workload.
-            # pesos: allow[telemetry-label-cardinality]
-            child = self._kinds.labels(f"{event[0]}:{region}")
-            self._children[event] = child
-        child.inc()
-
 
 class NullRecorder:
     """Drop-in no-op recorder for pure functional use."""
@@ -104,9 +92,6 @@ class NullRecorder:
     events: tuple = ()
 
     def record(self, kind: str, *detail) -> None:
-        pass
-
-    def record_cache(self, region: str, hit: bool) -> None:
         pass
 
     def drain(self) -> list:

@@ -666,15 +666,21 @@ class ObjectStore:
 
         A lagging replica's older record opens perfectly well, so one
         reply is only sound under a full write quorum; in general the
-        rule collects ``walk.quorum`` definitive replies (a record or a
-        clean "not found"; a corrupt copy is neither) and serves the
-        highest ``current_version``.  When failures leave fewer, it
-        serves the newest *reachable* record — whoever relaxed the
-        write quorum chose availability — and the key stays journaled.
-        This is the rule that trusts replica version numbers; the
-        pinned rule replaces it when freshness is on.  Without
-        ``repair`` the read re-seeds, journals and files nothing: the
-        bootstrap rebuild must not write to a fleet it may yet refuse.
+        rule reads until it holds a record and ``walk.quorum`` replies
+        that are records or clean "not found"s (a corrupt copy is
+        neither), and serves the highest ``current_version``.  A "not
+        found" never ends the walk on its own: a replica that lost its
+        ``m/`` record (a reseed that failed, a create some replicas
+        missed) answers it for an object another replica holds, so at
+        ``read_quorum`` 1 that reply would hide the object, and a key
+        no replica holds costs a GET per replica.  When failures leave
+        fewer than ``walk.quorum`` such replies, it serves the newest
+        *reachable* record — whoever relaxed the write quorum chose
+        availability — and the key stays journaled.  This is the rule
+        that trusts replica version numbers; the pinned rule replaces it
+        when freshness is on.  Without ``repair`` the read re-seeds,
+        journals and files nothing: the bootstrap rebuild must not write
+        to a fleet it may yet refuse.
         """
         walk = _Walk(self, key)
         found = []  # (replica, record, its sealed blob) per record read

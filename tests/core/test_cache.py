@@ -1,7 +1,6 @@
-"""Cache manager regions and effect reporting."""
+"""Cache manager regions and their hit/miss counts."""
 
 from repro.core.cache import CacheConfig, CacheManager
-from repro.core.effects import EffectsRecorder
 from repro.core.store import StoredMeta
 from repro.policy.compiler import compile_policy
 
@@ -35,15 +34,13 @@ def test_meta_region_roundtrip():
     assert caches.get_meta("k") is None
 
 
-def test_effects_reported():
-    effects = EffectsRecorder()
-    caches = CacheManager(effects=effects)
+def test_lookups_counted_in_region_stats():
+    caches = CacheManager()
     caches.get_policy("missing")
     caches.put_policy("p", _policy())
     caches.get_policy("p")
-    assert effects.drain() == [
-        ("cache_miss", "policy"), ("cache_hit", "policy"),
-    ]
+    stats = caches.region_stats()["policy"]
+    assert (stats.hits, stats.misses) == (1, 1)
 
 
 def test_policy_entry_cap():
@@ -75,3 +72,110 @@ def test_region_stats_exposed():
     caches.get_object("missing")
     stats = caches.region_stats()
     assert stats["object"].misses == 1
+
+
+# -- the LFU's stats are the one hit/miss count ------------------------------
+
+
+def _counts(controller):
+    return {
+        region: (stats.hits, stats.misses)
+        for region, stats in controller.caches.region_stats().items()
+    }
+
+
+def _scraped(telemetry, name):
+    (family,) = [
+        family for family in telemetry.registry.collect()
+        if family.name == name
+    ]
+    return {sample.labels["region"]: sample.value for sample in family.samples}
+
+
+def test_the_scraped_counters_are_the_region_stats():
+    from repro.core.request import Request
+    from repro.telemetry import Telemetry
+    from tests.core.conftest import ALICE, BOB, make_clients
+    from tests.enclave import boot
+
+    telemetry = Telemetry()
+    controller = boot(
+        make_clients()[0], storage_key=b"k" * 32, telemetry=telemetry
+    )
+    policy = controller.put_policy(
+        ALICE,
+        f"read :- sessionKeyIs(k'{ALICE}')\n"
+        "update :- eq(1, 1)\ndelete :- eq(1, 1)",
+    ).policy_id
+    scrapes = []
+
+    def scrape():
+        hits = _scraped(telemetry, "pesos_cache_hits_total")
+        misses = _scraped(telemetry, "pesos_cache_misses_total")
+        scraped = {region: (hits[region], misses[region]) for region in hits}
+        assert scraped == _counts(controller)
+        scrapes.append(scraped)
+
+    scrape()
+    for index in range(6):
+        key = f"k{index}"
+        assert controller.put(ALICE, key, b"v", policy_id=policy).ok
+        assert controller.get(ALICE, key).ok
+        assert not controller.get(BOB, key).ok
+        scrape()
+    controller.caches.objects.clear()
+    controller.caches.keys.clear()
+    assert controller.get(ALICE, "k0").ok
+    assert not controller.get(ALICE, "absent").ok
+    assert controller.handle(
+        Request(method="scan", key="k", scan_count=10), ALICE
+    ).ok
+    assert controller.delete(ALICE, "k1").ok
+    scrape()
+    last = scrapes[-1]
+    assert all(hits for hits, _misses in last.values())
+    assert last["keys"][1] and last["object"][1]
+    for earlier, later in zip(scrapes, scrapes[1:]):
+        for region, (hits, misses) in earlier.items():
+            assert later[region][0] >= hits and later[region][1] >= misses
+
+
+def _scan_counts(controller, count):
+    from repro.core.request import Request
+    from tests.core.conftest import ALICE
+
+    before = _counts(controller)
+    response = controller.handle(
+        Request(method="scan", key="obj", scan_count=count), ALICE
+    )
+    assert response.extra["scanned"] == count
+    return {
+        region: (hits - before[region][0], misses - before[region][1])
+        for region, (hits, misses) in _counts(controller).items()
+    }
+
+
+def test_a_scan_over_cached_records_hits_each_key_once(controller):
+    from tests.core.conftest import ALICE
+
+    for index in range(20):
+        assert controller.put(ALICE, f"obj{index:02d}", b"v").ok
+    for count in (1, 7, 20):
+        counts = _scan_counts(controller, count)
+        assert counts["keys"] == (count, 0)
+        assert counts["policy"] == counts["object"] == (0, 0)
+
+
+def test_an_object_blind_policy_is_looked_up_once_per_scan(controller):
+    from tests.core.conftest import ALICE
+
+    policy = controller.put_policy(
+        ALICE, f"read :- sessionKeyIs(k'{ALICE}')\nupdate :- eq(1, 1)"
+    ).policy_id
+    for index in range(20):
+        assert controller.put(
+            ALICE, f"obj{index:02d}", b"v", policy_id=policy
+        ).ok
+    for _scan in range(3):
+        counts = _scan_counts(controller, 20)
+        assert counts == {"policy": (1, 0), "object": (0, 0), "keys": (20, 0)}

@@ -1,6 +1,12 @@
 """Effects recorder semantics."""
 
-from repro.core.effects import DISK_READ, EffectsRecorder, NullRecorder
+from repro.core.effects import (
+    COPY,
+    DISK_READ,
+    ENCRYPT,
+    EffectsRecorder,
+    NullRecorder,
+)
 from tests.enclave import boot
 
 
@@ -22,16 +28,9 @@ def test_totals_survive_drain():
     assert totals.labels(DISK_READ).value == 2
 
 
-def test_cache_events_tagged_by_region():
-    effects = EffectsRecorder()
-    effects.record_cache("object", hit=False)
-    assert effects.drain() == [("cache_miss", "object")]
-
-
 def test_null_recorder_is_silent():
     effects = NullRecorder()
     effects.record("anything", 1, 2)
-    effects.record_cache("region", hit=True)
     assert effects.drain() == []
 
 
@@ -50,22 +49,11 @@ def test_recorder_asks_the_counter_for_each_kind_once(monkeypatch):
     monkeypatch.setattr(effects._kinds, "labels", counting_labels)
     for _ in range(50):
         effects.record(DISK_READ, 0, 1)
-        effects.record_cache("object", hit=True)
-        effects.record_cache("object", hit=False)
-        effects.record_cache("keys", hit=True)
-    assert asked == [
-        (DISK_READ,),
-        ("cache_hit:object",),
-        ("cache_miss:object",),
-        ("cache_hit:keys",),
-    ]
+        effects.record(ENCRYPT, 16)
+        effects.record(COPY, 16)
+    assert asked == [(DISK_READ,), (ENCRYPT,), (COPY,)]
     totals = effects.registry.get("pesos_effects_total").series()
-    assert totals == {
-        (DISK_READ,): 50,
-        ("cache_hit:object",): 50,
-        ("cache_miss:object",): 50,
-        ("cache_hit:keys",): 50,
-    }
+    assert totals == {(DISK_READ,): 50, (ENCRYPT,): 50, (COPY,): 50}
 
 
 # -- the backlog nobody drains is bounded ----------------------------------
@@ -105,14 +93,15 @@ def test_backlog_is_bounded_when_nobody_drains(controller):
 def test_a_consumer_that_drains_per_request_loses_nothing(controller):
     """The DES contract: drain, execute, drain.  The bound never fires
     between the two, however much was handled before."""
+    from repro.core.controller import EFFECTS_BACKLOG
     from tests.core.conftest import ALICE
 
     assert controller.put(ALICE, "k", b"v").ok
     controller.effects.drain()
     assert controller.get(ALICE, "k").ok
     expected = controller.effects.drain()
-    assert expected
-    for _ in range(4000):  # 4 000 x 4 events, twice the bound
+    assert expected == [("copy", 1)]
+    for _ in range(2 * EFFECTS_BACKLOG):  # one event each, twice the bound
         controller.effects.drain()
         assert controller.get(ALICE, "k").ok
         assert controller.effects.drain() == expected

@@ -441,44 +441,60 @@ def test_memo_warm_equals_cold_parse_equals_reference(
 # re-captured for at-rest format v2; the ``disk_write`` rows re-captured
 # when the ledger went to one effect per frame (PR 22): a PUT's value
 # and ``m/`` record are one row whose bytes are their sum (59 + 235,
-# 229 + 285, 42 + 231), followed by its record count and replica ordinal
+# 229 + 285, 42 + 231), followed by its record count and replica ordinal.
+# The ``cache_hit`` rows left the ledger when the LFU's own stats became
+# the one hit/miss count: each list is the parent's with those rows
+# filtered out, every other row unchanged, and the hits they pinned are
+# asserted as ``region_stats()`` deltas instead (no row was a miss).
 # ---------------------------------------------------------------------------
-
-_HIT_KEYS, _HIT_POLICY, _HIT_OBJECT = (
-    ("cache_hit", "keys"), ("cache_hit", "policy"), ("cache_hit", "object"),
-)
 
 #: ``MalStore.read``: GET log, GET log again for the append, PUT log
 #: (versioned policy, 3 predicates), GET record (MAL read, 5 predicates).
 MAL_READ_EFFECTS = [
-    _HIT_KEYS, _HIT_POLICY, ("policy_check", 1), _HIT_OBJECT, ("copy", 0),
-    _HIT_KEYS,
-    _HIT_KEYS, _HIT_POLICY, ("policy_check", 1), _HIT_OBJECT, ("copy", 0),
-    ("copy", 31), _HIT_KEYS, _HIT_POLICY, _HIT_POLICY,
+    ("policy_check", 1), ("copy", 0),
+    ("policy_check", 1), ("copy", 0),
+    ("copy", 31),
     ("policy_check", 3), ("encrypt", 31), ("encrypt", 207),
     ("disk_write", 1, 294, 2, 0),
-    _HIT_KEYS, _HIT_POLICY, _HIT_KEYS, _HIT_OBJECT,
-    ("policy_check", 5), _HIT_OBJECT, ("copy", 13),
+    ("policy_check", 5), ("copy", 13),
 ]
 #: ``MalStore.write``: GET log, PUT log, PUT record (MAL update, 8).
 MAL_WRITE_EFFECTS = [
-    _HIT_KEYS,
-    _HIT_KEYS, _HIT_POLICY, ("policy_check", 1), _HIT_OBJECT, ("copy", 31),
-    ("copy", 201), _HIT_KEYS, _HIT_POLICY, _HIT_POLICY,
+    ("policy_check", 1), ("copy", 31),
+    ("copy", 201),
     ("policy_check", 3), ("encrypt", 201), ("encrypt", 257),
     ("disk_write", 1, 514, 2, 0),
-    ("copy", 14), _HIT_KEYS, _HIT_POLICY, _HIT_POLICY,
-    _HIT_KEYS, _HIT_OBJECT, ("policy_check", 8), ("encrypt", 14),
+    ("copy", 14),
+    ("policy_check", 8), ("encrypt", 14),
     ("encrypt", 203), ("disk_write", 0, 273, 2, 0),
 ]
+#: (hits, misses) per region: the ``cache_hit`` rows the lists pinned.
+MAL_READ_LOOKUPS = {"policy": (5, 0), "object": (4, 0), "keys": (6, 0)}
+MAL_WRITE_LOOKUPS = {"policy": (5, 0), "object": (2, 0), "keys": (5, 0)}
 #: SHA-256 of the two lists' event kinds alone: the lists as 54bf4fd
 #: pinned them (``4af89c2e…``: the format change moved sizes, not
 #: events) less the second ``disk_write`` of each of the three PUTs
 #: (``0a244965…``), less the keys-region lookup a check made for the
-#: metadata of ``this`` that the request already held (two per list).
+#: metadata of ``this`` that the request already held (two per list,
+#: ``3317643d…``), less every ``cache_hit`` row.
 MAL_EFFECT_KINDS_SHA = (
-    "3317643dc44f4444da854847296ad39c1817790b3819cdbcf4c2b20512ddcd50"
+    "6bf10c4f2726bad5510011fcbf242acf28a278f973167f7ae092f0f476cbc4d9"
 )
+
+
+def _lookups(caches, before):
+    return {
+        region: (stats.hits - before[region][0],
+                 stats.misses - before[region][1])
+        for region, stats in caches.region_stats().items()
+    }
+
+
+def _counts(caches):
+    return {
+        region: (stats.hits, stats.misses)
+        for region, stats in caches.region_stats().items()
+    }
 
 
 def test_mal_read_and_write_effects_are_the_parents(parsed):
@@ -493,10 +509,14 @@ def test_mal_read_and_write_effects_are_the_parents(parsed):
     mal = MalStore(controller)
     mal.protect(ALICE, "record", b"initial state")
     controller.effects.drain()
+    before = _counts(controller.caches)
     assert mal.read(BOB, "record").ok
     assert controller.effects.drain() == MAL_READ_EFFECTS
+    assert _lookups(controller.caches, before) == MAL_READ_LOOKUPS
+    before = _counts(controller.caches)
     assert mal.write(BOB, "record", b"updated by bob").ok
     assert controller.effects.drain() == MAL_WRITE_EFFECTS
+    assert _lookups(controller.caches, before) == MAL_WRITE_LOOKUPS
     # Each log version was tokenised once, by the check that needed it.
     assert parsed == [
         controller.get(ALICE, "record.log", version=v).value for v in (1, 2)
