@@ -65,12 +65,13 @@ suite depends on but cannot easily assert:
 
 ``policy-stale-decision-cache``
     Every write to a policy *decision* cache (a ``.put(...)`` on a
-    receiver whose name mentions ``decision``) must carry the store
-    epoch and the policy identity explicitly — as keywords or as
-    identifiers in the key arguments.  A decision memoized without
-    them survives ``put``/``put_policy`` and keeps granting (or
-    denying) against state that no longer exists; the epoch/hash key
-    is what makes staleness structurally unreachable.
+    receiver whose name mentions ``decision``) must carry the policy
+    identity and the request shape explicitly — as keywords or as
+    identifiers in the key arguments.  A cached verdict is sound only
+    when its key holds everything the verdict read: the content hash
+    of the policy (a new text is a new key) and the policy's read-set
+    of the request.  A decision memoized without either is served to a
+    request, or under a policy, that would be decided differently.
 
 Suppression: ``# pesos: allow[rule-id]`` on the flagged line or the
 line above (see :mod:`repro.analysis.findings`).
@@ -376,7 +377,7 @@ class _Visitor(ast.NodeVisitor):
         mentioned.update(kw.arg.lower() for kw in node.keywords if kw.arg)
         missing = [
             part
-            for part in ("epoch", "policy")
+            for part in ("policy", "shape")
             if not any(part in name for name in mentioned)
         ]
         if missing:
@@ -384,9 +385,9 @@ class _Visitor(ast.NodeVisitor):
                 "policy-stale-decision-cache",
                 node,
                 "decision-cache write without an explicit "
-                f"{'/'.join(missing)} key: a memoized verdict outlives "
-                "put/put_policy and grants against state that no longer "
-                "exists; key the entry by (policy hash, epoch)",
+                f"{'/'.join(missing)} key: a memoized verdict is served "
+                "to requests its policy would decide differently; key "
+                "the entry by (policy hash, operation, request shape)",
             )
 
     # -- telemetry labels --------------------------------------------------

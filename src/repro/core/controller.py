@@ -473,12 +473,6 @@ class PesosController:
             lambda: len(self.sessions),
         )
         derived(
-            "pesos_enclave_cache_bytes",
-            "gauge",
-            "Total bytes held across enclave cache regions.",
-            lambda: self.caches.memory_in_use(),
-        )
-        derived(
             "pesos_async_results_discarded_total",
             "counter",
             "Async result-buffer evictions, by entry state at "
@@ -739,10 +733,6 @@ class PesosController:
         meta, bound_policy_id, bound_hash = granted
         meta.policy_id = bound_policy_id
         self.store.store_version(meta, request.value, bound_hash)
-        # Store state changed: decisions cached under the old epoch
-        # (none of which read object state, but the epoch is the
-        # blanket invariant) become unreachable.
-        self.policy_engine.advance_epoch()
         self.caches.put_meta(request.key, meta)
         self.caches.put_object(
             f"{request.key}@{meta.current_version}", request.value
@@ -810,16 +800,16 @@ class PesosController:
         ``key@version`` line per visible record.
 
         A policy that reads nothing of the object is evaluated for the
-        first record it governs, and while the epoch stands that verdict
-        serves the later ones: each still resolved, audited and counted.
+        first record it governs, and that verdict serves the later
+        records bound to the same policy id: each still resolved,
+        audited and counted.
         """
         count = min(request.scan_count, MAX_SCAN_COUNT)
         # Per-record caller: the request minus what describes the range.
         caller = replace(request, log_key="", version=None)
         lines: list[str] = []
         denied = 0
-        decisions = self.policy_engine.decisions
-        #: (policy id, epoch) -> (policy hash, verdict), this request's
+        #: policy id -> (policy hash, verdict), this request's
         verdicts: dict = {}
         # Read once per scan, not once per record.
         cached_meta = self.caches.get_meta
@@ -833,8 +823,7 @@ class PesosController:
                 # seeding listing picked up.
                 continue
             if enforce and meta.policy_id:
-                memo = meta.policy_id, decisions.epoch
-                verdict = verdicts.get(memo)
+                verdict = verdicts.get(meta.policy_id)
                 if verdict is None:
                     policy = self._governing_policy(meta.policy_id)
                     ctx = self._build_context(
@@ -844,7 +833,7 @@ class PesosController:
                         "read", policy, ctx
                     )
                     if compiled_form(policy).object_blind:
-                        verdicts[memo] = verdict
+                        verdicts[meta.policy_id] = verdict
                 if not self._settle(*verdict, session.fingerprint, key, now):
                     denied += 1
                     continue
@@ -883,7 +872,6 @@ class PesosController:
             "delete", request.key, request, session, now
         )
         self.store.delete_object(meta)
-        self.policy_engine.advance_epoch()
         self.caches.invalidate_meta(request.key)
         for version in meta.versions:
             self.caches.invalidate_object(f"{request.key}@{version}")
@@ -957,9 +945,7 @@ class PesosController:
         policy_id = self.store.write_policy(policy.to_bytes())
         self.caches.put_policy(policy_id, policy)
         # Ids are content hashes, so no cached decision can alias the
-        # new text; the epoch still moves on every mutation, so cache
-        # safety never rests on that argument.
-        self.policy_engine.advance_epoch()
+        # new text: nothing to invalidate.
         return Response(status=200, policy_id=policy_id)
 
     def _handle_get_policy(

@@ -22,15 +22,16 @@ policy is denied (deny by default).
 
 ``DecisionCache``
     Memoizes decisions keyed by ``(policy_hash, operation, request
-    shape, epoch)``; the shape is the policy's read-set
-    (:meth:`FastPolicy.request_shape`).  The epoch advances on every
-    mutation the controller applies, and entries carry a ``valid_until``
-    derived from the certificate validity windows and the policy's
-    freshness constants, so time-based release never serves a stale
-    verdict.  Only decisions for policies that never read object state
-    are cached (their outcome is a pure function of the request shape);
-    object predicates always re-evaluate so their cache/store access
-    pattern — which the effects ledger records — is unchanged.
+    shape)``; the shape is the policy's read-set
+    (:meth:`FastPolicy.request_shape`).  Only decisions for policies
+    that never read object state are cached, so a verdict is a pure
+    function of its key: policy ids are content hashes, nothing the
+    store holds is in the read-set, and entries carry a
+    ``valid_until`` derived from the certificate validity windows and
+    the policy's freshness constants, so time-based release never
+    serves a stale verdict.  Object predicates always re-evaluate so
+    their cache/store access pattern — which the effects ledger
+    records — is unchanged.
 
 ``tests/policy/reference_interpreter.py`` keeps the tree-walking
 evaluator as the differential oracle; nothing here imports it.
@@ -358,7 +359,7 @@ class FastPolicy:
         validity window bounds and the freshness cutoffs
         ``not_before + window``.  The nearest such boundary strictly
         after ``ctx.now`` caps the cache entry; ``None`` means the
-        decision is time-invariant (within its epoch).
+        decision is time-invariant.
         """
         if not self.uses_certificates or not ctx.certificates:
             return None
@@ -445,39 +446,33 @@ class DecisionCacheStats:
     hits: int = 0
     misses: int = 0
     expired: int = 0
+    #: Always 0: nothing clears the cache wholesale.  The wall-clock
+    #: harness still reports it.
     epoch_advances: int = 0
 
 
 class DecisionCache:
     """Bounded LRU of policy decisions.
 
-    Keys are ``(policy_hash, operation, shape, epoch)``.  The epoch is
-    part of the key *and* entries are dropped eagerly when it advances,
-    so a stale verdict is unreachable by construction even if a caller
-    mishandles invalidation.  ``put`` refuses writes stamped with an
-    old epoch (a check that ran before a concurrent mutation advanced
-    the world must not re-poison the cache).
+    Keys are ``(policy_hash, operation, shape)``: everything a
+    cacheable verdict reads, so no store mutation can make an entry
+    stale, and an entry is dropped only by LRU bound or by its
+    ``valid_until``.
     """
 
     def __init__(self, max_entries: int = 4096):
         self.max_entries = max(1, int(max_entries))
         #: key -> (decision, valid_until), least recently used first
         self._entries: OrderedDict = OrderedDict()
-        self.epoch = 0
         self.stats = DecisionCacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def advance_epoch(self) -> None:
-        self.epoch += 1
-        self.stats.epoch_advances += 1
-        self._entries.clear()
-
     def get(
         self, policy_hash: str, operation: str, shape, *, now: float
     ) -> Decision | None:
-        key = (policy_hash, operation, shape, self.epoch)
+        key = (policy_hash, operation, shape)
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -499,13 +494,10 @@ class DecisionCache:
         operation: str,
         shape,
         *,
-        epoch: int,
         decision: Decision,
         valid_until: float | None = None,
     ) -> None:
-        if epoch != self.epoch:
-            return
-        key = (policy_hash, operation, shape, epoch)
+        key = (policy_hash, operation, shape)
         self._entries[key] = (decision, valid_until)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
@@ -540,11 +532,7 @@ class PolicyEngine:
             policy_hash,
             operation,
             shape,
-            epoch=self.decisions.epoch,
             decision=decision,
             valid_until=fast.valid_until(ctx),
         )
         return decision
-
-    def advance_epoch(self) -> None:
-        self.decisions.advance_epoch()

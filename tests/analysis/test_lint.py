@@ -303,20 +303,20 @@ def test_non_client_get_is_not_a_drive_read():
 
 # -- policy-stale-decision-cache ---------------------------------------------
 
-def test_decision_cache_write_without_epoch_flagged():
+def test_decision_cache_write_without_policy_or_shape_flagged():
     source = "self.decisions.put(key, value)\n"
     assert rules(source) == ["policy-stale-decision-cache"]
 
 
-def test_decision_cache_write_missing_only_epoch_flagged():
-    source = "cache.decision_cache.put(policy_hash, op, shape, d)\n"
+def test_decision_cache_write_missing_only_shape_flagged():
+    source = "cache.decision_cache.put(policy_hash, op, key, d)\n"
     assert rules(source) == ["policy-stale-decision-cache"]
 
 
-def test_decision_cache_write_with_epoch_and_policy_is_fine():
+def test_decision_cache_write_with_policy_and_shape_is_fine():
     source = (
-        "self.decisions.put(policy_hash, op, shape, "
-        "epoch=self.decisions.epoch, decision=d)\n"
+        "self.decisions.put(policy_hash, op, shape, decision=d, "
+        "valid_until=until)\n"
     )
     assert rules(source) == []
 

@@ -10,12 +10,10 @@ parameter do not quietly gain one.
 """
 
 import ast
-import dataclasses
 import inspect
 from pathlib import Path
 
 import repro
-from repro.core.controller import ControllerConfig
 from repro.core.engine import ConcurrentEngine
 from repro.core.txn import VllManager
 from repro.kinetic.client import KineticClient
@@ -83,7 +81,6 @@ def _parameters(function) -> list[str]:
 
 
 def test_constructors_only_lost_parameters():
-    assert len(dataclasses.fields(ControllerConfig)) == 11
     assert _parameters(VllManager.__init__) == [
         "self", "executor", "telemetry",
     ]

@@ -3,14 +3,15 @@
 Compiled closures and cached decisions must be invisible everywhere
 except throughput: responses, denial mapping, and the tamper-evident
 audit chain are byte-identical to what the tree-walking interpreter
-produced before it left ``src/`` (pinned below), and mutations
-invalidate cached decisions before the next check can observe stale
-state.
+produced before it left ``src/`` (pinned below).  A cached decision
+is keyed by everything its policy reads, so mutations leave it
+standing and a policy swap never serves a stale verdict.
 """
 
 from repro.core.controller import ControllerConfig, PesosController
 from repro.core.request import Request, build_http_request, parse_http_response
 from repro.core.webserver import WebServer
+from repro.policy.compiled import compiled_form
 from tests.core.conftest import ADMIN, ALICE, BOB, make_clients
 from tests.enclave import boot
 
@@ -99,21 +100,57 @@ def test_repeat_reads_hit_the_decision_cache():
     assert stats.hits >= 3
 
 
-def test_mutations_advance_the_decision_epoch():
+def test_a_cached_grant_survives_a_put_and_a_delete():
+    """An ACL reads the session key and nothing the store holds, so a
+    write or a delete leaves its cached verdicts standing: the checks
+    after them are all hits."""
     controller = _controller()
     acl = controller.put_policy(
         ALICE,
         f"read :- sessionKeyIs(k'{ALICE}')\n"
-        f"update :- sessionKeyIs(k'{ALICE}')",
+        f"update :- sessionKeyIs(k'{ALICE}')\n"
+        f"delete :- sessionKeyIs(k'{ALICE}')",
     ).policy_id
-    epoch0 = controller.policy_engine.decisions.epoch
-    controller.put(ALICE, "doc", b"v0", policy_id=acl)
-    assert controller.policy_engine.decisions.epoch > epoch0
-    controller.get(ALICE, "doc")
-    before = controller.policy_engine.decisions.epoch
-    controller.put(ALICE, "doc", b"v1")
-    assert controller.policy_engine.decisions.epoch > before
-    assert len(controller.policy_engine.decisions) == 0
+    assert controller.put(ALICE, "doc", b"v0", policy_id=acl).ok
+    assert controller.put(ALICE, "spare", b"v0", policy_id=acl).ok
+    assert controller.get(ALICE, "doc").ok
+    assert controller.delete(ALICE, "spare").ok
+    stats = controller.policy_engine.decisions.stats
+    hits, misses = stats.hits, stats.misses
+    assert controller.put(ALICE, "doc", b"v1").ok
+    assert controller.get(ALICE, "doc").value == b"v1"
+    assert controller.put(ALICE, "spare", b"v1", policy_id=acl).ok
+    assert controller.delete(ALICE, "spare").ok
+    assert controller.get(ALICE, "doc").ok
+    assert (stats.hits - hits, stats.misses - misses) == (5, 0)
+    assert len(controller.policy_engine.decisions) == 3
+
+
+def test_a_create_only_policy_is_decided_by_whether_the_key_exists():
+    """``objId(this, NULL)`` holds only for a key with no live record.
+    The verdict is cacheable, and the shape keeps ``this`` (``None``
+    for a create, the key otherwise), so a cached grant of the first
+    put never serves the second, and a put after a delete is a create
+    again."""
+    controller = _controller()
+    create_only = controller.put_policy(
+        ALICE,
+        f"update :- objId(this, NULL) /\\ sessionKeyIs(k'{ALICE}')\n"
+        f"delete :- sessionKeyIs(k'{ALICE}')",
+    ).policy_id
+    policy = controller.caches.get_policy(create_only)
+    assert compiled_form(policy).cacheable
+    for _round in range(2):
+        assert controller.put(
+            ALICE, "once", b"v0", policy_id=create_only
+        ).ok
+        again = controller.put(ALICE, "once", b"v1")
+        assert again.status == 403
+        assert again.error == "policy denies update on once"
+        assert controller.delete(ALICE, "once").ok
+    # The second round was decided from the cache alone.
+    stats = controller.policy_engine.decisions.stats
+    assert (stats.hits, stats.misses) == (3, 3)
 
 
 def test_policy_swap_is_never_served_stale():
@@ -192,7 +229,7 @@ def test_handle_batch_answers_like_sequential_handle_bytes():
 
     assert decisions(log) == decisions(seq_log)
     assert log.head == _PREWARMED_BATCH_AUDIT_HEAD
-    # Each cacheable shape is evaluated once per epoch either way.
+    # Each cacheable shape is evaluated once either way.
     assert (stats.hits, stats.misses) == (seq_stats.hits, seq_stats.misses)
 
 

@@ -145,12 +145,12 @@ def test_scan_over_one_acl_evaluates_once_per_caller(controller):
     """An ACL reads the session key and nothing else of the request, so
     its verdict is keyed by the caller: a 100-record scan settles 100
     records (each is still resolved, counted, and audited when auditing
-    is on) from one evaluation per caller per epoch, asks the decision
-    cache once per (scan, policy), and the cache holds callers x
-    policies entries, not one per record per caller."""
+    is on) from one evaluation per caller, asks the decision cache once
+    per (scan, policy), and the cache holds callers x policies entries,
+    not one per record per caller."""
     keys = _load(controller, 100, "rec", _acl(controller, ALICE, BOB))
     decisions = controller.policy_engine.decisions
-    assert len(decisions) == 0  # the last PUT advanced the epoch
+    entries = len(decisions)
     before = (decisions.stats.hits, decisions.stats.misses)
     callers = (ALICE, BOB, "fp-mallory")
     for _round in range(2):
@@ -160,37 +160,46 @@ def test_scan_over_one_acl_evaluates_once_per_caller(controller):
             assert response.extra == {
                 "scanned": visible, "denied": 100 - visible,
             }
-    assert len(decisions) == len(callers)  # x 1 policy
+    assert len(decisions) - entries == len(callers)  # x 1 policy
     assert decisions.stats.misses - before[1] == len(callers)
     assert decisions.stats.hits - before[0] == 6 - len(callers)
-    # A new epoch costs the same again, no more.
+    # A write reads no new shape and clears nothing: the next scan is
+    # a hit too.
     assert controller.put(ALICE, keys[0], b"w").ok
     assert _scan(controller, BOB, keys[0], 100).extra["scanned"] == 100
-    assert len(decisions) == 1
-    assert decisions.stats.misses - before[1] == len(callers) + 2  # PUT, BOB
+    assert len(decisions) - entries == len(callers)
+    assert decisions.stats.misses - before[1] == len(callers)
+    assert decisions.stats.hits - before[0] == 6 - len(callers) + 2
 
 
-def test_scan_reevaluates_when_the_epoch_moves_between_records(
+def test_scan_decides_a_record_under_the_policy_it_is_bound_to_now(
     controller, monkeypatch
 ):
-    """The verdict is a local of the request and of the epoch it was
-    reached in: a mutation interleaved under the engine drops it."""
-    keys = _load(controller, 6, "rec", _acl(controller, ALICE))
+    """The verdict is memoized by policy id: a record whose binding
+    changes while the scan runs is decided under its new policy."""
+    shared = _acl(controller, ALICE, BOB)
+    private = _acl(controller, ALICE)
+    keys = _load(controller, 6, "rec", shared)
     evaluated = _record_evaluations(controller, monkeypatch)
-    assert _scan(controller, ALICE, keys[0], 6).extra["scanned"] == 6
+    assert _scan(controller, BOB, keys[0], 6).extra["scanned"] == 6
     assert evaluated == keys[:1]
     get_meta = controller.caches.get_meta  # the loop's per-record seam
 
-    def interleaved_put(key):
-        if key == keys[3]:
-            controller.policy_engine.advance_epoch()
+    rebind = [keys[3]]
+
+    def interleaved_rebind(key):
+        if key in rebind:  # once: the put reads the same seam
+            rebind.remove(key)
+            checks = len(evaluated)
+            assert controller.put(ALICE, key, b"w", policy_id=private).ok
+            del evaluated[checks:]  # the put's own update checks
         return get_meta(key)
 
-    monkeypatch.setattr(controller.caches, "get_meta", interleaved_put)
+    monkeypatch.setattr(controller.caches, "get_meta", interleaved_rebind)
     evaluated.clear()
-    assert _scan(controller, BOB, keys[0], 6).extra == {
-        "scanned": 0, "denied": 6,
-    }
+    response = _scan(controller, BOB, keys[0], 6)
+    assert response.extra == {"scanned": 5, "denied": 1}
+    assert keys[3] not in {line.split("@")[0] for line in _lines(response)}
     assert evaluated == [keys[0], keys[3]]
 
 
@@ -315,6 +324,7 @@ def test_scan_over_two_policies_counts_each_record_under_its_own(controller):
         assert controller.put(
             ALICE, f"mix{index:04d}", b"v", policy_id=policy_id
         ).ok
+    entries = len(controller.policy_engine.decisions)
     private = [f"mix{i:04d}" for i in range(20) if i % 3 == 0]
     response = _scan(controller, BOB, "mix0000", 20)
     assert len(private) == 7
@@ -325,7 +335,7 @@ def test_scan_over_two_policies_counts_each_record_under_its_own(controller):
         "scanned": 20, "denied": 0,
     }
     # Two callers x two policies, whatever the order of the records.
-    assert len(controller.policy_engine.decisions) == 4
+    assert len(controller.policy_engine.decisions) - entries == 4
 
 
 def test_scan_decides_a_policy_that_reads_this_per_key(controller):
@@ -338,11 +348,12 @@ def test_scan_decides_a_policy_that_reads_this_per_key(controller):
         f"update :- sessionKeyIs(k'{ALICE}')",
     ).policy_id
     keys = _load(controller, 8, "pub", by_name)
+    entries = len(controller.policy_engine.decisions)
     for _again in range(2):  # cold, then from the cache
         response = _scan(controller, BOB, keys[0], 8)
         assert response.extra == {"scanned": 2, "denied": 6}
         assert _lines(response) == ["pub0002@0", "pub0005@0"]
-    assert len(controller.policy_engine.decisions) == len(keys)
+    assert len(controller.policy_engine.decisions) - entries == len(keys)
     assert controller.get(BOB, "pub0005").ok
     assert controller.get(BOB, "pub0004").status == 403
 

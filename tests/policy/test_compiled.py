@@ -127,9 +127,7 @@ def test_cache_round_trip_and_copy_isolation():
     view, and the dict it was built from is not the dict it keeps."""
     cache = DecisionCache(max_entries=8)
     given = {"K": PubKeyValue(ALICE)}
-    cache.put(
-        "p1", "read", "shape", epoch=0, decision=_decision(bindings=given)
-    )
+    cache.put("p1", "read", "shape", decision=_decision(bindings=given))
     given["K"] = PubKeyValue(BOB)  # the constructor's argument, afterwards
     out = cache.get("p1", "read", "shape", now=1.0)
     assert out is not None and out.granted
@@ -160,31 +158,9 @@ def test_evaluated_decisions_are_immutable_too():
         decision.matched_clause = 7
 
 
-def test_epoch_advance_makes_old_entries_unreachable():
-    cache = DecisionCache()
-    cache.put("p1", "read", "shape", epoch=0, decision=_decision())
-    cache.advance_epoch()
-    assert cache.get("p1", "read", "shape", now=0.0) is None
-    assert len(cache) == 0
-    assert cache.stats.epoch_advances == 1
-
-
-def test_put_refuses_stale_epoch_writes():
-    cache = DecisionCache()
-    epoch_before = cache.epoch
-    cache.advance_epoch()
-    cache.put(
-        "p1", "read", "shape", epoch=epoch_before, decision=_decision()
-    )
-    assert len(cache) == 0
-    assert cache.get("p1", "read", "shape", now=0.0) is None
-
-
 def test_time_bounded_entries_expire():
     cache = DecisionCache()
-    cache.put(
-        "p1", "read", "s", epoch=0, decision=_decision(), valid_until=100.0
-    )
+    cache.put("p1", "read", "s", decision=_decision(), valid_until=100.0)
     assert cache.get("p1", "read", "s", now=99.9) is not None
     assert cache.get("p1", "read", "s", now=100.0) is None
     assert cache.stats.expired == 1
@@ -194,10 +170,10 @@ def test_time_bounded_entries_expire():
 
 def test_lru_bound_evicts_oldest():
     cache = DecisionCache(max_entries=2)
-    cache.put("p", "read", "a", epoch=0, decision=_decision())
-    cache.put("p", "read", "b", epoch=0, decision=_decision())
+    cache.put("p", "read", "a", decision=_decision())
+    cache.put("p", "read", "b", decision=_decision())
     assert cache.get("p", "read", "a", now=0.0) is not None  # refresh a
-    cache.put("p", "read", "c", epoch=0, decision=_decision())
+    cache.put("p", "read", "c", decision=_decision())
     assert len(cache) == 2
     assert cache.get("p", "read", "b", now=0.0) is None
     assert cache.get("p", "read", "a", now=0.0) is not None

@@ -6,9 +6,9 @@ Four families:
   context, the closures produce a Decision identical field-by-field
   to the reference :class:`PolicyInterpreter`'s (the harness supplies
   the corpus-shaped random contexts);
-* cache soundness — an epoch advance (what ``put_policy`` and every
-  other mutation apply) must never let the engine serve a stale grant
-  or denial;
+* cache soundness — replacing a policy (a new content hash;
+  ``put_policy`` touches no cached decision) must never let the engine
+  serve a stale grant or denial;
 * fact lookup — ``objSays`` answers a pattern with nothing to bind by
   set membership and any other by the ordered scan, and both equal the
   ordered ``unify_tuple`` scan (``POLICY_SEED`` moves the examples);
@@ -117,42 +117,20 @@ def test_corpus_differential_holds_for_any_seed(seed):
 )
 def test_put_policy_never_serves_stale_decisions(first, second, probes):
     """Replace the active policy the way the controller does on
-    put_policy (an epoch advance): every later decision must
-    reflect the new policy, cached history notwithstanding."""
+    put_policy (a new content hash, nothing invalidated): every later
+    decision must reflect the new policy, cached history
+    notwithstanding."""
     engine = PolicyEngine()
     active = compile_policy(_acl_source(first))
     for probe in probes:
         ctx = EvalContext(operation="read", session_key=probe)
         granted = engine.evaluate(active, "read", ctx).granted
         assert granted == (probe in first)
-    engine.advance_epoch()
     active = compile_policy(_acl_source(second))
     for probe in probes:
         ctx = EvalContext(operation="read", session_key=probe)
         granted = engine.evaluate(active, "read", ctx).granted
         assert granted == (probe in second)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    readers=st.lists(_fingerprints, min_size=1, max_size=3, unique=True),
-    advances=st.integers(min_value=1, max_value=3),
-)
-def test_epoch_advance_forces_re_evaluation(readers, advances):
-    """After any number of epoch advances nothing cached before is
-    reachable — the next evaluation is a genuine miss, so a decision
-    that depended on mutated world state cannot be replayed."""
-    engine = PolicyEngine()
-    policy = compile_policy(_acl_source(readers))
-    ctx = EvalContext(operation="read", session_key=readers[0])
-    assert engine.evaluate(policy, "read", ctx).granted
-    hits_before = engine.decisions.stats.hits
-    for _ in range(advances):
-        engine.advance_epoch()
-    assert len(engine.decisions) == 0
-    assert engine.evaluate(policy, "read", ctx).granted
-    assert engine.decisions.stats.hits == hits_before
-    assert engine.decisions.stats.misses >= 2
 
 
 # -- objSays: lookup for ground patterns, ordered scan for the rest --------
@@ -328,7 +306,7 @@ _READ_SET_CASE = dict(
 def test_one_engine_answers_every_request_as_a_fresh_evaluation(
     read, update, requests
 ):
-    """ONE engine, no epoch advance, a sequence of requests that differ
+    """ONE engine, a sequence of requests that differ
     in session key, ``this_id`` (None included), ``log_id``, request
     version and pending write: whatever the cache remembers, each answer
     equals a fresh ``fast.evaluate`` and the reference interpreter field
