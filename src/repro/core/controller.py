@@ -255,6 +255,9 @@ class PesosController:
             self.freshness.bootstrap(self.store)
             if not self.freshness.forked:
                 self.store.freshness = self.freshness
+        else:
+            # Bootstrap's listing, no tree: the directory answers "absent".
+            self.store._list()
         #: Public keys of external authorities (time servers, group
         #: CAs) by fingerprint, available to certificateSays.
         self.authority_keys = dict(authority_keys or {})
@@ -818,9 +821,9 @@ class PesosController:
         for key in self.store.scan_keys(request.key, count):
             meta = cached_meta(key) or self._load_meta(key)
             if meta is None or meta.current_version < 0:
-                # Listed, but no record serves: one only some replicas
-                # gained, a delete that missed a replica, or a key the
-                # seeding listing picked up.
+                # Listed, but no record serves: a key the seeding
+                # listing found that the rebuild could not read, or
+                # that the replicas holding it have since lost.
                 continue
             if enforce and meta.policy_id:
                 verdict = verdicts.get(meta.policy_id)

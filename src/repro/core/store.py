@@ -322,8 +322,8 @@ class ObjectStore:
         #: prove absence, enough records hold the newest.
         self.read_quorum = effective_replicas - self.write_quorum + 1
         #: The directory: every object key, sorted, in enclave memory
-        #: (~73 B a key).  A fleet listing seeds it (:meth:`_list`),
-        #: :meth:`_file` keeps it; None until seeded.
+        #: (~73 B a key).  Every boot's listing seeds it (:meth:`_list`),
+        #: :meth:`_file` keeps it; None until one covers every placement.
         self.directory: list[str] | None = None
         self.health = HealthTracker(
             len(clients),
@@ -672,15 +672,14 @@ class ObjectStore:
         found" never ends the walk on its own: a replica that lost its
         ``m/`` record (a reseed that failed, a create some replicas
         missed) answers it for an object another replica holds, so at
-        ``read_quorum`` 1 that reply would hide the object, and a key
-        no replica holds costs a GET per replica.  When failures leave
-        fewer than ``walk.quorum`` such replies, it serves the newest
-        *reachable* record — whoever relaxed the write quorum chose
-        availability — and the key stays journaled.  This is the rule
-        that trusts replica version numbers; the pinned rule replaces it
-        when freshness is on.  Without ``repair`` the read re-seeds,
-        journals and files nothing: the bootstrap rebuild must not write
-        to a fleet it may yet refuse.
+        ``read_quorum`` 1 that reply would hide the object.  When
+        failures leave fewer than ``walk.quorum`` such replies, it
+        serves the newest *reachable* record — whoever relaxed the
+        write quorum chose availability — and the key stays journaled.
+        This is the rule that trusts replica version numbers; the
+        pinned rule replaces it when freshness is on.  Without
+        ``repair`` the read re-seeds and journals nothing: the
+        bootstrap rebuild must not write to a fleet it may yet refuse.
         """
         walk = _Walk(self, key)
         found = []  # (replica, record, its sealed blob) per record read
@@ -707,9 +706,6 @@ class ObjectStore:
             if meta.current_version < newest.current_version:
                 self._reject_stale(walk, index, key)
         self._served(walk, KIND_OBJECT, key, disk_key, blob)
-        # A write refused below quorum that some replica kept is served
-        # here, so scans list it too.
-        self._file(key, live=True)
         return newest
 
     # -- replica writes ----------------------------------------------------
@@ -880,7 +876,7 @@ class ObjectStore:
         the union over all drives of the ``m/`` key ranges.  Offline
         and breaker-open drives are skipped — whether the missing
         coverage matters is decided by the root comparison, not here.
-        The same listing seeds the directory (:meth:`_list`).
+        It is the boot's one listing, and seeds the directory (:meth:`_list`).
         """
         return list(map(object_label, self._list()))
 
@@ -889,13 +885,12 @@ class ObjectStore:
 
         The YCSB-E range scan reads no drive.  The controller is the
         fleet's only writer (§3.1), so after seeding the directory
-        changes only with its own writes and reads (:meth:`_file`):
+        changes only with its own acknowledged writes (:meth:`_file`):
         no replica can hide a key from a scan, or add one that a GET
-        would not find.  If
-        bootstrap did not seed it, the first scan lists the ``m/``
-        ranges to do so, and answers 503 while the drives that answer
-        cannot.  While the drives whose breakers let a request through
-        cannot cover the fleet, a scan answers 503 without asking any.
+        would not find.  After a boot whose listing did not cover the
+        fleet, the first scan lists it, answering 503 while the drives
+        that answer cannot, or without asking any while the drives
+        whose breakers let a request through cannot cover it.
         """
         if count < 1:
             return []
@@ -918,15 +913,20 @@ class ObjectStore:
         at = bisect_left(keys, start_key)
         return keys[at:at + count]
 
+    def _filed(self, key: str) -> tuple[int, bool]:
+        """``key``'s slot in the seeded directory, and whether it is there."""
+        keys = self.directory
+        at = bisect_left(keys, key)
+        return at, at < len(keys) and keys[at] == key
+
     def _file(self, key: str, live: bool) -> None:
         """Bring the directory in step with a record of ``key`` that
-        the store acknowledged writing or served (``live``), or with a
-        delete of it: a scan lists what a GET would find."""
+        the store acknowledged writing (``live``), or with a delete of
+        it: a scan lists what a GET would find."""
         keys = self.directory
         if keys is None:
             return
-        at = bisect_left(keys, key)
-        held = at < len(keys) and keys[at] == key
+        at, held = self._filed(key)
         if live and not held:
             keys.insert(at, key)
         elif held and not live:
@@ -1043,12 +1043,16 @@ class ObjectStore:
         When a freshness authority is active, a replica's record must
         hash to the leaf the pinned Merkle tree holds for the key
         (:meth:`_read_pinned`); otherwise the newest of a quorum serves
-        (:meth:`_read_newest`).
+        (:meth:`_read_newest`).  A key the enclave does not hold (no
+        leaf in the tree, not in the seeded directory) is absent with no
+        drive I/O; one it holds is still walked.
         """
         disk_key, aad = self._meta_record(key)
         if self._verifying():
             plain = self._read_pinned(key, disk_key, aad)
             return None if plain is None else StoredMeta.decode(plain)
+        if self.directory is not None and not self._filed(key)[1]:
+            return None
         return self._read_newest(key, disk_key, aad)
 
     def write_meta(self, meta: StoredMeta) -> None:

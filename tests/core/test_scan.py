@@ -479,39 +479,43 @@ def test_scan_replicated_store_deduplicates(replicated_controller):
 def test_a_key_that_is_not_utf8_is_skipped_and_counted(clients, cluster):
     """One drive holding an ``m/`` key that does not decode must not
     break the listing: the key names no object, so it is counted as a
-    corrupt reply and left out.  Freshness off, explicitly: only then
-    does a scan list the fleet (a boot's listing is
+    corrupt reply and left out.  Freshness off, explicitly; the key is
+    planted before the controller boots, because the boot's listing is
+    the one that seeds the directory (the freshness-on twin is
     ``test_restart_over_a_key_that_is_not_utf8_boots_and_scans``)."""
+    keys = _load(_freshness_off(clients, replication_factor=3), 5, "k")
+    cluster.drive(1)._entries_put_raw(b"m/k0002\xff", b"junk", b"1")
     controller = _freshness_off(
         clients, telemetry=Telemetry(), replication_factor=3
     )
-    keys = _load(controller, 5, "k")
-    cluster.drive(1)._entries_put_raw(b"m/k0002\xff", b"junk", b"1")
     store = controller.store
-    store._m_replica_failures.reset()
+    assert store._m_replica_failures.series()[("corrupt",)] == 1
+    assert store.directory == keys
     response = _scan(controller, ALICE, keys[0], 10)
     assert response.ok, response.error
     assert [line.split("@")[0] for line in _lines(response)] == keys
-    assert store._m_replica_failures.series()[("corrupt",)] == 1
 
 
 @pytest.mark.parametrize("breakers_open", [False, True])
 def test_a_scan_no_drive_answered_is_a_503(clients, cluster, breakers_open):
-    """Before anything listed the fleet, a scan whose listing no drive
-    answers has no keys to vouch for: 503, as an uncached GET answers,
-    not 200 with nothing scanned — whether the drives were asked or
-    their breakers were already open.  While the breakers stay open,
-    repeated scans answer 503 without sending a drive a range read; the
-    first scan after the cooldown probes the fleet and lists it.
-    Freshness off, explicitly: with it on, the boot's listing seeds the
+    """When no drive answered the boot's listing, a scan whose listing
+    no drive answers either has no keys to vouch for: 503, as an
+    uncached GET answers, not 200 with nothing scanned — whether the
+    drives were asked or their breakers were already open.  While the
+    breakers stay open, repeated scans answer 503 without sending a
+    drive a range read; the first scan after the cooldown probes the
+    fleet and lists it.  Freshness off, explicitly, and the drives fail
+    before the controller boots: otherwise the boot's listing seeds the
     directory and no scan lists."""
-    controller = _freshness_off(clients, replication_factor=3)
-    store = controller.store
-    keys = _load(controller, 5)
+    keys = _load(_freshness_off(clients, replication_factor=3), 5)
     for drive in cluster.drives:
         drive.fail()
+    controller = _freshness_off(clients, replication_factor=3)
+    store = controller.store
+    assert store.directory is None
     if breakers_open:
-        for _trip in range(3):
+        # The boot's listing was each drive's first failure.
+        for _trip in range(2):
             with pytest.raises(DriveOffline):
                 store.read_meta(keys[0])
         assert not any(map(store.health.due, range(3)))
@@ -526,7 +530,49 @@ def test_a_scan_no_drive_answered_is_a_503(clients, cluster, breakers_open):
         refused += 1
         assert refused < store.health.cooldown_ops
     assert response.ok, response.error
+    assert [line.split("@")[0] for line in _lines(response)] == keys
     assert refused == (store.health.cooldown_ops - 2 if breakers_open else 0)
+
+
+def test_a_freshness_off_create_asks_no_drive_whether_its_key_exists(
+    clients, cluster
+):
+    """The boot's listing seeded the directory, and only the
+    controller's own acknowledged writes change it (§3.1), so a key it
+    does not hold is absent: a create sends its RF commit frames and
+    no GET.  A key it holds is still walked."""
+    controller = _freshness_off(clients, replication_factor=3)
+    assert controller.store.directory == []
+    gets = sum(drive.stats.gets for drive in cluster.drives)
+    sent = sum(client.requests_sent for client in clients)
+    assert controller.put(ALICE, "fresh", b"v0").ok
+    assert sum(drive.stats.gets for drive in cluster.drives) == gets
+    assert sum(client.requests_sent for client in clients) - sent == 3
+    controller.caches.invalidate_meta("fresh")
+    assert controller.put(ALICE, "fresh", b"v1").version == 1
+    assert sum(drive.stats.gets for drive in cluster.drives) > gets
+
+
+def test_a_boot_whose_listing_cannot_cover_the_fleet_walks_every_read():
+    """A boot whose listing misses a placement leaves the directory
+    unseeded, so nothing answers "absent" for the drives: a key an
+    earlier controller wrote is read through the replica walk, and a
+    scan lists the fleet once the drives cover it again."""
+    clients, cluster = make_clients()
+    keys = _load(_freshness_off(clients), 6)
+    cluster.drive(0).fail()
+    controller = _freshness_off(clients)
+    assert controller.store.directory is None
+    for drive in cluster.drives:
+        drive.recover()
+    for key in keys:
+        response = controller.get(ALICE, key)
+        assert response.ok and response.value == f"v-{key}".encode()
+    assert controller.store.directory is None
+    assert [line.split("@")[0] for line in _lines(
+        _scan(controller, ALICE, keys[0], 10)
+    )] == keys
+    assert controller.store.directory == keys
 
 
 def _refuse_writes(client, op, args, kwargs):
@@ -583,31 +629,36 @@ def test_a_seeded_directory_answers_scans_and_follows_acked_writes():
 
 @pytest.mark.parametrize("then", ["put", "get"])
 def test_a_refused_create_a_replica_kept_is_listed_once_served(then):
-    """With freshness off, explicitly, a create refused below quorum
-    that reached one replica stays there, and a quorum read serves it.
-    Once a GET serves that record, or a PUT of the same key is
-    acknowledged as its next version, scans list the key: a scan lists
-    what a GET finds.  (With freshness on the pinned tree holds no
-    leaf for the refused create, so a GET answers 404.)"""
-    clients, _cluster = make_clients()
-    controller = _freshness_off(
-        clients, replication_factor=3, write_quorum=2
-    )
-    keys = _load(controller, 5)
-    assert _scan(controller, ALICE, keys[0], 1).ok  # seeds
-    _primary, *others = placement("refused", 3, 3)
-    for index in others:
-        clients[index].interceptor = _refuse_writes
-    assert controller.put(ALICE, "refused", b"v0").status == 503
-    for client in clients:
-        client.interceptor = None
-    if then == "put":
-        response = controller.put(ALICE, "refused", b"v1")
-        assert response.ok and response.version == 1
-    else:
-        response = controller.get(ALICE, "refused")
-        assert response.ok and response.value == b"v0"
-    listed = _lines(_scan(controller, ALICE, keys[0], 10))
-    assert [line.split("@")[0] for line in listed] == sorted(
-        keys + ["refused"]
-    )
+    """A create refused below quorum that reached one replica stays
+    there, and no GET serves it: with freshness on the pinned tree
+    holds no leaf for it, and with freshness off the directory the
+    boot's listing seeded does not hold it.  A GET answers 404, a PUT
+    of the same key is a create at version 0, and scans list the key
+    from that PUT on: a scan lists what a GET finds."""
+    for freshness in (True, False):
+        clients, _cluster = make_clients()
+        config = dict(replication_factor=3, write_quorum=2)
+        controller = (
+            boot(
+                clients, storage_key=b"k" * 32,
+                config=controller_module.ControllerConfig(**config),
+            )
+            if freshness else _freshness_off(clients, **config)
+        )
+        keys = _load(controller, 5)
+        _primary, *others = placement("refused", 3, 3)
+        for index in others:
+            clients[index].interceptor = _refuse_writes
+        assert controller.put(ALICE, "refused", b"v0").status == 503
+        for client in clients:
+            client.interceptor = None
+        listed = keys
+        if then == "put":
+            response = controller.put(ALICE, "refused", b"v1")
+            assert response.ok and response.version == 0, freshness
+            assert controller.get(ALICE, "refused").value == b"v1"
+            listed = sorted(keys + ["refused"])
+        else:
+            assert controller.get(ALICE, "refused").status == 404, freshness
+        scanned = _lines(_scan(controller, ALICE, keys[0], 10))
+        assert [line.split("@")[0] for line in scanned] == listed, freshness

@@ -20,8 +20,12 @@ more when freshness shipped on: a create reads the ``m/`` record of a
 label the pinned tree does not hold from no drive (600 GETs fewer), and
 the bootstrap's listing of the empty fleet (one page a drive) seeds the
 directory the first scan listed (3 range reads fewer): 3 036 lines,
-1 800 commit frames as before.  With freshness off the script still
-sends the 3 639 above, and a second pin holds it to that.
+1 800 commit frames as before.  With freshness off the script sent
+the 3 639 above until the boot's listing seeded the directory in that
+mode too, and the directory answered for a key it does not hold: the
+600 creates' GETs and the first scan's 6 range reads went, the boot's
+3 range reads came (−603), and both modes now send the same 3 036
+lines.
 """
 
 import hashlib
@@ -46,11 +50,6 @@ DRIVE_OP_SEQUENCE_SHA256 = (
     "178e9572056dfe3986e4107f1ca3f3d8a568e9551e5665ef4fe7183fc11a7ceb"
 )
 DRIVE_OP_COUNT = 3036
-#: The same with freshness off: the sequence before freshness shipped on.
-FRESHNESS_OFF_SHA256 = (
-    "6441729eeee11e5d308181a04670f8639bbf563c3cd45448e20a7534373ab3d6"
-)
-FRESHNESS_OFF_COUNT = 3639
 
 
 def _scripted_run(freshness_enabled: bool = True) -> list[str]:
@@ -136,12 +135,13 @@ def test_failure_free_drive_op_sequence_is_the_recorded_one():
 
 def test_failure_free_drive_op_sequence_with_freshness_off_is_the_recorded_one():
     """Freshness off, explicitly: the newest-of-quorum path still ships
-    (``ControllerConfig(freshness_enabled=False)``), and its sequence
-    is the one recorded before freshness shipped on."""
+    (``ControllerConfig(freshness_enabled=False)``).  Failure-free, it
+    sends what the pinned path sends: no GET for a key the enclave does
+    not hold, and one boot listing."""
     ops = _scripted_run(freshness_enabled=False)
-    assert len(ops) == FRESHNESS_OFF_COUNT
+    assert len(ops) == DRIVE_OP_COUNT
     digest = hashlib.sha256("\n".join(ops).encode()).hexdigest()
-    assert digest == FRESHNESS_OFF_SHA256
+    assert digest == DRIVE_OP_SEQUENCE_SHA256
 
 
 def _source(module) -> str:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.controller import ControllerConfig
+from repro.core.controller import ControllerConfig, PesosController
 from repro.core.freshness import record_digest
 from repro.core.health import CLOSED, OPEN
 from repro.core.store import ObjectStore, StoredMeta, placement
@@ -214,6 +214,42 @@ def test_a_delete_a_replica_missed_is_refused():
     cluster.drive(dead).recover()
     response = controller.get(FP, "k")
     assert response.status == 200 and response.value == b"value"
+
+
+def test_a_delete_acknowledged_at_a_relaxed_quorum_revives_no_version():
+    """Freshness off, explicitly, RF 3 at ``write_quorum=2``: the first
+    replica is down while ``delete k`` is acknowledged, and comes back
+    holding versions 0-2.  The running controller's directory no
+    longer lists ``k``, so no GET walks to that replica: ``k`` is 404,
+    a recreate starts at version 0, versions 1-2 are 404, and a new
+    controller over the same clients serves none of the deleted bytes
+    (the recreate's frame replaced the stale ``m/`` record)."""
+    cluster = DriveCluster(num_drives=3)
+    clients = cluster.connect_all(
+        KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
+    )
+    config = ControllerConfig(
+        replication_factor=3, write_quorum=2, freshness_enabled=False
+    )
+    controller = PesosController(clients, b"d" * 32, config=config)
+    deleted = {b"old-0", b"old-1", b"old-2"}
+    for value in sorted(deleted):
+        assert controller.put(FP, "k", value).ok
+    first = placement("k", 3, 3)[0]
+    cluster.drive(first).fail()
+    assert controller.delete(FP, "k").ok
+    cluster.drive(first).recover()
+
+    assert controller.get(FP, "k").status == 404
+    response = controller.put(FP, "k", b"new")
+    assert response.ok and response.version == 0
+    for version in (1, 2):
+        assert controller.get(FP, "k", version=version).status == 404
+    restarted = PesosController(clients, b"d" * 32, config=config)
+    for version in (None, 0, 1, 2):
+        response = restarted.get(FP, "k", version=version)
+        assert response.value not in deleted, version
+    assert restarted.get(FP, "k").value == b"new"
 
 
 # -- controller degradation and the health surface -------------------------
