@@ -72,6 +72,27 @@ suite depends on but cannot easily assert:
     of the policy (a new text is a new key) and the policy's read-set
     of the request.  A decision memoized without either is served to a
     request, or under a policy, that would be decided differently.
+``core-url-parser``
+    No stdlib URL parser (``urlparse``/``urlsplit``/``parse_qs``/
+    ``parse_qsl``) in ``core/``: ``core/request.py::split_target`` is
+    the one reading of a request target, for clients and admins alike.
+``core-error-response``
+    A ``Response(...)`` built from an error's ``.status`` or from
+    ``str(...)`` appears only in ``core/request.py``
+    (``error_response``): one place maps a failure to a response.
+``crypto-per-call-hmac``
+    No ``hmac.digest``/``hmac.new`` in ``kinetic/`` or
+    ``crypto/aead.py``: every HMAC on a round trip is an
+    ``HmacSha256`` keyed once by whoever holds the secret.
+``det-timing-literal``
+    No float literal in (0, 1e-3) in the modules that keep or drive the
+    engine's clock: timing constants live in ``sgx/costs.py`` and
+    ``kinetic/timing.py``, and the engine derives its clock from them.
+``confined-call``
+    A name called from one module only (``_CONFINED``): a cost model is
+    built in ``sgx/costs.py``, lock acquisitions in ``core/`` are
+    reported by the lock table in ``core/txn.py``, and only the store
+    asks which metadata rule is in force (``_verifying``).
 
 Suppression: ``# pesos: allow[rule-id]`` on the flagged line or the
 line above (see :mod:`repro.analysis.findings`).
@@ -167,7 +188,22 @@ _NONCE_METHODS = {"seal", "encrypt"}
 
 #: Modules whose import aliases the visitor resolves, so
 #: ``import time as _time`` cannot dodge the rules.
-_TRACKED_MODULES = {"time", "datetime", "random", "socket", "subprocess", "os"}
+_TRACKED_MODULES = {"time", "datetime", "random", "socket", "subprocess", "os", "hmac", "urllib"}
+
+_URL_PARSERS = {"urlparse", "urlsplit", "parse_qs", "parse_qsl"}
+
+#: Where a round trip's HMAC may not be set up per call.
+_ROUND_TRIP = ("kinetic/", "crypto/aead.py")
+
+#: Modules that keep or drive the engine's virtual clock.
+_DERIVED_TIMING = ("core/engine.py", "bench/concurrency.py", "bench/overload.py", "workload/")
+
+#: Callee name -> (the one module that may call it, scope of the rule).
+_CONFINED = {
+    "CostModel": ("sgx/costs.py", ""),
+    "on_lock_acquire": ("core/txn.py", "core/"),
+    "_verifying": ("core/store.py", ""),
+}
 
 
 def _is_fresh_nonce_expr(node: ast.AST) -> bool:
@@ -525,6 +561,93 @@ class _Visitor(ast.NodeVisitor):
             "or a nonce-derivation helper",
         )
 
+    # -- one home per design rule -------------------------------------------
+
+    def _check_round_trip_hmac(self, node: ast.Call) -> None:
+        if not self.rel_path.startswith(_ROUND_TRIP):
+            return
+        dotted = _dotted(node.func)
+        if dotted is not None and self._resolve(dotted) in (
+            ("hmac", "digest"), ("hmac", "new"),
+        ):
+            self.report(
+                "crypto-per-call-hmac",
+                node,
+                "per-call hmac setup on the drive round trip; key an "
+                "HmacSha256 once and reuse it",
+            )
+
+    def _check_error_response(self, node: ast.Call) -> None:
+        if self.rel_path == "core/request.py" or not (
+            isinstance(node.func, ast.Name) and node.func.id == "Response"
+        ):
+            return
+        for keyword in node.keywords:
+            value = keyword.value
+            if (
+                keyword.arg == "status"
+                and isinstance(value, ast.Attribute)
+                and value.attr == "status"
+                or keyword.arg == "error"
+                and isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id == "str"
+            ):
+                self.report(
+                    "core-error-response",
+                    node,
+                    "a failure becomes a response in one place; call "
+                    "core/request.py::error_response",
+                )
+                return
+
+    def _check_confined_call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            name = func.attr
+        elif isinstance(func, ast.Name):
+            name = func.id
+        else:
+            return
+        if name not in _CONFINED:
+            return
+        home, scope = _CONFINED[name]
+        if self.rel_path != home and self.rel_path.startswith(scope):
+            self.report(
+                "confined-call",
+                node,
+                f"{name}() is called only from {home}",
+            )
+
+    def _check_url_parser(self, node: ast.AST, dotted: tuple[str, ...]) -> None:
+        if self.in_core and dotted[0] == "urllib" and dotted[-1] in _URL_PARSERS:
+            self.report(
+                "core-url-parser",
+                node,
+                f"stdlib URL parser {dotted[-1]} in core/; a request target "
+                "is read by core/request.py::split_target",
+            )
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        dotted = _dotted(node)
+        if dotted is not None:
+            self._check_url_parser(node, self._resolve(dotted))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if (
+            self.rel_path.startswith(_DERIVED_TIMING)
+            and isinstance(node.value, float)
+            and 0.0 < abs(node.value) < 1e-3
+        ):
+            self.report(
+                "det-timing-literal",
+                node,
+                f"timing literal {node.value!r} in a module whose clock is "
+                "derived; put the constant in sgx/costs.py or "
+                "kinetic/timing.py",
+            )
+
     # -- exception swallowing ----------------------------------------------
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
@@ -604,6 +727,9 @@ class _Visitor(ast.NodeVisitor):
         self._check_decision_cache_write(node)
         self._check_labels(node)
         self._check_nonce_freshness(node)
+        self._check_round_trip_hmac(node)
+        self._check_error_response(node)
+        self._check_confined_call(node)
         self.generic_visit(node)
 
     def visit_Import(self, node: ast.Import) -> None:
@@ -623,6 +749,7 @@ class _Visitor(ast.NodeVisitor):
             for alias in node.names:
                 local = alias.asname or alias.name
                 self._aliases[local] = (*module, alias.name)
+                self._check_url_parser(node, (*module, alias.name))
         self._check_sgx_import(node)
         self.generic_visit(node)
 

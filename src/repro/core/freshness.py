@@ -269,7 +269,6 @@ class FreshnessAuthority:
         self.vnow = 0.0
         self.last_pin_vnow = 0.0
         self.pins = 0
-        self.seals = 0
         self.seal_bytes = 0
         self.stale_rejected = 0
         #: Candidate-record bytes hashed during verified reads (crypto
@@ -352,7 +351,6 @@ class FreshnessAuthority:
         counter, size = _seal_pin(
             self.enclave, self.tree.root, self.pending, self.vnow
         )
-        self.seals += 1
         self.seal_bytes += size
         self.pins += 1
         self.last_pin_vnow = self.vnow

@@ -146,7 +146,7 @@ def test_narrow_except_into_response_is_fine():
         "except PesosError as exc:\n"
         "    resp = Response(status=exc.status, error=str(exc))\n"
     )
-    assert rules(source) == []
+    assert rules(source, "core/request.py") == []
 
 
 def test_narrow_except_is_fine():
@@ -331,6 +331,121 @@ def test_decision_cache_write_pragma_allowed():
         "  # pesos: allow[policy-stale-decision-cache]\n"
     )
     assert rules(source) == []
+
+
+# -- core-url-parser ---------------------------------------------------------
+
+def test_stdlib_url_parser_in_core_flagged():
+    assert rules("from urllib.parse import urlsplit\n") == ["core-url-parser"]
+    source = "import urllib.parse as up\nparts = up.parse_qs(query)\n"
+    assert rules(source) == ["core-url-parser"]
+
+
+def test_url_parser_pragma_allowed():
+    source = (
+        "from urllib.parse import urlsplit"
+        "  # pesos: allow[core-url-parser]\n"
+    )
+    assert rules(source) == []
+
+
+def test_url_parser_outside_core_is_fine():
+    source = "from urllib.parse import urlsplit\n"
+    assert lint_source(source, "bench/harness.py") == []
+
+
+# -- core-error-response -----------------------------------------------------
+
+def test_error_response_outside_error_response_flagged():
+    assert rules("r = Response(status=exc.status)\n") == ["core-error-response"]
+    source = "r = Response(status=400, error=str(exc))\n"
+    assert rules(source, "kinetic/client.py") == ["core-error-response"]
+
+
+def test_error_response_pragma_allowed():
+    source = (
+        "r = Response(status=exc.status)"
+        "  # pesos: allow[core-error-response]\n"
+    )
+    assert rules(source) == []
+
+
+def test_error_response_home_and_fixed_responses_are_fine():
+    source = "r = Response(status=exc.status, error=str(exc))\n"
+    assert lint_source(source, "core/request.py") == []
+    assert rules("r = Response(status=404, error='not found')\n") == []
+
+
+# -- crypto-per-call-hmac ----------------------------------------------------
+
+def test_per_call_hmac_flagged_under_every_spelling():
+    for source in (
+        "import hmac\nhmac.digest(k, m, 'sha256')\n",
+        "import hmac as h\nh.new(k)\n",
+        "from hmac import digest\ndigest(k, m, 'sha256')\n",
+    ):
+        assert rules(source, "kinetic/client.py") == [
+            "crypto-per-call-hmac"
+        ], source
+    source = "import hmac\nhmac.new(k)\n"
+    assert rules(source, "crypto/aead.py") == ["crypto-per-call-hmac"]
+
+
+def test_per_call_hmac_pragma_allowed():
+    source = (
+        "import hmac\n"
+        "hmac.new(k)  # pesos: allow[crypto-per-call-hmac]\n"
+    )
+    assert rules(source, "kinetic/client.py") == []
+
+
+def test_hmac_off_the_round_trip_and_compare_digest_are_fine():
+    source = "import hmac\nhmac.new(k)\n"
+    assert lint_source(source, "crypto/kdf.py") == []
+    source = "import hmac\nok = hmac.compare_digest(a, b)\n"
+    assert rules(source, "crypto/aead.py") == []
+
+
+# -- det-timing-literal ------------------------------------------------------
+
+def test_timing_literal_where_the_clock_is_derived_flagged():
+    assert rules("CPU = 5e-5\n", "core/engine.py") == ["det-timing-literal"]
+    assert rules("gap = -2e-4\n", "workload/arrival.py") == [
+        "det-timing-literal"
+    ]
+
+
+def test_timing_literal_pragma_allowed():
+    source = "CPU = 5e-5  # pesos: allow[det-timing-literal]\n"
+    assert rules(source, "bench/overload.py") == []
+
+
+def test_timing_literal_in_the_constants_home_is_fine():
+    assert lint_source("CPU = 5e-5\n", "sgx/costs.py") == []
+    assert rules("ratio = 0.5\n", "core/engine.py") == []
+
+
+# -- confined-call -----------------------------------------------------------
+
+def test_confined_call_outside_its_home_flagged():
+    for source, rel_path in (
+        ("EXTRA = CostModel()\n", "bench/model.py"),
+        ("self.sanitizer.on_lock_acquire(key)\n", "core/engine.py"),
+        ("if self.store._verifying():\n    pass\n", "core/controller.py"),
+    ):
+        assert rules(source, rel_path) == ["confined-call"], source
+
+
+def test_confined_call_pragma_allowed():
+    source = "EXTRA = CostModel()  # pesos: allow[confined-call]\n"
+    assert rules(source, "bench/model.py") == []
+
+
+def test_confined_call_in_its_home_or_out_of_scope_is_fine():
+    assert lint_source("SGX = CostModel()\n", "sgx/costs.py") == []
+    source = "self.sanitizer.on_lock_acquire(key)\n"
+    assert lint_source(source, "core/txn.py") == []
+    assert lint_source(source, "sgx/scheduler.py") == []
 
 
 # -- the repository itself ---------------------------------------------------

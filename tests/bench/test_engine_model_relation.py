@@ -126,6 +126,8 @@ def test_engine_and_des_are_one_model_at_two_shapes():
     )
     assert ENGINE_TIMING.cpu_per_segment == cost.request_parse / 2
     assert ENGINE_TIMING.drive_base == sim.base_seconds
+    assert ENGINE_TIMING.drive_per_op == sim.base_seconds / sim.concurrency
+    assert ENGINE_TIMING.syscall_submit == cost.syscall_async
 
     expected = t_des / t_eng
     assert 0.7 < expected < 0.9  # lock waits; see the docstring

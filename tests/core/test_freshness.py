@@ -146,7 +146,6 @@ def test_every_pin_seals_fresh_counter_state():
     assert platform.pin_slot != slot_before
     authority.settle(object_label("k"))
     assert platform.counter.bumps == bumps_before + 2
-    assert authority.seals == authority.pins
 
 
 # -- bootstrap and fork detection ------------------------------------------

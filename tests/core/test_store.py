@@ -19,8 +19,10 @@ from repro.errors import (
     KineticNotFound,
     ReplicationDegraded,
 )
+from repro.kinetic import protocol
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
+from repro.kinetic.protocol import MessageType
 
 POLICY_HASH = hashlib.sha256(b"a compiled policy").hexdigest()
 
@@ -338,3 +340,35 @@ def test_delete_object_is_one_frame_per_replica():
     # A replica that never held the object takes the same frame.
     store.delete_object(meta)
     assert sum(drive.stats.deletes for drive in cluster.drives) == 9
+
+
+def test_a_mutation_is_encoded_once_for_all_its_replicas(monkeypatch):
+    """An RF 3 ``store_version`` encodes its ``COMMIT`` body once, through
+    the module global; each replica's frame still carries that client's
+    own sequence and authenticates at its drive."""
+    cluster = DriveCluster(num_drives=3)
+    clients = cluster.connect_all(KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY)
+    store = ObjectStore(clients, b"k" * 32, replication_factor=3)
+    bodies, frames = [], []
+    original = protocol.encode_fields
+
+    def counted(fields):
+        if "ops" in fields:
+            bodies.append(fields)
+        return original(fields)
+
+    monkeypatch.setattr(protocol, "encode_fields", counted)
+    for drive in cluster.drives:
+        def handle(request, drive=drive, inner=drive.handle):
+            if request.message_type == MessageType.COMMIT:
+                mac = drive._accounts[request.identity].mac
+                frames.append((drive.drive_id, request.sequence, request.verify(mac)))
+            return inner(request)
+
+        monkeypatch.setattr(drive, "handle", handle)
+    store.store_version(StoredMeta(key="obj"), b"value", "")
+    assert len(bodies) == 1
+    assert sorted(frames) == sorted(
+        (client.drive.drive_id, client._sequence, True) for client in clients
+    )
+    assert store.read_value("obj", 0) == b"value"

@@ -1,7 +1,13 @@
 """Web server layer: HTTP front-end and TLS sessions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.request import Request, build_http_request, parse_http_response
 from repro.core.webserver import WebServer
 from repro.crypto.certs import CertificateAuthority, TrustStore
@@ -139,3 +145,50 @@ def test_tls_requires_configuration(server):
     ca = CertificateAuthority("x", key_bits=512)
     with pytest.raises(PesosError, match="no TLS identity"):
         server.accept(ca.issue_keypair("c", key_bits=512))
+
+
+#: Modules no request runs: DES constants, drive timing and the Scone
+#: model, the drive and drive cluster (the untrusted side of the wire),
+#: the policy pretty-printer and SLO engine, and all of the analysis
+#: package, the benchmarks and the simulator.
+NOT_ON_THE_REQUEST_PATH = tuple(
+    f"{package}.{name}"
+    for package, names in {
+        "repro.sgx": ("costs", "scheduler", "syscalls"),
+        "repro.kinetic": ("timing", "drive", "cluster"),
+        "repro.policy": ("render",),
+        "repro.telemetry": ("slo",),
+        "repro": ("analysis", "bench", "sim"),
+    }.items()
+    for name in names
+)
+
+
+def test_the_request_path_imports_only_what_it_runs():
+    """A fresh interpreter that imports the web server, the controller
+    and the Kinetic client library (it runs in the enclave and holds
+    the drive HMAC key) has loaded none of the modules no request runs."""
+    probe = (
+        "import sys\n"
+        "import repro.core.webserver, repro.core.controller, "
+        "repro.kinetic.client\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    src = Path(repro.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "repro.core.controller" in loaded
+    assert "repro.kinetic.client" in loaded
+    stray = sorted(
+        module
+        for module in loaded
+        for banned in NOT_ON_THE_REQUEST_PATH
+        if module == banned or module.startswith(banned + ".")
+    )
+    assert stray == []

@@ -1,40 +1,16 @@
-"""Pins the shape of ``core/store.py``: one replica read, one pager.
+"""The failure-free drive-op sequence, a differential oracle.
 
-Two kinds of guard.  The structural ones count what the single read
-walk replaced (drive-error handlers, ``_verifying`` reach-ins) so a
-fourth copy of the loop cannot grow back unnoticed.  The behavioural
-one replays a fixed failure-free script and compares the per-drive
-``(op, disk key)`` sequence against a recorded digest: a refactor of
-the store may not add, drop or reorder a single drive operation.  The
-read side of that sequence dates from *before* the three walks were
-merged (PR 14, 6 093 ops, ``20e4b6a3…``); the write side was re-pinned
-when a PUT became one ``COMMIT`` frame per replica (value + ``m/``
-record; 3 drive ops at RF 3, not 6) and a DELETE of an object one
-frame per replica (every slot + ``m/``; 3, not 6): 2 400 fewer drive
-operations (3 693), the 1 830 GET and 60 range lines identical to the
-old sequence, line for line.  The range side was re-pinned when a scan
-became a slice of the store's key directory: the 20 scans' 60 range
-reads became the first scan's listing that seeds it (two pages a
-drive), 3 639 lines, every other line unchanged.  It was re-pinned once
-more when freshness shipped on: a create reads the ``m/`` record of a
-label the pinned tree does not hold from no drive (600 GETs fewer), and
-the bootstrap's listing of the empty fleet (one page a drive) seeds the
-directory the first scan listed (3 range reads fewer): 3 036 lines,
-1 800 commit frames as before.  With freshness off the script sent
-the 3 639 above until the boot's listing seeded the directory in that
-mode too, and the directory answered for a key it does not hold: the
-600 creates' GETs and the first scan's 6 range reads went, the boot's
-3 range reads came (−603), and both modes now send the same 3 036
-lines.
+A fixed script (200 keys at RF 3, no faults: insert, update, get cold,
+scan, delete) runs through clients that record every drive operation
+as ``drive op disk-key``; a commit frame is one line naming every
+record it puts or deletes.  The sequence must hash to the recorded
+digest, so a change to the store may not add, drop or reorder a single
+drive operation.  Freshness on and off send the same 3 036 lines.
 """
 
 import hashlib
-import inspect
 import random
-import re
-from pathlib import Path
 
-import repro.core.store as store_module
 from repro.core.cache import CacheConfig
 from repro.core.controller import ControllerConfig
 from repro.core.request import Request
@@ -44,8 +20,7 @@ from repro.kinetic.drive import KineticDrive
 from tests.core.conftest import ALICE
 from tests.enclave import boot
 
-#: SHA-256 over the drive-op lines of :func:`_scripted_run`; a commit
-#: frame is one line naming every record it puts or deletes.
+#: SHA-256 over the drive-op lines of :func:`_scripted_run`.
 DRIVE_OP_SEQUENCE_SHA256 = (
     "178e9572056dfe3986e4107f1ca3f3d8a568e9551e5665ef4fe7183fc11a7ceb"
 )
@@ -142,47 +117,3 @@ def test_failure_free_drive_op_sequence_with_freshness_off_is_the_recorded_one()
     assert len(ops) == DRIVE_OP_COUNT
     digest = hashlib.sha256("\n".join(ops).encode()).hexdigest()
     assert digest == DRIVE_OP_SEQUENCE_SHA256
-
-
-def _source(module) -> str:
-    return Path(module.__file__).read_text()
-
-
-def test_store_has_one_read_walk():
-    source = _source(store_module)
-    assert len(re.findall(
-        r"except \(DriveOffline, TransientIOError\)", source
-    )) <= 5
-    # One drive GET, one key-range call, and one drive write:
-    # ``_send`` holds the forced PUT and the one COMMIT, and a re-seed
-    # goes through it.
-    assert len(re.findall(r"\.get\(disk_key\)", source)) == 1
-    assert source.count("get_key_range(") == 1
-    assert source.count("force=True") == 2  # _send, _forced
-    assert source.count(".commit(") == 1
-    assert source.count("self._verifying()") <= 2
-    for literal in ('b"val:"', 'b"meta:"', 'b"policy:"'):
-        assert source.count(literal) == 1, literal
-
-
-def test_nothing_outside_the_store_asks_whether_it_verifies():
-    """The content hash always anchors a value read, so no caller has a
-    reason to know which metadata rule is in force."""
-    package = Path(store_module.__file__).parents[1]
-    askers = {
-        path.relative_to(package).as_posix()
-        for path in package.rglob("*.py")
-        if "_verifying" in path.read_text()
-    }
-    assert askers == {"core/store.py"}
-    view = _source(store_module).split("class StoreBackedView", 1)[1]
-    assert "_verifying" not in view
-
-
-def test_the_store_constructor_took_no_new_option():
-    parameters = inspect.signature(store_module.ObjectStore.__init__).parameters
-    assert list(parameters) == [
-        "self", "clients", "storage_key", "replication_factor",
-        "keep_history", "effects", "telemetry",
-        "write_quorum", "breaker_threshold", "breaker_cooldown_ops",
-    ]

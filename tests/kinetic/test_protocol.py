@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.crypto.aead import HmacSha256
 from repro.errors import KineticError
+from repro.kinetic import protocol
+from repro.kinetic.drive import KineticDrive
 from repro.kinetic.protocol import (
     Message,
     MessageType,
@@ -158,3 +160,35 @@ def test_error_response_not_ok():
     )
     assert not response.ok
     assert response.status_message == "missing"
+
+
+def test_a_command_is_encoded_through_the_module_global(monkeypatch):
+    """The tracer counts ``encode_fields`` by replacing the module global:
+    one call per command encoded, none when a frame is decoded."""
+    calls = []
+    original = protocol.encode_fields
+
+    def counted(fields):
+        calls.append(fields)
+        return original(fields)
+
+    monkeypatch.setattr(protocol, "encode_fields", counted)
+    mac = HmacSha256(b"k")
+    wire = Message(MessageType.GET, "demo", 1, {"key": b"k"}).sign(mac).encode()
+    assert len(calls) == 1
+    assert Message.decode(wire).verify(mac)
+    assert len(calls) == 1
+
+
+def test_a_prebuilt_body_is_the_signed_body():
+    """A command built from an encoded body signs the bytes its fields
+    would, and stops verifying once its body changes."""
+    mac = HmacSha256(KineticDrive.DEMO_KEY)
+    ops = [protocol.Op(b"a", b"1", force=True)]
+    fields = {"ops": ops}
+    message = Message(MessageType.COMMIT, "demo", 4, protocol.encode_fields(fields))
+    message.sign(mac)
+    assert message.command_bytes() == Message(MessageType.COMMIT, "demo", 4, fields).command_bytes()
+    assert message.verify(mac)
+    message.body = protocol.encode_fields({"ops": ops * 2})
+    assert not message.verify(mac)
