@@ -27,6 +27,7 @@ from repro.analysis.sanitizer import ShadowState
 from repro.bench.harness import BENCH_BINARY
 from repro.core.cache import CacheConfig
 from repro.core.controller import ControllerConfig, PesosController
+from repro.core.effects import EffectsRecorder
 from repro.core.engine import ConcurrentEngine
 from repro.core.request import Request
 from repro.kinetic.cluster import DriveCluster
@@ -107,6 +108,8 @@ def build_concurrency_system(
             audit_log_size=audit_log_size,
         ),
         telemetry=telemetry,
+        # A SystemModel over this controller prices its effects.
+        effects=EffectsRecorder(registry=telemetry and telemetry.registry),
         enclave=SgxPlatform("bench-host").launch(BENCH_BINARY),
     )
     payload = _payload(config.value_size, config.seed)

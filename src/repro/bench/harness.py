@@ -17,6 +17,7 @@ from repro.bench.configs import SystemConfig
 from repro.bench.model import SystemModel
 from repro.core.cache import CacheConfig
 from repro.core.controller import ControllerConfig, PesosController
+from repro.core.effects import EffectsRecorder
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
 from repro.sgx.attestation import SgxPlatform
@@ -124,6 +125,7 @@ def build_system(
             enforce_policies=enforce_policies,
             ssd_cache_entries=ssd_cache_entries,
         ),
+        effects=EffectsRecorder(),
         enclave=SgxPlatform("bench-host").launch(BENCH_BINARY),
     )
     policy_id = ""

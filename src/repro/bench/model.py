@@ -37,8 +37,10 @@ from repro.core.effects import (
     POLICY_LOAD,
     SSD_READ,
     SSD_WRITE,
+    NullRecorder,
     transitions,
 )
+from repro.errors import ConfigurationError
 from repro.kinetic.timing import OP_DELETE, OP_RANGE, OP_READ, OP_WRITE
 from repro.sim import Environment, Histogram, Resource, ThroughputMeter
 from repro.telemetry import NULL_TELEMETRY
@@ -100,6 +102,12 @@ class SystemModel:
         seed: int = 1234,
         telemetry=None,
     ):
+        if isinstance(controller.effects, NullRecorder):
+            # Every request would be priced at zero CPU and no drive visit.
+            raise ConfigurationError(
+                "the model prices a controller's effects: build it with "
+                "effects=EffectsRecorder()"
+            )
         self.env = env
         self.controller = controller
         self.config = config

@@ -30,6 +30,7 @@ from repro.core.cache import CacheConfig, CacheManager
 from repro.core.effects import (
     COPY,
     EffectsRecorder,
+    NullRecorder,
     POLICY_CHECK,
     POLICY_COMPILE,
     POLICY_LOAD,
@@ -57,7 +58,7 @@ from repro.kinetic.protocol import DEMO_IDENTITY, DEMO_KEY, Role
 from repro.policy.binary import CompiledPolicy
 from repro.policy.compiled import Decision, PolicyEngine, compiled_form
 from repro.policy.compiler import compile_source
-from repro.policy.context import EvalContext, VersionInfo
+from repro.policy.context import EvalContext, RequestInputs, VersionInfo
 from repro.sgx.attestation import attest_and_provision
 from repro.sgx.auditlog import AuditLog
 from repro.telemetry import NULL_TELEMETRY
@@ -199,8 +200,11 @@ class PesosController:
     ):
         self.config = config or ControllerConfig()
         self.telemetry = telemetry or NULL_TELEMETRY
-        self.effects = effects or EffectsRecorder(
-            registry=self.telemetry.registry
+        #: The effects ledger: a live telemetry's or the caller's (the
+        #: DES); otherwise it keeps nothing.
+        self.effects = effects or (
+            EffectsRecorder(registry=self.telemetry.registry)
+            if self.telemetry.enabled else NullRecorder()
         )
         self.caches = CacheManager(self.config.cache, telemetry=self.telemetry)
         self.sessions = SessionManager()
@@ -597,49 +601,57 @@ class PesosController:
             )
         return policy
 
-    def _build_context(
-        self,
-        operation: str,
-        key: str,
-        request: Request,
-        session: Session,
-        meta: StoredMeta | None,
-        now: float,
-        pending: VersionInfo | None = None,
+    def _inputs(
+        self, key: str, request: Request, session: Session, meta, now: float
+    ) -> RequestInputs:
+        """What a check of ``key`` brings before any context is built:
+        all the decision cache reads."""
+        return RequestInputs(
+            session.fingerprint,
+            key if meta is not None and meta.exists else None,
+            request.log_key or key + LOG_SUFFIX,
+            request.version, request.certificates, session.nonce, now,
+        )
+
+    def _context(
+        self, operation: str, inputs: RequestInputs, meta, pending=None
     ) -> EvalContext:
-        this_id = key if meta is not None and meta.exists else None
+        """The full context over ``inputs``, built only to compute a
+        verdict: an uncacheable policy or a decision-cache miss."""
         # The context only writes its key registry while it iterates the
         # presented certificates: with none, the controller's own
         # registry and the request's (empty) list are shared, not copied.
-        presented = request.certificates
+        presented = inputs.certificates
         return EvalContext(
             operation=operation,
-            session_key=session.fingerprint,
-            this_id=this_id,
-            log_id=request.log_key or key + LOG_SUFFIX,
-            request_version=request.version,
-            objects=_ViewMap(self, this_id, meta),
+            session_key=inputs.session_key,
+            this_id=inputs.this_id,
+            log_id=inputs.log_id,
+            request_version=inputs.request_version,
+            objects=_ViewMap(self, inputs.this_id, meta),
             pending=pending,
             certificates=list(presented) if presented else presented,
             key_registry=(
                 dict(self.authority_keys) if presented else self.authority_keys
             ),
-            now=now,
-            nonce=session.nonce,
+            now=inputs.now,
+            nonce=inputs.nonce,
         )
 
     def _evaluate(
-        self, operation: str, policy: CompiledPolicy, ctx: EvalContext
+        self, operation: str, policy: CompiledPolicy, inputs, build
     ) -> Decision:
         """One evaluation performed: the engine's verdict (served from
-        the decision cache or computed), timed, one ``POLICY_CHECK``."""
+        the decision cache, or computed over ``build()``), timed, one
+        ``POLICY_CHECK``."""
+        evaluate = self.policy_engine.evaluate
         if self.telemetry.enabled:
             started = _time.perf_counter()
             with self.telemetry.span("policy.check", operation=operation):
-                decision = self.policy_engine.evaluate(policy, operation, ctx)
+                decision = evaluate(policy, operation, inputs, build)
             self._h_policy_check.observe(_time.perf_counter() - started)
         else:
-            decision = self.policy_engine.evaluate(policy, operation, ctx)
+            decision = evaluate(policy, operation, inputs, build)
         self.effects.record(POLICY_CHECK, decision.predicates_evaluated)
         return decision
 
@@ -657,12 +669,12 @@ class PesosController:
         return decision.granted
 
     def _check_policy(
-        self, operation: str, policy: CompiledPolicy, ctx: EvalContext
+        self, operation: str, policy: CompiledPolicy, inputs, build
     ) -> None:
-        key = ctx.this_id or ctx.log_id
-        decision = self._evaluate(operation, policy, ctx)
+        key = inputs.this_id or inputs.log_id
+        decision = self._evaluate(operation, policy, inputs, build)
         if not self._settle(
-            policy.policy_hash(), decision, ctx.session_key, key, ctx.now
+            policy.policy_hash(), decision, inputs.session_key, key, inputs.now
         ):
             raise PolicyDenied(f"policy denies {operation} on {key}")
 
@@ -687,10 +699,11 @@ class PesosController:
         meta = self._existing_meta(key)
         if self.config.enforce_policies and meta.policy_id:
             policy = self._governing_policy(meta.policy_id)
-            ctx = self._build_context(
-                operation, key, request, session, meta, now
+            inputs = self._inputs(key, request, session, meta, now)
+            self._check_policy(
+                operation, policy, inputs,
+                lambda: self._context(operation, inputs, meta),
             )
-            self._check_policy(operation, policy, ctx)
         return meta
 
     def _authorize_update(
@@ -724,11 +737,14 @@ class PesosController:
             governing = bound_policy
 
         if self.config.enforce_policies and governing is not None:
-            pending = VersionInfo.from_content(request.value, bound_hash)
-            ctx = self._build_context(
-                "update", request.key, request, session, meta, now, pending
+            inputs = self._inputs(request.key, request, session, meta, now)
+            self._check_policy(
+                "update", governing, inputs,
+                lambda: self._context(
+                    "update", inputs, meta,
+                    VersionInfo.from_content(request.value, bound_hash),
+                ),
             )
-            self._check_policy("update", governing, ctx)
         return meta, bound_policy_id, bound_hash
 
     def _apply_put(self, request: Request, granted: tuple) -> Response:
@@ -829,11 +845,10 @@ class PesosController:
                 verdict = verdicts.get(meta.policy_id)
                 if verdict is None:
                     policy = self._governing_policy(meta.policy_id)
-                    ctx = self._build_context(
-                        "read", key, caller, session, meta, now
-                    )
+                    inputs = self._inputs(key, caller, session, meta, now)
                     verdict = policy.policy_hash(), self._evaluate(
-                        "read", policy, ctx
+                        "read", policy, inputs,
+                        lambda: self._context("read", inputs, meta),
                     )
                     if compiled_form(policy).object_blind:
                         verdicts[meta.policy_id] = verdict

@@ -1,22 +1,19 @@
-"""Side-effect accounting for the benchmark harness.
+"""Side-effect accounting for the discrete-event model.
 
-The controller is functional code; the discrete-event benchmarks need
-to know what each request *did* — frames put on the drive link, bytes
-copied, policy work — to charge virtual time.  Components record
-effects here; the simulation drains the recorder after each request.
-One effect per frame a drive answered, not per record.  A cache lookup
-is no effect: the model charges none, and its region's LFU stats count
-it (:meth:`repro.core.cache.CacheManager.region_stats`).
+The controller is functional code; the DES (:mod:`repro.bench.model`)
+needs to know what each request *did* — frames put on the drive link,
+bytes copied, policy work — to charge virtual time.  Components record
+effects on the controller's recorder; the model drains it after each
+request.  One effect per frame a drive answered, not per record.  A
+cache lookup is no effect: the model charges none, and its region's
+LFU stats count it (:meth:`repro.core.cache.CacheManager.region_stats`).
 
-Recording is deliberately cheap (a tuple append plus one counter
-increment) because it sits on the hot path of 100k-operation benchmark
-runs.
-
-Running totals live in the telemetry metrics registry: each recorder
-owns (or is handed) a :class:`~repro.telemetry.metrics.MetricsRegistry`
-and keeps per-kind totals in a labeled ``pesos_effects_total`` counter,
-so one ``GET /_metrics`` scrape covers effect accounting alongside the
-rest of the system.
+The ledger is opt-in.  A controller keeps an :class:`EffectsRecorder`
+only for a live telemetry or when a caller passes one (the DES does);
+otherwise it records into a :class:`NullRecorder`, which keeps nothing.
+A recorder's per-kind totals are a labeled ``pesos_effects_total``
+counter in its registry, a live telemetry's when it has one, so one
+``GET /_metrics`` scrape covers them.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ of Table 1.  The pipeline mirrors the paper's:
    an :class:`~repro.policy.context.EvalContext` using Guardat's
    "compare or set" variable semantics, behind a decision cache.
 
-Example::
+The package re-exports nothing: import the submodule.  Example::
 
-    from repro.policy import compile_policy
+    from repro.policy.compiler import compile_policy
 
     policy = compile_policy('''
         read   :- sessionKeyIs(k'<alice>') \\/ sessionKeyIs(k'<bob>')
@@ -25,41 +25,3 @@ Example::
         delete :- sessionKeyIs(k'<admin>')
     ''')
 """
-
-from repro.policy.ast import (
-    HashValue,
-    IntValue,
-    PubKeyValue,
-    StrValue,
-    TupleValue,
-    Value,
-)
-from repro.policy.binary import CompiledPolicy
-from repro.policy.compiled import (
-    DecisionCache,
-    FastPolicy,
-    PolicyEngine,
-    compiled_form,
-)
-from repro.policy.compiler import compile_policy, compile_source
-from repro.policy.context import EvalContext, ObjectView
-from repro.policy.parser import parse_policy
-
-__all__ = [
-    "CompiledPolicy",
-    "DecisionCache",
-    "EvalContext",
-    "FastPolicy",
-    "PolicyEngine",
-    "compiled_form",
-    "HashValue",
-    "IntValue",
-    "ObjectView",
-    "PubKeyValue",
-    "StrValue",
-    "TupleValue",
-    "Value",
-    "compile_policy",
-    "compile_source",
-    "parse_policy",
-]

@@ -29,9 +29,9 @@ policy is denied (deny by default).
     store holds is in the read-set, and entries carry a
     ``valid_until`` derived from the certificate validity windows and
     the policy's freshness constants, so time-based release never
-    serves a stale verdict.  Object predicates always re-evaluate so
-    their cache/store access pattern — which the effects ledger
-    records — is unchanged.
+    serves a stale verdict.  The cache is probed with the request's
+    inputs (:class:`~repro.policy.context.RequestInputs`); a context is
+    built only to compute a verdict.
 
 ``tests/policy/reference_interpreter.py`` keeps the tree-walking
 evaluator as the differential oracle; nothing here imports it.
@@ -47,7 +47,7 @@ from types import MappingProxyType
 from repro.crypto.certs import Certificate
 from repro.policy.ast import IntValue, NullValue, PubKeyValue, StrValue
 from repro.policy.binary import CompiledPolicy
-from repro.policy.context import EvalContext
+from repro.policy.context import EvalContext, RequestInputs
 from repro.policy.evalcore import (
     Bindings,
     EvalError,
@@ -374,9 +374,10 @@ class FastPolicy:
         future = [b for b in boundaries if b > ctx.now]
         return min(future) if future else None
 
-    def request_shape(self, ctx: EvalContext):
+    def request_shape(self, inputs: RequestInputs | EvalContext):
         """Everything a cached decision may depend on, hashable: the
-        session key plus the inputs in the read-set.
+        session key plus the inputs in the read-set, read before any
+        context exists (an :class:`EvalContext` has the same fields).
 
         ``None`` marks the request uncacheable.  Certificates are
         folded in by fingerprint + signature (order preserved — fact
@@ -391,19 +392,19 @@ class FastPolicy:
         nonce = ""
         if self.uses_certificates:
             parts = []
-            for certificate in ctx.certificates:
+            for certificate in inputs.certificates:
                 if not isinstance(certificate, Certificate):
                     return None
                 parts.append(
                     (certificate.fingerprint(), certificate.signature)
                 )
             cert_part = tuple(parts)
-            nonce = ctx.nonce
+            nonce = inputs.nonce
         return (
-            ctx.session_key,
-            ctx.this_id if self.reads_this else None,
-            ctx.log_id if self.reads_log else None,
-            ctx.request_version if self.reads_version else None,
+            inputs.session_key,
+            inputs.this_id if self.reads_this else None,
+            inputs.log_id if self.reads_log else None,
+            inputs.request_version if self.reads_version else None,
             cert_part,
             nonce,
         )
@@ -515,18 +516,22 @@ class PolicyEngine:
         self.decisions = DecisionCache()
 
     def evaluate(
-        self, policy: CompiledPolicy, operation: str, ctx: EvalContext
+        self, policy: CompiledPolicy, operation: str, inputs, build=None
     ) -> Decision:
+        """The verdict: the cached one when ``inputs`` hit, else computed
+        over ``build()`` (``inputs`` itself without a builder), which
+        runs only for an uncacheable policy or on a miss."""
         fast = compiled_form(policy)
-        shape = fast.request_shape(ctx)
+        shape = fast.request_shape(inputs)
         if shape is None:
-            return fast.evaluate(operation, ctx)
+            return fast.evaluate(operation, build() if build else inputs)
         policy_hash = policy.policy_hash()
         cached = self.decisions.get(
-            policy_hash, operation, shape, now=ctx.now
+            policy_hash, operation, shape, now=inputs.now
         )
         if cached is not None:
             return cached
+        ctx = build() if build else inputs
         decision = fast.evaluate(operation, ctx)
         self.decisions.put(
             policy_hash,

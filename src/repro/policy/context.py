@@ -171,6 +171,19 @@ class ObjectView:
         return self.versions.get(version)
 
 
+class RequestInputs(NamedTuple):
+    """The :class:`EvalContext` fields a request brings before any
+    context is built: all the decision cache reads."""
+
+    session_key: str
+    this_id: str | None
+    log_id: str | None
+    request_version: int | None
+    certificates: list
+    nonce: str
+    now: float
+
+
 @dataclass
 class EvalContext:
     """Everything observable during one permission check."""

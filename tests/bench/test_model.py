@@ -11,7 +11,9 @@ from repro.core.effects import (
     ENCRYPT,
     POLICY_CHECK,
     POLICY_LOAD,
+    EffectsRecorder,
 )
+from repro.errors import ConfigurationError
 from repro.core.request import Response
 from repro.kinetic.cluster import DriveCluster
 from repro.kinetic.drive import KineticDrive
@@ -25,9 +27,21 @@ def _model(mode="sgx", **overrides):
     clients = cluster.connect_all(
         KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
     )
-    controller = boot(clients, storage_key=b"k" * 32)
+    controller = boot(clients, storage_key=b"k" * 32, effects=EffectsRecorder())
     env = Environment()
     return env, SystemModel(env, controller, config)
+
+
+def test_a_controller_without_a_ledger_is_refused():
+    """It would price every request at zero CPU and no drive visit."""
+    config = make_config("sgx", "sim")
+    cluster = DriveCluster(num_drives=config.num_drives)
+    controller = boot(
+        cluster.connect_all(KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY),
+        storage_key=b"k" * 32,
+    )
+    with pytest.raises(ConfigurationError, match="effects=EffectsRecorder"):
+        SystemModel(Environment(), controller, config)
 
 
 def test_costs_scale_with_disk_ops():

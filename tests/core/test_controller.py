@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.controller import ControllerConfig, PesosController
+from repro.core.effects import EffectsRecorder
 from repro.core.request import Request
 from repro.core.store import ObjectStore
 from repro.crypto.certs import CertificateAuthority
@@ -296,7 +297,8 @@ def test_invalid_method_400(controller):
     assert controller.handle(Request(method="bogus"), ALICE).status == 400
 
 
-def test_meta_cache_avoids_disk_reads(controller):
+def test_meta_cache_avoids_disk_reads(clients):
+    controller = boot(clients, storage_key=b"k" * 32, effects=EffectsRecorder())
     controller.put(ALICE, "hot", b"v")
     controller.effects.drain()
     for _ in range(5):

@@ -65,13 +65,19 @@ def _get_raw(key):
     return build_http_request(Request(method="get", key=key))
 
 
-def test_backlog_is_bounded_when_nobody_drains(controller):
+def _ledgered(clients):
+    """A controller that keeps a ledger though its telemetry is off."""
+    return boot(clients, storage_key=b"k" * 32, effects=EffectsRecorder())
+
+
+def test_backlog_is_bounded_when_nobody_drains(clients):
     """20 000 cached GETs through the wire front end, which never
     drains: 5 events each, 100 000 tuples at the parent."""
     from repro.core.controller import EFFECTS_BACKLOG
     from repro.core.webserver import WebServer
     from tests.core.conftest import ALICE
 
+    controller = _ledgered(clients)
     server = WebServer(controller)
     assert controller.put(ALICE, "k", b"v").ok
     raw = _get_raw("k")
@@ -90,12 +96,13 @@ def test_backlog_is_bounded_when_nobody_drains(controller):
     assert totals.labels("copy").value == 20_001
 
 
-def test_a_consumer_that_drains_per_request_loses_nothing(controller):
+def test_a_consumer_that_drains_per_request_loses_nothing(clients):
     """The DES contract: drain, execute, drain.  The bound never fires
     between the two, however much was handled before."""
     from repro.core.controller import EFFECTS_BACKLOG
     from tests.core.conftest import ALICE
 
+    controller = _ledgered(clients)
     assert controller.put(ALICE, "k", b"v").ok
     controller.effects.drain()
     assert controller.get(ALICE, "k").ok
@@ -139,7 +146,7 @@ def test_backlog_is_never_dropped_under_a_request_in_flight():
 # -- one effect per frame (PR 22) --------------------------------------------
 
 
-def _rf3(telemetry=None, **config):
+def _rf3(telemetry=None, effects=None, **config):
     from repro.core.controller import ControllerConfig
     from tests.core.conftest import make_clients
 
@@ -149,6 +156,7 @@ def _rf3(telemetry=None, **config):
         storage_key=b"k" * 32,
         config=ControllerConfig(replication_factor=3, **config),
         telemetry=telemetry,
+        effects=effects,
     )
     return controller, clients
 
@@ -161,7 +169,7 @@ def test_an_update_records_one_effect_per_replica_frame():
     from repro.core.store import VERSION_METADATA_WINDOW
     from tests.core.conftest import ALICE
 
-    controller, _clients = _rf3(keep_history=True)
+    controller, _clients = _rf3(effects=EffectsRecorder(), keep_history=True)
     assert controller.put(ALICE, "k", b"v0").ok
     controller.effects.drain()
     assert controller.put(ALICE, "k", b"v1").ok
@@ -243,3 +251,29 @@ def test_a_scan_page_is_a_range_visit(replicated_controller, cluster):
     # (a disk_read, never priced as a range, at 87c2486).
     assert sorted(event[1] for event in pages) == [0, 1, 2]
     assert all(event[2] == 3 * len(b"m/a") for event in pages)
+
+
+# -- the ledger is opt-in ----------------------------------------------------
+
+
+def test_a_controller_with_telemetry_off_keeps_no_ledger(clients):
+    from repro.core.controller import ControllerConfig
+    from repro.core.request import Request
+    from repro.telemetry import NULL_TELEMETRY
+    from tests.core.conftest import ALICE
+
+    controller = boot(
+        clients,
+        storage_key=b"k" * 32,
+        config=ControllerConfig(ssd_cache_entries=8),
+        telemetry=NULL_TELEMETRY,
+    )
+    assert isinstance(controller.effects, NullRecorder)
+    assert controller.store.effects is controller.effects
+    assert controller.put(ALICE, "k", b"v").ok
+    assert controller.get(ALICE, "k").ok
+    assert controller.handle(
+        Request(method="scan", key="k", scan_count=2), ALICE
+    ).ok
+    assert controller.effects.events == ()
+

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.cache import CacheConfig, CacheManager
 from repro.core.controller import ControllerConfig
+from repro.core.effects import EffectsRecorder
 from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
 from repro.policy import context
 from repro.policy.compiled import PolicyEngine
@@ -505,7 +506,9 @@ def test_mal_read_and_write_effects_are_the_parents(parsed):
     assert hashlib.sha256(repr(kinds).encode()).hexdigest() == (
         MAL_EFFECT_KINDS_SHA
     )
-    controller = boot(_clients(), storage_key=b"k" * 32)
+    controller = boot(
+        _clients(), storage_key=b"k" * 32, effects=EffectsRecorder()
+    )
     mal = MalStore(controller)
     mal.protect(ALICE, "record", b"initial state")
     controller.effects.drain()

@@ -278,3 +278,141 @@ def test_malformed_policy_blob_on_the_drive_is_a_policy_error():
     response = controller.put(ALICE, "doc", b"v", policy_id=bad_policy)
     assert response.status == 400
     assert "malformed policy" in response.error
+
+
+# -- a hit is found before any context is built ------------------------------
+
+
+def _count_contexts(monkeypatch) -> list:
+    """Record what the controller builds for a check: each context, and
+    a ``"ViewMap"`` / ``"from_content"`` entry per view map and pending
+    version."""
+    import repro.core.controller as controller_module
+    from repro.policy.context import VersionInfo
+
+    built: list = []
+
+    def counted(make, tag=None):
+        def construct(*args, **kwargs):
+            made = make(*args, **kwargs)
+            built.append(made if tag is None else tag)
+            return made
+        return construct
+
+    monkeypatch.setattr(
+        controller_module, "EvalContext", counted(controller_module.EvalContext)
+    )
+    monkeypatch.setattr(
+        controller_module, "_ViewMap",
+        counted(controller_module._ViewMap, "ViewMap"),
+    )
+    monkeypatch.setattr(
+        VersionInfo, "from_content",
+        counted(VersionInfo.from_content, "from_content"),
+    )
+    return built
+
+
+def _tally(built) -> tuple:
+    contexts = sum(not isinstance(entry, str) for entry in built)
+    return contexts, built.count("ViewMap"), built.count("from_content")
+
+
+def test_a_decision_cache_hit_builds_no_policy_context(monkeypatch):
+    """Under an ACL one caller's update and read shapes each miss once,
+    building a context, a view map and (for the update) the pending
+    version; every later check is a hit and builds none."""
+    controller = _controller()
+    acl = controller.put_policy(
+        ALICE,
+        f"read :- sessionKeyIs(k'{ALICE}')\n"
+        f"update :- sessionKeyIs(k'{ALICE}')",
+    ).policy_id
+    built = _count_contexts(monkeypatch)
+    scan = Request(method="scan", key="d", scan_count=5)
+    tallies = []
+    for step in (
+        lambda: controller.put(ALICE, "doc", b"v0", policy_id=acl),
+        lambda: controller.get(ALICE, "doc"),
+        lambda: controller.get(ALICE, "doc"),
+        lambda: controller.handle(scan, ALICE),
+        lambda: controller.put(ALICE, "doc", b"v1"),
+    ):
+        assert step().ok
+        tallies.append(_tally(built))
+    assert tallies == [
+        (1, 1, 1), (2, 2, 1), (2, 2, 1), (2, 2, 1), (2, 2, 1),
+    ]
+    assert controller.handle(scan, ALICE).value == b"doc@1"
+    stats = controller.policy_engine.decisions.stats
+    assert (stats.hits, stats.misses) == (4, 2)
+
+
+def test_an_object_reading_policy_builds_a_context_for_every_check(
+    monkeypatch,
+):
+    """``mal_policy`` reads the log object: uncacheable, so each read
+    of the record is evaluated over a context of its own."""
+    from repro.usecases.mal import MalStore
+
+    controller = _controller()
+    mal = MalStore(controller)
+    mal.protect(ALICE, "record", b"initial state")
+    built = _count_contexts(monkeypatch)
+    for _ in range(3):
+        assert mal.read(BOB, "record").ok
+    contexts = [ctx for ctx in built if not isinstance(ctx, str)]
+    reads = [
+        ctx for ctx in contexts
+        if ctx.operation == "read" and ctx.this_id == "record"
+    ]
+    assert len(reads) == 3
+    assert built.count("ViewMap") == len(contexts)
+    stats = controller.policy_engine.decisions.stats
+    assert (stats.hits, stats.misses) == (0, 0)
+
+
+def test_every_check_probes_the_decision_cache_once():
+    """Whatever the request path, a check of a cacheable policy is one
+    hit or one miss: never two probes, never none."""
+    from repro.core.effects import POLICY_CHECK, EffectsRecorder
+
+    clients, _cluster = make_clients()
+    controller = boot(
+        clients, storage_key=b"k" * 32, effects=EffectsRecorder()
+    )
+    acl = controller.put_policy(
+        ALICE,
+        f"read :- sessionKeyIs(k'{ALICE}') \\/ sessionKeyIs(k'{BOB}')\n"
+        f"update :- sessionKeyIs(k'{ALICE}')\n"
+        f"delete :- sessionKeyIs(k'{ALICE}')",
+    ).policy_id
+    txid = controller.handle(Request(method="create_tx"), ALICE).txid
+    statuses = []
+    for request, fingerprint in (
+        (Request(method="put", key="a", value=b"0", policy_id=acl), ALICE),
+        (Request(method="put", key="b", value=b"0", policy_id=acl), ALICE),
+        (Request(method="put", key="a", value=b"1"), ALICE),
+        (Request(method="put", key="a", value=b"x"), BOB),
+        (Request(method="get", key="a"), ALICE),
+        (Request(method="get", key="a", version=0), BOB),
+        (Request(method="get", key="a"), "fp-mallory"),
+        (Request(method="scan", key="a", scan_count=10), BOB),
+        (Request(method="rmw", key="b", value=b"2"), ALICE),
+        (Request(method="put", key="c", value=b"0", policy_id=acl,
+                 asynchronous=True), ALICE),
+        (Request(method="add_read", txid=txid, key="a"), ALICE),
+        (Request(method="add_write", txid=txid, key="b", value=b"3"), ALICE),
+        (Request(method="commit_tx", txid=txid), ALICE),
+        (Request(method="delete", key="c"), ALICE),
+    ):
+        statuses.append(controller.handle(request, fingerprint).status)
+    checks = sum(
+        event[0] == POLICY_CHECK for event in controller.effects.drain()
+    )
+    stats = controller.policy_engine.decisions.stats
+    assert statuses == [200] * 3 + [403, 200, 200, 403] + [200] * 2 + [
+        202, 200, 200, 200, 200,
+    ]
+    assert checks == 14
+    assert stats.hits + stats.misses == checks

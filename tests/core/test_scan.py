@@ -126,9 +126,9 @@ def _record_evaluations(controller, monkeypatch):
     evaluated = []
     evaluate = controller._evaluate
 
-    def recording(operation, policy, ctx):
-        evaluated.append(ctx.this_id)
-        return evaluate(operation, policy, ctx)
+    def recording(operation, policy, inputs, build):
+        evaluated.append(inputs.this_id)
+        return evaluate(operation, policy, inputs, build)
 
     monkeypatch.setattr(controller, "_evaluate", recording)
     return evaluated
@@ -376,9 +376,9 @@ def test_scan_grants_what_get_grants_with_the_callers_certificates(
     log_ids = []
     evaluate = controller._evaluate
 
-    def recording_evaluate(operation, policy, ctx):
-        log_ids.append(ctx.log_id)
-        return evaluate(operation, policy, ctx)
+    def recording_evaluate(operation, policy, inputs, build):
+        log_ids.append(inputs.log_id)
+        return evaluate(operation, policy, inputs, build)
 
     monkeypatch.setattr(controller, "_evaluate", recording_evaluate)
 

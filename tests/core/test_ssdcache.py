@@ -12,6 +12,7 @@ drives.
 import pytest
 
 from repro.core.controller import ControllerConfig, PesosController
+from repro.core.effects import EffectsRecorder
 from repro.core.ssdcache import SimulatedSsd, SsdCacheTier
 from repro.core.store import ObjectStore, placement
 from repro.telemetry import Telemetry
@@ -57,18 +58,19 @@ def test_the_device_evicts_past_its_capacity():
 # -- through the store ---------------------------------------------------------
 
 
-def _controller(clients, telemetry=None, **config):
+def _controller(clients, telemetry=None, effects=None, **config):
     return boot(
         clients,
         storage_key=b"k" * 32,
         config=ControllerConfig(ssd_cache_entries=1024, **config),
         telemetry=telemetry,
+        effects=effects,
     )
 
 
 @pytest.fixture()
 def ssd_controller(clients):
-    return _controller(clients)
+    return _controller(clients, effects=EffectsRecorder())
 
 
 def _cold_get(controller, key="obj", **kwargs):

@@ -42,7 +42,13 @@ from repro.policy.compiled import (
     compiled_form,
 )
 from repro.policy.compiler import compile_policy
-from repro.policy.context import EvalContext, Facts, ObjectView, VersionInfo
+from repro.policy.context import (
+    EvalContext,
+    Facts,
+    ObjectView,
+    RequestInputs,
+    VersionInfo,
+)
 from repro.policy.evalcore import (
     Bindings,
     TuplePattern,
@@ -326,7 +332,12 @@ def test_one_engine_answers_every_request_as_a_fresh_evaluation(
             request_version=version,
             pending=pending,
         )
-        served = engine.evaluate(policy, operation, ctx)
+        # Probed by the request's inputs; the context only on a miss.
+        inputs = RequestInputs(
+            key, this_id, log_id, version, ctx.certificates, ctx.nonce,
+            ctx.now,
+        )
+        served = engine.evaluate(policy, operation, inputs, lambda: ctx)
         assert_identical(fresh.evaluate(operation, ctx), served, "fresh")
         assert_identical(
             INTERP.evaluate(policy, operation, ctx), served, "reference"
@@ -449,3 +460,10 @@ def test_every_context_read_is_covered_by_the_shape_or_uncacheable():
     # ``pending`` and the object views are read by EvalContext itself
     # and by nothing that compiles or runs a conjunct.
     assert not direct & {"pending", "objects"}
+    # The cache is probed with the request's inputs, before a context
+    # exists: each is the context field of the same name, and the
+    # views, pending write and key registry are none of them.
+    probed = _attribute_reads(package / "compiled.py", "inputs")
+    assert probed == set(RequestInputs._fields)
+    assert probed <= set(EvalContext.__dataclass_fields__) & set(_CTX_READS)
+    assert not probed & {"objects", "pending", "key_registry"}
