@@ -1,20 +1,23 @@
 """The policy evaluator: compiled closures fronted by a decision cache.
 
 This is the paper's one binary-format interpreter (§1, §3.3).  Each
-clause of a permission's disjunctive normal form gets fresh variable
-bindings and its predicates run left to right; the first clause whose
-predicates all hold grants the permission.  A structurally failing
+clause of a permission's disjunctive normal form gets a fresh list of
+variable slots and its predicates run left to right; the first clause
+whose predicates all hold grants the permission.  A structurally failing
 clause (unbound arithmetic, type confusion) simply does not grant —
 other disjuncts are still tried.  An operation with no rule in the
 policy is denied (deny by default).
 
 ``compiled_form``
-    Partially evaluates a :class:`~repro.policy.binary.CompiledPolicy`
-    once into per-clause lists of Python closures, one per conjunct.
-    Constant subexpressions fold at compile time; a conjunct whose
-    arguments are all constants and whose predicate is context-free
-    collapses to a closure returning a known boolean; ``sessionKeyIs``
-    against a ground key becomes a string comparison.  Every conjunct
+    Compiles a :class:`~repro.policy.binary.CompiledPolicy` once into
+    per-clause lists of Python closures, one per conjunct, each
+    specialised to which variable occurrences bind and which compare
+    (the binding analysis of :mod:`repro.policy.evalcore`; no source
+    is generated).  Constant subexpressions fold at compile time; a
+    conjunct whose arguments are all constants and whose predicate is
+    context-free collapses to a closure returning a known boolean;
+    ``sessionKeyIs`` against a ground key becomes a string comparison.
+    Every conjunct
     still counts as one evaluated predicate, so ``Decision`` — and the
     audit chain built from it — does not depend on what folded.  The
     input was checked by ``CompiledPolicy.validate``; a policy that
@@ -45,14 +48,17 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from repro.crypto.certs import Certificate
-from repro.policy.ast import IntValue, NullValue, PubKeyValue, StrValue
+from repro.policy.ast import IntValue
 from repro.policy.binary import CompiledPolicy
 from repro.policy.context import EvalContext, RequestInputs
 from repro.policy.evalcore import (
-    Bindings,
-    EvalError,
-    TuplePattern,
+    BROKEN,
+    CONST,
+    ClauseScope,
+    compile_arg,
+    is_constant,
     render_bindings,
+    slots_of,
 )
 from repro.policy.predicates import predicate_by_opcode
 
@@ -123,163 +129,72 @@ class Decision:
 
 
 # ---------------------------------------------------------------------------
-# Expression compilation
+# Conjunct compilation
 # ---------------------------------------------------------------------------
 
-def _compile_expr(expr, fast: "FastPolicy"):
-    """Compile an argument expression tree.
-
-    Returns ``("const", value)`` when the expression is a compile-time
-    constant, else ``("dyn", fn)`` with ``fn(ctx, bindings) -> value``.
-    """
-    kind = expr[0]
-    if kind == "c":
-        return ("const", fast.policy.constants[expr[1]])
-    if kind == "v":
-        return (
-            "dyn",
-            lambda ctx, bindings, _slot=expr[1]: bindings.lookup(_slot),
-        )
-    if kind == "r":
-        # The only way a conjunct learns the target or log id.
-        if expr[1] == "this":
-            fast.reads_this = True
-        else:
-            fast.reads_log = True
-
-        def deref(ctx, bindings, _name=expr[1]):
-            object_id = ctx.resolve_ref(_name)
-            return NullValue() if object_id is None else StrValue(object_id)
-
-        return ("dyn", deref)
-    if kind == "a":
-        return _compile_arith(expr, fast)
-    return _compile_tuple(expr, fast)
-
-
-def _compile_arith(expr, fast: "FastPolicy"):
-    sign = 1 if expr[1] == "+" else -1
-    left = _compile_expr(expr[2], fast)
-    right = _compile_expr(expr[3], fast)
-    if left[0] == "const" and right[0] == "const":
-        lv, rv = left[1], right[1]
-        if isinstance(lv, IntValue) and isinstance(rv, IntValue):
-            return ("const", IntValue(lv.value + sign * rv.value))
-    lf = _as_fn(left)
-    rf = _as_fn(right)
-
-    def arith(ctx, bindings, _sign=sign, _lf=lf, _rf=rf):
-        lv = _lf(ctx, bindings)
-        rv = _rf(ctx, bindings)
-        if not isinstance(lv, IntValue) or not isinstance(rv, IntValue):
-            raise EvalError("arithmetic needs bound integers")
-        return IntValue(lv.value + _sign * rv.value)
-
-    return ("dyn", arith)
-
-
-def _compile_tuple(expr, fast: "FastPolicy"):
-    name = fast.policy.constants[expr[1]].value
-    elems = [_compile_expr(arg, fast) for arg in expr[2]]
-    if all(kind == "const" for kind, _ in elems):
-        return (
-            "const",
-            TuplePattern(name=name, elems=tuple(v for _, v in elems)),
-        )
-    fns = [_as_fn(compiled) for compiled in elems]
-
-    def build(ctx, bindings, _name=name, _fns=fns):
-        return TuplePattern(
-            name=_name, elems=tuple(fn(ctx, bindings) for fn in _fns)
-        )
-
-    return ("dyn", build)
-
-
-def _as_fn(compiled):
-    kind, payload = compiled
-    if kind == "const":
-        return lambda ctx, bindings, _value=payload: _value
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Instruction (conjunct) compilation
-# ---------------------------------------------------------------------------
-
-def _holds(ctx, bindings) -> bool:
+def _holds(ctx, slots) -> bool:
     return True
 
 
-def _fails(ctx, bindings) -> bool:
+def _fails(ctx, slots) -> bool:
     return False
 
 
-def _compile_instruction(inst, fast: "FastPolicy"):
-    """Compile one conjunct into ``fn(ctx, bindings) -> bool``.
+def _compile_instruction(inst, fast: "FastPolicy", scope: ClauseScope):
+    """Compile one conjunct into ``fn(ctx, slots) -> bool``.
 
-    The closure runs the predicate; the clause loop in
-    :meth:`FastPolicy.evaluate` counts it and treats an
-    :class:`EvalError` as the conjunct not holding.
+    Its arguments get their modes from the slots ``scope`` knows bound;
+    afterwards every slot it mentions is bound, since a conjunct that
+    holds has bound them all and one that fails ends its clause.  The
+    clause loop in :meth:`FastPolicy.evaluate` counts every conjunct.
     """
-    policy = fast.policy
     spec = predicate_by_opcode(inst.opcode)
     if inst.opcode in _OBJECT_OPCODES:
         fast.uses_objects = True
     if inst.opcode in _VERSION_OPCODES:
         fast.reads_version = True
-    compiled_args = [_compile_expr(arg, fast) for arg in inst.args]
-    all_const = all(kind == "const" for kind, _ in compiled_args)
-    const_args = [payload for _, payload in compiled_args]
+    scope.prelude = []
+    args = [compile_arg(arg, scope) for arg in inst.args]
+    constant = all(is_constant(arg) for arg in args)
 
     if inst.opcode == _CERTIFICATE_SAYS:
         fast.uses_certificates = True
-        if len(compiled_args) == 3:
-            freshness_kind, freshness_value = compiled_args[1]
-            if freshness_kind == "const" and isinstance(
-                freshness_value, IntValue
+        if len(args) == 3:
+            freshness = args[1]
+            if freshness.mode == CONST and isinstance(
+                freshness.payload, IntValue
             ):
-                fast.freshness_windows.add(freshness_value.value)
+                fast.freshness_windows.add(freshness.payload.value)
             else:
                 fast.dynamic_freshness = True
 
-    if all_const and spec.name in _CONTEXT_FREE:
-        # Pure predicate over constants: run it once now.  A structural
-        # EvalError is equivalent to holding False — either way the
-        # clause fails right here.
+    step = None
+    if all(arg.mode != BROKEN for arg in args):
+        step = spec.specialise(args, scope)
+    for arg in inst.args:
+        scope.bound |= slots_of(arg)
+
+    if constant and (
+        spec.name in _CONTEXT_FREE or inst.opcode == _SESSION_KEY_IS
+    ):
         fast.folded_conjuncts += 1
-        try:
-            held = spec.impl(
-                None, Bindings(len(policy.variables)), const_args
-            )
-        except EvalError:
-            return _fails
-        return _holds if held else _fails
+        if spec.name in _CONTEXT_FREE:
+            # Pure predicate over constants: run it once now.
+            return _holds if step is not None and step(None, []) else _fails
+    if step is None:
+        return _fails
+    prelude = tuple(scope.prelude)
+    if not prelude:
+        return step
 
-    if inst.opcode == _SESSION_KEY_IS and all_const:
-        fast.folded_conjuncts += 1
-        const = const_args[0]
-        if not isinstance(const, PubKeyValue):
-            # A non-key constant never equals PubKeyValue(session_key).
-            return _fails
-        # compare_or_set against a ground key is string equality on
-        # the fingerprint — the hottest conjunct in ACL policies.
-        return lambda ctx, bindings, _fp=const.value: ctx.session_key == _fp
+    def with_arithmetic(ctx, slots):
+        # Arithmetic runs before its predicate, as argument evaluation.
+        for compute in prelude:
+            if not compute(ctx, slots):
+                return False
+        return step(ctx, slots)
 
-    impl = spec.impl
-    dynamic = [
-        (index, payload)
-        for index, (kind, payload) in enumerate(compiled_args)
-        if kind == "dyn"
-    ]
-
-    def step(ctx, bindings, _impl=impl, _args=const_args, _dynamic=dynamic):
-        args = list(_args)
-        for index, fn in _dynamic:
-            args[index] = fn(ctx, bindings)
-        return _impl(ctx, bindings, args)
-
-    return step
+    return with_arithmetic
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +209,9 @@ class FastPolicy:
     policy: CompiledPolicy
     #: operation -> list of clauses -> list of conjunct closures
     clauses: dict = field(default_factory=dict)
+    #: Slots a clause attempt needs: the variables, then scratch slots
+    #: for arithmetic over bound variables.
+    width: int = 0
     #: True when any conjunct reads object state; such decisions are
     #: never cached (their store/cache footprint must stay observable).
     uses_objects: bool = False
@@ -316,26 +234,26 @@ class FastPolicy:
 
     def evaluate(self, operation: str, ctx: EvalContext) -> Decision:
         """Check whether ``operation`` is permitted under the policy."""
-        variables = self.policy.variables
-        num_slots = len(variables)
+        width = self.width
         evaluated = 0
         for index, clause in enumerate(self.clauses.get(operation, ())):
-            bindings = Bindings(num_slots, variables)
-            try:
-                for step in clause:
-                    evaluated += 1
-                    if not step(ctx, bindings):
-                        break
-                else:
-                    return Decision(
-                        True,
-                        operation,
-                        index,
-                        MappingProxyType(bindings.snapshot()),
-                        evaluated,
-                    )
-            except EvalError:
-                continue
+            slots = [None] * width
+            for step in clause:
+                evaluated += 1
+                if not step(ctx, slots):
+                    break
+            else:
+                return Decision(
+                    True,
+                    operation,
+                    index,
+                    MappingProxyType({
+                        name: value
+                        for name, value in zip(self.policy.variables, slots)
+                        if value is not None
+                    }),
+                    evaluated,
+                )
         return Decision(False, operation, predicates_evaluated=evaluated)
 
     # -- cacheability --------------------------------------------------------
@@ -415,12 +333,18 @@ def compile_closures(policy: CompiledPolicy) -> FastPolicy:
     :func:`compiled_form`).  Raises
     :class:`~repro.errors.PolicyFormatError` on a malformed policy."""
     policy.validate()
-    fast = FastPolicy(policy=policy)
+    num_vars = len(policy.variables)
+    fast = FastPolicy(policy=policy, width=num_vars)
     for operation, clauses in policy.permissions.items():
-        fast.clauses[operation] = [
-            [_compile_instruction(inst, fast) for inst in clause]
-            for clause in clauses
-        ]
+        compiled = fast.clauses[operation] = []
+        for clause in clauses:
+            scope = ClauseScope(policy.constants, num_vars)
+            compiled.append(
+                [_compile_instruction(inst, fast, scope) for inst in clause]
+            )
+            fast.width = max(fast.width, scope.width)
+            fast.reads_this |= "this" in scope.refs
+            fast.reads_log |= "log" in scope.refs
     return fast
 
 

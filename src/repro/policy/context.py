@@ -220,13 +220,6 @@ class EvalContext:
 
     # -- object resolution -------------------------------------------------
 
-    def resolve_ref(self, name: str) -> str | None:
-        if name == "this":
-            return self.this_id
-        if name == "log":
-            return self.log_id
-        raise PolicyError(f"unknown object reference {name!r}")
-
     def view(self, object_id: str) -> ObjectView | None:
         return self.objects.get(object_id)
 

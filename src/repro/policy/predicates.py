@@ -1,9 +1,16 @@
-"""Predicate registry and implementations (Table 1).
+"""Predicate registry and specialisers (Table 1).
 
-Every predicate receives the evaluation context, the clause's variable
-bindings, and its already-evaluated arguments (values, unbound slots,
-or tuple patterns), and returns whether it holds — binding variables
-per the compare-or-set semantics as a side effect.
+Each predicate is registered with its opcode and arity bounds, and a
+specialiser: given its conjunct's compiled arguments
+(:class:`~repro.policy.evalcore.Arg`) and the clause's binding analysis,
+it returns a closure ``fn(ctx, slots) -> bool`` built for exactly those
+argument modes, or ``None`` when the conjunct can never hold and fails
+before it looks at anything.  The closure binds in the order the
+predicate observes: ``objSize(O, X, X)`` binds ``X`` while resolving the
+version, then compares the size against it.  A type error (an unbound
+object, a non-integer version) fails the conjunct, never the request,
+and fails it at the point the predicate checks it: after any object
+lookup that comes first.
 
 ``currIndex``/``nextIndex`` are the index-flavoured aliases the MAL
 use case (§5.4) uses for ``currVersion``/``nextVersion``.
@@ -23,29 +30,30 @@ from repro.policy.ast import (
     StrValue,
     TupleValue,
 )
-from repro.policy.context import EvalContext
 from repro.policy.evalcore import (
-    Bindings,
-    EvalError,
-    TuplePattern,
-    Unbound,
-    as_object_id,
-    compare_or_set,
-    ground_tuple,
-    require_int,
-    unify_tuple,
+    CONST,
+    FREE,
+    TUPLE,
+    Arg,
+    ClauseScope,
+    all_bound,
+    is_ground,
+    matcher,
+    typed_reader,
+    unifier,
+    value_reader,
 )
 
 
 @dataclass(frozen=True)
 class PredicateSpec:
-    """Registry entry: opcode, arity bounds, and the implementation."""
+    """Registry entry: opcode, arity bounds, and the specialiser."""
 
     name: str
     opcode: int
     min_arity: int
     max_arity: int
-    impl: Callable
+    specialise: Callable[[list, ClauseScope], Callable | None]
 
 
 _REGISTRY_BY_NAME: dict[str, PredicateSpec] = {}
@@ -53,20 +61,20 @@ _REGISTRY_BY_OPCODE: dict[int, PredicateSpec] = {}
 
 
 def _register(name: str, opcode: int, min_arity: int, max_arity: int):
-    def decorator(impl: Callable) -> Callable:
+    def decorator(specialise: Callable) -> Callable:
         spec = PredicateSpec(
             name=name,
             opcode=opcode,
             min_arity=min_arity,
             max_arity=max_arity,
-            impl=impl,
+            specialise=specialise,
         )
         key = name.lower()
         if key in _REGISTRY_BY_NAME or opcode in _REGISTRY_BY_OPCODE:
             raise PolicyCompileError(f"duplicate predicate {name}/{opcode}")
         _REGISTRY_BY_NAME[key] = spec
         _REGISTRY_BY_OPCODE[opcode] = spec
-        return impl
+        return specialise
 
     return decorator
 
@@ -94,24 +102,34 @@ def all_predicates() -> list[PredicateSpec]:
 # ---------------------------------------------------------------------------
 
 @_register("eq", 1, 2, 2)
-def _eq(ctx: EvalContext, bindings: Bindings, args) -> bool:
+def _eq(args: list[Arg], scope: ClauseScope):
+    # The ground side is observed, the other compared or set; a tuple
+    # term is never the ground side, and two unground sides fail.
     a, b = args
-    if isinstance(a, Unbound) and isinstance(b, Unbound):
-        raise EvalError("eq() with two unbound variables")
-    if isinstance(a, (Unbound, TuplePattern)):
-        a, b = b, a  # normalize: ground value first
-    if isinstance(a, (Unbound, TuplePattern)):
-        raise EvalError("eq() needs one ground argument")
-    return compare_or_set(b, a, bindings)
+    if not is_ground(a):
+        a, b = b, a
+    if not is_ground(a):
+        return None
+    read = value_reader(a, scope)
+    match = matcher(b, scope)
+    return lambda ctx, slots: match(read(ctx, slots), ctx, slots)
 
 
 def _relational(op: Callable[[int, int], bool]):
-    def impl(ctx: EvalContext, bindings: Bindings, args) -> bool:
-        left = require_int(args[0], "comparison operand")
-        right = require_int(args[1], "comparison operand")
-        return op(left, right)
+    def specialise(args: list[Arg], scope: ClauseScope):
+        left = typed_reader(args[0], scope, IntValue)
+        right = typed_reader(args[1], scope, IntValue)
+        if left is None or right is None:
+            return None
 
-    return impl
+        def compare(ctx, slots):
+            a = left(ctx, slots)
+            b = right(ctx, slots)
+            return a is not None and b is not None and op(a.value, b.value)
+
+        return compare
+
+    return specialise
 
 
 _register("le", 2, 2, 2)(_relational(lambda a, b: a <= b))
@@ -125,27 +143,57 @@ _register("gt", 5, 2, 2)(_relational(lambda a, b: a > b))
 # ---------------------------------------------------------------------------
 
 @_register("sessionKeyIs", 11, 1, 1)
-def _session_key_is(ctx: EvalContext, bindings: Bindings, args) -> bool:
-    return compare_or_set(args[0], PubKeyValue(ctx.session_key), bindings)
+def _session_key_is(args: list[Arg], scope: ClauseScope):
+    (key,) = args
+    if key.mode == CONST:
+        if not isinstance(key.payload, PubKeyValue):
+            return None
+        # A literal key is a string compare on the fingerprint: the
+        # hottest conjunct in ACL policies.
+        fingerprint = key.payload.value
+        return lambda ctx, slots: ctx.session_key == fingerprint
+    match = matcher(key, scope)
+    return lambda ctx, slots: match(PubKeyValue(ctx.session_key), ctx, slots)
+
+
+def _tuple_arg(arg: Arg, scope: ClauseScope):
+    """``(read, None)`` for a tuple argument with nothing left to bind,
+    ``(None, unify)`` for one with slots to bind, ``(None, None)`` for
+    an argument that is no tuple when its conjunct starts."""
+    if arg.mode == TUPLE and not all_bound(arg, scope):
+        return None, unifier(arg, scope)
+    return typed_reader(arg, scope, TupleValue), None
 
 
 @_register("certificateSays", 10, 2, 3)
-def _certificate_says(ctx: EvalContext, bindings: Bindings, args) -> bool:
-    authority = args[0]
-    if not isinstance(authority, PubKeyValue):
-        raise EvalError("certificateSays authority must be a bound public key")
-    if len(args) == 3:
-        freshness: float | None = float(require_int(args[1], "freshness"))
-        pattern = args[2]
-    else:
-        freshness = None
-        pattern = args[1]
-    if not isinstance(pattern, (TuplePattern, TupleValue)):
-        raise EvalError("certificateSays needs a tuple argument")
-    for fact in ctx.certified_tuples(authority.value, freshness):
-        if unify_tuple(pattern, fact, bindings):
-            return True
-    return False
+def _certificate_says(args: list[Arg], scope: ClauseScope):
+    read_key = typed_reader(args[0], scope, PubKeyValue)
+    window = typed_reader(args[1], scope, IntValue) if len(args) == 3 else None
+    read, unify = _tuple_arg(args[-1], scope)
+    if read_key is None or (len(args) == 3 and window is None) or not (
+        read or unify
+    ):
+        return None
+
+    def says(ctx, slots):
+        key = read_key(ctx, slots)
+        if key is None:
+            return False
+        seconds = None
+        if window is not None:
+            number = window(ctx, slots)
+            if number is None:
+                return False
+            seconds = float(number.value)
+        if read is None:
+            facts = ctx.certified_tuples(key.value, seconds)
+            return any(unify(fact, ctx, slots) for fact in facts)
+        pattern = read(ctx, slots)
+        return pattern is not None and pattern in ctx.certified_tuples(
+            key.value, seconds
+        )
+
+    return says
 
 
 # ---------------------------------------------------------------------------
@@ -153,81 +201,120 @@ def _certificate_says(ctx: EvalContext, bindings: Bindings, args) -> bool:
 # ---------------------------------------------------------------------------
 
 @_register("objId", 20, 2, 2)
-def _obj_id(ctx: EvalContext, bindings: Bindings, args) -> bool:
+def _obj_id(args: list[Arg], scope: ClauseScope):
     obj, ident = args
-    if isinstance(obj, Unbound):
-        raise EvalError("objId object argument must be resolvable")
-    object_id = as_object_id(obj)
-    if object_id is None:
-        # The object does not exist: only objId(x, NULL) holds.
-        return isinstance(ident, NullValue)
-    if isinstance(ident, NullValue):
-        return False
-    return compare_or_set(ident, StrValue(object_id), bindings)
-
-
-def _resolve_object(ctx: EvalContext, arg):
-    object_id = as_object_id(arg)
-    if object_id is None:
-        return None, None
-    return object_id, ctx.view(object_id)
-
-
-def _resolve_info(ctx: EvalContext, bindings: Bindings, args):
-    """The version ``args[:2]`` name (object, version), or ``None``; an
-    unbound version argument is bound to the object's current one."""
-    object_id, view = _resolve_object(ctx, args[0])
-    if object_id is None:
+    read_obj = typed_reader(obj, scope, (StrValue, NullValue))
+    if read_obj is None:
         return None
-    version_arg = args[1]
-    if not isinstance(version_arg, Unbound):
-        version = require_int(version_arg, "version")
-    elif view is None:
+    # NULL as the argument was evaluated: a slot bound since is not.
+    read_null = typed_reader(ident, scope, NullValue) if is_ground(ident) else None
+    match = matcher(ident, scope)
+
+    def obj_id(ctx, slots):
+        value = read_obj(ctx, slots)
+        is_null = read_null is not None and read_null(ctx, slots) is not None
+        if isinstance(value, NullValue):
+            # The object does not exist: only objId(x, NULL) holds.
+            return is_null
+        return value is not None and not is_null and match(value, ctx, slots)
+
+    return obj_id
+
+
+def _resolver(obj: Arg, version: Arg, scope: ClauseScope):
+    """``fn(ctx, slots) -> VersionInfo | None`` for the version
+    ``(obj, version)`` name; an unbound version is bound to the object's
+    current one.  ``None`` when ``obj`` is never an object id."""
+    read_obj = typed_reader(obj, scope, StrValue)
+    if read_obj is None:
         return None
+    slot = version.payload
+    bind_current = version.mode == FREE
+    if bind_current:
+        scope.bound.add(slot)
     else:
-        version = view.current_version
-        bindings.bind(version_arg.slot, IntValue(version))
-    return ctx.version_info(object_id, version)
+        read_number = typed_reader(version, scope, IntValue)
+
+    def resolve(ctx, slots):
+        value = read_obj(ctx, slots)
+        if value is None:
+            return None
+        view = ctx.view(value.value)
+        if bind_current:
+            if view is None:
+                return None
+            number = IntValue(view.current_version)
+            slots[slot] = number
+        else:
+            # Checked after the object is looked up, as it always was.
+            number = read_number and read_number(ctx, slots)
+            if number is None:
+                return None
+        return ctx.version_info(value.value, number.value)
+
+    return resolve
 
 
 @_register("currVersion", 21, 2, 2)
-def _curr_version(ctx: EvalContext, bindings: Bindings, args) -> bool:
-    _object_id, view = _resolve_object(ctx, args[0])
-    if view is None:
-        return False
-    return compare_or_set(args[1], IntValue(view.current_version), bindings)
+def _curr_version(args: list[Arg], scope: ClauseScope):
+    read_obj = typed_reader(args[0], scope, StrValue)
+    if read_obj is None:
+        return None
+    match = matcher(args[1], scope)
+
+    def curr_version(ctx, slots):
+        value = read_obj(ctx, slots)
+        view = None if value is None else ctx.view(value.value)
+        return view is not None and match(
+            IntValue(view.current_version), ctx, slots
+        )
+
+    return curr_version
 
 
 _register("currIndex", 27, 2, 2)(_curr_version)
 
 
 @_register("nextVersion", 22, 1, 1)
-def _next_version(ctx: EvalContext, bindings: Bindings, args) -> bool:
-    if ctx.request_version is None:
-        return False
-    return compare_or_set(args[0], IntValue(ctx.request_version), bindings)
+def _next_version(args: list[Arg], scope: ClauseScope):
+    match = matcher(args[-1], scope)
+
+    def next_version(ctx, slots):
+        number = ctx.request_version
+        return number is not None and match(IntValue(number), ctx, slots)
+
+    return next_version
 
 
 @_register("nextIndex", 28, 1, 2)
-def _next_index(ctx: EvalContext, bindings: Bindings, args) -> bool:
+def _next_index(args: list[Arg], scope: ClauseScope):
     # Two-argument form names the object first (MAL example); the
     # request's version argument is object-independent either way.
-    version_arg = args[-1]
-    if len(args) == 2:
-        object_id = as_object_id(args[0])
-        if object_id is None:
-            return False
-    return _next_version(ctx, bindings, (version_arg,))
+    if len(args) == 1:
+        return _next_version(args, scope)
+    read_obj = typed_reader(args[0], scope, StrValue)
+    next_version = _next_version(args, scope)
+    if read_obj is None:
+        return None
+    return lambda ctx, slots: (
+        read_obj(ctx, slots) is not None and next_version(ctx, slots)
+    )
 
 
 def _version_metadata(extract: Callable):
-    def impl(ctx: EvalContext, bindings: Bindings, args) -> bool:
-        info = _resolve_info(ctx, bindings, args)
-        if info is None:
-            return False
-        return compare_or_set(args[2], extract(info), bindings)
+    def specialise(args: list[Arg], scope: ClauseScope):
+        resolve = _resolver(args[0], args[1], scope)
+        if resolve is None:
+            return None
+        match = matcher(args[2], scope)
 
-    return impl
+        def metadata(ctx, slots):
+            info = resolve(ctx, slots)
+            return info is not None and match(extract(info), ctx, slots)
+
+        return metadata
+
+    return specialise
 
 
 _register("objSize", 23, 3, 3)(
@@ -242,20 +329,22 @@ _register("objHash", 25, 3, 3)(
 
 
 @_register("objSays", 26, 3, 3)
-def _obj_says(ctx: EvalContext, bindings: Bindings, args) -> bool:
-    info = _resolve_info(ctx, bindings, args)
-    if info is None:
-        return False
-    pattern = args[2]
-    if not isinstance(pattern, (TuplePattern, TupleValue)):
-        raise EvalError("objSays needs a tuple argument")
-    facts = info.facts
-    ground = ground_tuple(pattern)
-    if ground is not None:
-        # Nothing to bind, so no fact's position matters: a lookup,
-        # however long the log has grown.
-        return ground in facts.ground
-    for fact in facts.ordered:
-        if unify_tuple(pattern, fact, bindings):
-            return True
-    return False
+def _obj_says(args: list[Arg], scope: ClauseScope):
+    resolve = _resolver(args[0], args[1], scope)
+    if resolve is None:
+        return None
+    read, unify = _tuple_arg(args[2], scope)
+
+    def says(ctx, slots):
+        info = resolve(ctx, slots)
+        if info is None or not (read or unify):
+            return False
+        if read is not None:
+            # Nothing to bind, so no fact's position matters: a lookup,
+            # however long the log has grown.
+            pattern = read(ctx, slots)
+            return pattern is not None and pattern in info.facts.ground
+        # The first fact in content order that unifies binds the slots.
+        return any(unify(fact, ctx, slots) for fact in info.facts.ordered)
+
+    return says

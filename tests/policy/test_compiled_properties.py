@@ -10,7 +10,7 @@ Four families:
   ``put_policy`` touches no cached decision) must never let the engine
   serve a stale grant or denial;
 * fact lookup — ``objSays`` answers a pattern with nothing to bind by
-  set membership and any other by the ordered scan, and both equal the
+  set membership and any other with its unifier, and both equal the
   ordered ``unify_tuple`` scan (``POLICY_SEED`` moves the examples);
 * read-set — the decision cache keys a verdict by the inputs its
   policy's conjuncts can read and by nothing else, so one engine serving
@@ -49,16 +49,14 @@ from repro.policy.context import (
     RequestInputs,
     VersionInfo,
 )
-from repro.policy.evalcore import (
+from tests.policy.difftest import assert_identical, run_differential
+from tests.policy.reference_interpreter import (
     Bindings,
+    PolicyInterpreter,
     TuplePattern,
     Unbound,
-    ground_tuple,
     unify_tuple,
 )
-from repro.policy.predicates import lookup_predicate
-from tests.policy.difftest import assert_identical, run_differential
-from tests.policy.reference_interpreter import PolicyInterpreter
 
 INTERP = PolicyInterpreter()
 
@@ -202,7 +200,7 @@ def _facts_and_pattern(draw):
 
 
 def _bindings(prebound) -> Bindings:
-    bindings = Bindings(_SLOTS)
+    bindings = Bindings(_SLOTS, [f"X{slot}" for slot in range(_SLOTS)])
     for slot, value in enumerate(prebound):
         if value is not None:
             bindings.bind(slot, value)
@@ -222,10 +220,27 @@ def _resolved(pattern, bindings):
     return TuplePattern(pattern.name, tuple(elems))
 
 
+def _term(pattern) -> str:
+    """``pattern`` in policy syntax, slot ``i`` as variable ``Xi``."""
+    def element(item):
+        if isinstance(item, Unbound):
+            return f"X{item.slot}"
+        if isinstance(item, TuplePattern):
+            return _term(item)
+        return item.render()
+
+    return f"'{pattern.name}'(" + ",".join(map(element, pattern.elems)) + ")"
+
+
 @seed(POLICY_SEED)
 @settings(max_examples=300, deadline=None)
 @given(case=_facts_and_pattern())
 def test_obj_says_lookup_equals_the_ordered_unify_scan(case):
+    """The shipped ``objSays`` answers a pattern with nothing left to
+    bind by membership and any other with its unifier; either way it
+    grants and binds exactly as the ordered ``unify_tuple`` scan does.
+    The slots bound beforehand are bound by a first conjunct that reads
+    them off the target object."""
     said, pattern, prebound = case
     content = "".join(fact.render() + "\n" for fact in said).encode()
     facts = Facts.parse(content)
@@ -237,19 +252,42 @@ def test_obj_says_lookup_equals_the_ordered_unify_scan(case):
     evaluated = _resolved(pattern, expected)
     held = any(unify_tuple(evaluated, fact, expected) for fact in said)
 
-    ground = ground_tuple(evaluated)
-    if ground is not None:
-        assert (ground in facts.ground) == held
-        assert expected.snapshot() == _bindings(prebound).snapshot()
+    bound = [slot for slot, value in enumerate(prebound) if value is not None]
+    conjuncts = [f"objSays(log, LV, {_term(pattern)})"]
+    if bound:
+        conjuncts.insert(
+            0,
+            "objSays(this, PV, "
+            + _term(TuplePattern("pre", tuple(map(Unbound, bound))))
+            + ")",
+        )
+    policy = compile_policy("read :- " + " /\\ ".join(conjuncts))
+    pre = TupleValue("pre", tuple(prebound[slot] for slot in bound))
 
-    view = ObjectView(
-        "log", 0, {0: VersionInfo(len(content), "h", load=lambda: facts)}
+    def view(object_id, data):
+        return ObjectView(
+            object_id, 0, {0: VersionInfo(len(data), "h", load=lambda: data)}
+        )
+
+    ctx = EvalContext(
+        operation="read",
+        session_key="fp",
+        this_id="obj",
+        log_id="log",
+        objects={
+            "obj": view("obj", Facts((pre,), frozenset({pre}))),
+            "log": view("log", facts),
+        },
     )
-    ctx = EvalContext(operation="read", session_key="fp", objects={"log": view})
-    actual = _bindings(prebound)
-    args = [StrValue("log"), IntValue(0), _resolved(pattern, actual)]
-    assert lookup_predicate("objSays").impl(ctx, actual, args) == held
-    assert actual.snapshot() == expected.snapshot()
+    shipped = compile_closures(policy).evaluate("read", ctx)
+    assert_identical(INTERP.evaluate(policy, "read", ctx), shipped)
+    assert shipped.granted == held
+    if held:
+        assert {
+            name: value
+            for name, value in shipped.bindings.items()
+            if name.startswith("X")
+        } == expected.snapshot()
 
 
 # -- the request shape is the policy's read-set -----------------------------
@@ -419,7 +457,6 @@ _CTX_READS = {
     "session_key": "shape[0], always",
     "this_id": "shape[1] when reads_this",
     "log_id": "shape[2] when reads_log",
-    "resolve_ref": "reads this_id / log_id: shape[1], shape[2]",
     "request_version": "shape[3] when reads_version",
     "certificates": "shape[4] when uses_certificates",
     "certified_tuples": "certificates, key_registry, now, nonce",
@@ -434,7 +471,14 @@ _CTX_READS = {
 }
 
 
-def _attribute_reads(path: Path, receiver: str, inside: str | None = None):
+#: Where the evaluator's code lives: every closure that reads the
+#: context is compiled in one of these.
+_EVALUATOR_MODULES = ("compiled.py", "evalcore.py", "predicates.py")
+
+
+def _attribute_reads(path: Path, receiver, inside: str | None = None):
+    """The attribute of every ``name.attr`` in the file (in class
+    ``inside`` only, if given) whose ``name`` passes ``receiver``."""
     tree = ast.parse(path.read_text())
     if inside is not None:
         (tree,) = [
@@ -446,24 +490,42 @@ def _attribute_reads(path: Path, receiver: str, inside: str | None = None):
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
-        and node.value.id == receiver
+        and receiver(node.value.id)
     }
 
 
 def test_every_context_read_is_covered_by_the_shape_or_uncacheable():
     package = Path(compiled_module.__file__).parent
-    direct = _attribute_reads(
-        package / "predicates.py", "ctx"
-    ) | _attribute_reads(package / "compiled.py", "ctx")
-    own = _attribute_reads(package / "context.py", "self", "EvalContext")
+    direct = set().union(*(
+        _attribute_reads(package / name, lambda receiver: receiver == "ctx")
+        for name in _EVALUATOR_MODULES
+    ))
+    own = _attribute_reads(
+        package / "context.py", lambda receiver: receiver == "self",
+        "EvalContext",
+    )
     assert direct | own == set(_CTX_READS)
     # ``pending`` and the object views are read by EvalContext itself
     # and by nothing that compiles or runs a conjunct.
     assert not direct & {"pending", "objects"}
+    # No closure reads the context under another name.
+    context_names = set(EvalContext.__dataclass_fields__) | {
+        name for name in vars(EvalContext) if not name.startswith("_")
+    }
+    elsewhere = set().union(*(
+        _attribute_reads(
+            package / name,
+            lambda receiver: receiver not in ("ctx", "inputs", "self"),
+        )
+        for name in _EVALUATOR_MODULES
+    ))
+    assert not elsewhere & context_names
     # The cache is probed with the request's inputs, before a context
     # exists: each is the context field of the same name, and the
     # views, pending write and key registry are none of them.
-    probed = _attribute_reads(package / "compiled.py", "inputs")
+    probed = _attribute_reads(
+        package / "compiled.py", lambda receiver: receiver == "inputs"
+    )
     assert probed == set(RequestInputs._fields)
     assert probed <= set(EvalContext.__dataclass_fields__) & set(_CTX_READS)
     assert not probed & {"objects", "pending", "key_registry"}

@@ -150,14 +150,6 @@ def test_object_view_lookup():
     assert view.info(1) is None
 
 
-def test_context_resolve_refs():
-    ctx = EvalContext(operation="read", session_key="k", this_id="a", log_id="b")
-    assert ctx.resolve_ref("this") == "a"
-    assert ctx.resolve_ref("log") == "b"
-    with pytest.raises(PolicyError):
-        ctx.resolve_ref("other")
-
-
 def test_context_pending_version_visible():
     view = ObjectView(object_id="obj", current_version=3, versions={})
     pending = VersionInfo.from_content(b"incoming")

@@ -1,15 +1,16 @@
 """Regressions for the compare-or-set unification bugs.
 
 Two historical failure modes, each asserted under BOTH the reference
-interpreter and the shipped closures (both share :mod:`evalcore`, so a
-regression there must trip these):
+interpreter (whose ``compare_or_set`` and ``unify_tuple`` carry the
+fixes) and the shipped closures (whose binding analysis must decide
+every occurrence the same way):
 
 1. ``compare_or_set`` double-bind — a variable that was unbound when a
    predicate's arguments were evaluated may have been bound *by the
    predicate itself* before a later argument is compared
    (``objSize(this, V, V)``: version resolution binds ``V``, then the
    size argument used to re-``bind`` instead of comparing, turning a
-   legitimate grant into a structural :class:`EvalError`).
+   legitimate grant into a structural ``EvalError``).
 2. ``unify_tuple`` partial-binding pollution — a failed match against
    one fact used to leave bindings from its matched prefix (including
    *nested* tuple elements) behind, poisoning the attempt against the
