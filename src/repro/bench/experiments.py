@@ -443,9 +443,11 @@ def fig8_policy_cache(policy_counts=None, clients: int = 200) -> FigureResult:
             ]
             # Re-attach policies round-robin across the loaded objects.
             for index, key in enumerate(loaded.trace.load_keys):
-                meta = controller._get_meta(key)
-                meta.policy_id = policy_ids[index % count]
+                meta = controller._get_meta(key)._replace(
+                    policy_id=policy_ids[index % count]
+                )
                 controller.store.write_meta(meta)
+                controller.caches.put_meta(key, meta)
             result = run_point(loaded, clients, measure_ops=_measure_ops())
             figure.add(f"{mode}-sim", count, result)
     return figure
@@ -516,7 +518,9 @@ def _mal_executor(granularity: int):
                 state["entries"].append(entry)
                 state["entries"] = state["entries"][-32:]
                 content = "".join(state["entries"]).encode()
-                controller.store.store_version(log_meta, content, "")
+                log_meta = controller.store.store_version(
+                    log_meta, content, ""
+                )
                 controller.caches.put_meta("mal-log", log_meta)
         return _default_executor(loaded, operation)
 

@@ -40,7 +40,7 @@ from repro.core.request import METHOD_TABLE, Request, Response, error_response
 from repro.core.session import Session, SessionManager
 from repro.core.freshness import FreshnessAuthority, pin_new_fleet
 from repro.core.ssdcache import SimulatedSsd, SsdCacheTier
-from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
+from repro.core.store import ObjectStore, StoredMeta, VersionMeta
 from repro.core.txn import Transaction, VllManager
 from repro.errors import (
     ConfigurationError,
@@ -58,7 +58,7 @@ from repro.kinetic.protocol import DEMO_IDENTITY, DEMO_KEY, Role
 from repro.policy.binary import CompiledPolicy
 from repro.policy.compiled import Decision, PolicyEngine, compiled_form
 from repro.policy.compiler import compile_source
-from repro.policy.context import EvalContext, RequestInputs, VersionInfo
+from repro.policy.context import EvalContext, Facts, RequestInputs, VersionInfo
 from repro.sgx.attestation import attest_and_provision
 from repro.sgx.auditlog import AuditLog
 from repro.telemetry import NULL_TELEMETRY
@@ -158,30 +158,6 @@ def _accepts(client) -> bool:
     except KineticAuthError:
         return False
     return True
-
-
-class _ViewMap:
-    """Lazy object-id → view mapping handed to the policy context,
-    seeded with the metadata the request already holds for ``this``."""
-
-    def __init__(self, controller: "PesosController", this_id, this_meta):
-        self._controller = controller
-        self._views: dict = {}
-        self._this = this_id, this_meta
-
-    def get(self, object_id: str):
-        if object_id in self._views:
-            return self._views[object_id]
-        this_id, meta = self._this
-        if object_id != this_id:
-            meta = self._controller._get_meta(object_id)
-        view = None
-        if meta is not None and meta.exists:
-            view = StoreBackedView(
-                meta, self._controller.store, self._controller.caches
-            )
-        self._views[object_id] = view
-        return view
 
 
 class PesosController:
@@ -569,8 +545,14 @@ class PesosController:
             self.caches.put_meta(key, meta)
         return meta
 
-    def _existing_meta(self, key: str) -> StoredMeta:
+    def _view(self, key: str) -> StoredMeta | None:
+        """What a check sees of an object it names besides ``this``:
+        its record, if it exists."""
         meta = self._get_meta(key)
+        return meta if meta is not None and meta.exists else None
+
+    def _existing_meta(self, key: str) -> StoredMeta:
+        meta = self.caches.get_meta(key) or self._load_meta(key)
         if meta is None or not meta.exists:
             raise ObjectNotFound(f"no object {key!r}")
         return meta
@@ -602,13 +584,14 @@ class PesosController:
         return policy
 
     def _inputs(
-        self, key: str, request: Request, session: Session, meta, now: float
+        self, key: str, this_id: str | None, request: Request,
+        session: Session, now: float,
     ) -> RequestInputs:
-        """What a check of ``key`` brings before any context is built:
-        all the decision cache reads."""
+        """What a check of ``key`` (``this_id`` when it exists) brings
+        before any context is built: all the decision cache reads."""
         return RequestInputs(
             session.fingerprint,
-            key if meta is not None and meta.exists else None,
+            this_id,
             request.log_key or key + LOG_SUFFIX,
             request.version, request.certificates, session.nonce, now,
         )
@@ -628,7 +611,11 @@ class PesosController:
             this_id=inputs.this_id,
             log_id=inputs.log_id,
             request_version=inputs.request_version,
-            objects=_ViewMap(self, inputs.this_id, meta),
+            # The record the request holds is the view of ``this`` (under
+            # None while it does not exist: no object id names it).
+            objects={inputs.this_id: meta},
+            lookup=self._view,
+            load_facts=self._facts,
             pending=pending,
             certificates=list(presented) if presented else presented,
             key_registry=(
@@ -699,7 +686,7 @@ class PesosController:
         meta = self._existing_meta(key)
         if self.config.enforce_policies and meta.policy_id:
             policy = self._governing_policy(meta.policy_id)
-            inputs = self._inputs(key, request, session, meta, now)
+            inputs = self._inputs(key, key, request, session, now)
             self._check_policy(
                 operation, policy, inputs,
                 lambda: self._context(operation, inputs, meta),
@@ -737,7 +724,10 @@ class PesosController:
             governing = bound_policy
 
         if self.config.enforce_policies and governing is not None:
-            inputs = self._inputs(request.key, request, session, meta, now)
+            inputs = self._inputs(
+                request.key, request.key if meta.exists else None,
+                request, session, now,
+            )
             self._check_policy(
                 "update", governing, inputs,
                 lambda: self._context(
@@ -748,10 +738,12 @@ class PesosController:
         return meta, bound_policy_id, bound_hash
 
     def _apply_put(self, request: Request, granted: tuple) -> Response:
-        """Store one write :meth:`_authorize_update` has granted."""
+        """Store one write :meth:`_authorize_update` has granted, and
+        install the new record once the write quorum acknowledged it."""
         meta, bound_policy_id, bound_hash = granted
-        meta.policy_id = bound_policy_id
-        self.store.store_version(meta, request.value, bound_hash)
+        meta = self.store.store_version(
+            meta, request.value, bound_hash, bound_policy_id
+        )
         self.caches.put_meta(request.key, meta)
         self.caches.put_object(
             f"{request.key}@{meta.current_version}", request.value
@@ -773,6 +765,22 @@ class PesosController:
     def _handle_get(
         self, request: Request, session: Session, now: float
     ) -> Response:
+        meta, row = self._readable(request, session, now)
+        value = self._value(request.key, row)
+        self.effects.record(COPY, len(value))
+        return Response(
+            status=200,
+            value=value,
+            version=row.version,
+            policy_id=meta.policy_id,
+        )
+
+    def _readable(
+        self, request: Request, session: Session, now: float
+    ) -> tuple[StoredMeta, VersionMeta]:
+        """The record of ``request.key`` once its policy grants a read,
+        and the row of the version the request names (by default the
+        current one); 404 when the record has no such version."""
         meta = self._authorize_existing(
             "read", request.key, request, session, now
         )
@@ -784,25 +792,27 @@ class PesosController:
             raise ObjectNotFound(
                 f"object {request.key!r} has no version {version}"
             )
-        cache_key = f"{request.key}@{version}"
+        return meta, meta.versions[version]
+
+    def _value(self, key: str, row: VersionMeta) -> bytes:
+        """One stored version's content, for a GET and for ``objSays``:
+        one object-region lookup; on a miss a read anchored by the
+        content hash in its row (a lagging or replayed copy of an
+        overwritten slot, on a drive or on the SSD, decrypts fine but
+        cannot match), then cached (§4.2)."""
+        cache_key = f"{key}@{row.version}"
         value = self.caches.get_object(cache_key)
         if value is None:
-            # The content hash in the metadata record anchors the value:
-            # a lagging or replayed copy of an overwritten slot, on a
-            # drive or on the SSD, decrypts fine but cannot match.
             value = self.store.read_value(
-                request.key,
-                version,
-                expect_sha256=meta.versions[version].content_hash,
+                key, row.version, expect_sha256=row.content_hash
             )
             self.caches.put_object(cache_key, value)
-        self.effects.record(COPY, len(value))
-        return Response(
-            status=200,
-            value=value,
-            version=version,
-            policy_id=meta.policy_id,
-        )
+        return value
+
+    def _facts(self, key: str, row: VersionMeta) -> Facts:
+        """What a stored version says, parsed once while its bytes stay
+        resident: ``EvalContext.load_facts``."""
+        return self.caches.facts(f"{key}@{row.version}", self._value(key, row))
 
     def _handle_scan(
         self, request: Request, session: Session, now: float
@@ -845,7 +855,7 @@ class PesosController:
                 verdict = verdicts.get(meta.policy_id)
                 if verdict is None:
                     policy = self._governing_policy(meta.policy_id)
-                    inputs = self._inputs(key, caller, session, meta, now)
+                    inputs = self._inputs(key, key, caller, session, now)
                     verdict = policy.policy_hash(), self._evaluate(
                         "read", policy, inputs,
                         lambda: self._context("read", inputs, meta),
@@ -906,23 +916,12 @@ class PesosController:
         """
         if self.signing_keys is None:
             raise RequestError("controller has no attestation signing key")
-        meta = self._authorize_existing(
-            "read", request.key, request, session, now
-        )
-        version = (
-            request.version if request.version is not None
-            else meta.current_version
-        )
-        version_meta = meta.versions.get(version)
-        if version_meta is None:
-            raise ObjectNotFound(
-                f"object {request.key!r} has no version {version}"
-            )
+        meta, row = self._readable(request, session, now)
         statement = attestation_statement(
             key=request.key,
-            version=version,
-            content_hash=version_meta.content_hash,
-            policy_hash=version_meta.policy_hash,
+            version=row.version,
+            content_hash=row.content_hash,
+            policy_hash=row.policy_hash,
             policy_id=meta.policy_id,
             timestamp=now,
         )
@@ -930,7 +929,7 @@ class PesosController:
         return Response(
             status=200,
             value=statement,
-            version=version,
+            version=row.version,
             extra={"signature": signature.hex()},
         )
 

@@ -43,9 +43,10 @@ import secrets
 import struct
 import time as _time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import partial
-from operator import attrgetter
+from types import MappingProxyType
+from typing import NamedTuple
 
 from repro.core.antientropy import KIND_OBJECT, KIND_POLICY, DirtyJournal
 from repro.core.effects import (
@@ -70,7 +71,6 @@ from repro.errors import (
     StaleReplica,
     TransientIOError,
 )
-from repro.policy.context import Facts, ObjectView, VersionInfo
 from repro.kinetic import protocol
 from repro.kinetic.protocol import Op, decode_fields, encode_fields
 from repro.telemetry import NULL_TELEMETRY
@@ -97,9 +97,9 @@ def _optional_digest(hex_digest: str) -> bytes:
     return _raw_digest(hex_digest) if hex_digest else b""
 
 
-@dataclass
-class VersionMeta:
-    """Metadata for one stored version of an object."""
+class VersionMeta(NamedTuple):
+    """One stored version of an object: a row of its ``m/`` record, and
+    what a policy sees of it (``objSize``, ``objHash``, ``objPolicy``)."""
 
     version: int
     size: int
@@ -107,21 +107,24 @@ class VersionMeta:
     policy_hash: str = ""
 
 
-@dataclass
-class StoredMeta:
-    """Per-object metadata record (the ``m/<key>`` value)."""
+class StoredMeta(NamedTuple):
+    """Per-object metadata record (the ``m/<key>`` value).
+
+    A record never changes: a write builds the next one
+    (:meth:`ObjectStore.store_version`), and the controller installs it
+    once the write quorum has acknowledged.  So the record the keys
+    region holds is also the object's policy view: ``current_version``
+    and ``versions`` are what the object predicates read.
+    """
 
     key: str
     current_version: int = -1  # -1 = no version written yet
     policy_id: str = ""
-    versions: dict = field(default_factory=dict)  # version -> VersionMeta
+    versions: Mapping[int, VersionMeta] = MappingProxyType({})
 
     @property
     def exists(self) -> bool:
         return self.current_version >= 0
-
-    def latest(self) -> VersionMeta | None:
-        return self.versions.get(self.current_version)
 
     def weight(self) -> int:
         """Approximate in-memory size, for the key-cache budget."""
@@ -136,11 +139,11 @@ class StoredMeta:
         try:
             rows = [
                 _ROW.pack(
-                    m.version, m.size, _raw_digest(m.content_hash),
-                    hashes.setdefault(m.policy_hash, len(hashes)),
+                    version, size, _raw_digest(content_hash),
+                    hashes.setdefault(policy_hash, len(hashes)),
                 )
-                for m in sorted(
-                    self.versions.values(), key=attrgetter("version")
+                for version, size, content_hash, policy_hash in sorted(
+                    self.versions.values()
                 )
             ]
             return encode_fields(
@@ -185,14 +188,16 @@ class StoredMeta:
         ):
             raise KineticError("policy hash list does not match its rows")
         names = [raw.hex() for raw in hashes]
+        # ``tuple.__new__`` is what ``VersionMeta(...)`` runs, minus a
+        # Python frame per row: a keys-region miss decodes up to 32.
         return cls(
             fields_["key"], fields_["cv"] - 1, fields_["policy"].hex(),
-            {
-                version: VersionMeta(
+            MappingProxyType({
+                version: tuple.__new__(VersionMeta, (
                     version, size, content_hash.hex(), names[index]
-                )
+                ))
                 for version, size, content_hash, index in unpacked
-            },
+            }),
         )
 
 
@@ -1080,10 +1085,16 @@ class ObjectStore:
     # -- whole-object operations -----------------------------------------------------
 
     def store_version(
-        self, meta: StoredMeta, value: bytes, policy_hash: str
+        self, meta: StoredMeta, value: bytes, policy_hash: str,
+        policy_id: str | None = None,
     ) -> StoredMeta:
         """Write the next version of an object: content and the
-        metadata record naming it, together or not at all per replica."""
+        metadata record naming it, together or not at all per replica.
+
+        Returns the new record, bound to ``policy_id`` (by default the
+        policy ``meta`` names), once the write quorum acknowledged it;
+        ``meta`` is never changed, so a refused write changes nothing.
+        """
         new_version = meta.current_version + 1
         with self.telemetry.span(
             "store.store_version",
@@ -1091,26 +1102,33 @@ class ObjectStore:
             version=new_version,
             bytes=len(value),
         ):
-            return self._store_version(meta, value, policy_hash, new_version)
+            return self._store_version(
+                meta, value, policy_hash, policy_id, new_version
+            )
 
     def _store_version(
         self, meta: StoredMeta, value: bytes, policy_hash: str,
-        new_version: int,
+        policy_id: str | None, new_version: int,
     ) -> StoredMeta:
         key = meta.key
-        # ``meta`` (usually the cached record) changes only once the
-        # write is acknowledged; until then this is a private copy.
-        versions = dict(meta.versions)
+        versions = meta.versions.copy()
+        if not self.keep_history:
+            # The new value overwrites the one slot in place: the record
+            # lists only the version that slot holds.
+            versions.pop(meta.current_version, None)
         versions[new_version] = VersionMeta(
-            version=new_version,
-            size=len(value),
-            content_hash=hashlib.sha256(value).hexdigest(),
-            policy_hash=policy_hash,
+            new_version, len(value), hashlib.sha256(value).hexdigest(),
+            policy_hash,
         )
         dropped = sorted(versions)[:-VERSION_METADATA_WINDOW]
         for stale in dropped:
             del versions[stale]
-        plain = StoredMeta(key, new_version, meta.policy_id, versions).encode()
+        record = StoredMeta(
+            key, new_version,
+            meta.policy_id if policy_id is None else policy_id,
+            MappingProxyType(versions),
+        )
+        plain = record.encode()
         disk_key, aad = self._value_record(key, new_version)
         blob = self._seal(value, aad)
         ops = [_forced(disk_key, blob)]
@@ -1122,13 +1140,7 @@ class ObjectStore:
             ops += [_forced(self.value_key(key, stale)) for stale in dropped]
         self._pinned_write(key, plain, ops)
         self._file(key, live=True)
-        if not self.keep_history:
-            # The new value overwrote the latest slot in place; only
-            # the in-memory record needs pruning.
-            versions.pop(meta.current_version, None)
-        meta.current_version = new_version
-        meta.versions = versions
-        return meta
+        return record
 
     def delete_object(self, meta: StoredMeta) -> None:
         """Remove every version and the metadata record, one frame per
@@ -1228,47 +1240,3 @@ class ObjectStore:
         except KineticNotFound:
             return None
 
-
-class StoreBackedView(ObjectView):
-    """An :class:`ObjectView` that lazily reads content for ``objSays``.
-
-    Size/hash/policy-hash come from metadata without touching content;
-    the content is fetched (through the object cache) only when a policy
-    actually inspects what it says — and cached, per §4.2 ("we cache
-    objects accessed during policy evaluation"), facts included.
-    """
-
-    def __init__(self, meta: StoredMeta, store: ObjectStore, cache):
-        super().__init__(
-            object_id=meta.key, current_version=meta.current_version
-        )
-        self._meta = meta
-        self._store = store
-        self._cache = cache
-
-    def info(self, version: int) -> VersionInfo | None:
-        info = self.versions.get(version)
-        version_meta = self._meta.versions.get(version)
-        if info is None and version_meta is not None:
-            info = self.versions[version] = VersionInfo(
-                size=version_meta.size,
-                content_hash=version_meta.content_hash,
-                policy_hash=version_meta.policy_hash,
-                load=partial(
-                    self._load_facts, version, version_meta.content_hash
-                ),
-            )
-        return info
-
-    def _load_facts(self, version: int, content_hash: str) -> Facts:
-        """Resolve the content as a GET would (one object-cache lookup;
-        on a miss a read anchored by the metadata's content hash, then
-        cached), and ask the cache what exactly those bytes say."""
-        cache_key = f"{self.object_id}@{version}"
-        value = self._cache.get_object(cache_key)
-        if value is None:
-            value = self._store.read_value(
-                self.object_id, version, expect_sha256=content_hash
-            )
-            self._cache.put_object(cache_key, value)
-        return self._cache.facts(cache_key, value)

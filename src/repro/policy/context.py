@@ -12,10 +12,16 @@ as a sequence of tuples, one per line, in the policy term syntax
 use case appends such lines to its log objects.
 
 A version's bytes never change, so its :class:`Facts` are a pure
-function of them, parsed once per *bytes object*: the store-backed
-loader of a :class:`VersionInfo` keeps them on the object-cache entry
-holding those bytes (:meth:`repro.core.cache.CacheManager.facts`).
-They are immutable because they outlive the request that parsed them.
+function of them, parsed once per *bytes object*: for a stored version
+the controller's loader (:attr:`EvalContext.load_facts`) keeps them on
+the object-cache entry holding those bytes
+(:meth:`repro.core.cache.CacheManager.facts`).  They are immutable
+because they outlive the request that parsed them.
+
+An object's view is anything with a ``current_version`` and a
+``versions`` mapping of version -> a row with ``size``,
+``content_hash`` and ``policy_hash``: the controller hands over the
+object's stored metadata record itself.
 """
 
 from __future__ import annotations
@@ -129,7 +135,8 @@ class Facts(NamedTuple):
 
 @dataclass(slots=True, eq=False)
 class VersionInfo:
-    """Metadata + facts for one version of one object."""
+    """Metadata + facts for one version held in memory: the pending
+    write, or a version of a view built by hand."""
 
     size: int
     content_hash: str
@@ -159,18 +166,6 @@ class VersionInfo:
         return self._facts
 
 
-@dataclass
-class ObjectView:
-    """What policies can see of one object."""
-
-    object_id: str
-    current_version: int
-    versions: dict = field(default_factory=dict)  # version -> VersionInfo
-
-    def info(self, version: int) -> VersionInfo | None:
-        return self.versions.get(version)
-
-
 class RequestInputs(NamedTuple):
     """The :class:`EvalContext` fields a request brings before any
     context is built: all the decision cache reads."""
@@ -198,8 +193,14 @@ class EvalContext:
     log_id: str | None = None
     #: The version argument the client supplied with a put/update.
     request_version: int | None = None
-    #: Object views by id (must include this/log when referenced).
+    #: Object views by id (see the module docstring).
     objects: dict = field(default_factory=dict)
+    #: Resolves an object ``objects`` does not hold, once per check; None
+    #: when ``objects`` holds every object there is.
+    lookup: Callable | None = None
+    #: ``load_facts(object_id, row)``: what a stored version says.  None
+    #: when every version carries its own facts (:class:`VersionInfo`).
+    load_facts: Callable | None = None
     #: The pending write for the target object, observable as version
     #: current+1 (or 0 on creation).
     pending: VersionInfo | None = None
@@ -213,6 +214,9 @@ class EvalContext:
     #: Nonce Pesos handed the client for certificate freshness.
     nonce: str = ""
 
+    #: Facts loaded this check, by (object id, version).
+    _said: dict = field(default_factory=dict, init=False, repr=False)
+
     def __post_init__(self) -> None:
         for certificate in self.certificates:
             key = certificate.public_key
@@ -220,12 +224,15 @@ class EvalContext:
 
     # -- object resolution -------------------------------------------------
 
-    def view(self, object_id: str) -> ObjectView | None:
-        return self.objects.get(object_id)
+    def view(self, object_id: str):
+        objects = self.objects
+        if object_id not in objects and self.lookup is not None:
+            objects[object_id] = self.lookup(object_id)
+        return objects.get(object_id)
 
-    def version_info(self, object_id: str, version: int) -> VersionInfo | None:
-        """Version metadata, including the in-flight pending version."""
-        view = self.view(object_id)
+    def version_info(self, object_id: str, view, version: int):
+        """One version of ``view`` (what :meth:`view` gave for
+        ``object_id``), including the in-flight pending version."""
         if (
             self.pending is not None
             and object_id == self.this_id
@@ -234,7 +241,19 @@ class EvalContext:
             return self.pending
         if view is None:
             return None
-        return view.info(version)
+        return view.versions.get(version)
+
+    def facts(self, object_id: str, info) -> Facts:
+        """What ``info``, a version :meth:`version_info` gave, says:
+        parsed from its own bytes when it holds them, else loaded once
+        per check."""
+        if self.load_facts is None or info is self.pending:
+            return info.facts
+        key = object_id, info.version
+        said = self._said.get(key)
+        if said is None:
+            said = self._said[key] = self.load_facts(object_id, info)
+        return said
 
     # -- certificates --------------------------------------------------------
 

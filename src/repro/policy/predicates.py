@@ -250,7 +250,7 @@ def _resolver(obj: Arg, version: Arg, scope: ClauseScope):
             number = read_number and read_number(ctx, slots)
             if number is None:
                 return None
-        return ctx.version_info(value.value, number.value)
+        return ctx.version_info(value.value, view, number.value)
 
     return resolve
 
@@ -330,6 +330,7 @@ _register("objHash", 25, 3, 3)(
 
 @_register("objSays", 26, 3, 3)
 def _obj_says(args: list[Arg], scope: ClauseScope):
+    read_obj = typed_reader(args[0], scope, StrValue)
     resolve = _resolver(args[0], args[1], scope)
     if resolve is None:
         return None
@@ -339,12 +340,17 @@ def _obj_says(args: list[Arg], scope: ClauseScope):
         info = resolve(ctx, slots)
         if info is None or not (read or unify):
             return False
+        # The object ``resolve`` just read: reading it again is pure.
+        object_id = read_obj(ctx, slots).value
         if read is not None:
             # Nothing to bind, so no fact's position matters: a lookup,
             # however long the log has grown.
             pattern = read(ctx, slots)
-            return pattern is not None and pattern in info.facts.ground
+            return pattern is not None and (
+                pattern in ctx.facts(object_id, info).ground
+            )
         # The first fact in content order that unifies binds the slots.
-        return any(unify(fact, ctx, slots) for fact in info.facts.ordered)
+        facts = ctx.facts(object_id, info).ordered
+        return any(unify(fact, ctx, slots) for fact in facts)
 
     return says

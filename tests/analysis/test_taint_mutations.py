@@ -269,13 +269,13 @@ def test_plaintext_http_error_header_detected(tmp_path):
         "        return Response(\n"
         "            status=200,\n"
         "            value=value,\n"
-        "            version=version,\n"
+        "            version=row.version,\n"
         "            policy_id=meta.policy_id,\n"
         "        )",
         "        return Response(\n"
         "            status=200,\n"
         "            value=value,\n"
-        "            version=version,\n"
+        "            version=row.version,\n"
         "            policy_id=meta.policy_id,\n"
         '            error=f"served {value!r}",\n'
         "        )",

@@ -28,10 +28,10 @@ def degrade_transaction_writes(controller) -> None:
     """``store_version`` loses its write quorum for the tx's value only."""
     real = controller.store.store_version
 
-    def store_version(meta, value, policy_hash):
+    def store_version(meta, value, policy_hash, policy_id=None):
         if value == TX_VALUE:
             raise ReplicationDegraded("1 of 2 replicas acknowledged")
-        return real(meta, value, policy_hash)
+        return real(meta, value, policy_hash, policy_id)
 
     controller.store.store_version = store_version
 

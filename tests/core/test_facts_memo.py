@@ -15,14 +15,13 @@ import pytest
 from repro.core.cache import CacheConfig, CacheManager
 from repro.core.controller import ControllerConfig
 from repro.core.effects import EffectsRecorder
-from repro.core.store import ObjectStore, StoreBackedView, StoredMeta
+from repro.core.store import StoredMeta
 from repro.policy import context
 from repro.policy.compiled import PolicyEngine
 from repro.policy.compiler import compile_policy
 from repro.policy.context import (
     EvalContext,
     Facts,
-    ObjectView,
     VersionInfo,
     content_hash,
 )
@@ -30,7 +29,7 @@ from repro.usecases.mal import MalStore, mal_policy, write_intent
 from tests.core.conftest import make_clients
 from tests.enclave import boot
 from tests.policy.difftest import assert_identical
-from tests.policy.reference_interpreter import PolicyInterpreter
+from tests.policy.reference_interpreter import ObjectView, PolicyInterpreter
 from tests.usecases.conftest import ALICE, BOB, CAROL
 
 #: ``doc`` is readable by whoever its log's current version names.
@@ -376,7 +375,8 @@ CASES = [
 ]
 
 
-def _context(operation, session, this, log, objects, request_version, pending):
+def _context(operation, session, this, log, objects, request_version, pending,
+             load_facts=None):
     return EvalContext(
         operation=operation,
         session_key=session,
@@ -384,6 +384,7 @@ def _context(operation, session, this, log, objects, request_version, pending):
         log_id=log,
         request_version=request_version,
         objects=objects,
+        load_facts=load_facts,
         pending=None if pending is None else VersionInfo.from_content(pending),
     )
 
@@ -396,21 +397,21 @@ def test_memo_warm_equals_cold_parse_equals_reference(
     grants, policy, operation, session, this, log, objects, request_version,
     pending, parsed,
 ):
-    store = ObjectStore(_clients(1), b"s" * 32)
+    controller = boot(_clients(1), storage_key=b"s" * 32)
     metas = {
-        object_id: store.store_version(
+        object_id: controller.store.store_version(
             StoredMeta(key=object_id, current_version=version - 1), content, ""
         )
         for object_id, (version, content) in objects.items()
     }
 
     def through_the_store(caches):
-        views = {
-            object_id: StoreBackedView(meta, store, caches)
-            for object_id, meta in metas.items()
-        }
+        # The records are the views; facts load through the controller's
+        # GET value path, over ``caches``.
+        controller.caches = caches
         ctx = _context(
-            operation, session, this, log, views, request_version, pending
+            operation, session, this, log, dict(metas), request_version,
+            pending, load_facts=controller._facts,
         )
         return PolicyEngine().evaluate(policy, operation, ctx)
 
@@ -430,7 +431,7 @@ def test_memo_warm_equals_cold_parse_equals_reference(
     stored = {content for _version, content in objects.values()}
     del parsed[:]
     warm = through_the_store(caches)
-    assert not stored.intersection(parsed)  # fresh views, no re-parse
+    assert not stored.intersection(parsed)  # a fresh context, no re-parse
     assert reference.granted is grants
     assert_identical(reference, cold, label="cold parse")
     assert_identical(reference, warm, label="memo warm")

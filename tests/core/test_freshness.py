@@ -154,7 +154,7 @@ def test_every_pin_seals_fresh_counter_state():
 def test_counter_sealing_survives_enclave_restart():
     store, _cluster, authority, platform = _verified_store()
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"v1", "")
+    meta = store.store_version(meta, b"v1", "")
     pins = authority.pins
     store.write_policy(b"blob")
     assert authority.pins == pins  # a policy needs no pin
@@ -173,7 +173,7 @@ def test_counter_sealing_survives_enclave_restart():
 def test_trust_on_first_use_adopts_existing_fleet():
     store, _cluster = _store()
     meta = StoredMeta(key="pre-existing")
-    store.store_version(meta, b"v1", "")
+    meta = store.store_version(meta, b"v1", "")
     store.write_policy(b"blob")
     authority = FreshnessAuthority(SgxPlatform("host").launch(BINARY))
     authority.bootstrap(store)
@@ -398,9 +398,9 @@ def test_proven_absence_answers_without_drive_io():
 def test_uniformly_stale_replicas_raise_stale_replica():
     store, cluster, authority, _platform = _verified_store(replication=3)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"v1", "")
+    meta = store.store_version(meta, b"v1", "")
     old_fleet = _fleet_state(cluster)
-    store.store_version(meta, b"v2", "")
+    meta = store.store_version(meta, b"v2", "")
     _restore_fleet(cluster, old_fleet)  # every replica rolled back
     with pytest.raises(StaleReplica):
         store.read_meta("obj")
@@ -410,9 +410,9 @@ def test_uniformly_stale_replicas_raise_stale_replica():
 def test_minority_stale_replica_is_outvoted_and_reseeded():
     store, cluster, authority, _platform = _verified_store(replication=3)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"v1", "")
+    meta = store.store_version(meta, b"v1", "")
     old_fleet = _fleet_state(cluster)
-    store.store_version(meta, b"v2", "")
+    meta = store.store_version(meta, b"v2", "")
     _restore_fleet(cluster, old_fleet[:1])  # only drive 0 rolls back
     read = store.read_meta("obj")
     assert read is not None

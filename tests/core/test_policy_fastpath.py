@@ -285,8 +285,8 @@ def test_malformed_policy_blob_on_the_drive_is_a_policy_error():
 
 def _count_contexts(monkeypatch) -> list:
     """Record what the controller builds for a check: each context, and
-    a ``"ViewMap"`` / ``"from_content"`` entry per view map and pending
-    version."""
+    a ``"from_content"`` entry per pending version.  The views are the
+    records the keys region holds: nothing is built for them."""
     import repro.core.controller as controller_module
     from repro.policy.context import VersionInfo
 
@@ -303,10 +303,6 @@ def _count_contexts(monkeypatch) -> list:
         controller_module, "EvalContext", counted(controller_module.EvalContext)
     )
     monkeypatch.setattr(
-        controller_module, "_ViewMap",
-        counted(controller_module._ViewMap, "ViewMap"),
-    )
-    monkeypatch.setattr(
         VersionInfo, "from_content",
         counted(VersionInfo.from_content, "from_content"),
     )
@@ -315,13 +311,13 @@ def _count_contexts(monkeypatch) -> list:
 
 def _tally(built) -> tuple:
     contexts = sum(not isinstance(entry, str) for entry in built)
-    return contexts, built.count("ViewMap"), built.count("from_content")
+    return contexts, built.count("from_content")
 
 
 def test_a_decision_cache_hit_builds_no_policy_context(monkeypatch):
     """Under an ACL one caller's update and read shapes each miss once,
-    building a context, a view map and (for the update) the pending
-    version; every later check is a hit and builds none."""
+    building a context and (for the update) the pending version; every
+    later check is a hit and builds none."""
     controller = _controller()
     acl = controller.put_policy(
         ALICE,
@@ -340,9 +336,7 @@ def test_a_decision_cache_hit_builds_no_policy_context(monkeypatch):
     ):
         assert step().ok
         tallies.append(_tally(built))
-    assert tallies == [
-        (1, 1, 1), (2, 2, 1), (2, 2, 1), (2, 2, 1), (2, 2, 1),
-    ]
+    assert tallies == [(1, 1), (2, 1), (2, 1), (2, 1), (2, 1)]
     assert controller.handle(scan, ALICE).value == b"doc@1"
     stats = controller.policy_engine.decisions.stats
     assert (stats.hits, stats.misses) == (4, 2)
@@ -367,7 +361,8 @@ def test_an_object_reading_policy_builds_a_context_for_every_check(
         if ctx.operation == "read" and ctx.this_id == "record"
     ]
     assert len(reads) == 3
-    assert built.count("ViewMap") == len(contexts)
+    # Each check's view of ``this`` is the record the request holds.
+    assert all(ctx.view("record").key == "record" for ctx in reads)
     stats = controller.policy_engine.decisions.stats
     assert (stats.hits, stats.misses) == (0, 0)
 

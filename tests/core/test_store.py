@@ -64,13 +64,14 @@ def test_meta_roundtrip():
     meta = StoredMeta(key="obj")
     assert not meta.exists
     store, _ = _store()
-    store.store_version(meta, b"hello", policy_hash=POLICY_HASH)
+    meta = store.store_version(meta, b"hello", policy_hash=POLICY_HASH)
     loaded = store.read_meta("obj")
     assert loaded.exists
     assert loaded.current_version == 0
-    assert loaded.latest().size == 5
-    assert loaded.latest().policy_hash == POLICY_HASH
-    assert loaded.latest().content_hash == hashlib.sha256(b"hello").hexdigest()
+    latest = loaded.versions[0]
+    assert latest.size == 5
+    assert latest.policy_hash == POLICY_HASH
+    assert latest.content_hash == hashlib.sha256(b"hello").hexdigest()
     assert loaded.policy_id == ""
 
 
@@ -82,7 +83,7 @@ def test_missing_meta_is_none():
 def test_value_roundtrip_encrypted_on_disk():
     store, cluster = _store(num_drives=1)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"super secret payload", "")
+    meta = store.store_version(meta, b"super secret payload", "")
     assert store.read_value("obj", 0) == b"super secret payload"
     # The drive never sees plaintext.
     drive = cluster.drive(0)
@@ -93,9 +94,9 @@ def test_value_roundtrip_encrypted_on_disk():
 def test_versions_accumulate_with_history():
     store, _ = _store(keep_history=True)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"v0", "")
-    store.store_version(meta, b"v1", "")
-    store.store_version(meta, b"v2", "")
+    meta = store.store_version(meta, b"v0", "")
+    meta = store.store_version(meta, b"v1", "")
+    meta = store.store_version(meta, b"v2", "")
     assert meta.current_version == 2
     assert store.read_value("obj", 0) == b"v0"
     assert store.read_value("obj", 2) == b"v2"
@@ -104,8 +105,8 @@ def test_versions_accumulate_with_history():
 def test_history_disabled_drops_old_versions():
     store, cluster = _store(num_drives=1, keep_history=False)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"v0", "")
-    store.store_version(meta, b"v1", "")
+    meta = store.store_version(meta, b"v0", "")
+    meta = store.store_version(meta, b"v1", "")
     assert list(meta.versions) == [1]
     # Updates overwrite a single latest slot: one value key + one meta
     # key on the drive, and no delete traffic.
@@ -117,7 +118,7 @@ def test_history_disabled_drops_old_versions():
 def test_replication_writes_all_replicas():
     store, cluster = _store(num_drives=3, replication=3)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"data", "")
+    meta = store.store_version(meta, b"data", "")
     # meta + value on every drive.
     for drive in cluster:
         assert drive.key_count == 2
@@ -126,7 +127,7 @@ def test_replication_writes_all_replicas():
 def test_no_replication_writes_one_drive():
     store, cluster = _store(num_drives=3, replication=1)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"data", "")
+    meta = store.store_version(meta, b"data", "")
     populated = [drive for drive in cluster if drive.key_count > 0]
     assert len(populated) == 1
 
@@ -134,7 +135,7 @@ def test_no_replication_writes_one_drive():
 def test_read_failover_to_replica():
     store, cluster = _store(num_drives=3, replication=2)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"data", "")
+    meta = store.store_version(meta, b"data", "")
     primary = placement("obj", 3, 2)[0]
     cluster.drive(primary).fail()
     assert store.read_value("obj", 0) == b"data"
@@ -144,7 +145,7 @@ def test_read_failover_to_replica():
 def test_read_fails_when_all_replicas_down():
     store, cluster = _store(num_drives=3, replication=2)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"data", "")
+    meta = store.store_version(meta, b"data", "")
     for index in placement("obj", 3, 2):
         cluster.drive(index).fail()
     with pytest.raises(DriveOffline):
@@ -156,7 +157,7 @@ def test_write_survives_one_replica_down_with_quorum_one():
     replicas = placement("obj", 3, 2)
     cluster.drive(replicas[1]).fail()
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"data", "")  # succeeds on remaining replica
+    meta = store.store_version(meta, b"data", "")  # succeeds on remaining replica
     assert store.read_value("obj", 0) == b"data"
     # The partial write is journaled for anti-entropy.
     assert ("object", "obj") in store.journal
@@ -192,8 +193,8 @@ def test_write_fails_when_all_replicas_down():
 def test_delete_object_removes_everything():
     store, cluster = _store(num_drives=1)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"v0", "")
-    store.store_version(meta, b"v1", "")
+    meta = store.store_version(meta, b"v0", "")
+    meta = store.store_version(meta, b"v1", "")
     store.delete_object(meta)
     assert cluster.drive(0).key_count == 0
 
@@ -244,7 +245,7 @@ def test_metadata_record_is_flat_in_the_number_of_versions():
     meta = StoredMeta(key="hot")
     sizes = {}
     for version in range(1000):
-        store.store_version(meta, b"v%03d" % version, POLICY_HASH)
+        meta = store.store_version(meta, b"v%03d" % version, POLICY_HASH)
         if version + 1 in (VERSION_METADATA_WINDOW + 1, 1000):
             sizes[version + 1] = (
                 len(meta.encode()), sum(d.key_count for d in cluster.drives)
@@ -270,14 +271,14 @@ def test_window_without_history_never_deletes_the_live_slot():
     store, cluster = _store(replication=1, keep_history=False)
     meta = StoredMeta(key="hot")
     for version in range(VERSION_METADATA_WINDOW + 8):
-        store.store_version(meta, b"v%d" % version, "")
-        # A cold controller re-reads the record, which keeps the
-        # previous version's entry: the window is what bounds it.
-        meta = store.read_meta("hot")
-    assert len(meta.versions) <= VERSION_METADATA_WINDOW
+        meta = store.store_version(meta, b"v%d" % version, "")
+        # A cold controller re-reads the record: it lists only the
+        # version the one slot holds, as the record in memory does.
+        assert store.read_meta("hot") == meta
+        assert list(meta.versions) == [version]
     latest = meta.current_version
     assert store.read_value(
-        "hot", latest, expect_sha256=meta.latest().content_hash
+        "hot", latest, expect_sha256=meta.versions[latest].content_hash
     ) == b"v%d" % latest
     assert sum(drive.key_count for drive in cluster.drives) == 2
 
@@ -287,11 +288,11 @@ def test_failed_write_leaves_the_callers_record_untouched():
     claim a version the store never acknowledged."""
     store, cluster = _store(replication=3)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"v0", "")
+    meta = store.store_version(meta, b"v0", "")
     for drive in cluster.drives:
         drive.fail()
     with pytest.raises(ReplicationDegraded):
-        store.store_version(meta, b"v1", "")
+        meta = store.store_version(meta, b"v1", "")
     assert meta.current_version == 0 and sorted(meta.versions) == [0]
 
 
@@ -301,25 +302,24 @@ def test_reads_objects_laid_out_by_the_two_write_store():
     back, and the next PUT trims record and drive space to the window."""
     store, cluster = _store(replication=3)
     history = VERSION_METADATA_WINDOW + 8
-    old = StoredMeta(key="legacy", policy_id="")
+    rows = {}
     for version in range(history):
         value = b"old-%d" % version
         disk_key, aad = store._value_record("legacy", version)
         store._write_replicas(
             "legacy", [_forced(disk_key, store._seal(value, aad))]
         )
-        old.current_version = version
-        old.versions[version] = VersionMeta(
+        rows[version] = VersionMeta(
             version, len(value), hashlib.sha256(value).hexdigest()
         )
-        store.write_meta(old)
+        store.write_meta(StoredMeta("legacy", version, "", dict(rows)))
     meta = store.read_meta("legacy")
     assert sorted(meta.versions) == list(range(history))
     for version, entry in meta.versions.items():
         assert store.read_value(
             "legacy", version, expect_sha256=entry.content_hash
         ) == b"old-%d" % version
-    store.store_version(meta, b"new", "")
+    meta = store.store_version(meta, b"new", "")
     assert len(store.read_meta("legacy").versions) == VERSION_METADATA_WINDOW
     assert [len(keys) for keys in _drive_keys(cluster)] == [
         VERSION_METADATA_WINDOW + 1
@@ -330,7 +330,7 @@ def test_delete_object_is_one_frame_per_replica():
     store, cluster = _store(replication=3)
     meta = StoredMeta(key="obj")
     for value in (b"v0", b"v1"):
-        store.store_version(meta, value, "")
+        meta = store.store_version(meta, value, "")
     sent = sum(client.requests_sent for client in store.clients)
     store.delete_object(meta)
     assert sum(c.requests_sent for c in store.clients) == sent + 3

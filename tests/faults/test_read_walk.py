@@ -94,7 +94,7 @@ class Scenario:
         self.name = POLICY_ID if is_policy else KEY
         self.order = POLICY_ORDER if is_policy else ORDER
         self.meta = StoredMeta(key=KEY)
-        self.store.store_version(self.meta, b"old-value", "")
+        self.meta = self.store.store_version(self.meta, b"old-value", "")
         if is_policy:
             # A policy has one generation: "stale" is other bytes
             # sealed under its id's AAD, which open but hash otherwise.
@@ -102,7 +102,7 @@ class Scenario:
             self.old = self.store._seal(b"old-policy", aad)
         else:
             self.old = self._at_rest(self.order[0])
-        self.store.store_version(self.meta, b"NEW-value", "")
+        self.meta = self.store.store_version(self.meta, b"NEW-value", "")
         assert self.store.write_policy(POLICY) == POLICY_ID
         self.expected = POLICY if is_policy else b"NEW-value"
         self.store._m_replica_failures.reset()
@@ -140,19 +140,21 @@ class Scenario:
 
     def read(self):
         if self.reader == "value":
-            recorded = self.meta.latest()
+            recorded = self.meta.versions[self.meta.current_version]
             return self.store.read_value(
                 KEY, recorded.version, expect_sha256=recorded.content_hash
             )
         if self.reader.startswith("meta"):
             meta = self.store.read_meta(KEY)
-            return None if meta is None else meta.latest().content_hash
+            if meta is None:
+                return None
+            return meta.versions[meta.current_version].content_hash
         return self.store.read_policy(POLICY_ID)
 
     @property
     def expected_answer(self):
         if self.reader.startswith("meta"):
-            return self.meta.latest().content_hash
+            return self.meta.versions[self.meta.current_version].content_hash
         return self.expected
 
     def failures(self) -> dict:

@@ -41,7 +41,7 @@ def test_breaker_opens_after_threshold_failures():
     cluster.drive(dead).fail()
     meta = StoredMeta(key="obj")
     for _ in range(3):
-        store.store_version(meta, b"data", "")
+        meta = store.store_version(meta, b"data", "")
     assert store.health.state_of(dead).state == OPEN
 
 
@@ -52,9 +52,9 @@ def test_breaker_skips_open_drive():
     cluster.drive(dead).fail()
     meta = StoredMeta(key="obj")
     for _ in range(4):
-        store.store_version(meta, b"data", "")
+        meta = store.store_version(meta, b"data", "")
     sent_while_open = store.clients[dead].requests_sent
-    store.store_version(meta, b"data", "")
+    meta = store.store_version(meta, b"data", "")
     assert store.clients[dead].requests_sent == sent_while_open
 
 
@@ -66,12 +66,12 @@ def test_half_open_probe_recovers_the_drive():
     cluster.drive(dead).fail()
     meta = StoredMeta(key="obj")
     for _ in range(3):
-        store.store_version(meta, b"data", "")
+        meta = store.store_version(meta, b"data", "")
     assert store.health.state_of(dead).state == OPEN
     cluster.drive(dead).recover()
     # Writes keep flowing; after the cooldown a probe closes the breaker.
     for _ in range(6):
-        store.store_version(meta, b"data", "")
+        meta = store.store_version(meta, b"data", "")
     assert store.health.state_of(dead).state == CLOSED
     assert store.health.state_of(dead).probes >= 1
 
@@ -87,12 +87,12 @@ def test_quorum_can_reopen_a_breaker_skipped_drive():
     cluster.drive(dead).fail()
     meta = StoredMeta(key="obj")
     with pytest.raises(ReplicationDegraded):
-        store.store_version(meta, b"data", "")
+        meta = store.store_version(meta, b"data", "")
     assert store.health.state_of(dead).state == OPEN
     cluster.drive(dead).recover()
     # Breaker is still open (huge cooldown), but quorum=2 forces the
     # last-resort probe and the write succeeds on both replicas.
-    store.store_version(meta, b"data", "")
+    meta = store.store_version(meta, b"data", "")
     assert store.read_value("obj", meta.current_version) == b"data"
 
 
@@ -102,7 +102,7 @@ def test_quorum_can_reopen_a_breaker_skipped_drive():
 def test_read_fails_over_corrupt_replica_and_repairs_it():
     store, cluster = _store(replication=2)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"important-data", "")
+    meta = store.store_version(meta, b"important-data", "")
     primary = placement("obj", 3, 2)[0]
     disk_key = ObjectStore.value_key("obj", 0)
     entry = cluster.drive(primary)._entries[disk_key]
@@ -117,7 +117,7 @@ def test_read_fails_over_corrupt_replica_and_repairs_it():
 def test_all_replicas_corrupt_raises_integrity_error():
     store, cluster = _store(replication=2)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"important-data", "")
+    meta = store.store_version(meta, b"important-data", "")
     disk_key = ObjectStore.value_key("obj", 0)
     for index in placement("obj", 3, 2):
         entry = cluster.drive(index)._entries[disk_key]
@@ -129,7 +129,7 @@ def test_all_replicas_corrupt_raises_integrity_error():
 def test_read_past_missing_replica_journals_key():
     store, cluster = _store(replication=2)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"data", "")
+    meta = store.store_version(meta, b"data", "")
     primary = placement("obj", 3, 2)[0]
     del cluster.drive(primary)._entries[ObjectStore.value_key("obj", 0)]
     assert store.read_value("obj", 0) == b"data"
@@ -147,7 +147,7 @@ def test_anti_entropy_converges_after_recovery():
     dead = placement("obj", 3, 2)[1]
     cluster.drive(dead).fail()
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"data", "")
+    meta = store.store_version(meta, b"data", "")
     assert ("object", "obj") in store.journal
     repairer = AntiEntropyRepairer(store)
     # While the drive is down the key stays journaled (deferred).
@@ -182,7 +182,7 @@ def test_a_reseed_to_a_failing_drive_counts_against_its_breaker():
     it went, and a failed re-seed still never fails the read."""
     store, cluster = _store(replication=3, breaker_threshold=1)
     meta = StoredMeta(key="obj")
-    store.store_version(meta, b"v1", "")
+    meta = store.store_version(meta, b"v1", "")
     first = placement("obj", 3, 3)[0]
     del cluster.drive(first)._entries[ObjectStore.meta_key("obj")]
 
@@ -250,6 +250,43 @@ def test_a_delete_acknowledged_at_a_relaxed_quorum_revives_no_version():
         response = restarted.get(FP, "k", version=version)
         assert response.value not in deleted, version
     assert restarted.get(FP, "k").value == b"new"
+
+
+# -- a refused write ---------------------------------------------------------
+
+
+def test_a_refused_put_changes_no_policy_binding():
+    """A put that would rebind ``k`` to an open policy, refused because
+    every drive is down (503), leaves the record the controller holds
+    naming the owner-only policy the drives hold."""
+    cluster = DriveCluster(num_drives=3)
+    clients = cluster.connect_all(
+        KineticDrive.DEMO_IDENTITY, KineticDrive.DEMO_KEY
+    )
+    controller = boot(
+        clients, storage_key=b"k" * 32,
+        config=ControllerConfig(replication_factor=3),
+    )
+    owner_only = controller.put_policy(
+        "fp-alice",
+        "read :- sessionKeyIs(k'fp-alice')\n"
+        "update :- sessionKeyIs(k'fp-alice')",
+    ).policy_id
+    anyone = controller.put_policy(
+        "fp-alice", "read :- eq(1, 1)\nupdate :- eq(1, 1)"
+    ).policy_id
+    assert controller.put("fp-alice", "k", b"secret", policy_id=owner_only).ok
+    assert controller.get("fp-mallory", "k").status == 403
+    for drive in cluster:
+        drive.fail()
+    refused = controller.put("fp-alice", "k", b"public", policy_id=anyone)
+    assert refused.status == 503
+    for drive in cluster:
+        drive.recover()
+    assert controller.get("fp-mallory", "k").status == 403
+    held = controller._get_meta("k")
+    assert held.policy_id == controller.store.read_meta("k").policy_id
+    assert held.policy_id == owner_only
 
 
 # -- controller degradation and the health surface -------------------------

@@ -113,6 +113,27 @@ def test_restart_serves_the_latest_write(freshness):
     assert restarted.put(FP, "k", b"newer").ok
 
 
+@pytest.mark.parametrize("freshness", [False, True], ids=["off", "on"])
+def test_without_history_a_restart_answers_as_the_running_controller(
+    freshness,
+):
+    """``keep_history=False``: the record at rest lists only the version
+    its one value slot holds, as the record in memory does, so an
+    overwritten version is 404 before and after a restart."""
+    host, cluster = Host(freshness), DriveCluster(num_drives=3)
+    host.config.keep_history = False
+    controller = host.launch(cluster)
+    assert controller.put(FP, "k", b"old").ok
+    assert controller.put(FP, "k", b"new").ok
+    assert controller.get(FP, "k", version=0).status == 404
+    assert controller.store.read_meta("k") == controller._get_meta("k")
+
+    restarted = host.launch(cluster)
+    assert restarted.get(FP, "k", version=0).status == 404
+    response = restarted.get(FP, "k")
+    assert response.status == 200 and response.value == b"new"
+
+
 def test_restart_after_a_refused_write_boots():
     """A write refused below quorum reverts its pinned leaf; the pin
     records that the reverted side is the pinned one, so the replicas

@@ -454,17 +454,24 @@ GOLDEN_POLICY_HASH = (
 
 
 def _golden_meta() -> StoredMeta:
-    meta = StoredMeta(
-        key="users/alice/ünï", current_version=2, policy_id="ab" * 32
+    return StoredMeta(
+        key="users/alice/ünï", current_version=2, policy_id="ab" * 32,
+        versions={
+            version: VersionMeta(
+                version=version,
+                size=102400 * (version + 1),
+                content_hash=f"{version + 1:02x}" * 32,
+                policy_hash="" if version == 0 else "cd" * 32,
+            )
+            for version in range(3)
+        },
     )
-    for version in range(3):
-        meta.versions[version] = VersionMeta(
-            version=version,
-            size=102400 * (version + 1),
-            content_hash=f"{version + 1:02x}" * 32,
-            policy_hash="" if version == 0 else "cd" * 32,
-        )
-    return meta
+
+
+def _with_row(meta: StoredMeta, **changes) -> StoredMeta:
+    """``meta`` with its version 1 row changed: records are immutable."""
+    row = meta.versions[1]._replace(**changes)
+    return meta._replace(versions={**meta.versions, 1: row})
 
 
 def test_golden_stored_meta_bytes():
@@ -500,19 +507,20 @@ def _stored_metas(draw):
     versions = draw(
         st.lists(st.integers(0, 2**64 - 1), max_size=40, unique=True)
     )
-    meta = StoredMeta(
+    return StoredMeta(
         key=draw(st.text(max_size=24)),
         current_version=draw(st.integers(-1, 2**63)),
         policy_id=draw(st.one_of(st.just(""), _digests)),
+        versions={  # unsorted on purpose: encode orders them
+            version: VersionMeta(
+                version=version,
+                size=draw(st.integers(0, 2**64 - 1)),
+                content_hash=draw(_digests),
+                policy_hash=draw(st.sampled_from(policy_hashes)),
+            )
+            for version in versions
+        },
     )
-    for version in versions:  # unsorted on purpose: encode orders them
-        meta.versions[version] = VersionMeta(
-            version=version,
-            size=draw(st.integers(0, 2**64 - 1)),
-            content_hash=draw(_digests),
-            policy_hash=draw(st.sampled_from(policy_hashes)),
-        )
-    return meta
 
 
 @settings(max_examples=200, deadline=None)
@@ -670,22 +678,26 @@ def test_stored_meta_encode_refuses_what_is_not_a_sha256_hex_digest(
     field, value
 ):
     meta = _golden_meta()
-    target = meta if field == "policy_id" else meta.versions[1]
-    setattr(target, field, value)
+    if field == "policy_id":
+        meta = meta._replace(policy_id=value)
+    else:
+        meta = _with_row(meta, **{field: value})
     with pytest.raises(KineticError):
         meta.encode()
 
 
 def test_stored_meta_encode_refuses_what_a_row_cannot_hold():
-    meta = _golden_meta()
-    meta.versions[1].size = 2**64
+    meta = _with_row(_golden_meta(), size=2**64)
     with pytest.raises(KineticError):
         meta.encode()
     meta = _golden_meta()
-    for version in range(3, 300):  # 257+ distinct hashes: index > u8
-        meta.versions[version] = VersionMeta(
-            version, 1, "00" * 32, f"{version:064x}"
-        )
+    meta = meta._replace(versions={
+        **meta.versions,
+        **{  # 257+ distinct hashes: index > u8
+            version: VersionMeta(version, 1, "00" * 32, f"{version:064x}")
+            for version in range(3, 300)
+        },
+    })
     with pytest.raises(KineticError):
         meta.encode()
 

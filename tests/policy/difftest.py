@@ -26,8 +26,8 @@ from repro.crypto.rsa import RsaPrivateKey
 from repro.policy.binary import CompiledPolicy
 from repro.policy.compiler import compile_source
 from repro.policy.compiled import Decision, compile_closures
-from repro.policy.context import EvalContext, ObjectView, VersionInfo
-from tests.policy.reference_interpreter import PolicyInterpreter
+from repro.policy.context import EvalContext, VersionInfo
+from tests.policy.reference_interpreter import ObjectView, PolicyInterpreter
 
 CORPUS_DIR = Path(__file__).resolve().parents[2] / "examples" / "policies"
 
@@ -153,7 +153,7 @@ def _log_view(
         and pending is not None
         and rng.random() < 0.6
     ):
-        old = this_view.info(curr)
+        old = this_view.versions.get(curr)
         if old is not None:
             lines.append(
                 f"'write'('{this_id}',{curr},h'{old.content_hash}',"

@@ -24,7 +24,7 @@ An operation with no rule in the policy is denied (deny by default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import PolicyDenied, PolicyError, PolicyFormatError
@@ -41,6 +41,17 @@ from repro.policy.binary import CompiledPolicy
 from repro.policy.compiled import Decision
 from repro.policy.context import EvalContext
 from repro.policy.predicates import predicate_by_opcode
+
+
+@dataclass
+class ObjectView:
+    """What policies can see of one object, built in memory for a
+    context built by hand: the shipped path hands over the object's
+    metadata record itself (``repro.core.store.StoredMeta``)."""
+
+    object_id: str
+    current_version: int
+    versions: dict = field(default_factory=dict)  # version -> VersionInfo
 
 
 class EvalError(PolicyError):
@@ -286,20 +297,21 @@ def _resolve_object(ctx: EvalContext, arg):
 
 
 def _resolve_info(ctx: EvalContext, bindings: Bindings, args):
-    """The version ``args[:2]`` name (object, version), or ``None``; an
-    unbound version argument is bound to the object's current one."""
+    """The object id and the version ``args[:2]`` name (object,
+    version); the version is ``None`` when there is none.  An unbound
+    version argument is bound to the object's current one."""
     object_id, view = _resolve_object(ctx, args[0])
     if object_id is None:
-        return None
+        return None, None
     version_arg = args[1]
     if not isinstance(version_arg, Unbound):
         version = require_int(version_arg, "version")
     elif view is None:
-        return None
+        return object_id, None
     else:
         version = view.current_version
         bindings.bind(version_arg.slot, IntValue(version))
-    return ctx.version_info(object_id, version)
+    return object_id, ctx.version_info(object_id, view, version)
 
 
 @_implements("currVersion", "currIndex")
@@ -331,7 +343,7 @@ def _next_index(ctx: EvalContext, bindings: Bindings, args) -> bool:
 
 def _version_metadata(extract: Callable):
     def impl(ctx: EvalContext, bindings: Bindings, args) -> bool:
-        info = _resolve_info(ctx, bindings, args)
+        _object_id, info = _resolve_info(ctx, bindings, args)
         if info is None:
             return False
         return compare_or_set(args[2], extract(info), bindings)
@@ -348,13 +360,13 @@ IMPLEMENTATIONS.update(
 
 @_implements("objSays")
 def _obj_says(ctx: EvalContext, bindings: Bindings, args) -> bool:
-    info = _resolve_info(ctx, bindings, args)
+    object_id, info = _resolve_info(ctx, bindings, args)
     if info is None:
         return False
     pattern = args[2]
     if not isinstance(pattern, (TuplePattern, TupleValue)):
         raise EvalError("objSays needs a tuple argument")
-    for fact in info.facts.ordered:
+    for fact in ctx.facts(object_id, info).ordered:
         if unify_tuple(pattern, fact, bindings):
             return True
     return False

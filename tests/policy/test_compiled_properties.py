@@ -45,13 +45,13 @@ from repro.policy.compiler import compile_policy
 from repro.policy.context import (
     EvalContext,
     Facts,
-    ObjectView,
     RequestInputs,
     VersionInfo,
 )
 from tests.policy.difftest import assert_identical, run_differential
 from tests.policy.reference_interpreter import (
     Bindings,
+    ObjectView,
     PolicyInterpreter,
     TuplePattern,
     Unbound,
@@ -465,8 +465,12 @@ _CTX_READS = {
     "nonce": "shape[5] when uses_certificates",
     "now": "valid_until, checked on every hit",
     "objects": _UNCACHEABLE,
+    "lookup": _UNCACHEABLE + ", via view only",
     "view": _UNCACHEABLE,
     "version_info": _UNCACHEABLE,
+    "facts": _UNCACHEABLE,
+    "load_facts": _UNCACHEABLE + ", via facts only",
+    "_said": _UNCACHEABLE + ", via facts only",
     "pending": _UNCACHEABLE + ", via version_info only",
 }
 
@@ -507,7 +511,7 @@ def test_every_context_read_is_covered_by_the_shape_or_uncacheable():
     assert direct | own == set(_CTX_READS)
     # ``pending`` and the object views are read by EvalContext itself
     # and by nothing that compiles or runs a conjunct.
-    assert not direct & {"pending", "objects"}
+    assert not direct & {"pending", "objects", "lookup", "load_facts", "_said"}
     # No closure reads the context under another name.
     context_names = set(EvalContext.__dataclass_fields__) | {
         name for name in vars(EvalContext) if not name.startswith("_")

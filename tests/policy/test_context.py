@@ -13,12 +13,12 @@ from repro.policy.ast import (
 from repro.policy.context import (
     EvalContext,
     Facts,
-    ObjectView,
     VersionInfo,
     claim_to_tuple,
     content_hash,
     parse_content_tuples,
 )
+from tests.policy.reference_interpreter import ObjectView
 
 
 def test_parse_single_tuple():
@@ -146,8 +146,10 @@ def test_object_view_lookup():
         current_version=2,
         versions={2: VersionInfo.from_content(b"v2")},
     )
-    assert view.info(2).size == 2
-    assert view.info(1) is None
+    ctx = EvalContext(operation="read", session_key="k", objects={"obj": view})
+    assert ctx.view("obj") is view and ctx.view("other") is None
+    assert ctx.version_info("obj", view, 2).size == 2
+    assert ctx.version_info("obj", view, 1) is None
 
 
 def test_context_pending_version_visible():
@@ -160,8 +162,8 @@ def test_context_pending_version_visible():
         objects={"obj": view},
         pending=pending,
     )
-    assert ctx.version_info("obj", 4) is pending
-    assert ctx.version_info("obj", 3) is None  # not recorded in view
+    assert ctx.version_info("obj", view, 4) is pending
+    assert ctx.version_info("obj", view, 3) is None  # not recorded in view
 
 
 def test_claim_conversion():

@@ -19,9 +19,9 @@ every occurrence the same way):
 
 from repro.policy.compiled import compile_closures
 from repro.policy.compiler import compile_policy
-from repro.policy.context import EvalContext, ObjectView, VersionInfo
+from repro.policy.context import EvalContext, VersionInfo
 from tests.policy.difftest import assert_identical
-from tests.policy.reference_interpreter import PolicyInterpreter
+from tests.policy.reference_interpreter import ObjectView, PolicyInterpreter
 
 INTERP = PolicyInterpreter()
 

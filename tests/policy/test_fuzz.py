@@ -15,14 +15,13 @@ from repro.policy.compiled import compile_closures
 from repro.policy.compiler import compile_policy
 from repro.policy.context import (
     EvalContext,
-    ObjectView,
     VersionInfo,
     parse_content_tuples,
 )
 from repro.policy.lexer import tokenize
 from repro.policy.parser import MAX_TERM_DEPTH
 from tests.policy.difftest import assert_identical
-from tests.policy.reference_interpreter import PolicyInterpreter
+from tests.policy.reference_interpreter import ObjectView, PolicyInterpreter
 
 
 @settings(max_examples=300, deadline=None)

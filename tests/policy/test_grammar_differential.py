@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.policy.compiled import compile_closures
 from repro.policy.compiler import compile_policy
-from repro.policy.context import EvalContext, ObjectView, VersionInfo
+from repro.policy.context import EvalContext, VersionInfo
 from repro.policy.predicates import all_predicates
 from tests.policy.difftest import (
     CA_FINGERPRINT,
@@ -35,7 +35,7 @@ from tests.policy.difftest import (
     _time_certificates,
     assert_identical,
 )
-from tests.policy.reference_interpreter import PolicyInterpreter
+from tests.policy.reference_interpreter import ObjectView, PolicyInterpreter
 
 POLICY_SEED = int(os.environ.get("POLICY_SEED", "3"))
 INTERP = PolicyInterpreter()

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import PolicyDenied
 from repro.policy.compiled import compiled_form
 from repro.policy.compiler import compile_policy
-from repro.policy.context import EvalContext, ObjectView, VersionInfo
-from tests.policy.reference_interpreter import PolicyInterpreter
+from repro.policy.context import EvalContext, VersionInfo
+from tests.policy.reference_interpreter import ObjectView, PolicyInterpreter
 
 
 def _ctx(**kwargs):

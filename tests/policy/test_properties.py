@@ -68,7 +68,8 @@ def test_serialization_preserves_decisions(readers, writers):
 def test_version_policy_accepts_only_successor(current, offered):
     """The §5.3 rule grants exactly version current+1 on an existing
     object (creation handled by the NULL clause)."""
-    from repro.policy.context import ObjectView, VersionInfo
+    from repro.policy.context import VersionInfo
+    from tests.policy.reference_interpreter import ObjectView
 
     policy = compile_policy(
         r"update :- objId(this, O) /\ currVersion(O, cV)"
