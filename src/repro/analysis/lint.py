@@ -68,10 +68,10 @@ suite depends on but cannot easily assert:
     receiver whose name mentions ``decision``) must carry the policy
     identity and the request shape explicitly — as keywords or as
     identifiers in the key arguments.  A cached verdict is sound only
-    when its key holds everything the verdict read: the content hash
-    of the policy (a new text is a new key) and the policy's read-set
-    of the request.  A decision memoized without either is served to a
-    request, or under a policy, that would be decided differently.
+    when its key holds everything it read: the policy's content hash
+    and its read-set of the request, where an object-reading shape also
+    holds the digests of the records read.  A decision memoized without
+    them is served to a request that would be decided differently.
 ``core-url-parser``
     No stdlib URL parser (``urlparse``/``urlsplit``/``parse_qs``/
     ``parse_qsl``) in ``core/``: ``core/request.py::split_target`` is

@@ -443,10 +443,9 @@ def fig8_policy_cache(policy_counts=None, clients: int = 200) -> FigureResult:
             ]
             # Re-attach policies round-robin across the loaded objects.
             for index, key in enumerate(loaded.trace.load_keys):
-                meta = controller._get_meta(key)._replace(
-                    policy_id=policy_ids[index % count]
+                meta = controller.store.write_meta(
+                    controller._get_meta(key), policy_ids[index % count]
                 )
-                controller.store.write_meta(meta)
                 controller.caches.put_meta(key, meta)
             result = run_point(loaded, clients, measure_ops=_measure_ops())
             figure.add(f"{mode}-sim", count, result)

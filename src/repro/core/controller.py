@@ -584,23 +584,27 @@ class PesosController:
         return policy
 
     def _inputs(
-        self, key: str, this_id: str | None, request: Request,
-        session: Session, now: float,
+        self, meta: StoredMeta, request: Request, session: Session,
+        now: float,
     ) -> RequestInputs:
-        """What a check of ``key`` (``this_id`` when it exists) brings
-        before any context is built: all the decision cache reads."""
+        """What a check of ``meta``'s key brings before any context is
+        built: all the decision cache reads, with ``meta`` the view of
+        ``this`` (under None while it does not exist)."""
+        this_id = meta.key if meta.exists else None
         return RequestInputs(
             session.fingerprint,
             this_id,
-            request.log_key or key + LOG_SUFFIX,
+            request.log_key or meta.key + LOG_SUFFIX,
             request.version, request.certificates, session.nonce, now,
+            {this_id: meta}, self._view,
         )
 
     def _context(
-        self, operation: str, inputs: RequestInputs, meta, pending=None
+        self, operation: str, inputs: RequestInputs, pending=None
     ) -> EvalContext:
-        """The full context over ``inputs``, built only to compute a
-        verdict: an uncacheable policy or a decision-cache miss."""
+        """The full context over ``inputs`` and the records it holds,
+        built only to compute a verdict: an uncacheable policy or a
+        decision-cache miss."""
         # The context only writes its key registry while it iterates the
         # presented certificates: with none, the controller's own
         # registry and the request's (empty) list are shared, not copied.
@@ -611,10 +615,8 @@ class PesosController:
             this_id=inputs.this_id,
             log_id=inputs.log_id,
             request_version=inputs.request_version,
-            # The record the request holds is the view of ``this`` (under
-            # None while it does not exist: no object id names it).
-            objects={inputs.this_id: meta},
-            lookup=self._view,
+            objects=inputs.objects,
+            lookup=inputs.lookup,
             load_facts=self._facts,
             pending=pending,
             certificates=list(presented) if presented else presented,
@@ -686,10 +688,10 @@ class PesosController:
         meta = self._existing_meta(key)
         if self.config.enforce_policies and meta.policy_id:
             policy = self._governing_policy(meta.policy_id)
-            inputs = self._inputs(key, key, request, session, now)
+            inputs = self._inputs(meta, request, session, now)
             self._check_policy(
                 operation, policy, inputs,
-                lambda: self._context(operation, inputs, meta),
+                lambda: self._context(operation, inputs),
             )
         return meta
 
@@ -724,14 +726,11 @@ class PesosController:
             governing = bound_policy
 
         if self.config.enforce_policies and governing is not None:
-            inputs = self._inputs(
-                request.key, request.key if meta.exists else None,
-                request, session, now,
-            )
+            inputs = self._inputs(meta, request, session, now)
             self._check_policy(
                 "update", governing, inputs,
                 lambda: self._context(
-                    "update", inputs, meta,
+                    "update", inputs,
                     VersionInfo.from_content(request.value, bound_hash),
                 ),
             )
@@ -855,10 +854,10 @@ class PesosController:
                 verdict = verdicts.get(meta.policy_id)
                 if verdict is None:
                     policy = self._governing_policy(meta.policy_id)
-                    inputs = self._inputs(key, key, caller, session, now)
+                    inputs = self._inputs(meta, caller, session, now)
                     verdict = policy.policy_hash(), self._evaluate(
                         "read", policy, inputs,
-                        lambda: self._context("read", inputs, meta),
+                        lambda: self._context("read", inputs),
                     )
                     if compiled_form(policy).object_blind:
                         verdicts[meta.policy_id] = verdict

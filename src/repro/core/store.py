@@ -114,13 +114,17 @@ class StoredMeta(NamedTuple):
     (:meth:`ObjectStore.store_version`), and the controller installs it
     once the write quorum has acknowledged.  So the record the keys
     region holds is also the object's policy view: ``current_version``
-    and ``versions`` are what the object predicates read.
+    and ``versions`` are what the object predicates read, and
+    ``digest``, which names them all, keys a cached verdict over them.
     """
 
     key: str
     current_version: int = -1  # -1 = no version written yet
     policy_id: str = ""
     versions: Mapping[int, VersionMeta] = MappingProxyType({})
+    #: SHA-256 of the at-rest bytes (the freshness leaf), set only where
+    #: they are in hand (:meth:`decode`, :meth:`encoded`); None otherwise.
+    digest: str | None = None
 
     @property
     def exists(self) -> bool:
@@ -160,9 +164,15 @@ class StoredMeta(NamedTuple):
                 f"metadata of {self.key!r} does not fit its record: {exc}"
             ) from exc
 
+    def encoded(self) -> tuple["StoredMeta", bytes]:
+        """The record carrying the digest of its at-rest bytes, and them."""
+        plain = self.encode()
+        return StoredMeta(*self[:4], record_digest(plain)), plain
+
     @classmethod
-    def decode(cls, blob: bytes) -> "StoredMeta":
-        """Inverse of :meth:`encode`; accepts only its exact output.
+    def decode(cls, blob: bytes, digest: str | None = None) -> "StoredMeta":
+        """Inverse of :meth:`encoded` (``digest``: ``blob``'s, if hashed
+        already); accepts only its exact output.
 
         The record is plaintext, so an error names the rule broken and
         never a decoded value."""
@@ -198,6 +208,7 @@ class StoredMeta(NamedTuple):
                 ))
                 for version, size, content_hash, index in unpacked
             }),
+            digest or record_digest(blob),
         )
 
 
@@ -585,7 +596,7 @@ class ObjectStore:
 
     def _read_pinned(
         self, object_key: str, disk_key: bytes, aad: bytes
-    ) -> bytes | None:
+    ) -> StoredMeta | None:
         """Pinned rule (``m/``): the first record equal to the pinned leaf.
 
         The freshness authority's in-enclave tree holds the digest the
@@ -607,7 +618,7 @@ class ObjectStore:
             disk_key, aad, lambda plain: self._admitted(plain, {expected}) is not None
         )
         if plain is not None:
-            return plain
+            return StoredMeta.decode(plain, expected)
         walk = _Walk(self, object_key)
         served: bytes | None = None
         served_blob = b""
@@ -625,7 +636,7 @@ class ObjectStore:
                     continue
                 # The pinned leaf ends the walk; a pending side answers
                 # only if the pinned leaf turns up on no later replica.
-                served = plain
+                served, served_digest = plain, digest
                 served_blob = blob
                 if digest == expected:
                     break
@@ -642,7 +653,7 @@ class ObjectStore:
         self._served(walk, KIND_OBJECT, object_key, disk_key, served_blob)
         if self.ssd is not None:
             self.ssd.put(disk_key, served_blob)
-        return served
+        return StoredMeta.decode(served, served_digest)
 
     def _admitted(self, plain: bytes, allowed: set) -> str | None:
         """The metadata anchor: the leaf digest of ``plain`` if
@@ -939,9 +950,9 @@ class ObjectStore:
 
     # -- authenticated freshness -------------------------------------------
 
-    def _pinned_write(self, key: str, plain: bytes | None, ops: list[Op]) -> None:
-        """Write ``ops``, one mutation of ``key``'s object label
-        (``plain`` None: delete), to the replicas and then the SSD.
+    def _pinned_write(self, key: str, digest: str | None, ops: list[Op]) -> None:
+        """Write ``ops``, one mutation of ``key``'s object label to leaf
+        ``digest`` (None: delete), to the replicas and then the SSD.
 
         Without an active freshness authority that is just the write.
         With one it is the write-ahead pin protocol: the new leaf is
@@ -955,9 +966,7 @@ class ObjectStore:
             self._mirror(ops, pinned=False)
             return
         label = object_label(key)
-        self.freshness.prepare(
-            label, None if plain is None else record_digest(plain)
-        )
+        self.freshness.prepare(label, digest)
         try:
             self._write_replicas(key, ops)
         # Deliberately broad: whatever the write failed with, the
@@ -1054,19 +1063,20 @@ class ObjectStore:
         """
         disk_key, aad = self._meta_record(key)
         if self._verifying():
-            plain = self._read_pinned(key, disk_key, aad)
-            return None if plain is None else StoredMeta.decode(plain)
+            return self._read_pinned(key, disk_key, aad)
         if self.directory is not None and not self._filed(key)[1]:
             return None
         return self._read_newest(key, disk_key, aad)
 
-    def write_meta(self, meta: StoredMeta) -> None:
-        """Rewrite the metadata record alone (repair, re-binding)."""
-        plain = meta.encode()
+    def write_meta(self, meta: StoredMeta, policy_id: str | None = None) -> StoredMeta:
+        """Rewrite the metadata record alone (repair; re-binding to
+        ``policy_id``), and return the record written."""
+        record, plain = meta._replace(policy_id=policy_id or meta.policy_id).encoded()
         disk_key, aad = self._meta_record(meta.key)
         ops = [_forced(disk_key, self._seal(plain, aad))]
-        self._pinned_write(meta.key, plain, ops)
+        self._pinned_write(meta.key, record.digest, ops)
         self._file(meta.key, live=True)
+        return record
 
     # -- object content ------------------------------------------------------------
 
@@ -1123,12 +1133,11 @@ class ObjectStore:
         dropped = sorted(versions)[:-VERSION_METADATA_WINDOW]
         for stale in dropped:
             del versions[stale]
-        record = StoredMeta(
+        record, plain = StoredMeta(
             key, new_version,
             meta.policy_id if policy_id is None else policy_id,
             MappingProxyType(versions),
-        )
-        plain = record.encode()
+        ).encoded()
         disk_key, aad = self._value_record(key, new_version)
         blob = self._seal(value, aad)
         ops = [_forced(disk_key, blob)]
@@ -1138,7 +1147,7 @@ class ObjectStore:
             # Out of the record means unreachable: free the content.
             # (Without history the one slot was just overwritten.)
             ops += [_forced(self.value_key(key, stale)) for stale in dropped]
-        self._pinned_write(key, plain, ops)
+        self._pinned_write(key, record.digest, ops)
         self._file(key, live=True)
         return record
 

@@ -17,7 +17,7 @@ from typing import Union
 # Runtime values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntValue:
     value: int
 
@@ -25,7 +25,7 @@ class IntValue:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrValue:
     value: str
 
@@ -33,7 +33,7 @@ class StrValue:
         return f"'{self.value}'"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HashValue:
     """A content hash (hex string)."""
 
@@ -43,7 +43,7 @@ class HashValue:
         return f"h'{self.value}'"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PubKeyValue:
     """A public-key fingerprint, as produced by client certificates."""
 
@@ -53,7 +53,7 @@ class PubKeyValue:
         return f"k'{self.value}'"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullValue:
     """The NULL object id (used for not-yet-created objects)."""
 
@@ -61,7 +61,7 @@ class NullValue:
         return "NULL"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TupleValue:
     """A named tuple ``key(v1, ..., vn)``."""
 

@@ -26,15 +26,15 @@ policy is denied (deny by default).
 ``DecisionCache``
     Memoizes decisions keyed by ``(policy_hash, operation, request
     shape)``; the shape is the policy's read-set
-    (:meth:`FastPolicy.request_shape`).  Only decisions for policies
-    that never read object state are cached, so a verdict is a pure
-    function of its key: policy ids are content hashes, nothing the
-    store holds is in the read-set, and entries carry a
-    ``valid_until`` derived from the certificate validity windows and
-    the policy's freshness constants, so time-based release never
-    serves a stale verdict.  The cache is probed with the request's
-    inputs (:class:`~repro.policy.context.RequestInputs`); a context is
-    built only to compute a verdict.
+    (:meth:`FastPolicy.request_shape`), so a verdict is a pure function
+    of its key: policy ids are content hashes, object state enters as
+    the digests of the records ``this`` and ``log`` name (a record
+    names its versions' content hashes, and ``objSays`` reads only
+    bytes they anchor), and ``valid_until`` bounds time.  An update
+    over object state (it sees the pending write), or a policy reading
+    any other object, is never cached.  The cache is probed with the
+    request's inputs (:class:`~repro.policy.context.RequestInputs`); a
+    context is built only to compute a verdict.
 
 ``tests/policy/reference_interpreter.py`` keeps the tree-walking
 evaluator as the differential oracle; nothing here imports it.
@@ -54,6 +54,9 @@ from repro.policy.context import EvalContext, RequestInputs
 from repro.policy.evalcore import (
     BROKEN,
     CONST,
+    FREE,
+    REF,
+    SLOT,
     ClauseScope,
     compile_arg,
     is_constant,
@@ -74,13 +77,14 @@ _CONTEXT_FREE = frozenset({"eq", "le", "lt", "ge", "gt"})
 
 _CERTIFICATE_SAYS = 10
 _SESSION_KEY_IS = 11
+_OBJ_ID = 20
 #: nextVersion, nextIndex: the opcodes that read ``ctx.request_version``.
 _VERSION_OPCODES = frozenset({22, 28})
 
 _NO_BINDINGS: Mapping = MappingProxyType({})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """Outcome of a permission check, with diagnostics.
 
@@ -149,13 +153,17 @@ def _compile_instruction(inst, fast: "FastPolicy", scope: ClauseScope):
     clause loop in :meth:`FastPolicy.evaluate` counts every conjunct.
     """
     spec = predicate_by_opcode(inst.opcode)
-    if inst.opcode in _OBJECT_OPCODES:
-        fast.uses_objects = True
     if inst.opcode in _VERSION_OPCODES:
         fast.reads_version = True
     scope.prelude = []
     args = [compile_arg(arg, scope) for arg in inst.args]
     constant = all(is_constant(arg) for arg in args)
+    mode, payload = args[0]
+    if inst.opcode in _OBJECT_OPCODES:
+        slot = scope.records.get(payload) if mode == SLOT else None
+        fast.record_refs.add(payload if mode == REF else slot)
+    elif inst.opcode == _OBJ_ID and mode == REF and args[1].mode == FREE:
+        scope.records[args[1].payload] = payload
 
     if inst.opcode == _CERTIFICATE_SAYS:
         fast.uses_certificates = True
@@ -212,9 +220,9 @@ class FastPolicy:
     #: Slots a clause attempt needs: the variables, then scratch slots
     #: for arithmetic over bound variables.
     width: int = 0
-    #: True when any conjunct reads object state; such decisions are
-    #: never cached (their store/cache footprint must stay observable).
-    uses_objects: bool = False
+    #: The records object-state conjuncts read: ``this``, ``log``, or
+    #: None for any other id (uncacheable); a sorted tuple once compiled.
+    record_refs: set | tuple = field(default_factory=set)
     #: The read-set: which request inputs, besides the session key, some
     #: conjunct can observe — a ``this``/``log`` argument, ``nextVersion``
     #: or ``nextIndex``, ``certificateSays`` (certificates and nonce).
@@ -260,7 +268,7 @@ class FastPolicy:
 
     @property
     def cacheable(self) -> bool:
-        return not self.uses_objects and not self.dynamic_freshness
+        return None not in self.record_refs and not self.dynamic_freshness
 
     @property
     def object_blind(self) -> bool:
@@ -292,19 +300,21 @@ class FastPolicy:
         future = [b for b in boundaries if b > ctx.now]
         return min(future) if future else None
 
-    def request_shape(self, inputs: RequestInputs | EvalContext):
-        """Everything a cached decision may depend on, hashable: the
-        session key plus the inputs in the read-set, read before any
-        context exists (an :class:`EvalContext` has the same fields).
+    def request_shape(self, inputs: RequestInputs | EvalContext, operation: str):
+        """Everything a cached ``operation`` verdict may depend on,
+        hashable: the session key plus the inputs in the read-set, read
+        before any context exists (an :class:`EvalContext` has the same
+        fields), then the digest of each record read (``""``: absent).
 
         ``None`` marks the request uncacheable.  Certificates are
         folded in by fingerprint + signature (order preserved — fact
         iteration order can steer which tuple binds a variable), and
         the session nonce only matters when certificates do.  The
         pending write is never here: only ``ctx.version_info`` reads
-        it, and every opcode that gets there is in ``_OBJECT_OPCODES``.
+        it, every opcode that gets there is in ``_OBJECT_OPCODES``, and
+        an update over object state is uncacheable.
         """
-        if not self.cacheable:
+        if not self.cacheable or (self.record_refs and operation == "update"):
             return None
         cert_part: tuple = ()
         nonce = ""
@@ -318,7 +328,7 @@ class FastPolicy:
                 )
             cert_part = tuple(parts)
             nonce = inputs.nonce
-        return (
+        shape = (
             inputs.session_key,
             inputs.this_id if self.reads_this else None,
             inputs.log_id if self.reads_log else None,
@@ -326,6 +336,13 @@ class FastPolicy:
             cert_part,
             nonce,
         )
+        if not self.record_refs:
+            return shape
+        records = []
+        for ref in self.record_refs:
+            view = inputs.view(inputs.this_id if ref == "this" else inputs.log_id)
+            records.append("" if view is None else view.digest)
+        return None if None in records else shape + tuple(records)
 
 
 def compile_closures(policy: CompiledPolicy) -> FastPolicy:
@@ -345,6 +362,7 @@ def compile_closures(policy: CompiledPolicy) -> FastPolicy:
             fast.width = max(fast.width, scope.width)
             fast.reads_this |= "this" in scope.refs
             fast.reads_log |= "log" in scope.refs
+    fast.record_refs = tuple(sorted(fast.record_refs, key=str))
     return fast
 
 
@@ -387,7 +405,7 @@ class DecisionCache:
 
     def __init__(self, max_entries: int = 4096):
         self.max_entries = max(1, int(max_entries))
-        #: key -> (decision, valid_until), least recently used first
+        #: key -> decision, or (decision, valid_until); LRU first
         self._entries: OrderedDict = OrderedDict()
         self.stats = DecisionCacheStats()
 
@@ -402,16 +420,17 @@ class DecisionCache:
         if entry is None:
             self.stats.misses += 1
             return None
-        decision, valid_until = entry
-        if valid_until is not None and now >= valid_until:
-            # A time boundary passed: the decision may have flipped.
-            del self._entries[key]
-            self.stats.expired += 1
-            self.stats.misses += 1
-            return None
+        if type(entry) is tuple:  # a verdict with a valid_until
+            entry, valid_until = entry
+            if now >= valid_until:
+                # A time boundary passed: the decision may have flipped.
+                del self._entries[key]
+                self.stats.expired += 1
+                self.stats.misses += 1
+                return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return decision
+        return entry
 
     def put(
         self,
@@ -423,7 +442,7 @@ class DecisionCache:
         valid_until: float | None = None,
     ) -> None:
         key = (policy_hash, operation, shape)
-        self._entries[key] = (decision, valid_until)
+        self._entries[key] = decision if valid_until is None else (decision, valid_until)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -446,7 +465,7 @@ class PolicyEngine:
         over ``build()`` (``inputs`` itself without a builder), which
         runs only for an uncacheable policy or on a miss."""
         fast = compiled_form(policy)
-        shape = fast.request_shape(inputs)
+        shape = fast.request_shape(inputs, operation)
         if shape is None:
             return fast.evaluate(operation, build() if build else inputs)
         policy_hash = policy.policy_hash()

@@ -21,7 +21,8 @@ because they outlive the request that parsed them.
 An object's view is anything with a ``current_version`` and a
 ``versions`` mapping of version -> a row with ``size``,
 ``content_hash`` and ``policy_hash``: the controller hands over the
-object's stored metadata record itself.
+object's stored metadata record itself, whose ``digest`` keys the
+verdicts cached over it (a view with none keys no verdict).
 """
 
 from __future__ import annotations
@@ -135,35 +136,35 @@ class Facts(NamedTuple):
 
 @dataclass(slots=True, eq=False)
 class VersionInfo:
-    """Metadata + facts for one version held in memory: the pending
-    write, or a version of a view built by hand."""
+    """One version held in memory with its bytes: the pending write,
+    or a version of a view built by hand."""
 
     size: int
     content_hash: str
     policy_hash: str = ""
-    #: Loads what ``objSays`` matches, on the first read of ``facts``;
-    #: most policies never look, and then the payload is never tokenised
-    #: or fetched.  A loader that raises is asked again on the next read.
-    load: Callable[[], Facts] | None = Facts
+    data: bytes = b""
     _facts: Facts | None = None
 
     @classmethod
     def from_content(
         cls, data: bytes, policy_hash: str = ""
     ) -> "VersionInfo":
-        return cls(
-            size=len(data),
-            content_hash=content_hash(data),
-            policy_hash=policy_hash,
-            load=lambda: Facts.parse(data),
-        )
+        return cls(len(data), content_hash(data), policy_hash, data)
 
     @property
     def facts(self) -> Facts:
+        """What ``objSays`` matches, parsed on first read (most never look)."""
         if self._facts is None:
-            self._facts = self.load()
-            self.load = None  # the payload need not outlive its parse
+            self._facts = Facts.parse(self.data)
         return self._facts
+
+
+def _view(source, object_id: str):
+    """``source.objects[object_id]``, looked up (once) by ``source.lookup``."""
+    objects = source.objects
+    if object_id not in objects and source.lookup is not None:
+        objects[object_id] = source.lookup(object_id)
+    return objects.get(object_id)
 
 
 class RequestInputs(NamedTuple):
@@ -177,6 +178,11 @@ class RequestInputs(NamedTuple):
     certificates: list
     nonce: str
     now: float
+    #: The records the request holds, and those a probe looked up.
+    objects: dict | None = None
+    lookup: Callable | None = None
+
+    view = _view
 
 
 @dataclass
@@ -224,11 +230,7 @@ class EvalContext:
 
     # -- object resolution -------------------------------------------------
 
-    def view(self, object_id: str):
-        objects = self.objects
-        if object_id not in objects and self.lookup is not None:
-            objects[object_id] = self.lookup(object_id)
-        return objects.get(object_id)
+    view = _view
 
     def version_info(self, object_id: str, view, version: int):
         """One version of ``view`` (what :meth:`view` gave for

@@ -65,6 +65,9 @@ class ClauseScope:
         self.bound: set[int] = set()
         #: ``this``/``log`` references met anywhere in the clause.
         self.refs: set[str] = set()
+        #: Slots first bound by ``objId(this|log, X)``: which record an
+        #: object argument naming one reads.
+        self.records: dict[int, str] = {}
         self.width = num_vars
         #: The current conjunct's arithmetic, run before its predicate.
         self.prelude: list = []

@@ -19,6 +19,7 @@ use case (§5.4) uses for ``currVersion``/``nextVersion``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from repro.errors import PolicyCompileError
@@ -221,6 +222,10 @@ def _obj_id(args: list[Arg], scope: ClauseScope):
     return obj_id
 
 
+#: Current versions as values, shared by the verdicts the cache holds.
+_version_value = lru_cache(maxsize=1024)(IntValue)
+
+
 def _resolver(obj: Arg, version: Arg, scope: ClauseScope):
     """``fn(ctx, slots) -> VersionInfo | None`` for the version
     ``(obj, version)`` name; an unbound version is bound to the object's
@@ -243,7 +248,7 @@ def _resolver(obj: Arg, version: Arg, scope: ClauseScope):
         if bind_current:
             if view is None:
                 return None
-            number = IntValue(view.current_version)
+            number = _version_value(view.current_version)
             slots[slot] = number
         else:
             # Checked after the object is looked up, as it always was.
@@ -266,7 +271,7 @@ def _curr_version(args: list[Arg], scope: ClauseScope):
         value = read_obj(ctx, slots)
         view = None if value is None else ctx.view(value.value)
         return view is not None and match(
-            IntValue(view.current_version), ctx, slots
+            _version_value(view.current_version), ctx, slots
         )
 
     return curr_version

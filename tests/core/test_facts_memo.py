@@ -147,14 +147,19 @@ def test_same_key_other_bytes_without_an_invalidation():
 
 
 def test_log_too_big_for_the_object_region_is_parsed_per_check(parsed):
-    log = may(BOB)
+    readers = [f"fp-reader-{index}" for index in range(3)]
+    log = may(*readers)
     controller = _controller(cache=CacheConfig(object_bytes=len(log) - 1))
     _protect(controller, log)
-    for expected in (1, 2, 3):
-        assert _status(controller, BOB) == 200
-        assert _status(controller, CAROL) == 403
+    for expected, reader in enumerate(readers, 1):
+        # Sessions not seen before: each check is a decision-cache miss.
+        assert _status(controller, reader) == 200
+        assert _status(controller, f"fp-stranger-{expected}") == 403
         assert len(parsed) == 2 * expected
     assert set(parsed) == {log}
+    # A repeated check is answered by the verdict its records key.
+    assert _status(controller, readers[0]) == 200
+    assert len(parsed) == 6
     assert controller.caches.objects.stats.rejected_oversize >= 6
     assert controller.caches.memory_in_use() <= len(log) + 4096
 
@@ -201,10 +206,10 @@ def test_get_of_the_log_between_two_checks_keeps_its_facts(parsed):
 
 def test_clearing_the_region_drops_the_facts_with_the_bytes(parsed):
     controller = _controller()
-    _protect(controller, may(BOB))
+    _protect(controller, may(BOB, CAROL))
     assert _status(controller, BOB) == 200
     controller.caches.objects.clear()
-    assert _status(controller, BOB) == 200
+    assert _status(controller, CAROL) == 200  # another session: a miss
     assert len(parsed) == 2
 
 

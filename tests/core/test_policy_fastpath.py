@@ -345,26 +345,58 @@ def test_a_decision_cache_hit_builds_no_policy_context(monkeypatch):
 def test_an_object_reading_policy_builds_a_context_for_every_check(
     monkeypatch,
 ):
-    """``mal_policy`` reads the log object: uncacheable, so each read
-    of the record is evaluated over a context of its own."""
+    """A policy reading an object whose id it takes from facts is
+    uncacheable, so each read of the record is evaluated over a
+    context of its own."""
+    controller = _controller()
+    delegated = controller.put_policy(
+        ALICE,
+        "read :- objSays(this, V, 'acl'(A)) /\\ objSays(A, AV, 'may'(U))"
+        " /\\ sessionKeyIs(U)\nupdate :- eq(1, 1)",
+    ).policy_id
+    assert not compiled_form(controller._load_policy(delegated)).cacheable
+    assert controller.put(ALICE, "acl", f"'may'(k'{BOB}')".encode()).ok
+    assert controller.put(
+        ALICE, "record", b"'acl'('acl')", policy_id=delegated
+    ).ok
+    built = _count_contexts(monkeypatch)
+    for _ in range(3):
+        assert controller.get(BOB, "record").ok
+    reads = [ctx for ctx in built if not isinstance(ctx, str)]
+    assert len(reads) == 3
+    # Each check's view of ``this`` is the record the request holds.
+    assert all(ctx.view("record").key == "record" for ctx in reads)
+    stats = controller.policy_engine.decisions.stats
+    assert (stats.hits, stats.misses) == (0, 0)
+
+
+def test_a_record_keyed_policy_builds_a_context_once_per_record_pair(
+    monkeypatch,
+):
+    """``mal_policy`` reads only the records ``this`` and ``log`` name:
+    a read verdict is keyed by their digests, so a context is built
+    once per (record, log) pair and session, and an append to the log
+    is a new pair."""
     from repro.usecases.mal import MalStore
 
     controller = _controller()
     mal = MalStore(controller)
     mal.protect(ALICE, "record", b"initial state")
     built = _count_contexts(monkeypatch)
-    for _ in range(3):
-        assert mal.read(BOB, "record").ok
-    contexts = [ctx for ctx in built if not isinstance(ctx, str)]
-    reads = [
-        ctx for ctx in contexts
-        if ctx.operation == "read" and ctx.this_id == "record"
-    ]
-    assert len(reads) == 3
-    # Each check's view of ``this`` is the record the request holds.
-    assert all(ctx.view("record").key == "record" for ctx in reads)
     stats = controller.policy_engine.decisions.stats
-    assert (stats.hits, stats.misses) == (0, 0)
+    for appended in (1, 2):
+        assert mal.read(BOB, "record").ok  # appends an intent: a miss
+        for _ in range(3):
+            assert controller.get(BOB, "record").ok
+        reads = [
+            ctx for ctx in built
+            if not isinstance(ctx, str)
+            and ctx.operation == "read" and ctx.this_id == "record"
+        ]
+        assert len(reads) == appended
+    assert all(ctx.view("record").key == "record" for ctx in reads)
+    assert all(ctx.view("record.log").digest for ctx in reads)
+    assert controller.get(ALICE, "record").status == 403  # no intent of hers
 
 
 def test_every_check_probes_the_decision_cache_once():

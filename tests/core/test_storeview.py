@@ -29,8 +29,11 @@ def controller():
 def _context(controller, this="obj"):
     """The context the controller builds for a read of ``this``."""
     meta = controller._get_meta(this)
-    inputs = RequestInputs(ALICE, this, this + ".log", None, [], "", 0.0)
-    return controller._context("read", inputs, meta)
+    inputs = RequestInputs(
+        ALICE, this, this + ".log", None, [], "", 0.0, {this: meta},
+        controller._view,
+    )
+    return controller._context("read", inputs)
 
 
 def _drive_gets(controller) -> int:

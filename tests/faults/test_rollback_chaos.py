@@ -18,6 +18,7 @@ from repro.core.cache import CacheConfig
 from repro.core.store import ObjectStore, placement
 from repro.faults import DriveFaultSpec
 from repro.kinetic.retry import RetryPolicy
+from repro.policy.compiled import DecisionCache
 from repro.sgx.attestation import SgxPlatform
 
 from tests.faults.conftest import (
@@ -180,9 +181,11 @@ def test_replayed_log_blob_never_says_what_the_log_no_longer_says(offset):
     version.  The log revokes the intruder by an in-place overwrite
     (``keep_history=False``), so every replica holds a retained blob
     that still names them; replicas then replay it while the object
-    cache keeps being emptied.  The facts must come from bytes the
-    verified metadata's content hash admits: the intruder's probe
-    answers 403 (or a 5xx refusal under total replay), never 200."""
+    cache (and, for each re-read, the decision cache) keeps being
+    emptied.  The facts must come from bytes the verified metadata's
+    content hash admits: the intruder's probe answers 403 (or a 5xx
+    refusal under total replay), never 200, and the owner never reads
+    bytes other than ``secret``."""
     seed = BASE + 700 + offset
     rng = random.Random(seed)
     stack, _platform = _freshness_stack(
@@ -216,13 +219,20 @@ def test_replayed_log_blob_never_says_what_the_log_no_longer_says(offset):
         injector.reschedule(index, DriveFaultSpec(replay_rate=1.0))
     for _ in range(3):
         controller.caches.objects.clear()  # evicted: re-read under attack
+        controller.policy_engine.decisions = DecisionCache()  # forced misses
         assert (status(INTRUDER), status(FP)) == (403, 200)
     assert injector.stats.replays > 0
 
     for index in range(3):
         injector.reschedule(index, DriveFaultSpec(replay_rate=1.0))
     controller.caches.objects.clear()
-    assert status(INTRUDER) >= 500 and status(FP) >= 500  # refused, not lied to
+    # The verdicts the log's record keys answer without reading the log;
+    # a check that must read it is refused, not lied to.
+    intruder, owner = status(INTRUDER), status(FP)
+    assert intruder == 403 or intruder >= 500
+    assert owner == 200 or owner >= 500
+    controller.policy_engine.decisions = DecisionCache()
+    assert status(INTRUDER) >= 500 and status(FP) >= 500
     for index in range(3):
         injector.reschedule(index, DriveFaultSpec())
     assert (status(INTRUDER), status(FP)) == (403, 200)

@@ -10,6 +10,7 @@ nothing that merely parses to the same fields.  The record's own rules
 vectors.
 """
 
+import hashlib
 import struct
 
 import pytest
@@ -477,7 +478,11 @@ def _with_row(meta: StoredMeta, **changes) -> StoredMeta:
 def test_golden_stored_meta_bytes():
     blob = bytes.fromhex(GOLDEN_META_HEX)
     assert _golden_meta().encode() == blob
-    assert StoredMeta.decode(blob) == _golden_meta()
+    # Decoding gives the record back, carrying the digest of its bytes.
+    sealed, plain = _golden_meta().encoded()
+    assert plain == blob and _golden_meta().digest is None
+    assert sealed.digest == hashlib.sha256(blob).hexdigest()
+    assert StoredMeta.decode(blob) == sealed
 
 
 def test_golden_compiled_policy_bytes_and_hash():
@@ -526,9 +531,10 @@ def _stored_metas(draw):
 @settings(max_examples=200, deadline=None)
 @given(_stored_metas())
 def test_stored_meta_roundtrip_property(meta):
-    blob = meta.encode()
+    sealed, blob = meta.encoded()
     loaded = StoredMeta.decode(blob)
-    assert loaded == meta
+    assert loaded == sealed and loaded[:4] == meta[:4]
+    assert loaded.digest == hashlib.sha256(blob).hexdigest()
     assert list(loaded.versions) == sorted(meta.versions)
     assert loaded.encode() == blob
     # Each distinct policy hash is spelled once, each row is 49 bytes.

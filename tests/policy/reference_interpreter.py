@@ -52,6 +52,7 @@ class ObjectView:
     object_id: str
     current_version: int
     versions: dict = field(default_factory=dict)  # version -> VersionInfo
+    digest: str | None = None  # no stored bytes: keys no cached verdict
 
 
 class EvalError(PolicyError):

@@ -193,16 +193,29 @@ def test_engine_caches_repeat_shapes():
     assert engine.decisions.stats.hits == 4
 
 
-def test_engine_never_caches_object_reading_policies():
-    policy = compile_policy(
-        "read :- objId(this, O) /\\ currVersion(O, V)"
+def test_engine_never_caches_an_object_no_record_of_the_request_names():
+    """An object id bound from facts (or any other id that is neither
+    ``this`` nor ``log``) keeps every verdict uncacheable; so does a
+    view that carries no digest, and an update that reads object state."""
+    delegated = compile_policy(
+        "read :- objSays(this, V, 'acl'(A)) /\\ currVersion(A, W)"
     )
-    assert not compiled_form(policy).cacheable
+    keyed = compile_policy(
+        "read :- objId(this, O) /\\ currVersion(O, V)\n"
+        "update :- objId(this, O) /\\ currVersion(O, V)"
+    )
+    assert not compiled_form(delegated).cacheable
+    assert compiled_form(keyed).record_refs == ("this",)
     engine = PolicyEngine()
     ctx = EvalContext(operation="read", session_key=ALICE)
     for _ in range(3):
-        engine.evaluate(policy, "read", ctx)
+        engine.evaluate(delegated, "read", ctx)
+        engine.evaluate(keyed, "update", ctx)
     assert len(engine.decisions) == 0
+    # ``this`` does not exist: the read is keyed by its absence.
+    for _ in range(3):
+        engine.evaluate(keyed, "read", ctx)
+    assert (engine.decisions.stats.hits, len(engine.decisions)) == (2, 1)
 
 
 def test_engine_decisions_match_interpreter_cached_or_not():

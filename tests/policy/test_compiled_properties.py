@@ -265,9 +265,7 @@ def test_obj_says_lookup_equals_the_ordered_unify_scan(case):
     pre = TupleValue("pre", tuple(prebound[slot] for slot in bound))
 
     def view(object_id, data):
-        return ObjectView(
-            object_id, 0, {0: VersionInfo(len(data), "h", load=lambda: data)}
-        )
+        return ObjectView(object_id, 0, {0: VersionInfo.from_content(data)})
 
     ctx = EvalContext(
         operation="read",
@@ -275,8 +273,8 @@ def test_obj_says_lookup_equals_the_ordered_unify_scan(case):
         this_id="obj",
         log_id="log",
         objects={
-            "obj": view("obj", Facts((pre,), frozenset({pre}))),
-            "log": view("log", facts),
+            "obj": view("obj", pre.render().encode()),
+            "log": view("log", content),
         },
     )
     shipped = compile_closures(policy).evaluate("read", ctx)
@@ -417,12 +415,12 @@ def test_read_set_is_what_the_conjuncts_mention(read, update):
     fast = compile_closures(compile_policy(source))
     for flag, mentions in _READ_SET.items():
         assert getattr(fast, flag) == any(m in source for m in mentions)
-    assert not fast.uses_certificates and not fast.uses_objects
+    assert not fast.uses_certificates and not fast.record_refs
 
 
 def test_pending_write_is_in_no_shape():
     """Only ``ctx.version_info`` reads the pending write, and every
-    opcode that gets there makes the policy uncacheable — so a PUT body
+    opcode that gets there makes an update uncacheable — so a PUT body
     never splits a cacheable verdict, and never reaches a cached one."""
     acl = compile_policy("update :- sessionKeyIs(k'aa') /\\ nextVersion(V)")
     sized = compile_policy(
@@ -441,7 +439,7 @@ def test_pending_write_is_in_no_shape():
         assert engine.evaluate(sized, "update", ctx).granted == (
             len(body) == 8
         )
-    assert compiled_form(sized).request_shape(ctx) is None
+    assert compiled_form(sized).request_shape(ctx, "update") is None
     assert len(engine.decisions) == 1
     assert (engine.decisions.stats.hits, engine.decisions.stats.misses) == (
         2, 1,
@@ -452,7 +450,10 @@ def test_pending_write_is_in_no_shape():
 #: shape component that covers it.  An attribute that is not here —
 #: a new predicate reading something new — fails the guard below until
 #: someone decides which of the two it is.
-_UNCACHEABLE = "object state: uncacheable (_OBJECT_OPCODES)"
+_UNCACHEABLE = (
+    "object state (_OBJECT_OPCODES): the digests of the records this "
+    "and log name, shape[6:], when record-keyed; else uncacheable"
+)
 _CTX_READS = {
     "session_key": "shape[0], always",
     "this_id": "shape[1] when reads_this",
@@ -467,11 +468,12 @@ _CTX_READS = {
     "objects": _UNCACHEABLE,
     "lookup": _UNCACHEABLE + ", via view only",
     "view": _UNCACHEABLE,
-    "version_info": _UNCACHEABLE,
-    "facts": _UNCACHEABLE,
+    "version_info": _UNCACHEABLE + ", a row of the record",
+    "facts": _UNCACHEABLE + ", bytes a row's content hash anchors",
     "load_facts": _UNCACHEABLE + ", via facts only",
     "_said": _UNCACHEABLE + ", via facts only",
-    "pending": _UNCACHEABLE + ", via version_info only",
+    "pending": "the update's own write: an update over object state is "
+               "uncacheable, via version_info only",
 }
 
 
@@ -507,6 +509,8 @@ def test_every_context_read_is_covered_by_the_shape_or_uncacheable():
     own = _attribute_reads(
         package / "context.py", lambda receiver: receiver == "self",
         "EvalContext",
+    ) | _attribute_reads(  # the one view resolver, EvalContext.view
+        package / "context.py", lambda receiver: receiver == "source",
     )
     assert direct | own == set(_CTX_READS)
     # ``pending`` and the object views are read by EvalContext itself
@@ -525,11 +529,16 @@ def test_every_context_read_is_covered_by_the_shape_or_uncacheable():
     ))
     assert not elsewhere & context_names
     # The cache is probed with the request's inputs, before a context
-    # exists: each is the context field of the same name, and the
-    # views, pending write and key registry are none of them.
+    # exists: each is the context field of the same name, the records
+    # come through the view resolver the context uses, and the pending
+    # write and key registry are none of them.
     probed = _attribute_reads(
         package / "compiled.py", lambda receiver: receiver == "inputs"
     )
-    assert probed == set(RequestInputs._fields)
-    assert probed <= set(EvalContext.__dataclass_fields__) & set(_CTX_READS)
-    assert not probed & {"objects", "pending", "key_registry"}
+    assert probed == set(RequestInputs._fields) - {"objects", "lookup"} | {
+        "view"
+    }
+    assert RequestInputs.view is EvalContext.view
+    assert probed <= set(EvalContext.__dataclass_fields__) | {"view"}
+    assert probed <= set(_CTX_READS)
+    assert not probed & {"pending", "key_registry"}

@@ -119,25 +119,10 @@ def test_from_content_parses_tuples_only_when_read(monkeypatch):
 
 def test_version_info_direct_construction():
     fact = parse_content_tuples(b"'fact'(42)")[0]
-    given = Facts((fact,), frozenset((fact,)))
-    info = VersionInfo(size=3, content_hash="h", load=lambda: given)
-    assert info.facts is given
-    assert VersionInfo(size=3, content_hash="h").facts == Facts((), frozenset())
-
-
-def test_version_info_failed_content_load_is_retried():
-    attempts = []
-
-    def load():
-        attempts.append(1)
-        if len(attempts) == 1:
-            raise OSError("replica offline")
-        return Facts.parse(b"'fact'(42)")
-
-    info = VersionInfo(size=10, content_hash="h", load=load)
-    with pytest.raises(OSError):
-        info.facts
-    assert info.facts.ordered[0].name == "fact"
+    info = VersionInfo.from_content(b"'fact'(42)")
+    assert info.facts == Facts((fact,), frozenset((fact,)))
+    assert info.facts is info.facts  # parsed once
+    assert VersionInfo.from_content(b"").facts == Facts((), frozenset())
 
 
 def test_object_view_lookup():
